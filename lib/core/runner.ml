@@ -5,9 +5,9 @@ module Ccp = Rdt_ccp.Ccp
 module Middleware = Rdt_protocols.Middleware
 module Stable_store = Rdt_storage.Stable_store
 module Log_store = Rdt_store.Log_store
-module Rdt_lgc = Rdt_gc.Rdt_lgc
 module Global_gc = Rdt_gc.Global_gc
 module Session = Rdt_recovery.Session
+module Process_stack = Rdt_recovery.Process_stack
 module Workload = Rdt_workload.Workload
 module Series = Rdt_metrics.Series
 
@@ -41,9 +41,8 @@ type t = {
   cfg : Sim_config.t;
   engine : Sim_msg.t Engine.t;
   trace : Trace.t;
-  middlewares : Middleware.t array;
-  collectors : Rdt_lgc.t option array;
-  log_stores : Log_store.t option array;
+  stacks : Process_stack.t array;
+  middlewares : Middleware.t array;  (* flat view of [stacks], read per event *)
   workload : Workload.t;
   series_retained : Series.t array;
   series_total : Series.t;
@@ -68,7 +67,7 @@ let engine t = t.engine
 let now t = Engine.now t.engine
 let trace t = t.trace
 let middleware t pid = t.middlewares.(pid)
-let collector t pid = t.collectors.(pid)
+let collector t pid = Process_stack.collector t.stacks.(pid)
 let ccp t =
   Trace.finalize t.trace;
   match t.ccp_incr with
@@ -84,14 +83,13 @@ let store_live_bytes_series t = t.series_store_live_bytes
 let store_dead_bytes_series t = t.series_store_dead_bytes
 let recoveries t = List.rev t.recoveries
 let set_on_sample t f = t.on_sample <- Some f
-let log_store t pid = t.log_stores.(pid)
-let durable t = Array.exists Option.is_some t.log_stores
-
-let sync_stores t =
-  Array.iter (function Some ls -> Log_store.sync ls | None -> ()) t.log_stores
-
-let close_stores t =
-  Array.iter (function Some ls -> Log_store.close ls | None -> ()) t.log_stores
+let log_store t pid = Process_stack.log_store t.stacks.(pid)
+let log_stores t =
+  List.filter_map Process_stack.log_store (Array.to_list t.stacks)
+let durable t =
+  Array.exists (fun s -> Option.is_some (Process_stack.log_store s)) t.stacks
+let sync_stores t = List.iter Log_store.sync (log_stores t)
+let close_stores t = Array.iter Process_stack.close t.stacks
 
 let snapshots t = Array.map Session.snapshot_of t.middlewares
 
@@ -301,14 +299,9 @@ let recover t pid =
        discarded (the CCP excludes lost and in-transit messages) *)
     Engine.flush_in_flight t.engine;
     t.rounds.open_round <- None;
-    let release_outdated p ~li =
-      match t.collectors.(p) with
-      | Some lgc -> Rdt_lgc.release_outdated lgc ~li
-      | None -> ()
-    in
     let report =
-      Session.run ~middlewares:t.middlewares ~faulty
-        ~knowledge:t.cfg.Sim_config.knowledge ~release_outdated
+      Process_stack.session t.stacks ~faulty
+        ~knowledge:t.cfg.Sim_config.knowledge
     in
     t.recoveries <- report :: t.recoveries
 
@@ -326,14 +319,12 @@ let sample t =
   Series.add_int t.series_total ~time ~value:!total;
   if durable t then begin
     let live = ref 0 and dead = ref 0 in
-    Array.iter
-      (function
-        | Some ls ->
-          let s = Log_store.stats ls in
-          live := !live + s.Log_store.live_bytes;
-          dead := !dead + s.Log_store.dead_bytes
-        | None -> ())
-      t.log_stores;
+    List.iter
+      (fun ls ->
+        let s = Log_store.stats ls in
+        live := !live + s.Log_store.live_bytes;
+        dead := !dead + s.Log_store.dead_bytes)
+      (log_stores t);
     Series.add_int t.series_store_live_bytes ~time ~value:!live;
     Series.add_int t.series_store_dead_bytes ~time ~value:!dead
   end;
@@ -382,7 +373,10 @@ let create (cfg : Sim_config.t) =
            let lo, hi = Engine.shard_bounds engine s in
            Array.init (hi - lo) (fun i -> f (lo + i))))
   in
-  let log_stores =
+  (* Every pid's directory is opened and checked before any stack stores
+     its s^0, so a stale directory is rejected without writing into the
+     others. *)
+  let logs =
     init_by_shard (fun me ->
         match cfg.store with
         | Sim_config.Memory -> None
@@ -402,33 +396,17 @@ let create (cfg : Sim_config.t) =
                  dir);
           Some ls)
   in
-  let middlewares =
-    init_by_shard (fun me ->
-        let store =
-          match log_stores.(me) with
-          | None -> None
-          | Some ls ->
-            let store = Stable_store.create ~me in
-            Stable_store.set_backend store (Log_store.backend ls);
-            Some store
-        in
-        Middleware.create ~n:cfg.n ~me ~protocol:cfg.protocol ~trace
-          ~ckpt_bytes:cfg.ckpt_bytes ?store ())
+  let with_lgc =
+    match cfg.gc with
+    | Sim_config.Local -> true
+    | Sim_config.No_gc | Sim_config.Local_lazy _ | Sim_config.Coordinated _
+    | Sim_config.Simple _ | Sim_config.Oracle_periodic _ ->
+      false
   in
-  let collectors =
+  let stacks =
     init_by_shard (fun me ->
-        match cfg.gc with
-        | Sim_config.Local ->
-          let mw = middlewares.(me) in
-          let lgc =
-            Rdt_lgc.create ~me ~store:(Middleware.store mw)
-              ~dv:(Middleware.dv mw) ~n:cfg.n
-          in
-          Rdt_lgc.attach lgc mw;
-          Some lgc
-        | Sim_config.No_gc | Sim_config.Local_lazy _ | Sim_config.Coordinated _
-        | Sim_config.Simple _ | Sim_config.Oracle_periodic _ ->
-          None)
+        Process_stack.create ~n:cfg.n ~me ~protocol:cfg.protocol ~trace
+          ~ckpt_bytes:cfg.ckpt_bytes ?log:logs.(me) ~with_lgc ())
   in
   let workload =
     Workload.create cfg.workload ~n:cfg.n
@@ -440,9 +418,8 @@ let create (cfg : Sim_config.t) =
       cfg;
       engine;
       trace;
-      middlewares;
-      collectors;
-      log_stores;
+      stacks;
+      middlewares = Array.map Process_stack.middleware stacks;
       workload;
       series_retained =
         Array.init cfg.n (fun pid ->
@@ -530,10 +507,7 @@ let summary t =
   let store_stats = Array.map Stable_store.stats stores in
   let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
   let engine_stats = Engine.stats t.engine in
-  let log_stats =
-    Array.to_list t.log_stores
-    |> List.filter_map (Option.map Log_store.stats)
-  in
+  let log_stats = List.map Log_store.stats (log_stores t) in
   let sum_log f = List.fold_left (fun acc s -> acc + f s) 0 log_stats in
   {
     n = t.cfg.Sim_config.n;

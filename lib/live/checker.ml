@@ -23,30 +23,15 @@ module Harness = Rdt_verify.Harness
 module Script = Rdt_scenarios.Script
 module Middleware = Rdt_protocols.Middleware
 module Stable_store = Rdt_storage.Stable_store
-module Log_store = Rdt_store.Log_store
+module Process_stack = Rdt_recovery.Process_stack
 
 type result = {
   violations : Oracles.violation list;  (** empty = the live run checks out *)
   replay : Harness.result;  (** the simulator arm, for inspection *)
 }
 
-let int_array_eq (a : int array) b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
-       !ok
-     end
-
 let uc_eq (a : int option array) b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i x -> if not (Option.equal Int.equal x b.(i)) then ok := false)
-         a;
-       !ok
-     end
+  Array.length a = Array.length b && Array.for_all2 (Option.equal Int.equal) a b
 
 let pp_int_array ppf a =
   Format.fprintf ppf "[%s]"
@@ -63,7 +48,7 @@ let state_mismatches ~op ~pid (live : Wire.state) script =
       Printf.sprintf "pid %d %s: %s" pid name detail } in
   let acc = ref [] in
   let script_dv = Script.dv script pid in
-  if not (int_array_eq live.Wire.st_dv script_dv) then
+  if not (Oracles.int_array_eq live.Wire.st_dv script_dv) then
     acc := v "dv" (Format.asprintf "live %a, replay %a"
                      pp_int_array live.Wire.st_dv pp_int_array script_dv)
           :: !acc;
@@ -73,7 +58,7 @@ let state_mismatches ~op ~pid (live : Wire.state) script =
                      pp_uc live.Wire.st_uc pp_uc script_uc)
           :: !acc;
   let script_retained = Array.of_list (Script.retained script pid) in
-  if not (int_array_eq live.Wire.st_retained script_retained) then
+  if not (Oracles.int_array_eq live.Wire.st_retained script_retained) then
     acc := v "retained" (Format.asprintf "live %a, replay %a"
                            pp_int_array live.Wire.st_retained
                            pp_int_array script_retained)
@@ -110,7 +95,7 @@ let check_reports (live : Rdt_recovery.Session.report list) replayed =
            if
              List.equal Int.equal l.Rdt_recovery.Session.faulty
                r.Rdt_recovery.Session.faulty
-             && int_array_eq l.Rdt_recovery.Session.line
+             && Oracles.int_array_eq l.Rdt_recovery.Session.line
                   r.Rdt_recovery.Session.line
              && List.equal Int.equal l.Rdt_recovery.Session.rolled_back
                   r.Rdt_recovery.Session.rolled_back
@@ -126,12 +111,9 @@ let check_reports (live : Rdt_recovery.Session.report list) replayed =
 let check_stores ~root ~n script =
   List.concat
     (List.init n (fun pid ->
-         let dir = Filename.concat (Sim_cluster.node_dir root pid) "store" in
-         let log = Log_store.create ~config:Harness.log_config ~pid ~dir () in
          let recovered =
-           Fun.protect
-             ~finally:(fun () -> Log_store.close log)
-             (fun () -> (Log_store.recovery log).Log_store.recovered)
+           Process_stack.recovered ~config:Harness.log_config ~pid
+             ~dir:(Filename.concat (Sim_cluster.node_dir root pid) "store")
          in
          let expected = Stable_store.retained (Script.store script pid) in
          if Harness.set_eq recovered expected then []
@@ -139,13 +121,8 @@ let check_stores ~root ~n script =
            [ { Oracles.oracle = "live-durability"; op = -1;
                detail = Printf.sprintf
                    "pid %d: store dir recovered {%s}, replay retains {%s}"
-                   pid
-                   (String.concat ","
-                      (List.map (fun (e : Stable_store.entry) ->
-                           string_of_int e.Stable_store.index) recovered))
-                   (String.concat ","
-                      (List.map (fun (e : Stable_store.entry) ->
-                           string_of_int e.Stable_store.index) expected)) } ]))
+                   pid (Harness.pp_ints recovered)
+                   (Harness.pp_ints expected) } ]))
 
 let check ~record ~root ?scratch_dir () =
   let sc = record.Coordinator.rr_scenario in

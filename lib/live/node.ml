@@ -30,16 +30,8 @@ module Protocol = Rdt_protocols.Protocol
 module Middleware = Rdt_protocols.Middleware
 module Control = Rdt_protocols.Control
 module Rdt_lgc = Rdt_gc.Rdt_lgc
+module Process_stack = Rdt_recovery.Process_stack
 module Harness = Rdt_verify.Harness
-
-type sys = {
-  n : int;
-  mw : Middleware.t;
-  lgc : Rdt_lgc.t;
-  store : Stable_store.t;
-  log : Log_store.t;
-  trace : Trace.t;
-}
 
 type armed = { a_seq : int; a_now : float; a_src : int; a_msg_id : int }
 
@@ -48,7 +40,7 @@ type t = {
   me : int;
   dir : string;
   mutable epoch : int;
-  mutable sys : sys option;
+  mutable sys : Process_stack.t option;
   staged : (int * int, int array * int) Hashtbl.t;
       (* (src, msg_id) -> piggybacked (dv, control index) *)
   doomed : (int * int, unit) Hashtbl.t;
@@ -95,11 +87,14 @@ let drain t =
   evs
 
 let state_of sys =
+  let mw = Process_stack.middleware sys in
   {
-    Wire.st_dv = Dependency_vector.to_array (Middleware.dv sys.mw);
-    st_uc = Rdt_lgc.uc_view sys.lgc;
-    st_retained = Array.of_list (Stable_store.retained_indices sys.store);
-    st_app = Middleware.app_state sys.mw;
+    Wire.st_dv = Dependency_vector.to_array (Middleware.dv mw);
+    (* nodes always run RDT-LGC, so every stack has a collector *)
+    st_uc = Rdt_lgc.uc_view (Option.get (Process_stack.collector sys));
+    st_retained =
+      Array.of_list (Stable_store.retained_indices (Process_stack.store sys));
+    st_app = Middleware.app_state mw;
   }
 
 let reply t ~seq reply =
@@ -129,27 +124,15 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
   let trace = Trace.create ~n in
   let log = Log_store.create ~config:Harness.log_config ~pid:t.me ~dir () in
   let sys =
-    if List.is_empty history then begin
-      (* fresh start: the middleware stores s^0 through the durable
-         backend, exactly like the simulator's bootstrap *)
-      let store = Stable_store.create ~me:t.me in
-      Stable_store.set_backend store (Log_store.backend log);
-      let mw =
-        Middleware.create ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~store ()
-      in
-      let lgc =
-        Rdt_lgc.create ~me:t.me ~store ~dv:(Middleware.dv mw) ~n
-      in
-      Rdt_lgc.attach lgc mw;
-      { n; mw; lgc; store; log; trace }
-    end
+    if List.is_empty history then
+      (* fresh start: s^0 goes through the durable backend, exactly like
+         the simulator's bootstrap *)
+      Process_stack.create ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~log
+        ~with_lgc:true ()
     else begin
       (* respawn after a kill: volatile state is rebuilt from what the
          durable log recovered plus the coordinator's transcript of our
          own pre-crash events *)
-      let recovered = (Log_store.recovery log).Log_store.recovered in
-      let store = Stable_store.restore ~me:t.me ~entries:recovered in
-      Stable_store.set_backend store (Log_store.backend log);
       List.iter
         (fun ev ->
           match (ev : Wire.tev) with
@@ -162,12 +145,8 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
       (* ids are monotone across rollbacks: restore the counter past the
          sends the erased history performed *)
       Trace.restore_msg_ids trace ~pid:t.me ~count:sends_ever;
-      let mw =
-        Middleware.restore ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~store ()
-      in
-      let lgc = Rdt_lgc.restore ~me:t.me ~store ~dv:(Middleware.dv mw) ~n in
-      Rdt_lgc.attach lgc mw;
-      { n; mw; lgc; store; log; trace }
+      Process_stack.restore ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~log
+        ~with_lgc:true ()
     end
   in
   (* subscribe only now: neither the s^0 bootstrap nor the history replay
@@ -178,11 +157,12 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
 (* --- delivery ---------------------------------------------------------- *)
 
 let do_deliver sys ~now ~src ~msg_id ~dv ~index =
-  Middleware.receive sys.mw
+  let mw = Process_stack.middleware sys in
+  Middleware.receive mw
     { Middleware.msg_id; src; control = Control.make ~dv ~index }
     ~now;
   if !test_dup_deliver then
-    Middleware.receive sys.mw
+    Middleware.receive mw
       { Middleware.msg_id; src; control = Control.make ~dv ~index }
       ~now
 
@@ -205,14 +185,17 @@ let handle_app t ~src ~(frame_epoch : int) ~msg_id ~dv ~index =
 (* --- commands ---------------------------------------------------------- *)
 
 let handle_cmd t ~seq ~now cmd =
+  let sys = sys_exn t in
+  let mw = Process_stack.middleware sys in
+  let done_ () =
+    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+  in
   match (cmd : Wire.cmd) with
   | C_checkpoint ->
-    let sys = sys_exn t in
-    Middleware.basic_checkpoint sys.mw ~now;
-    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+    Middleware.basic_checkpoint mw ~now;
+    done_ ()
   | C_send { dst } ->
-    let sys = sys_exn t in
-    let m = Middleware.prepare_send sys.mw ~dst ~now in
+    let m = Middleware.prepare_send mw ~dst ~now in
     Transport.send t.tr ~dst
       (Wire.App
          {
@@ -230,9 +213,8 @@ let handle_cmd t ~seq ~now cmd =
     match Hashtbl.find_opt t.staged (src, msg_id) with
     | Some (dv, index) ->
       Hashtbl.remove t.staged (src, msg_id);
-      let sys = sys_exn t in
       do_deliver sys ~now ~src ~msg_id ~dv ~index;
-      reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+      done_ ()
     | None ->
       (* frame still in flight: deliver (and reply) on arrival *)
       t.armed <- Some { a_seq = seq; a_now = now; a_src = src; a_msg_id = msg_id }
@@ -241,40 +223,33 @@ let handle_cmd t ~seq ~now cmd =
     if Hashtbl.mem t.staged (src, msg_id) then
       Hashtbl.remove t.staged (src, msg_id)
     else Hashtbl.replace t.doomed (src, msg_id) ();
-    let sys = sys_exn t in
-    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+    done_ ()
   | C_flush { epoch } ->
     t.epoch <- epoch;
     Hashtbl.reset t.staged;
     Hashtbl.reset t.doomed;
     t.armed <- None;
-    let sys = sys_exn t in
-    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+    done_ ()
   | C_snapshot ->
-    let sys = sys_exn t in
+    let store = Process_stack.store sys in
     reply t ~seq
       (Wire.R_snapshot
          {
-           entries = Stable_store.retained sys.store;
-           live_dv = Dependency_vector.to_array (Middleware.dv sys.mw);
-           last = Stable_store.last_index sys.store;
+           entries = Stable_store.retained store;
+           live_dv = Dependency_vector.to_array (Middleware.dv mw);
+           last = Stable_store.last_index store;
          })
   | C_rollback { to_index; li } ->
-    let sys = sys_exn t in
-    Middleware.rollback sys.mw ~to_index ~li;
-    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+    Middleware.rollback mw ~to_index ~li;
+    done_ ()
   | C_release { li } ->
-    let sys = sys_exn t in
-    Rdt_lgc.release_outdated sys.lgc ~li;
-    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
-  | C_state ->
-    let sys = sys_exn t in
-    reply t ~seq (Wire.R_state { state = state_of sys })
+    Process_stack.release_outdated sys ~li;
+    done_ ()
+  | C_state -> reply t ~seq (Wire.R_state { state = state_of sys })
   | C_shutdown ->
-    let sys = sys_exn t in
-    Log_store.close sys.log;
+    Process_stack.close sys;
     t.finished <- true;
-    reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
+    done_ ()
 
 (* --- event handler ----------------------------------------------------- *)
 
@@ -392,11 +367,7 @@ let create ~transport ~dir () =
   (* registration is unacknowledged until Config: keep re-sending in case
      the Hello was lost (set_handler above replays any buffered Config,
      so [hello] may already be cleared by the time we get here) *)
-  if
-    match t.sys with
-    | None -> true
-    | Some _ -> false
-  then begin
+  if Option.is_none t.sys then begin
     t.hello <- Some send_hello;
     Transport.set_timer transport ~id:hello_timer_id ~after:hello_retry
   end;

@@ -29,7 +29,6 @@ type t = {
   n : int;
   me : int;
   proto : Protocol.instance;
-  proto_name : string;
   trace : Trace.t;
   store : Stable_store.t;
   archive : Rdt_storage.Dv_archive.t;
@@ -81,7 +80,6 @@ let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
       n;
       me;
       proto = protocol.Protocol.make ~n ~me;
-      proto_name = protocol.Protocol.id;
       trace;
       store;
       archive = Rdt_storage.Dv_archive.create ~me;
@@ -120,7 +118,6 @@ let restore ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
     n;
     me;
     proto = protocol.Protocol.make ~n ~me;
-    proto_name = protocol.Protocol.id;
     trace;
     store;
     archive =
@@ -139,14 +136,10 @@ let restore ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
 
 let set_hooks t hooks = t.hooks <- hooks
 
-let me t = t.me
-let n t = t.n
 let dv t = t.dv
 let store t = t.store
 let archive t = t.archive
-let protocol_name t = t.proto_name
 let current_interval t = Dependency_vector.get t.dv t.me
-let last_checkpoint_index t = Dependency_vector.get t.dv t.me - 1
 
 let basic_checkpoint t ~now =
   take_checkpoint t ~kind:Basic ~now
@@ -200,10 +193,6 @@ let rollback t ~to_index ~li =
     match li with Some li -> li | None -> Dependency_vector.to_array t.dv
   in
   t.hooks.on_rollback ~li
-
-let restart_after_crash t ~now:_ =
-  let last = Stable_store.last_index t.store in
-  rollback t ~to_index:last ~li:None
 
 let app_state t = t.app_state
 

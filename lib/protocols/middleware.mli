@@ -52,16 +52,10 @@ val create :
   unit ->
   t
 (** Creates the middleware and immediately stores the initial checkpoint
-    [s^0] (every process starts by storing a stable checkpoint).  Hooks
-    can be attached with {!set_hooks}; attach them before any activity if
-    the collector must see [s^0] — {!Rdt_gc.Rdt_lgc} provides
-    reinitialization for exactly this bootstrap (its [create] scans the
-    store).
-
-    [?store] supplies a pre-built (empty) stable store — the runner uses
-    this to hand in a store whose durability backend is a
-    [Rdt_store.Log_store], so [s^0] and everything after it also hit the
-    disk.  Default: a fresh in-memory store. *)
+    [s^0] in [store] (default: a fresh in-memory store; a supplied one
+    must be empty).  Build it through [Rdt_recovery.Process_stack], which
+    attaches the durability backend and the collector in the right
+    order. *)
 
 val restore :
   n:int ->
@@ -73,23 +67,20 @@ val restore :
   unit ->
   t
 (** Rebuild the middleware of a process that crashed and lost its volatile
-    state: [store] is the restored stable store
-    ({!Rdt_storage.Stable_store.restore} over what the durable log
-    recovered) and [trace] must already contain the process's surviving
-    event history (the live runtime replays it from the coordinator's
-    transcript).  The DV, application state and archive are recreated from
-    the last surviving checkpoint, as in Algorithm 3; no new checkpoint is
-    stored.  The caller must drive a recovery-session rollback before
-    resuming normal operation — until then the state is provisional, and
-    the protocol instance restarts interval-fresh (valid for the RDT
-    protocols, whose per-interval flags reset at each checkpoint; not for
-    monotone-index protocols like BCS).
+    state: [store] is the restored stable store (built by
+    [Rdt_recovery.Process_stack.restore]) and [trace] must already contain
+    the process's surviving event history (the live runtime replays it
+    from the coordinator's transcript).  The DV, application state and
+    archive are recreated from the last surviving checkpoint, as in
+    Algorithm 3; no new checkpoint is stored.  The caller must drive a
+    recovery-session rollback before resuming normal operation — until
+    then the state is provisional, and the protocol instance restarts
+    interval-fresh (valid for the RDT protocols, whose per-interval flags
+    reset at each checkpoint; not for monotone-index protocols like BCS).
     @raise Invalid_argument if [store] is empty. *)
 
 val set_hooks : t -> hooks -> unit
 
-val me : t -> int
-val n : t -> int
 val dv : t -> Rdt_causality.Dependency_vector.t
 (** The live dependency vector — [DV(v_i)].  Do not mutate. *)
 
@@ -100,13 +91,9 @@ val archive : t -> Rdt_storage.Dv_archive.t
     (survives garbage collection; rewound on rollback).  Feeds the
     decentralized tracking computations of [Rdt_recovery.Tracking]. *)
 
-val protocol_name : t -> string
-
 val current_interval : t -> int
 (** [DV(v_i).(i)] — index of the current checkpoint interval; also the
     index the next stable checkpoint will get. *)
-
-val last_checkpoint_index : t -> int
 
 val basic_checkpoint : t -> now:float -> unit
 (** Take a basic (autonomous) checkpoint. *)
@@ -128,11 +115,6 @@ val rollback : t -> to_index:int -> li:int array option -> unit
     and increment the local entry (paper, Algorithm 3 lines 4-6), truncate
     the trace, then fire [on_rollback] with [li] (or with the restored DV
     when no global information is available). *)
-
-val restart_after_crash : t -> now:float -> unit
-(** Crash recovery of the failed process itself: volatile state is lost;
-    the process resumes from its last stable checkpoint.  Equivalent to
-    [rollback ~to_index:(last stable) ~li:None]. *)
 
 val app_state : t -> int
 (** The process's current (volatile) application state — a deterministic

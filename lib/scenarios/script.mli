@@ -63,6 +63,9 @@ val crash_count : t -> int
 
 val knowledge : t -> Rdt_recovery.Session.knowledge
 
+val stack : t -> int -> Rdt_recovery.Process_stack.t
+(** One process's store → middleware → collector stack. *)
+
 val middleware : t -> int -> Rdt_protocols.Middleware.t
 val collector : t -> int -> Rdt_gc.Rdt_lgc.t option
 val store : t -> int -> Rdt_storage.Stable_store.t

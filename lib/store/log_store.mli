@@ -104,9 +104,8 @@ val close : t -> unit
     only writes if the store mutated since opening. *)
 
 val backend : t -> Stable_store.backend
-(** Mirror for {!Rdt_storage.Stable_store.create} — the wiring that lets
-    {!Rdt_core.Runner} run the durable backend behind the unchanged
-    [Stable_store] interface. *)
+(** Mirror for {!Rdt_storage.Stable_store.set_backend}, installed by
+    [Rdt_recovery.Process_stack]. *)
 
 (* Observation: *)
 

@@ -5,6 +5,7 @@ module Rdt_lgc = Rdt_gc.Rdt_lgc
 module Stable_store = Rdt_storage.Stable_store
 module Log_store = Rdt_store.Log_store
 module Fault = Rdt_store.Fault
+module Process_stack = Rdt_recovery.Process_stack
 
 type stop = Completed | Store_crashed of { pid : int; at_op : int }
 
@@ -68,30 +69,25 @@ type shadow = {
 }
 
 let wrap_backend sh (b : Stable_store.backend) : Stable_store.backend =
+  let mutate keep =
+    sh.prev <- sh.cur;
+    sh.cur <- List.filter keep sh.cur
+  in
+  let other (e : Stable_store.entry) x = x.Stable_store.index <> e.index in
   {
     Stable_store.b_store =
       (fun e ->
-        sh.prev <- sh.cur;
-        sh.cur <-
-          e
-          :: List.filter
-               (fun (x : Stable_store.entry) -> x.index <> e.Stable_store.index)
-               sh.cur;
+        mutate (other e);
+        sh.cur <- e :: sh.cur;
         Hashtbl.add sh.ever e.Stable_store.index e;
         b.Stable_store.b_store e);
     b_eliminate =
       (fun e ->
-        sh.prev <- sh.cur;
-        sh.cur <-
-          List.filter
-            (fun (x : Stable_store.entry) -> x.index <> e.Stable_store.index)
-            sh.cur;
+        mutate (other e);
         b.Stable_store.b_eliminate e);
     b_truncate_above =
       (fun ~index ->
-        sh.prev <- sh.cur;
-        sh.cur <-
-          List.filter (fun (x : Stable_store.entry) -> x.index <= index) sh.cur;
+        mutate (fun x -> x.Stable_store.index <= index);
         b.Stable_store.b_truncate_above ~index);
   }
 
@@ -101,15 +97,8 @@ let by_index l =
       compare a.index b.index)
     l
 
-let int_array_eq a b =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
-
 let entry_eq (a : Stable_store.entry) (b : Stable_store.entry) =
-  a.index = b.index && int_array_eq a.dv b.dv && a.taken_at = b.taken_at
+  a.index = b.index && Oracles.int_array_eq a.dv b.dv && a.taken_at = b.taken_at
   && a.size_bytes = b.size_bytes && a.payload = b.payload
 
 let set_eq a b =
@@ -158,11 +147,9 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
           in
           let ls = Log_store.create ~config:log_config ?faults ~pid:me ~dir () in
           log_stores.(me) <- Some ls;
-          let st = Stable_store.create ~me in
           let sh = { prev = []; cur = []; ever = Hashtbl.create 16 } in
           shadows.(me) <- Some sh;
-          Stable_store.set_backend st (wrap_backend sh (Log_store.backend ls));
-          st)
+          Process_stack.durable_store ~me ~wrap:(wrap_backend sh) ls)
     end
   in
   (* After [Fault.Injected_crash] the faulted instance is poisoned and
@@ -173,10 +160,10 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
     let pid = f.Scenario.fault_pid in
     let sh = Option.get shadows.(pid) in
     log_stores.(pid) <- None (* poisoned; the directory is the truth now *);
-    let dir = Filename.concat root ("p" ^ string_of_int pid) in
-    let reopened = Log_store.create ~config:log_config ~pid ~dir () in
-    let recovered = (Log_store.recovery reopened).Log_store.recovered in
-    Log_store.close reopened;
+    let recovered =
+      Process_stack.recovered ~config:log_config ~pid
+        ~dir:(Filename.concat root ("p" ^ string_of_int pid))
+    in
     stop := Store_crashed { pid; at_op };
     let vs =
       ref
@@ -213,8 +200,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
          !vs)
   in
   let finish () =
-    Array.iter
-      (fun ls -> match ls with Some ls -> (try Log_store.close ls with _ -> ()) | None -> ())
+    Array.iter (Option.iter (fun ls -> try Log_store.close ls with _ -> ()))
       log_stores;
     if sc.durable then rm_rf root
   in
@@ -307,10 +293,10 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
            | Some ls ->
              Log_store.close ls;
              log_stores.(pid) <- None;
-             let dir = Filename.concat root ("p" ^ string_of_int pid) in
-             let reopened = Log_store.create ~config:log_config ~pid ~dir () in
-             let recovered = (Log_store.recovery reopened).Log_store.recovered in
-             Log_store.close reopened;
+             let recovered =
+               Process_stack.recovered ~config:log_config ~pid
+                 ~dir:(Filename.concat root ("p" ^ string_of_int pid))
+             in
              let live = Stable_store.retained (Script.store script pid) in
              if not (set_eq recovered live) then
                push

@@ -58,6 +58,9 @@ val set_eq : Rdt_storage.Stable_store.entry list -> Rdt_storage.Stable_store.ent
 (** Full structural comparison (index, dv, taken_at, size, payload) used
     by the durability oracles, shared with the live-cluster checker. *)
 
+val pp_ints : Rdt_storage.Stable_store.entry list -> string
+(** The entries' indices, ascending and comma-separated. *)
+
 val rm_rf : string -> unit
 (** Recursive delete, shared with the fuzz driver and tests. *)
 

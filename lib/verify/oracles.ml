@@ -19,11 +19,7 @@ let ints l = String.concat "," (List.map string_of_int l)
 let sorted l = List.sort Int.compare l
 
 let int_array_eq a b =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 (* --- per-op checks (post-event quiescence) ----------------------------- *)
 

@@ -24,6 +24,7 @@ type violation = { oracle : string; op : int; detail : string }
     detected. *)
 
 val pp_violation : Format.formatter -> violation -> unit
+val int_array_eq : int array -> int array -> bool
 
 val quiescent :
   script:Rdt_scenarios.Script.t ->

@@ -17,6 +17,7 @@ let () =
       ("merged-fdas", Test_merged_fdas.suite);
       ("global-gc", Test_global_gc.suite);
       ("recovery", Test_recovery.suite);
+      ("process-stack", Test_process_stack.suite);
       ("tracking", Test_tracking.suite);
       ("theorems", Test_theorems.suite);
       ("runner", Test_runner.suite);

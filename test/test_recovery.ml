@@ -3,6 +3,7 @@
 module Ccp = Rdt_ccp.Ccp
 module Recovery_line = Rdt_recovery.Recovery_line
 module Session = Rdt_recovery.Session
+module Process_stack = Rdt_recovery.Process_stack
 module Figures = Rdt_scenarios.Figures
 module Script = Rdt_scenarios.Script
 module Protocol = Rdt_protocols.Protocol
@@ -132,16 +133,12 @@ let session_setup () =
   s
 
 let middlewares_of s = Array.init 3 (Script.middleware s)
+let stacks_of s = Array.init 3 (Script.stack s)
 
 let test_session_rolls_back_dependents () =
   let s = session_setup () in
   let report =
-    Session.run ~middlewares:(middlewares_of s) ~faulty:[ 2 ]
-      ~knowledge:`Global
-      ~release_outdated:(fun pid ~li ->
-        match Script.collector s pid with
-        | Some lgc -> Rdt_gc.Rdt_lgc.release_outdated lgc ~li
-        | None -> ())
+    Process_stack.session (stacks_of s) ~faulty:[ 2 ] ~knowledge:`Global
   in
   Alcotest.(check (list int)) "faulty" [ 2 ] report.Session.faulty;
   (* p2 loses its volatile; p1 received from p2's interval 2 and must not
@@ -157,12 +154,7 @@ let test_session_rolls_back_dependents () =
 let test_session_preserves_safety () =
   let s = session_setup () in
   let _ =
-    Session.run ~middlewares:(middlewares_of s) ~faulty:[ 2 ]
-      ~knowledge:`Global
-      ~release_outdated:(fun pid ~li ->
-        match Script.collector s pid with
-        | Some lgc -> Rdt_gc.Rdt_lgc.release_outdated lgc ~li
-        | None -> ())
+    Process_stack.session (stacks_of s) ~faulty:[ 2 ] ~knowledge:`Global
   in
   let ccp = Script.ccp s in
   for pid = 0 to 2 do
