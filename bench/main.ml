@@ -39,7 +39,7 @@ let () =
   (* mt-gate is the CI multicore check: a short min-of-k wall-clock race
      of the whole-run scaling workload at shards=1 vs shards=4.  It skips
      itself (exit 0, with a message) on hosts with < 4 hardware threads,
-     where autotune would bypass parallel dispatch; [--advisory] reports
+     where shards=4 runs sequentially; [--advisory] reports
      the ratio without enforcing it (noisy shared runners). *)
   if Array.length Sys.argv >= 2 && Sys.argv.(1) = "mt-gate" then begin
     let advisory =

@@ -152,11 +152,10 @@ let checkpoint_tests_small = List.map (fun n -> checkpoint_test ~n) [ 8; 64 ]
 let checkpoint_tests_large = [ checkpoint_test ~n:256 ]
 
 (* Engine throughput: the simulator's own dispatch loop, isolated from
-   any protocol work.  [queue-churn] is the pooled event queue alone
-   (schedule + fire of a pre-existing value: zero allocations once the
-   pool is warm); [send-deliver] adds the network model and the engine's
-   Deliver dispatch (the per-message Deliver cell is the only
-   allocation). *)
+   any protocol work.  [queue-churn] is the event queue alone (schedule +
+   fire of a pre-existing value: only [pop]'s boxed result allocates once
+   the columns have grown); [send-deliver] adds the network model and the
+   engine's Deliver dispatch. *)
 module Event_queue = Rdt_sim.Event_queue
 module Engine = Rdt_sim.Engine
 module Network = Rdt_sim.Network
@@ -164,12 +163,12 @@ module Network = Rdt_sim.Network
 let queue_churn_setup () =
   let q = Event_queue.create () in
   let now = ref 0.0 in
-  (* warm the pool so the steady state recycles instead of allocating *)
-  Event_queue.add_unit q ~time:0.0 0;
+  (* grow the columns before measuring *)
+  Event_queue.add q ~time:0.0 0;
   ignore (Event_queue.pop q);
   fun () ->
     now := !now +. 1.0;
-    Event_queue.add_unit q ~time:!now 0;
+    Event_queue.add q ~time:!now 0;
     ignore (Event_queue.pop q)
 
 let send_deliver_setup () =
@@ -195,9 +194,8 @@ let engine_tests =
    meaningful.
 
    The cases are sized so the in-flight event population (~1k entries)
-   pushes one monolithic event queue's working set past L1 while each of
-   four per-shard queues stays L1-resident — the regime where sharding
-   pays even on a single core (DESIGN.md §13).  (chains) is the number of
+   is large enough for the event queue's memory layout to matter
+   (DESIGN.md §13.1).  (chains) is the number of
    concurrent forwarding chains each process starts and (hops) their
    length, so in-flight events = n * chains throughout the run.
 
@@ -788,7 +786,7 @@ let micro_groups =
     ( "checkpoint event with collection (large n)",
       `Medium,
       checkpoint_tests_large );
-    ("engine throughput (pooled event queue, dispatch)", `Fast, engine_tests);
+    ("engine throughput (event queue, dispatch)", `Fast, engine_tests);
     ( "sharded engine: whole-run throughput vs shard count",
       `WholeRun,
       engine_mt_tests );
@@ -880,20 +878,18 @@ let smoke () = run ~mode:`Smoke ()
    [tolerance] absorbs residual jitter on busy shared CI machines.
 
    The race only means something on a host with >= 4 hardware threads:
-   below that, Engine autotune runs shards=4 on the merged inline
-   executor (workers=1 — no domains, no barriers), so the "parallel"
-   side would not exercise parallel dispatch at all and the ratio would
-   gate nothing.  On such hosts the gate skips with an explicit message
-   instead of reporting a vacuous pass/fail.  [advisory] reports the
-   ratio but never fails — for shared runners where a wall-clock hard
-   gate is too flaky to enforce. *)
+   below that, Engine.create gives shards=4 a one-shard engine that runs
+   the sequential loop, so both sides would run the same executor and
+   the ratio would gate nothing.  On such hosts the gate skips with an
+   explicit message instead of reporting a vacuous pass/fail.
+   [advisory] reports the ratio but never fails — for shared runners
+   where a wall-clock hard gate is too flaky to enforce. *)
 let mt_gate ?(tolerance = 0.10) ?(advisory = false) () =
   let cores = Rdt_parallel.Barrier_team.hardware_parallelism () in
   if cores < 4 then begin
     Printf.printf
-      "mt-gate: SKIP — host has %d hardware thread(s) < 4; autotune would \
-       run shards=4 on the merged inline executor, so the race would not \
-       measure parallel dispatch\n\
+      "mt-gate: SKIP — host has %d hardware thread(s) < 4; shards=4 runs \
+       sequentially here, so the race would not measure parallel dispatch\n\
        %!"
       cores;
     true

@@ -24,14 +24,31 @@
        sharding stopped paying off (the hard version of this check is
        the CI `mt-gate` command, which races fresh runs);
      - improvements are reported as INFO lines so the trajectory is
-       visible in the CI log. *)
+       visible in the CI log;
+   - a row whose time regression fits poorly (r_square below [r2_floor]
+     in either file) is not gated on time: its ns/run, speedup and
+     throughput comparisons are replaced by one INFO line, because an
+     estimate the fit does not explain moves by more than the 20%
+     threshold from run to run.  Its allocation check still applies (r²
+     describes the time fit only), and every derived figure computed
+     from such a row is labelled as resting on an ungated row. *)
 
 let ns_regression_threshold = 0.20
 let alloc_jitter = 8.0 (* words/run; OLS slope noise on a quiet run *)
+let r2_floor = 0.30
+
+(* derived figures of the JSON's "derived" object, and the name prefixes
+   of the rows each is computed from (Micro.run) *)
+let derived_sources =
+  [
+    ( "ccp_incremental_speedup",
+      [ "ccp/full-rebuild"; "ccp/incremental-append" ] );
+  ]
 
 type bench = {
   name : string;
   ns : float option;
+  r2 : float option;
   allocs : float option;
   ev_s : float option;  (* /3 whole-run rows only *)
   speedup : float option;  (* /3 whole-run rows only *)
@@ -97,6 +114,7 @@ let parse path =
              {
                name;
                ns = number_field line "\"ns_per_run\"";
+               r2 = number_field line "\"r_square\"";
                allocs = number_field line "\"allocs_per_run\"";
                ev_s = number_field line "\"events_per_sec\"";
                speedup = number_field line "\"speedup_vs_seq\"";
@@ -121,11 +139,18 @@ let groups_of benches =
 
 let pct_change ~from ~to_ = (to_ -. from) /. from *. 100.0
 
-let run ~baseline ~current =
+let below_floor = function Some r -> r < r2_floor | None -> false
+
+let show_r2 = function Some r -> Printf.sprintf "%.2f" r | None -> "n/a"
+
+(* The report lines of comparing [current] against [baseline], and the
+   number of structural mismatches among them. *)
+let compare_files ~baseline ~current =
+  let lines = ref [] in
+  let say fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let base = parse baseline and cur = parse current in
   if base = [] then
-    Printf.printf "perf-diff: no benchmarks in baseline %s (nothing to do)\n"
-      baseline;
+    say "perf-diff: no benchmarks in baseline %s (nothing to do)" baseline;
   (* structural comparability gate — fatal, unlike the measurement diffs
      below: schema or group-set drift means the baseline must be
      regenerated in the same commit as the change that caused it *)
@@ -134,88 +159,104 @@ let run ~baseline ~current =
   if bs <> cs then begin
     incr fatal;
     let show = function Some s -> s | None -> "(missing)" in
-    Printf.printf "ERROR schema mismatch: baseline %s, current %s\n" (show bs)
-      (show cs)
+    say "ERROR schema mismatch: baseline %s, current %s" (show bs) (show cs)
   end;
   let bg = groups_of base and cg = groups_of cur in
   if bg <> cg then begin
     incr fatal;
     let show gs = String.concat ", " gs in
-    Printf.printf
-      "ERROR benchmark group set changed: baseline {%s}, current {%s}\n"
+    say "ERROR benchmark group set changed: baseline {%s}, current {%s}"
       (show bg) (show cg);
     List.iter
       (fun g ->
         if not (List.mem g cg) then
-          Printf.printf "  group %S disappeared from the current run\n" g)
+          say "  group %S disappeared from the current run" g)
       bg;
     List.iter
       (fun g ->
         if not (List.mem g bg) then
-          Printf.printf
-            "  group %S is new — regenerate and commit the baseline\n" g)
+          say "  group %S is new — regenerate and commit the baseline" g)
       cg
   end;
   let warnings = ref 0 in
   let missing = ref 0 in
+  let ungated = ref [] in
   List.iter
     (fun b ->
       match List.find_opt (fun c -> c.name = b.name) cur with
       | None -> incr missing
       | Some c ->
-        (match (b.ns, c.ns) with
-        | Some bn, Some cn when bn > 0.0 ->
-          let change = pct_change ~from:bn ~to_:cn in
-          if change > ns_regression_threshold *. 100.0 then begin
+        if below_floor b.r2 || below_floor c.r2 then begin
+          ungated := b.name :: !ungated;
+          say "INFO %-42s not gated (r² %s -> %s, floor %.2f)" b.name
+            (show_r2 b.r2) (show_r2 c.r2) r2_floor
+        end
+        else begin
+          (match (b.ns, c.ns) with
+          | Some bn, Some cn when bn > 0.0 ->
+            let change = pct_change ~from:bn ~to_:cn in
+            if change > ns_regression_threshold *. 100.0 then begin
+              incr warnings;
+              say "WARN %-42s ns/run %+.1f%% (%.1f -> %.1f)" b.name change bn
+                cn
+            end
+            else if change < -.(ns_regression_threshold *. 100.0) then
+              say "INFO %-42s ns/run %+.1f%% (%.1f -> %.1f)" b.name change bn
+                cn
+          | _ -> ());
+          (match (b.speedup, c.speedup) with
+          | Some bs, Some cs when bs >= 1.0 && cs < 1.0 ->
             incr warnings;
-            Printf.printf
-              "WARN %-42s ns/run %+.1f%% (%.1f -> %.1f)\n" b.name change bn cn
-          end
-          else if change < -.(ns_regression_threshold *. 100.0) then
-            Printf.printf
-              "INFO %-42s ns/run %+.1f%% (%.1f -> %.1f)\n" b.name change bn cn
-        | _ -> ());
-        (match (b.allocs, c.allocs) with
+            say "WARN %-42s sharding fell below parity: speedup %.2fx -> %.2fx"
+              b.name bs cs
+          | Some bs, Some cs when cs > bs *. 1.1 ->
+            say "INFO %-42s speedup %.2fx -> %.2fx" b.name bs cs
+          | _ -> ());
+          match (b.ev_s, c.ev_s) with
+          | Some be, Some ce
+            when be > 0.0 && ce < be *. (1.0 -. ns_regression_threshold) ->
+            (* already implied by the ns WARN for the same row, so INFO *)
+            say "INFO %-42s throughput: %.0f -> %.0f events/s" b.name be ce
+          | _ -> ()
+        end;
+        match (b.allocs, c.allocs) with
         | Some ba, Some ca when ca > ba +. alloc_jitter ->
           incr warnings;
-          Printf.printf
-            "WARN %-42s allocation growth: %.1f -> %.1f words/run\n" b.name ba
+          say "WARN %-42s allocation growth: %.1f -> %.1f words/run" b.name ba
             ca
-        | _ -> ());
-        (match (b.speedup, c.speedup) with
-        | Some bs, Some cs when bs >= 1.0 && cs < 1.0 ->
-          incr warnings;
-          Printf.printf
-            "WARN %-42s sharding fell below parity: speedup %.2fx -> %.2fx\n"
-            b.name bs cs
-        | Some bs, Some cs when cs > bs *. 1.1 ->
-          Printf.printf "INFO %-42s speedup %.2fx -> %.2fx\n" b.name bs cs
-        | _ -> ());
-        (match (b.ev_s, c.ev_s) with
-        | Some be, Some ce when be > 0.0 && ce < be *. (1.0 -. ns_regression_threshold) ->
-          (* already implied by the ns WARN for the same row, so INFO *)
-          Printf.printf
-            "INFO %-42s throughput: %.0f -> %.0f events/s\n" b.name be ce
-        | _ -> ()))
+        | _ -> ())
     base;
+  List.iter
+    (fun (figure, prefixes) ->
+      let feeds name =
+        List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+      in
+      match List.filter feeds (List.rev !ungated) with
+      | [] -> ()
+      | rows ->
+        say "INFO derived %s rests on ungated row(s): %s" figure
+          (String.concat ", " rows))
+    derived_sources;
   if !missing > 0 then
-    Printf.printf
-      "perf-diff: %d baseline benchmark(s) absent from the current run\n"
+    say "perf-diff: %d baseline benchmark(s) absent from the current run"
       !missing;
-  if !warnings = 0 then
-    Printf.printf "perf-diff: no regressions vs %s\n" baseline
+  if !warnings = 0 then say "perf-diff: no regressions vs %s" baseline
   else
-    Printf.printf
+    say
       "perf-diff: %d warning(s) vs %s (>%.0f%% ns regression or >%.0f \
-       words/run allocation growth)\n"
+       words/run allocation growth)"
       !warnings baseline
       (ns_regression_threshold *. 100.0)
       alloc_jitter;
-  if !fatal > 0 then begin
-    Printf.printf
+  if !fatal > 0 then
+    say
       "perf-diff: FAILED — %d structural mismatch(es); regenerate the \
        baseline (`make bench-json` and commit BENCH_micro.json) alongside \
-       the change\n"
+       the change"
       !fatal;
-    exit 1
-  end
+  (List.rev !lines, !fatal)
+
+let run ~baseline ~current =
+  let lines, fatal = compare_files ~baseline ~current in
+  List.iter print_endline lines;
+  if fatal > 0 then exit 1

@@ -143,22 +143,13 @@ let shards_arg =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"K"
            ~doc:"Run the simulation engine on $(docv) domains (conservative \
-                 time-window synchronization). Results are identical for \
+                 time-window synchronization), or sequentially on a host \
+                 with fewer hardware threads. Results are identical for \
                  every value — only wall-clock time changes. Requires a \
                  positive network minimum delay when > 1.")
 
-let no_autotune_arg =
-  Arg.(value & flag
-       & info [ "no-autotune" ]
-           ~doc:"Disable the engine's window autotuner (asymmetric per-shard \
-                 window boundaries and hardware-aware dispatch); every round \
-                 then uses the symmetric lookahead window on a full domain \
-                 team. An A/B knob for benchmarking — results are identical \
-                 either way.")
-
 let build_config n seed duration protocol gc pattern send_interval
-    ckpt_interval reply loss fifo faults knowledge store_dir ckpt_bytes shards
-    no_autotune =
+    ckpt_interval reply loss fifo faults knowledge store_dir ckpt_bytes shards =
   {
     Sim_config.n;
     seed;
@@ -184,7 +175,6 @@ let build_config n seed duration protocol gc pattern send_interval
         Sim_config.Durable
           { dir; config = Rdt_store.Log_store.default_config });
     shards;
-    autotune = not no_autotune;
   }
 
 let config_term =
@@ -192,7 +182,7 @@ let config_term =
     const build_config $ n_arg $ seed_arg $ duration_arg $ protocol_arg
     $ gc_arg $ pattern_arg $ send_interval_arg $ ckpt_interval_arg $ reply_arg
     $ loss_arg $ fifo_arg $ crash_arg $ knowledge_arg $ store_dir_arg
-    $ ckpt_bytes_arg $ shards_arg $ no_autotune_arg)
+    $ ckpt_bytes_arg $ shards_arg)
 
 (* --- run --------------------------------------------------------------- *)
 

@@ -116,19 +116,17 @@ let reply_sends t pid ~src =
    the explicit [is_up] guard reproduces the skip. *)
 let rec arm_send_timer t pid =
   let delay = Workload.next_send_delay t.workload ~me:pid in
-  ignore
-    (Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->
-         if Engine.is_up t.engine pid then spontaneous_sends t pid;
-         arm_send_timer t pid))
+  Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->
+      if Engine.is_up t.engine pid then spontaneous_sends t pid;
+      arm_send_timer t pid)
 
 let rec arm_ckpt_timer t pid =
   let delay = Workload.next_basic_ckpt_delay t.workload ~me:pid in
-  ignore
-    (Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->
-         if Engine.is_up t.engine pid then
-           Middleware.basic_checkpoint t.middlewares.(pid)
-             ~now:(Engine.now t.engine);
-         arm_ckpt_timer t pid))
+  Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->
+      if Engine.is_up t.engine pid then
+        Middleware.basic_checkpoint t.middlewares.(pid)
+          ~now:(Engine.now t.engine);
+      arm_ckpt_timer t pid)
 
 (* --- coordinated GC rounds ------------------------------------------ *)
 
@@ -227,10 +225,9 @@ let on_gc_reply t ~round ~pid snapshot =
 let rec arm_gc_timer t ~period =
   (* pinned to the coordinator: the round logic only touches the
      coordinator's state and sends control messages from it *)
-  ignore
-    (Engine.schedule_in t.engine ~pin:coordinator ~delay:period (fun () ->
-         start_round t;
-         arm_gc_timer t ~period))
+  Engine.schedule_in t.engine ~pin:coordinator ~delay:period (fun () ->
+      start_round t;
+      arm_gc_timer t ~period)
 
 (* Lazy Theorem-2 collection: the same causal knowledge as RDT-LGC,
    recomputed per process from scratch on a timer (ablation). *)
@@ -247,10 +244,9 @@ let lazy_local_collect t pid =
     (Global_gc.theorem2_collectable ~entries ~live_dv)
 
 let rec arm_lazy_local_timer t pid ~period =
-  ignore
-    (Engine.schedule_in t.engine ~pin:pid ~delay:period (fun () ->
-         if Engine.is_up t.engine pid then lazy_local_collect t pid;
-         arm_lazy_local_timer t pid ~period))
+  Engine.schedule_in t.engine ~pin:pid ~delay:period (fun () ->
+      if Engine.is_up t.engine pid then lazy_local_collect t pid;
+      arm_lazy_local_timer t pid ~period)
 
 (* Idealized oracle: instant global knowledge, no messages. *)
 let oracle_collect t =
@@ -261,12 +257,11 @@ let oracle_collect t =
   done
 
 let rec arm_oracle_timer t ~period =
-  ignore
-    (Engine.schedule_in t.engine ~delay:period (fun () ->
-         if Array.for_all Fun.id
-              (Array.init t.cfg.Sim_config.n (Engine.is_up t.engine))
-         then oracle_collect t;
-         arm_oracle_timer t ~period))
+  Engine.schedule_in t.engine ~delay:period (fun () ->
+      if Array.for_all Fun.id
+           (Array.init t.cfg.Sim_config.n (Engine.is_up t.engine))
+      then oracle_collect t;
+      arm_oracle_timer t ~period)
 
 (* --- receive path ---------------------------------------------------- *)
 
@@ -340,25 +335,22 @@ let sample t =
   match t.on_sample with Some f -> f t | None -> ()
 
 let rec arm_sample_timer t =
-  ignore
-    (Engine.schedule_in t.engine ~delay:t.cfg.Sim_config.sample_interval
-       (fun () ->
-         sample t;
-         arm_sample_timer t))
+  Engine.schedule_in t.engine ~delay:t.cfg.Sim_config.sample_interval
+    (fun () ->
+      sample t;
+      arm_sample_timer t)
 
 (* --- construction ----------------------------------------------------- *)
 
 let create (cfg : Sim_config.t) =
   Sim_config.validate cfg;
   let engine =
-    Engine.create ~n:cfg.n ~seed:cfg.seed ~net:cfg.net ~shards:cfg.shards
-      ~autotune:cfg.autotune ()
+    Engine.create ~n:cfg.n ~seed:cfg.seed ~net:cfg.net ~shards:cfg.shards ()
   in
   let trace = Trace.create ~n:cfg.n in
-  (* Sequential and merged-inline engines record in canonical order
-     already; only parallel dispatch — where processes append from
-     different domains — needs the trace to defer sequencing until the
-     stamps can be merged. *)
+  (* A one-shard engine records in canonical order already; only parallel
+     dispatch — where processes append from different domains — needs the
+     trace to defer sequencing until the stamps can be merged. *)
   if Engine.parallel_dispatch engine then
     Trace.set_order_source trace (Engine.read_stamp engine);
   (* Per-process state is built shard block by shard block (the engine's
@@ -460,10 +452,9 @@ let create (cfg : Sim_config.t) =
   | Sim_config.No_gc | Sim_config.Local -> ());
   List.iter
     (fun { Sim_config.crash_at; pid; repair_after } ->
-      ignore (Engine.schedule t.engine ~at:crash_at (fun () -> crash t pid));
-      ignore
-        (Engine.schedule t.engine ~at:(crash_at +. repair_after) (fun () ->
-             recover t pid)))
+      Engine.schedule t.engine ~at:crash_at (fun () -> crash t pid);
+      Engine.schedule t.engine ~at:(crash_at +. repair_after) (fun () ->
+          recover t pid))
     cfg.faults;
   arm_sample_timer t;
   t

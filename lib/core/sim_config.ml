@@ -38,7 +38,6 @@ type t = {
   ckpt_bytes : int;
   store : store_backend;
   shards : int;
-  autotune : bool;
 }
 
 let default =
@@ -56,7 +55,6 @@ let default =
     ckpt_bytes = 1;
     store = Memory;
     shards = 1;
-    autotune = true;
   }
 
 let validate t =

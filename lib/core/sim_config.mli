@@ -60,11 +60,6 @@ type t = {
       (** engine shard (domain) count; results are identical at every
           value, only wall-clock time changes.  [> 1] requires
           [net.min_delay > 0] (it is the conservative lookahead) *)
-  autotune : bool;
-      (** enable the engine's asymmetric per-shard window boundaries and
-          hardware-aware dispatch (default [true]); [false] forces the
-          symmetric [w + L] window on a full domain team — an A/B knob,
-          never an output change *)
 }
 
 val default : t

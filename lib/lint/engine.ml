@@ -181,11 +181,10 @@ let mutator_specs =
     ("Queue.clear", 0, None);
     ("Stack.push", 1, None);
     ("Stack.pop", 0, None);
-    (* project containers: pooled event queues, trace vectors, stamp
-       cells, striped metrics counters *)
+    (* project containers: event queues, trace vectors, stamp cells,
+       striped metrics counters *)
     ("Event_queue.add", 0, None);
     ("Event_queue.add_keyed", 0, None);
-    ("Event_queue.add_keyed_unit", 0, None);
     ("Event_queue.pop", 0, None);
     ("Vec.push", 0, None);
     ("Vec.set", 0, Some 1);

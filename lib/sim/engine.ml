@@ -39,13 +39,13 @@ type stats = {
    DESIGN.md §13 for the measured storm this discipline replaced). *)
 (* [fmin], [now] and [Event_queue.next_time] are float-returning [@inline]
    accessors: they stay out of the hot set (the boxed-float rule is about
-   out-of-line returns; inlined into these loops the floats stay unboxed),
-   like [Event_queue.add]/[pop]. *)
+   out-of-line returns; inlined into these loops the floats stay unboxed,
+   and where a build does not inline [next_time] across modules, each
+   probe boxes — which is why a loop probes once per event). *)
 [@@@lint.zero_alloc_hot
   "self_shard" "read_stamp" "step_shard" "process_shard" "window_job"
   "grow_outcell" "outbox_push" "drain_outboxes" "any_local_le" "window_round"
-  "note_insert" "pick_verify" "pick_merged" "exec_merged" "step_merged"
-  "run_merged" "finish_mt"]
+  "finish_mt"]
 
 (* The mt/* ownership contract (DESIGN.md §16).  These functions execute
    inside a window — on a team member's domain under parallel dispatch —
@@ -55,16 +55,14 @@ type stats = {
    cell ([read_stamp]), the sending process ([send], and [outbox_push],
    whose mailbox row [ss] belongs to the writing shard), the owning
    process of a scheduled action ([schedule]), or the cell being grown
-   ([grow_outcell], [note_insert] — a shard only lowers its own cached
-   head-time entry during a window, see the comment at [note_insert]).
-   The barrier-side functions ([dispatch], [drain_outboxes],
-   [window_round], [exec_globals_at], the merged executor, [create]) run
-   on the caller's domain with the team parked and are deliberately not
+   ([grow_outcell]).  The barrier-side functions ([dispatch],
+   [drain_outboxes], [window_round], [exec_globals_at], [create]) run on
+   the caller's domain with the team parked and are deliberately not
    scopes. *)
 [@@@lint.domain_scope
   "window_job:s" "process_shard:s" "step_shard:sh" "execute:sh"
-  "read_stamp:c" "send:src" "schedule:owner:pin" "note_insert:qi"
-  "outbox_push:ss" "grow_outcell:box"]
+  "read_stamp:c" "send:src" "schedule:owner:pin" "outbox_push:ss"
+  "grow_outcell:box"]
 [@@@lint.domain_index "self_shard"]
 
 let[@inline] fmin (a : float) (b : float) = if a < b then a else b
@@ -83,9 +81,9 @@ type 'msg shard = {
 
 (* Pooled inter-shard mailbox cell, struct-of-arrays so a cross-shard send
    under parallel dispatch writes four slots instead of allocating a
-   record per message.  Only the parallel (team) executor uses mailboxes
-   at all — inline windowed execution inserts straight into the
-   destination queue (see [send]). *)
+   record per message.  Only parallel dispatch uses mailboxes at all — a
+   window stepped inline ({!step}) inserts straight into the destination
+   queue (see [send]). *)
 type 'msg outcell = {
   mutable o_len : int;
   mutable o_time : float array;
@@ -128,25 +126,9 @@ type 'msg t = {
   outbox : 'msg outcell array;
   out_dirty : bool array;
   lookahead : float;  (* conservative window width = min message delay *)
-  autotune : bool;  (* per-shard asymmetric window boundaries (§13) *)
-  (* domains used by [run]: [nshards] when the host has that much
-     hardware parallelism (or autotuning is off), else 1 — windowed
-     execution inline on the caller, no team, no barriers, no mailboxes *)
-  workers : int;
-  (* window-executor state, preallocated so the loop allocates nothing.
-     [etimes] is one contiguous row of cached head times — entry [s] for
-     shard [s]'s queue, entry [nshards] for the global queue.  The merged
-     executor maintains it as a lower bound on each queue's true head
-     time ([=] for a freshly refreshed entry): inserts lower the bound
-     ([note_insert]), pops refresh it exactly, lazy cancellation only
-     raises the true head so the bound stays valid.  Its argmin then
-     scans one or two cache lines instead of dereferencing [k + 1]
-     scattered heap heads per event.  The windowed executor reuses the
-     first [nshards] entries as per-round scratch (it recomputes them
-     every round, which trivially satisfies the bound). *)
-  etimes : float array;
+  (* window-executor state, preallocated so the loop allocates nothing *)
   his : float array;  (* per-shard window boundary for this round *)
-  wscratch : float array;  (* [min; second-min] of etimes *)
+  wscratch : float array;  (* [min; second-min] of the shard head times *)
   mutable win_inclusive : bool;  (* close events at exactly the boundary *)
   mutable active_shard : int;  (* slice the caller runs (inline dispatch) *)
   mutable parallel : bool;  (* inside a team round *)
@@ -172,20 +154,20 @@ let shard_bounds t s =
 let rng t = t.rng
 let network t = t.net
 
-(* Whether [run] interleaves processes across domains.  [false] covers
-   the sequential executor and the merged inline executor, both of which
-   execute (and therefore record) in canonical order already — consumers
-   like the trace use this to skip deferred stamp-merging entirely. *)
-let parallel_dispatch t = t.nshards > 1 && t.workers > 1
+(* Whether [run] interleaves processes across domains.  A one-shard
+   engine executes (and therefore records) in canonical order already —
+   consumers like the trace use this to skip deferred stamp-merging
+   entirely. *)
+let parallel_dispatch t = t.nshards > 1
 
 (* the shard whose slice the current domain is executing; under parallel
-   dispatch the team member index is the shard index, under inline
-   dispatch the engine tracks the slice it is running itself (the caller
+   dispatch the team member index is the shard index, in a window stepped
+   inline the engine tracks the slice it is running itself (the caller
    is team member 0, which would misattribute every non-zero slice) *)
 let self_shard t =
   if t.parallel then Barrier_team.self_index () else t.active_shard
 
-let now t =
+let[@inline] now t =
   if t.nshards = 1 then t.shards.(0).clock.(0)
   else
     match t.phase with
@@ -272,7 +254,7 @@ let outbox_push t ss ds ~time ~u ~v ev =
 
 (* a pooled cell keeps the events of its last window alive until they are
    overwritten — the same bounded-staleness trade-off as Event_queue's
-   entry pool *)
+   value column *)
 let drain_outboxes t =
   let k = t.nshards in
   for ss = 0 to k - 1 do
@@ -285,7 +267,7 @@ let drain_outboxes t =
         if len > 0 then begin
           let q = t.shards.(ds).queue in
           for j = 0 to len - 1 do
-            Event_queue.add_keyed_unit q ~time:box.o_time.(j) ~u:box.o_u.(j)
+            Event_queue.add_keyed q ~time:box.o_time.(j) ~u:box.o_u.(j)
               ~v:box.o_v.(j) box.o_ev.(j)
           done;
           box.o_len <- 0
@@ -295,12 +277,6 @@ let drain_outboxes t =
   done
 
 (* --- sends and schedules ----------------------------------------------- *)
-
-(* maintain the cached head-time row across a direct queue insert; under
-   parallel dispatch a shard only inserts into its own queue (cross-shard
-   goes through the outboxes), so concurrent writes hit disjoint entries *)
-let[@inline] note_insert t qi (at : float) =
-  if at < t.etimes.(qi) then t.etimes.(qi) <- at
 
 let send t ?(reliable = false) ~src ~dst msg =
   if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
@@ -329,20 +305,16 @@ let send t ?(reliable = false) ~src ~dst msg =
     let u = dst lsl 1 and v = (cseq * t.n) + src in
     let ev = Deliver { src; dst; payload = msg; epoch = t.epoch } in
     let ds = t.shard_of.(dst) in
-    (* deliveries are never cancelled individually (flush works by epoch),
-       so skip the handle.  Cross-shard sends go through a mailbox only
-       under parallel dispatch, where the destination queue belongs to
-       another domain; inline windowed execution inserts directly — the
-       arrival is at [>= send_time + lookahead], beyond every slice
-       boundary of this window, so the destination can never have passed
-       it (DESIGN.md §13). *)
+    (* Cross-shard sends go through a mailbox only under parallel
+       dispatch, where the destination queue belongs to another domain; a
+       window stepped inline inserts directly — the arrival is at
+       [>= send_time + lookahead], beyond every slice boundary of this
+       window, so the destination can never have passed it
+       (DESIGN.md §13). *)
     if t.parallel && in_windows t.phase && ds <> ss then
       outbox_push t ss ds ~time:at ~u ~v ev
     else
-      begin
-        Event_queue.add_keyed_unit t.shards.(ds).queue ~time:at ~u ~v ev;
-        note_insert t ds at
-      end
+      (Event_queue.add_keyed t.shards.(ds).queue ~time:at ~u ~v ev)
       [@lint.single_writer
         "cross-shard under parallel dispatch took the outbox branch above; \
          here either ds = sender's shard or a single domain runs every \
@@ -359,13 +331,8 @@ let schedule t ?owner ?pin ~at f =
       invalid_arg "Engine.schedule: action routed to another shard";
     let v = t.act_seq.(p) in
     t.act_seq.(p) <- v + 1;
-    let h =
-      Event_queue.add_keyed t.shards.(ds).queue ~time:at ~u:((p lsl 1) lor 1)
-        ~v
-        (Action { owner; f })
-    in
-    note_insert t ds at;
-    h
+    Event_queue.add_keyed t.shards.(ds).queue ~time:at ~u:((p lsl 1) lor 1) ~v
+      (Action { owner; f })
   | None ->
     begin
       if t.nshards > 1 && in_windows t.phase then
@@ -374,15 +341,9 @@ let schedule t ?owner ?pin ~at f =
            give it an owner or pin";
       let v = t.glob_seq in
       t.glob_seq <- v + 1;
-      let q, qi =
-        if t.nshards = 1 then (t.shards.(0).queue, 0) else (t.global, t.nshards)
-      in
-      let h =
-        Event_queue.add_keyed q ~time:at ~u:max_int ~v
-          (Action { owner = None; f })
-      in
-      note_insert t qi at;
-      h
+      let q = if t.nshards = 1 then t.shards.(0).queue else t.global in
+      Event_queue.add_keyed q ~time:at ~u:max_int ~v
+        (Action { owner = None; f })
     end
     [@lint.single_writer
       "the invalid_arg above rejects this branch inside windows; at a \
@@ -390,8 +351,6 @@ let schedule t ?owner ?pin ~at f =
 
 let schedule_in t ?owner ?pin ~delay f =
   schedule t ?owner ?pin ~at:(now t +. delay) f
-
-let cancel _t h = Event_queue.cancel_handle h
 
 let is_up t p = t.up.(p)
 
@@ -427,16 +386,16 @@ let execute t sh = function
 
 (* --- sequential executor (shards = 1) --------------------------------- *)
 
-let step_shard t sh =
-  match Event_queue.pop sh.queue with
-  | None -> false
-  | Some (time, ev) ->
-    if time > sh.clock.(0) then sh.clock.(0) <- time;
-    sh.cur_u <- Event_queue.last_u sh.queue;
-    sh.cur_v <- Event_queue.last_v sh.queue;
-    sh.st.events <- sh.st.events + 1;
-    execute t sh ev;
-    true
+(* Execute the head event of [sh]'s queue, whose timestamp [time] the
+   caller has just read with [next_time] — passed on rather than probed
+   again, since an out-of-line float return boxes. *)
+let step_shard t sh time =
+  let ev = Event_queue.pop sh.queue in
+  if time > sh.clock.(0) then sh.clock.(0) <- time;
+  sh.cur_u <- Event_queue.last_u sh.queue;
+  sh.cur_v <- Event_queue.last_v sh.queue;
+  sh.st.events <- sh.st.events + 1;
+  execute t sh ev
 
 let run_seq t ~limit =
   t.phase <- Windows;
@@ -444,13 +403,14 @@ let run_seq t ~limit =
   (* [next_time] is [infinity] on an empty queue, so the emptiness check
      and the limit check are one float compare — but that demands strict
      treatment of an infinite limit *)
-  let continue_ () =
+  let rec loop () =
     let nt = Event_queue.next_time sh.queue in
-    nt <= limit && nt < infinity
+    if nt <= limit && nt < infinity then begin
+      step_shard t sh nt;
+      loop ()
+    end
   in
-  while continue_ () do
-    ignore (step_shard t sh)
-  done;
+  loop ();
   t.phase <- Idle;
   if limit < infinity && sh.clock.(0) < limit then sh.clock.(0) <- limit;
   t.gclock.(0) <- sh.clock.(0)
@@ -459,17 +419,14 @@ let run_seq t ~limit =
 
 (* One shard's slice of the current round: events strictly below (or, for
    a closing round, up to) the shard's boundary [his.(s)]. *)
-let process_shard t s =
+let rec process_shard t s =
   let sh = t.shards.(s) in
+  let nt = Event_queue.next_time sh.queue in
   let hi = t.his.(s) in
-  if t.win_inclusive then
-    while Event_queue.next_time sh.queue <= hi do
-      ignore (step_shard t sh)
-    done
-  else
-    while Event_queue.next_time sh.queue < hi do
-      ignore (step_shard t sh)
-    done
+  if nt < hi || (t.win_inclusive && nt = hi) then begin
+    step_shard t sh nt;
+    process_shard t s
+  end
 
 let window_job t s =
   (* under inline dispatch the engine itself tracks which slice the
@@ -508,24 +465,23 @@ let rec any_local_le t (hi : float) s =
 
 (* Globals at [boundary], one at a time: a global may schedule routed
    actions at the same timestamp, whose canonical keys precede the next
-   global's, so the shard slices get a chance to run between globals. *)
+   global's, so the shard slices get a chance to run between globals.
+   [boundary] is finite, so an empty global queue ([next_time] infinite)
+   never matches. *)
 let exec_globals_at t team boundary =
   let rec go () =
-    match Event_queue.peek_time t.global with
-    | Some g when g = boundary ->
-      (match Event_queue.pop t.global with
-      | None -> ()
-      | Some (_, ev) ->
-        t.gcur_v <- Event_queue.last_v t.global;
-        t.shards.(0).st.events <- t.shards.(0).st.events + 1;
-        execute t t.shards.(0) ev);
+    if Event_queue.next_time t.global = boundary then begin
+      let ev = Event_queue.pop t.global in
+      t.gcur_v <- Event_queue.last_v t.global;
+      t.shards.(0).st.events <- t.shards.(0).st.events + 1;
+      execute t t.shards.(0) ev;
       if any_local_le t boundary 0 then begin
         Array.fill t.his 0 t.nshards boundary;
         t.win_inclusive <- true;
         dispatch t team
       end;
       go ()
-    | Some _ | None -> ()
+    end
   in
   go ()
 
@@ -540,25 +496,21 @@ let exec_globals_at t team boundary =
    from an event currently queued at some shard — at [>= e_s + L] when it
    starts at [s <> d], and at [>= e_d + 2L] when it starts at [d] itself
    (the influence must leave [d] and come back, two hops of at least [L]
-   each).  This is the window autotuner: shards clustered at the same
-   virtual time get the classic symmetric [w + L] window, while a shard
-   running ahead of the field (or alone) advances up to [2L] per round
-   and an idle shard costs only a queue-head probe.  With [autotune]
-   off every boundary is the symmetric [min(gb, w + L)] (the PR 6
-   behavior).  Once no event remains below [gb], events at exactly [gb]
-   are closed inclusively — where their canonical keys sort — and the
-   globals run at the barrier. *)
+   each).  Shards clustered at the same virtual time get the classic
+   symmetric [w + L] window, while a shard running ahead of the field (or
+   alone) advances up to [2L] per round and an idle shard costs only a
+   queue-head probe.  Once no event remains below [gb], events at exactly
+   [gb] are closed inclusively — where their canonical keys sort — and
+   the globals run at the barrier. *)
 let window_round t team ~limit =
   let k = t.nshards in
   let ng = Event_queue.next_time t.global in
   let gb = fmin ng limit in
-  let et = t.etimes in
   let ws = t.wscratch in
   ws.(0) <- infinity;
   ws.(1) <- infinity;
   for s = 0 to k - 1 do
     let e = Event_queue.next_time t.shards.(s).queue in
-    et.(s) <- e;
     if e < ws.(0) then begin
       ws.(1) <- ws.(0);
       ws.(0) <- e
@@ -585,115 +537,13 @@ let window_round t team ~limit =
   else begin
     let m2 = ws.(1) in
     let l = t.lookahead in
-    if t.autotune then
-      for d = 0 to k - 1 do
-        let e = et.(d) in
-        let m_other = if e = w then m2 else w in
-        t.his.(d) <- fmin gb (fmin (m_other +. l) (e +. (l +. l)))
-      done
-    else begin
-      let hi = fmin gb (w +. l) in
-      Array.fill t.his 0 k hi
-    end;
+    for d = 0 to k - 1 do
+      let e = Event_queue.next_time t.shards.(d).queue in
+      let m_other = if e = w then m2 else w in
+      t.his.(d) <- fmin gb (fmin (m_other +. l) (e +. (l +. l)))
+    done;
     t.win_inclusive <- false;
     dispatch t team;
-    true
-  end
-
-(* --- inline merged executor (shards > 1, one executing domain) --------- *)
-
-(* When [run] has only the calling domain (host narrower than the shard
-   count), conservative windows buy nothing — they exist so domains can
-   run between barriers without seeing each other.  A single domain can
-   instead pop whichever queue holds the canonically least head: the
-   engine's [(time, u, v)] keys are unique across its queues at any
-   timestamp, so this k-way merge replays {e exactly} the one-queue
-   sequential order, while keeping the shallower per-shard heaps.  The
-   global queue joins the merge as one more head; its [u = max_int] keeps
-   every global after the routed events of its timestamp, just as the
-   window barrier would. *)
-
-(* Among the queues whose cached head time equals the row minimum [m],
-   find the one whose (verified) head is least by [(u, v)].  A stale
-   candidate — its true head moved past [m] since the cache was written
-   (popped, or died to lazy cancellation) — is refreshed to its exact
-   head time and drops out.  [-1] if every candidate was stale.  Plain
-   recursion so the running best lives in registers, not a boxed ref. *)
-let rec pick_verify t (m : float) i best bu bv =
-  if i > t.nshards then best
-  else if t.etimes.(i) = m then begin
-    let q = if i = t.nshards then t.global else t.shards.(i).queue in
-    let e = Event_queue.next_time q in
-    if e <> m then begin
-      t.etimes.(i) <- e;
-      pick_verify t m (i + 1) best bu bv
-    end
-    else
-      let u = Event_queue.head_u q in
-      if u < bu || (u = bu && Event_queue.head_v q < bv) then
-        pick_verify t m (i + 1) i u (Event_queue.head_v q)
-      else pick_verify t m (i + 1) best bu bv
-  end
-  else pick_verify t m (i + 1) best bu bv
-
-(* canonically least head across the shard queues and the global queue
-   (index [nshards]); [-1] when everything is empty.  The argmin runs
-   over the cached [etimes] row; only candidates at the minimum get a
-   real queue probe — in the common case exactly one, the queue about to
-   be popped anyway.  On return the winner's [etimes] entry is exact, so
-   the caller's limit check needs no further probe. *)
-let rec pick_merged t =
-  let et = t.etimes in
-  let ws = t.wscratch in
-  ws.(0) <- infinity;
-  for i = 0 to t.nshards do
-    if et.(i) < ws.(0) then ws.(0) <- et.(i)
-  done;
-  let m = ws.(0) in
-  if m = infinity then -1
-  else begin
-    let best = pick_verify t m 0 (-1) max_int max_int in
-    (* every candidate at [m] was stale: their entries are refreshed now,
-       so the next scan sees the true minimum *)
-    if best >= 0 then best else pick_merged t
-  end
-
-let exec_merged t s =
-  if s = t.nshards then begin
-    (* a global action: caller's domain, global clock — the same context
-       the window barrier gives it *)
-    t.phase <- Global;
-    (match Event_queue.pop t.global with
-    | None -> ()
-    | Some (time, ev) ->
-      if time > t.gclock.(0) then t.gclock.(0) <- time;
-      t.gcur_v <- Event_queue.last_v t.global;
-      t.shards.(0).st.events <- t.shards.(0).st.events + 1;
-      execute t t.shards.(0) ev);
-    t.etimes.(s) <- Event_queue.next_time t.global
-  end
-  else begin
-    t.phase <- Windows;
-    t.active_shard <- s;
-    ignore (step_shard t t.shards.(s));
-    (* refresh after execution, so inserts made by the handler into this
-       very queue are covered by the exact value *)
-    t.etimes.(s) <- Event_queue.next_time t.shards.(s).queue
-  end
-
-let rec run_merged t ~limit =
-  let s = pick_merged t in
-  (* [etimes.(s)] is exact after a successful pick *)
-  if s >= 0 && t.etimes.(s) <= limit then begin
-    exec_merged t s;
-    run_merged t ~limit
-  end
-
-let step_merged t =
-  let s = pick_merged t in
-  if s < 0 then false
-  else begin
-    exec_merged t s;
     true
   end
 
@@ -711,14 +561,8 @@ let finish_mt t ~limit =
 let run ?until t =
   let limit = Option.value until ~default:infinity in
   if t.nshards = 1 then run_seq t ~limit
-  else if t.workers = 1 then
-    (* no hardware parallelism to win: merged execution on the calling
-       domain — no domains, no barriers, no mailboxes, no windows *)
-    Fun.protect
-      ~finally:(fun () -> finish_mt t ~limit)
-      (fun () -> run_merged t ~limit)
   else begin
-    match Barrier_team.shared_acquire ~size:t.workers with
+    match Barrier_team.shared_acquire ~size:t.nshards with
     | Some team ->
       Fun.protect
         ~finally:(fun () ->
@@ -728,7 +572,7 @@ let run ?until t =
     | None ->
       (* another engine holds the shared team (concurrent sharded runs):
          fall back to a private one for this run *)
-      let team = Barrier_team.create ~size:t.workers in
+      let team = Barrier_team.create ~size:t.nshards in
       Fun.protect
         ~finally:(fun () ->
           Barrier_team.shutdown team;
@@ -738,17 +582,15 @@ let run ?until t =
 
 let step t =
   if t.nshards = 1 then begin
-    t.phase <- Windows;
-    let r = step_shard t t.shards.(0) in
-    t.phase <- Idle;
-    t.gclock.(0) <- t.shards.(0).clock.(0);
-    r
-  end
-  else if t.workers = 1 then begin
-    (* one event of the merged inline order *)
-    let r = step_merged t in
-    finish_mt t ~limit:infinity;
-    r
+    let sh = t.shards.(0) in
+    if Event_queue.is_empty sh.queue then false
+    else begin
+      t.phase <- Windows;
+      step_shard t sh (Event_queue.next_time sh.queue);
+      t.phase <- Idle;
+      t.gclock.(0) <- sh.clock.(0);
+      true
+    end
   end
   else begin
     (* one conservative round, executed on the calling domain —
@@ -760,23 +602,23 @@ let step t =
 
 (* --- construction ------------------------------------------------------ *)
 
-let create ~n ~seed ~net ?(shards = 1) ?(autotune = true) () =
+let create ~n ~seed ~net ?(shards = 1) () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
   if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
-  let nshards = min shards n in
-  if nshards > 1 && net.Network.min_delay <= 0.0 then
+  let requested = min shards n in
+  if requested > 1 && net.Network.min_delay <= 0.0 then
     invalid_arg
       "Engine.create: shards > 1 requires positive network min_delay \
        (conservative windows need non-zero lookahead)";
+  (* windows exist so domains can run between barriers without seeing
+     each other; without a hardware thread per shard they buy nothing,
+     and the sequential loop replays the same canonical order *)
+  let nshards =
+    if requested > 1 && Barrier_team.hardware_parallelism () < requested then 1
+    else requested
+  in
   let rng = Prng.create ~seed in
   let block = (n + nshards - 1) / nshards in
-  let workers =
-    if nshards = 1 then 1
-    else if autotune && Barrier_team.hardware_parallelism () < nshards then
-      (* spawning more domains than cores loses to inline execution *)
-      1
-    else nshards
-  in
   let t =
     {
       n;
@@ -811,9 +653,6 @@ let create ~n ~seed ~net ?(shards = 1) ?(autotune = true) () =
             { o_len = 0; o_time = [||]; o_u = [||]; o_v = [||]; o_ev = [||] });
       out_dirty = Array.make nshards false;
       lookahead = net.Network.min_delay;
-      autotune;
-      workers;
-      etimes = Array.make (nshards + 1) infinity;
       his = Array.make nshards 0.0;
       wscratch = Array.make 2 infinity;
       win_inclusive = false;

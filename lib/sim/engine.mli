@@ -22,21 +22,18 @@
     event currently queued somewhere, so no arrival into [d] can land
     below [hi_d]; shards clustered at the same virtual time get the
     classic symmetric [w + L] window, while a shard running ahead of the
-    field advances up to [2L] per round ([?autotune:false] forces the
-    symmetric window everywhere).
+    field advances up to [2L] per round.
 
-    Dispatch is hardware-aware: when the host has at least [k] cores,
-    rounds run on a persistent team of pinned domains (borrowed from the
+    Rounds run on a persistent team of pinned domains (borrowed from the
     process-wide {!Rdt_parallel.Barrier_team}), with cross-shard sends
     buffered in pooled per-pair mailboxes drained at the round barrier.
-    When it does not, windows buy nothing — they exist so domains can run
-    between barriers without seeing each other — so the engine drops them
-    entirely and the calling domain pops whichever queue holds the
-    canonically least head (a k-way merge over a cached row of head
-    times).  Because canonical keys are unique across the engine's queues
-    at any timestamp, the merge replays {e exactly} the one-queue
-    sequential order while keeping the shallower per-shard heaps.
-    Steady-state execution allocates nothing on either path.
+    Windows only pay when every shard has a hardware thread — they exist
+    so domains can run between barriers without seeing each other — so on
+    a host with fewer hardware threads than shards the engine is created
+    with one shard and runs the sequential loop, which replays the same
+    canonical order.  Steady-state dispatch allocates nothing on either
+    path beyond the queue-head times it reads, which box where the build
+    does not inline across modules.
 
     Execution order is {e identical} at every shard count: simultaneous
     events are ordered by canonical keys that are pure functions of the
@@ -53,8 +50,9 @@
     they may send from their own process and schedule actions routed to
     processes of the same shard, but mutating state owned by another
     shard, scheduling globals, {!set_up} or {!flush_in_flight} from a
-    routed handler are errors (the engine raises on the ones it can see).
-    Global actions run single-threaded and may do all of the above.
+    routed handler are errors (a sharded engine raises on the ones it can
+    see; a one-shard engine has no shard boundary to check).  Global
+    actions run single-threaded and may do all of the above.
 
     Processes can be marked down ({!set_up}); deliveries and owned actions
     addressed to a down process are silently discarded, which models the
@@ -79,33 +77,29 @@ val create :
   seed:int ->
   net:Network.config ->
   ?shards:int ->
-  ?autotune:bool ->
   unit ->
   'msg t
-(** [?shards] (default [1]) is clamped to [n].  [?autotune] (default
-    [true]) enables per-shard asymmetric window boundaries and
-    hardware-aware dispatch (merged inline execution when the host has
-    fewer cores than shards); with [false], every round uses the
-    symmetric [w + L] window on a full domain team regardless of the
-    host.  Neither setting affects the event order — only wall-clock.
-    @raise Invalid_argument if [shards > 1] and [net.min_delay <= 0]. *)
+(** [?shards] (default [1]) is clamped to [n], and to [1] when the host
+    has fewer hardware threads than that
+    ({!Rdt_parallel.Barrier_team.hardware_parallelism}).  Neither clamp
+    affects the event order — only wall-clock.
+    @raise Invalid_argument if [min shards n > 1] and
+    [net.min_delay <= 0], whatever the host. *)
 
 val n : _ t -> int
 
 val shards : _ t -> int
-(** Effective shard count (after clamping to [n]). *)
+(** Effective shard count (after both clamps). *)
 
 val shard_of_pid : _ t -> int -> int
 (** Which shard executes the given process — a pure function of
     [(n, shards)].  Used by callers that keep per-shard counters. *)
 
 val parallel_dispatch : _ t -> bool
-(** Whether {!run} will interleave processes across domains.  [false] for
-    single-shard engines {e and} for sharded engines that will execute
-    inline (merged order) because the host lacks the cores — in both
-    cases events run, and are observed by callbacks, in canonical order
-    already, so consumers such as the trace can skip deferred
-    stamp-merging. *)
+(** Whether {!run} will interleave processes across domains: [shards > 1].
+    On a one-shard engine events run, and are observed by callbacks, in
+    canonical order already, so consumers such as the trace can skip
+    deferred stamp-merging. *)
 
 val shard_bounds : _ t -> int -> int * int
 (** [shard_bounds t s] is the contiguous pid range [\[lo, hi)] owned by
@@ -155,7 +149,7 @@ val schedule :
   ?pin:int ->
   at:float ->
   (unit -> unit) ->
-  Event_queue.handle
+  unit
 (** [schedule t ?owner ?pin ~at f] runs [f] at virtual time [at].
     [owner] routes the action to that process's shard {e and} skips it if
     the process is down when it fires; [pin] routes without the skip
@@ -171,10 +165,8 @@ val schedule_in :
   ?pin:int ->
   delay:float ->
   (unit -> unit) ->
-  Event_queue.handle
+  unit
 (** Convenience wrapper: {!schedule} at [now + delay]. *)
-
-val cancel : 'msg t -> Event_queue.handle -> unit
 
 val is_up : _ t -> int -> bool
 
@@ -187,19 +179,16 @@ val flush_in_flight : _ t -> unit
     Not callable from a routed handler of a sharded engine. *)
 
 val step : _ t -> bool
-(** Execute the next event ([shards = 1], or a sharded engine executing
-    inline — the merged order is per-event) or the next conservative
-    window on the calling domain (a sharded engine with a team — same
-    event order as {!run}, without parallel dispatch).  Returns [false]
-    if nothing was left. *)
+(** Execute the next event ([shards = 1]) or the next conservative window
+    on the calling domain ([shards > 1] — same event order as {!run},
+    without parallel dispatch).  Returns [false] if nothing was left. *)
 
 val run : ?until:float -> _ t -> unit
 (** Execute events until the queues are empty or the next event is strictly
     after [until].  When stopped by [until], the clock is advanced to
-    [until].  With [shards > 1] and enough cores this borrows the
-    process-wide domain team for the duration of the call (falling back
-    to a private team if it is busy); with fewer cores than shards the
-    merged inline executor runs on the calling domain. *)
+    [until].  With [shards > 1] this borrows the process-wide domain team
+    for the duration of the call (falling back to a private team if it is
+    busy). *)
 
 val stats : _ t -> stats
 (** Counters merged across shards (a fresh record; mutating it does not

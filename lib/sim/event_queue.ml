@@ -1,52 +1,40 @@
-(* Binary min-heap over (time, u, v, seq).  Cancellation is lazy: a
-   cancelled entry stays in the heap with its [live] flag cleared and is
-   dropped when popped, which keeps all operations O(log n) amortized.
+(* Binary min-heap over (time, u, v, seq), stored flat: an unboxed
+   [float array] of times, int arrays for the canonical key and the
+   insertion stamp, and one value array — parallel columns indexed by
+   heap slot.  A comparison reads only the columns, never a separately
+   allocated entry.  Scheduling allocates nothing once the columns have
+   grown to the queue's working size, and neither does firing, which
+   returns the bare value (the caller reads the time with [next_time]
+   first).
+
+   Slot 0 is a staging slot: [add_keyed] writes the new entry there and
+   [pop] moves the displaced last entry there; the sifts then walk a hole
+   through the heap, comparing against the staged entry, and write it
+   into its final slot once.  The heap proper occupies slots [1 .. size]
+   (the parent of slot [i] is [i / 2]).
 
    The (u, v) pair is a caller-supplied canonical key used by the sharded
    engine to make execution order at equal timestamps a pure function of
-   the simulation, independent of insertion interleaving; the plain
-   {!add}/{!add_unit} entry points set u = v = 0, so their ties fall
-   through to [seq] and keep the historical insertion-order semantics.
-
-   Entries are pooled: when an entry leaves the heap (fired or found
-   cancelled) it goes onto a free stack and the next [add] recycles it
-   instead of allocating, so a steady-state schedule/fire loop performs no
-   minor-heap allocation at all ([add_unit]; [add] itself allocates only
-   the handle box).  Handles are generation-stamped with the entry's
-   sequence number, so a handle that outlives its entry — fired, recycled
-   and reused for a later event — can never cancel the wrong event. *)
+   the simulation, independent of insertion interleaving; the plain {!add}
+   entry point sets u = v = 0, so its ties fall through to [seq] and keep
+   insertion order. *)
 
 (* Scheduling and firing are the simulator's inner loop; rdt_lint holds
-   the named functions to alloc/* so the pool actually delivers its
-   zero-allocation steady state ([add] and [pop] box their results and
-   are deliberately outside the hot set). *)
+   the named functions to alloc/*. *)
 [@@@lint.zero_alloc_hot
-  "before" "swap" "sift_up" "sift_down" "grow" "recycle" "add_entry"
-  "add_unit" "add_keyed_unit" "cancel" "cancel_handle"]
-
-type 'a entry = {
-  mutable time : float;
-  mutable u : int;
-  mutable v : int;
-  mutable seq : int;
-  mutable value : 'a;
-  mutable live : bool;
-}
-
-(* the int ref is the owning queue's live counter, embedded so a handle
-   can be cancelled without naming its queue (the sharded engine routes
-   actions to per-shard queues the caller cannot see) *)
-type handle = H : 'a entry * int * int ref -> handle
+  "less" "move" "sift_up" "sift_down" "add_keyed" "add" "pop"]
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable times : float array;
+  mutable us : int array;
+  mutable vs : int array;
+  mutable seqs : int array;
+  (* slots past [size] keep the values last moved through them until they
+     are overwritten, so a queue retains at most its capacity in stale
+     values *)
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
-  live_count : int ref;
-  (* free stack of recycled entries; a pooled entry keeps its last [value]
-     until reuse, so the pool retains at most [pool_size] stale values *)
-  mutable free : 'a entry array;
-  mutable free_size : int;
   (* key of the most recently popped entry, so hot loops can read it
      without the queue boxing a wider result *)
   mutable last_u : int;
@@ -55,198 +43,112 @@ type 'a t = {
 
 let create () =
   {
-    data = [||];
+    times = [||];
+    us = [||];
+    vs = [||];
+    seqs = [||];
+    values = [||];
     size = 0;
     next_seq = 0;
-    live_count = ref 0;
-    free = [||];
-    free_size = 0;
     last_u = 0;
     last_v = 0;
   }
 
-let before a b =
-  a.time < b.time
-  || (a.time = b.time
-      && (a.u < b.u
-          || (a.u = b.u && (a.v < b.v || (a.v = b.v && a.seq < b.seq)))))
-
-let swap t i j =
-  let tmp = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.data.(i) t.data.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.size && before t.data.(l) t.data.(i) then l else i in
-  let smallest =
-    if r < t.size && before t.data.(r) t.data.(smallest) then r else smallest
-  in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
-  end
-
-let grow t entry =
-  let capacity = Array.length t.data in
-  if t.size = capacity then begin
-    let new_capacity = max 16 (2 * capacity) in
-    let data =
-      (Array.make new_capacity entry
-       [@lint.allow "alloc" "amortized doubling; absent from steady state"])
-    in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
-
-let recycle t entry =
-  entry.live <- false;
-  if t.free_size = Array.length t.free then begin
-    let free =
-      (Array.make (max 16 (2 * t.free_size)) entry
-       [@lint.allow "alloc" "amortized doubling; absent from steady state"])
-    in
-    Array.blit t.free 0 free 0 t.free_size;
-    t.free <- free
-  end;
-  t.free.(t.free_size) <- entry;
-  t.free_size <- t.free_size + 1
-
-let add_entry t ~time ~u ~v value =
-  let entry =
-    if t.free_size > 0 then begin
-      t.free_size <- t.free_size - 1;
-      let entry = t.free.(t.free_size) in
-      entry.time <- time;
-      entry.u <- u;
-      entry.v <- v;
-      entry.seq <- t.next_seq;
-      entry.value <- value;
-      entry.live <- true;
-      entry
-    end
+(* slot [i] sorts before slot [j] *)
+let[@inline] less t i j =
+  let ti = t.times.(i) and tj = t.times.(j) in
+  if ti <> tj then ti < tj
+  else
+    let ui = t.us.(i) and uj = t.us.(j) in
+    if ui <> uj then ui < uj
     else
-      ({ time; u; v; seq = t.next_seq; value; live = true }
-       [@lint.allow "alloc" "pool miss; steady-state adds reuse a pooled entry"])
-  in
-  t.next_seq <- t.next_seq + 1;
-  grow t entry;
-  t.data.(t.size) <- entry;
-  t.size <- t.size + 1;
-  incr t.live_count;
-  sift_up t (t.size - 1);
-  entry
+      let vi = t.vs.(i) and vj = t.vs.(j) in
+      if vi <> vj then vi < vj else t.seqs.(i) < t.seqs.(j)
 
-let add t ~time value =
-  let entry = add_entry t ~time ~u:0 ~v:0 value in
-  H (entry, entry.seq, t.live_count)
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.us.(dst) <- t.us.(src);
+  t.vs.(dst) <- t.vs.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.values.(dst) <- t.values.(src)
 
-let add_unit t ~time value = ignore (add_entry t ~time ~u:0 ~v:0 value)
+(* double every column, keeping the heap slots [1 .. size]; [filler]
+   initializes the fresh value slots.  The amortized doubling path, and
+   the one allocation the queue makes, so it is outside the hot set. *)
+let grow t filler =
+  let cap = max 16 (2 * Array.length t.times) in
+  let times = Array.make cap 0.0 in
+  let us = Array.make cap 0 in
+  let vs = Array.make cap 0 in
+  let seqs = Array.make cap 0 in
+  let values = Array.make cap filler in
+  (* a never-grown queue has empty columns, which have no slot 1 *)
+  if t.size > 0 then begin
+    Array.blit t.times 1 times 1 t.size;
+    Array.blit t.us 1 us 1 t.size;
+    Array.blit t.vs 1 vs 1 t.size;
+    Array.blit t.seqs 1 seqs 1 t.size;
+    Array.blit t.values 1 values 1 t.size
+  end;
+  t.times <- times;
+  t.us <- us;
+  t.vs <- vs;
+  t.seqs <- seqs;
+  t.values <- values
+
+(* the hole at [h] moves up past every parent the staged entry precedes *)
+let rec sift_up t h =
+  let p = h / 2 in
+  if p >= 1 && less t 0 p then begin
+    move t ~src:p ~dst:h;
+    sift_up t p
+  end
+  else move t ~src:0 ~dst:h
+
+(* the hole at [h] moves down past every child that precedes the staged
+   entry *)
+let rec sift_down t h =
+  let c = 2 * h in
+  if c > t.size then move t ~src:0 ~dst:h
+  else begin
+    let c = if c < t.size && less t (c + 1) c then c + 1 else c in
+    if less t c 0 then begin
+      move t ~src:c ~dst:h;
+      sift_down t c
+    end
+    else move t ~src:0 ~dst:h
+  end
 
 let add_keyed t ~time ~u ~v value =
-  let entry = add_entry t ~time ~u ~v value in
-  H (entry, entry.seq, t.live_count)
+  if t.size + 1 >= Array.length t.times then grow t value;
+  t.times.(0) <- time;
+  t.us.(0) <- u;
+  t.vs.(0) <- v;
+  t.seqs.(0) <- t.next_seq;
+  t.values.(0) <- value;
+  t.next_seq <- t.next_seq + 1;
+  t.size <- t.size + 1;
+  sift_up t t.size
 
-let add_keyed_unit t ~time ~u ~v value =
-  ignore (add_entry t ~time ~u ~v value)
+let add t ~time value = add_keyed t ~time ~u:0 ~v:0 value
 
-let cancel_handle (H (entry, seq, live_count)) =
-  (* the seq stamp rejects handles whose entry was recycled for a newer
-     event; a merely-popped (not yet reused) entry is caught by [live] *)
-  if entry.live && entry.seq = seq then begin
-    entry.live <- false;
-    decr live_count
-  end
-
-let cancel _t h = cancel_handle h
-
-let pop_entry t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
-let rec pop t =
-  match pop_entry t with
-  | None -> None
-  | Some entry ->
-    if entry.live then begin
-      decr t.live_count;
-      t.last_u <- entry.u;
-      t.last_v <- entry.v;
-      let result = Some (entry.time, entry.value) in
-      recycle t entry;
-      result
-    end
-    else begin
-      recycle t entry;
-      pop t
-    end
+let pop t =
+  if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let value = t.values.(1) in
+  t.last_u <- t.us.(1);
+  t.last_v <- t.vs.(1);
+  move t ~src:t.size ~dst:0;
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t 1;
+  value
 
 let last_u t = t.last_u
 let last_v t = t.last_v
 
-let rec peek_time t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    if top.live then Some top.time
-    else begin
-      (match pop_entry t with Some e -> recycle t e | None -> ());
-      peek_time t
-    end
-  end
+(* inlined, the float result stays unboxed at the call site; called out of
+   line (any build with -opaque, such as dune's dev profile) it boxes, so
+   the engine reads it once per event and passes the time on *)
+let[@inline] next_time t = if t.size = 0 then infinity else t.times.(1)
 
-(* cold path of [next_time]: the head is a lazily-cancelled entry *)
-let rec next_time_skip_dead t =
-  if t.size = 0 then infinity
-  else begin
-    let top = t.data.(0) in
-    if top.live then top.time
-    else begin
-      (match pop_entry t with Some e -> recycle t e | None -> ());
-      next_time_skip_dead t
-    end
-  end
-
-(* [peek_time] boxes its result in an option; the sharded engine's window
-   loop reads queue heads once per shard per window, so it gets an
-   allocation-free variant: a small, cross-module-inlinable head probe
-   whose float result stays unboxed at the call site *)
-let[@inline] next_time t =
-  if t.size = 0 then infinity
-  else begin
-    let top = t.data.(0) in
-    if top.live then top.time else next_time_skip_dead t
-  end
-
-(* Canonical key of the head entry, for cross-queue merging: the sharded
-   engine's inline executor picks, among its per-shard queues, the head
-   that is least by (time, u, v) — which is exactly the order one merged
-   queue would pop, because the engine's canonical keys are unique across
-   its queues at any timestamp.  Only meaningful straight after a
-   [next_time] probe returned a finite time (which also guarantees the
-   head is live). *)
-let[@inline] head_u t = t.data.(0).u
-let[@inline] head_v t = t.data.(0).v
-
-let is_empty t = !(t.live_count) = 0
-
-let length t = !(t.live_count)
-
-let pool_size t = t.free_size
+let is_empty t = t.size = 0
+let length t = t.size

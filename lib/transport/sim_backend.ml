@@ -70,9 +70,8 @@ let transport cl ~me =
     listen_port = 0;
     set_timer =
       (fun ~id ~after ->
-        ignore
-          (Engine.schedule_in cl.engine ~pin:proc ~delay:after (fun () ->
-               Transport.Mailbox.deliver mb (Transport.Timer { id }))));
+        Engine.schedule_in cl.engine ~pin:proc ~delay:after (fun () ->
+            Transport.Mailbox.deliver mb (Transport.Timer { id })));
     set_handler = (fun h -> Transport.Mailbox.set mb h);
     poll;
     close = (fun () -> ());

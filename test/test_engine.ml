@@ -82,7 +82,7 @@ let test_down_process_drops () =
 let test_owned_action_skipped_when_down () =
   let e = make () in
   let fired = ref false in
-  ignore (Engine.schedule e ~owner:1 ~at:1.0 (fun () -> fired := true));
+  Engine.schedule e ~owner:1 ~at:1.0 (fun () -> fired := true);
   Engine.set_up e 1 false;
   Engine.run e;
   Alcotest.(check bool) "skipped" false !fired
@@ -90,7 +90,7 @@ let test_owned_action_skipped_when_down () =
 let test_unowned_action_runs () =
   let e = make () in
   let fired = ref false in
-  ignore (Engine.schedule e ~at:1.0 (fun () -> fired := true));
+  Engine.schedule e ~at:1.0 (fun () -> fired := true);
   Engine.run e;
   Alcotest.(check bool) "ran" true !fired
 
@@ -105,27 +105,18 @@ let test_flush_in_flight () =
 let test_run_until () =
   let e = make () in
   let count = ref 0 in
-  ignore (Engine.schedule e ~at:1.0 (fun () -> incr count));
-  ignore (Engine.schedule e ~at:10.0 (fun () -> incr count));
+  Engine.schedule e ~at:1.0 (fun () -> incr count);
+  Engine.schedule e ~at:10.0 (fun () -> incr count);
   Engine.run ~until:5.0 e;
   Alcotest.(check int) "only events before the limit" 1 !count;
   Alcotest.(check (float 1e-9)) "clock advanced to limit" 5.0 (Engine.now e)
-
-let test_cancel_action () =
-  let e = make () in
-  let fired = ref false in
-  let h = Engine.schedule e ~at:1.0 (fun () -> fired := true) in
-  Engine.cancel e h;
-  Engine.run e;
-  Alcotest.(check bool) "cancelled" false !fired
 
 let test_clock_monotone () =
   let e = make () in
   let times = ref [] in
   for i = 1 to 10 do
-    ignore
-      (Engine.schedule e ~at:(float_of_int i) (fun () ->
-           times := Engine.now e :: !times))
+    Engine.schedule e ~at:(float_of_int i) (fun () ->
+        times := Engine.now e :: !times)
   done;
   Engine.run e;
   let ts = List.rev !times in
@@ -133,19 +124,42 @@ let test_clock_monotone () =
 
 let test_schedule_in_past_rejected () =
   let e = make () in
-  ignore (Engine.schedule e ~at:5.0 (fun () -> ()));
+  Engine.schedule e ~at:5.0 (fun () -> ());
   Engine.run e;
   Alcotest.check_raises "past time"
     (Invalid_argument "Engine.schedule: time in the past") (fun () ->
-      ignore (Engine.schedule e ~at:1.0 (fun () -> ())))
+      Engine.schedule e ~at:1.0 (fun () -> ()))
 
 (* --- sharded execution ------------------------------------------------- *)
 
+(* The dispatch rule: [k] shards on [n] processes run as [min k n] shards
+   when the host has that many hardware threads, else as one. *)
+let expected_shards ~k ~n =
+  let k = min k n in
+  if Rdt_parallel.Barrier_team.hardware_parallelism () >= k then k else 1
+
+let test_dispatch_rule () =
+  List.iter
+    (fun (k, n) ->
+      let e : unit Engine.t =
+        Engine.create ~n ~seed:5 ~net:Network.default ~shards:k ()
+      in
+      let want = expected_shards ~k ~n in
+      Alcotest.(check int)
+        (Printf.sprintf "shards for k=%d n=%d" k n)
+        want (Engine.shards e);
+      Alcotest.(check bool)
+        (Printf.sprintf "parallel dispatch for k=%d n=%d" k n)
+        (want > 1) (Engine.parallel_dispatch e))
+    [ (1, 4); (2, 4); (4, 4); (8, 4); (2, 1); (3, 2); (16, 64) ]
+
 let test_sharded_cross_shard_delivery () =
-  (* 4 processes on 4 shards; every message crosses a shard boundary
-     through the mailboxes and still arrives exactly once *)
-  let e = Engine.create ~n:4 ~seed:5 ~net:Network.default ~shards:4 () in
-  Alcotest.(check int) "effective shards" 4 (Engine.shards e);
+  (* 4 processes on 2 shards, every message crossing the shard boundary
+     (through the mailboxes where the host runs the team); each still
+     arrives exactly once *)
+  let e = Engine.create ~n:4 ~seed:5 ~net:Network.default ~shards:2 () in
+  Alcotest.(check int) "effective shards" (expected_shards ~k:2 ~n:4)
+    (Engine.shards e);
   let got = ref [] in
   for p = 0 to 3 do
     Engine.set_receiver e p (fun ~src msg -> got := (p, src, msg) :: !got)
@@ -196,8 +210,8 @@ let test_sharded_same_event_order () =
 let test_pinned_action_fires_when_down () =
   let e = Engine.create ~n:4 ~seed:5 ~net:Network.default ~shards:2 () in
   let pinned = ref false and owned = ref false in
-  ignore (Engine.schedule e ~pin:1 ~at:1.0 (fun () -> pinned := true));
-  ignore (Engine.schedule e ~owner:1 ~at:1.0 (fun () -> owned := true));
+  Engine.schedule e ~pin:1 ~at:1.0 (fun () -> pinned := true);
+  Engine.schedule e ~owner:1 ~at:1.0 (fun () -> owned := true);
   Engine.set_up e 1 false;
   Engine.run e;
   Alcotest.(check bool) "pinned fired while down" true !pinned;
@@ -216,9 +230,9 @@ let test_sharded_global_action_order () =
      event of the same timestamp already executed *)
   let e = Engine.create ~n:2 ~seed:5 ~net:Network.default ~shards:2 () in
   let routed = ref 0 and seen_at_global = ref (-1) in
-  ignore (Engine.schedule e ~pin:0 ~at:1.0 (fun () -> incr routed));
-  ignore (Engine.schedule e ~pin:1 ~at:1.0 (fun () -> incr routed));
-  ignore (Engine.schedule e ~at:1.0 (fun () -> seen_at_global := !routed));
+  Engine.schedule e ~pin:0 ~at:1.0 (fun () -> incr routed);
+  Engine.schedule e ~pin:1 ~at:1.0 (fun () -> incr routed);
+  Engine.schedule e ~at:1.0 (fun () -> seen_at_global := !routed);
   Engine.run e;
   Alcotest.(check int) "globals run after same-time routed events" 2
     !seen_at_global
@@ -252,10 +266,11 @@ let suite =
     Alcotest.test_case "unowned action runs" `Quick test_unowned_action_runs;
     Alcotest.test_case "flush in flight" `Quick test_flush_in_flight;
     Alcotest.test_case "run until" `Quick test_run_until;
-    Alcotest.test_case "cancel action" `Quick test_cancel_action;
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
     Alcotest.test_case "schedule in past rejected" `Quick
       test_schedule_in_past_rejected;
+    Alcotest.test_case "shard count follows the dispatch rule" `Quick
+      test_dispatch_rule;
     Alcotest.test_case "sharded cross-shard delivery" `Quick
       test_sharded_cross_shard_delivery;
     Alcotest.test_case "sharded same event order" `Quick

@@ -1,12 +1,12 @@
-(* Steady-state allocation discipline of the sharded executors
-   (DESIGN.md §13).  The multi-shard engine once allocated ~130k words
-   per whole run — tuple keys, closure window jobs, per-record stamp
-   tuples — which is what made shards slower than the sequential
-   executor.  These tests pin the repaired steady state: beyond the
-   event queue's boxed pop result (an option around a (float, value)
-   tuple, a few words per event, deliberately outside the zero-alloc
-   set), dispatch allocates nothing — neither the merged inline
-   executor per event nor the windowed executor per window.
+(* Steady-state allocation discipline of the executors (DESIGN.md §13).
+   The multi-shard engine once allocated ~130k words per whole run —
+   tuple keys, closure window jobs, per-record stamp tuples — which is
+   what made shards slower than the sequential executor.  These tests pin
+   the repaired steady state: beyond the boxed head times the executors
+   probe ([Event_queue.next_time] returns a float, which boxes when the
+   call is not inlined: 2 words per probe, one per event plus a few per
+   shard per window), dispatch allocates nothing — neither the
+   sequential executor per event nor the windowed executor per window.
 
    The bounds are deliberately loose (16 words/event, 64 words/window)
    so timer jitter or a future boxing tweak cannot flake them, while the
@@ -19,13 +19,13 @@ module Network = Rdt_sim.Network
 let words_per_event = 16.0
 let words_per_window = 64.0
 
-(* a sharded engine with no-op receivers and [msgs] pre-queued
-   deliveries, so the measured drain executes events without the
-   handlers themselves sending (sends allocate their Deliver cell, which
-   would drown the dispatch signal being measured) *)
-let preloaded ~shards ~autotune ~msgs =
+(* an engine with no-op receivers and [msgs] pre-queued deliveries, so
+   the measured drain executes events without the handlers themselves
+   sending (sends allocate their Deliver cell, which would drown the
+   dispatch signal being measured) *)
+let preloaded ~shards ~msgs =
   let n = 8 in
-  let e = Engine.create ~n ~seed:3 ~net:Network.default ~shards ~autotune () in
+  let e = Engine.create ~n ~seed:3 ~net:Network.default ~shards () in
   for p = 0 to n - 1 do
     Engine.set_receiver e p (fun ~src:_ () -> ())
   done;
@@ -34,12 +34,9 @@ let preloaded ~shards ~autotune ~msgs =
   done;
   e
 
-let test_merged_per_event () =
-  (* autotune on + host narrower than 4 shards = merged inline executor;
-     on a wide machine this still holds (the windowed bound below is
-     looser than this one) *)
-  let e = preloaded ~shards:4 ~autotune:true ~msgs:4000 in
-  (* warm the queue pools and the trace of the first pops *)
+let test_sequential_per_event () =
+  let e = preloaded ~shards:1 ~msgs:4000 in
+  (* warm the first pops *)
   for _ = 1 to 1000 do
     ignore (Engine.step e)
   done;
@@ -53,21 +50,31 @@ let test_merged_per_event () =
   Alcotest.(check bool) "drained a real workload" true (ev > 1000);
   let per_event = dw /. float_of_int ev in
   if per_event > words_per_event then
-    Alcotest.failf "merged executor: %.1f words/event (bound %.0f)" per_event
-      words_per_event
+    Alcotest.failf "sequential executor: %.1f words/event (bound %.0f)"
+      per_event words_per_event
 
 let test_windowed_per_window () =
-  (* autotune off = windowed execution regardless of the host; [step]
-     runs one conservative round per call on the calling domain, so the
-     window machinery (boundary autotuning, dispatch, barrier close) is
-     measured without domain-local GC counters getting involved.
-     Deliveries all land within one delay band of their send, so to get
-     many windows the workload is pinned no-op actions staggered across
-     virtual time — a couple of events per conservative round. *)
-  let e = preloaded ~shards:4 ~autotune:false ~msgs:0 in
+  (* a two-shard engine only exists on a host with two hardware threads
+     (narrower hosts get the sequential loop); [step] then runs one
+     conservative round per call on the calling domain, so the window
+     machinery (boundaries, dispatch, barrier close) is measured without
+     domain-local GC counters getting involved.  Deliveries all land
+     within one delay band of their send, so to get many windows the
+     workload is pinned no-op actions staggered across virtual time — a
+     couple of events per conservative round. *)
+  let cores = Rdt_parallel.Barrier_team.hardware_parallelism () in
+  if cores < 2 then begin
+    Printf.printf
+      "SKIP: host has %d hardware thread(s); a two-shard engine runs the \
+       sequential loop here, so there are no windows to measure\n"
+      cores;
+    Alcotest.skip ()
+  end;
+  let e = preloaded ~shards:2 ~msgs:0 in
+  Alcotest.(check int) "windowed engine" 2 (Engine.shards e);
   let nop () = () in
   for i = 1 to 4000 do
-    ignore (Engine.schedule e ~pin:(i mod 8) ~at:(float_of_int i *. 0.3) nop)
+    Engine.schedule e ~pin:(i mod 8) ~at:(float_of_int i *. 0.3) nop
   done;
   for _ = 1 to 50 do
     ignore (Engine.step e)
@@ -91,8 +98,8 @@ let test_windowed_per_window () =
 
 let suite =
   [
-    Alcotest.test_case "merged executor allocates nothing per event" `Quick
-      test_merged_per_event;
+    Alcotest.test_case "sequential executor allocates nothing per event"
+      `Quick test_sequential_per_event;
     Alcotest.test_case "windowed executor allocates nothing per window" `Quick
       test_windowed_per_window;
   ]

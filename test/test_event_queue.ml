@@ -1,16 +1,21 @@
 module Q = Rdt_sim.Event_queue
 
+(* (time, value) of the head, removed *)
+let take q =
+  let time = Q.next_time q in
+  (time, Q.pop q)
+
 let drain q =
   let rec loop acc =
-    match Q.pop q with None -> List.rev acc | Some (t, v) -> loop ((t, v) :: acc)
+    if Q.is_empty q then List.rev acc else loop (take q :: acc)
   in
   loop []
 
 let test_time_order () =
   let q = Q.create () in
-  ignore (Q.add q ~time:3.0 "c");
-  ignore (Q.add q ~time:1.0 "a");
-  ignore (Q.add q ~time:2.0 "b");
+  Q.add q ~time:3.0 "c";
+  Q.add q ~time:1.0 "a";
+  Q.add q ~time:2.0 "b";
   Alcotest.(check (list (pair (float 0.0) string)))
     "sorted by time"
     [ (1.0, "a"); (2.0, "b"); (3.0, "c") ]
@@ -18,199 +23,162 @@ let test_time_order () =
 
 let test_fifo_ties () =
   let q = Q.create () in
-  ignore (Q.add q ~time:1.0 "first");
-  ignore (Q.add q ~time:1.0 "second");
-  ignore (Q.add q ~time:1.0 "third");
+  Q.add q ~time:1.0 "first";
+  Q.add q ~time:1.0 "second";
+  Q.add q ~time:1.0 "third";
   Alcotest.(check (list string)) "insertion order on ties"
     [ "first"; "second"; "third" ]
     (List.map snd (drain q))
 
-let test_cancel () =
+let test_keyed_ties () =
+  (* at equal times, (u, v) decides regardless of insertion order, and
+     the popped key is exposed through last_u/last_v *)
   let q = Q.create () in
-  ignore (Q.add q ~time:1.0 "keep1");
-  let h = Q.add q ~time:2.0 "drop" in
-  ignore (Q.add q ~time:3.0 "keep2");
-  Q.cancel q h;
-  Alcotest.(check (list string)) "cancelled skipped" [ "keep1"; "keep2" ]
-    (List.map snd (drain q))
-
-let test_cancel_idempotent () =
-  let q = Q.create () in
-  let h = Q.add q ~time:1.0 () in
-  Q.cancel q h;
-  Q.cancel q h;
-  Alcotest.(check int) "length zero" 0 (Q.length q);
-  Alcotest.(check bool) "empty" true (Q.is_empty q)
+  Q.add_keyed q ~time:1.0 ~u:2 ~v:0 "u2";
+  Q.add_keyed q ~time:1.0 ~u:1 ~v:7 "u1v7";
+  Q.add_keyed q ~time:1.0 ~u:1 ~v:3 "u1v3";
+  Q.add_keyed q ~time:0.5 ~u:9 ~v:9 "early";
+  let popped =
+    List.init 4 (fun _ ->
+        let x = Q.pop q in
+        (x, Q.last_u q, Q.last_v q))
+  in
+  Alcotest.(check (list (triple string int int)))
+    "time, then u, then v"
+    [ ("early", 9, 9); ("u1v3", 1, 3); ("u1v7", 1, 7); ("u2", 2, 0) ]
+    popped
 
 let test_length_and_empty () =
   let q = Q.create () in
   Alcotest.(check bool) "fresh empty" true (Q.is_empty q);
-  ignore (Q.add q ~time:1.0 ());
-  ignore (Q.add q ~time:2.0 ());
+  Alcotest.(check (float 0.0)) "empty next_time" infinity (Q.next_time q);
+  Q.add q ~time:1.0 ();
+  Q.add q ~time:2.0 ();
   Alcotest.(check int) "two live" 2 (Q.length q);
   ignore (Q.pop q);
-  Alcotest.(check int) "one live" 1 (Q.length q)
-
-let test_peek_skips_cancelled () =
-  let q = Q.create () in
-  let h = Q.add q ~time:1.0 "x" in
-  ignore (Q.add q ~time:5.0 "y");
-  Q.cancel q h;
-  Alcotest.(check (option (float 0.0))) "peek" (Some 5.0) (Q.peek_time q)
+  Alcotest.(check int) "one live" 1 (Q.length q);
+  ignore (Q.pop q);
+  Alcotest.(check bool) "drained empty" true (Q.is_empty q);
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Event_queue.pop: empty queue") (fun () -> Q.pop q)
 
 let test_interleaved_operations () =
   let q = Q.create () in
-  ignore (Q.add q ~time:2.0 2);
-  ignore (Q.add q ~time:1.0 1);
-  (match Q.pop q with
-  | Some (_, 1) -> ()
-  | _ -> Alcotest.fail "expected 1 first");
-  ignore (Q.add q ~time:0.5 0);
-  Alcotest.(check (option (float 0.0))) "peek after add" (Some 0.5)
-    (Q.peek_time q)
+  Q.add q ~time:2.0 2;
+  Q.add q ~time:1.0 1;
+  Alcotest.(check int) "1 first" 1 (Q.pop q);
+  Q.add q ~time:0.5 0;
+  Alcotest.(check (float 0.0)) "head after add" 0.5 (Q.next_time q);
+  Alcotest.(check (pair (float 0.0) int)) "then fires" (0.5, 0) (take q)
 
 let test_many_random () =
   let rng = Rdt_sim.Prng.create ~seed:99 in
   let q = Q.create () in
   let times = List.init 500 (fun _ -> Rdt_sim.Prng.float rng 100.0) in
-  List.iter (fun t -> ignore (Q.add q ~time:t ())) times;
+  List.iter (fun t -> Q.add q ~time:t ()) times;
   let popped = List.map fst (drain q) in
   Alcotest.(check (list (float 1e-9))) "heap sorts" (List.sort compare times)
     popped
 
-(* --- entry pool -------------------------------------------------------- *)
-
-let test_pool_recycles () =
-  let q = Q.create () in
-  ignore (Q.add q ~time:1.0 "a");
-  ignore (Q.add q ~time:2.0 "b");
-  Alcotest.(check int) "empty pool while scheduled" 0 (Q.pool_size q);
-  ignore (drain q);
-  Alcotest.(check int) "both entries recycled" 2 (Q.pool_size q);
-  ignore (Q.add q ~time:3.0 "c");
-  Alcotest.(check int) "add reuses a pooled entry" 1 (Q.pool_size q);
-  Alcotest.(check (option string)) "reused entry fires correctly"
-    (Some "c")
-    (Option.map snd (Q.pop q))
-
-let test_stale_handle_after_reuse () =
-  (* a handle kept across fire + recycle + reuse must not cancel the new
-     occupant of the pooled entry *)
-  let q = Q.create () in
-  let h = Q.add q ~time:1.0 "old" in
-  (match Q.pop q with
-  | Some (_, "old") -> ()
-  | _ -> Alcotest.fail "expected old to fire");
-  ignore (Q.add q ~time:2.0 "new");
-  Q.cancel q h;
-  Alcotest.(check int) "new event still live" 1 (Q.length q);
-  Alcotest.(check (option string)) "new event fires" (Some "new")
-    (Option.map snd (Q.pop q))
-
-(* Reference model: a sorted association list over (time, insertion seq) —
-   the semantics the pooled heap must preserve. *)
+(* Reference model: a sorted association list over (time, u, v, insertion
+   seq) — the order the heap must reproduce. *)
 module Reference = struct
   type 'a t = {
-    mutable entries : (float * int * 'a * bool ref) list;
+    mutable entries : (float * int * int * int * 'a) list;
     mutable next_seq : int;
   }
 
   let create () = { entries = []; next_seq = 0 }
 
-  let add t ~time v =
-    let cell = (time, t.next_seq, v, ref true) in
-    t.next_seq <- t.next_seq + 1;
+  let add t ~time ~u ~v x =
+    let key (time, u, v, seq, _) = (time, u, v, seq) in
     t.entries <-
       List.sort
-        (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2))
-        (cell :: t.entries);
-    cell
-
-  let cancel (_, _, _, live) = live := false
+        (fun a b -> compare (key a) (key b))
+        ((time, u, v, t.next_seq, x) :: t.entries);
+    t.next_seq <- t.next_seq + 1
 
   let pop t =
     match t.entries with
     | [] -> None
-    | (time, _, v, live) :: rest ->
+    | (time, u, v, _, x) :: rest ->
       t.entries <- rest;
-      if !live then Some (time, v) else None
-
-  let rec pop_live t =
-    match t.entries with
-    | [] -> None
-    | _ -> ( match pop t with None -> pop_live t | some -> some)
+      Some (time, u, v, x)
 end
 
-let prop_pool_matches_reference =
-  QCheck.Test.make
-    ~name:"pooled schedule/cancel/fire = unpooled reference order" ~count:200
+(* Coarse times and keys force ties at every level, so the (u, v)
+   tie-break and the FIFO fallback on fully equal keys are both
+   exercised; runs that schedule more than they fire grow the columns
+   several times past their initial capacity. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"schedule/fire = sorted-list reference order"
+    ~count:200
     QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
     (fun seed ->
       let rng = Rdt_sim.Prng.create ~seed in
       let q = Q.create () in
       let r = Reference.create () in
-      let fired_q = ref [] and fired_r = ref [] in
-      (* pending pairs of (heap handle, reference cell), cancellable *)
-      let pending = ref [] in
-      for _ = 1 to 300 do
-        match Rdt_sim.Prng.int rng 4 with
-        | 0 | 1 ->
-          (* schedule the same value on both sides; coarse times force
-             ties so the FIFO tie-break is exercised *)
+      let adds = 2 + Rdt_sim.Prng.int rng 4 in
+      let agree () =
+        match Reference.pop r with
+        | None -> Q.is_empty q
+        | Some _ when Q.is_empty q -> false
+        | Some (t1, u1, v1, x1) ->
+          let t2, x2 = take q in
+          t1 = t2 && x1 = x2 && u1 = Q.last_u q && v1 = Q.last_v q
+      in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        if Rdt_sim.Prng.int rng (adds + 1) < adds then begin
           let time = float_of_int (Rdt_sim.Prng.int rng 8) in
-          let v = Rdt_sim.Prng.int rng 1_000_000 in
-          let h = Q.add q ~time v in
-          let cell = Reference.add r ~time v in
-          pending := (h, cell) :: !pending
-        | 2 -> begin
-          (* fire the earliest live event on both sides *)
-          match Reference.pop_live r with
-          | None ->
-            if Q.pop q <> None then Alcotest.fail "heap fired, reference empty"
-          | Some (time, v) -> (
-            match Q.pop q with
-            | Some (time', v') when time = time' && v = v' ->
-              fired_q := (time', v') :: !fired_q;
-              fired_r := (time, v) :: !fired_r
-            | Some (time', v') ->
-              Alcotest.failf "heap fired (%f,%d), reference (%f,%d)" time' v'
-                time v
-            | None -> Alcotest.fail "reference fired, heap empty")
+          let u = Rdt_sim.Prng.int rng 3 and v = Rdt_sim.Prng.int rng 3 in
+          let x = Rdt_sim.Prng.int rng 1_000_000 in
+          Q.add_keyed q ~time ~u ~v x;
+          Reference.add r ~time ~u ~v x
         end
-        | _ -> begin
-          match !pending with
-          | [] -> ()
-          | _ ->
-            let arr = Array.of_list !pending in
-            let pick = Rdt_sim.Prng.int rng (Array.length arr) in
-            let h, cell = arr.(pick) in
-            (* cancelling twice or cancelling a fired entry must stay a
-               no-op on both sides *)
-            Q.cancel q h;
-            Reference.cancel cell
-        end
+        else if not (agree ()) then ok := false;
+        if Q.length q <> List.length r.Reference.entries then ok := false;
+        if
+          Q.next_time q
+          <> (match r.Reference.entries with
+             | [] -> infinity
+             | (t, _, _, _, _) :: _ -> t)
+        then ok := false
       done;
       (* drain the rest: firing order must agree to the end *)
-      let rec drain_both () =
-        match (Reference.pop_live r, Q.pop q) with
-        | None, None -> true
-        | Some (t1, v1), Some (t2, v2) when t1 = t2 && v1 = v2 -> drain_both ()
-        | _ -> false
-      in
-      drain_both () && !fired_q = !fired_r)
+      while !ok && not (Q.is_empty q && r.Reference.entries = []) do
+        if not (agree ()) then ok := false
+      done;
+      !ok)
+
+let test_growth_past_capacity () =
+  (* thousands of live entries, far past the initial columns, popped in
+     order with FIFO ties intact *)
+  let q = Q.create () in
+  let k = 5000 in
+  for i = 0 to k - 1 do
+    Q.add q ~time:(float_of_int ((k - 1 - i) / 2)) i
+  done;
+  Alcotest.(check int) "all live" k (Q.length q);
+  let popped = List.map snd (drain q) in
+  let expected =
+    List.init k (fun j ->
+        (* time slot j/2 holds the pair inserted at i and i+1, i even *)
+        let slot = j / 2 in
+        let first = k - 2 - (2 * slot) in
+        if j mod 2 = 0 then first else first + 1)
+  in
+  Alcotest.(check (list int)) "time order, insertion order within a time"
+    expected popped
 
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_time_order;
     Alcotest.test_case "fifo on ties" `Quick test_fifo_ties;
-    Alcotest.test_case "cancel" `Quick test_cancel;
-    Alcotest.test_case "cancel idempotent" `Quick test_cancel_idempotent;
+    Alcotest.test_case "keyed ties order by (u, v)" `Quick test_keyed_ties;
     Alcotest.test_case "length / is_empty" `Quick test_length_and_empty;
-    Alcotest.test_case "peek skips cancelled" `Quick test_peek_skips_cancelled;
     Alcotest.test_case "interleaved ops" `Quick test_interleaved_operations;
     Alcotest.test_case "random stress sorts" `Quick test_many_random;
-    Alcotest.test_case "pool recycles entries" `Quick test_pool_recycles;
-    Alcotest.test_case "stale handle after entry reuse" `Quick
-      test_stale_handle_after_reuse;
-    QCheck_alcotest.to_alcotest prop_pool_matches_reference;
+    Alcotest.test_case "growth past capacity" `Quick test_growth_past_capacity;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

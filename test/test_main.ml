@@ -26,6 +26,7 @@ let () =
       ("ccp-incremental", Test_ccp_incremental.suite);
       ("parallel", Test_parallel.suite);
       ("engine-alloc", Test_engine_alloc.suite);
+      ("perf-diff", Test_perf_diff.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("fuzz", Test_fuzz.suite);
       ("shards", Test_shards.suite);

@@ -24,8 +24,8 @@ let trace_bytes trace =
 (* Everything observable, as bytes: the full event trace and the printed
    summary report (which folds in engine stats, per-process stores,
    control-message counts, recovery reports and sampled series). *)
-let observe ?(autotune = true) cfg ~shards =
-  let r = Runner.create { cfg with Sim_config.shards; autotune } in
+let observe cfg ~shards =
+  let r = Runner.create { cfg with Sim_config.shards } in
   Runner.run r;
   let summary = Fmt.str "%a" Runner.pp_summary (Runner.summary r) in
   let series =
@@ -33,15 +33,14 @@ let observe ?(autotune = true) cfg ~shards =
   in
   (trace_bytes (Runner.trace r), summary, series)
 
-let check_invariant ?(autotune = true) ?(shard_counts = [ 1; 2; 4; 8 ]) name
-    cfg =
+let check_invariant ?(shard_counts = [ 1; 2; 4; 8 ]) name cfg =
   match shard_counts with
   | [] -> ()
   | base_shards :: rest ->
     let base = observe cfg ~shards:base_shards in
     List.iter
       (fun k ->
-        let trace, summary, series = observe ~autotune cfg ~shards:k in
+        let trace, summary, series = observe cfg ~shards:k in
         let b_trace, b_summary, b_series = base in
         Alcotest.(check string)
           (Printf.sprintf "%s: trace bytes, %d vs %d shards" name base_shards
@@ -110,21 +109,30 @@ let test_more_shards_than_processes () =
   check_invariant ~shard_counts:[ 1; 3; 16 ] "clamped"
     { Sim_config.default with n = 3; seed = 5; duration = 30.0 }
 
-let test_team_path_autotune_off () =
-  (* [autotune = false] forces a full domain team with symmetric windows
-     regardless of the host's core count — on a narrow CI box this is the
-     only configuration that exercises the persistent Barrier_team, the
-     pooled cross-shard mailboxes and the window barriers (with autotuning
-     on, such a host dispatches the merged inline executor instead).  The
-     observable output must not budge. *)
-  check_invariant ~autotune:false ~shard_counts:[ 1; 2; 4 ] "team path"
-    {
-      Sim_config.default with
-      n = 6;
-      seed = 13;
-      duration = 30.0;
-      faults = [ { Sim_config.pid = 1; crash_at = 12.0; repair_after = 5.0 } ];
-    }
+let test_team_path () =
+  (* Shard counts the host has hardware threads for run on a real domain
+     team — the persistent Barrier_team, the pooled cross-shard mailboxes
+     and the window barriers; larger counts fall back to the sequential
+     loop and are covered by the cases above.  The observable output must
+     not budge. *)
+  let cores = Rdt_parallel.Barrier_team.hardware_parallelism () in
+  match List.filter (fun k -> k <= cores) [ 1; 2; 4; 8 ] with
+  | [ _ ] | [] ->
+    Printf.printf
+      "SKIP: host has %d hardware thread(s); no shard count above 1 runs \
+       on a domain team here\n"
+      cores;
+    Alcotest.skip ()
+  | shard_counts ->
+    check_invariant ~shard_counts "team path"
+      {
+        Sim_config.default with
+        n = 6;
+        seed = 13;
+        duration = 30.0;
+        faults =
+          [ { Sim_config.pid = 1; crash_at = 12.0; repair_after = 5.0 } ];
+      }
 
 let test_large_n_smoke () =
   (* n = 1024 at shards 1 vs 4: the scale where the per-shard queues'
@@ -281,8 +289,8 @@ let suite =
     Alcotest.test_case "fifo client-server" `Quick test_fifo_client_server;
     Alcotest.test_case "more shards than processes" `Quick
       test_more_shards_than_processes;
-    Alcotest.test_case "team path (autotune off)" `Quick
-      test_team_path_autotune_off;
+    Alcotest.test_case "team path (shard counts within the host's threads)"
+      `Quick test_team_path;
     Alcotest.test_case "n=1024 smoke (shards 1 vs 4)" `Quick
       test_large_n_smoke;
     QCheck_alcotest.to_alcotest qcheck_invariance;
