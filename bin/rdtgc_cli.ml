@@ -487,10 +487,80 @@ let protocols_cmd =
   let doc = "List the available communication-induced checkpointing protocols." in
   Cmd.v (Cmd.info "protocols" ~doc) Term.(const do_protocols $ const ())
 
+(* --- fuzz / live-fuzz: the shared campaign options ------------------------ *)
+
+module Fuzz = Rdt_verify.Fuzz
+
+type campaign_opts = {
+  seed : int;
+  runs : int;
+  max_procs : int;
+  shrink : bool;
+  corpus : string option;
+  quiet : bool;
+}
+
+let campaign_term ~runs ~max_procs ~corpus_doc =
+  let seed =
+    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
+           ~doc:"Root seed; every run derives a sub-seed from it that \
+                 regenerates everything the run uses.")
+  in
+  let runs =
+    Arg.(value & opt int runs & info [ "runs" ] ~docv:"N"
+           ~doc:"Number of generated scenarios.")
+  in
+  let max_procs =
+    Arg.(value & opt int max_procs & info [ "max-procs" ] ~docv:"N"
+           ~doc:"Upper bound on the process count of generated scenarios.")
+  in
+  let shrink =
+    Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL"
+           ~doc:"Delta-debug failing scenarios to minimal reproducers.")
+  in
+  let corpus =
+    Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
+           ~doc:corpus_doc)
+  in
+  let quiet =
+    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-run output.")
+  in
+  Term.(
+    const (fun seed runs max_procs shrink corpus quiet ->
+        { seed; runs; max_procs; shrink; corpus; quiet })
+    $ seed $ runs $ max_procs $ shrink $ corpus $ quiet)
+
+let campaign_log o = if o.quiet then fun _ -> () else print_endline
+
+let run_campaign ?shards o arm =
+  Fuzz.campaign ~shrink:o.shrink ?corpus:o.corpus ~log:(campaign_log o)
+    ?shards ~seed:o.seed ~runs:o.runs ~max_procs:o.max_procs arm
+
+(* Exit 1 on a failing campaign — or, under a mutation self-check
+   ([mutant] = how the injected bug is named when it escapes / when it
+   is caught), on a passing one. *)
+let finish_campaign ?mutant report =
+  let passed = Fuzz.passed report in
+  match mutant with
+  | None -> if not passed then exit 1
+  | Some (escaped, caught) ->
+    if passed then begin
+      print_endline
+        (Printf.sprintf "self-check FAILED: %s escaped every oracle" escaped);
+      exit 1
+    end
+    else print_endline (Printf.sprintf "self-check ok: %s caught" caught)
+
+let scratch_root ~prefix = function
+  | Some r -> (r, false)
+  | None ->
+    ( Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s-%d" prefix (Unix.getpid ())),
+      true )
+
 (* --- fuzz ---------------------------------------------------------------- *)
 
-let do_fuzz seed runs max_procs shrink corpus mutate_lgc replay quiet shards =
-  let log = if quiet then fun _ -> () else print_endline in
+let do_fuzz o mutate_lgc replay shards =
   match replay with
   | Some file -> begin
     (* replay one saved scenario and report its verdict *)
@@ -510,20 +580,11 @@ let do_fuzz seed runs max_procs shrink corpus mutate_lgc replay quiet shards =
         exit 1)
   end
   | None ->
-    let report =
-      Rdt_verify.Fuzz.campaign ~mutate_lgc ~shrink ?corpus ~log ~shards ~seed
-        ~runs ~max_procs ()
+    let mutant =
+      if mutate_lgc then Some ("over-collecting mutant", "mutant") else None
     in
-    if mutate_lgc then begin
-      (* self-check: the deliberately broken collector must be caught *)
-      if Rdt_verify.Fuzz.passed report then begin
-        print_endline
-          "self-check FAILED: over-collecting mutant escaped every oracle";
-        exit 1
-      end
-      else print_endline "self-check ok: mutant caught"
-    end
-    else if not (Rdt_verify.Fuzz.passed report) then exit 1
+    finish_campaign ?mutant
+      (run_campaign ~shards o (Fuzz.harness ~mutate_lgc ()))
 
 let fuzz_cmd =
   let doc =
@@ -532,27 +593,11 @@ let fuzz_cmd =
      check every step against the paper's theorem oracles.  Failures are \
      delta-debugged to minimal reproducers."
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Root seed; every run derives a sub-seed from it.")
-  in
-  let runs_arg =
-    Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N"
-           ~doc:"Number of generated scenarios.")
-  in
-  let max_procs_arg =
-    Arg.(value & opt int 6 & info [ "max-procs" ] ~docv:"N"
-           ~doc:"Upper bound on the process count of generated scenarios.")
-  in
-  let shrink_arg =
-    Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL"
-           ~doc:"Delta-debug failing scenarios to minimal reproducers.")
-  in
-  let corpus_arg =
-    Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
-           ~doc:"Replay saved failing scenarios ($(b,*.scn)) first, and save \
-                 new failures (original, shrunk, and an OCaml reproducer) \
-                 here.")
+  let campaign =
+    campaign_term ~runs:100 ~max_procs:6
+      ~corpus_doc:
+        "Replay saved failing scenarios ($(b,*.scn)) first, and save new \
+         failures (original, shrunk, and an OCaml reproducer) here."
   in
   let mutate_arg =
     Arg.(value & flag & info [ "mutate-lgc" ]
@@ -564,9 +609,6 @@ let fuzz_cmd =
            ~doc:"Replay one saved scenario file instead of fuzzing; exit 0 \
                  iff it passes the oracles.")
   in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-run output.")
-  in
   let fuzz_shards_arg =
     Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"K"
@@ -576,9 +618,7 @@ let fuzz_cmd =
                    oracles.")
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(
-      const do_fuzz $ seed_arg $ runs_arg $ max_procs_arg $ shrink_arg
-      $ corpus_arg $ mutate_arg $ replay_arg $ quiet_arg $ fuzz_shards_arg)
+    Term.(const do_fuzz $ campaign $ mutate_arg $ replay_arg $ fuzz_shards_arg)
 
 (* --- cluster-run / node --------------------------------------------------- *)
 
@@ -608,23 +648,13 @@ let do_cluster_run scenario_file root backend seed timeout nemesis keep quiet =
     Printf.eprintf "cannot load %s: %s\n" scenario_file e;
     exit 1
   | Ok sc ->
-    let root, temp_root =
-      match root with
-      | Some r -> (r, false)
-      | None ->
-        ( Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "rdtgc-cluster-%d" (Unix.getpid ())),
-          true )
-    in
+    let root, temp_root = scratch_root ~prefix:"rdtgc-cluster" root in
     Format.printf "%a@." Rdt_verify.Scenario.pp sc;
     log (Printf.sprintf "cluster root: %s" root);
     let result =
       match backend with
       | `Sim ->
         Rdt_live.Sim_cluster.run ~scenario:sc ~root ~seed ?nemesis ~log ()
-      | `Fork ->
-        Rdt_live.Cluster.run ~scenario:sc ~root
-          ~backend:Rdt_live.Cluster.Fork ~timeout ?nemesis ~log ()
       | `Exec ->
         Rdt_live.Cluster.run ~scenario:sc ~root
           ~backend:(Rdt_live.Cluster.Exec Sys.executable_name)
@@ -673,12 +703,11 @@ let cluster_run_cmd =
                  under the system temp dir, removed when the run passes.")
   in
   let backend_arg =
-    Arg.(value & opt (enum [ ("exec", `Exec); ("fork", `Fork); ("sim", `Sim) ])
-           `Exec
+    Arg.(value & opt (enum [ ("exec", `Exec); ("sim", `Sim) ]) `Exec
          & info [ "backend" ] ~docv:"BACKEND"
              ~doc:"$(b,exec) spawns this executable per node (default); \
-                   $(b,fork) forks instead; $(b,sim) drives the same node \
-                   logic deterministically inside the simulator.")
+                   $(b,sim) drives the same node logic deterministically \
+                   inside the simulator.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
@@ -724,41 +753,27 @@ let node_cmd =
 
 (* --- live-fuzz ------------------------------------------------------------ *)
 
-let do_live_fuzz seed runs max_procs backend root corpus shrink mutate timeout
-    quiet =
-  let log = if quiet then fun _ -> () else print_endline in
+let do_live_fuzz o backend root mutate timeout =
   let backend =
     match backend with
     | `Sim -> Rdt_live.Live_fuzz.Sim
-    | `Fork -> Rdt_live.Live_fuzz.Live Rdt_live.Cluster.Fork
     | `Exec ->
       Rdt_live.Live_fuzz.Live (Rdt_live.Cluster.Exec Sys.executable_name)
   in
-  let root, temp_root =
-    match root with
-    | Some r -> (r, false)
-    | None ->
-      ( Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "rdtgc-live-fuzz-%d" (Unix.getpid ())),
-        true )
-  in
+  let root, temp_root = scratch_root ~prefix:"rdtgc-live-fuzz" root in
   let report =
-    Rdt_live.Live_fuzz.campaign ~backend ~shrink ?corpus ~log ~timeout
-      ~mutate_deliver:mutate ~seed ~runs ~max_procs ~root ()
+    run_campaign o
+      (Rdt_live.Live_fuzz.arm ~timeout ~mutate_deliver:mutate ~backend ~root
+         ())
   in
-  let ok = Rdt_live.Live_fuzz.passed report in
-  if temp_root && (ok || mutate) then Rdt_verify.Harness.rm_rf root
-  else log (Printf.sprintf "campaign scratch kept under %s" root);
-  if mutate then begin
-    (* self-check: the deliberately duplicated delivery must be caught *)
-    if ok then begin
-      print_endline
-        "self-check FAILED: duplicated delivery escaped every oracle";
-      exit 1
-    end
-    else print_endline "self-check ok: duplicated delivery caught"
-  end
-  else if not ok then exit 1
+  if temp_root && (Fuzz.passed report || mutate) then
+    Rdt_verify.Harness.rm_rf root
+  else campaign_log o (Printf.sprintf "campaign scratch kept under %s" root);
+  let mutant =
+    if mutate then Some ("duplicated delivery", "duplicated delivery")
+    else None
+  in
+  finish_campaign ?mutant report
 
 let live_fuzz_cmd =
   let doc =
@@ -769,44 +784,25 @@ let live_fuzz_cmd =
      oracles.  Failures are delta-debugged and saved as \
      scenario + nemesis seed pairs, so any failure replays from its seed."
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Root seed; every run derives a sub-seed from it that \
-                 regenerates both the scenario and the fault schedule.")
-  in
-  let runs_arg =
-    Arg.(value & opt int 50 & info [ "runs" ] ~docv:"N"
-           ~doc:"Number of generated runs.")
-  in
-  let max_procs_arg =
-    Arg.(value & opt int 4 & info [ "max-procs" ] ~docv:"N"
-           ~doc:"Upper bound on the process count of generated scenarios.")
+  let campaign =
+    campaign_term ~runs:50 ~max_procs:4
+      ~corpus_doc:
+        "Replay committed $(b,*.scn) scenarios first (each under its \
+         sibling $(b,.nms) schedule), and save new failures (scenario, \
+         nemesis spec, shrunk scenario) here."
   in
   let backend_arg =
-    Arg.(value & opt (enum [ ("sim", `Sim); ("exec", `Exec); ("fork", `Fork) ])
-           `Sim
+    Arg.(value & opt (enum [ ("sim", `Sim); ("exec", `Exec) ]) `Sim
          & info [ "backend" ] ~docv:"BACKEND"
              ~doc:"$(b,sim) runs clusters in-process on the deterministic \
                    simulator (default); $(b,exec) spawns this executable \
-                   per node over TCP; $(b,fork) forks instead.")
+                   per node over TCP.")
   in
   let root_arg =
     Arg.(value & opt (some string) None & info [ "root" ] ~docv:"DIR"
            ~doc:"Campaign scratch directory (wiped). Default: a fresh \
                  directory under the system temp dir, removed when the \
                  campaign passes.")
-  in
-  let corpus_arg =
-    Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
-           ~doc:"Replay committed $(b,*.scn) scenarios first (each under \
-                 its sibling $(b,.nms) schedule), and save new failures \
-                 (scenario, nemesis spec, shrunk scenario) here.")
-  in
-  let shrink_arg =
-    Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL"
-           ~doc:"Delta-debug failing scenarios to minimal reproducers \
-                 (on the simulator arm whenever it reproduces the \
-                 failure).")
   in
   let mutate_arg =
     Arg.(value & flag & info [ "mutate-deliver" ]
@@ -817,14 +813,10 @@ let live_fuzz_cmd =
     Arg.(value & opt float 30.0 & info [ "timeout" ] ~docv:"SECONDS"
            ~doc:"Per-response coordinator timeout of live-backend runs.")
   in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-run output.")
-  in
   Cmd.v (Cmd.info "live-fuzz" ~doc)
     Term.(
-      const do_live_fuzz $ seed_arg $ runs_arg $ max_procs_arg $ backend_arg
-      $ root_arg $ corpus_arg $ shrink_arg $ mutate_arg $ timeout_arg
-      $ quiet_arg)
+      const do_live_fuzz $ campaign $ backend_arg $ root_arg $ mutate_arg
+      $ timeout_arg)
 
 (* --- lint ---------------------------------------------------------------- *)
 

@@ -271,17 +271,21 @@ let truncate_to_checkpoint t ~pid ~index =
 
 let magic = "rdtgc-trace 1"
 
-let to_channel t oc =
-  Printf.fprintf oc "%s\n" magic;
-  Printf.fprintf oc "n %d\n" t.n;
+let to_string t =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%s\n" magic;
+  Printf.bprintf b "n %d\n" t.n;
   List.iter
     (fun ev ->
       match ev.kind with
-      | Checkpoint { index } -> Printf.fprintf oc "C %d %d\n" ev.pid index
-      | Send { msg_id; dst } -> Printf.fprintf oc "S %d %d %d\n" ev.pid msg_id dst
+      | Checkpoint { index } -> Printf.bprintf b "C %d %d\n" ev.pid index
+      | Send { msg_id; dst } -> Printf.bprintf b "S %d %d %d\n" ev.pid msg_id dst
       | Receive { msg_id; src } ->
-        Printf.fprintf oc "R %d %d %d\n" ev.pid msg_id src)
-    (all_events t)
+        Printf.bprintf b "R %d %d %d\n" ev.pid msg_id src)
+    (all_events t);
+  Buffer.contents b
+
+let to_channel t oc = output_string oc (to_string t)
 
 let of_channel ic =
   let line () = try Some (input_line ic) with End_of_file -> None in

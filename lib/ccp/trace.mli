@@ -125,6 +125,9 @@ val to_channel : t -> out_channel -> unit
     v}
     Events appear in sequence order. *)
 
+val to_string : t -> string
+(** The bytes {!to_channel} writes. *)
+
 val of_channel : in_channel -> t
 (** Reads the format written by {!to_channel}.
     @raise Failure on malformed input. *)

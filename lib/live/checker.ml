@@ -70,18 +70,6 @@ let state_mismatches ~op ~pid (live : Wire.state) script =
           :: !acc;
   List.rev !acc
 
-let script_trace_string script =
-  let path = Filename.temp_file "rdtgc-replay-trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Rdt_ccp.Trace.save (Script.trace script) path;
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s)
-
 let check_reports (live : Rdt_recovery.Session.report list) replayed =
   let pp = Rdt_recovery.Session.pp_report in
   if List.length live <> List.length replayed then
@@ -148,7 +136,7 @@ let check ~record ~root ?scratch_dir () =
                     detail = "replay produced no script" } ]
       | Some script ->
         let trace_viol =
-          let replayed = script_trace_string script in
+          let replayed = Rdt_ccp.Trace.to_string (Script.trace script) in
           if String.equal record.Coordinator.rr_trace replayed then []
           else
             [ { Oracles.oracle = "live-trace"; op = -1;

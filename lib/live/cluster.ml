@@ -4,20 +4,18 @@
    coordinator runs in the calling process; kills are SIGKILL (volatile
    state genuinely lost, the durable log genuinely recovered).
 
-   Two ways to make a node process:
-   - [Fork]: [Unix.fork] and run {!Node.main} in the child — the test
-     backend, no executable needed.
-   - [Exec s]: spawn [s node --me .. --dir .. --coord-port ..] — the CLI
-     backend ({!node_main} is the entry point the subcommand calls). *)
+   A node process is [s node --me .. --dir .. --coord-port ..] for the
+   executable [s] of [Exec s] ({!node_main} is the entry point the
+   subcommand calls).  Nodes are always exec'd, never forked: OCaml 5
+   cannot fork a runtime that has started domains. *)
 
 module Transport = Rdt_transport.Transport
 module Nemesis = Rdt_transport.Nemesis
 module Harness = Rdt_verify.Harness
 module Scenario = Rdt_verify.Scenario
 
-type backend =
-  | Fork
-  | Exec of string  (** the executable; must route [node] to {!node_main} *)
+(* the executable; must route [node] to {!node_main} *)
+type backend = Exec of string
 
 let node_dir = Sim_cluster.node_dir
 let log_file root pid = Filename.concat (node_dir root pid) "node.log"
@@ -34,32 +32,6 @@ let node_main ~me ~dir ~coord_port ?nemesis () =
   Transport.connect tr ~dst:Transport.coordinator_id ~port:coord_port;
   Node.main ~transport:tr ~dir ()
 
-let with_log_fd root pid f =
-  let fd =
-    Unix.openfile (log_file root pid)
-      [ O_WRONLY; O_CREAT; O_APPEND ]
-      0o644
-  in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
-
-let spawn_fork ~root ~coord_port ?nemesis pid =
-  match Unix.fork () with
-  | 0 ->
-    let code =
-      try
-        with_log_fd root pid (fun fd ->
-            Unix.dup2 fd Unix.stdout;
-            Unix.dup2 fd Unix.stderr);
-        node_main ~me:pid ~dir:(node_dir root pid) ~coord_port ?nemesis ();
-        0
-      with e ->
-        Printf.eprintf "node %d: %s\n%!" pid (Printexc.to_string e);
-        1
-    in
-    (* child: never unwind into the parent's code *)
-    Unix._exit code
-  | child -> child
-
 let spawn_exec ~exe ~root ~coord_port ?nemesis pid =
   let argv =
     [
@@ -72,8 +44,12 @@ let spawn_exec ~exe ~root ~coord_port ?nemesis pid =
       | None -> []
       | Some cfg -> [ "--nemesis"; Nemesis.to_string cfg ])
   in
-  with_log_fd root pid (fun fd ->
-      Unix.create_process exe (Array.of_list argv) Unix.stdin fd fd)
+  let fd =
+    Unix.openfile (log_file root pid) [ O_WRONLY; O_CREAT; O_APPEND ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> Unix.create_process exe (Array.of_list argv) Unix.stdin fd fd)
 
 (* --- process reaping ---------------------------------------------------- *)
 
@@ -135,11 +111,9 @@ let run ~scenario ~root ~backend ?timeout ?nemesis ?on_nemesis ?log () =
   (match on_nemesis with Some f -> f handles | None -> ());
   let coord_port = Transport.listen_port coord in
   let os_pids = Array.make n 0 in
+  let (Exec exe) = backend in
   let spawn pid =
-    os_pids.(pid) <-
-      (match backend with
-      | Fork -> spawn_fork ~root ~coord_port ?nemesis pid
-      | Exec exe -> spawn_exec ~exe ~root ~coord_port ?nemesis pid)
+    os_pids.(pid) <- spawn_exec ~exe ~root ~coord_port ?nemesis pid
   in
   let ctl =
     {

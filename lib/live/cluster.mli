@@ -8,7 +8,6 @@
     left in place after the run for {!Checker.check} and post-mortems. *)
 
 type backend =
-  | Fork  (** [Unix.fork] + {!Node.main} in the child (test backend) *)
   | Exec of string
       (** spawn [<exe> node --me .. --dir .. --coord-port ..]; the
           executable must route that subcommand to {!node_main} *)
@@ -44,8 +43,7 @@ val run :
     node's log tail is appended to the message.
 
     [nemesis] wraps the coordinator endpoint in this process and is
-    forwarded to every node process (fork: directly; exec: via
-    [--nemesis]), so each endpoint faults its own outbound links with
-    the same config — held frames die with their process on SIGKILL for
-    free.  [on_nemesis] only sees the coordinator's handle: the node
-    wrappers live in other processes. *)
+    forwarded to every node process via [--nemesis], so each endpoint
+    faults its own outbound links with the same config — held frames die
+    with their process on SIGKILL for free.  [on_nemesis] only sees the
+    coordinator's handle: the node wrappers live in other processes. *)

@@ -435,20 +435,6 @@ let execute co ~op (sop : Scenario.op) =
   end
   | Scenario.Crash faulty -> crash_op co ~op ~faulty
 
-let trace_to_string trace =
-  let path = Filename.temp_file "rdtgc-live-trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out path in
-      Trace.to_channel trace oc;
-      close_out oc;
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s)
-
 let run ~transport ~ctl ~scenario ?(timeout = 60.0) ?(log = ignore) () =
   let sc = Scenario.normalize scenario in
   let co =
@@ -491,7 +477,7 @@ let run ~transport ~ctl ~scenario ?(timeout = 60.0) ?(log = ignore) () =
       {
         rr_scenario = sc;
         rr_observations = List.rev co.observations;
-        rr_trace = trace_to_string co.mirror;
+        rr_trace = Trace.to_string co.mirror;
         rr_reports = List.rev co.reports;
       }
   | exception Failed msg -> Error msg

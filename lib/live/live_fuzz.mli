@@ -1,50 +1,29 @@
-(** Live-runtime fuzzing: random scenarios under random nemesis fault
-    schedules against a whole cluster, checked black-box.
+(** Live-runtime fuzzing: the {!Rdt_verify.Fuzz} campaign arm that runs
+    random scenarios under random nemesis fault schedules against a
+    whole cluster, checked black-box.
 
-    Each run derives a sub-seed from the root seed (splitmix64),
-    generates a {!Rdt_verify.Scenario} (sanitized: always durable,
+    Each generated {!Rdt_verify.Scenario} is sanitized (always durable,
     never a store fault — the live cluster recovers real stores and has
-    no hook to crash one mid-mutation), pairs it with a
-    {!Rdt_transport.Nemesis.gen} fault config from the same sub-seed,
-    runs the cluster, and holds the run against the {!Checker} oracle
+    no hook to crash one mid-mutation) and paired with a
+    {!Rdt_transport.Nemesis.gen} fault config from the same sub-seed;
+    the cluster runs and the run is held against the {!Checker} oracle
     battery.  Failures are delta-debugged to a minimal scenario — on
     the simulator arm when it reproduces the failure there (fast,
     deterministic), on the live backend with a small budget otherwise —
     and saved to the corpus as [seed-<hex>.scn] + [seed-<hex>.nms] +
     [seed-<hex>.min.scn]: the seed pair is the complete reproducer.
 
-    With a corpus directory, committed [*.scn] files are replayed first
-    as regressions (each under its sibling [.nms] schedule, or a
-    transparent nemesis when absent) and must pass.
+    Corpus replay runs each committed [*.scn] under its sibling [.nms]
+    schedule (a transparent nemesis when absent) and skips scenarios a
+    live cluster cannot represent.
 
-    On the {!Sim} backend everything — generation, execution, verdicts,
-    every [log] line — is a pure function of the arguments, so equal
-    seeds produce byte-identical campaign output. *)
+    On the {!Sim} backend every verdict is a pure function of the
+    scenario and schedule, so equal seeds produce byte-identical
+    campaign output. *)
 
 type backend =
   | Sim  (** in-process {!Sim_cluster}: deterministic, fast *)
   | Live of Cluster.backend  (** real OS processes over loopback TCP *)
-
-type failure = {
-  run : int;  (** generated-run index, [-1] for a corpus regression *)
-  sub_seed : int;  (** regenerates both scenario and nemesis config *)
-  scenario : Rdt_verify.Scenario.t;
-  nemesis : Rdt_transport.Nemesis.config;
-  violation : Rdt_verify.Oracles.violation;
-      (** first violation; oracle ["live-run"] means the cluster run
-          itself failed (coordinator timeout, node crash loop) *)
-  shrunk : Rdt_verify.Scenario.t option;
-}
-
-type report = {
-  runs : int;
-  failures : failure list;
-  corpus_replayed : int;
-  corpus_failed : int;
-}
-
-val passed : report -> bool
-(** No generated-run failures and no corpus regressions. *)
 
 val run_one :
   backend:backend ->
@@ -52,27 +31,21 @@ val run_one :
   ?timeout:float ->
   nemesis:Rdt_transport.Nemesis.config ->
   Rdt_verify.Scenario.t ->
-  (Rdt_verify.Oracles.violation list, string) result
+  Rdt_verify.Fuzz.outcome
 (** One cluster run + checker verdict under [root] (wiped); the
     building block tests use to replay a single [.scn]/[.nms] pair. *)
 
-val campaign :
-  ?backend:backend ->
-  ?shrink:bool ->
-  ?corpus:string ->
-  ?log:(string -> unit) ->
+val arm :
   ?timeout:float ->
   ?mutate_deliver:bool ->
-  seed:int ->
-  runs:int ->
-  max_procs:int ->
+  backend:backend ->
   root:string ->
   unit ->
-  report
-(** [backend] defaults to {!Sim}; [root] is the campaign's scratch
-    directory (wiped).  [timeout] bounds each live run's coordinator
-    waits.  [mutate_deliver] is the self-check configuration: every
-    node delivers each message twice
-    ({!Node.set_test_dup_deliver}, forwarded to exec'd nodes via the
-    environment), the campaign must catch it, and corpus replay is
-    skipped (committed reproducers would "fail" by design). *)
+  Rdt_transport.Nemesis.config Rdt_verify.Fuzz.arm
+(** The arm for {!Rdt_verify.Fuzz.campaign}.  [root] is the campaign's
+    scratch directory (wiped now).  [timeout] bounds each live run's
+    coordinator waits.  [mutate_deliver] is the self-check
+    configuration: every node delivers each message twice (the arm sets
+    [RDTGC_TEST_DUP_DELIVER=1] around its runs, and nodes read it when
+    created), the campaign must catch it, and corpus replay is skipped
+    (committed reproducers would "fail" by design). *)

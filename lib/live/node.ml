@@ -59,19 +59,16 @@ type t = {
          be dropped by a nemesis or arrive before the coordinator) *)
   mutable finished : bool;
   mutable coord_down : bool;  (* the coordinator's link died/closed *)
+  dup_deliver : bool;
+      (* test-only mutation (RDTGC_TEST_DUP_DELIVER=1 at creation):
+         deliver every message twice, a real duplication bug the live-fuzz
+         self-check must catch *)
 }
 
 (* the registration retry timer; nemesis delay releases live at ids >=
    {!Rdt_transport.Nemesis.timer_base}, far above this *)
 let hello_timer_id = 1
 let hello_retry = 0.5
-
-(* test override (satellite of the live-fuzz campaign): deliver every
-   message twice, a real duplication bug the campaign must catch.  Set
-   directly in-process or via RDTGC_TEST_DUP_DELIVER=1 for exec'd
-   nodes. *)
-let test_dup_deliver = ref false
-let set_test_dup_deliver v = test_dup_deliver := v
 
 let store_dir t = Filename.concat t.dir "store"
 
@@ -156,12 +153,12 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
 
 (* --- delivery ---------------------------------------------------------- *)
 
-let do_deliver sys ~now ~src ~msg_id ~dv ~index =
+let do_deliver t sys ~now ~src ~msg_id ~dv ~index =
   let mw = Process_stack.middleware sys in
   Middleware.receive mw
     { Middleware.msg_id; src; control = Control.make ~dv ~index }
     ~now;
-  if !test_dup_deliver then
+  if t.dup_deliver then
     Middleware.receive mw
       { Middleware.msg_id; src; control = Control.make ~dv ~index }
       ~now
@@ -172,7 +169,7 @@ let handle_app t ~src ~(frame_epoch : int) ~msg_id ~dv ~index =
     | Some a when a.a_src = src && a.a_msg_id = msg_id ->
       t.armed <- None;
       let sys = sys_exn t in
-      do_deliver sys ~now:a.a_now ~src ~msg_id ~dv ~index;
+      do_deliver t sys ~now:a.a_now ~src ~msg_id ~dv ~index;
       reply t ~seq:a.a_seq (Wire.R_done { events = drain t; state = state_of sys })
     | _ ->
       if Hashtbl.mem t.doomed (src, msg_id) then
@@ -213,7 +210,7 @@ let handle_cmd t ~seq ~now cmd =
     match Hashtbl.find_opt t.staged (src, msg_id) with
     | Some (dv, index) ->
       Hashtbl.remove t.staged (src, msg_id);
-      do_deliver sys ~now ~src ~msg_id ~dv ~index;
+      do_deliver t sys ~now ~src ~msg_id ~dv ~index;
       done_ ()
     | None ->
       (* frame still in flight: deliver (and reply) on arrival *)
@@ -332,9 +329,6 @@ let handle t (ev : Transport.event) =
 let create ~transport ~dir () =
   let me = Transport.me transport in
   Harness.mkdir_p dir;
-  (match Sys.getenv_opt "RDTGC_TEST_DUP_DELIVER" with
-  | Some "1" -> test_dup_deliver := true
-  | _ -> ());
   let t =
     {
       tr = transport;
@@ -351,6 +345,10 @@ let create ~transport ~dir () =
       hello = None;
       finished = false;
       coord_down = false;
+      dup_deliver =
+        (match Sys.getenv_opt "RDTGC_TEST_DUP_DELIVER" with
+        | Some "1" -> true
+        | _ -> false);
     }
   in
   let sdir = store_dir t in

@@ -16,15 +16,13 @@ val create : transport:Rdt_transport.Transport.t -> dir:string -> unit -> t
 (** Install the node behind [transport] and send [Hello].  [dir] is the
     node's private directory; the durable store lives in [dir/store].
     The node runs reactively through the transport's handler — callers
-    that own the event loop (the simulator cluster) need nothing else. *)
+    that own the event loop (the simulator cluster) need nothing else.
+    With [RDTGC_TEST_DUP_DELIVER=1] in the environment at creation, the
+    node delivers every message twice — a test-only duplication bug the
+    live-fuzz self-check must catch. *)
 
 val finished : t -> bool
 (** True once [C_shutdown] was processed (store closed). *)
-
-val set_test_dup_deliver : bool -> unit
-(** Test override: deliver every message twice — a real duplication bug
-    the live-fuzz campaign must catch (acceptance self-check).  Global;
-    exec'd node processes enable it via [RDTGC_TEST_DUP_DELIVER=1]. *)
 
 val main : transport:Rdt_transport.Transport.t -> dir:string -> unit -> unit
 (** [create] then poll until shutdown; the body of a node OS process. *)

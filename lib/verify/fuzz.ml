@@ -1,7 +1,26 @@
 module Prng = Rdt_sim.Prng
 
+type outcome = (Oracles.violation list, string) result
+
+type 'x replay =
+  | Replay of Scenario.t * 'x
+  | Skip of string
+  | Broken of string
+
+type 'x arm = {
+  label : string;
+  attach : seed:int -> Scenario.t -> Scenario.t * 'x;
+  describe : 'x -> string;
+  run : 'x -> Scenario.t -> outcome;
+  shrink : 'x -> oracle:string -> Scenario.t -> Scenario.t;
+  corpus :
+    (dir:string -> string -> (Scenario.t, string) result -> 'x replay) option;
+  reproducer_files : 'x -> shrunk:bool -> Scenario.t -> (string * string) list;
+}
+
 type failure = {
   run : int;
+  sub_seed : int;
   scenario : Scenario.t;
   violation : Oracles.violation;
   shrunk : Scenario.t option;
@@ -20,72 +39,127 @@ let passed r = List.is_empty r.failures && r.corpus_failed = 0
    arguments (seeds, scenarios, verdicts) — no timestamps, no absolute
    paths — so a campaign's output is byte-reproducible. *)
 
-let verdict_of (r : Harness.result) =
-  match r.violations with
-  | [] -> "ok"
-  | v :: _ -> Printf.sprintf "VIOLATION(%s@%d)" v.Oracles.oracle v.op
+let first_line s =
+  match String.index_opt s '\n' with
+  | None -> s
+  | Some i -> String.sub s 0 i
 
-let replay_corpus ~mutate_lgc ~log ?scratch_dir dir =
+let verdict = function
+  | Ok [] -> "ok"
+  | Ok (v :: _) -> Printf.sprintf "VIOLATION(%s@%d)" v.Oracles.oracle v.op
+  | Error msg -> Printf.sprintf "RUN-FAILED(%s)" (first_line msg)
+
+let run_failed_oracle = "live-run"
+
+let first_violation = function
+  | Ok [] -> None
+  | Ok (v :: _) -> Some v
+  | Error msg ->
+    Some
+      { Oracles.oracle = run_failed_oracle; op = -1; detail = first_line msg }
+
+let fails_with ~oracle = function
+  | Error _ -> String.equal oracle run_failed_oracle
+  | Ok vs ->
+    List.exists (fun (v : Oracles.violation) -> String.equal v.oracle oracle) vs
+
+(* --- the harness arm ---------------------------------------------------- *)
+
+let harness ?mutate_lgc ?scratch_dir () =
+  let run () sc =
+    Ok (Harness.run ?mutate_lgc ?scratch_dir sc).Harness.violations
+  in
+  {
+    label = "campaign";
+    attach = (fun ~seed:_ sc -> (sc, ()));
+    describe = (fun () -> "");
+    run;
+    shrink =
+      (fun () ~oracle sc ->
+        Shrink.minimize_with
+          ~check:(fun c -> fails_with ~oracle (run () c))
+          sc);
+    corpus =
+      Some
+        (fun ~dir:_ _ -> function
+          | Ok sc -> Replay (sc, ())
+          | Error e -> Broken (Printf.sprintf "unreadable (%s)" e));
+    reproducer_files =
+      (fun () ~shrunk sc ->
+        if shrunk then [ (".ml", Scenario.to_script_ml sc) ] else []);
+  }
+
+(* --- the driver --------------------------------------------------------- *)
+
+let replay_corpus (arm : _ arm) entry ~log dir =
   if not (Sys.file_exists dir) then (0, 0)
-  else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".scn")
-      |> List.sort compare
-    in
-    List.fold_left
-      (fun (seen, failed) file ->
-        match Scenario.load (Filename.concat dir file) with
-        | Error e ->
-          log (Printf.sprintf "corpus %s: unreadable (%s)" file e);
-          (seen + 1, failed + 1)
-        | Ok sc ->
-          let r = Harness.run ~mutate_lgc ?scratch_dir sc in
-          log (Printf.sprintf "corpus %s: %s" file (verdict_of r));
-          ( seen + 1,
-            if List.is_empty r.Harness.violations then failed else failed + 1 ))
-      (0, 0) files
-  end
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.sort compare
+    |> List.fold_left
+         (fun (seen, failed) file ->
+           let say what = log (Printf.sprintf "corpus %s: %s" file what) in
+           match entry ~dir file (Scenario.load (Filename.concat dir file)) with
+           | Skip why ->
+             say why;
+             (seen, failed)
+           | Broken why ->
+             say why;
+             (seen + 1, failed + 1)
+           | Replay (sc, x) ->
+             let outcome = arm.run x sc in
+             say (verdict outcome);
+             ( seen + 1,
+               if Option.is_none (first_violation outcome) then failed
+               else failed + 1 ))
+         (0, 0)
 
-let save_failure ~log ~dir ~sub_seed sc shrunk =
+let save_reproducer (arm : _ arm) x ~log ~dir ~sub_seed sc shrunk =
   Harness.mkdir_p dir;
   let base = Printf.sprintf "seed-%x" sub_seed in
-  Scenario.save sc (Filename.concat dir (base ^ ".scn"));
-  log (Printf.sprintf "saved %s.scn" base);
-  match shrunk with
-  | None -> ()
-  | Some min_sc ->
-    Scenario.save min_sc (Filename.concat dir (base ^ ".min.scn"));
-    let oc = open_out (Filename.concat dir (base ^ ".ml")) in
-    output_string oc (Scenario.to_script_ml min_sc);
-    close_out oc;
-    log (Printf.sprintf "saved %s.min.scn and %s.ml" base base)
+  let write ~shrunk sc =
+    let scn = base ^ if shrunk then ".min.scn" else ".scn" in
+    Scenario.save sc (Filename.concat dir scn);
+    let extras =
+      List.map
+        (fun (ext, contents) ->
+          Out_channel.with_open_text
+            (Filename.concat dir (base ^ ext))
+            (fun oc -> output_string oc contents);
+          base ^ ext)
+        (arm.reproducer_files x ~shrunk sc)
+    in
+    log ("saved " ^ String.concat " and " (scn :: extras))
+  in
+  write ~shrunk:false sc;
+  Option.iter (write ~shrunk:true) shrunk
 
-let campaign ?(mutate_lgc = false) ?(shrink = true) ?corpus
-    ?(log = fun _ -> ()) ?scratch_dir ?(shards = 1) ~seed ~runs ~max_procs ()
-    =
+let campaign ?(shrink = true) ?corpus ?(log = fun _ -> ()) ?(shards = 1)
+    ~seed ~runs ~max_procs (arm : _ arm) =
   let corpus_replayed, corpus_failed =
-    match corpus with
-    | Some dir -> replay_corpus ~mutate_lgc ~log ?scratch_dir dir
-    | None -> (0, 0)
+    match (corpus, arm.corpus) with
+    | Some dir, Some entry -> replay_corpus arm entry ~log dir
+    | _ -> (0, 0)
   in
   let root = Prng.create ~seed in
   let failures = ref [] in
   for run = 0 to runs - 1 do
     let sub_seed = Int64.to_int (Prng.bits64 root) land max_int in
-    let sc = Scenario.generate ~shards ~seed:sub_seed ~max_procs () in
-    let r = Harness.run ~mutate_lgc ?scratch_dir sc in
-    log (Printf.sprintf "run %04d %s: %s" run (Fmt.str "%a" Scenario.pp sc)
-           (verdict_of r));
-    match r.Harness.violations with
-    | [] -> ()
-    | violation :: _ ->
+    let sc, x =
+      arm.attach ~seed:sub_seed
+        (Scenario.generate ~shards ~seed:sub_seed ~max_procs ())
+    in
+    let outcome = arm.run x sc in
+    log
+      (Printf.sprintf "run %04d %s%s: %s" run (Fmt.str "%a" Scenario.pp sc)
+         (arm.describe x) (verdict outcome));
+    match first_violation outcome with
+    | None -> ()
+    | Some violation ->
       let shrunk =
         if shrink then begin
-          let min_sc =
-            Shrink.minimize ~mutate_lgc ?scratch_dir
-              ~oracle:violation.Oracles.oracle sc
-          in
+          let min_sc = arm.shrink x ~oracle:violation.Oracles.oracle sc in
           log
             (Printf.sprintf "shrunk 0x%x: %d ops, %d procs (from %d ops, %d \
                              procs)"
@@ -95,16 +169,17 @@ let campaign ?(mutate_lgc = false) ?(shrink = true) ?corpus
         end
         else None
       in
-      (match corpus with
-      | Some dir -> save_failure ~log ~dir ~sub_seed sc shrunk
-      | None -> ());
-      failures := { run; scenario = sc; violation; shrunk } :: !failures
+      Option.iter
+        (fun dir -> save_reproducer arm x ~log ~dir ~sub_seed sc shrunk)
+        corpus;
+      failures :=
+        { run; sub_seed; scenario = sc; violation; shrunk } :: !failures
   done;
   let report =
     { runs; failures = List.rev !failures; corpus_replayed; corpus_failed }
   in
   log
-    (Printf.sprintf "campaign: %d runs, %d failures%s" runs
+    (Printf.sprintf "%s: %d runs, %d failures%s" arm.label runs
        (List.length report.failures)
        (if corpus_replayed > 0 then
           Printf.sprintf ", corpus %d/%d ok" (corpus_replayed - corpus_failed)

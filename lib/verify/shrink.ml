@@ -1,13 +1,9 @@
 (* Delta debugging over scenarios: chunked op removal (ddmin), whole
    process removal, then a greedy single-op pass, iterated to fixpoint.
    Every candidate is statically normalized, so removals never produce
-   ill-formed scenarios, and a candidate only survives if its re-run
-   fails the SAME oracle as the original — shrinking must not wander to
-   a different bug. *)
-
-let reproduces ?mutate_lgc ?scratch_dir ~oracle sc =
-  let r = Harness.run ?mutate_lgc ?scratch_dir sc in
-  List.exists (fun (v : Oracles.violation) -> v.oracle = oracle) r.violations
+   ill-formed scenarios, and a candidate only survives if the caller's
+   check says its re-run fails the SAME way as the original — shrinking
+   must not wander to a different bug. *)
 
 let set_ops sc ops = Scenario.normalize { sc with Scenario.ops }
 
@@ -79,8 +75,3 @@ let minimize_with ?(budget = default_budget) ~check sc =
     else sc
   in
   fixpoint sc
-
-let minimize ?mutate_lgc ?scratch_dir ?budget ~oracle sc =
-  minimize_with ?budget
-    ~check:(fun cand -> reproduces ?mutate_lgc ?scratch_dir ~oracle cand)
-    sc

@@ -1,32 +1,18 @@
 (** Reproducer shrinking (delta debugging).
 
-    Minimizes a failing scenario while preserving {e which} oracle fails:
+    Minimizes a failing scenario while preserving {e how} it fails:
     chunked op removal (ddmin) interleaved with whole-process removal and
     a greedy single-op pass, iterated to a fixpoint.  Candidates are
     statically {!Scenario.normalize}d, so blind removal cannot produce an
     ill-formed scenario. *)
 
-val reproduces :
-  ?mutate_lgc:bool -> ?scratch_dir:string -> oracle:string -> Scenario.t -> bool
-(** Re-run the scenario; does it still violate [oracle]? *)
-
 val default_budget : int
-
-val minimize :
-  ?mutate_lgc:bool ->
-  ?scratch_dir:string ->
-  ?budget:int ->
-  oracle:string ->
-  Scenario.t ->
-  Scenario.t
-(** [budget] caps the number of candidate executions (default
-    {!default_budget}); the result is the smallest reproducer found
-    within it.  Deterministic. *)
 
 val minimize_with :
   ?budget:int -> check:(Scenario.t -> bool) -> Scenario.t -> Scenario.t
-(** The same ddmin/drop-procs/greedy fixpoint with a caller-supplied
-    execution: [check cand] must re-run the (already normalized)
-    candidate and report whether it still exhibits the original
-    failure.  For campaigns whose backend is not {!Harness.run} — the
-    live cluster shrinks failing scenarios through this. *)
+(** [check cand] must re-run the (already normalized) candidate and
+    report whether it still exhibits the original failure — for the
+    fuzz campaigns, whether it still violates the same oracle
+    ({!Fuzz.fails_with}).  [budget] caps the number of [check] calls
+    (default {!default_budget}); the result is the smallest reproducer
+    found within it.  Deterministic when [check] is. *)

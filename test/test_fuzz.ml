@@ -16,11 +16,12 @@ let scratch = Filename.concat (Filename.get_temp_dir_name ()) "rdtgc-test-fuzz"
 let campaign_log ~mutate_lgc ~seed ~runs =
   let buf = Buffer.create 4096 in
   let report =
-    Fuzz.campaign ~mutate_lgc ~shrink:mutate_lgc
+    Fuzz.campaign ~shrink:mutate_lgc
       ~log:(fun l ->
         Buffer.add_string buf l;
         Buffer.add_char buf '\n')
-      ~scratch_dir:scratch ~seed ~runs ~max_procs:5 ()
+      ~seed ~runs ~max_procs:5
+      (Fuzz.harness ~mutate_lgc ~scratch_dir:scratch ())
   in
   (report, Buffer.contents buf)
 
@@ -74,8 +75,11 @@ let test_mutant_caught_and_shrunk () =
   in
   let min_sc = Option.get f.shrunk in
   let oracle = f.violation.Oracles.oracle in
+  let mutant = Harness.run ~mutate_lgc:true ~scratch_dir:scratch min_sc in
   Alcotest.(check bool) "shrunk reproducer still fails the same oracle" true
-    (Shrink.reproduces ~mutate_lgc:true ~scratch_dir:scratch ~oracle min_sc);
+    (List.exists
+       (fun (v : Oracles.violation) -> String.equal v.oracle oracle)
+       mutant.Harness.violations);
   let healthy = Harness.run ~scratch_dir:scratch min_sc in
   Alcotest.(check int) "healthy collector passes the reproducer" 0
     (List.length healthy.Harness.violations);
@@ -152,18 +156,91 @@ let test_corpus_replay () =
   in
   Scenario.save sc (Filename.concat dir "known.scn");
   let report =
-    Fuzz.campaign ~mutate_lgc:true ~shrink:false ~corpus:dir
-      ~scratch_dir:scratch ~seed:1 ~runs:0 ~max_procs:4 ()
+    Fuzz.campaign ~shrink:false ~corpus:dir ~seed:1 ~runs:0 ~max_procs:4
+      (Fuzz.harness ~mutate_lgc:true ~scratch_dir:scratch ())
   in
   Alcotest.(check int) "corpus replayed" 1 report.Fuzz.corpus_replayed;
   Alcotest.(check int) "corpus scenario still fails under the mutant" 1
     report.Fuzz.corpus_failed;
   let clean =
-    Fuzz.campaign ~shrink:false ~corpus:dir ~scratch_dir:scratch ~seed:1
-      ~runs:0 ~max_procs:4 ()
+    Fuzz.campaign ~shrink:false ~corpus:dir ~seed:1 ~runs:0 ~max_procs:4
+      (Fuzz.harness ~scratch_dir:scratch ())
   in
   Alcotest.(check int) "corpus scenario passes on the healthy collector" 0
     clean.Fuzz.corpus_failed;
+  Harness.rm_rf dir
+
+(* --- the campaign driver over a stub arm --------------------------------- *)
+
+(* No protocol stack: a run fails iff the scenario holds a crash op, so
+   what the driver reports, shrinks and saves is known exactly. *)
+let has_crash sc =
+  List.exists (function Scenario.Crash _ -> true | _ -> false) sc.Scenario.ops
+
+let stub_outcome sc : Fuzz.outcome =
+  if has_crash sc then
+    Ok [ { Oracles.oracle = "stub-crash"; op = 0; detail = "crash op" } ]
+  else Ok []
+
+let stub_arm ~ran =
+  {
+    Fuzz.label = "stub campaign";
+    attach = (fun ~seed:_ sc -> (sc, ()));
+    describe = (fun () -> "");
+    run =
+      (fun () sc ->
+        ran := sc :: !ran;
+        stub_outcome sc);
+    shrink =
+      (fun () ~oracle sc ->
+        Shrink.minimize_with
+          ~check:(fun c -> Fuzz.fails_with ~oracle (stub_outcome c))
+          sc);
+    corpus =
+      Some
+        (fun ~dir:_ _ -> function
+          | Ok sc -> Fuzz.Replay (sc, ())
+          | Error e -> Fuzz.Broken e);
+    reproducer_files =
+      (fun () ~shrunk _ -> if shrunk then [] else [ (".stub", "stub\n") ]);
+  }
+
+let test_driver_stub_arm () =
+  let dir = Filename.concat scratch "stub-corpus" in
+  Harness.rm_rf dir;
+  let ran = ref [] in
+  let report =
+    Fuzz.campaign ~corpus:dir ~seed:3 ~runs:30 ~max_procs:4 (stub_arm ~ran)
+  in
+  let crashing = List.filter has_crash !ran in
+  if List.is_empty crashing then Alcotest.fail "no generated scenario crashes";
+  Alcotest.(check int) "every crashing run is a failure"
+    (List.length crashing)
+    (List.length report.Fuzz.failures);
+  List.iter
+    (fun (f : Fuzz.failure) ->
+      Alcotest.(check bool) "failing scenario holds a crash" true
+        (has_crash f.scenario);
+      (match f.shrunk with
+      | Some m ->
+        Alcotest.(check int) "shrunk to a single op" 1 (Scenario.op_count m);
+        Alcotest.(check bool) "the op left is a crash" true (has_crash m)
+      | None -> Alcotest.fail "failure was not shrunk");
+      List.iter
+        (fun ext ->
+          let file = Printf.sprintf "seed-%x%s" f.sub_seed ext in
+          if not (Sys.file_exists (Filename.concat dir file)) then
+            Alcotest.failf "corpus lacks %s" file)
+        [ ".scn"; ".min.scn"; ".stub" ])
+    report.Fuzz.failures;
+  let saved = 2 * List.length report.Fuzz.failures in
+  let again =
+    Fuzz.campaign ~corpus:dir ~seed:3 ~runs:0 ~max_procs:4 (stub_arm ~ran)
+  in
+  Alcotest.(check int) "second campaign replays every saved scenario" saved
+    again.Fuzz.corpus_replayed;
+  Alcotest.(check int) "and counts each one as failed" saved
+    again.Fuzz.corpus_failed;
   Harness.rm_rf dir
 
 (* --- durable scenarios ------------------------------------------------- *)
@@ -195,4 +272,6 @@ let suite =
       test_corpus_replay;
     Alcotest.test_case "durable scenarios recover exactly on reopen" `Quick
       test_durable_epilogue;
+    Alcotest.test_case "campaign driver reports, shrinks and saves a stub arm"
+      `Quick test_driver_stub_arm;
   ]

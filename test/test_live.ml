@@ -13,6 +13,7 @@ module Transport = Rdt_transport.Transport
 module Wire = Rdt_transport.Wire
 module Nemesis = Rdt_transport.Nemesis
 module Live_fuzz = Rdt_live.Live_fuzz
+module Fuzz = Rdt_verify.Fuzz
 
 let corpus_dir =
   if Sys.file_exists "corpus" then "corpus" else "test/corpus"
@@ -357,10 +358,8 @@ let test_partition_heal () =
    fault switched on, the oracles catch it, and the committed shrunk
    reproducer pins it forever. *)
 let with_dup_deliver f =
-  Rdt_live.Node.set_test_dup_deliver true;
-  Fun.protect
-    ~finally:(fun () -> Rdt_live.Node.set_test_dup_deliver false)
-    f
+  Unix.putenv "RDTGC_TEST_DUP_DELIVER" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "RDTGC_TEST_DUP_DELIVER" "") f
 
 let test_dup_bug_campaign_catches () =
   let root = fresh_root "dup-campaign" in
@@ -368,11 +367,11 @@ let test_dup_bug_campaign_catches () =
     ~finally:(fun () -> Harness.rm_rf root)
     (fun () ->
       let report =
-        Live_fuzz.campaign ~backend:Live_fuzz.Sim ~shrink:false
-          ~mutate_deliver:true ~seed:7 ~runs:1 ~max_procs:4 ~root ()
+        Fuzz.campaign ~shrink:false ~seed:7 ~runs:1 ~max_procs:4
+          (Live_fuzz.arm ~mutate_deliver:true ~backend:Live_fuzz.Sim ~root ())
       in
       Alcotest.(check bool) "mutated cluster caught" false
-        (Live_fuzz.passed report))
+        (Fuzz.passed report))
 
 let test_dup_bug_reproducer () =
   let sc = load_scenario "live_dup_bug.min" in
@@ -405,11 +404,12 @@ let test_campaign_deterministic () =
         Harness.rm_rf (Filename.concat root "run" ^ ".replay"))
       (fun () ->
         ignore
-          (Live_fuzz.campaign ~backend:Live_fuzz.Sim ~shrink:false
+          (Fuzz.campaign ~shrink:false
              ~log:(fun s ->
                Buffer.add_string buf s;
                Buffer.add_char buf '\n')
-             ~seed:11 ~runs:2 ~max_procs:3 ~root ());
+             ~seed:11 ~runs:2 ~max_procs:3
+             (Live_fuzz.arm ~backend:Live_fuzz.Sim ~root ()));
         Buffer.contents buf)
   in
   (* distinct roots: the log must be a pure function of the arguments *)

@@ -190,6 +190,21 @@ let test_serialization_roundtrip () =
              | Trace.Checkpoint _ -> true)
            (Trace.all_events reloaded)))
 
+let test_to_string_matches_save () =
+  let saved_bytes t =
+    let path = Filename.temp_file "rdtgc" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Trace.save t path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let t = Rdt_scenarios.Script.trace (Rdt_scenarios.Figures.figure4 ()) in
+  Alcotest.(check string) "figure 4 trace" (saved_bytes t) (Trace.to_string t);
+  Trace.truncate_to_checkpoint t ~pid:1 ~index:1;
+  Alcotest.(check string) "after truncate_to_checkpoint" (saved_bytes t)
+    (Trace.to_string t)
+
 let test_load_rejects_garbage () =
   let path = Filename.temp_file "rdtgc" ".trace" in
   Fun.protect
@@ -260,6 +275,8 @@ let suite =
     Alcotest.test_case "trace building" `Quick test_trace_building;
     Alcotest.test_case "serialization roundtrip" `Quick
       test_serialization_roundtrip;
+    Alcotest.test_case "to_string writes the bytes save writes" `Quick
+      test_to_string_matches_save;
     Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
     Alcotest.test_case "diagram shape" `Quick test_diagram_shape;
     Alcotest.test_case "diagram truncation" `Quick test_diagram_truncation;
