@@ -271,21 +271,26 @@ let truncate_to_checkpoint t ~pid ~index =
 
 let magic = "rdtgc-trace 1"
 
-let to_string t =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "%s\n" magic;
-  Printf.bprintf b "n %d\n" t.n;
+(* the one formatter: hands each line, newline included, to [emit] *)
+let iter_lines t emit =
+  emit (magic ^ "\n");
+  emit (Printf.sprintf "n %d\n" t.n);
   List.iter
     (fun ev ->
-      match ev.kind with
-      | Checkpoint { index } -> Printf.bprintf b "C %d %d\n" ev.pid index
-      | Send { msg_id; dst } -> Printf.bprintf b "S %d %d %d\n" ev.pid msg_id dst
-      | Receive { msg_id; src } ->
-        Printf.bprintf b "R %d %d %d\n" ev.pid msg_id src)
-    (all_events t);
-  Buffer.contents b
+      emit
+        (match ev.kind with
+        | Checkpoint { index } -> Printf.sprintf "C %d %d\n" ev.pid index
+        | Send { msg_id; dst } -> Printf.sprintf "S %d %d %d\n" ev.pid msg_id dst
+        | Receive { msg_id; src } ->
+          Printf.sprintf "R %d %d %d\n" ev.pid msg_id src))
+    (all_events t)
 
-let to_channel t oc = output_string oc (to_string t)
+let to_channel t oc = iter_lines t (output_string oc)
+
+let to_string t =
+  let b = Buffer.create 4096 in
+  iter_lines t (Buffer.add_string b);
+  Buffer.contents b
 
 let of_channel ic =
   let line () = try Some (input_line ic) with End_of_file -> None in

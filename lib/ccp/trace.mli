@@ -123,10 +123,11 @@ val to_channel : t -> out_channel -> unit
     S <pid> <msg_id> <dst>     (send)
     R <pid> <msg_id> <src>     (receive)
     v}
-    Events appear in sequence order. *)
+    Events appear in sequence order, one line at a time (the text is
+    never held whole in memory). *)
 
 val to_string : t -> string
-(** The bytes {!to_channel} writes. *)
+(** The bytes {!to_channel} writes, collected in memory. *)
 
 val of_channel : in_channel -> t
 (** Reads the format written by {!to_channel}.
