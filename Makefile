@@ -102,14 +102,13 @@ live-nemesis-smoke:
 # under random fault schedules against real TCP processes, corpus
 # replayed first, failures shrunk and saved under live-fuzz-corpus/;
 # then the duplicated-delivery self-check; then 2000 simulator-backend
-# schedules, last and non-fatal (the leading '-') because a known
-# nemesis bug can fail them (ROADMAP item 4)
+# schedules
 live-fuzz-nightly:
 	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 50 --backend exec \
 	  --seed $${SEED:-42} --corpus live-fuzz-corpus
 	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 3 --backend sim --mutate-deliver \
 	  --seed $${SEED:-42} -q
-	-dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 2000 --backend sim \
+	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 2000 --backend sim \
 	  --seed $${SEED:-42} -q --corpus live-fuzz-corpus
 
 examples:

@@ -40,7 +40,7 @@ type t = {
   timeout : float;
   log : string -> unit;
   inbox : Transport.event Queue.t;
-  stash : Transport.event Queue.t;  (* frames a wait skipped over *)
+  stash : Transport.event Queue.t;  (* Hellos a wait skipped over *)
   mirror : Trace.t;
   mutable clock : float;
   mutable seq : int;
@@ -62,7 +62,7 @@ let tick co =
 (* Bounded retry with backoff: under a nemesis, frames the coordinator
    sends (and the replies they elicit) can be dropped or delayed, so
    every send-and-wait is retransmitted on a backoff schedule.  Receivers
-   are idempotent against that (command seqs and Config epochs dedup), and
+   are idempotent against that (nodes dedup commands by seq), and
    the nemesis guarantees per-key punch-through below [max_attempts], so
    a partitioned node heals instead of wedging the run. *)
 let poll_slice = 0.1
@@ -97,9 +97,10 @@ let next_event_opt co ~deadline =
   in
   go ()
 
-(* Frames from concurrent nodes arrive in any order (n [Ready]s during
-   registration, say); a frame the current wait does not accept is
-   stashed and offered to later waits instead of treated as fatal. *)
+(* Hellos from concurrent nodes arrive in any order; one the current
+   wait does not accept is stashed and offered to later waits.  Only one
+   command is ever in flight, so a Reply the wait does not accept is a
+   stale duplicate (a retransmission's second answer) and is dropped. *)
 let await_opt co ~what ~deadline ~accept =
   let rec from_stash acc =
     match Queue.take_opt co.stash with
@@ -141,9 +142,10 @@ let await_opt co ~what ~deadline ~accept =
                  | None -> "unidentified peer")
                  Wire.pp_error error);
             live () (* the link resynchronized; retry covers the loss *)
-          | Transport.Frame _ ->
+          | Transport.Frame { frame = Wire.Hello _; _ } ->
             Queue.add ev co.stash;
             live ()
+          | Transport.Frame _ -> live ()
         end
       end
     in
@@ -232,34 +234,21 @@ let await_hello co ~expect_pid ~expect_recovering =
         Some (pid, port)
       | _ -> None)
 
-let config_frame co ~history ~sends_ever =
-  Wire.Config
-    {
-      n = co.sc.Scenario.n;
-      protocol = co.sc.Scenario.protocol.Rdt_protocols.Protocol.id;
-      knowledge = co.sc.Scenario.knowledge;
-      ckpt_bytes = 1;
-      epoch = co.epoch;
-      ports = Array.copy co.ports;
-      history;
-      sends_ever;
-      (* every allocated seq has completed (serialized protocol), so this
-         restores the respawned node's at-most-once watermark: a delayed
-         retransmission of any pre-crash command can never re-execute *)
-      last_seq = co.seq;
-    }
-
-(* Config-and-await-Ready, retransmitted as one unit: the node treats a
-   duplicate Config for its current epoch as "re-affirm readiness". *)
-let handshake co ~pid ~history ~sends_ever =
-  let frame = config_frame co ~history ~sends_ever in
-  with_retry co ~what:(Printf.sprintf "node %d readiness" pid)
-    ~send:(fun () -> Transport.send co.tr ~dst:pid frame)
-    ~accept:(function
-      | Transport.Frame { src; frame = Wire.Ready { pid = p } }
-        when src = pid && p = pid ->
-        Some ()
-      | _ -> None)
+(* Boot a registered node.  Its seq is fresh, so it becomes the node's
+   at-most-once watermark: a delayed retransmission of any command sent
+   to an earlier incarnation can never execute. *)
+let configure co ~pid ~history ~sends_ever =
+  ignore
+    (simple co ~dst:pid ~now:co.clock ~what:"configuration"
+       (Wire.C_config
+          {
+            n = co.sc.Scenario.n;
+            protocol = co.sc.Scenario.protocol.Rdt_protocols.Protocol.id;
+            epoch = co.epoch;
+            ports = Array.copy co.ports;
+            history;
+            sends_ever;
+          }))
 
 let register_fresh co =
   let n = co.sc.Scenario.n in
@@ -276,7 +265,7 @@ let register_fresh co =
     end
   done;
   for pid = 0 to n - 1 do
-    handshake co ~pid ~history:[] ~sends_ever:0
+    configure co ~pid ~history:[] ~sends_ever:0
   done;
   (* the transcript starts like the simulator's: every process stores s^0
      (the nodes' bootstrap did it before event capture began) *)
@@ -295,18 +284,14 @@ let history_of co ~pid =
       | Trace.Receive { msg_id; src } -> Wire.T_recv { msg_id; src })
     (Trace.events_of co.mirror ~pid)
 
-(* Frames a dead incarnation sent must not satisfy the respawn handshake:
-   a stale stashed Hello would re-register a dead port (peers would dial
-   into nothing), a stale Ready would complete the handshake before
-   recovery actually booted. *)
+(* A dead incarnation's stashed Hello must not satisfy the respawn wait:
+   it would re-register a dead port (peers would dial into nothing). *)
 let purge_stale co ~pid =
   let keep = Queue.create () in
   Queue.iter
     (fun ev ->
       match ev with
-      | Transport.Frame { src; frame = Wire.Hello _ | Wire.Ready _ }
-        when src = pid ->
-        ()
+      | Transport.Frame { src; _ } when src = pid -> ()
       | ev -> Queue.add ev keep)
     co.stash;
   Queue.clear co.stash;
@@ -335,8 +320,8 @@ let crash_op co ~op ~faulty =
   done;
   (* 3. respawn each faulty process from its durable store, handing it
      the transcript of its own surviving events (message-id restoration
-     included).  All respawns must re-register BEFORE any Config goes
-     out: a respawned node redials every peer from the Config's port
+     included).  All respawns must re-register BEFORE any C_config goes
+     out: a respawned node redials every peer from the C_config's port
      table, so on a simultaneous multi-crash the table must already
      hold the other respawns' new ports — a dead incarnation's port is
      an ECONNREFUSED crash in the redialing node. *)
@@ -349,7 +334,7 @@ let crash_op co ~op ~faulty =
     faulty;
   List.iter
     (fun f ->
-      handshake co ~pid:f ~history:(history_of co ~pid:f)
+      configure co ~pid:f ~history:(history_of co ~pid:f)
         ~sends_ever:co.sends_ever.(f))
     faulty;
   (* 4. gather every process's stable state — the recovery manager's

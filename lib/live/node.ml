@@ -48,14 +48,15 @@ type t = {
   mutable armed : armed option;
       (* delivery commanded before the frame arrived; reply deferred *)
   mutable events : Wire.tev list;  (* newest first, drained per reply *)
-  mutable last_seq : int;
-      (* at-most-once dedup: highest command seq answered (or, after a
-         respawn, completed by the coordinator pre-crash via Config) *)
+  mutable watermark : int;
+      (* at-most-once dedup: highest command seq answered.  The C_config
+         seq is fresh, so once booted, no command sent to an earlier
+         incarnation can execute *)
   mutable last_reply : Wire.reply option;
-      (* cached reply for last_seq, resent verbatim on a retransmission
+      (* cached reply for [watermark], resent verbatim on a retransmission
          so retried non-idempotent commands never re-execute *)
   mutable hello : (unit -> unit) option;
-      (* re-send registration until Config arrives (the Hello itself may
+      (* re-send registration until C_config arrives (the Hello itself may
          be dropped by a nemesis or arrive before the coordinator) *)
   mutable finished : bool;
   mutable coord_down : bool;  (* the coordinator's link died/closed *)
@@ -95,22 +96,14 @@ let state_of sys =
   }
 
 let reply t ~seq reply =
-  t.last_seq <- seq;
+  t.watermark <- seq;
   t.last_reply <- Some reply;
   Transport.send t.tr ~dst:Transport.coordinator_id (Wire.Reply { seq; reply })
 
-let sys_exn t =
-  match t.sys with
-  | Some sys -> sys
-  | None -> failwith "node: command before configuration"
-
 (* --- boot -------------------------------------------------------------- *)
 
-let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
-    ~sends_ever ~last_seq =
+let boot t ~n ~protocol ~epoch ~ports ~(history : Wire.tev list) ~sends_ever =
   t.hello <- None;
-  t.last_seq <- last_seq;
-  t.last_reply <- None;
   let protocol =
     match Protocol.by_id protocol with
     | Some p -> p
@@ -124,8 +117,7 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
     if List.is_empty history then
       (* fresh start: s^0 goes through the durable backend, exactly like
          the simulator's bootstrap *)
-      Process_stack.create ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~log
-        ~with_lgc:true ()
+      Process_stack.create ~n ~me:t.me ~protocol ~trace ~log ~with_lgc:true ()
     else begin
       (* respawn after a kill: volatile state is rebuilt from what the
          durable log recovered plus the coordinator's transcript of our
@@ -142,14 +134,22 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
       (* ids are monotone across rollbacks: restore the counter past the
          sends the erased history performed *)
       Trace.restore_msg_ids trace ~pid:t.me ~count:sends_ever;
-      Process_stack.restore ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~log
-        ~with_lgc:true ()
+      Process_stack.restore ~n ~me:t.me ~protocol ~trace ~log ~with_lgc:true ()
     end
   in
   (* subscribe only now: neither the s^0 bootstrap nor the history replay
      is a new event as far as the coordinator's transcript is concerned *)
   Trace.on_event trace (fun ev -> t.events <- tev_of ev :: t.events);
-  t.sys <- Some sys
+  t.sys <- Some sys;
+  (* establish the peer mesh: on a fresh start lower ids are dialed by
+     higher ids (one link per pair); a respawned node redials everyone,
+     and the peers' transports swap in the new link *)
+  let recovering = not (List.is_empty history) in
+  for j = 0 to n - 1 do
+    if j <> t.me && (recovering || j < t.me) then
+      Transport.connect t.tr ~dst:j ~port:ports.(j)
+  done;
+  sys
 
 (* --- delivery ---------------------------------------------------------- *)
 
@@ -165,10 +165,9 @@ let do_deliver t sys ~now ~src ~msg_id ~dv ~index =
 
 let handle_app t ~src ~(frame_epoch : int) ~msg_id ~dv ~index =
   if frame_epoch = t.epoch then begin
-    match t.armed with
-    | Some a when a.a_src = src && a.a_msg_id = msg_id ->
+    match (t.armed, t.sys) with
+    | Some a, Some sys when a.a_src = src && a.a_msg_id = msg_id ->
       t.armed <- None;
-      let sys = sys_exn t in
       do_deliver t sys ~now:a.a_now ~src ~msg_id ~dv ~index;
       reply t ~seq:a.a_seq (Wire.R_done { events = drain t; state = state_of sys })
     | _ ->
@@ -181,8 +180,7 @@ let handle_app t ~src ~(frame_epoch : int) ~msg_id ~dv ~index =
 
 (* --- commands ---------------------------------------------------------- *)
 
-let handle_cmd t ~seq ~now cmd =
-  let sys = sys_exn t in
+let run_cmd t sys ~seq ~now cmd =
   let mw = Process_stack.middleware sys in
   let done_ () =
     reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
@@ -247,6 +245,15 @@ let handle_cmd t ~seq ~now cmd =
     Process_stack.close sys;
     t.finished <- true;
     done_ ()
+  | C_config _ -> failwith "node: already configured"
+
+let handle_cmd t ~seq ~now (cmd : Wire.cmd) =
+  match (cmd, t.sys) with
+  | C_config { n; protocol; epoch; ports; history; sends_ever }, None ->
+    let sys = boot t ~n ~protocol ~epoch ~ports ~history ~sends_ever in
+    reply t ~seq (Wire.R_done { events = []; state = state_of sys })
+  | _, None -> failwith "node: command before configuration"
+  | cmd, Some sys -> run_cmd t sys ~seq ~now cmd
 
 (* --- event handler ----------------------------------------------------- *)
 
@@ -260,14 +267,13 @@ let handle t (ev : Transport.event) =
     (* at-most-once: the coordinator retransmits commands it got no
        reply to (nemesis drop/delay), and commands are not idempotent —
        dedup by seq and resend the cached reply instead of re-executing *)
-    if seq < t.last_seq then ()
-    else if seq = t.last_seq then begin
-      match t.last_reply with
-      | Some r ->
-        Transport.send t.tr ~dst:Transport.coordinator_id
-          (Wire.Reply { seq; reply = r })
-      | None -> ()  (* completed pre-crash; the coordinator moved on *)
-    end
+    if seq < t.watermark then ()
+    else if seq = t.watermark then
+      Option.iter
+        (fun r ->
+          Transport.send t.tr ~dst:Transport.coordinator_id
+            (Wire.Reply { seq; reply = r }))
+        t.last_reply
     else begin
       match t.armed with
       | Some a when a.a_seq = seq ->
@@ -278,33 +284,6 @@ let handle t (ev : Transport.event) =
           reply t ~seq (Wire.R_error { message = Printexc.to_string e })
       end
     end
-  | Transport.Frame
-      { src;
-        frame =
-          Wire.Config
-            { n; protocol; knowledge = _; ckpt_bytes; epoch; ports; history;
-              sends_ever; last_seq } }
-    when src = Transport.coordinator_id -> begin
-    match t.sys with
-    | Some _ when epoch = t.epoch ->
-      (* duplicate Config — the coordinator retrying a lost Ready; the
-         boot already happened, just re-affirm *)
-      Transport.send t.tr ~dst:Transport.coordinator_id
-        (Wire.Ready { pid = t.me })
-    | Some _ -> ()  (* stale straggler from an earlier epoch *)
-    | None ->
-      let recovering = not (List.is_empty history) in
-      boot t ~n ~protocol ~ckpt_bytes ~epoch ~history ~sends_ever ~last_seq;
-      (* establish the peer mesh: on a fresh start lower ids are dialed by
-         higher ids (one link per pair); a respawned node redials everyone,
-         and the peers' transports swap in the new link *)
-      for j = 0 to n - 1 do
-        if j <> t.me && (recovering || j < t.me) then
-          Transport.connect t.tr ~dst:j ~port:ports.(j)
-      done;
-      Transport.send t.tr ~dst:Transport.coordinator_id
-        (Wire.Ready { pid = t.me })
-  end
   | Transport.Timer { id } when id = hello_timer_id -> begin
     match t.hello with
     | Some resend ->
@@ -316,10 +295,8 @@ let handle t (ev : Transport.event) =
     t.coord_down <- true
   | Transport.Frame { src = _; frame = Wire.Hello _ }
   | Transport.Frame { src = _; frame = Wire.Ident _ }
-  | Transport.Frame { src = _; frame = Wire.Ready _ }
   | Transport.Frame { src = _; frame = Wire.Reply _ }
   | Transport.Frame { src = _; frame = Wire.Cmd _ }
-  | Transport.Frame { src = _; frame = Wire.Config _ }
   | Transport.Garbled _  (* corruption detected and resynchronized past *)
   | Transport.Peer_down _ | Transport.Timer _ ->
     ()
@@ -340,7 +317,7 @@ let create ~transport ~dir () =
       doomed = Hashtbl.create 16;
       armed = None;
       events = [];
-      last_seq = 0;
+      watermark = 0;
       last_reply = None;
       hello = None;
       finished = false;
@@ -362,9 +339,9 @@ let create ~transport ~dir () =
          { pid = me; port = Transport.listen_port transport; recovering })
   in
   send_hello ();
-  (* registration is unacknowledged until Config: keep re-sending in case
-     the Hello was lost (set_handler above replays any buffered Config,
-     so [hello] may already be cleared by the time we get here) *)
+  (* registration is unacknowledged until C_config: keep re-sending in
+     case the Hello was lost (set_handler above replays any buffered
+     C_config, so [hello] may already be cleared by the time we get here) *)
   if Option.is_none t.sys then begin
     t.hello <- Some send_hello;
     Transport.set_timer transport ~id:hello_timer_id ~after:hello_retry

@@ -5,10 +5,11 @@
     in-process over the simulator backend.
 
     On creation the node sends [Hello] (announcing its peer port and
-    whether its store directory already holds data) and waits for
-    [Config]; a non-empty [Config.history] selects the respawn path,
-    which rebuilds volatile state from the recovered durable log plus the
-    coordinator's transcript of the node's own surviving events. *)
+    whether its store directory already holds data) and waits for the
+    [C_config] command, the only one it accepts before booting; a
+    non-empty [history] selects the respawn path, which rebuilds
+    volatile state from the recovered durable log plus the coordinator's
+    transcript of the node's own surviving events. *)
 
 type t
 

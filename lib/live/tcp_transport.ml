@@ -5,9 +5,12 @@
    Socket-to-pid mapping is by transport-level preamble: every outbound
    connection starts with an [Ident] frame naming the dialing endpoint,
    and an inbound connection surfaces nothing until that preamble
-   arrives.  Re-identification replaces the previous mapping (a
-   respawned process dialing back in); the stale socket then dies
-   without a [Peer_down].  Frames queued for a peer that has not
+   arrives.  The newest connection to a pid (dialed or identified) takes
+   over sending to it, but the one it replaces stays open and readable:
+   a respawned process's old socket dies on its own EOF, without a
+   [Peer_down], and when two respawned processes dial each other at
+   once, each may send on the link the other stopped sending on, so
+   neither may close it.  Frames queued for a peer that has not
    connected yet wait in a pending queue — the coordinator never dials
    nodes, its replies ride the inbound connections. *)
 
@@ -113,12 +116,6 @@ let flush_pending t peer conn =
 
 let identify t conn pid =
   conn.peer <- Some pid;
-  (match Hashtbl.find_opt t.by_peer pid with
-  | Some old when old != conn ->
-    (* a respawned process dialed back in: the old socket is stale and
-       its eventual EOF must not read as a fresh death *)
-    bury t old ~notify:false
-  | _ -> ());
   Hashtbl.replace t.by_peer pid conn;
   flush_pending t pid conn
 
@@ -261,9 +258,6 @@ let connect t ~dst ~port =
   let conn = new_conn fd in
   conn.peer <- Some dst;
   t.conns <- conn :: t.conns;
-  (match Hashtbl.find_opt t.by_peer dst with
-  | Some old when old != conn -> bury t old ~notify:false
-  | _ -> ());
   Hashtbl.replace t.by_peer dst conn;
   send_on t conn (Wire.Ident { pid = t.me });
   flush_pending t dst conn

@@ -203,17 +203,13 @@ type fault = Drop | Delay of float | Duplicate | Corrupt of style
 let cls_app = 0
 let cls_cmd = 1
 let cls_reply = 2
-let cls_config = 3
-let cls_hello = 4
-let cls_ready = 5
+let cls_hello = 3
 
 let cls_name = function
   | 0 -> "app"
   | 1 -> "cmd"
   | 2 -> "reply"
-  | 3 -> "config"
-  | 4 -> "hello"
-  | 5 -> "ready"
+  | 3 -> "hello"
   | _ -> "?"
 
 (* how long a partition holds an App frame (they cannot be dropped) *)
@@ -288,7 +284,6 @@ type kstate = { ks_ord : int; mutable ks_attempts : int }
 type link = {
   lk_keys : (int, kstate) Hashtbl.t;  (* (key lsl 3) lor cls -> state *)
   mutable lk_next_ord : int;
-  mutable lk_ready : int;  (* Ready frames carry no distinguishing field *)
 }
 
 type held = { hd_dst : int; hd_frame : Wire.frame }
@@ -314,7 +309,7 @@ let link_of t dst =
   match Hashtbl.find_opt t.links dst with
   | Some lk -> lk
   | None ->
-    let lk = { lk_keys = Hashtbl.create 32; lk_next_ord = 0; lk_ready = 0 } in
+    let lk = { lk_keys = Hashtbl.create 32; lk_next_ord = 0 } in
     Hashtbl.replace t.links dst lk;
     lk
 
@@ -339,12 +334,7 @@ let send t ~dst frame =
       | Wire.App { msg_id; src; _ } -> (cls_app, (msg_id lsl 8) lor (src land 0xff))
       | Wire.Cmd { seq; _ } -> (cls_cmd, seq)
       | Wire.Reply { seq; _ } -> (cls_reply, seq)
-      | Wire.Config { epoch; _ } -> (cls_config, epoch)
       | Wire.Hello { port; _ } -> (cls_hello, port)
-      | Wire.Ready _ ->
-        let k = lk.lk_ready in
-        lk.lk_ready <- k + 1;
-        (cls_ready, k)
       | Wire.Ident _ -> assert false
     in
     let ck = (key lsl 3) lor cls in

@@ -40,8 +40,6 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-type knowledge = [ `Global | `Causal ]
-
 type state = {
   st_dv : int array;  (** live dependency vector *)
   st_uc : int option array;  (** RDT-LGC UC as checkpoint indices *)
@@ -67,6 +65,14 @@ type cmd =
   | C_release of { li : int array }
   | C_state
   | C_shutdown
+  | C_config of {
+      n : int;
+      protocol : string;
+      epoch : int;
+      ports : int array;
+      history : tev list;
+      sends_ever : int;
+    }
 
 type reply =
   | R_done of { events : tev list; state : state }
@@ -79,18 +85,6 @@ type frame =
   | App of { epoch : int; msg_id : int; src : int; dv : int array; index : int }
   | Ident of { pid : int }
   | Hello of { pid : int; port : int; recovering : bool }
-  | Config of {
-      n : int;
-      protocol : string;
-      knowledge : knowledge;
-      ckpt_bytes : int;
-      epoch : int;
-      ports : int array;
-      history : tev list;
-      sends_ever : int;
-      last_seq : int;
-    }
-  | Ready of { pid : int }
   | Cmd of { seq : int; now : float; cmd : cmd }
   | Reply of { seq : int; reply : reply }
 
@@ -173,6 +167,14 @@ let put_cmd b = function
     put_int_array b li
   | C_state -> put_u8 b 8
   | C_shutdown -> put_u8 b 9
+  | C_config { n; protocol; epoch; ports; history; sends_ever } ->
+    put_u8 b 10;
+    put_i64 b n;
+    put_string b protocol;
+    put_i64 b epoch;
+    put_int_array b ports;
+    put_tevs b history;
+    put_i64 b sends_ever
 
 let put_reply b = function
   | R_done { events; state } ->
@@ -213,21 +215,7 @@ let put_frame b = function
     put_i64 b pid;
     put_i64 b port;
     put_u8 b (if recovering then 1 else 0)
-  | Config { n; protocol; knowledge; ckpt_bytes; epoch; ports; history;
-             sends_ever; last_seq } ->
-    put_u8 b 3;
-    put_i64 b n;
-    put_string b protocol;
-    put_u8 b (match knowledge with `Global -> 0 | `Causal -> 1);
-    put_i64 b ckpt_bytes;
-    put_i64 b epoch;
-    put_int_array b ports;
-    put_tevs b history;
-    put_i64 b sends_ever;
-    put_i64 b last_seq
-  | Ready { pid } ->
-    put_u8 b 4;
-    put_i64 b pid
+  (* tags 3 and 4 are unassigned: they decode as [Bad_tag] *)
   | Cmd { seq; now; cmd } ->
     put_u8 b 5;
     put_i64 b seq;
@@ -357,6 +345,13 @@ let get_cmd c =
   | 7 -> C_release { li = get_int_array c }
   | 8 -> C_state
   | 9 -> C_shutdown
+  | 10 ->
+    let n = get_i64 c in
+    let protocol = get_string c in
+    let epoch = get_i64 c in
+    let ports = get_int_array c in
+    let history = get_tevs c in
+    C_config { n; protocol; epoch; ports; history; sends_ever = get_i64 c }
   | t -> raise (Bad (Malformed (Printf.sprintf "command tag %d" t)))
 
 let get_reply c =
@@ -390,24 +385,6 @@ let get_frame c =
     let pid = get_i64 c in
     let port = get_i64 c in
     Hello { pid; port; recovering = get_u8 c <> 0 }
-  | 3 ->
-    let n = get_i64 c in
-    let protocol = get_string c in
-    let knowledge =
-      match get_u8 c with
-      | 0 -> `Global
-      | 1 -> `Causal
-      | t -> raise (Bad (Malformed (Printf.sprintf "knowledge byte %d" t)))
-    in
-    let ckpt_bytes = get_i64 c in
-    let epoch = get_i64 c in
-    let ports = get_int_array c in
-    let history = get_tevs c in
-    let sends_ever = get_i64 c in
-    Config
-      { n; protocol; knowledge; ckpt_bytes; epoch; ports; history;
-        sends_ever; last_seq = get_i64 c }
-  | 4 -> Ready { pid = get_i64 c }
   | 5 ->
     let seq = get_i64 c in
     let now = get_f64 c in

@@ -26,8 +26,6 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-type knowledge = [ `Global | `Causal ]
-
 type state = {
   st_dv : int array;  (** live dependency vector *)
   st_uc : int option array;  (** RDT-LGC UC as checkpoint indices *)
@@ -60,6 +58,23 @@ type cmd =
   | C_release of { li : int array }
   | C_state
   | C_shutdown
+  | C_config of {
+      n : int;
+      protocol : string;
+      epoch : int;
+      ports : int array;
+      history : tev list;
+          (** the node's own pre-crash trace events, for transcript and
+              message-id restoration; empty on a fresh start *)
+      sends_ever : int;
+          (** sends the node ever performed — message ids are monotone and
+              survive rollbacks, so the counter must be restored past the
+              truncated history *)
+    }
+      (** boot the node; the only command accepted before it.  Its seq
+          becomes the node's at-most-once watermark, so a delayed
+          retransmission of a command sent to an earlier incarnation can
+          never execute *)
 
 type reply =
   | R_done of { events : tev list; state : state }
@@ -77,27 +92,6 @@ type frame =
           consumed by the receiving transport, never surfaced *)
   | Hello of { pid : int; port : int; recovering : bool }
       (** node registration with the coordinator *)
-  | Config of {
-      n : int;
-      protocol : string;
-      knowledge : knowledge;
-      ckpt_bytes : int;
-      epoch : int;
-      ports : int array;
-      history : tev list;
-          (** the node's own pre-crash trace events, for transcript and
-              message-id restoration; empty on a fresh start *)
-      sends_ever : int;
-          (** sends the node ever performed — message ids are monotone and
-              survive rollbacks, so the counter must be restored past the
-              truncated history *)
-      last_seq : int;
-          (** highest command seq the coordinator has completed against
-              this node: restores the node's at-most-once dedup watermark
-              across a respawn, so a delayed retransmission of an old
-              command can never re-execute (0 on a fresh start) *)
-    }
-  | Ready of { pid : int }
   | Cmd of { seq : int; now : float; cmd : cmd }
       (** [now] is the coordinator's virtual clock, mirroring the
           simulator's tick, so stored [taken_at] stamps are identical *)

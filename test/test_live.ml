@@ -263,6 +263,137 @@ let test_wire_error_truncated () =
     check_peer_down "truncated" d
   | evs -> Alcotest.failf "truncated: expected 2 events, got %d" (List.length evs)
 
+(* Two respawned nodes redial every peer, so after a simultaneous crash
+   they dial each other at once.  Whichever link each side ends up
+   sending on, frames must arrive both ways. *)
+let test_simultaneous_dial () =
+  let a = Rdt_live.Tcp_transport.create ~me:1 () in
+  let b = Rdt_live.Tcp_transport.create ~me:3 () in
+  let got = Array.make 2 [] in
+  Transport.set_handler a (fun ev -> got.(0) <- ev :: got.(0));
+  Transport.set_handler b (fun ev -> got.(1) <- ev :: got.(1));
+  let pump secs =
+    let deadline = Unix.gettimeofday () +. secs in
+    while Unix.gettimeofday () < deadline do
+      ignore (Transport.poll a ~timeout:0.01);
+      ignore (Transport.poll b ~timeout:0.01)
+    done
+  in
+  let app src = Wire.App { epoch = 0; msg_id = 1; src; dv = [| 0 |]; index = 0 } in
+  let arrived i ~src =
+    List.exists
+      (function
+        | Transport.Frame { src = s; frame = Wire.App _ } -> s = src
+        | _ -> false)
+      got.(i)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Transport.close a;
+      Transport.close b)
+    (fun () ->
+      Transport.connect a ~dst:3 ~port:(Transport.listen_port b);
+      Transport.connect b ~dst:1 ~port:(Transport.listen_port a);
+      pump 0.3;
+      Transport.send a ~dst:3 (app 1);
+      Transport.send b ~dst:1 (app 3);
+      pump 0.3;
+      Alcotest.(check bool) "1 -> 3 delivered" true (arrived 1 ~src:1);
+      Alcotest.(check bool) "3 -> 1 delivered" true (arrived 0 ~src:3))
+
+(* --- node configuration ------------------------------------------------- *)
+
+(* C_config is an ordinary command: a retransmission gets the cached
+   reply without a second boot, a fresh C_config to a booted node is an
+   error, and nothing but C_config runs before the boot. *)
+let test_node_config () =
+  let root = fresh_root "config" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf root)
+    (fun () ->
+      let cluster = Rdt_transport.Sim_backend.create ~n:1 ~seed:1 () in
+      let coord =
+        Rdt_transport.Sim_backend.transport cluster
+          ~me:Transport.coordinator_id
+      in
+      let inbox = Queue.create () in
+      Transport.set_handler coord (fun ev -> Queue.add ev inbox);
+      ignore
+        (Rdt_live.Node.create
+           ~transport:(Rdt_transport.Sim_backend.transport cluster ~me:0)
+           ~dir:root ());
+      let send seq cmd =
+        Transport.send coord ~dst:0 (Wire.Cmd { seq; now = 1.0; cmd })
+      in
+      (* every Reply the node sends until the simulation goes quiet (the
+         Hello timer keeps an unbooted node busy, so the pump is bounded) *)
+      let replies () =
+        let rec pump k =
+          if k > 0 && Transport.poll coord ~timeout:1.0 <> `Idle then
+            pump (k - 1)
+        in
+        pump 50;
+        let rs =
+          Queue.fold
+            (fun acc ev ->
+              match ev with
+              | Transport.Frame { src = 0; frame = Wire.Reply { seq; reply } } ->
+                (seq, reply) :: acc
+              | _ -> acc)
+            [] inbox
+        in
+        Queue.clear inbox;
+        List.rev rs
+      in
+      let one what = function
+        | [ r ] -> r
+        | rs -> Alcotest.failf "%s: %d replies" what (List.length rs)
+      in
+      let is_error = function Wire.R_error _ -> true | _ -> false in
+      let config =
+        Wire.C_config
+          { n = 1; protocol = "fdas"; epoch = 0; ports = [| 0 |]; history = [];
+            sends_ever = 0 }
+      in
+      send 1 Wire.C_state;
+      let seq, r = one "command before boot" (replies ()) in
+      Alcotest.(check int) "pre-boot reply seq" 1 seq;
+      Alcotest.(check bool) "pre-boot command refused" true (is_error r);
+      send 2 config;
+      let _, booted = one "config" (replies ()) in
+      (match booted with
+      | Wire.R_done { events = []; _ } -> ()
+      | _ -> Alcotest.fail "config not answered by an empty R_done");
+      send 2 config;
+      let seq, again = one "retransmitted config" (replies ()) in
+      Alcotest.(check int) "retransmission answers its seq" 2 seq;
+      Alcotest.(check string) "cached reply"
+        (Wire.encode_payload (Wire.Reply { seq; reply = booted }))
+        (Wire.encode_payload (Wire.Reply { seq; reply = again }));
+      (* a second boot would rebuild the stack and lose this checkpoint *)
+      send 3 Wire.C_checkpoint;
+      let after_ckpt =
+        match one "checkpoint" (replies ()) with
+        | _, Wire.R_done { events = [ Wire.T_ckpt _ ]; state } -> state
+        | _ -> Alcotest.fail "checkpoint not answered by R_done"
+      in
+      send 2 config;
+      Alcotest.(check int) "stale config ignored" 0 (List.length (replies ()));
+      send 4 config;
+      let _, r = one "fresh config" (replies ()) in
+      Alcotest.(check bool) "fresh config to a booted node refused" true
+        (is_error r);
+      send 5 Wire.C_state;
+      (match one "state" (replies ()) with
+      | _, Wire.R_state { state } ->
+        Alcotest.(check (array int)) "booted once: dv kept"
+          after_ckpt.Wire.st_dv state.Wire.st_dv;
+        Alcotest.(check (array int)) "booted once: store kept"
+          after_ckpt.Wire.st_retained state.Wire.st_retained
+      | _ -> Alcotest.fail "state query not answered by R_state");
+      send 6 Wire.C_shutdown;
+      ignore (one "shutdown" (replies ())))
+
 (* --- nemesis corpus ----------------------------------------------------- *)
 
 let load_nemesis name =
@@ -293,7 +424,17 @@ let replay_pair ~backend name =
       | Ok vs -> check_clean (name ^ " oracles") vs)
 
 let nemesis_corpus =
-  [ "live_nemesis_partition"; "live_nemesis_dup"; "live_nemesis_delay" ]
+  [
+    "live_nemesis_partition";
+    "live_nemesis_dup";
+    "live_nemesis_delay";
+    (* a killed incarnation's late readiness answer must not stand in for
+       the respawned node's boot *)
+    "live_stale_ready";
+    (* a node->coordinator partition must not swallow every readiness
+       answer: retries punch through like any command's *)
+    "live_ready_partition";
+  ]
 
 let test_nemesis_corpus_sim () =
   List.iter (replay_pair ~backend:Live_fuzz.Sim) nemesis_corpus
@@ -432,6 +573,10 @@ let suite =
       test_wire_error_resync;
     Alcotest.test_case "mid-frame hangup surfaces as Truncated" `Quick
       test_wire_error_truncated;
+    Alcotest.test_case "simultaneous dial keeps both directions" `Quick
+      test_simultaneous_dial;
+    Alcotest.test_case "node boots once, on C_config only" `Quick
+      test_node_config;
     Alcotest.test_case "nemesis corpus replays clean on the simulator" `Quick
       test_nemesis_corpus_sim;
     Alcotest.test_case "nemesis corpus replays clean over TCP" `Slow

@@ -69,7 +69,6 @@ let gen_flow =
         map
           (fun port -> Wire.Hello { pid = 0; port; recovering = false })
           (int_bound 15);
-        return (Wire.Ready { pid = 0 });
       ]
   in
   let* seed = int_bound 0xFFFFFF in

@@ -79,8 +79,13 @@ let raw_frame payload =
   out
 
 let test_bad_tag () =
-  check_error "unknown frame tag" "unknown frame tag 0x2a"
-    (Wire.decode (raw_frame "\x2a"))
+  (* tags 3 and 4 are unassigned: they must stay unknown *)
+  List.iter
+    (fun tag ->
+      check_error "unknown frame tag"
+        (Printf.sprintf "unknown frame tag 0x%02x" tag)
+        (Wire.decode (raw_frame (String.make 1 (Char.chr tag)))))
+    [ 0x03; 0x04; 0x2a ]
 
 let test_malformed () =
   (* valid frame, trailing garbage inside the CRC-covered payload *)
@@ -170,6 +175,13 @@ let gen_frame =
         map (fun li -> Wire.C_release { li }) (gen_dv n);
         return Wire.C_state;
         return Wire.C_shutdown;
+        (let* protocol = string_printable in
+         let* epoch = small_int in
+         let* ports = gen_dv n in
+         let* history = gen_tevs in
+         let* sends_ever = small_int in
+         return
+           (Wire.C_config { n; protocol; epoch; ports; history; sends_ever }));
       ]
   in
   let gen_entry n =
@@ -213,19 +225,6 @@ let gen_frame =
        let* port = small_int in
        let* recovering = bool in
        return (Wire.Hello { pid; port; recovering }));
-      (let* protocol = string_printable in
-       let* knowledge = oneofl [ `Global; `Causal ] in
-       let* ckpt_bytes = small_int in
-       let* epoch = small_int in
-       let* ports = gen_dv n in
-       let* history = gen_tevs in
-       let* sends_ever = small_int in
-       let* last_seq = small_int in
-       return
-         (Wire.Config
-            { n; protocol; knowledge; ckpt_bytes; epoch; ports; history;
-              sends_ever; last_seq }));
-      map (fun pid -> Wire.Ready { pid }) small_int;
       (let* seq = small_int in
        let* now = map float_of_int small_int in
        let* cmd = gen_cmd n in
@@ -274,7 +273,18 @@ let qcheck_garble =
 let test_streaming () =
   (* two frames back to back: decode consumes exactly the first *)
   let a = Wire.encode sample_app in
-  let b = Wire.encode (Wire.Ready { pid = 7 }) in
+  let second =
+    Wire.Cmd
+      {
+        seq = 7;
+        now = 0.0;
+        cmd =
+          Wire.C_config
+            { n = 2; protocol = "fdas"; epoch = 1; ports = [| 0; 0 |];
+              history = [ Wire.T_ckpt { index = 1 } ]; sends_ever = 3 };
+      }
+  in
+  let b = Wire.encode second in
   let cat = Bytes.cat a b in
   match Wire.decode cat with
   | Error e -> Alcotest.failf "decode: %s" (Wire.error_to_string e)
@@ -285,7 +295,7 @@ let test_streaming () =
     | Ok (frame, rest) ->
       Alcotest.(check int) "consumed second frame" (Bytes.length b) rest;
       Alcotest.(check bool) "decoded second frame" true
-        (frame_eq frame (Wire.Ready { pid = 7 }))
+        (frame_eq frame second)
     | Error e -> Alcotest.failf "second decode: %s" (Wire.error_to_string e))
 
 let suite =
