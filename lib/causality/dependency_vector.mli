@@ -69,11 +69,6 @@ val newer_entries : local:int array -> incoming:int array -> int list
 (** Entries [j] with [incoming.(j) > local.(j)], without mutating;
     the test protocols such as FDAS use to detect new dependencies. *)
 
-val newer_entries_iter :
-  local:int array -> incoming:int array -> f:(int -> unit) -> unit
-(** Allocation-free {!newer_entries}: [f] is called on each newer entry in
-    ascending order. *)
-
 val has_newer_entries : local:int array -> incoming:int array -> bool
 (** [newer_entries ~local ~incoming <> []] without building the list and
     with early exit — the per-receive test of FDAS/FDI/CBR. *)

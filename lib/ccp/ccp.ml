@@ -159,7 +159,6 @@ let stable_checkpoints t =
 let messages t = Vec.to_array t.messages
 let message_count t = Vec.length t.messages
 let message_at t i = Vec.get t.messages i
-let iter_messages t f = Vec.iter f t.messages
 
 let vc t c =
   if not (mem t c) then invalid_arg "Ccp.vc: checkpoint not in CCP";

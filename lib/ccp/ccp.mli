@@ -70,7 +70,7 @@ val stable_checkpoints : t -> ckpt list
 
 val messages : t -> message array
 (** Delivered messages only, in trace order (a fresh copy; prefer
-    {!message_count}/{!message_at}/{!iter_messages} on hot paths). *)
+    {!message_count}/{!message_at} on hot paths). *)
 
 val message_count : t -> int
 val message_at : t -> int -> message
@@ -78,8 +78,6 @@ val message_at : t -> int -> message
     {!Incremental}, the prefix [0 .. message_count - 1] only ever grows
     between generation bumps — the property the incremental zigzag
     analyzer relies on. *)
-
-val iter_messages : t -> (message -> unit) -> unit
 
 val vc : t -> ckpt -> Rdt_causality.Vector_clock.t
 (** Vector clock of the checkpoint event ([v_i]: the process's final

@@ -160,10 +160,3 @@ let brute_force_max_consistent ccp ~bound =
     enumerate 0;
     Option.map fst !best
   end
-
-let pp_global ppf g =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (Array.to_list g)

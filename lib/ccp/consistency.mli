@@ -45,5 +45,3 @@ val brute_force_max_consistent : Ccp.t -> bound:global -> global option
     one minimizing {!count_rolled_back}; ties broken by... there are no
     ties: the set of consistent global checkpoints below a bound is a
     lattice, so the maximum is unique. *)
-
-val pp_global : Format.formatter -> global -> unit

@@ -18,7 +18,7 @@ let coordinator = 0
 
 (* The runner's window-side seams.  [handle_message] is the receiver the
    engine invokes inside a window on the owning process's shard;
-   [control_send] stripes its counter by the sending process's shard.
+   [control_send] bumps the sending process's own counter slot.
    The round functions ([start_round], [finish_round], [on_gc_reply])
    also run inside windows, but every path into them is pinned to the
    coordinator's shard, so [t.rounds] has a single writing domain — the
@@ -47,12 +47,11 @@ type t = {
   series_retained : Series.t array;
   series_total : Series.t;
   series_optimal : Series.t;
-  series_store_live_bytes : Series.t;
-  series_store_dead_bytes : Series.t;
   rounds : round_state;
-  (* striped by executing shard: control sends happen inside routed
-     handlers, so a single shared cell would race under [shards > 1] *)
-  control_sent : Rdt_metrics.Shard_counter.t;
+  (* indexed by sending pid: control sends happen inside routed
+     handlers, so a single shared cell would race under [shards > 1],
+     while each slot is only written from its process's shard *)
+  control_sent : int array;
   mutable crashed_pending : int list;
   mutable recoveries : Session.report list;
   mutable on_sample : (t -> unit) option;
@@ -79,8 +78,6 @@ let ccp t =
 let retained_series t = t.series_retained
 let total_retained_series t = t.series_total
 let optimal_retained_series t = t.series_optimal
-let store_live_bytes_series t = t.series_store_live_bytes
-let store_dead_bytes_series t = t.series_store_dead_bytes
 let recoveries t = List.rev t.recoveries
 let set_on_sample t f = t.on_sample <- Some f
 let log_store t pid = Process_stack.log_store t.stacks.(pid)
@@ -132,11 +129,10 @@ let rec arm_ckpt_timer t pid =
 
 let control_send t ~src ~dst msg =
   (* always called from [src]'s own shard, so the slot write is owned *)
-  Rdt_metrics.Shard_counter.incr t.control_sent
-    (Engine.shard_of_pid t.engine src);
+  t.control_sent.(src) <- t.control_sent.(src) + 1;
   Engine.send t.engine ~reliable:true ~src ~dst msg
 
-let control_messages t = Rdt_metrics.Shard_counter.total t.control_sent
+let control_messages t = Array.fold_left ( + ) 0 t.control_sent
 
 let start_round t =
   if Engine.is_up t.engine coordinator then begin
@@ -312,17 +308,6 @@ let sample t =
       Series.add_int t.series_retained.(pid) ~time ~value:count)
     t.middlewares;
   Series.add_int t.series_total ~time ~value:!total;
-  if durable t then begin
-    let live = ref 0 and dead = ref 0 in
-    List.iter
-      (fun ls ->
-        let s = Log_store.stats ls in
-        live := !live + s.Log_store.live_bytes;
-        dead := !dead + s.Log_store.dead_bytes)
-      (log_stores t);
-    Series.add_int t.series_store_live_bytes ~time ~value:!live;
-    Series.add_int t.series_store_dead_bytes ~time ~value:!dead
-  end;
   if t.cfg.Sim_config.protocol.Rdt_protocols.Protocol.rdt then begin
     let snaps = snapshots t in
     let li = Global_gc.last_interval_vector snaps in
@@ -351,25 +336,13 @@ let create (cfg : Sim_config.t) =
   (* A one-shard engine records in canonical order already; only parallel
      dispatch — where processes append from different domains — needs the
      trace to defer sequencing until the stamps can be merged. *)
-  if Engine.parallel_dispatch engine then
+  if Engine.shards engine > 1 then
     Trace.set_order_source trace (Engine.read_stamp engine);
-  (* Per-process state is built shard block by shard block (the engine's
-     contiguous partition), so the objects a domain touches during its
-     windows were allocated together rather than interleaved with every
-     other shard's.  The flat arrays — and therefore every observable
-     result — are identical to a pid-ordered build. *)
-  let init_by_shard : 'a. (int -> 'a) -> 'a array =
-   fun f ->
-    Array.concat
-      (List.init (Engine.shards engine) (fun s ->
-           let lo, hi = Engine.shard_bounds engine s in
-           Array.init (hi - lo) (fun i -> f (lo + i))))
-  in
   (* Every pid's directory is opened and checked before any stack stores
      its s^0, so a stale directory is rejected without writing into the
      others. *)
   let logs =
-    init_by_shard (fun me ->
+    Array.init cfg.n (fun me ->
         match cfg.store with
         | Sim_config.Memory -> None
         | Sim_config.Durable { dir; config } ->
@@ -396,14 +369,13 @@ let create (cfg : Sim_config.t) =
       false
   in
   let stacks =
-    init_by_shard (fun me ->
+    Array.init cfg.n (fun me ->
         Process_stack.create ~n:cfg.n ~me ~protocol:cfg.protocol ~trace
           ~ckpt_bytes:cfg.ckpt_bytes ?log:logs.(me) ~with_lgc ())
   in
   let workload =
     Workload.create cfg.workload ~n:cfg.n
       ~rng:(Prng.split (Engine.rng engine))
-      ~shards:(Engine.shards engine) ()
   in
   let t =
     {
@@ -418,8 +390,6 @@ let create (cfg : Sim_config.t) =
             Series.create ~name:(Printf.sprintf "retained-p%d" pid));
       series_total = Series.create ~name:"retained-total";
       series_optimal = Series.create ~name:"retained-optimal";
-      series_store_live_bytes = Series.create ~name:"store-live-bytes";
-      series_store_dead_bytes = Series.create ~name:"store-dead-bytes";
       rounds =
         {
           next_round = 0;
@@ -428,8 +398,7 @@ let create (cfg : Sim_config.t) =
           expected = [];
           rounds_completed = 0;
         };
-      control_sent =
-        Rdt_metrics.Shard_counter.create ~slots:(Engine.shards engine);
+      control_sent = Array.make cfg.n 0;
       crashed_pending = [];
       recoveries = [];
       on_sample = None;

@@ -74,11 +74,6 @@ val close_stores : t -> unit
 (** Flush, sync and close every on-disk store.  Call once the run (and
     any post-run inspection through {!log_store}) is finished. *)
 
-val store_live_bytes_series : t -> Rdt_metrics.Series.t
-val store_dead_bytes_series : t -> Rdt_metrics.Series.t
-(** Summed on-disk live/dead bytes across processes, sampled at the
-    metrics interval (empty under the memory backend). *)
-
 type summary = {
   n : int;
   duration : float;

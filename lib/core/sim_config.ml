@@ -20,10 +20,6 @@ type store_backend =
   | Memory
   | Durable of { dir : string; config : Rdt_store.Log_store.config }
 
-let store_backend_name = function
-  | Memory -> "memory"
-  | Durable { dir; _ } -> Printf.sprintf "durable:%s" dir
-
 type t = {
   n : int;
   seed : int;

@@ -39,8 +39,6 @@ type store_backend =
           store under [dir/p<pid>]; [dir] must be fresh (recovery of an
           existing directory goes through {!Rdt_store.Log_store} directly) *)
 
-val store_backend_name : store_backend -> string
-
 type t = {
   n : int;
   seed : int;

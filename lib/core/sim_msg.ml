@@ -8,10 +8,6 @@ type t =
     }
   | Gc_collect of { round : int; indices : int list }
 
-let is_control = function
-  | App _ -> false
-  | Gc_query _ | Gc_reply _ | Gc_collect _ -> true
-
 let pp ppf = function
   | App m ->
     Format.fprintf ppf "app#%d from p%d" m.Rdt_protocols.Middleware.msg_id

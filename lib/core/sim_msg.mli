@@ -16,5 +16,4 @@ type t =
   | Gc_collect of { round : int; indices : int list }
       (** coordinator orders elimination of these checkpoint indices *)
 
-val is_control : t -> bool
 val pp : Format.formatter -> t -> unit

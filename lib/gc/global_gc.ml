@@ -71,7 +71,7 @@ let theorem1_collectable snaps ~me ~li =
 
 let theorem2_retained ~entries ~live_dv =
   let len = Array.length entries in
-  if len = 0 then invalid_arg "Global_gc.theorem2_retained: no checkpoints";
+  if len = 0 then invalid_arg "Global_gc.theorem2_collectable: no checkpoints";
   let last = entries.(len - 1).Stable_store.index in
   let keep = ref (Int_set.singleton last) in
   for f = 0 to Array.length live_dv - 1 do

@@ -52,22 +52,16 @@ val theorem1_collectable : snapshot array -> me:int -> li:int array -> int list
 (** Complement of {!theorem1_retained} within the retained set — what the
     Wang-style coordinated collector tells [me] to eliminate. *)
 
-val theorem2_retained :
-  entries:Rdt_storage.Stable_store.entry array ->
-  live_dv:int array ->
-  int list
-(** Corollary 1 evaluated from one process's own state alone (Theorem 2:
-    [li] is the process's own dependency vector): the retained set an
-    optimal asynchronous collector must hold at this instant.  RDT-LGC
-    maintains exactly this set incrementally; this closed form recomputes
-    it from scratch — used by the lazy-collection ablation and by the
-    optimality audits. *)
-
 val theorem2_collectable :
   entries:Rdt_storage.Stable_store.entry array ->
   live_dv:int array ->
   int list
-(** Complement of {!theorem2_retained} within [entries]. *)
+(** Corollary 1 evaluated from one process's own state alone (Theorem 2:
+    [li] is the process's own dependency vector): the checkpoints of
+    [entries] an optimal asynchronous collector eliminates at this
+    instant.  RDT-LGC maintains the retained complement incrementally;
+    this closed form recomputes it from scratch — used by the
+    lazy-collection ablation and by the optimality audits. *)
 
 val total_recovery_line : snapshot array -> int array
 (** The recovery line for the failure of *all* processes, [R_Pi]: the

@@ -61,7 +61,6 @@ let create ~n ~me =
 let me t = t.me
 let n t = t.n
 let dv t = Array.copy t.dv
-let dv_view t = t.dv
 let uc_view t = Array.map (Option.map (fun ccb -> ccb.ind)) t.uc
 let store t = t.store
 

@@ -23,11 +23,6 @@ val n : t -> int
 val dv : t -> int array
 (** Copy of the current dependency vector. *)
 
-val dv_view : t -> int array
-(** Borrowed read-only view of the live vector (no copy) — for callers
-    that inspect it and do not retain it across further events; see
-    DESIGN.md §10 for the ownership rules. *)
-
 val uc_view : t -> int option array
 (** Current UC contents as checkpoint indices ([None] = Null). *)
 

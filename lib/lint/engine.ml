@@ -129,7 +129,6 @@ let mem_match name set = List.exists (name_matches name) set
 let scope_call_specs =
   [
     ("Barrier_team.run_sub", `All);
-    ("Barrier_team.run", `All);
     ("Domain.spawn", `All);
     ("Domain_pool.map", `None);
     (* pinned/owned engine callbacks execute inside the owning shard's
@@ -181,8 +180,7 @@ let mutator_specs =
     ("Queue.clear", 0, None);
     ("Stack.push", 1, None);
     ("Stack.pop", 0, None);
-    (* project containers: event queues, trace vectors, stamp cells,
-       striped metrics counters *)
+    (* project containers: event queues, trace vectors, stamp cells *)
     ("Event_queue.add", 0, None);
     ("Event_queue.add_keyed", 0, None);
     ("Event_queue.pop", 0, None);
@@ -191,8 +189,6 @@ let mutator_specs =
     ("Vec.clear", 0, None);
     ("Vec.truncate", 0, None);
     ("Stamp.set", 0, None);
-    ("Shard_counter.incr", 0, Some 1);
-    ("Shard_counter.add", 0, Some 1);
   ]
 
 let find_mutator name =

@@ -130,8 +130,11 @@ let run ~scenario ~root ~backend ?timeout ?nemesis ?on_nemesis ?log () =
       let result = Coordinator.run ~transport:coord ~ctl ~scenario:sc ?timeout ?log () in
       match result with
       | Ok record ->
-        (* shutdown commands were acknowledged; give the processes a
-           moment to exit on their own before forcing the issue *)
+        (* shutdown commands were acknowledged and each node exits once
+           the coordinator hangs up, so hang up first (the [finally]
+           close is then a no-op), then give the processes a moment to
+           exit on their own before forcing the issue *)
+        Transport.close coord;
         let deadline = Unix.gettimeofday () +. 5.0 in
         Array.iter (fun os_pid -> reap ~deadline os_pid) os_pids;
         Ok record

@@ -13,7 +13,6 @@ type backend =
           executable must route that subcommand to {!node_main} *)
 
 val node_dir : string -> int -> string
-val log_file : string -> int -> string
 
 val node_main :
   me:int ->

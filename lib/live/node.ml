@@ -348,8 +348,6 @@ let create ~transport ~dir () =
   end;
   t
 
-let finished t = t.finished
-
 let main ~transport ~dir () =
   let t = create ~transport ~dir () in
   (* after C_shutdown, linger until the coordinator hangs up: its ack may

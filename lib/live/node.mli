@@ -22,8 +22,5 @@ val create : transport:Rdt_transport.Transport.t -> dir:string -> unit -> t
     node delivers every message twice — a test-only duplication bug the
     live-fuzz self-check must catch. *)
 
-val finished : t -> bool
-(** True once [C_shutdown] was processed (store closed). *)
-
 val main : transport:Rdt_transport.Transport.t -> dir:string -> unit -> unit
 (** [create] then poll until shutdown; the body of a node OS process. *)

@@ -3,7 +3,6 @@ type point = { time : float; value : float }
 type t = { name : string; mutable rev_points : point list; mutable len : int }
 
 let create ~name = { name; rev_points = []; len = 0 }
-let name t = t.name
 
 let add t ~time ~value =
   t.rev_points <- { time; value } :: t.rev_points;

@@ -5,7 +5,6 @@ type point = { time : float; value : float }
 type t
 
 val create : name:string -> t
-val name : t -> string
 val add : t -> time:float -> value:float -> unit
 val add_int : t -> time:float -> value:int -> unit
 val points : t -> point list

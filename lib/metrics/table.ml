@@ -16,7 +16,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: arity mismatch";
   t.rev_rows <- Cells cells :: t.rev_rows
 
-let add_rows t rows = List.iter (add_row t) rows
 let add_separator t = t.rev_rows <- Separator :: t.rev_rows
 
 let render t =

@@ -10,8 +10,6 @@ val create : columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument on arity mismatch with the columns. *)
 
-val add_rows : t -> string list list -> unit
-
 val add_separator : t -> unit
 (** Horizontal rule between row groups. *)
 

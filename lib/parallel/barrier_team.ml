@@ -121,8 +121,6 @@ let create ~size =
   t.domains <- List.init (size - 1) (fun i -> Domain.spawn (worker t (i + 1)));
   t
 
-let size t = t.size
-
 let run_sub t ~active f =
   if active < 1 then invalid_arg "Barrier_team.run_sub: active must be >= 1";
   let active = min active t.size in
@@ -164,8 +162,6 @@ let run_sub t ~active f =
       | (_, e) :: _ -> raise e
       | [] -> ())
   end
-
-let run t f = run_sub t ~active:t.size f
 
 let shutdown t =
   Atomic.set t.stop true;

@@ -26,21 +26,17 @@ val create : size:int -> t
 (** Spawn [size - 1] worker domains (the caller is member 0).
     @raise Invalid_argument if [size < 1]. *)
 
-val size : t -> int
-
-val run : t -> (int -> unit) -> unit
-(** [run t f] executes [f i] for every member [i] in [0 .. size-1], [f 0]
-    on the calling domain, and returns once {e all} members finished (the
-    barrier).  If any [f i] raises, the exception of the lowest failing
-    index is re-raised in the caller after the barrier completes, so
-    error propagation is independent of domain scheduling.  Not
-    reentrant: do not call {!run} from inside [f]. *)
-
 val run_sub : t -> active:int -> (int -> unit) -> unit
-(** {!run} over members [0 .. active-1] only ([active] is clamped to
-    [size]); the remaining members stay parked.  Lets one long-lived team
-    serve engines of different shard counts.  With [active = 1] the job
-    runs inline on the caller and no worker is woken. *)
+(** [run_sub t ~active f] executes [f i] for every member [i] in
+    [0 .. active-1] ([active] is clamped to the team size), [f 0] on the
+    calling domain, and returns once {e all} of them finished (the
+    barrier); the remaining members stay parked, so one long-lived team
+    serves engines of different shard counts.  With [active = 1] the job
+    runs inline on the caller and no worker is woken.  If any [f i]
+    raises, the exception of the lowest failing index is re-raised in the
+    caller after the barrier completes, so error propagation is
+    independent of domain scheduling.  Not reentrant: do not call
+    {!run_sub} from inside [f]. *)
 
 val self_index : unit -> int
 (** Index of the round member the current domain is executing as; [0] on

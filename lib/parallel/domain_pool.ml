@@ -53,8 +53,6 @@ let create ?jobs () =
     List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.jobs
-
 let map t f xs =
   let inputs = Array.of_list xs in
   let len = Array.length inputs in

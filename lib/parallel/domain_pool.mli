@@ -28,11 +28,9 @@ val create : ?jobs:int -> unit -> t
     the fan-out inside {!map} so a [jobs = 1] pool is purely
     sequential. *)
 
-val jobs : t -> int
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], running up to
-    [jobs pool] applications concurrently, and returns the results in
+    [jobs] applications concurrently, and returns the results in
     the order of [xs].  If any application raises, the first exception
     (in input order) is re-raised in the caller after all tasks have
     drained.  [f] must not call back into the pool. *)

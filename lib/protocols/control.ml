@@ -3,8 +3,6 @@ type t = { dv : int array; index : int }
 let make ~dv ~index = { dv = Array.copy dv; index }
 let borrow ~dv ~index = { dv; index }
 
-let size_words t = Array.length t.dv + 1
-
 let pp ppf t =
   Format.fprintf ppf "{dv=(%a); idx=%d}"
     (Format.pp_print_list

@@ -22,7 +22,4 @@ val borrow : dv:int array -> index:int -> t
     micro-benchmarks drive the receive path with a single reused control
     this way.  Never use it for a message that stays in flight. *)
 
-val size_words : t -> int
-(** Control size in machine words ([n + 1]); used for overhead metrics. *)
-
 val pp : Format.formatter -> t -> unit

@@ -28,8 +28,6 @@ type hooks = {
           paper, Algorithm 3 and its DV variant) *)
 }
 
-val no_hooks : hooks
-
 type message = {
   msg_id : int;
   src : int;

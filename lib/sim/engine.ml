@@ -101,8 +101,7 @@ let in_windows = function Windows -> true | Idle | Global -> false
 type 'msg t = {
   n : int;
   nshards : int;
-  block : int;  (* pids [s*block, (s+1)*block) live on shard s *)
-  shard_of : int array;
+  shard_of : int array;  (* contiguous blocks: pid / ceil(n / nshards) *)
   rng : Prng.t;
   net : Network.t;
   shards : 'msg shard array;
@@ -117,7 +116,6 @@ type 'msg t = {
   act_seq : int array;  (* per-process scheduled-action counter *)
   mutable glob_seq : int;
   mutable setup_seq : int;  (* stamps records made outside any event *)
-  scratch : Stamp.t;  (* backs the tuple-returning [current_stamp] *)
   (* inter-shard mailboxes (parallel dispatch only): cell
      [src_shard * nshards + dst_shard] is written only by [src_shard]
      during a window and drained into the destination queues by the
@@ -138,27 +136,8 @@ type 'msg t = {
 let fresh_stats () =
   { sent = 0; delivered = 0; lost = 0; dropped_down = 0; flushed = 0; events = 0 }
 
-let n t = t.n
 let shards t = t.nshards
-
-let shard_of_pid t pid =
-  if pid < 0 || pid >= t.n then invalid_arg "Engine.shard_of_pid: bad pid";
-  t.shard_of.(pid)
-
-let shard_bounds t s =
-  if s < 0 || s >= t.nshards then invalid_arg "Engine.shard_bounds: bad shard";
-  (* ceil-division blocks can leave trailing shards empty (n=5, shards=4
-     gives blocks of 2 and an empty shard 3): clamp both ends *)
-  (min t.n (s * t.block), min t.n ((s + 1) * t.block))
-
 let rng t = t.rng
-let network t = t.net
-
-(* Whether [run] interleaves processes across domains.  A one-shard
-   engine executes (and therefore records) in canonical order already —
-   consumers like the trace use this to skip deferred stamp-merging
-   entirely. *)
-let parallel_dispatch t = t.nshards > 1
 
 (* the shard whose slice the current domain is executing; under parallel
    dispatch the team member index is the shard index, in a window stepped
@@ -189,10 +168,6 @@ let read_stamp t (c : Stamp.t) =
   | Windows ->
     let sh = t.shards.(self_shard t) in
     Stamp.set c ~time:sh.clock.(0) ~u:sh.cur_u ~v:sh.cur_v
-
-let current_stamp t =
-  read_stamp t t.scratch;
-  (Stamp.time t.scratch, Stamp.u t.scratch, Stamp.v t.scratch)
 
 let stats t =
   let acc = fresh_stats () in
@@ -623,7 +598,6 @@ let create ~n ~seed ~net ?(shards = 1) () =
     {
       n;
       nshards;
-      block;
       shard_of = Array.init n (fun pid -> pid / block);
       rng;
       net = Network.create net ~n ~rng:(Prng.split rng);
@@ -647,7 +621,6 @@ let create ~n ~seed ~net ?(shards = 1) () =
       act_seq = Array.make n 0;
       glob_seq = 0;
       setup_seq = 0;
-      scratch = Stamp.create ();
       outbox =
         Array.init (nshards * nshards) (fun _ ->
             { o_len = 0; o_time = [||]; o_u = [||]; o_v = [||]; o_ev = [||] });

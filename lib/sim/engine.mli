@@ -86,26 +86,8 @@ val create :
     @raise Invalid_argument if [min shards n > 1] and
     [net.min_delay <= 0], whatever the host. *)
 
-val n : _ t -> int
-
 val shards : _ t -> int
 (** Effective shard count (after both clamps). *)
-
-val shard_of_pid : _ t -> int -> int
-(** Which shard executes the given process — a pure function of
-    [(n, shards)].  Used by callers that keep per-shard counters. *)
-
-val parallel_dispatch : _ t -> bool
-(** Whether {!run} will interleave processes across domains: [shards > 1].
-    On a one-shard engine events run, and are observed by callbacks, in
-    canonical order already, so consumers such as the trace can skip
-    deferred stamp-merging. *)
-
-val shard_bounds : _ t -> int -> int * int
-(** [shard_bounds t s] is the contiguous pid range [\[lo, hi)] owned by
-    shard [s] — the iteration space for callers that build or scan
-    per-process state shard by shard (e.g. the Runner's shard-local
-    blocks). *)
 
 val now : _ t -> float
 (** Current virtual time of the calling context: inside an event handler,
@@ -116,20 +98,15 @@ val rng : _ t -> Prng.t
 (** The engine's root generator; split it rather than drawing directly if
     you need an independent stream. *)
 
-val network : _ t -> Network.t
-
-val current_stamp : _ t -> float * int * int
-(** Canonical key [(time, u, v)] of the event the calling context is
-    executing — the engine-wide total order on events.  Outside any event,
-    returns a fresh pre-run stamp that sorts before every event (and
-    advances per call). *)
-
 val read_stamp : _ t -> Stamp.t -> unit
-(** {!current_stamp} written into a caller-owned cell instead of a fresh
-    tuple — the allocation-free form the trace uses as its order source
-    in sharded runs to merge per-process logs deterministically (one call
-    per trace record; a tuple per record was a measurable share of the
-    multi-shard allocation storm, DESIGN.md §13). *)
+(** Write the canonical key [(time, u, v)] of the event the calling
+    context is executing — the engine-wide total order on events — into
+    a caller-owned cell.  Outside any event, writes a fresh pre-run
+    stamp that sorts before every event (and advances per call).  The
+    trace uses it as its order source in sharded runs to merge
+    per-process logs deterministically; writing a cell rather than
+    returning a tuple keeps that once-per-record call allocation-free
+    (DESIGN.md §13). *)
 
 val set_receiver : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** [set_receiver t p f] installs the delivery callback of process [p].

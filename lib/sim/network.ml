@@ -8,11 +8,6 @@ type config = {
 let default =
   { min_delay = 0.5; max_delay = 1.5; loss_probability = 0.0; fifo = false }
 
-let pp_config ppf c =
-  Format.fprintf ppf "@[<h>delay=[%g,%g) loss=%g %s@]" c.min_delay c.max_delay
-    c.loss_probability
-    (if c.fifo then "fifo" else "non-fifo")
-
 type t = {
   cfg : config;
   (* one independent stream per source process, derived by indexed split

@@ -17,8 +17,6 @@ type config = {
 val default : config
 (** Non-FIFO, no loss, delays uniform in [\[0.5, 1.5)]. *)
 
-val pp_config : Format.formatter -> config -> unit
-
 type t
 
 val create : config -> n:int -> rng:Prng.t -> t

@@ -24,15 +24,6 @@ let push t v =
   t.data.(t.size) <- v;
   t.size <- t.size + 1
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    t.size <- t.size - 1;
-    Some t.data.(t.size)
-  end
-
-let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
-
 let truncate t len =
   if len < 0 then invalid_arg "Vec.truncate: negative length";
   if len < t.size then t.size <- len
@@ -56,14 +47,5 @@ let fold_left f acc t =
   done;
   !acc
 
-let exists p t =
-  let rec loop i = i < t.size && (p t.data.(i) || loop (i + 1)) in
-  loop 0
-
 let to_list t = List.init t.size (fun i -> t.data.(i))
 let to_array t = Array.sub t.data 0 t.size
-
-let of_list l =
-  let t = create () in
-  List.iter (push t) l;
-  t

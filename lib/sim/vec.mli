@@ -11,8 +11,6 @@ val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a option
-val last : 'a t -> 'a option
 
 val truncate : 'a t -> int -> unit
 (** [truncate v len] drops elements so that [length v = len]; no-op when
@@ -22,7 +20,5 @@ val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
-val of_list : 'a list -> 'a t

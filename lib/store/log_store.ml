@@ -497,14 +497,3 @@ let stats t =
     bytes_reclaimed = t.bytes_reclaimed;
     syncs = t.syncs;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<h>%d segment%s, %d live (%dB live / %dB dead / %dB disk), %d \
-     appended, %d compaction%s (%dB reclaimed), %d fsyncs@]"
-    s.segments
-    (if s.segments = 1 then "" else "s")
-    s.live_records s.live_bytes s.dead_bytes s.disk_bytes s.appended_records
-    s.compactions
-    (if s.compactions = 1 then "" else "s")
-    s.bytes_reclaimed s.syncs

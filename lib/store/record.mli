@@ -36,7 +36,3 @@ val decode : Bytes.t -> (t, string) result
     frame should always decode — a decode error means a foreign or
     corrupted-yet-CRC-colliding record and is counted as dropped by the
     scan. *)
-
-val filler_byte : payload:int -> k:int -> char
-(** Deterministic content of the [k]-th payload filler byte — exposed so
-    tests can verify what recovery read back. *)

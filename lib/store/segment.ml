@@ -41,7 +41,6 @@ let append w payload =
 let pending_records w = w.pending
 let pending_bytes w = Buffer.length w.buf
 let written_bytes w = w.written
-let synced_bytes w = w.synced
 
 let write_all fd b pos len =
   let pos = ref pos and left = ref len in

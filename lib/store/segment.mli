@@ -36,8 +36,6 @@ val pending_bytes : writer -> int
 val written_bytes : writer -> int
 (** Bytes pushed to the file so far (buffered bytes excluded). *)
 
-val synced_bytes : writer -> int
-
 val flush : writer -> unit
 (** Write the pending buffer (one [write] per batch). *)
 

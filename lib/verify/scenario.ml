@@ -540,5 +540,3 @@ let pp ppf sc =
         f.fault_pid f.fault_op
     | None -> "")
     (op_count sc)
-
-let pp_ops ppf sc = Fmt.(list ~sep:sp pp_op) ppf sc.ops

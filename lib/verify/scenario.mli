@@ -83,4 +83,3 @@ val pp : Format.formatter -> t -> unit
 (** One-line summary (seed, size, protocol, op count). *)
 
 val pp_op : Format.formatter -> op -> unit
-val pp_ops : Format.formatter -> t -> unit

@@ -56,26 +56,15 @@ let default =
    split: each process's draws are consumed in its own deterministic
    execution order, so workload randomness is independent of how the
    engine interleaves processes — a prerequisite for shard-count-invariant
-   simulations.
-
-   Streams are stored grouped by engine shard (one sub-array per shard of
-   [block = ceil(n / shards)] processes, the engine's partition), so a
-   sharded run's domains each walk their own sub-array instead of
-   interleaving accesses through one shared array of mutable generator
-   records.  The grouping changes only memory layout: stream [me] is
-   [split_at rng ~index:me] at every shard count. *)
+   simulations. *)
 type t = {
   cfg : config;
   n : int;
-  block : int;
-  streams : Prng.t array array;
+  streams : Prng.t array;
 }
 
-let[@inline] stream t me = t.streams.(me / t.block).(me mod t.block)
-
-let create cfg ~n ~rng ?(shards = 1) () =
+let create cfg ~n ~rng =
   if n < 2 then invalid_arg "Workload.create: need at least two processes";
-  if shards < 1 then invalid_arg "Workload.create: shards must be >= 1";
   if cfg.send_mean_interval <= 0.0 || cfg.basic_ckpt_mean_interval <= 0.0 then
     invalid_arg "Workload.create: intervals must be positive";
   (match cfg.pattern with
@@ -85,27 +74,18 @@ let create cfg ~n ~rng ?(shards = 1) () =
   | Bursty { burst } ->
     if burst <= 0 then invalid_arg "Workload.create: burst must be positive"
   | Uniform | Ring | Pipeline | Broadcast -> ());
-  let shards = min shards n in
-  let block = (n + shards - 1) / shards in
-  let streams =
-    Array.init shards (fun s ->
-        (* trailing shards can be empty under ceil-division blocks *)
-        let lo = min n (s * block) in
-        let len = min n ((s + 1) * block) - lo in
-        Array.init len (fun i -> Prng.split_at rng ~index:(lo + i)))
-  in
-  { cfg; n; block; streams }
+  { cfg; n; streams = Array.init n (fun me -> Prng.split_at rng ~index:me) }
 
 let config t = t.cfg
 
 let next_send_delay t ~me =
-  Prng.exponential (stream t me) ~mean:t.cfg.send_mean_interval
+  Prng.exponential t.streams.(me) ~mean:t.cfg.send_mean_interval
 
 let next_basic_ckpt_delay t ~me =
-  Prng.exponential (stream t me) ~mean:t.cfg.basic_ckpt_mean_interval
+  Prng.exponential t.streams.(me) ~mean:t.cfg.basic_ckpt_mean_interval
 
 let random_peer t ~me =
-  let other = Prng.int (stream t me) (t.n - 1) in
+  let other = Prng.int t.streams.(me) (t.n - 1) in
   if other >= me then other + 1 else other
 
 let destinations t ~me =
@@ -119,16 +99,16 @@ let destinations t ~me =
     if me < servers then begin
       (* a server spontaneously gossips to another server when possible *)
       if servers > 1 then begin
-        let other = Prng.int (stream t me) (servers - 1) in
+        let other = Prng.int t.streams.(me) (servers - 1) in
         [ (if other >= me then other + 1 else other) ]
       end
       else []
     end
-    else [ Prng.int (stream t me) servers ] (* client calls a random server *)
+    else [ Prng.int t.streams.(me) servers ] (* client calls a random server *)
 
 let reply_destinations t ~me ~src =
   if src = me then []
-  else if not (Prng.bernoulli (stream t me) ~p:t.cfg.reply_probability) then []
+  else if not (Prng.bernoulli t.streams.(me) ~p:t.cfg.reply_probability) then []
   else begin
     match t.cfg.pattern with
     | Uniform | Bursty _ -> [ src ]
@@ -137,6 +117,6 @@ let reply_destinations t ~me ~src =
     | Broadcast -> [ src ]
     | Client_server { servers } ->
       if me < servers then [ src ] (* server answers the client *)
-      else [ Prng.int (stream t me) servers ]
+      else [ Prng.int t.streams.(me) servers ]
       (* client follows up with a server *)
   end

@@ -46,13 +46,10 @@ val default : config
 
 type t
 
-val create : config -> n:int -> rng:Rdt_sim.Prng.t -> ?shards:int -> unit -> t
-(** [?shards] (default [1]) groups the per-process generator streams into
-    one sub-array per engine shard (the engine's contiguous-block
-    partition), so sharded runs touch shard-local structures rather than
-    interleaving through one shared array.  Memory layout only: stream
-    [me] is the indexed split [me] of [rng] at every shard count, so
-    workload randomness is identical whatever value is passed. *)
+val create : config -> n:int -> rng:Rdt_sim.Prng.t -> t
+(** Process [me] draws from the indexed split [me] of [rng].
+    @raise Invalid_argument on fewer than two processes, a non-positive
+    interval, or a pattern that does not fit [n]. *)
 
 val config : t -> config
 

@@ -147,10 +147,7 @@ let test_dispatch_rule () =
       let want = expected_shards ~k ~n in
       Alcotest.(check int)
         (Printf.sprintf "shards for k=%d n=%d" k n)
-        want (Engine.shards e);
-      Alcotest.(check bool)
-        (Printf.sprintf "parallel dispatch for k=%d n=%d" k n)
-        (want > 1) (Engine.parallel_dispatch e))
+        want (Engine.shards e))
     [ (1, 4); (2, 4); (4, 4); (8, 4); (2, 1); (3, 2); (16, 64) ]
 
 let test_sharded_cross_shard_delivery () =
@@ -179,14 +176,18 @@ let test_sharded_same_event_order () =
      interleaving across processes is arbitrary — the deterministic
      object is each process's own log plus the engine's canonical stamp,
      which merges the logs into one total order (exactly how the trace
-     reconstructs sequence numbers).  Each cell of [per] is only ever
-     touched by its process's shard. *)
+     reconstructs sequence numbers).  Each cell of [per] and [stamps] is
+     only ever touched by its process's shard. *)
   let run_order shards =
     let e = Engine.create ~n:4 ~seed:9 ~net:Network.default ~shards () in
     let per = Array.make 4 [] in
+    let stamps = Array.init 4 (fun _ -> Rdt_sim.Stamp.create ()) in
     for p = 0 to 3 do
       Engine.set_receiver e p (fun ~src msg ->
-          per.(p) <- (Engine.current_stamp e, p, src, msg) :: per.(p);
+          let c = stamps.(p) in
+          Engine.read_stamp e c;
+          let key = Rdt_sim.Stamp.(time c, u c, v c) in
+          per.(p) <- (key, p, src, msg) :: per.(p);
           (* cascade: every delivery triggers another send, round-robin *)
           if msg < 20 then Engine.send e ~src:p ~dst:((p + 1) mod 4) (msg + 1))
     done;

@@ -148,6 +148,28 @@ let test_tcp_stores_survive () =
             (not (List.is_empty recovered))
         done)
 
+(* Each node exits once the coordinator hangs up, so a TCP run must end
+   as soon as the nodes have acknowledged their shutdown — not at the
+   reaper's 5 s deadline, which only backs up a node that hangs. *)
+let test_tcp_teardown () =
+  let sc = smoke_scenario () in
+  let backend = tcp_backend () in
+  let root = fresh_root "tcp-teardown" in
+  let shutdown_at = ref nan in
+  let log line =
+    if String.equal line "shutting down" then
+      shutdown_at := Unix.gettimeofday ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf root)
+    (fun () ->
+      match Rdt_live.Cluster.run ~scenario:sc ~root ~backend ~log () with
+      | Error e -> Alcotest.failf "cluster run failed: %s" e
+      | Ok _ ->
+        let teardown = Unix.gettimeofday () -. !shutdown_at in
+        if not (teardown < 1.0) then
+          Alcotest.failf "teardown took %.2f s (want < 1 s)" teardown)
+
 (* --- wire-error surfacing on a live socket ------------------------------ *)
 
 let rec write_all fd b pos len =
@@ -567,6 +589,8 @@ let suite =
                         recovery)" `Slow test_tcp_cluster;
     Alcotest.test_case "tcp stores recover after the run" `Slow
       test_tcp_stores_survive;
+    Alcotest.test_case "tcp run ends within 1 s of shutting down" `Slow
+      test_tcp_teardown;
     Alcotest.test_case "garbage length prefix surfaces and drops the link"
       `Quick test_wire_error_kills_link;
     Alcotest.test_case "corrupt body surfaces and resynchronizes" `Quick

@@ -6,7 +6,6 @@ let make ?(n = 5) pattern =
     { Workload.default with pattern; reply_probability = 1.0 }
     ~n
     ~rng:(Prng.create ~seed:7)
-    ()
 
 let in_range ~n dsts = List.for_all (fun d -> d >= 0 && d < n) dsts
 
@@ -64,7 +63,6 @@ let test_reply_probability_zero () =
       { Workload.default with reply_probability = 0.0 }
       ~n:4
       ~rng:(Prng.create ~seed:3)
-      ()
   in
   for _ = 1 to 50 do
     Alcotest.(check (list int)) "never replies" []
@@ -135,7 +133,7 @@ let test_create_validation () =
   Alcotest.(check bool) "n < 2" true
     (bad (fun () ->
          ignore
-           (Workload.create Workload.default ~n:1 ~rng:(Prng.create ~seed:1) ())));
+           (Workload.create Workload.default ~n:1 ~rng:(Prng.create ~seed:1))));
   Alcotest.(check bool) "servers >= n" true
     (bad (fun () ->
          ignore
@@ -144,7 +142,7 @@ let test_create_validation () =
                 Workload.default with
                 pattern = Workload.Client_server { servers = 4 };
               }
-              ~n:3 ~rng:(Prng.create ~seed:1) ())))
+              ~n:3 ~rng:(Prng.create ~seed:1))))
 
 let suite =
   [
