@@ -9,7 +9,7 @@ test:
 	dune runtest
 
 # typed-AST project invariants (lib/lint, DESIGN.md §12); fails on any
-# fresh finding not covered by lint_baseline.txt
+# error-severity finding
 lint:
 	dune build @lint
 

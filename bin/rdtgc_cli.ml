@@ -820,39 +820,7 @@ let live_fuzz_cmd =
 
 (* --- lint ---------------------------------------------------------------- *)
 
-let do_lint root dirs baseline json update_baseline output only =
-  let baseline_file =
-    match baseline with
-    | Some f -> Some f
-    | None ->
-      (* pick up the committed baseline when run from a checkout *)
-      let cand = Filename.concat root "lint_baseline.txt" in
-      if Sys.file_exists cand then Some cand else None
-  in
-  (match only with
-  | Some prefix
-    when not
-           (List.exists
-              (String.starts_with ~prefix)
-              Rdt_lint.Rules.ids) ->
-    prerr_endline
-      (Printf.sprintf
-         "lint: --only %s matches no known rule or family; known rules:" prefix);
-    List.iter prerr_endline Rdt_lint.Rules.ids;
-    exit 2
-  | Some _ | None -> ());
-  let opts =
-    {
-      Rdt_lint.Lint.root;
-      dirs = (match dirs with [] -> [ "lib" ] | ds -> ds);
-      baseline_file;
-      json;
-      update_baseline;
-      output;
-      only;
-    }
-  in
-  exit (Rdt_lint.Lint.run opts)
+let do_lint root dirs = exit (Rdt_lint.Lint.run ~root ~dirs ())
 
 let lint_cmd =
   let doc =
@@ -867,8 +835,7 @@ let lint_cmd =
      global, non-atomic cross-scope reads, un-striped shared-array \
      writes).  Suppress per site with $(b,[@lint.allow \"rule-id\" \
      \"justification\"]) or, for the mt family, $(b,[@lint.single_writer \
-     \"why\"]).  Use $(b,--only mt/) to run one family.  Exit 1 iff there \
-     are findings not covered by the baseline."
+     \"why\"]).  Exit 1 iff there are error-severity findings."
   in
   let root_arg =
     Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR"
@@ -877,37 +844,11 @@ let lint_cmd =
                  inside a build tree.")
   in
   let dir_arg =
-    Arg.(value & opt_all string [] & info [ "dir" ] ~docv:"DIR"
+    Arg.(value & opt_all string [ "lib" ] & info [ "dir" ] ~docv:"DIR"
            ~doc:"Directory (relative to the build root) to scan; repeatable. \
                  Default: lib.")
   in
-  let baseline_arg =
-    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
-           ~doc:"Baseline file of known-finding fingerprints (default: \
-                 ROOT/lint_baseline.txt when present).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON report.")
-  in
-  let update_arg =
-    Arg.(value & flag & info [ "update-baseline" ]
-           ~doc:"Rewrite the baseline file with the current findings.")
-  in
-  let output_arg =
-    Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE"
-           ~doc:"Also write the report to $(docv) (e.g. a CI artifact).")
-  in
-  let only_arg =
-    Arg.(value & opt (some string) None & info [ "only" ] ~docv:"PREFIX"
-           ~doc:"Report only rules whose id starts with $(docv): a family \
-                 (e.g. $(b,mt/), $(b,det/)) or one full rule id.  The \
-                 baseline view is filtered the same way; \
-                 $(b,--update-baseline) still writes the full scan.")
-  in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(
-      const do_lint $ root_arg $ dir_arg $ baseline_arg $ json_arg
-      $ update_arg $ output_arg $ only_arg)
+  Cmd.v (Cmd.info "lint" ~doc) Term.(const do_lint $ root_arg $ dir_arg)
 
 let () =
   let doc =

@@ -10,8 +10,6 @@ type t = {
   message : string;
 }
 
-let severity_label = function Error -> "error" | Warning -> "warning"
-
 let compare_by_site a b =
   let c = String.compare a.file b.file in
   if c <> 0 then c
@@ -24,48 +22,6 @@ let compare_by_site a b =
 
 let sort findings = List.sort compare_by_site findings
 
-(* Fingerprints identify a finding for the baseline without depending on
-   line numbers, so unrelated edits above a baselined site do not churn
-   the baseline file.  Findings that share (rule, file, context) are
-   disambiguated by their ordinal in source order. *)
-let fingerprints findings =
-  let counts = Hashtbl.create 16 in
-  List.map
-    (fun f ->
-      let key = f.rule ^ "|" ^ f.file ^ "|" ^ f.context in
-      let k =
-        match Hashtbl.find_opt counts key with None -> 0 | Some n -> n
-      in
-      Hashtbl.replace counts key (k + 1);
-      Printf.sprintf "%s|%d" key k)
-    (sort findings)
-
 let pp ppf f =
   Format.fprintf ppf "%s:%d:%d: [%s] %s (in %s)" f.file f.line f.col f.rule
     f.message f.context
-
-let to_string f = Format.asprintf "%a" pp f
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json f =
-  Printf.sprintf
-    "{ \"rule\": \"%s\", \"severity\": \"%s\", \"file\": \"%s\", \"line\": \
-     %d, \"col\": %d, \"context\": \"%s\", \"message\": \"%s\" }"
-    (json_escape f.rule)
-    (severity_label f.severity)
-    (json_escape f.file) f.line f.col (json_escape f.context)
-    (json_escape f.message)

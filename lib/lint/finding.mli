@@ -12,15 +12,6 @@ type t = {
   message : string;
 }
 
-val severity_label : severity -> string
 val compare_by_site : t -> t -> int
 val sort : t list -> t list
-
-val fingerprints : t list -> string list
-(** Line-number-independent identities used by the baseline file, in the
-    same order as [sort]. *)
-
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-val to_json : t -> string
-val json_escape : string -> string

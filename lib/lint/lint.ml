@@ -1,32 +1,6 @@
 (* Top-level driver: discover cmts, initialise the compiler's load path,
-   scan, apply the baseline, render.  Exit status 0 unless there are
-   fresh error-severity findings (or --update-baseline rewrote the
-   file). *)
-
-type options = {
-  root : string;
-  dirs : string list;
-  baseline_file : string option;
-  json : bool;
-  update_baseline : bool;
-  output : string option;  (* write the report here as well as stdout *)
-  only : string option;  (* rule-id prefix filter, e.g. "mt/" *)
-}
-
-let default_options =
-  {
-    root = ".";
-    dirs = [ "lib" ];
-    baseline_file = None;
-    json = false;
-    update_baseline = false;
-    output = None;
-    only = None;
-  }
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
+   scan, render.  Exit status 0 unless there are error-severity
+   findings. *)
 
 let scan ?(cfg = Lint_config.default) ~root ~dirs () =
   let d = Discover.find_cmts ~root ~dirs in
@@ -46,56 +20,14 @@ let scan ?(cfg = Lint_config.default) ~root ~dirs () =
     },
     List.rev !warnings )
 
-let run ?(cfg = Lint_config.default) opts =
-  let scans, warns = scan ~cfg ~root:opts.root ~dirs:opts.dirs () in
-  let all_findings = scans.Engine.findings in
-  (* --only narrows reporting (and the view of the baseline, so other
-     families' baselined fingerprints do not surface as stale) to one
-     rule-id prefix; both reporters see the filtered summary.  The
-     baseline is always rewritten from the unfiltered scan so a filtered
-     run cannot silently drop other families' entries. *)
-  let keep rule =
-    match opts.only with
-    | None -> true
-    | Some prefix -> has_prefix ~prefix rule
-  in
-  let findings = List.filter (fun (f : Finding.t) -> keep f.rule) all_findings in
-  let suppressed =
-    List.filter (fun ((f : Finding.t), _) -> keep f.rule) scans.Engine.suppressed
-  in
-  let baseline =
-    match opts.baseline_file with
-    | None -> Baseline.empty
-    | Some path -> Option.value (Baseline.load path) ~default:Baseline.empty
-  in
-  let baseline =
-    { Baseline.entries = List.filter keep baseline.Baseline.entries }
-  in
-  let fresh, baselined, stale = Baseline.apply baseline findings in
+let run ?cfg ~root ~dirs () =
+  let scans, warnings = scan ?cfg ~root ~dirs () in
   let summary =
     {
-      Report.findings = fresh;
-      baselined;
-      suppressed;
-      stale_baseline = stale;
-      warnings = warns;
+      Report.findings = scans.Engine.findings;
+      suppressed = scans.Engine.suppressed;
+      warnings;
     }
   in
-  if opts.update_baseline then begin
-    match opts.baseline_file with
-    | Some path -> Baseline.save path all_findings
-    | None -> ()
-  end;
-  let render ppf =
-    if opts.json then Report.json ppf summary else Report.text ppf summary
-  in
-  render Format.std_formatter;
-  (match opts.output with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     let ppf = Format.formatter_of_out_channel oc in
-     render ppf;
-     Format.pp_print_flush ppf ();
-     close_out oc);
+  Report.text Format.std_formatter summary;
   if Report.ok summary then 0 else 1

@@ -1,29 +1,13 @@
-(** Driver for the whole pass: discovery, scan, baseline, report. *)
-
-type options = {
-  root : string;
-  dirs : string list;
-  baseline_file : string option;
-  json : bool;
-  update_baseline : bool;
-  output : string option;
-  only : string option;
-      (** Restrict reporting to rule ids with this prefix (a family like
-          ["mt/"], or one full id).  Text and JSON reporters both see the
-          filtered summary; fingerprints of other families neither fail
-          the run nor show as stale.  [--update-baseline] still writes
-          the unfiltered scan. *)
-}
-
-val default_options : options
+(** Driver for the whole pass: discovery, scan, report. *)
 
 val scan :
   ?cfg:Lint_config.t -> root:string -> dirs:string list -> unit ->
   Engine.scan * string list
-(** Discovery + scan without baseline or rendering: the findings and the
+(** Discovery + scan without rendering: the findings and the
     discovery/skip warnings.  test_lint.ml drives the fixtures with
     this. *)
 
-val run : ?cfg:Lint_config.t -> options -> int
-(** Returns the process exit status: 0 when clean (possibly with
-    warnings about missing artefacts), 1 on fresh error findings. *)
+val run : ?cfg:Lint_config.t -> root:string -> dirs:string list -> unit -> int
+(** Scans, prints the text report on stdout and returns the process exit
+    status: 0 when clean (possibly with warnings about missing
+    artefacts), 1 on any error-severity finding. *)

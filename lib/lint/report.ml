@@ -1,8 +1,6 @@
 type summary = {
-  findings : Finding.t list;  (* fresh findings, sorted *)
-  baselined : Finding.t list;
+  findings : Finding.t list;  (* sorted *)
   suppressed : (Finding.t * string) list;
-  stale_baseline : string list;
   warnings : string list;
 }
 
@@ -17,53 +15,11 @@ let ok s = List.compare_length_with (errors s) 0 = 0
 let text ppf s =
   List.iter (fun w -> Format.fprintf ppf "%s@." w) s.warnings;
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) s.findings;
-  List.iter
-    (fun fp -> Format.fprintf ppf "baseline: stale entry %s@." fp)
-    s.stale_baseline;
   let n_err = List.length (errors s) in
   let n_warn = List.length s.findings - n_err in
-  Format.fprintf ppf
-    "rdt_lint: %d error%s, %d warning%s, %d suppressed, %d baselined@."
+  Format.fprintf ppf "rdt_lint: %d error%s, %d warning%s, %d suppressed@."
     n_err
     (if n_err = 1 then "" else "s")
     n_warn
     (if n_warn = 1 then "" else "s")
-    (List.length s.suppressed) (List.length s.baselined)
-
-let json ppf s =
-  let fields (f : Finding.t) = Finding.to_json f in
-  Format.fprintf ppf "{@.";
-  Format.fprintf ppf "  \"schema\": \"rdt-lint/1\",@.";
-  Format.fprintf ppf "  \"errors\": %d,@." (List.length (errors s));
-  Format.fprintf ppf "  \"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@.    %s" (fields f))
-    s.findings;
-  Format.fprintf ppf "@.  ],@.";
-  Format.fprintf ppf "  \"baselined\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@.    %s" (fields f))
-    s.baselined;
-  Format.fprintf ppf "@.  ],@.";
-  Format.fprintf ppf "  \"suppressed\": [";
-  List.iteri
-    (fun i (f, why) ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf
-        "@.    { \"finding\": %s, \"justification\": \"%s\" }" (fields f)
-        (Finding.json_escape why))
-    s.suppressed;
-  Format.fprintf ppf "@.  ],@.";
-  Format.fprintf ppf "  \"stale_baseline\": [%s],@."
-    (String.concat ", "
-       (List.map
-          (fun e -> "\"" ^ Finding.json_escape e ^ "\"")
-          s.stale_baseline));
-  Format.fprintf ppf "  \"warnings\": [%s]@."
-    (String.concat ", "
-       (List.map (fun w -> "\"" ^ Finding.json_escape w ^ "\"") s.warnings));
-  Format.fprintf ppf "}@."
+    (List.length s.suppressed)

@@ -1,16 +1,13 @@
-(** Text and JSON reporters over a lint run. *)
+(** Text reporter over a lint run. *)
 
 type summary = {
   findings : Finding.t list;
-  baselined : Finding.t list;
   suppressed : (Finding.t * string) list;
-  stale_baseline : string list;
   warnings : string list;
 }
 
 val errors : summary -> Finding.t list
 val ok : summary -> bool
-(** True when there are no fresh error-severity findings. *)
+(** True when there are no error-severity findings. *)
 
 val text : Format.formatter -> summary -> unit
-val json : Format.formatter -> summary -> unit

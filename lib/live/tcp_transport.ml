@@ -46,8 +46,14 @@ let grow c need =
     c.rbuf <- b
   end
 
+(* Every link, dialled or accepted, turns Nagle's algorithm off: a small
+   frame written while an earlier one is unacknowledged would otherwise
+   wait out the peer's delayed ACK (~40 ms on Linux loopback).  The
+   coordinator only ever accepts, so its side of each node link needs
+   this as much as the dialling side. *)
 let new_conn fd =
   Unix.set_nonblock fd;
+  Unix.setsockopt fd TCP_NODELAY true;
   { fd; peer = None; rbuf = Bytes.create 4096; rlen = 0; alive = true }
 
 (* --- write side -------------------------------------------------------- *)
@@ -250,8 +256,7 @@ let poll t ~timeout =
 let connect t ~dst ~port =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   (try
-     Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.setsockopt fd TCP_NODELAY true
+     Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port))
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);

@@ -4,11 +4,10 @@
      (* EXPECT rule-id *) annotations on the lines that must be flagged;
      the scanner's findings over the fixture .cmt files must match them
      exactly, per rule family;
-   - reporter goldens: exact text rendering and JSON shape for a fixed
-     synthetic summary;
+   - reporter goldens: exact text rendering for a fixed synthetic
+     summary, and the exit status of a whole run;
    - qcheck properties: the suppression matcher silences exactly the
-     annotated rule (or its family), and baseline fingerprints are
-     invariant under line renumbering. *)
+     annotated rule (or its family). *)
 
 module Lint = Rdt_lint.Lint
 module Lint_config = Rdt_lint.Lint_config
@@ -162,14 +161,12 @@ let golden_summary =
         mk "lint/unused-allow" "lib/gc/x.ml" 3 "allow suppresses nothing"
           ~sev:Finding.Warning ~context:"<attribute>";
       ];
-    baselined = [];
     suppressed =
       [
         ( mk "alloc/list" "lib/causality/dependency_vector.ml" 40
             "List.map allocates list cells on the hot path" ~context:"merge",
           "amortized" );
       ];
-    stale_baseline = [ "polycmp/equal|lib/gone.ml|old|0" ];
     warnings = [ "lint: skipping missing directory libx" ];
   }
 
@@ -179,80 +176,30 @@ let golden_text =
    clock (in now)\n\
    lib/gc/x.ml:3:4: [lint/unused-allow] allow suppresses nothing (in \
    <attribute>)\n\
-   baseline: stale entry polycmp/equal|lib/gone.ml|old|0\n\
-   rdt_lint: 1 error, 1 warning, 1 suppressed, 0 baselined\n"
+   rdt_lint: 1 error, 1 warning, 1 suppressed\n"
 
 let test_text_golden () =
   Alcotest.(check string)
     "text rendering" golden_text
     (Format.asprintf "%a" Report.text golden_summary)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i =
-    i + nl <= hl && (String.equal (String.sub hay i nl) needle || go (i + 1))
-  in
-  go 0
-
-let test_json_shape () =
-  let out = Format.asprintf "%a" Report.json golden_summary in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json contains " ^ needle) true
-        (contains ~needle out))
-    [
-      "\"schema\": \"rdt-lint/1\"";
-      "\"errors\": 1";
-      "\"rule\": \"det/wall-clock\"";
-      "\"severity\": \"warning\"";
-      "\"justification\": \"amortized\"";
-      "\"stale_baseline\": [\"polycmp/equal|lib/gone.ml|old|0\"]";
-    ];
-  Alcotest.(check bool) "errors fail the run" false (Report.ok golden_summary)
-
 let test_ok_logic () =
   let warn_only =
     {
       Report.findings =
         [ mk "lint/unused-allow" "lib/x.ml" 1 "m" ~sev:Finding.Warning ];
-      baselined = [];
       suppressed = [];
-      stale_baseline = [];
       warnings = [ "w" ];
     }
   in
   Alcotest.(check bool) "warnings alone keep the run green" true
     (Report.ok warn_only)
 
-let test_only_filter () =
-  (* --only mt/ narrows both reporters to the mt family: the fixture
-     tree has findings in several families, but the filtered JSON
-     report mentions mt rules and no others *)
-  let out = Filename.temp_file "rdt_lint_only" ".json" in
-  let opts =
-    {
-      Lint.root = ".";
-      dirs = [ fixture_dir ];
-      baseline_file = None;
-      json = true;
-      update_baseline = false;
-      output = Some out;
-      only = Some "mt/";
-    }
-  in
-  let status = Lint.run ~cfg:fixture_cfg opts in
-  let ic = open_in out in
-  let body = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove out;
-  Alcotest.(check int) "mt errors fail the filtered run" 1 status;
-  Alcotest.(check bool) "mt findings present" true
-    (contains ~needle:"\"rule\": \"mt/escape-mutable\"" body);
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("filtered out " ^ needle) false
-        (contains ~needle body))
-    [ "\"det/"; "\"alloc/"; "\"unsafe/"; "\"polycmp/"; "\"lint/" ]
+let test_run_exit_status () =
+  (* the fixture tree carries error-severity findings in every family,
+     so a whole run over it must fail *)
+  Alcotest.(check int) "errors fail the run" 1
+    (Lint.run ~cfg:fixture_cfg ~root:"." ~dirs:[ fixture_dir ] ())
 
 (* ---------------- qcheck properties ---------------- *)
 
@@ -302,68 +249,6 @@ let prop_silences =
              Suppress.allow_matches ~allow_rule ~justified ~rule)
            allows))
 
-let finding_gen_of rules =
-  QCheck.Gen.map
-    (fun ((rule, file, context), (line, col)) ->
-      {
-        Finding.rule;
-        severity = Finding.Error;
-        file;
-        line;
-        col;
-        context;
-        message = "m";
-      })
-    (QCheck.Gen.pair
-       (QCheck.Gen.triple
-          (QCheck.Gen.oneofl rules)
-          (QCheck.Gen.oneofl [ "lib/a.ml"; "lib/b.ml"; "lib/sim/c.ml" ])
-          (QCheck.Gen.oneofl [ "f"; "g"; "<toplevel>" ]))
-       (QCheck.Gen.pair (QCheck.Gen.int_range 1 500) (QCheck.Gen.int_range 0 40)))
-
-let finding_gen = finding_gen_of Rules.ids
-
-let prop_fingerprints_stable =
-  QCheck.Test.make ~count:300
-    ~name:"baseline fingerprints ignore line renumbering"
-    (QCheck.make
-       (QCheck.Gen.pair
-          (QCheck.Gen.small_list finding_gen)
-          (QCheck.Gen.int_range 1 97)))
-    (fun (fs, shift) ->
-      let shifted =
-        List.map
-          (fun (f : Finding.t) ->
-            { f with line = f.line + shift; col = f.col + 1 })
-          fs
-      in
-      List.equal String.equal (Finding.fingerprints fs)
-        (Finding.fingerprints shifted))
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-(* Introducing mt/* findings must not move any existing family's
-   baseline fingerprints: the ordinal is per (rule, file, context)
-   group, so a new family only appends new keys.  This is what lets a
-   tree adopt the mt rules without churning its committed baseline. *)
-let prop_mt_fingerprints_inert =
-  let is_mt = has_prefix ~prefix:"mt/" in
-  let mt_rules, other_rules = List.partition is_mt Rules.ids in
-  QCheck.Test.make ~count:300
-    ~name:"mt findings leave other families' fingerprints unchanged"
-    (QCheck.make
-       (QCheck.Gen.pair
-          (QCheck.Gen.small_list (finding_gen_of other_rules))
-          (QCheck.Gen.small_list (finding_gen_of mt_rules))))
-    (fun (base, mts) ->
-      List.equal String.equal
-        (Finding.fingerprints base)
-        (List.filter
-           (fun fp -> not (is_mt fp))
-           (Finding.fingerprints (base @ mts))))
-
 let suite =
   [
     Alcotest.test_case "determinism family" `Quick (check_fixture "det_bad.ml");
@@ -395,18 +280,15 @@ let suite =
       (check_fixture "mt_suppress.ml");
     Alcotest.test_case "single_writer suppresses exactly its mt write site"
       `Quick test_mt_suppressed_sites;
-    Alcotest.test_case "--only narrows reporting to one family" `Quick
-      test_only_filter;
     Alcotest.test_case "fixture discovery is warning-free" `Quick
       test_no_scan_warnings;
     Alcotest.test_case "every emitted rule is registered" `Quick
       test_every_rule_known;
     Alcotest.test_case "text reporter golden" `Quick test_text_golden;
-    Alcotest.test_case "json reporter shape" `Quick test_json_shape;
+    Alcotest.test_case "a run over findings exits 1" `Quick
+      test_run_exit_status;
     Alcotest.test_case "warnings do not fail the run" `Quick test_ok_logic;
     QCheck_alcotest.to_alcotest prop_exact_site;
     QCheck_alcotest.to_alcotest prop_matches_model;
     QCheck_alcotest.to_alcotest prop_silences;
-    QCheck_alcotest.to_alcotest prop_fingerprints_stable;
-    QCheck_alcotest.to_alcotest prop_mt_fingerprints_inert;
   ]
