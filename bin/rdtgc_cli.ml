@@ -211,7 +211,7 @@ let run_cmd =
 let analyze_trace trace retained_of =
   let ccp = Rdt_ccp.Ccp.of_trace trace in
   Format.printf "%a@.@." Rdt_ccp.Ccp.pp ccp;
-  let events = List.length (Rdt_ccp.Trace.all_events trace) in
+  let events = Rdt_ccp.Trace.length trace in
   if events <= 72 then begin
     Rdt_ccp.Diagram.print trace;
     print_newline ()

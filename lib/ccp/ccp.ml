@@ -69,13 +69,14 @@ let reset_builder b =
   Array.fill b.b_cur_interval 0 s.n 0;
   Hashtbl.reset b.b_pending
 
-let handle_event b (ev : Trace.event) =
+let handle_event b ev =
   let s = b.b_ccp in
-  let pid = ev.Trace.pid in
+  let pid = Trace.View.pid ev in
   let vc = s.volatile_vc.(pid) in
   Vector_clock.tick vc pid;
-  match ev.Trace.kind with
-  | Trace.Checkpoint { index } ->
+  match Trace.View.tag ev with
+  | Trace.Checkpoint ->
+    let index = Trace.View.payload ev in
     if index <> Vec.length s.ckpt_vc.(pid) then
       invalid_arg
         (Printf.sprintf
@@ -84,15 +85,16 @@ let handle_event b (ev : Trace.event) =
            (Vec.length s.ckpt_vc.(pid)));
     Vec.push s.ckpt_vc.(pid) (Vector_clock.copy vc);
     b.b_cur_interval.(pid) <- index + 1
-  | Trace.Send { msg_id; dst = _ } ->
-    Hashtbl.replace b.b_pending msg_id
+  | Trace.Send ->
+    Hashtbl.replace b.b_pending (Trace.View.payload ev)
       {
         p_vc = Vector_clock.copy vc;
         p_src = pid;
         p_send_interval = b.b_cur_interval.(pid);
-        p_send_seq = ev.Trace.seq;
+        p_send_seq = Trace.View.seq ev;
       }
-  | Trace.Receive { msg_id; src } -> begin
+  | Trace.Receive -> begin
+    let msg_id = Trace.View.payload ev and src = Trace.View.peer ev in
     match Hashtbl.find_opt b.b_pending msg_id with
     | None ->
       invalid_arg
@@ -112,7 +114,7 @@ let handle_event b (ev : Trace.event) =
           send_seq = p.p_send_seq;
           dst = pid;
           recv_interval = b.b_cur_interval.(pid);
-          recv_seq = ev.Trace.seq;
+          recv_seq = Trace.View.seq ev;
         }
   end
 
@@ -124,8 +126,7 @@ let check_initial_checkpoints s =
            pid)
   done
 
-let build_from_trace b trace =
-  List.iter (handle_event b) (Trace.all_events trace)
+let build_from_trace b trace = Trace.iter trace (handle_event b)
 
 let of_trace trace =
   let b = empty_builder ~n:(Trace.n trace) in

@@ -1,19 +1,20 @@
-let cell_of_event (ev : Trace.event) =
-  match ev.kind with
-  | Trace.Checkpoint { index } -> Printf.sprintf "[%d]" index
-  | Trace.Send { msg_id; _ } -> Printf.sprintf "m%d>" msg_id
-  | Trace.Receive { msg_id; _ } -> Printf.sprintf ">m%d" msg_id
+let cell_of_event ev =
+  let payload = Trace.View.payload ev in
+  match Trace.View.tag ev with
+  | Trace.Checkpoint -> Printf.sprintf "[%d]" payload
+  | Trace.Send -> Printf.sprintf "m%d>" payload
+  | Trace.Receive -> Printf.sprintf ">m%d" payload
 
 let render ?(max_events = 64) trace =
-  let events = Trace.all_events trace in
-  let total = List.length events in
-  let events =
-    if total <= max_events then events
-    else
-      List.filteri (fun i _ -> i >= total - max_events) events
-  in
+  let total = Trace.length trace in
+  let skip = total - max_events in
+  (* the last [max_events] events, as (owner, cell) in sequence order *)
+  let cells = ref [] and i = ref 0 in
+  Trace.iter trace (fun ev ->
+      if !i >= skip then cells := (Trace.View.pid ev, cell_of_event ev) :: !cells;
+      incr i);
+  let cells = List.rev !cells in
   let n = Trace.n trace in
-  let cells = List.map (fun ev -> (ev.Trace.pid, cell_of_event ev)) events in
   let width =
     List.fold_left (fun acc (_, c) -> max acc (String.length c)) 3 cells
   in

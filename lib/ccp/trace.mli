@@ -15,25 +15,44 @@
     this way make the message disappear from the computation (equivalent to
     a loss, which the model allows); a surviving receive of an erased send
     would mean the rollback was inconsistent, and {!Ccp.of_trace} treats it
-    as an error. *)
+    as an error.
 
-type kind =
-  | Checkpoint of { index : int }
-      (** process stored stable checkpoint [s^index] *)
-  | Send of { msg_id : int; dst : int }
-  | Receive of { msg_id : int; src : int }
+    Storage: each process's log is two [int] columns — the sequence
+    number and one packed code holding the tag, the peer and the payload
+    — kept in fixed-size chunks, about two words per event. *)
 
-type event = { mutable seq : int; pid : int; kind : kind }
-(** [seq] is owned by the trace: it is assigned at record time, or — when
-    an order source is installed ({!set_order_source}) — at {!finalize}.
-    Clients must treat it as read-only. *)
+type tag =
+  | Checkpoint  (** the process stored stable checkpoint [s^payload] *)
+  | Send  (** the process sent message [payload] to [peer] *)
+  | Receive  (** the process received message [payload] from [peer] *)
+
+(** Read-only window onto one recorded event.  The trace stores events
+    as packed integer columns, not as records; readers and subscribers
+    are handed a view the trace reuses, so reading an event allocates
+    nothing.  A view is valid only during the callback it is passed to:
+    copy out the fields to keep them. *)
+module View : sig
+  type t
+
+  val seq : t -> int
+  val pid : t -> int
+  val tag : t -> tag
+
+  val peer : t -> int
+  (** The destination of a send, the source of a receive; [0] for a
+      checkpoint. *)
+
+  val payload : t -> int
+  (** The checkpoint index, or the message id. *)
+end
 
 type t
 
 val create : n:int -> t
 (** Empty trace for [n] processes.  Initial checkpoints are not implicit:
-    record [Checkpoint {index = 0}] for each process (the middleware and
-    the builder helpers below do). *)
+    record checkpoint [0] for each process (the middleware and the
+    builder helpers below do).  No column storage is allocated until a
+    process records its first event. *)
 
 val n : t -> int
 
@@ -44,12 +63,13 @@ val set_recording : t -> bool -> unit
     must not accumulate an unbounded log.  A trace that was paused is no
     longer a faithful basis for {!Ccp.of_trace}. *)
 
-val on_event : t -> (event -> unit) -> unit
+val on_event : t -> (View.t -> unit) -> unit
 (** Subscribe to appends: the callback runs after each event is recorded
-    (so in global sequence order — the same linearization {!all_events}
-    returns).  {!Ccp.Incremental} subscribes here to keep an analysis
-    graph up to date in O(new events).  Callbacks do not fire while
-    recording is off. *)
+    (so in global sequence order — the same linearization {!iter}
+    walks).  The view is the trace's own and is valid only during the
+    callback; delivering an event allocates nothing.  {!Ccp.Incremental}
+    subscribes here to keep an analysis graph up to date in O(new
+    events).  Callbacks do not fire while recording is off. *)
 
 val on_truncate : t -> (pid:int -> unit) -> unit
 (** Subscribe to rollbacks: the callback runs after
@@ -73,15 +93,25 @@ val set_order_source : t -> (Rdt_sim.Stamp.t -> unit) -> unit
 val finalize : t -> unit
 (** Sequence every buffered record and fire the {!on_event} callbacks in
     canonical order.  Idempotent; a no-op without an order source.  Called
-    implicitly by every reader ({!events_of}, {!all_events},
-    {!to_channel}, {!truncate_to_checkpoint}); callers only need it
-    explicitly before reading [event.seq] directly.  Must not be called
-    while event handlers may still append (i.e. only between engine
-    windows or after the run). *)
+    implicitly by every reader ({!iter}, {!iter_pid}, {!fold},
+    {!fold_pid}, {!to_channel}, {!truncate_to_checkpoint}); callers only
+    need it explicitly to fire pending {!on_event} callbacks.  Must not be
+    called while event handlers may still append (i.e. only between
+    engine windows or after the run). *)
 
 val record_checkpoint : t -> pid:int -> index:int -> unit
 val record_send : t -> pid:int -> msg_id:int -> dst:int -> unit
 val record_receive : t -> pid:int -> msg_id:int -> src:int -> unit
+(** Append one event to [pid]'s log.
+    @raise Invalid_argument if [pid] or the peer ([dst], [src]) is outside
+    [\[0, n)], or if the payload ([index], [msg_id]) is outside
+    [\[0, max_payload t\]] — the packed code never wraps.  A muted trace
+    ({!set_recording}) checks nothing. *)
+
+val max_payload : t -> int
+(** The largest checkpoint index or message id the packed code holds: a
+    code is the payload above the peer's bits above a 2-bit tag, so the
+    bound depends on [n] ([2^57 - 1] at [n = 8]). *)
 
 val fresh_msg_id : t -> pid:int -> int
 (** Allocates a message identifier unique across the trace
@@ -98,16 +128,29 @@ val restore_msg_ids : t -> pid:int -> count:int -> unit
     erased, or it would mint colliding ids.  Lowering is a no-op. *)
 
 val last_checkpoint_index : t -> pid:int -> int
-(** Index of the last stable checkpoint recorded for [pid]; [-1] if none. *)
+(** Index of the last stable checkpoint in [pid]'s log; [-1] if none.
+    O(1): kept up to date by the recorders and {!truncate_to_checkpoint}. *)
 
-val events_of : t -> pid:int -> event list
+val length : t -> int
+(** Number of events in the trace. *)
+
+val iter : t -> (View.t -> unit) -> unit
+(** All events in sequence order (a causal linearization): a k-way merge
+    of the per-process logs, each of which is already in sequence order.
+    The callback must not record into or truncate the trace. *)
+
+val iter_pid : t -> pid:int -> (View.t -> unit) -> unit
 (** Events of one process, oldest first. *)
 
-val all_events : t -> event list
-(** All events sorted by sequence number (i.e., a causal linearization). *)
+val fold : t -> init:'a -> ('a -> View.t -> 'a) -> 'a
+(** {!iter} as a fold. *)
+
+val fold_pid : t -> pid:int -> init:'a -> ('a -> View.t -> 'a) -> 'a
+(** {!iter_pid} as a fold. *)
 
 val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
-(** Erase every event of [pid] after its [Checkpoint index] event.
+(** Erase every event of [pid] after its last [Checkpoint index] event,
+    scanning back from the tail of the log (a rollback cuts near it).
     @raise Invalid_argument if that checkpoint is not in the trace. *)
 
 (* Serialization: a line-oriented text format so executions can be saved
@@ -131,7 +174,9 @@ val to_string : t -> string
 
 val of_channel : in_channel -> t
 (** Reads the format written by {!to_channel}.
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, including a line the recorders
+    reject (a pid or peer outside [\[0, n)], a payload outside
+    [\[0, max_payload\]]): [Failure "Trace.of_channel: bad line ..."]. *)
 
 val save : t -> string -> unit
 val load : string -> t

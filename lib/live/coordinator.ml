@@ -276,13 +276,15 @@ let register_fresh co =
 (* --- crash + recovery session ------------------------------------------ *)
 
 let history_of co ~pid =
-  List.map
-    (fun (ev : Trace.event) ->
-      match ev.Trace.kind with
-      | Trace.Checkpoint { index } -> Wire.T_ckpt { index }
-      | Trace.Send { msg_id; dst } -> Wire.T_send { msg_id; dst }
-      | Trace.Receive { msg_id; src } -> Wire.T_recv { msg_id; src })
-    (Trace.events_of co.mirror ~pid)
+  List.rev
+    (Trace.fold_pid co.mirror ~pid ~init:[] (fun acc ev ->
+         let payload = Trace.View.payload ev in
+         (match Trace.View.tag ev with
+         | Trace.Checkpoint -> Wire.T_ckpt { index = payload }
+         | Trace.Send -> Wire.T_send { msg_id = payload; dst = Trace.View.peer ev }
+         | Trace.Receive ->
+           Wire.T_recv { msg_id = payload; src = Trace.View.peer ev })
+         :: acc))
 
 (* A dead incarnation's stashed Hello must not satisfy the respawn wait:
    it would re-register a dead port (peers would dial into nothing). *)

@@ -73,11 +73,12 @@ let hello_retry = 0.5
 
 let store_dir t = Filename.concat t.dir "store"
 
-let tev_of (ev : Trace.event) =
-  match ev.kind with
-  | Trace.Checkpoint { index } -> Wire.T_ckpt { index }
-  | Trace.Send { msg_id; dst } -> Wire.T_send { msg_id; dst }
-  | Trace.Receive { msg_id; src } -> Wire.T_recv { msg_id; src }
+let tev_of ev =
+  let payload = Trace.View.payload ev in
+  match Trace.View.tag ev with
+  | Trace.Checkpoint -> Wire.T_ckpt { index = payload }
+  | Trace.Send -> Wire.T_send { msg_id = payload; dst = Trace.View.peer ev }
+  | Trace.Receive -> Wire.T_recv { msg_id = payload; src = Trace.View.peer ev }
 
 let drain t =
   let evs = List.rev t.events in

@@ -274,21 +274,19 @@ let gen_simulated rng ~seed ~max_procs ~shards =
   let ops = ref [] in
   let next_id = ref 0 in
   let idmap = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.kind with
-      | Trace.Checkpoint { index } ->
-        if index > 0 then ops := Checkpoint e.pid :: !ops
-      | Trace.Send { msg_id; dst } ->
+  Trace.iter (Runner.trace r) (fun e ->
+      let pid = Trace.View.pid e and payload = Trace.View.payload e in
+      match Trace.View.tag e with
+      | Trace.Checkpoint -> if payload > 0 then ops := Checkpoint pid :: !ops
+      | Trace.Send ->
         let id = !next_id in
         incr next_id;
-        Hashtbl.replace idmap msg_id id;
-        ops := Send { id; src = e.pid; dst } :: !ops
-      | Trace.Receive { msg_id; _ } -> (
-        match Hashtbl.find_opt idmap msg_id with
+        Hashtbl.replace idmap payload id;
+        ops := Send { id; src = pid; dst = Trace.View.peer e } :: !ops
+      | Trace.Receive -> (
+        match Hashtbl.find_opt idmap payload with
         | Some id -> ops := Deliver id :: !ops
-        | None -> ()))
-    (Trace.all_events (Runner.trace r));
+        | None -> ()));
   let ops = List.rev !ops in
   let ops = List.filteri (fun i _ -> i < max_transcribed_ops) ops in
   let ops =

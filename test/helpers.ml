@@ -73,6 +73,33 @@ let run_case ?gc ?faults case =
   Runner.run t;
   t
 
+(* A trace event copied out of the view the trace lends its readers. *)
+type event = { seq : int; pid : int; tag : Trace.tag; peer : int; payload : int }
+
+let event_of_view v =
+  {
+    seq = Trace.View.seq v;
+    pid = Trace.View.pid v;
+    tag = Trace.View.tag v;
+    peer = Trace.View.peer v;
+    payload = Trace.View.payload v;
+  }
+
+(* Copies of a trace's events, oldest first: all of them in sequence
+   order, or one process's. *)
+let events t =
+  List.rev (Trace.fold t ~init:[] (fun acc v -> event_of_view v :: acc))
+
+let events_of t ~pid =
+  List.rev (Trace.fold_pid t ~pid ~init:[] (fun acc v -> event_of_view v :: acc))
+
+(* Appends a copied event to [pid]'s log of [into]. *)
+let record_event into ~pid (e : event) =
+  match e.tag with
+  | Trace.Checkpoint -> Trace.record_checkpoint into ~pid ~index:e.payload
+  | Trace.Send -> Trace.record_send into ~pid ~msg_id:e.payload ~dst:e.peer
+  | Trace.Receive -> Trace.record_receive into ~pid ~msg_id:e.payload ~src:e.peer
+
 (* Random raw traces (arbitrary interleavings, not necessarily RDT) for
    exercising the CCP analyzers themselves. *)
 let random_trace ~seed ~n ~ops =

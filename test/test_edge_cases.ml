@@ -133,17 +133,18 @@ let test_recovered_process_resumes_workload () =
   let trace = Runner.trace t in
   let late_activity =
     List.exists
-      (fun (ev : Trace.event) ->
+      (fun (ev : Helpers.event) ->
         ev.pid = 1
         &&
-        match ev.kind with
-        | Trace.Checkpoint { index } ->
+        match ev.tag with
+        | Trace.Checkpoint ->
+          let index = ev.payload in
           index > 0
           && (match Stable_store.find (Middleware.store (Runner.middleware t 1)) ~index with
              | Some e -> e.Stable_store.taken_at > 20.0
              | None -> false)
-        | Trace.Send _ | Trace.Receive _ -> false)
-      (Trace.events_of trace ~pid:1)
+        | Trace.Send | Trace.Receive -> false)
+      (Helpers.events_of trace ~pid:1)
   in
   Alcotest.(check bool) "p1 checkpointed after repair" true late_activity
 

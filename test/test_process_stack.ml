@@ -154,15 +154,10 @@ let prop_memory_equals_durable =
 let replay_history ~from ~into ~pid =
   let sends = ref 0 in
   List.iter
-    (fun (ev : Trace.event) ->
-      match ev.Trace.kind with
-      | Trace.Checkpoint { index } -> Trace.record_checkpoint into ~pid ~index
-      | Trace.Send { msg_id; dst } ->
-        incr sends;
-        Trace.record_send into ~pid ~msg_id ~dst
-      | Trace.Receive { msg_id; src } ->
-        Trace.record_receive into ~pid ~msg_id ~src)
-    (Trace.events_of from ~pid);
+    (fun (ev : Helpers.event) ->
+      if ev.tag = Trace.Send then incr sends;
+      Helpers.record_event into ~pid ev)
+    (Helpers.events_of from ~pid);
   Trace.restore_msg_ids into ~pid ~count:!sends
 
 let test_restore_round_trip () =

@@ -15,7 +15,7 @@ let test_seq_monotone () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
   Trace.message t ~src:0 ~dst:1;
   Trace.checkpoint t 1;
-  let seqs = List.map (fun (e : Trace.event) -> e.seq) (Trace.all_events t) in
+  let seqs = List.map (fun (e : Helpers.event) -> e.seq) (Helpers.events t) in
   Alcotest.(check (list int)) "sorted unique" (List.sort_uniq compare seqs) seqs
 
 let test_ccp_shape () =
@@ -165,8 +165,8 @@ let test_serialization_roundtrip () =
       let reloaded = Trace.load path in
       let dump t =
         List.map
-          (fun (e : Trace.event) -> (e.pid, e.kind))
-          (Trace.all_events t)
+          (fun (e : Helpers.event) -> (e.pid, e.tag, e.peer, e.payload))
+          (Helpers.events t)
       in
       Alcotest.(check bool) "same events in order" true
         (dump original = dump reloaded);
@@ -183,12 +183,11 @@ let test_serialization_roundtrip () =
       let id = Trace.fresh_msg_id reloaded ~pid:0 in
       Alcotest.(check bool) "fresh id beyond the loaded ones" true
         (List.for_all
-           (fun (e : Trace.event) ->
-             match e.kind with
-             | Trace.Send { msg_id; _ } | Trace.Receive { msg_id; _ } ->
-               msg_id < id
-             | Trace.Checkpoint _ -> true)
-           (Trace.all_events reloaded)))
+           (fun (e : Helpers.event) ->
+             match e.tag with
+             | Trace.Send | Trace.Receive -> e.payload < id
+             | Trace.Checkpoint -> true)
+           (Helpers.events reloaded)))
 
 let test_to_string_matches_save () =
   let saved_bytes t =
@@ -264,11 +263,288 @@ let test_finalize_empty_first_process () =
       Rdt_sim.Stamp.set c ~time:!clock ~u:0 ~v:0);
   Trace.record_checkpoint t ~pid:2 ~index:0;
   Trace.record_checkpoint t ~pid:1 ~index:0;
-  let evs = Trace.all_events t in
+  let evs = Helpers.events t in
   Alcotest.(check int) "both records sequenced" 2 (List.length evs);
   Alcotest.(check (list int))
     "canonical (stamp) order, not pid order" [ 2; 1 ]
-    (List.map (fun (e : Trace.event) -> e.pid) evs)
+    (List.map (fun (e : Helpers.event) -> e.pid) evs)
+
+(* --- packed-code range checks --------------------------------------- *)
+
+let raises_invalid f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+let test_record_rejects_unpackable () =
+  let t = Trace.init_with_initial_checkpoints ~n:2 in
+  let before = Trace.to_string t in
+  let big = Trace.max_payload t + 1 in
+  List.iter
+    (fun (what, f) -> Alcotest.(check bool) what true (raises_invalid f))
+    [
+      ("dst = n", fun () -> Trace.record_send t ~pid:0 ~msg_id:0 ~dst:2);
+      ("dst < 0", fun () -> Trace.record_send t ~pid:0 ~msg_id:0 ~dst:(-1));
+      ("src = n", fun () -> Trace.record_receive t ~pid:1 ~msg_id:0 ~src:2);
+      ("src < 0", fun () -> Trace.record_receive t ~pid:1 ~msg_id:0 ~src:(-1));
+      ("pid = n", fun () -> Trace.record_checkpoint t ~pid:2 ~index:1);
+      ("index too wide", fun () -> Trace.record_checkpoint t ~pid:0 ~index:big);
+      ("index < 0", fun () -> Trace.record_checkpoint t ~pid:0 ~index:(-1));
+      ("msg id too wide", fun () -> Trace.record_send t ~pid:0 ~msg_id:big ~dst:1);
+      ("msg id < 0", fun () -> Trace.record_receive t ~pid:1 ~msg_id:(-1) ~src:0);
+    ];
+  Alcotest.(check string) "nothing stored" before (Trace.to_string t);
+  (* the widest values that fit round-trip intact *)
+  let top = Trace.max_payload t in
+  Trace.record_send t ~pid:1 ~msg_id:top ~dst:1;
+  Trace.record_checkpoint t ~pid:1 ~index:top;
+  Alcotest.(check (list (pair int int)))
+    "peer n-1 and max payload decode" [ (1, top); (0, top) ]
+    (List.filteri (fun i _ -> i >= 1)
+       (List.map
+          (fun (e : Helpers.event) -> (e.peer, e.payload))
+          (Helpers.events_of t ~pid:1)));
+  Alcotest.(check int) "max index is last" top (Trace.last_checkpoint_index t ~pid:1)
+
+let load_string text =
+  let path = Filename.temp_file "rdtgc" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Trace.load path)
+
+let test_load_rejects_unpackable () =
+  let big = string_of_int (Trace.max_payload (Trace.create ~n:2) + 1) in
+  List.iter
+    (fun line ->
+      Alcotest.check_raises line
+        (Failure (Printf.sprintf "Trace.of_channel: bad line %S" line))
+        (fun () -> ignore (load_string ("rdtgc-trace 1\nn 2\nC 0 0\n" ^ line ^ "\n"))))
+    [
+      "S 0 0 9"; "S 0 0 -1"; "R 1 0 2"; "C 0 " ^ big; "S 0 " ^ big ^ " 1";
+      "C 2 0"; "C 0 -1"; "C 0"; "C 0 99999999999999999999999";
+    ]
+
+(* --- allocation guard ------------------------------------------------ *)
+
+(* Exact minor words ([Gc.minor_words], not the quantised
+   [Gc.quick_stat]) per recorded event, after a warm-up that grows every
+   process's first chunk to full size. *)
+let minor_words_per_event t =
+  let n = Trace.n t in
+  let record count =
+    for i = 0 to count - 1 do
+      let pid = i mod n in
+      Trace.record_send t ~pid ~msg_id:i ~dst:((pid + 1) mod n)
+    done
+  in
+  record 20_000;
+  let events = 100_000 in
+  let w0 = Gc.minor_words () in
+  record events;
+  (Gc.minor_words () -. w0) /. float_of_int events
+
+let test_record_allocation () =
+  let quiet = Trace.create ~n:4 in
+  let w = minor_words_per_event quiet in
+  if w >= 0.1 then Alcotest.failf "recording: %.3f minor words/event" w;
+  let watched = Trace.create ~n:4 in
+  let seen = ref 0 in
+  Trace.on_event watched (fun _ -> incr seen);
+  let w = minor_words_per_event watched in
+  if w >= 0.1 then Alcotest.failf "delivering to a subscriber: %.3f minor words/event" w;
+  Alcotest.(check int) "every event delivered" 120_000 !seen
+
+(* --- model-based property -------------------------------------------- *)
+
+(* Random sequences of records, truncations and finalizations, on traces
+   with and without an order source, checked against a plain list model:
+   per-process logs (newest first) whose seqs are assigned at record time,
+   or — with a source — at the model's own finalize, by sorting the
+   buffered records on (time, k, pid) as the trace's canonical order
+   does (the test source stamps u = v = 0 and a non-decreasing time). *)
+type m_event = {
+  mutable m_seq : int;
+  m_pid : int;
+  m_tag : Trace.tag;
+  m_peer : int;
+  m_payload : int;
+}
+
+type model = {
+  m_logs : m_event list array;
+  mutable m_pending : (float * int * m_event) list;
+  mutable m_next_seq : int;
+  m_last_time : float array;
+  m_last_k : int array;
+  m_last_ckpt : int array;
+}
+
+type op = { kind : int; a : int; b : int; c : int; tick : bool }
+
+let print_op o =
+  Printf.sprintf "{kind=%d a=%d b=%d c=%d tick=%b}" o.kind o.a o.b o.c o.tick
+
+let model_finalize m =
+  let sorted =
+    List.sort
+      (fun (t1, k1, e1) (t2, k2, e2) -> compare (t1, k1, e1.m_pid) (t2, k2, e2.m_pid))
+      m.m_pending
+  in
+  List.iter
+    (fun (_, _, e) ->
+      e.m_seq <- m.m_next_seq;
+      m.m_next_seq <- m.m_next_seq + 1)
+    sorted;
+  m.m_pending <- []
+
+let expect_invalid what f =
+  if not (raises_invalid f) then QCheck.Test.fail_reportf "%s did not raise" what
+
+let run_model ~n ~sourced ops =
+  let t = Trace.create ~n in
+  let clock = ref 0.0 in
+  if sourced then
+    Trace.set_order_source t (fun c -> Rdt_sim.Stamp.set c ~time:!clock ~u:0 ~v:0);
+  let m =
+    {
+      m_logs = Array.make n [];
+      m_pending = [];
+      m_next_seq = 0;
+      m_last_time = Array.make n nan;
+      m_last_k = Array.make n 0;
+      m_last_ckpt = Array.make n (-1);
+    }
+  in
+  let top = Trace.max_payload t in
+  (* pid n-1 and the widest payload are picked often; n and top + 1 now
+     and then, which the trace must reject untouched *)
+  let pick x = if x mod 3 = 0 then n - 1 else if x mod 23 = 0 then n else x mod n in
+  let payload_of x = match x mod 5 with 0 -> top | 1 -> top + 1 | 2 -> 0 | _ -> x in
+  let valid pid peer payload =
+    pid < n && peer < n && payload >= 0 && payload <= top
+  in
+  let record pid tag peer payload =
+    let go () =
+      match tag with
+      | Trace.Checkpoint -> Trace.record_checkpoint t ~pid ~index:payload
+      | Trace.Send -> Trace.record_send t ~pid ~msg_id:payload ~dst:peer
+      | Trace.Receive -> Trace.record_receive t ~pid ~msg_id:payload ~src:peer
+    in
+    if not (valid pid peer payload) then expect_invalid "out-of-range record" go
+    else begin
+      go ();
+      let e = { m_seq = -1; m_pid = pid; m_tag = tag; m_peer = peer; m_payload = payload } in
+      m.m_logs.(pid) <- e :: m.m_logs.(pid);
+      if tag = Trace.Checkpoint then m.m_last_ckpt.(pid) <- payload;
+      if sourced then begin
+        let k =
+          if Float.equal !clock m.m_last_time.(pid) then m.m_last_k.(pid) + 1 else 0
+        in
+        m.m_last_time.(pid) <- !clock;
+        m.m_last_k.(pid) <- k;
+        m.m_pending <- (!clock, k, e) :: m.m_pending
+      end
+      else begin
+        e.m_seq <- m.m_next_seq;
+        m.m_next_seq <- m.m_next_seq + 1
+      end
+    end
+  in
+  let step o =
+    if o.tick then clock := !clock +. 1.0;
+    match o.kind with
+    | 0 ->
+      let pid = pick o.a in
+      let index =
+        match o.b mod 3 with
+        | 0 when pid < n -> m.m_last_ckpt.(pid) + 1
+        | 1 -> payload_of o.c
+        | _ -> 0
+      in
+      record pid Trace.Checkpoint 0 index
+    | 1 -> record (pick o.a) Trace.Send (pick o.b) (payload_of o.c)
+    | 2 -> record (pick o.a) Trace.Receive (pick o.b) (payload_of o.c)
+    | 3 ->
+      let pid = o.a mod n in
+      let ckpts =
+        List.filter_map
+          (fun e -> if e.m_tag = Trace.Checkpoint then Some e.m_payload else None)
+          m.m_logs.(pid)
+      in
+      let index =
+        if ckpts = [] || o.b mod 4 = 0 then o.c mod 7
+        else List.nth ckpts (o.c mod List.length ckpts)
+      in
+      model_finalize m;
+      if List.mem index ckpts then begin
+        Trace.truncate_to_checkpoint t ~pid ~index;
+        let rec cut = function
+          | e :: rest when e.m_tag = Trace.Checkpoint && e.m_payload = index -> e :: rest
+          | _ :: rest -> cut rest
+          | [] -> []
+        in
+        m.m_logs.(pid) <- cut m.m_logs.(pid);
+        m.m_last_ckpt.(pid) <- index
+      end
+      else
+        expect_invalid "truncation to a missing checkpoint" (fun () ->
+            Trace.truncate_to_checkpoint t ~pid ~index)
+    | _ ->
+      Trace.finalize t;
+      model_finalize m
+  in
+  List.iter step ops;
+  for pid = 0 to n - 1 do
+    if Trace.last_checkpoint_index t ~pid <> m.m_last_ckpt.(pid) then
+      QCheck.Test.fail_reportf "last_checkpoint_index p%d: %d, model %d" pid
+        (Trace.last_checkpoint_index t ~pid) m.m_last_ckpt.(pid)
+  done;
+  model_finalize m;
+  let decode e = (e.m_seq, e.m_pid, e.m_tag, e.m_peer, e.m_payload) in
+  let of_event (e : Helpers.event) = (e.seq, e.pid, e.tag, e.peer, e.payload) in
+  let model_all =
+    List.sort compare (List.concat_map (fun l -> List.rev_map decode l) (Array.to_list m.m_logs))
+  in
+  let ok_all = List.map of_event (Helpers.events t) = model_all in
+  let ok_pids =
+    List.for_all
+      (fun pid ->
+        List.map of_event (Helpers.events_of t ~pid) = List.rev_map decode m.m_logs.(pid))
+      (List.init n Fun.id)
+  in
+  let ok_fold = Trace.fold t ~init:0 (fun k _ -> k + 1) = List.length model_all in
+  let text =
+    String.concat ""
+      (Printf.sprintf "rdtgc-trace 1\nn %d\n" n
+      :: List.map
+           (fun (_, pid, tag, peer, payload) ->
+             match tag with
+             | Trace.Checkpoint -> Printf.sprintf "C %d %d\n" pid payload
+             | Trace.Send -> Printf.sprintf "S %d %d %d\n" pid payload peer
+             | Trace.Receive -> Printf.sprintf "R %d %d %d\n" pid payload peer)
+           model_all)
+  in
+  let ok_text = Trace.to_string t = text in
+  let ok_roundtrip = Trace.to_string (load_string (Trace.to_string t)) = text in
+  ok_all && ok_pids && ok_fold && ok_text && ok_roundtrip
+
+let prop_trace_model =
+  let op_gen =
+    QCheck.Gen.(
+      map
+        (fun (kind, a, b, (c, tick)) -> { kind; a; b; c; tick })
+        (quad (int_bound 4) nat nat (pair nat bool)))
+  in
+  QCheck.Test.make ~name:"trace columns match a list model" ~count:300
+    (QCheck.make
+       ~print:(fun (n, sourced, ops) ->
+         Printf.sprintf "n=%d sourced=%b [%s]" n sourced
+           (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(triple (int_range 1 5) bool (list_size (int_range 0 80) op_gen)))
+    (fun (n, sourced, ops) -> run_model ~n ~sourced ops)
 
 let suite =
   [
@@ -297,5 +573,12 @@ let suite =
       test_truncate_missing_checkpoint;
     Alcotest.test_case "finalize with empty first process" `Quick
       test_finalize_empty_first_process;
+    Alcotest.test_case "record rejects what the code cannot pack" `Quick
+      test_record_rejects_unpackable;
+    Alcotest.test_case "load rejects what the code cannot pack" `Quick
+      test_load_rejects_unpackable;
+    Alcotest.test_case "recording and delivery allocate nothing" `Quick
+      test_record_allocation;
     QCheck_alcotest.to_alcotest prop_precedes_vs_reachability;
+    QCheck_alcotest.to_alcotest prop_trace_model;
   ]

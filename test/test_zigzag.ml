@@ -153,21 +153,21 @@ let causal_shuffle ~seed trace =
   let rng = Rdt_sim.Prng.create ~seed in
   let n = Trace.n trace in
   let queues =
-    Array.init n (fun pid -> ref (Trace.events_of trace ~pid))
+    Array.init n (fun pid -> ref (Helpers.events_of trace ~pid))
   in
   let sent = Hashtbl.create 64 in
   let out = Trace.create ~n in
-  let total = List.length (Trace.all_events trace) in
+  let total = Trace.length trace in
   for _ = 1 to total do
     let ready =
       List.filter
         (fun pid ->
           match !(queues.(pid)) with
           | [] -> false
-          | e :: _ -> (
-            match e.Trace.kind with
-            | Trace.Receive { msg_id; _ } -> Hashtbl.mem sent msg_id
-            | Trace.Checkpoint _ | Trace.Send _ -> true))
+          | (e : Helpers.event) :: _ -> (
+            match e.tag with
+            | Trace.Receive -> Hashtbl.mem sent e.payload
+            | Trace.Checkpoint | Trace.Send -> true))
         (List.init n Fun.id)
     in
     (* the recorded order itself is causal, so some head is always ready *)
@@ -176,13 +176,8 @@ let causal_shuffle ~seed trace =
     | [] -> assert false
     | e :: rest ->
       queues.(pid) := rest;
-      (match e.Trace.kind with
-      | Trace.Checkpoint { index } -> Trace.record_checkpoint out ~pid ~index
-      | Trace.Send { msg_id; dst } ->
-        Hashtbl.replace sent msg_id ();
-        Trace.record_send out ~pid ~msg_id ~dst
-      | Trace.Receive { msg_id; src } ->
-        Trace.record_receive out ~pid ~msg_id ~src)
+      if e.tag = Trace.Send then Hashtbl.replace sent e.payload ();
+      Helpers.record_event out ~pid e
   done;
   out
 
