@@ -10,11 +10,7 @@ module Series = Rdt_metrics.Series
 module Stats = Rdt_metrics.Stats
 module Table = Rdt_metrics.Table
 module Oracle = Rdt_gc.Oracle
-module Ccp = Rdt_ccp.Ccp
-module Stable_store = Rdt_storage.Stable_store
-module Middleware = Rdt_protocols.Middleware
-module Global_gc = Rdt_gc.Global_gc
-module Session = Rdt_recovery.Session
+module Oracles = Rdt_verify.Oracles
 
 let seeds = [ 11; 23; 37 ]
 
@@ -261,26 +257,15 @@ let exp_e3 () =
                 let ccp = Runner.ccp run in
                 let obsolete = List.length (Oracle.obsolete ccp) in
                 (* Theorem 5 check: retained = Theorem-2 set *)
-                let n = (Runner.config run).Sim_config.n in
-                let snaps =
-                  Array.init n (fun pid ->
-                      Session.snapshot_of (Runner.middleware run pid))
+                let optimal =
+                  List.is_empty
+                    (Oracles.optimality ~stack:(Runner.stack run) ~ccp
+                       ~exact:true ~op:(-1))
                 in
-                let optimal = ref true in
-                for pid = 0 to n - 1 do
-                  let li = snaps.(pid).Global_gc.live_dv in
-                  let causal = Global_gc.theorem1_retained snaps ~me:pid ~li in
-                  let retained =
-                    Stable_store.retained_indices
-                      (Middleware.store (Runner.middleware run pid))
-                  in
-                  if List.sort compare causal <> List.sort compare retained
-                  then optimal := false
-                done;
                 ( s.Runner.stored_total,
                   s.Runner.eliminated_total,
                   obsolete,
-                  !optimal ))
+                  optimal ))
               seeds)
           ckpt_means)
       send_means
@@ -529,16 +514,8 @@ let exp_e6 () =
             let s = Runner.summary run in
             let ccp = Runner.ccp run in
             let safe =
-              List.for_all
-                (fun pid ->
-                  let retained =
-                    Stable_store.retained_indices
-                      (Middleware.store (Runner.middleware run pid))
-                  in
-                  List.for_all
-                    (fun needed -> List.mem needed retained)
-                    (Oracle.retained ccp ~pid))
-                (List.init 5 Fun.id)
+              List.is_empty
+                (Oracles.safety ~stack:(Runner.stack run) ~ccp ~op:(-1))
             in
             ( s.Runner.recovery_sessions,
               s.Runner.checkpoints_rolled_back,

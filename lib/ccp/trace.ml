@@ -448,24 +448,27 @@ let fold t ~init f = fold_with iter t ~init f
 let fold_pid t ~pid ~init f = fold_with (iter_pid ~pid) t ~init f
 
 let truncate_to_checkpoint t ~pid ~index =
-  (* sequence everything first: pending records of the truncated suffix
-     must reach subscribers (they happened) before the retraction does *)
-  finalize t;
-  let log = t.logs.(pid) in
-  let missing () =
-    invalid_arg "Trace.truncate_to_checkpoint: checkpoint not in trace"
-  in
-  if index < 0 || index > t.max_payload then missing ();
-  let target = pack t Checkpoint ~peer:0 ~payload:index in
-  let rec find i =
-    if i < 0 then missing ()
-    else if log_code log i = target then i
-    else find (i - 1)
-  in
-  let cut = find (log.len - 1) in
-  log_truncate log (cut + 1);
-  t.last_ckpt.(pid) <- index;
-  List.iter (fun f -> f ~pid) t.on_truncate
+  (* a muted trace recorded nothing, so there is nothing to cut *)
+  if t.recording then begin
+    (* sequence everything first: pending records of the truncated suffix
+       must reach subscribers (they happened) before the retraction does *)
+    finalize t;
+    let log = t.logs.(pid) in
+    let missing () =
+      invalid_arg "Trace.truncate_to_checkpoint: checkpoint not in trace"
+    in
+    if index < 0 || index > t.max_payload then missing ();
+    let target = pack t Checkpoint ~peer:0 ~payload:index in
+    let rec find i =
+      if i < 0 then missing ()
+      else if log_code log i = target then i
+      else find (i - 1)
+    in
+    let cut = find (log.len - 1) in
+    log_truncate log (cut + 1);
+    t.last_ckpt.(pid) <- index;
+    List.iter (fun f -> f ~pid) t.on_truncate
+  end
 
 (* Serialization *)
 

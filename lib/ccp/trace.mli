@@ -58,9 +58,10 @@ val n : t -> int
 
 val set_recording : t -> bool -> unit
 (** Disable (or re-enable) event recording.  With recording off the
-    [record_*] functions are no-ops (message ids are still allocated);
-    used by micro-benchmarks that drive the middleware in a hot loop and
-    must not accumulate an unbounded log.  A trace that was paused is no
+    [record_*] functions and {!truncate_to_checkpoint} are no-ops
+    (message ids are still allocated), so a muted run survives rollbacks;
+    used by benchmarks that drive the middleware in a hot loop and must
+    not accumulate an unbounded log.  A trace that was paused is no
     longer a faithful basis for {!Ccp.of_trace}. *)
 
 val on_event : t -> (View.t -> unit) -> unit
@@ -151,6 +152,8 @@ val fold_pid : t -> pid:int -> init:'a -> ('a -> View.t -> 'a) -> 'a
 val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
 (** Erase every event of [pid] after its last [Checkpoint index] event,
     scanning back from the tail of the log (a rollback cuts near it).
+    While recording is off it does nothing and {!on_truncate} callbacks do
+    not fire.
     @raise Invalid_argument if that checkpoint is not in the trace. *)
 
 (* Serialization: a line-oriented text format so executions can be saved

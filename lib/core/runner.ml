@@ -65,6 +65,7 @@ let config t = t.cfg
 let engine t = t.engine
 let now t = Engine.now t.engine
 let trace t = t.trace
+let stack t pid = t.stacks.(pid)
 let middleware t pid = t.middlewares.(pid)
 let collector t pid = Process_stack.collector t.stacks.(pid)
 let ccp t =
@@ -108,9 +109,9 @@ let reply_sends t pid ~src =
     (fun dst -> app_send t ~src:pid ~dst)
     (Workload.reply_destinations t.workload ~me:pid ~src)
 
-(* Per-process timers are [pin]ned (not [owner]ed): they execute on the
-   process's shard, but keep firing while it is down so they can re-arm —
-   the explicit [is_up] guard reproduces the skip. *)
+(* Per-process timers are [pin]ned: they execute on the process's shard
+   and keep firing while it is down so they can re-arm; the [is_up] guard
+   skips their work meanwhile. *)
 let rec arm_send_timer t pid =
   let delay = Workload.next_send_delay t.workload ~me:pid in
   Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->

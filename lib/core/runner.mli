@@ -39,6 +39,9 @@ val config : t -> Sim_config.t
 val engine : t -> Sim_msg.t Rdt_sim.Engine.t
 val now : t -> float
 val trace : t -> Rdt_ccp.Trace.t
+val stack : t -> int -> Rdt_recovery.Process_stack.t
+(** One process's store → middleware → collector stack. *)
+
 val middleware : t -> int -> Rdt_protocols.Middleware.t
 val collector : t -> int -> Rdt_gc.Rdt_lgc.t option
 val ccp : t -> Rdt_ccp.Ccp.t

@@ -178,13 +178,10 @@ let with_retry co ~what ~send ~accept =
 let record_events co ~pid evs =
   List.iter
     (fun ev ->
-      match (ev : Wire.tev) with
-      | T_ckpt { index } -> Trace.record_checkpoint co.mirror ~pid ~index
-      | T_send { msg_id; dst } ->
-        co.sends_ever.(pid) <- co.sends_ever.(pid) + 1;
-        Trace.record_send co.mirror ~pid ~msg_id ~dst
-      | T_recv { msg_id; src } ->
-        Trace.record_receive co.mirror ~pid ~msg_id ~src)
+      (match (ev : Wire.tev) with
+      | T_send _ -> co.sends_ever.(pid) <- co.sends_ever.(pid) + 1
+      | T_ckpt _ | T_recv _ -> ());
+      Wire.record_tev co.mirror ~pid ev)
     evs
 
 let command co ~dst ~now ~what cmd =
@@ -278,13 +275,7 @@ let register_fresh co =
 let history_of co ~pid =
   List.rev
     (Trace.fold_pid co.mirror ~pid ~init:[] (fun acc ev ->
-         let payload = Trace.View.payload ev in
-         (match Trace.View.tag ev with
-         | Trace.Checkpoint -> Wire.T_ckpt { index = payload }
-         | Trace.Send -> Wire.T_send { msg_id = payload; dst = Trace.View.peer ev }
-         | Trace.Receive ->
-           Wire.T_recv { msg_id = payload; src = Trace.View.peer ev })
-         :: acc))
+         Wire.tev_of_view ev :: acc))
 
 (* A dead incarnation's stashed Hello must not satisfy the respawn wait:
    it would re-register a dead port (peers would dial into nothing). *)

@@ -73,13 +73,6 @@ let hello_retry = 0.5
 
 let store_dir t = Filename.concat t.dir "store"
 
-let tev_of ev =
-  let payload = Trace.View.payload ev in
-  match Trace.View.tag ev with
-  | Trace.Checkpoint -> Wire.T_ckpt { index = payload }
-  | Trace.Send -> Wire.T_send { msg_id = payload; dst = Trace.View.peer ev }
-  | Trace.Receive -> Wire.T_recv { msg_id = payload; src = Trace.View.peer ev }
-
 let drain t =
   let evs = List.rev t.events in
   t.events <- [];
@@ -123,15 +116,7 @@ let boot t ~n ~protocol ~epoch ~ports ~(history : Wire.tev list) ~sends_ever =
       (* respawn after a kill: volatile state is rebuilt from what the
          durable log recovered plus the coordinator's transcript of our
          own pre-crash events *)
-      List.iter
-        (fun ev ->
-          match (ev : Wire.tev) with
-          | T_ckpt { index } -> Trace.record_checkpoint trace ~pid:t.me ~index
-          | T_send { msg_id; dst } ->
-            Trace.record_send trace ~pid:t.me ~msg_id ~dst
-          | T_recv { msg_id; src } ->
-            Trace.record_receive trace ~pid:t.me ~msg_id ~src)
-        history;
+      List.iter (Wire.record_tev trace ~pid:t.me) history;
       (* ids are monotone across rollbacks: restore the counter past the
          sends the erased history performed *)
       Trace.restore_msg_ids trace ~pid:t.me ~count:sends_ever;
@@ -140,7 +125,7 @@ let boot t ~n ~protocol ~epoch ~ports ~(history : Wire.tev list) ~sends_ever =
   in
   (* subscribe only now: neither the s^0 bootstrap nor the history replay
      is a new event as far as the coordinator's transcript is concerned *)
-  Trace.on_event trace (fun ev -> t.events <- tev_of ev :: t.events);
+  Trace.on_event trace (fun ev -> t.events <- Wire.tev_of_view ev :: t.events);
   t.sys <- Some sys;
   (* establish the peer mesh: on a fresh start lower ids are dialed by
      higher ids (one link per pair); a respawned node redials everyone,

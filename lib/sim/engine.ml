@@ -2,7 +2,7 @@ module Barrier_team = Rdt_parallel.Barrier_team
 
 type 'msg event =
   | Deliver of { src : int; dst : int; payload : 'msg; epoch : int }
-  | Action of { owner : int option; f : unit -> unit }
+  | Action of (unit -> unit)
 
 type stats = {
   mutable sent : int;
@@ -53,15 +53,15 @@ type stats = {
    declared root: the shard/slice index ([window_job], [process_shard]),
    the shard record itself ([step_shard], [execute]), the caller's stamp
    cell ([read_stamp]), the sending process ([send], and [outbox_push],
-   whose mailbox row [ss] belongs to the writing shard), the owning
-   process of a scheduled action ([schedule]), or the cell being grown
+   whose mailbox row [ss] belongs to the writing shard), the process a
+   scheduled action is pinned to ([schedule]), or the cell being grown
    ([grow_outcell]).  The barrier-side functions ([dispatch],
    [drain_outboxes], [window_round], [exec_globals_at], [create]) run on
    the caller's domain with the team parked and are deliberately not
    scopes. *)
 [@@@lint.domain_scope
   "window_job:s" "process_shard:s" "step_shard:sh" "execute:sh"
-  "read_stamp:c" "send:src" "schedule:owner:pin" "outbox_push:ss"
+  "read_stamp:c" "send:src" "schedule:pin" "outbox_push:ss"
   "grow_outcell:box"]
 [@@@lint.domain_index "self_shard"]
 
@@ -295,10 +295,9 @@ let send t ?(reliable = false) ~src ~dst msg =
          here either ds = sender's shard or a single domain runs every \
          slice (inline dispatch)"]
 
-let schedule t ?owner ?pin ~at f =
+let schedule t ?pin ~at f =
   if at < now t then invalid_arg "Engine.schedule: time in the past";
-  let routing = match owner with Some _ -> owner | None -> pin in
-  match routing with
+  match pin with
   | Some p ->
     if p < 0 || p >= t.n then invalid_arg "Engine.schedule: bad pid";
     let ds = t.shard_of.(p) in
@@ -307,25 +306,24 @@ let schedule t ?owner ?pin ~at f =
     let v = t.act_seq.(p) in
     t.act_seq.(p) <- v + 1;
     Event_queue.add_keyed t.shards.(ds).queue ~time:at ~u:((p lsl 1) lor 1) ~v
-      (Action { owner; f })
+      (Action f)
   | None ->
     begin
       if t.nshards > 1 && in_windows t.phase then
         invalid_arg
           "Engine.schedule: global (unrouted) action from inside a shard; \
-           give it an owner or pin";
+           pin it";
       let v = t.glob_seq in
       t.glob_seq <- v + 1;
       let q = if t.nshards = 1 then t.shards.(0).queue else t.global in
       Event_queue.add_keyed q ~time:at ~u:max_int ~v
-        (Action { owner = None; f })
+        (Action f)
     end
     [@lint.single_writer
       "the invalid_arg above rejects this branch inside windows; at a \
        barrier the caller's domain is alone"]
 
-let schedule_in t ?owner ?pin ~delay f =
-  schedule t ?owner ?pin ~at:(now t +. delay) f
+let schedule_in t ?pin ~delay f = schedule t ?pin ~at:(now t +. delay) f
 
 let is_up t p = t.up.(p)
 
@@ -343,11 +341,7 @@ let flush_in_flight t =
   Network.reset_order t.net
 
 let execute t sh = function
-  | Action { owner; f } -> begin
-    match owner with
-    | Some p when not t.up.(p) -> ()
-    | Some _ | None -> f ()
-  end
+  | Action f -> f ()
   | Deliver { src; dst; payload; epoch } ->
     if epoch <> t.epoch then sh.st.flushed <- sh.st.flushed + 1
     else if not t.up.(dst) then sh.st.dropped_down <- sh.st.dropped_down + 1

@@ -37,29 +37,31 @@
 
     Execution order is {e identical} at every shard count: simultaneous
     events are ordered by canonical keys that are pure functions of the
-    simulation (destination/owner process and per-channel or per-process
+    simulation (destination/pinned process and per-channel or per-process
     counters) rather than insertion order, and the sequential executor
     replays the same order.  A simulation is therefore a pure function of
     [(seed, config)] — not of [shards], which only buys wall-clock time.
 
     Events split into {e routed} events — deliveries, and actions given
-    an [owner] or [pin] — which execute on the process's shard, and
-    {e global} actions (no [owner]/[pin]) which execute at a window
-    barrier on the calling domain, after every routed event of the same
-    timestamp.  Handlers of routed events must stay within their shard:
-    they may send from their own process and schedule actions routed to
-    processes of the same shard, but mutating state owned by another
-    shard, scheduling globals, {!set_up} or {!flush_in_flight} from a
-    routed handler are errors (a sharded engine raises on the ones it can
-    see; a one-shard engine has no shard boundary to check).  Global
-    actions run single-threaded and may do all of the above.
+    a [pin] — which execute on the process's shard, and {e global}
+    actions (no [pin]) which execute at a window barrier on the calling
+    domain, after every routed event of the same timestamp.  Handlers of
+    routed events must stay within their shard: they may send from their
+    own process and schedule actions routed to processes of the same
+    shard, but mutating state owned by another shard, scheduling globals,
+    {!set_up} or {!flush_in_flight} from a routed handler are errors (a
+    sharded engine raises on the ones it can see; a one-shard engine has
+    no shard boundary to check).  Global actions run single-threaded and
+    may do all of the above.
 
-    Processes can be marked down ({!set_up}); deliveries and owned actions
-    addressed to a down process are silently discarded, which models the
-    crash semantics of the paper (volatile state lost, no processing while
-    down).  {!flush_in_flight} drops every message currently in transit,
-    which a centralized recovery session uses to discard in-transit
-    messages (the paper's CCP excludes lost and in-transit messages). *)
+    Processes can be marked down ({!set_up}); deliveries addressed to a
+    down process are silently discarded, which models the crash semantics
+    of the paper (volatile state lost, no processing while down).  Pinned
+    actions still fire; a handler that must not run while its process is
+    down checks {!is_up}.  {!flush_in_flight} drops every message
+    currently in transit, which a centralized recovery session uses to
+    discard in-transit messages (the paper's CCP excludes lost and
+    in-transit messages). *)
 
 type 'msg t
 
@@ -120,29 +122,16 @@ val send : 'msg t -> ?reliable:bool -> src:int -> dst:int -> 'msg -> unit
     which assume reliable channels (the paper's point of contrast).
     From a routed handler, [src] must belong to the executing shard. *)
 
-val schedule :
-  'msg t ->
-  ?owner:int ->
-  ?pin:int ->
-  at:float ->
-  (unit -> unit) ->
-  unit
-(** [schedule t ?owner ?pin ~at f] runs [f] at virtual time [at].
-    [owner] routes the action to that process's shard {e and} skips it if
-    the process is down when it fires; [pin] routes without the skip
-    (timers that must survive their process being down, e.g. to re-arm).
-    With neither, the action is {e global}: it executes at a window
-    barrier after all routed events of the same timestamp, and must not
-    be scheduled from inside a routed handler of a sharded engine.
+val schedule : 'msg t -> ?pin:int -> at:float -> (unit -> unit) -> unit
+(** [schedule t ?pin ~at f] runs [f] at virtual time [at].  [pin] routes
+    the action to that process's shard; it fires even while the process
+    is down (timers re-arm there, guarded by {!is_up}).  Without [pin]
+    the action is {e global}: it executes at a window barrier after all
+    routed events of the same timestamp, and must not be scheduled from
+    inside a routed handler of a sharded engine.
     [at] must not precede the current time. *)
 
-val schedule_in :
-  'msg t ->
-  ?owner:int ->
-  ?pin:int ->
-  delay:float ->
-  (unit -> unit) ->
-  unit
+val schedule_in : 'msg t -> ?pin:int -> delay:float -> (unit -> unit) -> unit
 (** Convenience wrapper: {!schedule} at [now + delay]. *)
 
 val is_up : _ t -> int -> bool

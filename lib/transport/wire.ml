@@ -1,4 +1,5 @@
 module Crc32 = Rdt_store.Crc32
+module Trace = Rdt_ccp.Trace
 
 (* Framing: every frame on the wire is
 
@@ -51,6 +52,18 @@ type tev =
   | T_ckpt of { index : int }
   | T_send of { msg_id : int; dst : int }
   | T_recv of { msg_id : int; src : int }
+
+let tev_of_view ev =
+  let payload = Trace.View.payload ev in
+  match Trace.View.tag ev with
+  | Trace.Checkpoint -> T_ckpt { index = payload }
+  | Trace.Send -> T_send { msg_id = payload; dst = Trace.View.peer ev }
+  | Trace.Receive -> T_recv { msg_id = payload; src = Trace.View.peer ev }
+
+let record_tev trace ~pid = function
+  | T_ckpt { index } -> Trace.record_checkpoint trace ~pid ~index
+  | T_send { msg_id; dst } -> Trace.record_send trace ~pid ~msg_id ~dst
+  | T_recv { msg_id; src } -> Trace.record_receive trace ~pid ~msg_id ~src
 
 type entry = Rdt_storage.Stable_store.entry
 

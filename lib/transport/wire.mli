@@ -44,6 +44,12 @@ type tev =
       (** One trace event of the reporting node, mirrored into the
           coordinator's transcript. *)
 
+val tev_of_view : Rdt_ccp.Trace.View.t -> tev
+(** The event a trace reader is looking at. *)
+
+val record_tev : Rdt_ccp.Trace.t -> pid:int -> tev -> unit
+(** Append the event to [pid]'s log of the trace. *)
+
 type entry = Rdt_storage.Stable_store.entry
 
 type cmd =

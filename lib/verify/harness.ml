@@ -232,12 +232,14 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
     in
     let quiescent i =
       push
-        (Oracles.quiescent ~script
+        (Oracles.quiescent ~stack:(Script.stack script)
            ~ccp:(Ccp.Incremental.ccp incr)
            ~exact:(exact ()) ~op:i)
     in
     let deep i =
-      push (Oracles.deep ~script ~ccp:(Ccp.Incremental.ccp incr) ~op:i)
+      push
+        (Oracles.deep ~stack:(Script.stack script)
+           ~ccp:(Ccp.Incremental.ccp incr) ~op:i)
     in
     let execute i op =
       match (op : Scenario.op) with

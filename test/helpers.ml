@@ -4,12 +4,7 @@
 
 module Ccp = Rdt_ccp.Ccp
 module Trace = Rdt_ccp.Trace
-module Oracle = Rdt_gc.Oracle
-module Global_gc = Rdt_gc.Global_gc
-module Rdt_lgc = Rdt_gc.Rdt_lgc
-module Middleware = Rdt_protocols.Middleware
-module Stable_store = Rdt_storage.Stable_store
-module Dependency_vector = Rdt_causality.Dependency_vector
+module Oracles = Rdt_verify.Oracles
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
@@ -18,8 +13,6 @@ let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 let ints_c = Alcotest.(list int)
-
-let sorted l = List.sort compare l
 
 (* A compact deterministic simulation: derive every parameter from one
    integer so qcheck can drive whole executions from a single seed. *)
@@ -129,111 +122,17 @@ let random_trace ~seed ~n ~ops =
 
 (* --- ground-truth audits --------------------------------------------- *)
 
-(* Safety (Theorem 4): every checkpoint the collector eliminated is
-   obsolete, i.e. every non-obsolete checkpoint is still retained. *)
-let audit_safety t =
-  let ccp = Runner.ccp t in
-  let n = Ccp.n ccp in
-  for pid = 0 to n - 1 do
-    let retained =
-      Stable_store.retained_indices (Middleware.store (Runner.middleware t pid))
-    in
-    let needed = Oracle.retained ccp ~pid in
-    List.iter
-      (fun index ->
-        if not (List.mem index retained) then
-          Alcotest.failf
-            "safety: p%d eliminated non-obsolete checkpoint s^%d (retained: %s)"
-            pid index
-            (String.concat "," (List.map string_of_int retained)))
-      needed
-  done
-
-(* Optimality (Theorem 5): nothing identifiable from causal knowledge is
-   still stored.  [exact] additionally demands equality (valid when no
-   recovery session injected global knowledge). *)
-let audit_optimality ~exact t =
-  let n = (Runner.config t).Sim_config.n in
-  let snaps = Array.init n (fun pid -> Rdt_recovery.Session.snapshot_of (Runner.middleware t pid)) in
-  for pid = 0 to n - 1 do
-    let li = snaps.(pid).Global_gc.live_dv in
-    let causal_retained = Global_gc.theorem1_retained snaps ~me:pid ~li in
-    let retained =
-      Stable_store.retained_indices (Middleware.store (Runner.middleware t pid))
-    in
-    List.iter
-      (fun index ->
-        if not (List.mem index causal_retained) then
-          Alcotest.failf
-            "optimality: p%d still stores s^%d, collectable from causal \
-             knowledge (would retain only: %s)"
-            pid index
-            (String.concat "," (List.map string_of_int causal_retained)))
-      retained;
-    if exact && sorted retained <> sorted causal_retained then
-      Alcotest.failf
-        "optimality(exact): p%d retains {%s}, causal knowledge dictates {%s}"
-        pid
-        (String.concat "," (List.map string_of_int retained))
-        (String.concat "," (List.map string_of_int causal_retained))
-  done
-
-(* Theorem 3: the invariant of Equation 4, checked against trace ground
-   truth: whenever s^last_f -> c^(gamma+1)_i and s^last_f -/-> s^gamma_i,
-   UC.(f) must reference s^gamma_i. *)
-let audit_invariant t =
-  let ccp = Runner.ccp t in
-  let n = Ccp.n ccp in
-  for pid = 0 to n - 1 do
-    match Runner.collector t pid with
-    | None -> ()
-    | Some lgc ->
-      for f = 0 to n - 1 do
-        let last_f = Ccp.last_stable_ckpt ccp f in
-        (* the largest gamma with s^last_f -/-> s^gamma_i, if its
-           successor is preceded *)
-        let last_i = Ccp.last_stable ccp pid in
-        let rec find gamma =
-          if gamma > last_i then None
-          else begin
-            let c : Ccp.ckpt = { pid; index = gamma } in
-            let succ : Ccp.ckpt = { pid; index = gamma + 1 } in
-            if
-              (not (Ccp.precedes ccp last_f c))
-              && Ccp.precedes ccp last_f succ
-            then Some gamma
-            else find (gamma + 1)
-          end
-        in
-        match find 0 with
-        | None -> ()
-        | Some gamma ->
-          let got = Rdt_lgc.retained_because_of lgc f in
-          if got <> Some gamma then
-            Alcotest.failf
-              "invariant: p%d must hold UC[%d] = s^%d, found %s" pid f gamma
-              (match got with None -> "Null" | Some g -> string_of_int g)
-      done
-  done
-
-(* Space bound: at most n retained per process at quiescent points, n+1 at
-   peak (Section 4.5). *)
-let audit_bound t =
-  let n = (Runner.config t).Sim_config.n in
-  for pid = 0 to n - 1 do
-    let store = Middleware.store (Runner.middleware t pid) in
-    let count = Stable_store.count store in
-    let peak = (Stable_store.stats store).Stable_store.peak_count in
-    if count > n then
-      Alcotest.failf "bound: p%d retains %d > n = %d checkpoints" pid count n;
-    if peak > n + 1 then
-      Alcotest.failf "bound: p%d peaked at %d > n+1 = %d" pid peak (n + 1)
-  done
-
-let audit_rdt t =
-  let ccp = Runner.ccp t in
-  match Rdt_ccp.Rdt_check.violations ~limit:1 ccp with
+(* Fails the test on the first violation an {!Oracles} check reports. *)
+let fail_on_first = function
   | [] -> ()
-  | v :: _ ->
-    Alcotest.failf "execution is not RD-trackable: %s"
-      (Format.asprintf "%a" Rdt_ccp.Rdt_check.pp_violation v)
+  | v :: _ -> Alcotest.failf "%a" Oracles.pp_violation v
+
+(* One check of the battery on a Runner execution. *)
+let audit check t =
+  fail_on_first (check ~stack:(Runner.stack t) ~ccp:(Runner.ccp t) ~op:(-1))
+
+let audit_safety t = audit Oracles.safety t
+let audit_optimality ~exact t = audit (Oracles.optimality ~exact) t
+let audit_invariant t = audit Oracles.invariant t
+let audit_bound t = audit Oracles.bound t
+let audit_rdt t = fail_on_first (Oracles.rdt ~ccp:(Runner.ccp t) ~op:(-1))

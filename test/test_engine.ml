@@ -79,14 +79,6 @@ let test_down_process_drops () =
   Alcotest.(check int) "counted as dropped" 1
     (Engine.stats e).Engine.dropped_down
 
-let test_owned_action_skipped_when_down () =
-  let e = make () in
-  let fired = ref false in
-  Engine.schedule e ~owner:1 ~at:1.0 (fun () -> fired := true);
-  Engine.set_up e 1 false;
-  Engine.run e;
-  Alcotest.(check bool) "skipped" false !fired
-
 let test_unowned_action_runs () =
   let e = make () in
   let fired = ref false in
@@ -210,13 +202,11 @@ let test_sharded_same_event_order () =
 
 let test_pinned_action_fires_when_down () =
   let e = Engine.create ~n:4 ~seed:5 ~net:Network.default ~shards:2 () in
-  let pinned = ref false and owned = ref false in
+  let pinned = ref false in
   Engine.schedule e ~pin:1 ~at:1.0 (fun () -> pinned := true);
-  Engine.schedule e ~owner:1 ~at:1.0 (fun () -> owned := true);
   Engine.set_up e 1 false;
   Engine.run e;
-  Alcotest.(check bool) "pinned fired while down" true !pinned;
-  Alcotest.(check bool) "owned skipped while down" false !owned
+  Alcotest.(check bool) "pinned fired while down" true !pinned
 
 let test_shards_require_lookahead () =
   let net = { Network.default with min_delay = 0.0 } in
@@ -262,8 +252,6 @@ let suite =
     Alcotest.test_case "fifo order" `Quick test_fifo_order;
     Alcotest.test_case "non-fifo reorders" `Quick test_non_fifo_can_reorder;
     Alcotest.test_case "down process drops" `Quick test_down_process_drops;
-    Alcotest.test_case "owned action skipped when down" `Quick
-      test_owned_action_skipped_when_down;
     Alcotest.test_case "unowned action runs" `Quick test_unowned_action_runs;
     Alcotest.test_case "flush in flight" `Quick test_flush_in_flight;
     Alcotest.test_case "run until" `Quick test_run_until;

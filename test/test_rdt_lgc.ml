@@ -70,15 +70,8 @@ let test_figure4_safety_and_optimality () =
   let s = Figures.figure4 () in
   let ccp = Script.ccp s in
   (* safety: everything eliminated is obsolete *)
-  List.iter
-    (fun pid ->
-      let retained = Script.retained s pid in
-      List.iter
-        (fun index ->
-          if not (List.mem index retained) then
-            Alcotest.failf "p%d wrongly eliminated s^%d" pid index)
-        (Oracle.retained ccp ~pid))
-    [ 0; 1; 2 ];
+  Helpers.fail_on_first
+    (Rdt_verify.Oracles.safety ~stack:(Script.stack s) ~ccp ~op:(-1));
   (* the eliminated ones are exactly the oracle-obsolete minus s^1_p1 *)
   let obsolete =
     List.sort compare
@@ -137,19 +130,12 @@ let test_worst_case_nothing_collectable () =
      asynchronous algorithm can close *)
   let n = 4 in
   let s = Figures.worst_case ~n in
-  let snaps =
-    Array.init n (fun pid ->
-        Rdt_recovery.Session.snapshot_of (Script.middleware s pid))
-  in
-  for pid = 0 to n - 1 do
-    let li = snaps.(pid).Rdt_gc.Global_gc.live_dv in
-    Alcotest.(check (list int))
-      (Printf.sprintf "p%d retains exactly the Theorem-2 set" pid)
-      (Rdt_gc.Global_gc.theorem1_retained snaps ~me:pid ~li)
-      (Script.retained s pid)
-  done;
-  (* and the omniscient oracle indeed retains less: the gap is real *)
   let ccp = Script.ccp s in
+  (* every process retains exactly the Theorem-2 set *)
+  Helpers.fail_on_first
+    (Rdt_verify.Oracles.optimality ~stack:(Script.stack s) ~ccp ~exact:true
+       ~op:(-1));
+  (* and the omniscient oracle indeed retains less: the gap is real *)
   Alcotest.(check bool) "omniscient knowledge would collect more" true
     (Oracle.retained_count ccp ~pid:0 < n)
 

@@ -7,7 +7,6 @@ module Process_stack = Rdt_recovery.Process_stack
 module Figures = Rdt_scenarios.Figures
 module Script = Rdt_scenarios.Script
 module Protocol = Rdt_protocols.Protocol
-module Oracle = Rdt_gc.Oracle
 module Stable_store = Rdt_storage.Stable_store
 module Middleware = Rdt_protocols.Middleware
 
@@ -156,15 +155,9 @@ let test_session_preserves_safety () =
   let _ =
     Process_stack.session (stacks_of s) ~faulty:[ 2 ] ~knowledge:`Global
   in
-  let ccp = Script.ccp s in
-  for pid = 0 to 2 do
-    let retained = Script.retained s pid in
-    List.iter
-      (fun index ->
-        if not (List.mem index retained) then
-          Alcotest.failf "session collected needed s^%d of p%d" index pid)
-      (Oracle.retained ccp ~pid)
-  done
+  Helpers.fail_on_first
+    (Rdt_verify.Oracles.safety ~stack:(Script.stack s) ~ccp:(Script.ccp s)
+       ~op:(-1))
 
 let test_session_causal_mode () =
   let s = session_setup () in

@@ -288,6 +288,56 @@ let test_faults_under_every_protocol () =
       Helpers.audit_rdt t)
     Protocol.rdt_protocols
 
+(* A muted trace records nothing, so a rollback has nothing to cut: the
+   crash-faulted run must go on exactly as the recorded one does. *)
+let test_muted_trace_survives_rollback () =
+  let cfg =
+    {
+      Sim_config.default with
+      seed = 3;
+      faults = [ { Sim_config.crash_at = 20.0; pid = 1; repair_after = 3.0 } ];
+    }
+  in
+  let summary ~recording =
+    let t = Runner.create cfg in
+    Rdt_ccp.Trace.set_recording (Runner.trace t) recording;
+    Runner.run t;
+    Fmt.str "%a" Runner.pp_summary (Runner.summary t)
+  in
+  Alcotest.(check string)
+    "same summary" (summary ~recording:true) (summary ~recording:false)
+
+(* The Runner-path twin of [fuzz --mutate-lgc]: with every collector
+   over-collecting, the safety audit the tier-1 tests share must fire.  It
+   runs at every sample because the damage is transient: these runs end
+   in a safe state.  An audit fails by raising Alcotest's (unexported)
+   check error, hence the catch-all. *)
+let test_overcollect_caught () =
+  let caught = ref 0 in
+  List.iter
+    (fun seed ->
+      let t =
+        Runner.create
+          {
+            Sim_config.default with
+            seed;
+            duration = 40.0;
+            sample_interval = 0.5;
+          }
+      in
+      for pid = 0 to 3 do
+        Option.iter
+          (fun lgc -> Rdt_gc.Rdt_lgc.set_test_overcollect lgc true)
+          (Runner.collector t pid)
+      done;
+      Runner.set_on_sample t (fun t ->
+          match Helpers.audit_safety t with
+          | () -> ()
+          | exception _ -> incr caught);
+      Runner.run t)
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "over-collection caught" true (!caught > 0)
+
 (* --- metrics ----------------------------------------------------------- *)
 
 let test_series_recorded () =
@@ -363,6 +413,10 @@ let suite =
       test_crash_with_lossy_network;
     Alcotest.test_case "faults under every protocol" `Slow
       test_faults_under_every_protocol;
+    Alcotest.test_case "muted trace survives rollback" `Quick
+      test_muted_trace_survives_rollback;
+    Alcotest.test_case "over-collecting mutant caught" `Quick
+      test_overcollect_caught;
     Alcotest.test_case "series recorded" `Quick test_series_recorded;
     Alcotest.test_case "summary accounting" `Quick test_summary_accounting;
     Alcotest.test_case "config validation" `Quick
