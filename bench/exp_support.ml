@@ -4,15 +4,16 @@ module Table = Rdt_metrics.Table
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
-module Domain_pool = Rdt_parallel.Domain_pool
+module Barrier_team = Rdt_parallel.Barrier_team
 
 (* --- parallel fan-out -------------------------------------------------- *)
 
 (* Experiments are organized in two phases so the report stays
    byte-identical at any [-j]: phase 1 enumerates the independent
-   simulation cells in loop order and evaluates them on the pool (cells
-   never print), phase 2 replays the same loops sequentially, popping
-   each cell's result in order and formatting the report. *)
+   simulation cells in loop order and evaluates them in one round of a
+   [-j]-member team (cells never print), phase 2 replays the same loops
+   sequentially, popping each cell's result in order and formatting the
+   report. *)
 
 let jobs = ref 1
 let set_jobs n = jobs := max 1 n
@@ -26,26 +27,24 @@ let set_jobs n = jobs := max 1 n
 let shards = ref 1
 let set_shards n = shards := max 1 n
 
-let pool = ref None
+let team = ref None
 
-let get_pool () =
-  match !pool with
-  | Some p -> p
+let get_team () =
+  match !team with
+  | Some t -> t
   | None ->
-    let p = Domain_pool.create ~jobs:!jobs () in
-    pool := Some p;
-    p
+    let t = Barrier_team.create ~size:!jobs in
+    team := Some t;
+    t
 
-let shutdown_pool () =
-  match !pool with
-  | Some p ->
-    Domain_pool.shutdown p;
-    pool := None
+let shutdown_team () =
+  match !team with
+  | Some t ->
+    Barrier_team.shutdown t;
+    team := None
   | None -> ()
 
-let par_map f xs = Domain_pool.map (get_pool ()) f xs
-
-let par_run cells = par_map (fun cell -> cell ()) cells
+let par_run cells = Barrier_team.map (get_team ()) (fun cell -> cell ()) cells
 
 let popper results =
   let rest = ref results in

@@ -62,7 +62,8 @@ let () =
           | Some _ | None -> usage ()
         in
         Exp_support.set_jobs
-          (if n = 0 then Rdt_parallel.Domain_pool.default_jobs () else n);
+          (if n = 0 then Rdt_parallel.Barrier_team.hardware_parallelism ()
+           else n);
         parse (i + 2)
       | "--shards" ->
         if i + 1 >= Array.length Sys.argv then usage ();
@@ -93,7 +94,7 @@ let () =
     else if what = "smoke" then Some (Micro.smoke ())
     else None
   in
-  Exp_support.shutdown_pool ();
+  Exp_support.shutdown_team ();
   let verdict label = function
     | None -> ()
     | Some true -> Printf.printf "%s: all checks passed\n" label

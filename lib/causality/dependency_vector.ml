@@ -2,9 +2,8 @@
    rdt_lint checks them against alloc/* (see DESIGN.md §12) so that
    BENCH_micro's allocs_per_run = 0 stays true by construction. *)
 [@@@lint.zero_alloc_hot
-  "blit_into" "max_into" "compare_le" "iteri" "merge_from_message_iter"
-  "newer_entries_iter" "has_newer_entries" "equal" "last_known"
-  "checkpoint_precedes" "get" "set" "increment"]
+  "blit_into" "merge_from_message_iter" "has_newer_entries" "get"
+  "increment"]
 
 type t = int array
 
@@ -12,10 +11,7 @@ let create ~n =
   if n <= 0 then invalid_arg "Dependency_vector.create: n must be positive";
   Array.make n 0
 
-let copy = Array.copy
-let size = Array.length
 let get t i = t.(i)
-let set t i v = t.(i) <- v
 let increment t i = t.(i) <- t.(i) + 1
 
 (* The in-place operations below are the hot path of the middleware: one
@@ -31,34 +27,8 @@ let blit_into ~src ~dst =
   check_arity ~op:"blit_into" src dst;
   Array.blit src 0 dst 0 (Array.length src)
 
-let max_into ~src ~dst =
-  check_arity ~op:"max_into" src dst;
-  for j = 0 to Array.length src - 1 do
-    let s = Array.unsafe_get src j in
-    if s > Array.unsafe_get dst j then Array.unsafe_set dst j s
-  done
-[@@lint.bounds_checked]
-
-(* The recursive scans are top-level (not local closures): a local
-   [let rec loop] capturing the vectors costs a 5-word closure per call,
-   which the alloc/closure rule rejects in this module. *)
-let rec le_from a b j =
-  j >= Array.length a
-  || (Array.unsafe_get a j <= Array.unsafe_get b j && le_from a b (j + 1))
-[@@lint.bounds_checked]
-
-let compare_le a b =
-  check_arity ~op:"compare_le" a b;
-  le_from a b 0
-
-let iteri t ~f =
-  for j = 0 to Array.length t - 1 do
-    f j (Array.unsafe_get t j)
-  done
-[@@lint.bounds_checked]
-
 let merge_from_message_iter t m ~f =
-  check_arity ~op:"merge_from_message" t m;
+  check_arity ~op:"merge_from_message_iter" t m;
   for j = 0 to Array.length t - 1 do
     let mj = Array.unsafe_get m j in
     if mj > Array.unsafe_get t j then begin
@@ -68,23 +38,9 @@ let merge_from_message_iter t m ~f =
   done
 [@@lint.bounds_checked]
 
-let merge_from_message t m =
-  let changed = ref [] in
-  merge_from_message_iter t m ~f:(fun j -> changed := j :: !changed);
-  List.rev !changed
-
-let newer_entries_iter ~local ~incoming ~f =
-  check_arity ~op:"newer_entries" local incoming;
-  for j = 0 to Array.length local - 1 do
-    if Array.unsafe_get incoming j > Array.unsafe_get local j then f j
-  done
-[@@lint.bounds_checked]
-
-let newer_entries ~local ~incoming =
-  let changed = ref [] in
-  newer_entries_iter ~local ~incoming ~f:(fun j -> changed := j :: !changed);
-  List.rev !changed
-
+(* The recursive scan is top-level (not a local closure): a local
+   [let rec loop] capturing the vectors costs a 5-word closure per call,
+   which the alloc/closure rule rejects in this module. *)
 let rec newer_from ~local ~incoming j =
   j < Array.length local
   && (Array.unsafe_get incoming j > Array.unsafe_get local j
@@ -92,27 +48,9 @@ let rec newer_from ~local ~incoming j =
 [@@lint.bounds_checked]
 
 let has_newer_entries ~local ~incoming =
-  check_arity ~op:"newer_entries" local incoming;
+  check_arity ~op:"has_newer_entries" local incoming;
   newer_from ~local ~incoming 0
 
-let last_known t j = t.(j) - 1
-
-let checkpoint_precedes ~index ~of_ dv_beta = index < dv_beta.(of_)
-
-let rec eq_from a b j =
-  j >= Array.length a
-  || (Array.unsafe_get a j = Array.unsafe_get b j && eq_from a b (j + 1))
-[@@lint.bounds_checked]
-
-let equal a b = Array.length a = Array.length b && eq_from a b 0
 let to_array = Array.copy
-let of_array = Array.copy
 let view t = t
 let of_view a = a
-
-let pp ppf t =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (Array.to_list t)

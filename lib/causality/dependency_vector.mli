@@ -20,10 +20,7 @@ type t
 val create : n:int -> t
 (** All-zero vector (the paper's initial value). *)
 
-val copy : t -> t
-val size : t -> int
 val get : t -> int -> int
-val set : t -> int -> int -> unit
 
 val increment : t -> int -> unit
 (** [increment dv i]: the step performed immediately after process [i]
@@ -38,57 +35,25 @@ val increment : t -> int -> unit
 
 val blit_into : src:t -> dst:t -> unit
 (** [blit_into ~src ~dst] overwrites [dst] with [src] (in-place
-    {!copy}).  @raise Invalid_argument on size mismatch. *)
-
-val max_into : src:t -> dst:t -> unit
-(** [max_into ~src ~dst]: pointwise [dst.(j) <- max dst.(j) src.(j)] — the
-    Equation-2 merge without the change notifications of
-    {!merge_from_message_iter}. *)
-
-val compare_le : t -> t -> bool
-(** [compare_le a b]: componentwise [a.(j) <= b.(j)] with early exit. *)
-
-val iteri : t -> f:(int -> int -> unit) -> unit
-(** [iteri t ~f] calls [f j t.(j)] for each entry in ascending order
-    without allocating. *)
-
-val merge_from_message : t -> int array -> int list
-(** [merge_from_message dv m_dv] applies the receive rule
-    [dv.(j) <- max dv.(j) m_dv.(j)] and returns the (sorted) list of entries
-    that strictly increased — exactly the "new causal info" entries RDT-LGC
-    reacts to (Algorithm 2, receiving [m], line 2).  The incoming vector is
-    a plain array because that is how it travels inside messages. *)
+    copy).  @raise Invalid_argument on size mismatch. *)
 
 val merge_from_message_iter : t -> int array -> f:(int -> unit) -> unit
-(** Allocation-free {!merge_from_message}: calls [f j] (ascending [j]) for
-    every entry that strictly increased instead of building a list.  The
-    receive path runs this once per delivered message, so the middleware
-    uses this variant to feed RDT-LGC's [on_new_dependency] hook directly. *)
-
-val newer_entries : local:int array -> incoming:int array -> int list
-(** Entries [j] with [incoming.(j) > local.(j)], without mutating;
-    the test protocols such as FDAS use to detect new dependencies. *)
+(** [merge_from_message_iter dv m_dv ~f] applies the receive rule
+    [dv.(j) <- max dv.(j) m_dv.(j)] and calls [f j] (ascending [j]) for
+    every entry that strictly increased — exactly the "new causal info"
+    entries RDT-LGC reacts to (Algorithm 2, receiving [m], line 2).  The
+    middleware runs this once per delivered message to feed RDT-LGC's
+    [on_new_dependency] hook directly, without building a list.  The
+    incoming vector is a plain array because that is how it travels inside
+    messages. *)
 
 val has_newer_entries : local:int array -> incoming:int array -> bool
-(** [newer_entries ~local ~incoming <> []] without building the list and
-    with early exit — the per-receive test of FDAS/FDI/CBR. *)
-
-val last_known : t -> int -> int
-(** Equation 3: [last_known dv j = dv.(j) - 1]. *)
-
-val checkpoint_precedes : index:int -> of_:int -> t -> bool
-(** [checkpoint_precedes ~index:alpha ~of_:a dv_beta] implements
-    Equation 2: does [c^alpha_a] causally precede the checkpoint whose
-    stored vector is [dv_beta]?  Only meaningful on RD-trackable
-    executions. *)
-
-val equal : t -> t -> bool
+(** Is there an entry [j] with [incoming.(j) > local.(j)]?  Early exit,
+    no mutation — the per-receive test of FDAS/FDI/CBR for new
+    dependencies. *)
 
 val to_array : t -> int array
 (** Fresh owned copy of the contents. *)
-
-val of_array : int array -> t
-(** Fresh vector copied from [a]; the caller keeps its array. *)
 
 val view : t -> int array
 (** Borrowed read-only view — no copy.  The returned array aliases the
@@ -101,5 +66,3 @@ val of_view : int array -> t
     {!view}, for running the in-place operations above against an array
     that arrived from a message or a stored checkpoint.  The same aliasing
     caveats apply. *)
-
-val pp : Format.formatter -> t -> unit

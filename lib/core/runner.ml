@@ -7,6 +7,7 @@ module Stable_store = Rdt_storage.Stable_store
 module Log_store = Rdt_store.Log_store
 module Global_gc = Rdt_gc.Global_gc
 module Session = Rdt_recovery.Session
+module Recovery_line = Rdt_recovery.Recovery_line
 module Process_stack = Rdt_recovery.Process_stack
 module Workload = Rdt_workload.Workload
 module Series = Rdt_metrics.Series
@@ -180,15 +181,25 @@ let finish_round t round =
      so collecting based on it would be unsafe; rounds therefore only
      complete with full membership. *)
   if Array.length snaps = t.cfg.Sim_config.n then begin
-    let plan me =
+    let plan =
       match t.cfg.Sim_config.gc with
       | Sim_config.Coordinated _ ->
         let li = Global_gc.last_interval_vector snaps in
-        Global_gc.theorem1_collectable snaps ~me ~li
-      | Sim_config.Simple _ -> Global_gc.below_total_line snaps ~me
+        fun me -> Global_gc.theorem1_collectable snaps ~me ~li
+      | Sim_config.Simple _ ->
+        (* the simple baseline [5, 8] collects everything strictly below
+           R_Pi, the recovery line for the failure of every process *)
+        let line =
+          Recovery_line.from_snapshots snaps
+            ~faulty:(List.init (Array.length snaps) Fun.id)
+        in
+        fun me ->
+          Array.to_list snaps.(me).Global_gc.entries
+          |> List.filter_map (fun (e : Stable_store.entry) ->
+                 if e.index < line.(me) then Some e.index else None)
       | Sim_config.No_gc | Sim_config.Local | Sim_config.Local_lazy _
       | Sim_config.Oracle_periodic _ ->
-        []
+        fun _ -> []
     in
     Array.iteri
       (fun pos pid ->

@@ -86,36 +86,3 @@ let theorem2_collectable ~entries ~live_dv =
   Array.to_list entries
   |> List.filter_map (fun (e : Stable_store.entry) ->
          if Int_set.mem e.index keep then None else Some e.index)
-
-(* R_Pi by rollback propagation over stored DVs: start from each process's
-   last stable checkpoint and, whenever member a precedes member b
-   (Equation 2: index_a < DV(member_b).(a)), move b one retained
-   checkpoint down. *)
-let total_recovery_line snaps =
-  let n = Array.length snaps in
-  let pos = Array.map (fun s -> Array.length s.entries - 1) snaps in
-  let index_of p = snaps.(p).entries.(pos.(p)).Stable_store.index in
-  let dv_of p = snaps.(p).entries.(pos.(p)).Stable_store.dv in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if a <> b && index_of a < (dv_of b).(a) then begin
-          pos.(b) <- pos.(b) - 1;
-          if pos.(b) < 0 then
-            invalid_arg
-              "Global_gc.total_recovery_line: rollback propagation fell \
-               through the retained set (collector mixing?)";
-          changed := true
-        end
-      done
-    done
-  done;
-  Array.init n index_of
-
-let below_total_line snaps ~me =
-  let line = total_recovery_line snaps in
-  Array.to_list snaps.(me).entries
-  |> List.filter_map (fun (e : Stable_store.entry) ->
-         if e.index < line.(me) then Some e.index else None)

@@ -62,13 +62,3 @@ val theorem2_collectable :
     instant.  RDT-LGC maintains the retained complement incrementally;
     this closed form recomputes it from scratch — used by the
     lazy-collection ablation and by the optimality audits. *)
-
-val total_recovery_line : snapshot array -> int array
-(** The recovery line for the failure of *all* processes, [R_Pi]: the
-    greatest consistent global checkpoint over stable checkpoints,
-    computed from stored DVs by rollback propagation (the simple-baseline
-    [5, 8] collects everything strictly below it). *)
-
-val below_total_line : snapshot array -> me:int -> int list
-(** Checkpoint indices of [me] strictly below its [R_Pi] component — what
-    the simple baseline eliminates. *)

@@ -130,7 +130,6 @@ let scope_call_specs =
   [
     ("Barrier_team.run_sub", `All);
     ("Domain.spawn", `All);
-    ("Domain_pool.map", `None);
     (* pinned/owned engine callbacks execute inside the owning shard's
        window; the closure parameters (a sender pid, a message) are not
        shard-derived *)
@@ -599,7 +598,7 @@ let check_ident ctx e path =
       && not (Lint_config.in_parallel ctx.cfg ctx.file)
     then
       error ctx ~loc ~rule:"det/domain-spawn"
-        ~msg:(name ^ " outside lib/parallel; use Domain_pool");
+        ~msg:(name ^ " outside lib/parallel; use Barrier_team");
     if atomic_name name && not (Lint_config.in_parallel ctx.cfg ctx.file) then
       error ctx ~loc ~rule:"det/atomic"
         ~msg:

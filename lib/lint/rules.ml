@@ -17,7 +17,7 @@ let all =
        time into simulated time";
     mk "det/domain-spawn"
       "Domain.spawn outside lib/parallel bypasses the deterministic domain \
-       pool";
+       team";
     mk "det/atomic"
       "Atomic outside lib/parallel; shards own their state outright and \
        synchronize only at the window barrier";

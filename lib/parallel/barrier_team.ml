@@ -1,14 +1,14 @@
 (* A persistent team of domains for repeated barrier-synchronized rounds.
 
-   Domain_pool hands independent tasks to whichever worker is free; the
-   sharded simulation engine needs the opposite shape: the *same* [size]
-   workers re-invoked every time window, each on its own fixed shard
-   index, with a full barrier between rounds.  A steady-state round
-   allocates nothing: the job is stored in a plain field (no option box),
-   round start and completion are signalled through atomic counters, and
-   members spin briefly on those counters before parking on a condition
-   variable — so back-to-back windows cost a few cache-line bounces, not
-   a mutex convoy, while an idle team still sleeps.
+   The sharded simulation engine re-invokes the *same* [size] workers
+   every time window, each on its own fixed shard index, with a full
+   barrier between rounds; [map] is one such round whose members claim
+   input indices instead.  A steady-state round allocates nothing: the
+   job is stored in a plain field (no option box), round start and
+   completion are signalled through atomic counters, and members spin
+   briefly on those counters before parking on a condition variable —
+   so back-to-back windows cost a few cache-line bounces, not a mutex
+   convoy, while an idle team still sleeps.
 
    The caller's domain acts as member 0 of every round; [size - 1]
    domains are spawned at [create] and joined at [shutdown].  All
@@ -121,10 +121,24 @@ let create ~size =
   t.domains <- List.init (size - 1) (fun i -> Domain.spawn (worker t (i + 1)));
   t
 
+(* The caller's share of a round, run as member 0.  A caller that is
+   itself a member of another team's round (a [map] member running a
+   sharded cell) carries its own index in [dls_index]; it is swapped for
+   0 around [f 0] and restored on both exits.  The index is written only
+   when it is non-zero and no closure is built, so an ordinary round
+   still allocates nothing. *)
+let run_member0 f =
+  let saved = Domain.DLS.get dls_index in
+  if saved <> 0 then Domain.DLS.set dls_index 0;
+  let failure = (try f 0; None with e -> Some e) in
+  if saved <> 0 then Domain.DLS.set dls_index saved;
+  failure
+
 let run_sub t ~active f =
   if active < 1 then invalid_arg "Barrier_team.run_sub: active must be >= 1";
   let active = min active t.size in
-  if active = 1 then f 0
+  if active = 1 then
+    match run_member0 f with Some e -> raise e | None -> ()
   else begin
     t.job <- f;
     t.active <- active;
@@ -136,7 +150,7 @@ let run_sub t ~active f =
     Mutex.lock t.m;
     Condition.broadcast t.start;
     Mutex.unlock t.m;
-    let caller_failure = (try f 0; None with e -> Some e) in
+    let caller_failure = run_member0 f in
     let rec await spins =
       if Atomic.get t.remaining > 0 then
         if spins > 0 then begin
@@ -163,6 +177,31 @@ let run_sub t ~active f =
       | [] -> ())
   end
 
+(* One round whose members claim input indices from a shared counter, so
+   a slow task never holds up the others' next claims.  Each result lands
+   in its input's slot; the round's barrier publishes the slots back to
+   the caller. *)
+let map t f xs =
+  let inputs = Array.of_list xs in
+  let len = Array.length inputs in
+  let results = Array.make len None in
+  let next = Atomic.make 0 in
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < len then begin
+      results.(i) <- Some (try Ok (f inputs.(i)) with e -> Error e);
+      claim ()
+    end
+  in
+  if len > 0 then run_sub t ~active:(min t.size len) (fun _ -> claim ());
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok v) -> v
+         | Some (Error e) -> raise e
+         | None -> assert false)
+       results)
+
 let shutdown t =
   Atomic.set t.stop true;
   Mutex.lock t.m;
@@ -180,7 +219,7 @@ let shutdown t =
    respawned larger) when a borrower asks for more members than it has,
    and joined at process exit so the runtime never waits on parked
    domains.  Exclusive borrowing keeps rounds non-reentrant even when
-   several engines run concurrently (e.g. under Domain_pool): a second
+   several engines run concurrently (e.g. under [map]): a second
    concurrent borrower simply gets [None] and falls back to a private
    team. *)
 

@@ -1,18 +1,4 @@
-module Vec = struct
-  (* minimal growable array, local to avoid a dependency cycle *)
-  type 'a t = { mutable data : 'a array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let push t v =
-    if t.size = Array.length t.data then begin
-      let data = Array.make (max 8 (2 * t.size)) v in
-      Array.blit t.data 0 data 0 t.size;
-      t.data <- data
-    end;
-    t.data.(t.size) <- v;
-    t.size <- t.size + 1
-end
+module Vec = Rdt_sim.Vec
 
 type t = { me : int; vectors : int array Vec.t }
 
@@ -28,9 +14,9 @@ let restore ~me ~entries =
   let t = create ~me in
   List.iter
     (fun (index, dv) ->
-      if index < t.vectors.Vec.size then
+      if index < Vec.length t.vectors then
         invalid_arg "Dv_archive.restore: entries must have ascending indices";
-      while t.vectors.Vec.size < index do
+      while Vec.length t.vectors < index do
         Vec.push t.vectors absent
       done;
       Vec.push t.vectors (Array.copy dv))
@@ -38,23 +24,22 @@ let restore ~me ~entries =
   t
 
 let record_shared t ~index ~dv =
-  if index <> t.vectors.Vec.size then
+  if index <> Vec.length t.vectors then
     invalid_arg
       (Printf.sprintf "Dv_archive.record: p%d expected index %d, got %d" t.me
-         t.vectors.Vec.size index);
+         (Vec.length t.vectors) index);
   Vec.push t.vectors dv
 
 let record t ~index ~dv = record_shared t ~index ~dv:(Array.copy dv)
 
-let truncate_above t ~index =
-  if index + 1 < t.vectors.Vec.size then t.vectors.Vec.size <- index + 1
+let truncate_above t ~index = Vec.truncate t.vectors (index + 1)
 
-let last_index t = t.vectors.Vec.size - 1
+let last_index t = Vec.length t.vectors - 1
 
 let find t ~index =
-  if index < 0 || index >= t.vectors.Vec.size then None
+  if index < 0 || index >= Vec.length t.vectors then None
   else
-    let dv = t.vectors.Vec.data.(index) in
+    let dv = Vec.get t.vectors index in
     if dv == absent then None else Some dv
 
-let count t = t.vectors.Vec.size
+let count t = Vec.length t.vectors

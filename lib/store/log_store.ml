@@ -7,7 +7,6 @@ type config = {
   fsync : fsync_policy;
   segment_target_bytes : int;
   compact_min_dead_bytes : int;
-  compact_dead_ratio : float;
   auto_compact : bool;
 }
 
@@ -17,7 +16,6 @@ let default_config =
     fsync = Every 64;
     segment_target_bytes = 256 * 1024;
     compact_min_dead_bytes = 4096;
-    compact_dead_ratio = 0.5;
     auto_compact = true;
   }
 
@@ -379,17 +377,18 @@ let compact t =
   seal t;
   compact_sealed t
 
-(* Fired on every obsolescence notification (eliminate / truncate).  The
-   dead-byte floor and ratio keep this from thrashing: after a compaction
-   the store is almost all live, so the ratio stays low until RDT-LGC has
-   obsoleted at least [compact_min_dead_bytes] worth of records again. *)
+(* Fired on every obsolescence notification (eliminate / truncate): compact
+   once at least half of the sealed bytes are dead.  The dead-byte floor
+   and the ratio keep this from thrashing: after a compaction the store is
+   almost all live, so the ratio stays low until RDT-LGC has obsoleted at
+   least [compact_min_dead_bytes] worth of records again. *)
 let maybe_compact t =
   if t.config.auto_compact then begin
     let total, dead = garbage t in
     if
       dead >= t.config.compact_min_dead_bytes
       && total > 0
-      && float_of_int dead >= t.config.compact_dead_ratio *. float_of_int total
+      && 2 * dead >= total
     then begin
       seal t;
       compact_sealed t

@@ -42,9 +42,9 @@ type config = {
   batch_records : int;  (** frames buffered per [write] syscall; 1 = none *)
   fsync : fsync_policy;
   segment_target_bytes : int;  (** seal the active segment past this size *)
-  compact_min_dead_bytes : int;  (** no compaction below this much garbage *)
-  compact_dead_ratio : float;
-      (** compact when sealed dead bytes / sealed total bytes reaches this *)
+  compact_min_dead_bytes : int;
+      (** no compaction below this much garbage; past it, compact once half
+          of the sealed bytes are dead *)
   auto_compact : bool;  (** re-evaluate on every GC notification *)
 }
 

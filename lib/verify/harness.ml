@@ -51,7 +51,6 @@ let log_config =
     fsync = Log_store.Always;
     segment_target_bytes = 512;
     compact_min_dead_bytes = 64;
-    compact_dead_ratio = 0.5;
     auto_compact = true;
   }
 

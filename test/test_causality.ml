@@ -35,47 +35,42 @@ let test_vc_size_mismatch () =
     (Invalid_argument "Vector_clock.leq: size mismatch") (fun () ->
       ignore (VC.leq a b))
 
+(* the receive rule, reporting the entries that rose as a list *)
+let merge dv m =
+  let changed = ref [] in
+  DV.merge_from_message_iter dv m ~f:(fun j -> changed := j :: !changed);
+  List.rev !changed
+
 let test_dv_merge_reports_changes () =
-  let dv = DV.of_array [| 3; 0; 2 |] in
-  let changed = DV.merge_from_message dv [| 1; 4; 2 |] in
+  let dv = DV.of_view [| 3; 0; 2 |] in
+  let changed = merge dv [| 1; 4; 2 |] in
   Alcotest.(check (list int)) "only entry 1 rose" [ 1 ] changed;
   Alcotest.(check (list int)) "merged" [ 3; 4; 2 ]
     (Array.to_list (DV.to_array dv))
 
 let test_dv_merge_multiple () =
-  let dv = DV.of_array [| 0; 0; 0 |] in
-  let changed = DV.merge_from_message dv [| 2; 0; 7 |] in
+  let dv = DV.of_view [| 0; 0; 0 |] in
+  let changed = merge dv [| 2; 0; 7 |] in
   Alcotest.(check (list int)) "entries 0 and 2" [ 0; 2 ] changed
 
 let test_dv_newer_entries () =
-  Alcotest.(check (list int)) "detects"
-    [ 2 ]
-    (DV.newer_entries ~local:[| 5; 5; 5 |] ~incoming:[| 5; 0; 6 |])
-
-let test_dv_last_known () =
-  let dv = DV.of_array [| 3; 0 |] in
-  Alcotest.(check int) "known" 2 (DV.last_known dv 0);
-  Alcotest.(check int) "unknown is -1" (-1) (DV.last_known dv 1)
-
-let test_dv_checkpoint_precedes () =
-  (* Equation 2: c^alpha_a -> c iff alpha < DV(c).(a) *)
-  let dv_c = DV.of_array [| 2; 1; 0 |] in
-  Alcotest.(check bool) "alpha=1 < 2" true
-    (DV.checkpoint_precedes ~index:1 ~of_:0 dv_c);
-  Alcotest.(check bool) "alpha=2 not<" false
-    (DV.checkpoint_precedes ~index:2 ~of_:0 dv_c)
+  Alcotest.(check bool) "detects" true
+    (DV.has_newer_entries ~local:[| 5; 5; 5 |] ~incoming:[| 5; 0; 6 |]);
+  Alcotest.(check bool) "none newer" false
+    (DV.has_newer_entries ~local:[| 5; 5; 5 |] ~incoming:[| 5; 0; 5 |])
 
 let test_dv_inplace_arity () =
   let a = DV.create ~n:2 and b = DV.create ~n:3 in
-  Alcotest.check_raises "max_into"
-    (Invalid_argument "Dependency_vector.max_into: size mismatch") (fun () ->
-      DV.max_into ~src:a ~dst:b);
   Alcotest.check_raises "blit_into"
     (Invalid_argument "Dependency_vector.blit_into: size mismatch") (fun () ->
       DV.blit_into ~src:a ~dst:b);
-  Alcotest.check_raises "compare_le"
-    (Invalid_argument "Dependency_vector.compare_le: size mismatch") (fun () ->
-      ignore (DV.compare_le a b))
+  Alcotest.check_raises "merge_from_message_iter"
+    (Invalid_argument "Dependency_vector.merge_from_message_iter: size mismatch")
+    (fun () -> DV.merge_from_message_iter b (DV.view a) ~f:ignore);
+  Alcotest.check_raises "has_newer_entries"
+    (Invalid_argument "Dependency_vector.has_newer_entries: size mismatch")
+    (fun () ->
+      ignore (DV.has_newer_entries ~local:(DV.view a) ~incoming:(DV.view b)))
 
 (* --- qcheck properties ------------------------------------------------ *)
 
@@ -122,57 +117,35 @@ let prop_order_trichotomy =
 let prop_dv_merge_idempotent =
   QCheck.Test.make ~name:"dv merge idempotent" ~count:300 arb_vc_pair
     (fun (a, b) ->
-      let dv = DV.of_array a in
-      ignore (DV.merge_from_message dv b);
-      DV.merge_from_message dv b = [])
+      let dv = DV.of_view (Array.copy a) in
+      ignore (merge dv b);
+      merge dv b = [])
 
-(* equivalence of the in-place, no-alloc variants (DESIGN.md §10) with
-   the copying reference semantics, over random vectors *)
+(* the in-place, no-alloc operations (DESIGN.md §10) against their
+   reference semantics, over random vectors *)
 
-let prop_max_into_is_pointwise_max =
-  QCheck.Test.make ~name:"max_into = pointwise max" ~count:300 arb_vc_pair
+let prop_dv_merge_is_pointwise_max =
+  QCheck.Test.make ~name:"dv merge = pointwise max" ~count:300 arb_vc_pair
     (fun (a, b) ->
-      let dst = DV.of_array a in
-      DV.max_into ~src:(DV.of_array b) ~dst;
-      DV.to_array dst = Array.map2 max a b)
+      let dv = DV.of_view (Array.copy a) in
+      ignore (merge dv b);
+      DV.to_array dv = Array.map2 max a b)
 
 let prop_blit_into_is_copy =
   QCheck.Test.make ~name:"blit_into = copy" ~count:300 arb_vc_pair
     (fun (a, b) ->
-      let dst = DV.of_array a in
-      DV.blit_into ~src:(DV.of_array b) ~dst;
+      let dst = DV.of_view (Array.copy a) in
+      DV.blit_into ~src:(DV.of_view b) ~dst;
       DV.to_array dst = b)
-
-let prop_compare_le_is_componentwise =
-  QCheck.Test.make ~name:"compare_le = componentwise <=" ~count:300
-    arb_vc_pair (fun (a, b) ->
-      DV.compare_le (DV.of_array a) (DV.of_array b)
-      = Array.for_all2 (fun x y -> x <= y) a b)
-
-let prop_max_into_matches_merge =
-  QCheck.Test.make ~name:"max_into = merge_from_message (sans report)"
-    ~count:300 arb_vc_pair (fun (a, b) ->
-      let via_merge = DV.of_array a in
-      ignore (DV.merge_from_message via_merge b);
-      let via_max = DV.of_array a in
-      DV.max_into ~src:(DV.of_view b) ~dst:via_max;
-      DV.equal via_merge via_max)
 
 let prop_view_roundtrip =
   QCheck.Test.make ~name:"view/of_view alias without copying" ~count:300
     arb_vc_pair (fun (a, _) ->
-      let dv = DV.of_array a in
+      let dv = DV.of_view (Array.copy a) in
       let v = DV.view dv in
       (* the view aliases the live vector: a mutation is visible through it *)
-      DV.set dv 0 (DV.get dv 0 + 1);
-      v.(0) = a.(0) + 1 && DV.equal (DV.of_view v) dv)
-
-let prop_iteri_enumerates =
-  QCheck.Test.make ~name:"iteri enumerates all entries in order" ~count:300
-    arb_vc_pair (fun (a, _) ->
-      let seen = ref [] in
-      DV.iteri (DV.of_array a) ~f:(fun j v -> seen := (j, v) :: !seen);
-      List.rev !seen = List.mapi (fun j v -> (j, v)) (Array.to_list a))
+      DV.increment dv 0;
+      v.(0) = a.(0) + 1 && DV.view (DV.of_view v) == v)
 
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
@@ -182,12 +155,9 @@ let qcheck_suite =
       prop_leq_antisym;
       prop_order_trichotomy;
       prop_dv_merge_idempotent;
-      prop_max_into_is_pointwise_max;
+      prop_dv_merge_is_pointwise_max;
       prop_blit_into_is_copy;
-      prop_compare_le_is_componentwise;
-      prop_max_into_matches_merge;
       prop_view_roundtrip;
-      prop_iteri_enumerates;
     ]
 
 let suite =
@@ -200,9 +170,6 @@ let suite =
       test_dv_merge_reports_changes;
     Alcotest.test_case "dv merge multiple" `Quick test_dv_merge_multiple;
     Alcotest.test_case "dv newer entries" `Quick test_dv_newer_entries;
-    Alcotest.test_case "dv last known" `Quick test_dv_last_known;
-    Alcotest.test_case "dv checkpoint precedes (eq 2)" `Quick
-      test_dv_checkpoint_precedes;
     Alcotest.test_case "dv in-place ops check arity" `Quick
       test_dv_inplace_arity;
   ]

@@ -1,24 +1,24 @@
-(* The domain pool behind the experiment harness: input-order results,
-   exception propagation, and byte-identical experiment artifacts at any
-   job count. *)
+(* The team round behind the experiment harness ([Barrier_team.map]):
+   input-order results, exception propagation, and byte-identical
+   experiment artifacts at any team size. *)
 
-module Domain_pool = Rdt_parallel.Domain_pool
+module Barrier_team = Rdt_parallel.Barrier_team
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
 module Series = Rdt_metrics.Series
 module Table = Rdt_metrics.Table
 
-let with_pool ~jobs f =
-  let pool = Domain_pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () -> f pool)
+let with_team ~jobs f =
+  let team = Barrier_team.create ~size:jobs in
+  Fun.protect ~finally:(fun () -> Barrier_team.shutdown team) (fun () -> f team)
 
 let test_map_order () =
   List.iter
     (fun jobs ->
-      with_pool ~jobs (fun pool ->
+      with_team ~jobs (fun team ->
           let inputs = List.init 50 Fun.id in
-          let doubled = Domain_pool.map pool (fun x -> 2 * x) inputs in
+          let doubled = Barrier_team.map team (fun x -> 2 * x) inputs in
           Alcotest.(check (list int))
             (Printf.sprintf "jobs=%d returns results in input order" jobs)
             (List.map (fun x -> 2 * x) inputs)
@@ -26,18 +26,18 @@ let test_map_order () =
     [ 1; 2; 3; 4 ]
 
 let test_map_empty_and_small () =
-  with_pool ~jobs:4 (fun pool ->
+  with_team ~jobs:4 (fun team ->
       Alcotest.(check (list int))
         "empty input" []
-        (Domain_pool.map pool (fun x -> x) []);
+        (Barrier_team.map team (fun x -> x) []);
       Alcotest.(check (list int))
         "fewer items than workers" [ 10 ]
-        (Domain_pool.map pool (fun x -> 10 * x) [ 1 ]))
+        (Barrier_team.map team (fun x -> 10 * x) [ 1 ]))
 
-let test_pool_reuse () =
-  with_pool ~jobs:3 (fun pool ->
-      let a = Domain_pool.map pool string_of_int [ 1; 2; 3 ] in
-      let b = Domain_pool.map pool String.length a in
+let test_team_reuse () =
+  with_team ~jobs:3 (fun team ->
+      let a = Barrier_team.map team string_of_int [ 1; 2; 3 ] in
+      let b = Barrier_team.map team String.length a in
       Alcotest.(check (list int)) "second map over first" [ 1; 1; 1 ] b)
 
 exception Boom of int
@@ -45,9 +45,9 @@ exception Boom of int
 let test_exception_propagation () =
   List.iter
     (fun jobs ->
-      with_pool ~jobs (fun pool ->
+      with_team ~jobs (fun team ->
           match
-            Domain_pool.map pool
+            Barrier_team.map team
               (fun x -> if x mod 3 = 2 then raise (Boom x) else x)
               (List.init 9 Fun.id)
           with
@@ -62,10 +62,10 @@ let test_exception_propagation () =
 let test_default_jobs_positive () =
   Alcotest.(check bool)
     "recommended domain count is positive" true
-    (Domain_pool.default_jobs () >= 1)
+    (Barrier_team.hardware_parallelism () >= 1)
 
-(* The harness's real workload: independent simulation cells evaluated on
-   the pool must produce exactly the sequential results, at any job
+(* The harness's real workload: independent simulation cells evaluated in
+   a team round must produce exactly the sequential results, at any job
    count.  Compares full summaries and the sampled series values. *)
 let cell_configs =
   List.concat_map
@@ -99,25 +99,44 @@ let run_cell cfg =
   in
   (s, series)
 
+let check_cells_equal ~label sequential parallel =
+  List.iteri
+    (fun i ((s_seq, v_seq), (s_par, v_par)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s cell %d summary identical" label i)
+        true
+        (compare s_seq s_par = 0);
+      Alcotest.(check (list (list (float 0.0))))
+        (Printf.sprintf "%s cell %d series identical" label i)
+        v_seq v_par)
+    (List.combine sequential parallel)
+
 let test_parallel_cells_equal_sequential () =
   let sequential = List.map run_cell cell_configs in
   List.iter
     (fun jobs ->
-      with_pool ~jobs (fun pool ->
-          let parallel = Domain_pool.map pool run_cell cell_configs in
-          List.iteri
-            (fun i ((s_seq, v_seq), (s_par, v_par)) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "jobs=%d cell %d summary identical" jobs i)
-                true
-                (compare s_seq s_par = 0);
-              Alcotest.(check (list (list (float 0.0))))
-                (Printf.sprintf "jobs=%d cell %d series identical" jobs i)
-                v_seq v_par)
-            (List.combine sequential parallel)))
+      with_team ~jobs (fun team ->
+          check_cells_equal
+            ~label:(Printf.sprintf "jobs=%d" jobs)
+            sequential
+            (Barrier_team.map team run_cell cell_configs)))
     [ 2; 4 ]
 
-(* Rendered artifact: a results table filled from pool results must be
+(* A map member other than the caller that runs a sharded cell starts the
+   engine's own team round from inside this one, so the engine must see
+   itself as shard 0 there, not as the map member's index.  On a 1-thread
+   host the engine clamps to one shard and this degenerates to the case
+   above. *)
+let test_sharded_cells_under_team () =
+  let configs =
+    List.map (fun cfg -> { cfg with Sim_config.shards = 2 }) cell_configs
+  in
+  let sequential = List.map run_cell configs in
+  with_team ~jobs:2 (fun team ->
+      check_cells_equal ~label:"shards=2 on 2 members" sequential
+        (Barrier_team.map team run_cell configs))
+
+(* Rendered artifact: a results table filled from team results must be
    byte-identical to the sequentially filled one. *)
 let render_table results =
   let t =
@@ -138,15 +157,15 @@ let render_table results =
 
 let test_rendered_table_identical () =
   let seq = render_table (List.map run_cell cell_configs) in
-  with_pool ~jobs:4 (fun pool ->
-      let par = render_table (Domain_pool.map pool run_cell cell_configs) in
+  with_team ~jobs:4 (fun team ->
+      let par = render_table (Barrier_team.map team run_cell cell_configs) in
       Alcotest.(check string) "table text identical at -j 4" seq par)
 
 let suite =
   [
     Alcotest.test_case "map preserves input order" `Quick test_map_order;
     Alcotest.test_case "empty and small inputs" `Quick test_map_empty_and_small;
-    Alcotest.test_case "pool reuse across maps" `Quick test_pool_reuse;
+    Alcotest.test_case "pool reuse across maps" `Quick test_team_reuse;
     Alcotest.test_case "exception propagation" `Quick
       test_exception_propagation;
     Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
@@ -154,4 +173,6 @@ let suite =
       test_parallel_cells_equal_sequential;
     Alcotest.test_case "rendered table byte-identical" `Quick
       test_rendered_table_identical;
+    Alcotest.test_case "sharded cells under a team round" `Quick
+      test_sharded_cells_under_team;
   ]
