@@ -12,10 +12,12 @@
 
    Under RDT both are computed directly from the dependency vectors, with
    no zigzag analysis; and because the middleware archives every
-   checkpoint's vector (n words each), the computation keeps working while
-   RDT-LGC aggressively collects the checkpoints themselves.
+   checkpoint's vector (one whole vector in 32, only the changed entries
+   for the rest), the computation keeps working while RDT-LGC
+   aggressively collects the checkpoints themselves.
 
-   Run with:  dune exec examples/causal_breakpoint.exe *)
+   Run with:  dune exec examples/causal_breakpoint.exe
+   (`dune runtest` diffs the output against causal_breakpoint.expected) *)
 
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config

@@ -31,88 +31,7 @@ module View = struct
   let payload v = v.code lsr (v.peer_bits + tag_bits)
 end
 
-(* One process's log as two [int] columns, [seq] and the packed code,
-   each stored in chunks of [chunk_size] entries behind a directory: an
-   append never copies what is already recorded, and a log holds at most
-   one chunk of slack.  Chunk 0 alone starts small and doubles up to
-   [chunk_size] (a copy of at most [chunk_size] entries), so the short
-   logs of tests, figures and live nodes stay small.  Full chunks are
-   larger than the minor heap's object limit and go straight to the
-   major heap.  [2^12] rather than larger keeps the slack of a wide run
-   small ([n = 256] processes leave at most 16 MB). *)
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
-let chunk_mask = chunk_size - 1
-let first_chunk = 16
-
-type log = {
-  mutable len : int;
-  mutable cap : int;
-  mutable nchunks : int;
-  mutable seqs : int array array;  (* slots past [nchunks] are [[||]] *)
-  mutable codes : int array array;
-}
-
-let empty_log () = { len = 0; cap = 0; nchunks = 0; seqs = [||]; codes = [||] }
-let log_seq log i = log.seqs.(i lsr chunk_bits).(i land chunk_mask)
-let log_code log i = log.codes.(i lsr chunk_bits).(i land chunk_mask)
-let log_set_seq log i seq = log.seqs.(i lsr chunk_bits).(i land chunk_mask) <- seq
-
-let log_grow log =
-  if log.nchunks = 0 then begin
-    log.seqs <- [| Array.make first_chunk 0 |];
-    log.codes <- [| Array.make first_chunk 0 |];
-    log.nchunks <- 1;
-    log.cap <- first_chunk
-  end
-  else if log.cap < chunk_size then begin
-    let cap = min chunk_size (2 * log.cap) in
-    let extend a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 log.len;
-      b
-    in
-    log.seqs.(0) <- extend log.seqs.(0);
-    log.codes.(0) <- extend log.codes.(0);
-    log.cap <- cap
-  end
-  else begin
-    let c = log.nchunks in
-    if c = Array.length log.seqs then begin
-      let dir a =
-        let b = Array.make (2 * c) [||] in
-        Array.blit a 0 b 0 c;
-        b
-      in
-      log.seqs <- dir log.seqs;
-      log.codes <- dir log.codes
-    end;
-    log.seqs.(c) <- Array.make chunk_size 0;
-    log.codes.(c) <- Array.make chunk_size 0;
-    log.nchunks <- c + 1;
-    log.cap <- log.cap + chunk_size
-  end
-
-let log_push log ~seq code =
-  let i = log.len in
-  if i = log.cap then log_grow log;
-  log.seqs.(i lsr chunk_bits).(i land chunk_mask) <- seq;
-  log.codes.(i lsr chunk_bits).(i land chunk_mask) <- code;
-  log.len <- i + 1
-
-(* drops whole chunks past the new end, so a truncated log keeps at most
-   one chunk of slack too *)
-let log_truncate log len =
-  log.len <- len;
-  if log.nchunks > 1 then begin
-    let keep = if len = 0 then 1 else ((len - 1) lsr chunk_bits) + 1 in
-    for c = keep to log.nchunks - 1 do
-      log.seqs.(c) <- [||];
-      log.codes.(c) <- [||]
-    done;
-    log.nchunks <- keep;
-    log.cap <- keep * chunk_size
-  end
+module Int_column = Rdt_sim.Int_column
 
 (* Pooled buffer of not-yet-sequenced records for one process: the engine
    event's key [(time, u, v)] plus [k], the rank of the record among those
@@ -136,7 +55,11 @@ type t = {
   n : int;
   peer_bits : int;
   max_payload : int;
-  logs : log array;
+  (* process [p]'s log: two columns of one entry per event, the [seq]
+     and the packed code.  An append never copies what is already
+     recorded, and short logs (tests, figures, live nodes) stay small. *)
+  seqs : Int_column.t array;
+  codes : Int_column.t array;
   last_ckpt : int array;  (* per pid: index of the log's last checkpoint *)
   mutable next_seq : int;
   (* per-process msg-id counters: id = k * n + pid, so ids are unique and
@@ -158,10 +81,12 @@ type t = {
      domains record concurrently, and a single shared cell would let two
      shards read each other's stamp (or a torn mix), corrupting the
      canonical keys.  A pid is only ever executed by its owning shard's
-     domain, so [stamp_cells.(pid)] is single-writer. *)
+     domain, so [stamp_cells.(pid)] is single-writer.  Both per-process
+     rows are allocated by {!set_order_source}: an unsharded run never
+     touches them. *)
   mutable order_source : (Stamp.t -> unit) option;
-  stamp_cells : Stamp.t array;
-  pending : pending array;  (* per process, so shards never share *)
+  mutable stamp_cells : Stamp.t array;
+  mutable pending : pending array;  (* per process, so shards never share *)
   last_time : float array;
   last_u : int array;
   last_v : int array;
@@ -177,7 +102,7 @@ type t = {
    domain — at a barrier, after the run, or on the sequential path — and
    are deliberately not scopes. *)
 [@@@lint.domain_scope
-  "record:pid" "log_push:log" "log_grow:log" "pending_push:p"
+  "record:pid" "pending_push:p"
   "pending_grow:p" "fresh_msg_id:pid"]
 
 let fresh_pending () =
@@ -190,7 +115,8 @@ let create ~n =
     n;
     peer_bits;
     max_payload = max_int lsr (peer_bits + tag_bits);
-    logs = Array.init n (fun _ -> empty_log ());
+    seqs = Array.init n (fun _ -> Int_column.create ());
+    codes = Array.init n (fun _ -> Int_column.create ());
     last_ckpt = Array.make n (-1);
     next_seq = 0;
     next_msg_id = Array.make n 0;
@@ -199,8 +125,8 @@ let create ~n =
     on_truncate = [];
     view = View.make ~peer_bits;
     order_source = None;
-    stamp_cells = Array.init n (fun _ -> Stamp.create ());
-    pending = Array.init n (fun _ -> fresh_pending ());
+    stamp_cells = [||];
+    pending = [||];
     last_time = Array.make n nan;
     last_u = Array.make n 0;
     last_v = Array.make n 0;
@@ -212,7 +138,12 @@ let max_payload t = t.max_payload
 let set_recording t b = t.recording <- b
 let on_event t f = t.on_event <- f :: t.on_event
 let on_truncate t f = t.on_truncate <- f :: t.on_truncate
-let set_order_source t f = t.order_source <- Some f
+let set_order_source t f =
+  if Array.length t.pending = 0 then begin
+    t.stamp_cells <- Array.init t.n (fun _ -> Stamp.create ());
+    t.pending <- Array.init t.n (fun _ -> fresh_pending ())
+  end;
+  t.order_source <- Some f
 
 let pack t tag ~peer ~payload =
   (payload lsl (t.peer_bits + tag_bits)) lor (peer lsl tag_bits)
@@ -307,11 +238,10 @@ let finalize t =
     Array.iter
       (fun i ->
         let pid = f_pid.(i) and pos = f_pos.(i) in
-        let log = t.logs.(pid) in
         let seq = t.next_seq in
         t.next_seq <- seq + 1;
-        log_set_seq log pos seq;
-        notify t ~pid ~seq (log_code log pos))
+        Int_column.set t.seqs.(pid) pos seq;
+        notify t ~pid ~seq (Int_column.get t.codes.(pid) pos))
       perm
   end
 
@@ -321,7 +251,7 @@ let record t ~pid tag ~peer ~payload =
   if payload < 0 || payload > t.max_payload then
     invalid_arg "Trace.record: payload does not fit the packed code";
   let code = pack t tag ~peer ~payload in
-  let log = t.logs.(pid) in
+  let seqs = t.seqs.(pid) in
   (match tag with
   | Checkpoint -> t.last_ckpt.(pid) <- payload
   | Send | Receive -> ());
@@ -333,7 +263,8 @@ let record t ~pid tag ~peer ~payload =
       "no order source means sequential or inline dispatch: a single \
        domain records (sharded runs install a source and take the \
        other branch)"];
-    log_push log ~seq code;
+    Int_column.push seqs seq;
+    Int_column.push t.codes.(pid) code;
     notify t ~pid ~seq code
   | Some source ->
     let cell = t.stamp_cells.(pid) in
@@ -353,8 +284,9 @@ let record t ~pid tag ~peer ~payload =
     t.last_u.(pid) <- u;
     t.last_v.(pid) <- v;
     t.last_k.(pid) <- k;
-    let pos = log.len in
-    log_push log ~seq:(-1) code;
+    let pos = Int_column.length seqs in
+    Int_column.push seqs (-1);
+    Int_column.push t.codes.(pid) code;
     pending_push t.pending.(pid) ~time:tm ~u ~v ~k ~pos
 
 (* the [recording] test sits here so a muted trace (benchmarks, long soak
@@ -377,18 +309,19 @@ let restore_msg_ids t ~pid ~count =
   if count > t.next_msg_id.(pid) then t.next_msg_id.(pid) <- count
 
 let last_checkpoint_index t ~pid = t.last_ckpt.(pid)
-let length t = Array.fold_left (fun acc log -> acc + log.len) 0 t.logs
+let length t =
+  Array.fold_left (fun acc seqs -> acc + Int_column.length seqs) 0 t.seqs
 
 (* Readers *)
 
 let iter_pid t ~pid f =
   finalize t;
-  let log = t.logs.(pid) in
+  let seqs = t.seqs.(pid) and codes = t.codes.(pid) in
   let v = View.make ~peer_bits:t.peer_bits in
   v.View.pid <- pid;
-  for i = 0 to log.len - 1 do
-    v.View.seq <- log_seq log i;
-    v.View.code <- log_code log i;
+  for i = 0 to Int_column.length seqs - 1 do
+    v.View.seq <- Int_column.get seqs i;
+    v.View.code <- Int_column.get codes i;
     f v
   done
 
@@ -400,7 +333,7 @@ let iter t f =
   let cursor = Array.make t.n 0 in
   let heap = Array.make t.n 0 in
   let size = ref 0 in
-  let head p = log_seq t.logs.(p) cursor.(p) in
+  let head p = Int_column.get t.seqs.(p) cursor.(p) in
   let rec sift_down i =
     let l = (2 * i) + 1 in
     if l < !size then begin
@@ -415,7 +348,7 @@ let iter t f =
     end
   in
   for p = 0 to t.n - 1 do
-    if t.logs.(p).len > 0 then begin
+    if Int_column.length t.seqs.(p) > 0 then begin
       heap.(!size) <- p;
       incr size
     end
@@ -425,14 +358,14 @@ let iter t f =
   done;
   while !size > 0 do
     let p = heap.(0) in
-    let log = t.logs.(p) in
+    let seqs = t.seqs.(p) in
     let i = cursor.(p) in
-    v.View.seq <- log_seq log i;
+    v.View.seq <- Int_column.get seqs i;
     v.View.pid <- p;
-    v.View.code <- log_code log i;
+    v.View.code <- Int_column.get t.codes.(p) i;
     f v;
     cursor.(p) <- i + 1;
-    if i + 1 = log.len then begin
+    if i + 1 = Int_column.length seqs then begin
       decr size;
       heap.(0) <- heap.(!size)
     end;
@@ -453,7 +386,7 @@ let truncate_to_checkpoint t ~pid ~index =
     (* sequence everything first: pending records of the truncated suffix
        must reach subscribers (they happened) before the retraction does *)
     finalize t;
-    let log = t.logs.(pid) in
+    let codes = t.codes.(pid) in
     let missing () =
       invalid_arg "Trace.truncate_to_checkpoint: checkpoint not in trace"
     in
@@ -461,11 +394,12 @@ let truncate_to_checkpoint t ~pid ~index =
     let target = pack t Checkpoint ~peer:0 ~payload:index in
     let rec find i =
       if i < 0 then missing ()
-      else if log_code log i = target then i
+      else if Int_column.get codes i = target then i
       else find (i - 1)
     in
-    let cut = find (log.len - 1) in
-    log_truncate log (cut + 1);
+    let cut = find (Int_column.length codes - 1) in
+    Int_column.truncate t.seqs.(pid) (cut + 1);
+    Int_column.truncate codes (cut + 1);
     t.last_ckpt.(pid) <- index;
     List.iter (fun f -> f ~pid) t.on_truncate
   end

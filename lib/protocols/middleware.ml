@@ -56,7 +56,7 @@ let take_checkpoint t ~kind ~now =
       ~dv:(Dependency_vector.view t.dv)
       ~now ~size_bytes:t.ckpt_bytes ~payload:t.app_state ()
   in
-  Rdt_storage.Dv_archive.record_shared t.archive ~index
+  Rdt_storage.Dv_archive.record t.archive ~index
     ~dv:entry.Stable_store.dv;
   Trace.record_checkpoint t.trace ~pid:t.me ~index;
   t.proto.Protocol.note_checkpoint ();

@@ -17,8 +17,9 @@
 
     Precedence is evaluated with Equation 2 over the DVs stored in the
     snapshots, so the snapshots must describe every checkpoint (run
-    without garbage collection, or keep archived DVs — DVs are [n] words,
-    checkpoints are full states; archiving vectors is cheap).  The test
+    without garbage collection, or keep archived DVs — checkpoints are
+    full states, while the archive keeps about one word per changed DV
+    entry, see {!Rdt_storage.Dv_archive}).  The test
     suite cross-checks these closed forms against the trace-based lattice
     fixpoints of {!Rdt_ccp.Consistency} on random executions. *)
 

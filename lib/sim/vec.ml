@@ -24,11 +24,22 @@ let push t v =
   t.data.(t.size) <- v;
   t.size <- t.size + 1
 
+(* Dropped slots must not keep their values reachable: every slot past
+   the new end, growth slack included (it holds copies of the pushed
+   value that grew the array), is overwritten with the surviving
+   [data.(0)], and a vector cut to length 0 lets go of its array. *)
 let truncate t len =
   if len < 0 then invalid_arg "Vec.truncate: negative length";
-  if len < t.size then t.size <- len
+  if len = 0 then begin
+    t.data <- [||];
+    t.size <- 0
+  end
+  else if len < t.size then begin
+    Array.fill t.data len (Array.length t.data - len) t.data.(0);
+    t.size <- len
+  end
 
-let clear t = t.size <- 0
+let clear t = truncate t 0
 
 let iter f t =
   for i = 0 to t.size - 1 do

@@ -14,9 +14,12 @@ val push : 'a t -> 'a -> unit
 
 val truncate : 'a t -> int -> unit
 (** [truncate v len] drops elements so that [length v = len]; no-op when
-    already shorter. *)
+    already shorter.  Dropped elements are no longer reachable from [v].
+    @raise Invalid_argument if [len < 0]. *)
 
 val clear : 'a t -> unit
+(** [truncate v 0]: also releases the backing array. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -13,15 +13,6 @@ let test_record_and_find () =
   Alcotest.(check bool) "absent" true (A.find a ~index:2 = None);
   Alcotest.(check bool) "negative" true (A.find a ~index:(-1) = None)
 
-let test_record_copies () =
-  let a = A.create ~me:0 in
-  let dv = [| 7 |] in
-  A.record a ~index:0 ~dv;
-  dv.(0) <- 9;
-  match A.find a ~index:0 with
-  | Some stored -> Alcotest.(check int) "isolated" 7 stored.(0)
-  | None -> Alcotest.fail "missing"
-
 let test_record_out_of_order () =
   let a = A.create ~me:0 in
   A.record a ~index:0 ~dv:[| 0 |];
@@ -35,6 +26,32 @@ let test_record_out_of_order () =
        A.record a ~index:0 ~dv:[| 0 |];
        false
      with Invalid_argument _ -> true)
+
+let test_rejected_record_leaves_archive_intact () =
+  let a = A.create ~me:0 in
+  A.record a ~index:0 ~dv:[| 0; 5 |];
+  A.record a ~index:1 ~dv:[| 1; 5 |];
+  let rejected dv =
+    try
+      A.record a ~index:2 ~dv;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "empty vector" true
+    (try
+       A.record (A.create ~me:1) ~index:0 ~dv:[||];
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "width change" true (rejected [| 2; 5; 0 |]);
+  (* the first changed entry is packed before the second fails *)
+  Alcotest.(check bool) "negative changed entry" true (rejected [| 2; -1 |]);
+  Alcotest.(check bool) "unpackable changed entry" true
+    (rejected [| 2; max_int |]);
+  Alcotest.(check int) "count" 2 (A.count a);
+  A.record a ~index:2 ~dv:[| 2; 6 |];
+  Alcotest.(check bool) "next delta applies cleanly" true
+    (A.find a ~index:2 = Some [| 2; 6 |]
+    && A.find a ~index:1 = Some [| 1; 5 |])
 
 let test_truncate () =
   let a = A.create ~me:0 in
@@ -133,11 +150,174 @@ let test_archive_tracks_store () =
   Alcotest.(check bool) "store collected" true
     (Rdt_storage.Stable_store.count (Rdt_protocols.Middleware.store mw) < 6)
 
+(* --- model test ----------------------------------------------------- *)
+
+(* Random ops against a dense reference: [Some dv] per archived index,
+   [None] in gaps.  [Record (m, _)] changes the own entry only (m = 0),
+   some entries (1) or all of them (2); [Truncate (w, _)] cuts at 0
+   (w = 0), at the last key boundary (1), past the end (2) or anywhere
+   (3); the ints after them are seeds. *)
+type op =
+  | Record of int * int
+  | Truncate of int * int
+  | Restore of int  (* seed choosing the dropped entries *)
+
+let print_op = function
+  | Record (m, s) -> Printf.sprintf "Record (%d, %d)" m s
+  | Truncate (w, s) -> Printf.sprintf "Truncate (%d, %d)" w s
+  | Restore s -> Printf.sprintf "Restore %d" s
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_bound 160)
+      (frequency
+         [
+           (14, map2 (fun m s -> Record (m, s)) (int_bound 2) (int_bound 999));
+           (2, map2 (fun w s -> Truncate (w, s)) (int_bound 3) (int_bound 999));
+           (1, map (fun s -> Restore s) (int_bound 999));
+         ]))
+
+let model_width = 5
+let model_me = 2
+
+(* Runs [ops] on an archive and on the dense reference, comparing every
+   query after every op. *)
+let run_model ops =
+  let a = ref (A.create ~me:model_me) in
+  let model = ref [||] in
+  let last_present () =
+    let rec go i =
+      if i < 0 then Array.make model_width 0
+      else match !model.(i) with Some v -> v | None -> go (i - 1)
+    in
+    go (Array.length !model - 1)
+  in
+  let agrees () =
+    let len = Array.length !model in
+    A.count !a = len
+    && A.last_index !a = len - 1
+    && List.for_all
+         (fun i ->
+           A.find !a ~index:i
+           = if i >= 0 && i < len then !model.(i) else None)
+         (List.init (len + 3) (fun i -> i - 1))
+  in
+  let step = function
+    | Record (mode, seed) ->
+      let index = Array.length !model in
+      let dv = Array.copy (last_present ()) in
+      (match mode with
+      | 0 -> ()
+      | 1 ->
+        for j = 0 to model_width - 1 do
+          if (seed lsr j) land 1 = 1 then dv.(j) <- dv.(j) + 1 + (seed mod 3)
+        done
+      | _ -> Array.iteri (fun j x -> dv.(j) <- x + 1 + ((seed + j) mod 4)) dv);
+      dv.(model_me) <- index;
+      A.record !a ~index ~dv;
+      model := Array.append !model [| Some (Array.copy dv) |]
+    | Truncate (where, seed) ->
+      let last = Array.length !model - 1 in
+      let index =
+        match where with
+        | 0 -> 0
+        | 1 ->
+          (* just below or on the last key boundary *)
+          max (-1) ((last / 32 * 32) - (seed mod 3))
+        | 2 -> last + (seed mod 4)
+        | _ -> (seed mod (last + 2)) - 1
+      in
+      A.truncate_above !a ~index;
+      if index + 1 < Array.length !model then
+        model := Array.sub !model 0 (max 0 (index + 1))
+    | Restore seed ->
+      (* keep a pseudo-random subset, as a crash keeps the retained
+         checkpoints and loses the eliminated ones *)
+      let keep i = (seed + (i * 7)) mod 5 <> 0 in
+      let entries =
+        List.filter_map
+          (fun i ->
+            match !model.(i) with
+            | Some v when keep i -> Some (i, v)
+            | _ -> None)
+          (List.init (Array.length !model) Fun.id)
+      in
+      a := A.restore ~me:model_me ~entries;
+      let len =
+        match List.rev entries with [] -> 0 | (i, _) :: _ -> i + 1
+      in
+      model :=
+        Array.init len (fun i -> if keep i then !model.(i) else None)
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      agrees ())
+    ops
+
+let prop_model =
+  QCheck.Test.make
+    ~name:"archive = dense reference under record/truncate/restore"
+    ~count:150
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
+    run_model
+
+(* --- building blocks ------------------------------------------------ *)
+
+let test_vec_truncate_releases () =
+  (* a rollback truncates the archive's key vector: the dropped keys must
+     become collectable *)
+  let v = Rdt_sim.Vec.create () in
+  let w = Weak.create 2 in
+  let fresh i = Array.make 4 i in
+  for i = 0 to 9 do
+    let x = fresh i in
+    if i = 5 then Weak.set w 0 (Some x);
+    Rdt_sim.Vec.push v x
+  done;
+  Rdt_sim.Vec.truncate v 3;
+  let y = fresh 99 in
+  Weak.set w 1 (Some y);
+  Rdt_sim.Vec.push v y;
+  Rdt_sim.Vec.clear v;
+  Gc.full_major ();
+  Alcotest.(check bool) "truncated element collected" false (Weak.check w 0);
+  Alcotest.(check bool) "cleared element collected" false (Weak.check w 1);
+  Alcotest.(check int) "empty" 0 (Rdt_sim.Vec.length v)
+
+let test_int_column () =
+  let module C = Rdt_sim.Int_column in
+  let c = C.create () in
+  let len = 10_000 in
+  for i = 0 to len - 1 do
+    C.push c (i * 3)
+  done;
+  Alcotest.(check int) "length" len (C.length c);
+  Alcotest.(check bool) "every entry, across chunks" true
+    (List.for_all (fun i -> C.get c i = i * 3) (List.init len Fun.id));
+  C.set c 4097 (-1);
+  Alcotest.(check int) "set" (-1) (C.get c 4097);
+  C.truncate c 5000;
+  C.truncate c 6000;
+  Alcotest.(check int) "truncated" 5000 (C.length c);
+  C.push c 7;
+  Alcotest.(check int) "pushed after truncate" 7 (C.get c 5000);
+  Alcotest.(check int) "survivor" (4999 * 3) (C.get c 4999);
+  Alcotest.(check bool) "past the end rejected" true
+    (try
+       ignore (C.get c 5001);
+       false
+     with Invalid_argument _ -> true);
+  C.truncate c 0;
+  C.push c 1;
+  Alcotest.(check int) "reused" 1 (C.get c 0)
+
 let suite =
   [
     Alcotest.test_case "record and find" `Quick test_record_and_find;
-    Alcotest.test_case "record copies" `Quick test_record_copies;
     Alcotest.test_case "out-of-order rejected" `Quick test_record_out_of_order;
+    Alcotest.test_case "rejected record leaves archive intact" `Quick
+      test_rejected_record_leaves_archive_intact;
     Alcotest.test_case "truncate" `Quick test_truncate;
     Alcotest.test_case "truncate noop" `Quick test_truncate_noop;
     Alcotest.test_case "empty archive" `Quick test_empty_archive;
@@ -147,4 +327,8 @@ let suite =
       test_archive_after_rollback;
     Alcotest.test_case "archive outlives collection" `Quick
       test_archive_tracks_store;
+    QCheck_alcotest.to_alcotest prop_model;
+    Alcotest.test_case "vec truncate releases dropped elements" `Quick
+      test_vec_truncate_releases;
+    Alcotest.test_case "int column across chunks" `Quick test_int_column;
   ]

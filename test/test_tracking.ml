@@ -140,6 +140,27 @@ let archives_of_runner t n =
         Rdt_causality.Dependency_vector.to_array
           (Rdt_protocols.Middleware.dv (Runner.middleware t pid))) )
 
+(* The archived closed forms agree with the trace fixpoints on five
+   random target sets of a finished run. *)
+let archived_tracking_matches t ~case =
+  let ccp = Runner.ccp t in
+  let n = Ccp.n ccp in
+  let archives, live_dvs = archives_of_runner t n in
+  let rng = Prng.create ~seed:(case * 17 + 3) in
+  let ok = ref true in
+  for _ = 1 to 5 do
+    let targets = random_targets rng ccp in
+    let ccp_targets = to_ccp_targets targets in
+    if
+      Tracking.max_consistent_containing_archived ~archives ~live_dvs targets
+      <> Consistency.max_consistent_containing ccp ccp_targets
+      || Tracking.min_consistent_containing_archived ~archives ~live_dvs
+           targets
+         <> Consistency.min_consistent_containing ccp ccp_targets
+    then ok := false
+  done;
+  !ok
+
 let prop_archive_tracking_survives_gc =
   QCheck.Test.make
     ~name:"archived tracking works under RDT-LGC (matches trace fixpoints)"
@@ -148,25 +169,32 @@ let prop_archive_tracking_survives_gc =
     (fun case ->
       (* with the collector running, snapshots have gaps but the DV
          archive does not *)
-      let t = Helpers.run_case ~gc:Sim_config.Local case in
-      let ccp = Runner.ccp t in
-      let n = Ccp.n ccp in
-      let archives, live_dvs = archives_of_runner t n in
-      let rng = Prng.create ~seed:(case * 17 + 3) in
-      let ok = ref true in
-      for _ = 1 to 5 do
-        let targets = random_targets rng ccp in
-        let ccp_targets = to_ccp_targets targets in
-        if
-          Tracking.max_consistent_containing_archived ~archives ~live_dvs
-            targets
-          <> Consistency.max_consistent_containing ccp ccp_targets
-          || Tracking.min_consistent_containing_archived ~archives ~live_dvs
-               targets
-             <> Consistency.min_consistent_containing ccp ccp_targets
-        then ok := false
-      done;
-      !ok)
+      archived_tracking_matches ~case
+        (Helpers.run_case ~gc:Sim_config.Local case))
+
+let prop_archive_tracking_survives_rollbacks =
+  QCheck.Test.make
+    ~name:"archived tracking survives crash rollbacks (matches fixpoints)"
+    ~count:20
+    QCheck.(make ~print:string_of_int Gen.(int_bound 2_000))
+    (fun case ->
+      (* two crashes: every recovery session rolls processes back, which
+         truncates their archives; the re-taken checkpoints are archived
+         over the undone ones *)
+      let n = (Helpers.sim_config_of_case case).Sim_config.n in
+      let faults =
+        [
+          { Sim_config.crash_at = 12.0; pid = case mod n; repair_after = 3.0 };
+          {
+            Sim_config.crash_at = 27.0;
+            pid = (case / 5) mod n;
+            repair_after = 2.0;
+          };
+        ]
+      in
+      let t = Helpers.run_case ~gc:Sim_config.Local ~faults case in
+      (Runner.summary t).Runner.recovery_sessions = 2
+      && archived_tracking_matches ~case t)
 
 let test_archive_truncated_on_rollback () =
   let module Script = Rdt_scenarios.Script in
@@ -191,6 +219,7 @@ let suite =
     Alcotest.test_case "archive truncated on rollback" `Quick
       test_archive_truncated_on_rollback;
     QCheck_alcotest.to_alcotest prop_archive_tracking_survives_gc;
+    QCheck_alcotest.to_alcotest prop_archive_tracking_survives_rollbacks;
     Alcotest.test_case "inconsistent targets rejected" `Quick
       test_inconsistent_targets_rejected;
     Alcotest.test_case "requires complete snapshots" `Quick
