@@ -1,4 +1,4 @@
-.PHONY: all build test lint tsan-smoke bench figures eval micro smoke bench-json perf perf-smoke mt-gate fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
+.PHONY: all build test lint tsan-smoke bench figures eval micro smoke bench-json perf perf-smoke fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
 
 all: build
 
@@ -13,20 +13,19 @@ test:
 lint:
 	dune build @lint
 
-# ThreadSanitizer smoke (DESIGN.md §16): the dynamic complement of the
-# static mt/* lint family.  Runs the shard-invariance suite, a sharded
-# fixed-seed fuzz slice and the 3-node sim-cluster scenario with real
-# domains under tsan.  Requires an OCaml switch configured with
-# ThreadSanitizer (`ocamlopt -config` reports `tsan: true`; available
-# from 5.2 via ocaml-option-tsan); on any other switch the target
-# prints SKIP and exits 0 so plain dev machines and CI stay green.
+# ThreadSanitizer smoke: the project's one piece of domain code, the
+# experiment harness's Barrier_team fan-out, under tsan — the parallel
+# suite and the evaluation report on a 2-member team.  Requires an OCaml
+# switch configured with ThreadSanitizer (`ocamlopt -config` reports
+# `tsan: true`; available from 5.2 via ocaml-option-tsan); on any other
+# switch the target prints SKIP and exits 0 so plain dev machines and CI
+# stay green.
 tsan-smoke:
 	@if ocamlopt -config 2>/dev/null | grep -q '^tsan: true'; then \
 	  echo "tsan-smoke: tsan-enabled switch detected"; \
 	  dune build @all && \
-	  dune exec test/test_main.exe -- test shards && \
-	  dune exec bin/rdtgc_cli.exe -- fuzz --seed 2026 --runs 50 --max-procs 6 --shards 4 -q && \
-	  dune exec bin/rdtgc_cli.exe -- cluster-run test/corpus/live_smoke.scn --backend sim -q; \
+	  dune exec test/test_main.exe -- test parallel && \
+	  dune exec bench/main.exe -- eval -j 2 > /dev/null; \
 	else \
 	  echo "tsan-smoke: SKIP -- active switch lacks ThreadSanitizer (ocamlopt -config has no 'tsan: true')"; \
 	  echo "tsan-smoke: create one with: opam switch create 5.2.0+tsan ocaml-variants.5.2.0+options ocaml-option-tsan"; \
@@ -70,11 +69,6 @@ perf:
 
 # fast perf regression check: the incremental-CCP criterion only
 perf-smoke: smoke
-
-# CI multicore gate: min-of-7 wall-clock race of the whole-run scaling
-# workload at shards=1 vs shards=4; exits 1 if sharding lost (DESIGN.md §13)
-mt-gate:
-	dune exec bench/main.exe -- mt-gate
 
 # ~10 s differential-fuzz budget: a fixed-seed campaign plus the
 # over-collecting-mutant self-check (DESIGN.md §11); the nightly CI job

@@ -18,15 +18,6 @@ module Barrier_team = Rdt_parallel.Barrier_team
 let jobs = ref 1
 let set_jobs n = jobs := max 1 n
 
-(* Shard count folded into every simulation cell the harness builds via
-   [base_config] (the figure/eval sweeps).  The reports stay
-   byte-identical at any shard count — that is the engine's determinism
-   guarantee — so sweeping [--shards] is a scaling knob and a standing
-   end-to-end exercise of the sharded dispatch path, not a different
-   experiment. *)
-let shards = ref 1
-let set_shards n = shards := max 1 n
-
 let team = ref None
 
 let get_team () =
@@ -97,5 +88,4 @@ let base_config ~n ~seed ~gc ~pattern ~duration =
     gc;
     workload = base_workload pattern;
     sample_interval = 2.0;
-    shards = !shards;
   }

@@ -10,23 +10,16 @@
      dune exec bench/main.exe -- smoke        # fast micro subset
      dune exec bench/main.exe -- perf-diff BASELINE.json CURRENT.json
                                               # non-fatal regression report
-     dune exec bench/main.exe -- mt-gate      # CI gate: shards=4 must not
-                                              # lose to shards=1 (exit 1;
-                                              # skips on hosts < 4 threads;
-                                              # --advisory: report only)
 
    [-j N] fans the independent simulation cells of the figure/eval
    experiments over N domains (default 1; [-j 0] means the machine's
-   recommended domain count).  [--shards K] runs every simulation cell
-   on the K-shard engine (default 1).  The report is byte-identical at
-   any N and any K.  [micro] and [smoke] also write machine-readable
-   BENCH_micro.json. *)
+   recommended domain count).  The report is byte-identical at any N.
+   [micro] and [smoke] also write machine-readable BENCH_micro.json. *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [all|figures|eval|micro|smoke] [-j N] [--shards K]\n\
-    \       main.exe perf-diff BASELINE.json CURRENT.json\n\
-    \       main.exe mt-gate [--advisory]";
+    "usage: main.exe [all|figures|eval|micro|smoke] [-j N]\n\
+    \       main.exe perf-diff BASELINE.json CURRENT.json";
   exit 2
 
 let () =
@@ -35,20 +28,6 @@ let () =
     if Array.length Sys.argv <> 4 then usage ();
     Perf_diff.run ~baseline:Sys.argv.(2) ~current:Sys.argv.(3);
     exit 0
-  end;
-  (* mt-gate is the CI multicore check: a short min-of-k wall-clock race
-     of the whole-run scaling workload at shards=1 vs shards=4.  It skips
-     itself (exit 0, with a message) on hosts with < 4 hardware threads,
-     where shards=4 runs sequentially; [--advisory] reports
-     the ratio without enforcing it (noisy shared runners). *)
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "mt-gate" then begin
-    let advisory =
-      match Array.length Sys.argv with
-      | 2 -> false
-      | 3 when Sys.argv.(2) = "--advisory" -> true
-      | _ -> usage ()
-    in
-    exit (if Micro.mt_gate ~advisory () then 0 else 1)
   end;
   let what = ref "all" in
   let rec parse i =
@@ -64,12 +43,6 @@ let () =
         Exp_support.set_jobs
           (if n = 0 then Rdt_parallel.Barrier_team.hardware_parallelism ()
            else n);
-        parse (i + 2)
-      | "--shards" ->
-        if i + 1 >= Array.length Sys.argv then usage ();
-        (match int_of_string_opt Sys.argv.(i + 1) with
-        | Some n when n >= 1 -> Exp_support.set_shards n
-        | Some _ | None -> usage ());
         parse (i + 2)
       | ("all" | "figures" | "eval" | "micro" | "smoke") as w ->
         what := w;

@@ -184,30 +184,24 @@ let engine_tests =
     make_batched ~name:"engine/send-deliver" ~k:32 (send_deliver_setup ());
   ]
 
-(* Sharded engine scaling: one whole simulation per run (create, seed
-   ring-forwarding message chains, run to quiescence — ~42k deliveries),
-   repeated at 1, 2 and 4 shards and two process counts.  Unlike the
-   steady-state groups this driver pays the full setup each call,
-   deliberately: construction and dispatch selection are part of what the
-   shard count buys or costs, and the run-to-run workload is identical by
-   the engine's determinism guarantee, so the OLS regression stays
+(* Engine whole-run throughput: one whole simulation per run (create,
+   seed ring-forwarding message chains, run to quiescence — ~42k
+   deliveries), at two process counts.  Unlike the steady-state groups
+   this driver pays the full setup each call, and the run-to-run workload
+   is identical by the engine's determinism, so the OLS regression stays
    meaningful.
 
    The cases are sized so the in-flight event population (~1k entries)
-   is large enough for the event queue's memory layout to matter
-   (DESIGN.md §13.1).  (chains) is the number of
-   concurrent forwarding chains each process starts and (hops) their
-   length, so in-flight events = n * chains throughout the run.
+   is large enough for the event queue's memory layout to matter.
+   (chains) is the number of concurrent forwarding chains each process
+   starts and (hops) their length, so in-flight events = n * chains
+   throughout the run.  Rows in this group additionally report
+   simulation events per second (decorated after measurement; the event
+   count is counted once per case). *)
+let engine_whole_run_cases = [ (256, 4, 40); (1024, 1, 40) ]
 
-   Rows in this group additionally report events/second and the speedup
-   against the shards=1 row of the same case (decorated after
-   measurement; the event count is shard-invariant and counted once per
-   case on one shard). *)
-let engine_mt_cases = [ (256, 4, 40); (1024, 1, 40) ]
-let engine_mt_shards = [ 1; 2; 4 ]
-
-let engine_mt_run ~n ~shards ~chains ~hops () =
-  let e = Engine.create ~n ~seed:42 ~net:Network.default ~shards () in
+let engine_whole_run ~n ~chains ~hops () =
+  let e = Engine.create ~n ~seed:42 ~net:Network.default () in
   for p = 0 to n - 1 do
     Engine.set_receiver e p (fun ~src:_ msg ->
         if msg > 0 then Engine.send e ~src:p ~dst:((p + 1) mod n) (msg - 1))
@@ -220,29 +214,23 @@ let engine_mt_run ~n ~shards ~chains ~hops () =
   Engine.run e;
   (Engine.stats e).Engine.events
 
-let engine_mt_name ~n ~shards =
-  Printf.sprintf "engine-mt/n=%d/shards=%d" n shards
+let engine_whole_run_name n = Printf.sprintf "engine/whole-run/n=%d" n
 
-(* events per case, counted once on one shard; lazy so modes that never
-   measure the group (smoke, perf-diff) don't pay the dry runs *)
-let engine_mt_events =
+(* events per case; lazy so modes that never measure the group (smoke,
+   perf-diff) don't pay the dry runs *)
+let engine_whole_run_events =
   lazy
     (List.map
        (fun (n, chains, hops) ->
-         (n, engine_mt_run ~n ~shards:1 ~chains ~hops ()))
-       engine_mt_cases)
+         (engine_whole_run_name n, engine_whole_run ~n ~chains ~hops ()))
+       engine_whole_run_cases)
 
-let engine_mt_tests =
-  List.concat_map
+let engine_whole_run_tests =
+  List.map
     (fun (n, chains, hops) ->
-      List.map
-        (fun shards ->
-          Test.make
-            ~name:(engine_mt_name ~n ~shards)
-            (Staged.stage (fun () ->
-                 ignore (engine_mt_run ~n ~shards ~chains ~hops ()))))
-        engine_mt_shards)
-    engine_mt_cases
+      Test.make ~name:(engine_whole_run_name n)
+        (Staged.stage (fun () -> ignore (engine_whole_run ~n ~chains ~hops ()))))
+    engine_whole_run_cases
 
 (* Algorithm 3 on the worst-case state: every process retains n
    checkpoints and the rebuild pins them all again (no elimination), so
@@ -523,11 +511,7 @@ type row = {
   r2 : float option;  (** goodness of fit of the time regression *)
   minor_words : float option;  (** minor-heap words allocated per run *)
   promoted : float option;  (** words promoted to the major heap per run *)
-  ev_s : float option;
-      (** whole-run scaling rows only: simulation events per second *)
-  speedup : float option;
-      (** whole-run scaling rows only: ns of the shards=1 row of the same
-          case divided by this row's ns (> 1 means sharding paid off) *)
+  ev_s : float option;  (** whole-run rows only: simulation events per second *)
 }
 
 (* Measurement class per cost scale; see the methodology note above.  The
@@ -555,9 +539,27 @@ let cfg_of_speed speed =
   Benchmark.cfg ~limit ~quota:(Time.second quota) ~start ~sampling ~kde:None
     ()
 
+(* Minor words allocated, read from [Gc.minor_words ()].  Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], whose counter OCaml 5.1
+   advances only at minor collections: a driver that allocates a few
+   hundred words per run then reports 0 over a whole sample. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let measure_group ~speed tests =
   let clock = Toolkit.Instance.monotonic_clock in
-  let minor = Toolkit.Instance.minor_allocated in
+  let minor = minor_words in
   let promoted = Toolkit.Instance.promoted in
   let raw =
     Benchmark.all (cfg_of_speed speed)
@@ -600,7 +602,6 @@ let measure_group ~speed tests =
           minor_words = per_event (estimate minors name);
           promoted = per_event (estimate promotions name);
           ev_s = None;
-          speedup = None;
         }
         :: acc)
       times []
@@ -647,53 +648,24 @@ let run_group ~speed tests =
   in
   go 1 None
 
-(* Decorate the engine-mt whole-run rows with simulation events/second
-   and the speedup against the shards=1 row of the same case.  The event
-   count is shard-invariant (the engine's determinism guarantee), so it
-   is counted once per case on one shard; rows from other groups pass
-   through untouched. *)
-let decorate_engine_mt rows =
-  let case_of name =
-    List.find_map
-      (fun (n, _, _) ->
-        List.find_map
-          (fun shards ->
-            if String.equal name (engine_mt_name ~n ~shards) then Some n
-            else None)
-          engine_mt_shards)
-      engine_mt_cases
-  in
-  let ns_of name =
-    List.find_map
-      (fun r -> if String.equal r.name name then r.ns else None)
-      rows
-  in
+(* Decorate the whole-run rows with simulation events per second; rows
+   from other groups pass through untouched. *)
+let decorate_whole_run rows =
   List.map
     (fun row ->
-      match case_of row.name with
+      match List.assoc_opt row.name (Lazy.force engine_whole_run_events) with
       | None -> row
-      | Some n ->
-        let events =
-          List.assoc_opt n (Lazy.force engine_mt_events)
-          |> Option.map float_of_int
-        in
+      | Some events ->
         let ev_s =
-          match (events, row.ns) with
-          | Some ev, Some ns when ns > 0.0 -> Some (ev /. (ns *. 1e-9))
+          match row.ns with
+          | Some ns when ns > 0.0 -> Some (float_of_int events /. (ns *. 1e-9))
           | _ -> None
         in
-        let speedup =
-          match (ns_of (engine_mt_name ~n ~shards:1), row.ns) with
-          | Some base, Some ns when ns > 0.0 -> Some (base /. ns)
-          | _ -> None
-        in
-        { row with ev_s; speedup })
+        { row with ev_s })
     rows
 
 let print_rows rows =
-  let scaling =
-    List.exists (fun r -> r.ev_s <> None || r.speedup <> None) rows
-  in
+  let whole_run = List.exists (fun r -> Option.is_some r.ev_s) rows in
   let t =
     Table.create
       ~columns:
@@ -704,8 +676,7 @@ let print_rows rows =
            ("words/op", Table.Right);
            ("promoted/op", Table.Right);
          ]
-        @ if scaling then [ ("ev/s", Table.Right); ("speedup", Table.Right) ]
-          else [])
+        @ if whole_run then [ ("ev/s", Table.Right) ] else [])
   in
   let fmt_ns ns =
     if ns >= 1_000_000.0 then Printf.sprintf "%.2f ms" (ns /. 1e6)
@@ -725,12 +696,7 @@ let print_rows rows =
            fmt_opt (Printf.sprintf "%.1f") row.promoted;
          ]
         @
-        if scaling then
-          [
-            fmt_opt (fun v -> Printf.sprintf "%.0f" v) row.ev_s;
-            fmt_opt (Printf.sprintf "%.2fx") row.speedup;
-          ]
-        else []))
+        if whole_run then [ fmt_opt (Printf.sprintf "%.0f") row.ev_s ] else []))
     rows;
   Table.print t
 
@@ -758,7 +724,7 @@ let json_float = function
 let write_json ~mode ~wall_time_s ~rows ~speedup =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rdtgc-bench-micro/3\",\n";
+  Buffer.add_string buf "  \"schema\": \"rdtgc-bench-micro/4\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
   Buffer.add_string buf
     (Printf.sprintf "  \"domains\": %d,\n" (Domain.recommended_domain_count ()));
@@ -773,11 +739,10 @@ let write_json ~mode ~wall_time_s ~rows ~speedup =
         (Printf.sprintf
            "    { \"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s, \
             \"allocs_per_run\": %s, \"promoted_per_run\": %s, \
-            \"events_per_sec\": %s, \"speedup_vs_seq\": %s }%s\n"
+            \"events_per_sec\": %s }%s\n"
            (json_escape row.name) (json_float row.ns) (json_float row.r2)
            (json_float row.minor_words)
            (json_float row.promoted) (json_float row.ev_s)
-           (json_float row.speedup)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -811,9 +776,7 @@ let micro_groups =
       `Medium,
       checkpoint_tests_large );
     ("engine throughput (event queue, dispatch)", `Fast, engine_tests);
-    ( "sharded engine: whole-run throughput vs shard count",
-      `WholeRun,
-      engine_mt_tests );
+    ("engine whole-run throughput", `WholeRun, engine_whole_run_tests);
     ( "ablation: per-event GC cost, incremental CCB",
       `Fast,
       incremental_ccb_tests );
@@ -855,7 +818,7 @@ let run ~mode () =
       (fun (name, speed, tests) ->
         Exp_support.subsection name;
         let rows = run_group ~speed tests in
-        let rows = decorate_engine_mt rows in
+        let rows = decorate_whole_run rows in
         print_rows rows;
         rows)
       groups
@@ -880,61 +843,3 @@ let run ~mode () =
 
 let all () = run ~mode:`Micro ()
 let smoke () = run ~mode:`Smoke ()
-
-(* --- CI multicore gate ------------------------------------------------- *)
-
-(* shards=4 must not be slower than shards=1 on the whole-run scaling
-   workload.  Min-of-k wall clock on each side: the workload is
-   deterministic, so all measurement noise is additive (a preemption only
-   ever makes a run slower) and the minimum is the statistic closest to
-   the true cost.  The n=1024 deep-queue case is the gate workload — it
-   carries the structural effect (one monolithic queue's working set
-   spills past L1 while per-shard queues stay resident, DESIGN.md §13)
-   rather than a few-percent margin that CI noise could flip.  The
-   [tolerance] absorbs residual jitter on busy shared CI machines.
-
-   The race only means something on a host with >= 4 hardware threads:
-   below that, Engine.create gives shards=4 a one-shard engine that runs
-   the sequential loop, so both sides would run the same executor and
-   the ratio would gate nothing.  On such hosts the gate skips with an
-   explicit message instead of reporting a vacuous pass/fail.
-   [advisory] reports the ratio but never fails — for shared runners
-   where a wall-clock hard gate is too flaky to enforce. *)
-let mt_gate ?(tolerance = 0.10) ?(advisory = false) () =
-  let cores = Rdt_parallel.Barrier_team.hardware_parallelism () in
-  if cores < 4 then begin
-    Printf.printf
-      "mt-gate: SKIP — host has %d hardware thread(s) < 4; shards=4 runs \
-       sequentially here, so the race would not measure parallel dispatch\n\
-       %!"
-      cores;
-    true
-  end
-  else begin
-  let n, chains, hops =
-    List.find (fun (n, _, _) -> n = 1024) engine_mt_cases
-  in
-  let min_of k f =
-    ignore (f ());
-    (* warm run: page in code, warm the allocator *)
-    let best = ref infinity in
-    for _ = 1 to k do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let t1 = min_of 7 (fun () -> engine_mt_run ~n ~shards:1 ~chains ~hops ()) in
-  let t4 = min_of 7 (fun () -> engine_mt_run ~n ~shards:4 ~chains ~hops ()) in
-  let ratio = t4 /. t1 in
-  Printf.printf
-    "mt-gate: n=%d shards=1 %.3f ms | shards=4 %.3f ms | ratio %.3f (pass: \
-     <= %.2f)%s\n\
-     %!"
-    n (t1 *. 1e3) (t4 *. 1e3) ratio
-    (1.0 +. tolerance)
-    (if advisory then " [advisory: not enforced]" else "");
-  advisory || ratio <= 1.0 +. tolerance
-  end

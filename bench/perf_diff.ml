@@ -2,11 +2,10 @@
    baseline vs a fresh run) — the `make perf` backend.
 
    The reader is deliberately specialized to the flat one-benchmark-per-
-   line layout Micro.write_json emits (rdtgc-bench-micro/1 through /3;
-   schema 1 files have no allocation fields and only /3 carries the
-   whole-run events_per_sec / speedup_vs_seq fields): this keeps the
-   harness free of a JSON dependency while staying robust to field
-   reordering within a line.
+   line layout Micro.write_json emits (rdtgc-bench-micro/1 through /4;
+   schema 1 files have no allocation fields, and /3 and /4 carry the
+   whole-run events_per_sec field): this keeps the harness free of a JSON
+   dependency while staying robust to field reordering within a line.
 
    Policy:
    - *structural* mismatches are fatal (exit 1): a schema-version change
@@ -19,15 +18,11 @@
      - WARN when ns_per_run regresses by more than 20%;
      - WARN on any steady-state allocation growth beyond jitter
        (allocs_per_run more than [alloc_jitter] words above baseline);
-     - WARN when a whole-run scaling row that used to beat the
-       sequential engine (speedup_vs_seq >= 1) falls below parity —
-       sharding stopped paying off (the hard version of this check is
-       the CI `mt-gate` command, which races fresh runs);
      - improvements are reported as INFO lines so the trajectory is
        visible in the CI log;
    - a row whose time regression fits poorly (r_square below [r2_floor]
-     in either file) is not gated on time: its ns/run, speedup and
-     throughput comparisons are replaced by one INFO line, because an
+     in either file) is not gated on time: its ns/run and throughput
+     comparisons are replaced by one INFO line, because an
      estimate the fit does not explain moves by more than the 20%
      threshold from run to run.  Its allocation check still applies (r²
      describes the time fit only), and every derived figure computed
@@ -50,8 +45,7 @@ type bench = {
   ns : float option;
   r2 : float option;
   allocs : float option;
-  ev_s : float option;  (* /3 whole-run rows only *)
-  speedup : float option;  (* /3 whole-run rows only *)
+  ev_s : float option;  (* whole-run rows only *)
 }
 
 (* --- minimal reader for our own writer's output ------------------------ *)
@@ -117,7 +111,6 @@ let parse path =
                r2 = number_field line "\"r_square\"";
                allocs = number_field line "\"allocs_per_run\"";
                ev_s = number_field line "\"events_per_sec\"";
-               speedup = number_field line "\"speedup_vs_seq\"";
              }
          | None -> None)
 
@@ -126,7 +119,7 @@ let schema_of path =
   |> List.find_map (fun line -> string_field line "\"schema\"")
 
 (* the group of a benchmark is its name up to the first '/': the JSON's
-   coarse table of contents ("engine", "engine-mt", "ccp", ...) *)
+   coarse table of contents ("engine", "ccp", "store", ...) *)
 let group_of name =
   match String.index_opt name '/' with
   | Some i -> String.sub name 0 i
@@ -203,14 +196,6 @@ let compare_files ~baseline ~current =
             else if change < -.(ns_regression_threshold *. 100.0) then
               say "INFO %-42s ns/run %+.1f%% (%.1f -> %.1f)" b.name change bn
                 cn
-          | _ -> ());
-          (match (b.speedup, c.speedup) with
-          | Some bs, Some cs when bs >= 1.0 && cs < 1.0 ->
-            incr warnings;
-            say "WARN %-42s sharding fell below parity: speedup %.2fx -> %.2fx"
-              b.name bs cs
-          | Some bs, Some cs when cs > bs *. 1.1 ->
-            say "INFO %-42s speedup %.2fx -> %.2fx" b.name bs cs
           | _ -> ());
           match (b.ev_s, c.ev_s) with
           | Some be, Some ce

@@ -139,19 +139,11 @@ let ckpt_bytes_arg =
        & info [ "ckpt-bytes" ] ~docv:"B"
            ~doc:"Synthetic size of one checkpoint payload (bytes).")
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"K"
-           ~doc:"Run the simulation engine on $(docv) domains (conservative \
-                 time-window synchronization), or sequentially on a host \
-                 with fewer hardware threads. Results are identical for \
-                 every value — only wall-clock time changes. Requires a \
-                 positive network minimum delay when > 1.")
-
 let build_config n seed duration protocol gc pattern send_interval
-    ckpt_interval reply loss fifo faults knowledge store_dir ckpt_bytes shards =
+    ckpt_interval reply loss fifo faults knowledge store_dir ckpt_bytes =
   {
-    Sim_config.n;
+    Sim_config.default with
+    n;
     seed;
     duration;
     protocol;
@@ -174,7 +166,6 @@ let build_config n seed duration protocol gc pattern send_interval
       | Some dir ->
         Sim_config.Durable
           { dir; config = Rdt_store.Log_store.default_config });
-    shards;
   }
 
 let config_term =
@@ -182,7 +173,7 @@ let config_term =
     const build_config $ n_arg $ seed_arg $ duration_arg $ protocol_arg
     $ gc_arg $ pattern_arg $ send_interval_arg $ ckpt_interval_arg $ reply_arg
     $ loss_arg $ fifo_arg $ crash_arg $ knowledge_arg $ store_dir_arg
-    $ ckpt_bytes_arg $ shards_arg)
+    $ ckpt_bytes_arg)
 
 (* --- run --------------------------------------------------------------- *)
 
@@ -532,9 +523,9 @@ let campaign_term ~runs ~max_procs ~corpus_doc =
 
 let campaign_log o = if o.quiet then fun _ -> () else print_endline
 
-let run_campaign ?shards o arm =
+let run_campaign o arm =
   Fuzz.campaign ~shrink:o.shrink ?corpus:o.corpus ~log:(campaign_log o)
-    ?shards ~seed:o.seed ~runs:o.runs ~max_procs:o.max_procs arm
+    ~seed:o.seed ~runs:o.runs ~max_procs:o.max_procs arm
 
 (* Exit 1 on a failing campaign — or, under a mutation self-check
    ([mutant] = how the injected bug is named when it escapes / when it
@@ -560,7 +551,7 @@ let scratch_root ~prefix = function
 
 (* --- fuzz ---------------------------------------------------------------- *)
 
-let do_fuzz o mutate_lgc replay shards =
+let do_fuzz o mutate_lgc replay =
   match replay with
   | Some file -> begin
     (* replay one saved scenario and report its verdict *)
@@ -584,7 +575,7 @@ let do_fuzz o mutate_lgc replay shards =
       if mutate_lgc then Some ("over-collecting mutant", "mutant") else None
     in
     finish_campaign ?mutant
-      (run_campaign ~shards o (Fuzz.harness ~mutate_lgc ()))
+      (run_campaign o (Fuzz.harness ~mutate_lgc ()))
 
 let fuzz_cmd =
   let doc =
@@ -609,16 +600,8 @@ let fuzz_cmd =
            ~doc:"Replay one saved scenario file instead of fuzzing; exit 0 \
                  iff it passes the oracles.")
   in
-  let fuzz_shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"K"
-             ~doc:"Run simulated-mode donor simulations on $(docv) engine \
-                   domains. Scenarios and verdicts are identical for every \
-                   value; > 1 smoke-tests the parallel engine under the \
-                   oracles.")
-  in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(const do_fuzz $ campaign $ mutate_arg $ replay_arg $ fuzz_shards_arg)
+    Term.(const do_fuzz $ campaign $ mutate_arg $ replay_arg)
 
 (* --- cluster-run / node --------------------------------------------------- *)
 
@@ -829,13 +812,9 @@ let lint_cmd =
      hash-order iteration), zero-allocation hot paths \
      ($(b,[@@@lint.zero_alloc_hot])), unsafe-op hygiene \
      ($(b,[@@lint.bounds_checked]) + file allowlist) and polymorphic \
-     compare at non-scalar types, and shard-ownership / data-race \
-     discipline for the domain-parallel engine ($(b,mt/*): mutable state \
-     escaping into a domain-crossing scope, two scopes writing one \
-     global, non-atomic cross-scope reads, un-striped shared-array \
-     writes).  Suppress per site with $(b,[@lint.allow \"rule-id\" \
-     \"justification\"]) or, for the mt family, $(b,[@lint.single_writer \
-     \"why\"]).  Exit 1 iff there are error-severity findings."
+     compare at non-scalar types.  Suppress per site with \
+     $(b,[@lint.allow \"rule-id\" \"justification\"]).  Exit 1 iff there \
+     are error-severity findings."
   in
   let root_arg =
     Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR"

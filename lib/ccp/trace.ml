@@ -1,5 +1,3 @@
-module Stamp = Rdt_sim.Stamp
-
 type tag = Checkpoint | Send | Receive
 
 (* An event's packed code: the payload above the peer above a 2-bit tag,
@@ -33,24 +31,6 @@ end
 
 module Int_column = Rdt_sim.Int_column
 
-(* Pooled buffer of not-yet-sequenced records for one process: the engine
-   event's key [(time, u, v)] plus [k], the rank of the record among those
-   made by the same process under the same key (one engine event can
-   record several trace events), and the record's position in the
-   process's log, whose [seq] slot {!finalize} fills.  Struct-of-arrays
-   rather than a vector of stamp records, so a sharded run buffers each
-   record by writing five slots instead of allocating a record and boxing
-   a float — per-record stamping was a measurable share of the
-   multi-shard allocation storm (DESIGN.md §13). *)
-type pending = {
-  mutable p_len : int;
-  mutable p_time : float array;
-  mutable p_u : int array;
-  mutable p_v : int array;
-  mutable p_k : int array;
-  mutable p_pos : int array;
-}
-
 type t = {
   n : int;
   peer_bits : int;
@@ -71,42 +51,7 @@ type t = {
   mutable on_truncate : (pid:int -> unit) list;
   (* the view handed to [on_event] subscribers, refilled per event *)
   view : View.t;
-  (* When set (sharded runs), records are buffered unsequenced per process
-     with a stamp drawn from this source, and {!finalize} later assigns
-     [seq] in canonical order and fires [on_event] — producing the exact
-     linearization the sequential engine records directly.  When unset,
-     records are sequenced immediately at append (the historical path).
-     The source writes into the caller's cell (no tuple per record);
-     cells are per pid, not shared: under parallel dispatch several
-     domains record concurrently, and a single shared cell would let two
-     shards read each other's stamp (or a torn mix), corrupting the
-     canonical keys.  A pid is only ever executed by its owning shard's
-     domain, so [stamp_cells.(pid)] is single-writer.  Both per-process
-     rows are allocated by {!set_order_source}: an unsharded run never
-     touches them. *)
-  mutable order_source : (Stamp.t -> unit) option;
-  mutable stamp_cells : Stamp.t array;
-  mutable pending : pending array;  (* per process, so shards never share *)
-  last_time : float array;
-  last_u : int array;
-  last_v : int array;
-  last_k : int array;
 }
-
-(* Recording runs inside engine windows, concurrently across shards
-   under parallel dispatch, so everything [record] (and the helpers it
-   calls) writes is striped by the recording process: log columns,
-   last-checkpoint and last-stamp rows, msg-id counters, stamp cells and
-   pending buffers are all per pid, and a pid only executes on its owning
-   shard's domain.  [finalize], [notify] and the readers below run on one
-   domain — at a barrier, after the run, or on the sequential path — and
-   are deliberately not scopes. *)
-[@@@lint.domain_scope
-  "record:pid" "pending_push:p"
-  "pending_grow:p" "fresh_msg_id:pid"]
-
-let fresh_pending () =
-  { p_len = 0; p_time = [||]; p_u = [||]; p_v = [||]; p_k = [||]; p_pos = [||] }
 
 let create ~n =
   if n <= 0 then invalid_arg "Trace.create: n must be positive";
@@ -124,13 +69,6 @@ let create ~n =
     on_event = [];
     on_truncate = [];
     view = View.make ~peer_bits;
-    order_source = None;
-    stamp_cells = [||];
-    pending = [||];
-    last_time = Array.make n nan;
-    last_u = Array.make n 0;
-    last_v = Array.make n 0;
-    last_k = Array.make n 0;
   }
 
 let n t = t.n
@@ -138,12 +76,6 @@ let max_payload t = t.max_payload
 let set_recording t b = t.recording <- b
 let on_event t f = t.on_event <- f :: t.on_event
 let on_truncate t f = t.on_truncate <- f :: t.on_truncate
-let set_order_source t f =
-  if Array.length t.pending = 0 then begin
-    t.stamp_cells <- Array.init t.n (fun _ -> Stamp.create ());
-    t.pending <- Array.init t.n (fun _ -> fresh_pending ())
-  end;
-  t.order_source <- Some f
 
 let pack t tag ~peer ~payload =
   (payload lsl (t.peer_bits + tag_bits)) lor (peer lsl tag_bits)
@@ -155,9 +87,7 @@ let rec fire v = function
     f v;
     fire v rest
 
-(* Hands one sequenced event to the subscribers through the trace's view.
-   Reached only from single-domain paths: the unsharded branch of
-   [record], and [finalize]. *)
+(* Hands one recorded event to the subscribers through the trace's view. *)
 let notify t ~pid ~seq code =
   match t.on_event with
   | [] -> ()
@@ -167,83 +97,6 @@ let notify t ~pid ~seq code =
     v.pid <- pid;
     v.code <- code;
     fire v subs
-
-let pending_grow p =
-  let cap = Array.length p.p_time in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let p_time = Array.make ncap 0.0 in
-  let p_u = Array.make ncap 0 in
-  let p_v = Array.make ncap 0 in
-  let p_k = Array.make ncap 0 in
-  let p_pos = Array.make ncap 0 in
-  Array.blit p.p_time 0 p_time 0 p.p_len;
-  Array.blit p.p_u 0 p_u 0 p.p_len;
-  Array.blit p.p_v 0 p_v 0 p.p_len;
-  Array.blit p.p_k 0 p_k 0 p.p_len;
-  Array.blit p.p_pos 0 p_pos 0 p.p_len;
-  p.p_time <- p_time;
-  p.p_u <- p_u;
-  p.p_v <- p_v;
-  p.p_k <- p_k;
-  p.p_pos <- p_pos
-
-let pending_push p ~time ~u ~v ~k ~pos =
-  let len = p.p_len in
-  if len = Array.length p.p_time then pending_grow p;
-  p.p_time.(len) <- time;
-  p.p_u.(len) <- u;
-  p.p_v.(len) <- v;
-  p.p_k.(len) <- k;
-  p.p_pos.(len) <- pos;
-  p.p_len <- len + 1
-
-let finalize t =
-  let total = Array.fold_left (fun acc p -> acc + p.p_len) 0 t.pending in
-  if total > 0 then begin
-    (* flatten the per-process buffers, sort an index permutation by
-       stamp, and sequence in that order — the once-per-run cost *)
-    let f_time = Array.make total 0.0 in
-    let f_u = Array.make total 0 in
-    let f_v = Array.make total 0 in
-    let f_k = Array.make total 0 in
-    let f_pid = Array.make total 0 in
-    let f_pos = Array.make total 0 in
-    let at = ref 0 in
-    Array.iteri
-      (fun pid p ->
-        Array.blit p.p_time 0 f_time !at p.p_len;
-        Array.blit p.p_u 0 f_u !at p.p_len;
-        Array.blit p.p_v 0 f_v !at p.p_len;
-        Array.blit p.p_k 0 f_k !at p.p_len;
-        Array.fill f_pid !at p.p_len pid;
-        Array.blit p.p_pos 0 f_pos !at p.p_len;
-        at := !at + p.p_len;
-        p.p_len <- 0)
-      t.pending;
-    let perm = Array.init total Fun.id in
-    let compare_idx a b =
-      let c = Float.compare f_time.(a) f_time.(b) in
-      if c <> 0 then c
-      else
-        let c = Int.compare f_u.(a) f_u.(b) in
-        if c <> 0 then c
-        else
-          let c = Int.compare f_v.(a) f_v.(b) in
-          if c <> 0 then c
-          else
-            let c = Int.compare f_k.(a) f_k.(b) in
-            if c <> 0 then c else Int.compare f_pid.(a) f_pid.(b)
-    in
-    Array.sort compare_idx perm;
-    Array.iter
-      (fun i ->
-        let pid = f_pid.(i) and pos = f_pos.(i) in
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        Int_column.set t.seqs.(pid) pos seq;
-        notify t ~pid ~seq (Int_column.get t.codes.(pid) pos))
-      perm
-  end
 
 let record t ~pid tag ~peer ~payload =
   if pid < 0 || pid >= t.n then invalid_arg "Trace.record: bad pid";
@@ -255,39 +108,11 @@ let record t ~pid tag ~peer ~payload =
   (match tag with
   | Checkpoint -> t.last_ckpt.(pid) <- payload
   | Send | Receive -> ());
-  match t.order_source with
-  | None ->
-    let seq = t.next_seq in
-    (t.next_seq <- seq + 1)
-    [@lint.single_writer
-      "no order source means sequential or inline dispatch: a single \
-       domain records (sharded runs install a source and take the \
-       other branch)"];
-    Int_column.push seqs seq;
-    Int_column.push t.codes.(pid) code;
-    notify t ~pid ~seq code
-  | Some source ->
-    let cell = t.stamp_cells.(pid) in
-    source cell;
-    let tm = Stamp.time cell in
-    let u = Stamp.u cell in
-    let v = Stamp.v cell in
-    let k =
-      if
-        Float.equal tm t.last_time.(pid)
-        && u = t.last_u.(pid)
-        && v = t.last_v.(pid)
-      then t.last_k.(pid) + 1
-      else 0
-    in
-    t.last_time.(pid) <- tm;
-    t.last_u.(pid) <- u;
-    t.last_v.(pid) <- v;
-    t.last_k.(pid) <- k;
-    let pos = Int_column.length seqs in
-    Int_column.push seqs (-1);
-    Int_column.push t.codes.(pid) code;
-    pending_push t.pending.(pid) ~time:tm ~u ~v ~k ~pos
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Int_column.push seqs seq;
+  Int_column.push t.codes.(pid) code;
+  notify t ~pid ~seq code
 
 (* the [recording] test sits here so a muted trace (benchmarks, long soak
    runs) does no work at all *)
@@ -315,7 +140,6 @@ let length t =
 (* Readers *)
 
 let iter_pid t ~pid f =
-  finalize t;
   let seqs = t.seqs.(pid) and codes = t.codes.(pid) in
   let v = View.make ~peer_bits:t.peer_bits in
   v.View.pid <- pid;
@@ -328,7 +152,6 @@ let iter_pid t ~pid f =
 (* A k-way merge by [seq]: [heap] is a binary min-heap of the pids whose
    log still has events, keyed by the [seq] at their cursor. *)
 let iter t f =
-  finalize t;
   let v = View.make ~peer_bits:t.peer_bits in
   let cursor = Array.make t.n 0 in
   let heap = Array.make t.n 0 in
@@ -383,9 +206,6 @@ let fold_pid t ~pid ~init f = fold_with (iter_pid ~pid) t ~init f
 let truncate_to_checkpoint t ~pid ~index =
   (* a muted trace recorded nothing, so there is nothing to cut *)
   if t.recording then begin
-    (* sequence everything first: pending records of the truncated suffix
-       must reach subscribers (they happened) before the retraction does *)
-    finalize t;
     let codes = t.codes.(pid) in
     let missing () =
       invalid_arg "Trace.truncate_to_checkpoint: checkpoint not in trace"

@@ -5,10 +5,8 @@
     communication pattern for analysis.  Events carry a global sequence
     number: since a receive is always sequenced after its send, the
     sequence order is a linearization consistent with causality, which
-    the analyzers exploit.  Sequence numbers are assigned at record time,
-    or — in sharded simulations, where processes append concurrently —
-    deferred and assigned in canonical engine order at {!finalize} (see
-    {!set_order_source}).
+    the analyzers exploit.  Sequence numbers are assigned at record
+    time.
 
     Rollback support: {!truncate_to_checkpoint} rewinds one process to just
     after a stable checkpoint, erasing the undone events.  Sends erased
@@ -78,28 +76,6 @@ val on_truncate : t -> (pid:int -> unit) -> unit
     consumers treat this as a cache invalidation (truncation can retract
     events a subscriber already folded in). *)
 
-val set_order_source : t -> (Rdt_sim.Stamp.t -> unit) -> unit
-(** Route appends through deferred canonical ordering: each record is
-    buffered per process, stamped with the key the source writes into a
-    trace-owned per-pid cell (the engine's [read_stamp]), and sequenced
-    lazily by
-    {!finalize} — sorted by [(time, u, v, k, pid)] where [k] ranks
-    multiple records made under one key by the same process.  Installed
-    by the runner for sharded simulations, where processes append from
-    multiple domains and arrival order is not the canonical order.  The
-    cell-writing shape keeps the per-record stamp allocation-free (a
-    tuple per record was part of the multi-shard allocation storm).  Must
-    be set before the first record. *)
-
-val finalize : t -> unit
-(** Sequence every buffered record and fire the {!on_event} callbacks in
-    canonical order.  Idempotent; a no-op without an order source.  Called
-    implicitly by every reader ({!iter}, {!iter_pid}, {!fold},
-    {!fold_pid}, {!to_channel}, {!truncate_to_checkpoint}); callers only
-    need it explicitly to fire pending {!on_event} callbacks.  Must not be
-    called while event handlers may still append (i.e. only between
-    engine windows or after the run). *)
-
 val record_checkpoint : t -> pid:int -> index:int -> unit
 val record_send : t -> pid:int -> msg_id:int -> dst:int -> unit
 val record_receive : t -> pid:int -> msg_id:int -> src:int -> unit
@@ -118,8 +94,7 @@ val fresh_msg_id : t -> pid:int -> int
 (** Allocates a message identifier unique across the trace
     ([k * n + pid], counting [pid]'s sends).  Ids are a pure function of
     the allocating process's own history, so they are stable under any
-    interleaving of processes — sharded and sequential runs assign the
-    same ids. *)
+    interleaving of processes. *)
 
 val restore_msg_ids : t -> pid:int -> count:int -> unit
 (** Raise [pid]'s send counter to at least [count] sends.  The counter is

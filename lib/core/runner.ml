@@ -17,19 +17,6 @@ module Series = Rdt_metrics.Series
    collection depends on synchronization — the paper's point). *)
 let coordinator = 0
 
-(* The runner's window-side seams.  [handle_message] is the receiver the
-   engine invokes inside a window on the owning process's shard;
-   [control_send] bumps the sending process's own counter slot.
-   The round functions ([start_round], [finish_round], [on_gc_reply])
-   also run inside windows, but every path into them is pinned to the
-   coordinator's shard, so [t.rounds] has a single writing domain — the
-   [@@lint.single_writer] on each says exactly that.  [crash], [recover]
-   and [sample] run as unrouted global actions at a window barrier and
-   are not scopes. *)
-[@@@lint.domain_scope
-  "control_send:src" "handle_message:pid" "start_round" "finish_round"
-  "on_gc_reply"]
-
 type round_state = {
   mutable next_round : int;
   mutable open_round : int option;
@@ -49,10 +36,7 @@ type t = {
   series_total : Series.t;
   series_optimal : Series.t;
   rounds : round_state;
-  (* indexed by sending pid: control sends happen inside routed
-     handlers, so a single shared cell would race under [shards > 1],
-     while each slot is only written from its process's shard *)
-  control_sent : int array;
+  mutable control_sent : int;
   mutable crashed_pending : int list;
   mutable recoveries : Session.report list;
   mutable on_sample : (t -> unit) option;
@@ -70,7 +54,6 @@ let stack t pid = t.stacks.(pid)
 let middleware t pid = t.middlewares.(pid)
 let collector t pid = Process_stack.collector t.stacks.(pid)
 let ccp t =
-  Trace.finalize t.trace;
   match t.ccp_incr with
   | Some incr -> Ccp.Incremental.ccp incr
   | None ->
@@ -110,9 +93,9 @@ let reply_sends t pid ~src =
     (fun dst -> app_send t ~src:pid ~dst)
     (Workload.reply_destinations t.workload ~me:pid ~src)
 
-(* Per-process timers are [pin]ned: they execute on the process's shard
-   and keep firing while it is down so they can re-arm; the [is_up] guard
-   skips their work meanwhile. *)
+(* Per-process timers are [pin]ned to their process and keep firing while
+   it is down so they can re-arm; the [is_up] guard skips their work
+   meanwhile. *)
 let rec arm_send_timer t pid =
   let delay = Workload.next_send_delay t.workload ~me:pid in
   Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->
@@ -130,11 +113,10 @@ let rec arm_ckpt_timer t pid =
 (* --- coordinated GC rounds ------------------------------------------ *)
 
 let control_send t ~src ~dst msg =
-  (* always called from [src]'s own shard, so the slot write is owned *)
-  t.control_sent.(src) <- t.control_sent.(src) + 1;
+  t.control_sent <- t.control_sent + 1;
   Engine.send t.engine ~reliable:true ~src ~dst msg
 
-let control_messages t = Array.fold_left ( + ) 0 t.control_sent
+let control_messages t = t.control_sent
 
 let start_round t =
   if Engine.is_up t.engine coordinator then begin
@@ -157,9 +139,6 @@ let start_round t =
         else control_send t ~src:coordinator ~dst:pid (Sim_msg.Gc_query { round }))
       up
   end
-[@@lint.single_writer
-  "t.rounds is coordinator round state: this only runs from the gc timer \
-   pinned to the coordinator's shard"]
 
 let apply_collect t pid indices =
   let store = Middleware.store t.middlewares.(pid) in
@@ -213,9 +192,6 @@ let finish_round t round =
     t.rounds.rounds_completed <- t.rounds.rounds_completed + 1
   end;
   t.rounds.open_round <- None
-[@@lint.single_writer
-  "t.rounds is coordinator round state: only reached from on_gc_reply, \
-   which executes on the coordinator's shard"]
 
 let on_gc_reply t ~round ~pid snapshot =
   match t.rounds.open_round with
@@ -226,9 +202,6 @@ let on_gc_reply t ~round ~pid snapshot =
         finish_round t round
     end
   | Some _ | None -> ()
-[@@lint.single_writer
-  "t.rounds is coordinator round state: replies are control messages \
-   addressed to the coordinator, so this executes on its shard"]
 
 let rec arm_gc_timer t ~period =
   (* pinned to the coordinator: the round logic only touches the
@@ -341,15 +314,8 @@ let rec arm_sample_timer t =
 
 let create (cfg : Sim_config.t) =
   Sim_config.validate cfg;
-  let engine =
-    Engine.create ~n:cfg.n ~seed:cfg.seed ~net:cfg.net ~shards:cfg.shards ()
-  in
+  let engine = Engine.create ~n:cfg.n ~seed:cfg.seed ~net:cfg.net () in
   let trace = Trace.create ~n:cfg.n in
-  (* A one-shard engine records in canonical order already; only parallel
-     dispatch — where processes append from different domains — needs the
-     trace to defer sequencing until the stamps can be merged. *)
-  if Engine.shards engine > 1 then
-    Trace.set_order_source trace (Engine.read_stamp engine);
   (* Every pid's directory is opened and checked before any stack stores
      its s^0, so a stale directory is rejected without writing into the
      others. *)
@@ -410,7 +376,7 @@ let create (cfg : Sim_config.t) =
           expected = [];
           rounds_completed = 0;
         };
-      control_sent = Array.make cfg.n 0;
+      control_sent = 0;
       crashed_pending = [];
       recoveries = [];
       on_sample = None;
@@ -440,10 +406,7 @@ let create (cfg : Sim_config.t) =
   arm_sample_timer t;
   t
 
-let run t =
-  Engine.run ~until:t.cfg.Sim_config.duration t.engine;
-  (* flush deferred trace sequencing so [on_event] subscribers are current *)
-  Trace.finalize t.trace
+let run t = Engine.run ~until:t.cfg.Sim_config.duration t.engine
 let step t = Engine.step t.engine
 
 (* --- summary ----------------------------------------------------------- *)

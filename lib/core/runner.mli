@@ -26,8 +26,7 @@ val run : t -> unit
 (** Execute until the configured duration. *)
 
 val step : t -> bool
-(** Execute a single engine event (or, with [shards > 1], one conservative
-    time window); [false] when nothing is left. *)
+(** Execute a single engine event; [false] when nothing is left. *)
 
 val set_on_sample : t -> (t -> unit) -> unit
 (** Callback invoked at every metrics sample (tests hook invariant audits

@@ -58,11 +58,7 @@ let validate t =
   if t.duration <= 0.0 then invalid_arg "Sim_config: duration must be positive";
   if t.sample_interval <= 0.0 then
     invalid_arg "Sim_config: sample interval must be positive";
-  if t.shards < 1 then invalid_arg "Sim_config: shards must be at least 1";
-  if t.shards > 1 && t.net.Rdt_sim.Network.min_delay <= 0.0 then
-    invalid_arg
-      "Sim_config: shards > 1 needs a positive network min_delay (the \
-       conservative lookahead)";
+  if t.shards <> 1 then invalid_arg "Sim_config: shards must be 1";
   (match t.gc with
   | Coordinated { period }
   | Simple { period }

@@ -55,9 +55,10 @@ type t = {
   ckpt_bytes : int;  (** synthetic size of one checkpoint *)
   store : store_backend;  (** where stable storage actually lives *)
   shards : int;
-      (** engine shard (domain) count; results are identical at every
-          value, only wall-clock time changes.  [> 1] requires
-          [net.min_delay > 0] (it is the conservative lookahead) *)
+      (** must be [1]: the engine is sequential.  A leftover of the
+          retired sharded engine, kept only because the benchmark harness
+          still sets it; the field goes in the next change to the
+          benchmark. *)
 }
 
 val default : t

@@ -40,9 +40,8 @@ let wall_clock_names = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
 let domain_spawn_names = [ "Domain.spawn" ]
 
 (* any Atomic.* operation: matched by module prefix rather than an
-   explicit list because the whole module is off-limits outside the
-   barrier code — shard-confined plain state plus the window barrier is
-   the project's synchronization discipline *)
+   explicit list because the whole module is off-limits outside
+   lib/parallel, the home of the one domain team *)
 let atomic_name name = String.length name > 7 && String.sub name 0 7 = "Atomic."
 
 let hashtbl_order_names =
@@ -96,118 +95,6 @@ let alloc_ref_names = [ "ref" ]
 let polycmp_equal_names = [ "="; "<>" ]
 let polycmp_order_names = [ "compare"; "min"; "max"; "<"; ">"; "<="; ">=" ]
 let polycmp_hash_names = [ "Hashtbl.hash"; "Hashtbl.seeded_hash" ]
-
-(* ------------------------------------------------------------------ *)
-(* mt/*: shard-ownership tables (DESIGN.md §16)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Does the (Stdlib-stripped) path [name] end in the dotted name [short]?
-   Matches through module aliases and dune's wrapped-library prefixes
-   ("Barrier_team.run_sub", "Rdt_parallel.Barrier_team.run_sub" and
-   "Rdt_parallel__Barrier_team.run_sub" all match
-   "Barrier_team.run_sub") but never a partial component. *)
-let name_suffix name short =
-  String.equal name short
-  || String.length name > String.length short
-     && (let nl = String.length name and sl = String.length short in
-         String.equal (String.sub name (nl - sl) sl) short
-         && (match name.[nl - sl - 1] with '.' | '_' -> true | _ -> false))
-
-(* undotted names (incr, ref, :=) are Stdlib values after [norm_path];
-   suffix-matching those would swallow every [Foo.incr] in the tree *)
-let name_matches name short =
-  if String.contains short '.' then name_suffix name short
-  else String.equal name short
-
-let mem_match name set = List.exists (name_matches name) set
-
-(* Functions whose closure argument runs on another domain.  [`All]: the
-   closure's parameters are member/shard indices the scope owns (a
-   barrier team invokes the job with the member index); [`None]: the
-   parameters carry no ownership.  [@@@lint.domain_scope] declares
-   further entry points by function name. *)
-let scope_call_specs =
-  [
-    ("Barrier_team.run_sub", `All);
-    ("Domain.spawn", `All);
-    (* pinned/owned engine callbacks execute inside the owning shard's
-       window; the closure parameters (a sender pid, a message) are not
-       shard-derived *)
-    ("Engine.schedule", `None);
-    ("Engine.schedule_in", `None);
-    ("Engine.set_receiver", `None);
-  ]
-
-(* functions whose result is the executing member/shard index *)
-let domain_index_builtin = [ "Barrier_team.self_index" ]
-
-(* Mutating operations: (name, position of the mutated value among the
-   unlabelled arguments, position of the striping index when the
-   operation is itself indexed).  Atomic.* is deliberately absent — an
-   atomic access inside a scope is the sanctioned escape. *)
-let mutator_specs =
-  [
-    (":=", 0, None);
-    ("incr", 0, None);
-    ("decr", 0, None);
-    ("Array.set", 0, Some 1);
-    ("Array.unsafe_set", 0, Some 1);
-    ("Array.fill", 0, None);
-    ("Array.blit", 2, None);
-    ("Array.sort", 1, None);
-    ("Bytes.set", 0, Some 1);
-    ("Bytes.unsafe_set", 0, Some 1);
-    ("Bytes.fill", 0, None);
-    ("Bytes.blit", 2, None);
-    ("Hashtbl.replace", 0, None);
-    ("Hashtbl.add", 0, None);
-    ("Hashtbl.remove", 0, None);
-    ("Hashtbl.reset", 0, None);
-    ("Hashtbl.clear", 0, None);
-    ("Hashtbl.filter_map_inplace", 1, None);
-    ("Buffer.add_string", 0, None);
-    ("Buffer.add_char", 0, None);
-    ("Buffer.add_bytes", 0, None);
-    ("Buffer.add_substring", 0, None);
-    ("Buffer.clear", 0, None);
-    ("Buffer.reset", 0, None);
-    ("Queue.push", 1, None);
-    ("Queue.add", 1, None);
-    ("Queue.pop", 0, None);
-    ("Queue.take", 0, None);
-    ("Queue.take_opt", 0, None);
-    ("Queue.clear", 0, None);
-    ("Stack.push", 1, None);
-    ("Stack.pop", 0, None);
-    (* project containers: event queues, trace vectors, stamp cells *)
-    ("Event_queue.add", 0, None);
-    ("Event_queue.add_keyed", 0, None);
-    ("Event_queue.pop", 0, None);
-    ("Vec.push", 0, None);
-    ("Vec.set", 0, Some 1);
-    ("Vec.clear", 0, None);
-    ("Vec.truncate", 0, None);
-    ("Stamp.set", 0, None);
-  ]
-
-let find_mutator name =
-  List.find_opt (fun (s, _, _) -> name_matches name s) mutator_specs
-
-(* indexed reads a write target may be reached through *)
-let index_get_names =
-  [ "Array.get"; "Array.unsafe_get"; "Bytes.get"; "Bytes.unsafe_get"; "Vec.get" ]
-
-(* allocators whose result a scope owns outright (freshly allocated
-   inside it) — also the RHS shapes that make a top-level binding a
-   mutable global for mt/shared-write and mt/non-atomic-read *)
-let local_alloc_names =
-  [
-    "ref"; "Array.make"; "Array.init"; "Array.copy"; "Array.of_list";
-    "Array.append"; "Array.sub"; "Array.create_float"; "Array.make_matrix";
-    "Bytes.create"; "Bytes.make"; "Bytes.of_string"; "Buffer.create";
-    "Hashtbl.create"; "Queue.create"; "Stack.create"; "Vec.create";
-    "Stamp.create"; "Event_queue.create";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Type scrutiny for the polycmp family                                *)
@@ -269,20 +156,6 @@ let type_to_string ty =
 (* Traversal context                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* What a domain-crossing scope knows about a value: [Owned] — derived
-   from the scope's shard/pid parameter (a declared root, or computed
-   from one); [Local] — allocated inside the scope; [Foreign] — captured
-   from outside.  Ownership is the max over the mentions feeding a
-   value, so [t.shards.(s)] with owned [s] is owned. *)
-type origin = Foreign | Local | Owned
-
-let rank = function Foreign -> 0 | Local -> 1 | Owned -> 2
-
-type scope_frame = {
-  sid : int;  (* stable across the two passes: same traversal order *)
-  roots : string list;  (* binding names trusted as owned in this scope *)
-}
-
 type ctx = {
   cfg : Lint_config.t;
   file : string;
@@ -298,77 +171,37 @@ type ctx = {
   globals : (Ident.t, unit) Hashtbl.t;
   rec_ids : (Ident.t, unit) Hashtbl.t;
   mutable peeled : expression list;
-  (* mt/*: shard-ownership state *)
-  reporting : bool;
-      (* pass 1 (false) only collects [gwrites]; pass 2 (true) reports *)
-  gwrites : (string, int list ref) Hashtbl.t;
-      (* top-level mutable binding -> scope ids with a non-owned write;
-         shared between the two passes of one compilation unit *)
-  mutable scopes : scope_frame list;  (* innermost first *)
-  mutable next_sid : int;
-  mutable scope_lambdas : (expression * [ `All | `None ]) list;
-      (* lambda literals passed to a scope entry point, keyed physically;
-         [`All]/[`None]: whether their parameters are owned *)
-  origin : (Ident.t, origin) Hashtbl.t;
-  mutable target_roots : expression list;
-      (* root ident nodes already consumed as write targets, so the read
-         rule does not re-flag the mention inside the write itself *)
-  domain_scopes : (string, string list) Hashtbl.t;
-      (* [@@@lint.domain_scope "fn:root:..."]: function name -> roots *)
-  mutable domain_index_names : string list;
-  mutable sws : Suppress.single_writer list;  (* innermost first *)
-  mutable all_sws : Suppress.single_writer list;
-  mutable_globals : (Ident.t, unit) Hashtbl.t;
 }
 
 let loc_pos (loc : Location.t) =
   (loc.loc_start.pos_lnum, loc.loc_start.pos_cnum - loc.loc_start.pos_bol)
 
 let report ctx ~loc ~rule ~severity ~msg =
-  if not ctx.reporting then ()
-  else begin
-    let line, col = loc_pos loc in
-    let finding =
-      {
-        Finding.rule;
-        severity;
-        file = ctx.file;
-        line;
-        col;
-        context = ctx.top;
-        message = msg;
-      }
-    in
-    let matching =
-      List.find_opt
-        (fun (a : Suppress.allow) ->
-          Option.is_some a.justification
-          && Suppress.allow_matches ~allow_rule:a.rule ~justified:true ~rule)
-        ctx.allows
-    in
-    match matching with
-    | Some a ->
-      a.used <- true;
-      let why = Option.value a.justification ~default:"" in
-      ctx.suppressed <- (finding, why) :: ctx.suppressed
-    | None -> begin
-      (* [@lint.allow] wins; a justified [@lint.single_writer] in scope
-         silences only the mt/* write rules *)
-      let sw =
-        if Suppress.single_writer_silences rule then
-          List.find_opt
-            (fun (s : Suppress.single_writer) ->
-              Option.is_some s.sw_justification)
-            ctx.sws
-        else None
-      in
-      match sw with
-      | Some s ->
-        s.sw_used <- true;
-        ctx.suppressed <- (finding, Option.get s.sw_justification) :: ctx.suppressed
-      | None -> ctx.findings <- finding :: ctx.findings
-    end
-  end
+  let line, col = loc_pos loc in
+  let finding =
+    {
+      Finding.rule;
+      severity;
+      file = ctx.file;
+      line;
+      col;
+      context = ctx.top;
+      message = msg;
+    }
+  in
+  let matching =
+    List.find_opt
+      (fun (a : Suppress.allow) ->
+        Option.is_some a.justification
+        && Suppress.allow_matches ~allow_rule:a.rule ~justified:true ~rule)
+      ctx.allows
+  in
+  match matching with
+  | Some a ->
+    a.used <- true;
+    let why = Option.value a.justification ~default:"" in
+    ctx.suppressed <- (finding, why) :: ctx.suppressed
+  | None -> ctx.findings <- finding :: ctx.findings
 
 let error ctx ~loc ~rule ~msg =
   report ctx ~loc ~rule ~severity:Finding.Error ~msg
@@ -403,127 +236,6 @@ let has_attr name (attrs : Parsetree.attributes) =
   List.exists
     (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name)
     attrs
-
-(* Parse and activate [@lint.single_writer]; same scoping discipline as
-   the allows stack. *)
-let push_sws ctx (attrs : Parsetree.attributes) =
-  let pushed = ref 0 in
-  List.iter
-    (fun parsed ->
-      match parsed with
-      | Suppress.Sw_malformed (msg, loc) ->
-        error ctx ~loc ~rule:"lint/bad-allow" ~msg
-      | Suppress.Sw s ->
-        if Option.is_none s.sw_justification then
-          error ctx ~loc:s.sw_loc ~rule:"lint/missing-justification"
-            ~msg:"[@lint.single_writer] needs a justification string";
-        ctx.sws <- s :: ctx.sws;
-        ctx.all_sws <- s :: ctx.all_sws;
-        incr pushed)
-    (Suppress.parse_single_writers attrs);
-  !pushed
-
-let pop_sws ctx n =
-  for _ = 1 to n do
-    match ctx.sws with [] -> () | _ :: rest -> ctx.sws <- rest
-  done
-
-(* ------------------------------------------------------------------ *)
-(* mt/*: scopes and ownership                                          *)
-(* ------------------------------------------------------------------ *)
-
-let scope_active ctx = match ctx.scopes with [] -> false | _ :: _ -> true
-let cur_roots ctx = match ctx.scopes with [] -> [] | s :: _ -> s.roots
-let cur_sid ctx = match ctx.scopes with [] -> -1 | s :: _ -> s.sid
-
-let enter_scope ctx ~roots =
-  let sid = ctx.next_sid in
-  ctx.next_sid <- sid + 1;
-  ctx.scopes <- { sid; roots } :: ctx.scopes
-
-let exit_scope ctx =
-  match ctx.scopes with [] -> () | _ :: rest -> ctx.scopes <- rest
-
-(* record an ident's origin, keeping the strongest claim (idents are
-   globally unique in a compilation unit, so no scoping is needed) *)
-let register_origin ctx id o =
-  match Hashtbl.find_opt ctx.origin id with
-  | Some o0 when rank o0 >= rank o -> ()
-  | _ -> Hashtbl.replace ctx.origin id o
-
-(* The parameters a curried definition binds: this lambda's own, plus —
-   through single-case chains — those of the next curried arguments
-   (multi-case bodies are fresh closures, not further parameters).  An
-   optional argument with a default desugars to a [let] between two
-   lambdas of the chain; walk through it. *)
-let rec chain_params e =
-  Lint_compat.lambda_params e
-  @
-  match Lint_compat.lambda_bodies e with
-  | Some (bodies, true) -> List.concat_map chain_params_body bodies
-  | Some (_, false) | None -> []
-
-and chain_params_body e =
-  match e.exp_desc with
-  | Texp_let (_, _, body) -> chain_params_body body
-  | _ -> chain_params e
-
-(* Ownership of an expression: the max rank over its mentions.  An
-   Owned ident or a call to a declared shard-index function makes it
-   Owned; a fresh mutable allocation or a Local mention makes it Local;
-   otherwise it is Foreign. *)
-let origin_of_expr ctx e =
-  let best = ref Foreign in
-  let up o = if rank o > rank !best then best := o in
-  let expr_h sub ex =
-    (match ex.exp_desc with
-     | Texp_ident (Path.Pident id, _, _) -> (
-       match Hashtbl.find_opt ctx.origin id with
-       | Some o -> up o
-       | None -> ())
-     | Texp_apply (f, _) -> (
-       match f.exp_desc with
-       | Texp_ident (p, _, _) ->
-         let n = norm_path p in
-         if
-           List.exists (name_matches n)
-             (domain_index_builtin @ ctx.domain_index_names)
-         then up Owned
-         else if mem_match n local_alloc_names then up Local
-       | _ -> ())
-     | Texp_record _ | Texp_array _ -> up Local
-     | _ -> ());
-    if rank !best < rank Owned then Tast_iterator.default_iterator.expr sub ex
-  in
-  let it = { Tast_iterator.default_iterator with expr = expr_h } in
-  it.expr it e;
-  !best
-
-(* Walk a write target down to its root: through record fields and
-   indexed reads.  Returns the root, the root's ident node (so the read
-   rule can skip it), whether any indexing was crossed, and whether any
-   index on the path was owned (striped access). *)
-let rec resolve_target ctx ex ~indexed ~owned_idx =
-  match ex.exp_desc with
-  | Texp_ident (Path.Pident id, _, _) -> Some (`Ident id, ex, indexed, owned_idx)
-  | Texp_ident (p, _, _) -> Some (`Path (norm_path p), ex, indexed, owned_idx)
-  | Texp_field (e', _, _) -> resolve_target ctx e' ~indexed ~owned_idx
-  | Texp_apply (f, args) -> (
-    match f.exp_desc with
-    | Texp_ident (p, _, _) when mem_match (norm_path p) index_get_names -> (
-      let pos =
-        List.filter_map
-          (fun ((lbl : Asttypes.arg_label), a) ->
-            match lbl with Nolabel -> a | Labelled _ | Optional _ -> None)
-          args
-      in
-      match pos with
-      | cont :: ie :: _ ->
-        let oi = owned_idx || rank (origin_of_expr ctx ie) = rank Owned in
-        resolve_target ctx cont ~indexed:true ~owned_idx:oi
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Closure analysis                                                    *)
@@ -603,8 +315,8 @@ let check_ident ctx e path =
       error ctx ~loc ~rule:"det/atomic"
         ~msg:
           (name
-         ^ " outside lib/parallel; shard-confined plain state synchronized \
-            at the window barrier is the concurrency discipline");
+         ^ " outside lib/parallel; Barrier_team.map is the one concurrency \
+            primitive");
     if
       mem_name name hashtbl_order_names
       && Lint_config.in_hashtbl_det ctx.cfg ctx.file
@@ -660,193 +372,17 @@ let check_ident ctx e path =
   end
 
 (* ------------------------------------------------------------------ *)
-(* mt/*: the shard-ownership checks                                    *)
-(* ------------------------------------------------------------------ *)
-
-let positional_args args =
-  List.filter_map
-    (fun ((lbl : Asttypes.arg_label), a) ->
-      match lbl with Nolabel -> a | Labelled _ | Optional _ -> None)
-    args
-
-(* A write inside a domain-crossing scope.  Exempt when the path to the
-   root crosses an owned (shard/pid-derived) index, or the root itself
-   is owned or locally allocated.  Otherwise classify: a top-level
-   mutable binding written by two or more distinct scopes is
-   mt/shared-write; an indexed access with a foreign index is
-   mt/stripe-index; anything else is mt/escape-mutable. *)
-let check_write ctx ~loc ~what ~idx tgt =
-  let idx_owned =
-    match idx with
-    | Some ie -> rank (origin_of_expr ctx ie) = rank Owned
-    | None -> false
-  in
-  match resolve_target ctx tgt ~indexed:(Option.is_some idx) ~owned_idx:idx_owned with
-  | None -> ()
-  | Some (root, root_node, indexed, owned_idx) ->
-    ctx.target_roots <- root_node :: ctx.target_roots;
-    if not owned_idx then begin
-      let origin_ok =
-        match root with
-        | `Ident id -> (
-          match Hashtbl.find_opt ctx.origin id with
-          | Some (Owned | Local) -> true
-          | Some Foreign | None -> false)
-        | `Path _ -> false
-      in
-      if not origin_ok then begin
-        let key, is_global, disp =
-          match root with
-          | `Ident id ->
-            (Ident.unique_name id, Hashtbl.mem ctx.globals id, Ident.name id)
-          | `Path p -> (p, true, p)
-        in
-        if is_global then begin
-          let l =
-            match Hashtbl.find_opt ctx.gwrites key with
-            | Some l -> l
-            | None ->
-              let l = ref [] in
-              Hashtbl.replace ctx.gwrites key l;
-              l
-          in
-          let sid = cur_sid ctx in
-          if (not ctx.reporting) && not (List.mem sid !l) then l := sid :: !l
-        end;
-        if ctx.reporting then begin
-          let nscopes =
-            if is_global then
-              match Hashtbl.find_opt ctx.gwrites key with
-              | Some l -> List.length !l
-              | None -> 0
-            else 0
-          in
-          let rule, msg =
-            if is_global && nscopes >= 2 then
-              ( "mt/shared-write",
-                Printf.sprintf
-                  "%s: %d distinct domain-crossing scopes write the \
-                   top-level mutable binding %s"
-                  what nscopes disp )
-            else if indexed then
-              ( "mt/stripe-index",
-                Printf.sprintf
-                  "%s into %s: the index is not derived from this scope's \
-                   shard/pid parameter"
-                  what disp )
-            else
-              ( "mt/escape-mutable",
-                Printf.sprintf
-                  "%s: %s is allocated outside this domain-crossing scope; \
-                   own it via a declared root, stripe it by the shard \
-                   index, use Atomic, or justify [@lint.single_writer]"
-                  what disp )
-          in
-          error ctx ~loc ~rule ~msg
-        end
-      end
-    end
-
-(* A plain read, inside a scope, of a top-level mutable binding that
-   some scope writes non-owned: racy unless Atomic (Atomic reads go
-   through Atomic.get, not a bare ident mention of a mutable global). *)
-let check_scope_read ctx e id =
-  if
-    ctx.reporting
-    && Hashtbl.mem ctx.mutable_globals id
-    && (match Hashtbl.find_opt ctx.gwrites (Ident.unique_name id) with
-        | Some { contents = _ :: _ } -> true
-        | Some { contents = [] } | None -> false)
-    && not (List.memq e ctx.target_roots)
-  then
-    error ctx ~loc:e.exp_loc ~rule:"mt/non-atomic-read"
-      ~msg:
-        (Printf.sprintf
-           "read of top-level mutable %s, which a domain-crossing scope \
-            also writes; use Atomic or confine it to one side of the \
-            barrier"
-           (Ident.name id))
-
-let check_mt ctx e =
-  if Lint_config.in_lib ctx.cfg ctx.file then begin
-    (* mark closures handed to domain-crossing entry points *)
-    (match e.exp_desc with
-     | Texp_apply (f, args) -> (
-       match f.exp_desc with
-       | Texp_ident (p, _, _) -> (
-         let n = norm_path p in
-         match
-           List.find_opt (fun (s, _) -> name_suffix n s) scope_call_specs
-         with
-         | Some (_, own) ->
-           List.iter
-             (fun (_, a) ->
-               match a with
-               | Some ae when is_lambda ae ->
-                 ctx.scope_lambdas <- (ae, own) :: ctx.scope_lambdas
-               | _ -> ())
-             args
-         | None -> ())
-       | _ -> ())
-     | _ -> ());
-    if scope_active ctx then begin
-      match e.exp_desc with
-      | Texp_setfield (tgt, _, _, _) ->
-        check_write ctx ~loc:e.exp_loc ~what:"field write" ~idx:None tgt
-      | Texp_apply (f, args) -> (
-        match f.exp_desc with
-        | Texp_ident (p, _, _) -> (
-          match find_mutator (norm_path p) with
-          | Some (mname, ti, ii) -> (
-            let pos = positional_args args in
-            let idx = Option.bind ii (fun i -> List.nth_opt pos i) in
-            match List.nth_opt pos ti with
-            | Some tgt -> check_write ctx ~loc:e.exp_loc ~what:mname ~idx tgt
-            | None -> ())
-          | None -> ())
-        | _ -> ())
-      | Texp_match (scrut, cases, _) ->
-        (* destructuring an owned/local value keeps its ownership *)
-        let o = origin_of_expr ctx scrut in
-        if rank o > rank Foreign then
-          List.iter
-            (fun c ->
-              List.iter
-                (fun id -> register_origin ctx id o)
-                (pat_bound_idents c.c_lhs))
-            cases
-      | Texp_ident (Path.Pident id, _, _) -> check_scope_read ctx e id
-      | _ -> ()
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Expression / binding traversal                                      *)
 (* ------------------------------------------------------------------ *)
 
 let rec expr_hook ctx it e =
   let pushed = push_allows ctx e.exp_attributes in
-  let pushed_sw = push_sws ctx e.exp_attributes in
-  (* a lambda literal previously marked as the closure argument of a
-     domain-crossing call becomes a scope here, covering its body *)
-  let entered =
-    match List.assq_opt e ctx.scope_lambdas with
-    | Some own when Lint_config.in_lib ctx.cfg ctx.file ->
-      enter_scope ctx ~roots:[];
-      (match own with
-       | `All ->
-         List.iter (fun id -> register_origin ctx id Owned) (chain_params e)
-       | `None -> ());
-      true
-    | Some _ | None -> false
-  in
   (match e.exp_desc with
    | Texp_let (Recursive, vbs, _) ->
      List.iter
        (fun id -> Hashtbl.replace ctx.rec_ids id ())
        (let_bound_idents vbs)
    | _ -> ());
-  check_mt ctx e;
   if is_lambda e && not (List.memq e ctx.peeled) then begin
     peel_chain ctx e;
     if ctx.hot_depth > 0 then begin
@@ -886,8 +422,6 @@ let rec expr_hook ctx it e =
        ~msg:"lazy suspension allocates on the hot path"
    | _ -> ());
   Tast_iterator.default_iterator.expr it e;
-  if entered then exit_scope ctx;
-  pop_sws ctx pushed_sw;
   pop_allows ctx pushed
 
 and process_binding ctx it ~top vb =
@@ -899,53 +433,6 @@ and process_binding ctx it ~top vb =
   let saved_top = ctx.top in
   if top then ctx.top <- name;
   let pushed = push_allows ctx vb.vb_attributes in
-  let pushed_sw = push_sws ctx vb.vb_attributes in
-  let in_lib = Lint_config.in_lib ctx.cfg ctx.file in
-  (* a binding evaluated inside a scope: owned when named as one of the
-     scope's roots, otherwise the ownership of its right-hand side *)
-  if in_lib && scope_active ctx then begin
-    let roots = cur_roots ctx in
-    let o_rhs = lazy (origin_of_expr ctx vb.vb_expr) in
-    List.iter
-      (fun id ->
-        let o =
-          if mem_name (Ident.name id) roots then Owned else Lazy.force o_rhs
-        in
-        register_origin ctx id o)
-      (let_bound_idents [ vb ])
-  end;
-  (* a declared domain-crossing scope: a floating
-     [@@@lint.domain_scope "fn:root:..."] naming this binding, or the
-     binding-attached [@@lint.domain_scope "root" ...] *)
-  let mt_scope =
-    if not in_lib then None
-    else
-      match Hashtbl.find_opt ctx.domain_scopes name with
-      | Some roots -> Some roots
-      | None ->
-        List.find_map
-          (fun (a : Parsetree.attribute) ->
-            if String.equal a.attr_name.txt "lint.domain_scope" then begin
-              match Suppress.strings_of_payload a.attr_payload with
-              | Some roots -> Some roots
-              | None ->
-                error ctx ~loc:a.attr_loc ~rule:"lint/bad-allow"
-                  ~msg:
-                    "[@@lint.domain_scope] payload must be string literals \
-                     naming owned roots";
-                Some []
-            end
-            else None)
-          vb.vb_attributes
-  in
-  (match mt_scope with
-   | Some roots ->
-     enter_scope ctx ~roots;
-     List.iter
-       (fun id ->
-         if mem_name (Ident.name id) roots then register_origin ctx id Owned)
-       (chain_params vb.vb_expr)
-   | None -> ());
   let is_hot =
     has_attr "lint.zero_alloc_hot" vb.vb_attributes
     || (top && (ctx.hot_module || mem_name name ctx.hot_names))
@@ -981,34 +468,11 @@ and process_binding ctx it ~top vb =
   expr_hook ctx it vb.vb_expr;
   if is_hot then ctx.hot_depth <- ctx.hot_depth - 1;
   if is_bounds then ctx.bounds_depth <- ctx.bounds_depth - 1;
-  (match mt_scope with Some _ -> exit_scope ctx | None -> ());
-  pop_sws ctx pushed_sw;
   pop_allows ctx pushed;
   if not top then ctx.top <- saved_top
 
-(* the RHS shapes that make a top-level binding a mutable global for
-   mt/shared-write and mt/non-atomic-read *)
-let rec is_mutable_alloc (e : expression) =
-  match e.exp_desc with
-  | Texp_array _ -> true
-  | Texp_record { fields; _ } ->
-    Array.exists
-      (fun ((lbl : Types.label_description), _) ->
-        match lbl.lbl_mut with Asttypes.Mutable -> true | Asttypes.Immutable -> false)
-      fields
-  | Texp_apply (f, _) -> (
-    match f.exp_desc with
-    | Texp_ident (p, _, _) -> mem_match (norm_path p) local_alloc_names
-    | _ -> false)
-  | Texp_let (_, _, body) | Texp_sequence (_, body) -> is_mutable_alloc body
-  | _ -> false
-
 (* Floating [@@@lint.zero_alloc_hot] / file-scoped [@@@lint.allow]: the
-   pre-pass collects them wherever they appear so placement is free.
-   Likewise [@@@lint.domain_scope "fn:root:..."] (declare a named
-   function as a domain-crossing scope with the given owned roots) and
-   [@@@lint.domain_index "fn" ...] (declare functions whose result is
-   the executing shard/pid index). *)
+   pre-pass collects them wherever they appear so placement is free. *)
 let pre_pass ctx (str : structure) =
   List.iter
     (fun item ->
@@ -1025,119 +489,57 @@ let pre_pass ctx (str : structure) =
                 "[@@@lint.zero_alloc_hot] payload must be function-name \
                  string literals"
         end
-        else if String.equal attr_name "lint.domain_scope" then begin
-          match Suppress.strings_of_payload attr.Parsetree.attr_payload with
-          | Some ((_ :: _) as specs) ->
-            List.iter
-              (fun spec ->
-                match String.split_on_char ':' spec with
-                | fname :: roots when String.length fname > 0 ->
-                  Hashtbl.replace ctx.domain_scopes fname roots
-                | _ ->
-                  error ctx ~loc:attr.Parsetree.attr_loc ~rule:"lint/bad-allow"
-                    ~msg:
-                      (Printf.sprintf
-                         "[@@@lint.domain_scope] entry %S: expected \
-                          \"function\" or \"function:root:...\""
-                         spec))
-              specs
-          | Some [] | None ->
-            error ctx ~loc:attr.Parsetree.attr_loc ~rule:"lint/bad-allow"
-              ~msg:
-                "[@@@lint.domain_scope] payload must be \
-                 \"function:root:...\" string literals"
-        end
-        else if String.equal attr_name "lint.domain_index" then begin
-          match Suppress.strings_of_payload attr.Parsetree.attr_payload with
-          | Some ((_ :: _) as names) ->
-            ctx.domain_index_names <- names @ ctx.domain_index_names
-          | Some [] | None ->
-            error ctx ~loc:attr.Parsetree.attr_loc ~rule:"lint/bad-allow"
-              ~msg:
-                "[@@@lint.domain_index] payload must be function-name \
-                 string literals"
-        end
         else if String.equal attr_name "lint.allow" then
           ignore (push_allows ctx [ attr ])
       | Tstr_value (_, vbs) ->
         List.iter
-          (fun vb ->
-            let ids = let_bound_idents [ vb ] in
-            List.iter (fun id -> Hashtbl.replace ctx.globals id ()) ids;
-            if is_mutable_alloc vb.vb_expr then
-              List.iter
-                (fun id -> Hashtbl.replace ctx.mutable_globals id ())
-                ids)
-          vbs
+          (fun id -> Hashtbl.replace ctx.globals id ())
+          (let_bound_idents vbs)
       | _ -> ())
     str.str_items
 
-(* Two passes over the same tree share [gwrites]: the first collects
-   which scopes write each top-level mutable binding (mt/shared-write
-   needs the whole unit before any site can be classified, and
-   mt/non-atomic-read needs to know a write exists at all); the second
-   reports.  Scope ids are stable because both passes traverse in the
-   same order. *)
 let scan_structure ~cfg ~file (str : structure) =
-  let gwrites = Hashtbl.create 16 in
-  let run_pass ~reporting =
-    let ctx =
-      {
-        cfg;
-        file;
-        top = "<toplevel>";
-        findings = [];
-        suppressed = [];
-        allows = [];
-        all_allows = [];
-        hot_module = false;
-        hot_names = [];
-        hot_depth = 0;
-        bounds_depth = 0;
-        globals = Hashtbl.create 64;
-        rec_ids = Hashtbl.create 16;
-        peeled = [];
-        reporting;
-        gwrites;
-        scopes = [];
-        next_sid = 0;
-        scope_lambdas = [];
-        origin = Hashtbl.create 64;
-        target_roots = [];
-        domain_scopes = Hashtbl.create 8;
-        domain_index_names = [];
-        sws = [];
-        all_sws = [];
-        mutable_globals = Hashtbl.create 16;
-      }
-    in
-    pre_pass ctx str;
-    let it = ref Tast_iterator.default_iterator in
-    let structure_item sub (item : structure_item) =
-      match item.str_desc with
-      | Tstr_value (rf, vbs) ->
-        (match rf with
-         | Recursive ->
-           List.iter
-             (fun id -> Hashtbl.replace ctx.rec_ids id ())
-             (let_bound_idents vbs)
-         | Nonrecursive -> ());
-        List.iter (fun vb -> process_binding ctx sub ~top:true vb) vbs
-      | Tstr_attribute _ -> ()  (* handled by the pre-pass *)
-      | _ -> Tast_iterator.default_iterator.structure_item sub item
-    in
-    it :=
-      {
-        Tast_iterator.default_iterator with
-        structure_item;
-        expr = (fun sub e -> expr_hook ctx sub e);
-        value_binding = (fun sub vb -> process_binding ctx sub ~top:false vb);
-      };
-    !it.structure !it str;
-    ctx
+  let ctx =
+    {
+      cfg;
+      file;
+      top = "<toplevel>";
+      findings = [];
+      suppressed = [];
+      allows = [];
+      all_allows = [];
+      hot_module = false;
+      hot_names = [];
+      hot_depth = 0;
+      bounds_depth = 0;
+      globals = Hashtbl.create 64;
+      rec_ids = Hashtbl.create 16;
+      peeled = [];
+    }
   in
-  ignore (run_pass ~reporting:false);
-  let ctx = run_pass ~reporting:true in
+  pre_pass ctx str;
+  let structure_item sub (item : structure_item) =
+    match item.str_desc with
+    | Tstr_value (rf, vbs) ->
+      (match rf with
+       | Recursive ->
+         List.iter
+           (fun id -> Hashtbl.replace ctx.rec_ids id ())
+           (let_bound_idents vbs)
+       | Nonrecursive -> ());
+      List.iter (fun vb -> process_binding ctx sub ~top:true vb) vbs
+    | Tstr_attribute _ -> ()  (* handled by the pre-pass *)
+    | _ -> Tast_iterator.default_iterator.structure_item sub item
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      structure_item;
+      expr = (fun sub e -> expr_hook ctx sub e);
+      value_binding = (fun sub vb -> process_binding ctx sub ~top:false vb);
+    }
+  in
+  it.structure it str;
   (* justified allows that silenced nothing are themselves suspicious *)
   List.iter
     (fun (a : Suppress.allow) ->
@@ -1157,23 +559,6 @@ let scan_structure ~cfg ~file (str : structure) =
           :: ctx.findings
       end)
     ctx.all_allows;
-  List.iter
-    (fun (s : Suppress.single_writer) ->
-      if Option.is_some s.sw_justification && not s.sw_used then begin
-        let line, col = loc_pos s.sw_loc in
-        ctx.findings <-
-          {
-            Finding.rule = "lint/unused-allow";
-            severity = Finding.Warning;
-            file = ctx.file;
-            line;
-            col;
-            context = "<attribute>";
-            message = "[@lint.single_writer] suppresses nothing";
-          }
-          :: ctx.findings
-      end)
-    ctx.all_sws;
   {
     findings = Finding.sort ctx.findings;
     suppressed =

@@ -9,12 +9,5 @@ val lambda_bodies : Typedtree.expression -> (Typedtree.expression list * bool) o
     lambda is just the next argument of a curried definition rather than
     a closure returned per call.  [None] when [e] is not a lambda. *)
 
-val lambda_params : Typedtree.expression -> Ident.t list
-(** Identifiers bound by this lambda node's own parameter (pattern-bound
-    idents of its cases' left-hand sides on 5.1, of its parameter list and
-    body cases on 5.2); [[]] when [e] is not a lambda.  The mt/* pass
-    walks a curried chain with {!lambda_bodies} and collects these to find
-    a domain-crossing scope's owned roots. *)
-
 val init_load_path : string list -> unit
 (** Reset the compiler's load path to exactly the given directories. *)

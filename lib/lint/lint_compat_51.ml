@@ -8,13 +8,5 @@ let lambda_bodies (e : Typedtree.expression) =
     Some (bodies, List.length cases = 1)
   | _ -> None
 
-let lambda_params (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_function { cases; _ } ->
-    List.concat_map
-      (fun c -> Typedtree.pat_bound_idents c.Typedtree.c_lhs)
-      cases
-  | _ -> []
-
 let init_load_path dirs =
   Load_path.init ~auto_include:Load_path.no_auto_include dirs

@@ -14,26 +14,6 @@ let lambda_bodies (e : Typedtree.expression) =
   end
   | _ -> None
 
-let lambda_params (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_function { params; body } ->
-    let of_param (p : Typedtree.function_param) =
-      match p.Typedtree.fp_kind with
-      | Typedtree.Tparam_pat pat -> Typedtree.pat_bound_idents pat
-      | Typedtree.Tparam_optional_default (pat, _) ->
-        Typedtree.pat_bound_idents pat
-    in
-    let of_body =
-      match body with
-      | Typedtree.Tfunction_body _ -> []
-      | Typedtree.Tfunction_cases fc ->
-        List.concat_map
-          (fun c -> Typedtree.pat_bound_idents c.Typedtree.c_lhs)
-          fc.Typedtree.fc_cases
-    in
-    List.concat_map of_param params @ of_body
-  | _ -> []
-
 let init_load_path dirs =
   Load_path.init ~auto_include:Load_path.no_auto_include ~visible:dirs
     ~hidden:[]

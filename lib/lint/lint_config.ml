@@ -25,9 +25,8 @@ let default =
       [
         (* simulation + verification proper *)
         "lib/sim/"; "lib/verify/"; "lib/scenarios/";
-        (* shard-merge paths: trace stamping, the runner's window barrier
-           bookkeeping and the sharded counters must merge in canonical
-           order, never hash order *)
+        (* trace, runner and metrics: their output is compared byte for
+           byte, so nothing may come out in hash order *)
         "lib/ccp/"; "lib/core/"; "lib/metrics/";
       ];
     realtime_prefixes =

@@ -12,8 +12,8 @@ type t = {
 val default : t
 (** The project policy: everything under [lib/] is in scope; Domain.spawn
     and Atomic only in [lib/parallel/]; Hashtbl iteration order matters
-    in [lib/sim/], [lib/verify/], [lib/scenarios/] and in the
-    shard-merge paths [lib/ccp/], [lib/core/], [lib/metrics/]; wall-clock
+    in [lib/sim/], [lib/verify/], [lib/scenarios/], [lib/ccp/],
+    [lib/core/] and [lib/metrics/]; wall-clock
     reads are legal only in [lib/live/] (the real-time runtime — its
     transport seam [lib/transport/] stays deterministic); unsafe
     indexing only in the allowlisted files. *)

@@ -19,8 +19,8 @@ let all =
       "Domain.spawn outside lib/parallel bypasses the deterministic domain \
        team";
     mk "det/atomic"
-      "Atomic outside lib/parallel; shards own their state outright and \
-       synchronize only at the window barrier";
+      "Atomic outside lib/parallel; the experiment fan-out team is the one \
+       place domains share state";
     mk "det/hashtbl-order"
       "Hashtbl.iter/fold visit in hash order, which depends on insertion \
        history; sort the keys or keep a deterministic index";
@@ -53,24 +53,6 @@ let all =
       "polymorphic compare/min/max/ordering instantiated at a non-scalar \
        type";
     mk "polycmp/hash" "Hashtbl.hash instantiated at a non-scalar type";
-    (* shard ownership: domain-crossing scopes (closures handed to
-       Barrier_team / Domain.spawn, or functions declared with
-       [@@@lint.domain_scope]) may write only state they own — their
-       declared roots, locally allocated values, or shared containers
-       indexed by a shard/pid-derived expression *)
-    mk "mt/escape-mutable"
-      "a mutable value allocated outside a domain-crossing scope is \
-       written inside it without striping, Atomic, or a justified \
-       [@lint.single_writer]";
-    mk "mt/shared-write"
-      "two distinct domain-crossing scopes in the same compilation unit \
-       write the same top-level mutable binding";
-    mk "mt/non-atomic-read"
-      "a domain-crossing scope reads a top-level mutable binding that \
-       some scope also writes, without Atomic";
-    mk "mt/stripe-index"
-      "shared-container access inside a domain-crossing scope whose index \
-       is not derived from the shard/pid parameter";
     (* lint hygiene *)
     mk "lint/missing-justification"
       "[@lint.allow] without a justification string; write [@lint.allow \

@@ -71,43 +71,3 @@ let parse_attribute (attr : Parsetree.attribute) =
       Some (Malformed ("[@lint.allow] payload must be string literals", loc))
 
 let parse_attributes attrs = List.filter_map parse_attribute attrs
-
-(* [@lint.single_writer "why"] — the mt/* counterpart of [@lint.allow]:
-   asserts that every domain reaching the annotated write is the same one
-   (a guard, a mutex, or a pinned handler makes it single-writer even
-   though the analysis cannot see why).  It silences only the mt/* write
-   rules, never the read rule, and must carry a justification. *)
-
-type single_writer = {
-  sw_justification : string option;
-  sw_loc : Location.t;
-  mutable sw_used : bool;
-}
-
-type sw_parsed = Sw of single_writer | Sw_malformed of string * Location.t
-
-let single_writer_silences rule =
-  match rule with
-  | "mt/escape-mutable" | "mt/shared-write" | "mt/stripe-index" -> true
-  | _ -> false
-
-let parse_single_writer (attr : Parsetree.attribute) =
-  if not (String.equal attr.attr_name.txt "lint.single_writer") then None
-  else
-    let loc = attr.attr_loc in
-    match strings_of_payload attr.attr_payload with
-    | Some [] -> Some (Sw { sw_justification = None; sw_loc = loc; sw_used = false })
-    | Some ss ->
-      Some
-        (Sw
-           {
-             sw_justification = Some (String.concat " " ss);
-             sw_loc = loc;
-             sw_used = false;
-           })
-    | None ->
-      Some
-        (Sw_malformed
-           ("[@lint.single_writer] payload must be string literals", loc))
-
-let parse_single_writers attrs = List.filter_map parse_single_writer attrs

@@ -25,21 +25,3 @@ val strings_of_payload : Parsetree.payload -> string list option
 
 val parse_attribute : Parsetree.attribute -> parsed option
 val parse_attributes : Parsetree.attributes -> parsed list
-
-(** [@lint.single_writer "why"]: scoped assertion that a flagged write is
-    reached by one domain only; silences the mt/* write rules
-    (escape-mutable, shared-write, stripe-index) and nothing else. *)
-
-type single_writer = {
-  sw_justification : string option;
-  sw_loc : Location.t;
-  mutable sw_used : bool;
-}
-
-type sw_parsed = Sw of single_writer | Sw_malformed of string * Location.t
-
-val single_writer_silences : string -> bool
-(** Whether [@lint.single_writer] applies to the given rule id. *)
-
-val parse_single_writer : Parsetree.attribute -> sw_parsed option
-val parse_single_writers : Parsetree.attributes -> sw_parsed list

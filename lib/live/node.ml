@@ -13,12 +13,9 @@
    discarded exactly like the in-transit messages a stop-world session
    flushes.
 
-   mt/* ownership note: the live runtime is single-domain by design —
-   each node is one OS process (or one simulated process) owning all of
-   its state, and cross-node sharing happens only through the transport.
-   No [@@@lint.domain_scope] declarations are needed here; if a node
-   ever grows worker domains, its seams must be declared like the
-   engine's (DESIGN.md §16). *)
+   The live runtime is single-domain by design: each node is one OS
+   process (or one simulated process) owning all of its state, and
+   cross-node sharing happens only through the transport. *)
 
 module Transport = Rdt_transport.Transport
 module Wire = Rdt_transport.Wire

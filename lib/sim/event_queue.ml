@@ -13,11 +13,10 @@
    into its final slot once.  The heap proper occupies slots [1 .. size]
    (the parent of slot [i] is [i / 2]).
 
-   The (u, v) pair is a caller-supplied canonical key used by the sharded
-   engine to make execution order at equal timestamps a pure function of
-   the simulation, independent of insertion interleaving; the plain {!add}
-   entry point sets u = v = 0, so its ties fall through to [seq] and keep
-   insertion order. *)
+   The (u, v) pair is a caller-supplied canonical key: the engine's keys
+   make execution order at equal timestamps a function of the simulation,
+   not of insertion order; the plain {!add} entry point sets u = v = 0, so
+   its ties fall through to [seq] and keep insertion order. *)
 
 (* Scheduling and firing are the simulator's inner loop; rdt_lint holds
    the named functions to alloc/*. *)
@@ -35,10 +34,6 @@ type 'a t = {
   mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
-  (* key of the most recently popped entry, so hot loops can read it
-     without the queue boxing a wider result *)
-  mutable last_u : int;
-  mutable last_v : int;
 }
 
 let create () =
@@ -50,8 +45,6 @@ let create () =
     values = [||];
     size = 0;
     next_seq = 0;
-    last_u = 0;
-    last_v = 0;
   }
 
 (* slot [i] sorts before slot [j] *)
@@ -135,15 +128,10 @@ let add t ~time value = add_keyed t ~time ~u:0 ~v:0 value
 let pop t =
   if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";
   let value = t.values.(1) in
-  t.last_u <- t.us.(1);
-  t.last_v <- t.vs.(1);
   move t ~src:t.size ~dst:0;
   t.size <- t.size - 1;
   if t.size > 0 then sift_down t 1;
   value
-
-let last_u t = t.last_u
-let last_v t = t.last_v
 
 (* inlined, the float result stays unboxed at the call site; called out of
    line (any build with -opaque, such as dune's dev profile) it boxes, so

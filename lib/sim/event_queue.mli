@@ -4,9 +4,9 @@
     caller-supplied canonical key [(u, v)] ({!add_keyed}), then by a
     monotonically increasing sequence number assigned at insertion.  The
     plain {!add} entry point uses [u = v = 0], so its ties resolve in
-    insertion order; the sharded engine uses {!add_keyed} with
-    interleaving-independent keys so that the order of simultaneous events
-    does not depend on which shard inserted first.  There is no
+    insertion order.  The engine keys every event, which makes the order
+    of simultaneous events a function of the simulation, not of the order
+    in which its handlers happened to insert them.  There is no
     cancellation: an added event fires.
 
     The heap is stored as flat parallel arrays (times unboxed), so once
@@ -26,9 +26,7 @@ val add : 'a t -> time:float -> 'a -> unit
 val add_keyed : 'a t -> time:float -> u:int -> v:int -> 'a -> unit
 (** [add_keyed q ~time ~u ~v x] schedules [x] with an explicit canonical
     tie-break key: entries at equal [time] order by [(u, v)]
-    lexicographically (before falling back to insertion order).  Keys are
-    how the sharded engine makes simultaneous-event order independent of
-    insertion interleaving. *)
+    lexicographically (before falling back to insertion order). *)
 
 val next_time : 'a t -> float
 (** Timestamp of the earliest entry, or [infinity] when the queue is
@@ -39,12 +37,6 @@ val pop : 'a t -> 'a
 (** Removes the earliest entry and returns its value; its timestamp is
     what {!next_time} reported just before.
     @raise Invalid_argument if the queue is empty. *)
-
-val last_u : 'a t -> int
-val last_v : 'a t -> int
-(** Canonical key of the entry most recently removed by {!pop} — exposed
-    as queue state so the engine's hot loop reads it without a boxed
-    result.  Meaningless before the first pop. *)
 
 val is_empty : 'a t -> bool
 

@@ -13,14 +13,11 @@ type t = {
   (* one independent stream per source process, derived by indexed split
      from the root: each draw is consumed in the sender's deterministic
      execution order, so channel randomness is a pure function of the
-     simulation regardless of how sends from different processes
-     interleave in real time (the sharded engine runs senders on
-     different domains) *)
+     simulation, whatever order the processes' sends interleave in *)
   streams : Prng.t array;
   n : int;
   (* last scheduled delivery time per directed channel, for FIFO order;
-     row [src] is only ever touched while executing [src], so rows are
-     shard-confined *)
+     row [src] is only ever touched while executing [src] *)
   channel_clock : float array;
 }
 

@@ -23,8 +23,7 @@ val create : config -> n:int -> rng:Prng.t -> t
 (** [create config ~n ~rng] builds channel state for an [n]-process
     system.  Internally one PRNG stream per source process is derived
     from [rng] by indexed split ([rng] itself does not advance), so the
-    delay/loss draws of different senders never perturb each other —
-    a prerequisite for shard-count-invariant simulations. *)
+    delay/loss draws of different senders never perturb each other. *)
 
 val config : t -> config
 

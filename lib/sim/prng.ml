@@ -20,8 +20,8 @@ let bits64 t =
 let split t = { state = bits64 t }
 
 (* Indexed split: child [i] is a pure function of the parent's *current*
-   state and [i]; the parent does not advance, so any number of shards can
-   derive their streams from one root without perturbing each other.  The
+   state and [i]; the parent does not advance, so any number of processes
+   can derive their streams from one root without perturbing each other.  The
    child state is double-mixed so it never equals a raw output of the
    parent's own sequential stream. *)
 let split_at t ~index =

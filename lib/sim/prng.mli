@@ -30,10 +30,10 @@ val split_at : t -> index:int -> t
     current state {e without} advancing [t]: the result is a pure function
     of [(state, index)], so [split_at t ~index:i] called twice (with no
     draws from [t] in between) returns identical streams, and distinct
-    indices give statistically independent streams.  The sharded engine
-    derives per-process and per-shard streams this way, which is what makes
-    a simulation's randomness independent of shard count and of the order
-    in which components consume it.  [index] must be non-negative. *)
+    indices give statistically independent streams.  The network and the
+    workload derive per-process streams this way, so one process's draws
+    never perturb another's, whatever order the components consume them
+    in.  [index] must be non-negative. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output of the underlying splitmix64 stream. *)

@@ -135,8 +135,8 @@ let save_reproducer (arm : _ arm) x ~log ~dir ~sub_seed sc shrunk =
   write ~shrunk:false sc;
   Option.iter (write ~shrunk:true) shrunk
 
-let campaign ?(shrink = true) ?corpus ?(log = fun _ -> ()) ?(shards = 1)
-    ~seed ~runs ~max_procs (arm : _ arm) =
+let campaign ?(shrink = true) ?corpus ?(log = fun _ -> ()) ~seed ~runs
+    ~max_procs (arm : _ arm) =
   let corpus_replayed, corpus_failed =
     match (corpus, arm.corpus) with
     | Some dir, Some entry -> replay_corpus arm entry ~log dir
@@ -148,7 +148,7 @@ let campaign ?(shrink = true) ?corpus ?(log = fun _ -> ()) ?(shards = 1)
     let sub_seed = Int64.to_int (Prng.bits64 root) land max_int in
     let sc, x =
       arm.attach ~seed:sub_seed
-        (Scenario.generate ~shards ~seed:sub_seed ~max_procs ())
+        (Scenario.generate ~seed:sub_seed ~max_procs ())
     in
     let outcome = arm.run x sc in
     log

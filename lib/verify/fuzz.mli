@@ -87,14 +87,9 @@ val campaign :
   ?shrink:bool ->
   ?corpus:string ->
   ?log:(string -> unit) ->
-  ?shards:int ->
   seed:int ->
   runs:int ->
   max_procs:int ->
   'x arm ->
   report
-(** [shrink] defaults to [true].  [shards] (default 1) is passed to
-    {!Scenario.generate}: simulated-mode scenarios run their donor
-    simulations on that many engine shards, and generated scenarios and
-    verdicts are identical for every value (shard-count invariance), so
-    a multi-shard campaign doubles as a parallel-engine smoke test. *)
+(** [shrink] defaults to [true]. *)

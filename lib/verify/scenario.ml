@@ -228,7 +228,7 @@ let gen_direct rng ~seed ~max_procs =
    executions. *)
 let max_transcribed_ops = 250
 
-let gen_simulated rng ~seed ~max_procs ~shards =
+let gen_simulated rng ~seed ~max_procs =
   let n = 2 + Prng.int rng (max 1 (max_procs - 1)) in
   let protocol = pick_protocol rng in
   let knowledge = if Prng.bool rng then `Global else `Causal in
@@ -266,7 +266,6 @@ let gen_simulated rng ~seed ~max_procs ~shards =
           fifo = Prng.bool rng;
         };
       sample_interval = 1_000_000.0;
-      shards;
     }
   in
   let r = Runner.create cfg in
@@ -304,11 +303,11 @@ let gen_simulated rng ~seed ~max_procs ~shards =
     ops;
   }
 
-let generate ?(shards = 1) ~seed ~max_procs () =
+let generate ~seed ~max_procs () =
   let max_procs = max 2 max_procs in
   let rng = Prng.create ~seed in
   let sc =
-    if Prng.int rng 3 = 0 then gen_simulated rng ~seed ~max_procs ~shards
+    if Prng.int rng 3 = 0 then gen_simulated rng ~seed ~max_procs
     else gen_direct rng ~seed ~max_procs
   in
   normalize sc

@@ -41,12 +41,8 @@ type t = {
   ops : op list;
 }
 
-val generate : ?shards:int -> seed:int -> max_procs:int -> unit -> t
-(** Deterministic: equal arguments yield equal scenarios.  [?shards]
-    (default 1) runs the donor simulation of simulated-mode scenarios on
-    that many engine shards; because the engine is shard-count-invariant
-    the result is the same scenario for every value — passing [> 1]
-    exercises the parallel engine under the fuzzer's oracles. *)
+val generate : seed:int -> max_procs:int -> unit -> t
+(** Deterministic: equal arguments yield equal scenarios. *)
 
 val normalize : t -> t
 (** Statically restore well-formedness: drop deliveries/losses of

@@ -55,8 +55,7 @@ let default =
 (* One PRNG stream per process, derived from the supplied root by indexed
    split: each process's draws are consumed in its own deterministic
    execution order, so workload randomness is independent of how the
-   engine interleaves processes — a prerequisite for shard-count-invariant
-   simulations. *)
+   engine interleaves processes. *)
 type t = {
   cfg : config;
   n : int;

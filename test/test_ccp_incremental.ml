@@ -217,29 +217,6 @@ let test_runner_ccp_through_recovery () =
         (Ccp.of_trace (Runner.trace t)))
     [ 5; 23 ]
 
-(* The same view on a two-shard run (the windowed team, on a host with
-   two hardware threads): records reach the trace through its order
-   source and are sequenced at the barriers' finalize, and the live view
-   must still match a rebuild, and the one-shard run byte for byte. *)
-let test_runner_ccp_sharded () =
-  List.iter
-    (fun seed ->
-      let run shards =
-        let t = Runner.create { (faulty_config seed) with Sim_config.shards } in
-        Runner.set_on_sample t (fun t -> ignore (Ccp.messages (Runner.ccp t)));
-        Runner.run t;
-        t
-      in
-      let one = run 1 and two = run 2 in
-      let msg what = Printf.sprintf "seed %d: %s" seed what in
-      check_equal_ccp ~msg:(msg "2 shards, runner vs rebuild") (Runner.ccp two)
-        (Ccp.of_trace (Runner.trace two));
-      check_equal_ccp ~msg:(msg "2 shards vs 1") (Runner.ccp two) (Runner.ccp one);
-      Alcotest.(check string) (msg "trace bytes")
-        (Trace.to_string (Runner.trace one))
-        (Trace.to_string (Runner.trace two)))
-    [ 5; 23 ]
-
 (* --- oracle fast path -------------------------------------------------- *)
 
 let reference_obsolete ccp =
@@ -299,8 +276,6 @@ let suite =
       test_rollback_invalidates;
     Alcotest.test_case "runner live view through recoveries" `Quick
       test_runner_ccp_through_recovery;
-    Alcotest.test_case "runner live view on two shards" `Quick
-      test_runner_ccp_sharded;
     Alcotest.test_case "oracle fast path = reference" `Quick
       test_oracle_fast_path;
     Alcotest.test_case "oracle rejects volatile checkpoints" `Quick

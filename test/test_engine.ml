@@ -122,126 +122,103 @@ let test_schedule_in_past_rejected () =
     (Invalid_argument "Engine.schedule: time in the past") (fun () ->
       Engine.schedule e ~at:1.0 (fun () -> ()))
 
-(* --- sharded execution ------------------------------------------------- *)
-
-(* The dispatch rule: [k] shards on [n] processes run as [min k n] shards
-   when the host has that many hardware threads, else as one. *)
-let expected_shards ~k ~n =
-  let k = min k n in
-  if Rdt_parallel.Barrier_team.hardware_parallelism () >= k then k else 1
-
-let test_dispatch_rule () =
-  List.iter
-    (fun (k, n) ->
-      let e : unit Engine.t =
-        Engine.create ~n ~seed:5 ~net:Network.default ~shards:k ()
-      in
-      let want = expected_shards ~k ~n in
-      Alcotest.(check int)
-        (Printf.sprintf "shards for k=%d n=%d" k n)
-        want (Engine.shards e))
-    [ (1, 4); (2, 4); (4, 4); (8, 4); (2, 1); (3, 2); (16, 64) ]
-
-let test_sharded_cross_shard_delivery () =
-  (* 4 processes on 2 shards, every message crossing the shard boundary
-     (through the mailboxes where the host runs the team); each still
-     arrives exactly once *)
-  let e = Engine.create ~n:4 ~seed:5 ~net:Network.default ~shards:2 () in
-  Alcotest.(check int) "effective shards" (expected_shards ~k:2 ~n:4)
-    (Engine.shards e);
-  let got = ref [] in
-  for p = 0 to 3 do
-    Engine.set_receiver e p (fun ~src msg -> got := (p, src, msg) :: !got)
-  done;
-  Engine.send e ~src:0 ~dst:3 "a";
-  Engine.send e ~src:3 ~dst:1 "b";
-  Engine.send e ~src:1 ~dst:2 "c";
-  Engine.run e;
-  Alcotest.(check (list (triple int int string)))
-    "all delivered once"
-    [ (1, 3, "b"); (2, 1, "c"); (3, 0, "a") ]
-    (List.sort compare !got)
-
-let test_sharded_same_event_order () =
-  (* Drive a message storm and compare the canonical global event order.
-     Within a window, shards execute concurrently, so the wall-clock
-     interleaving across processes is arbitrary — the deterministic
-     object is each process's own log plus the engine's canonical stamp,
-     which merges the logs into one total order (exactly how the trace
-     reconstructs sequence numbers).  Each cell of [per] and [stamps] is
-     only ever touched by its process's shard. *)
-  let run_order shards =
-    let e = Engine.create ~n:4 ~seed:9 ~net:Network.default ~shards () in
-    let per = Array.make 4 [] in
-    let stamps = Array.init 4 (fun _ -> Rdt_sim.Stamp.create ()) in
-    for p = 0 to 3 do
-      Engine.set_receiver e p (fun ~src msg ->
-          let c = stamps.(p) in
-          Engine.read_stamp e c;
-          let key = Rdt_sim.Stamp.(time c, u c, v c) in
-          per.(p) <- (key, p, src, msg) :: per.(p);
-          (* cascade: every delivery triggers another send, round-robin *)
-          if msg < 20 then Engine.send e ~src:p ~dst:((p + 1) mod 4) (msg + 1))
-    done;
-    for p = 0 to 3 do
-      Engine.send e ~src:p ~dst:((p + 1) mod 4) 0
-    done;
-    Engine.run e;
-    Array.to_list per |> List.concat
-    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-    |> List.map (fun (_, p, src, msg) -> (p, src, msg))
-  in
-  let seq = run_order 1 in
-  Alcotest.(check bool) "some events ran" true (seq <> []);
-  List.iter
-    (fun k ->
-      Alcotest.(check (list (triple int int int)))
-        (Printf.sprintf "order at %d shards" k)
-        seq (run_order k))
-    [ 2; 4 ]
-
 let test_pinned_action_fires_when_down () =
-  let e = Engine.create ~n:4 ~seed:5 ~net:Network.default ~shards:2 () in
+  let e = Engine.create ~n:4 ~seed:5 ~net:Network.default () in
   let pinned = ref false in
   Engine.schedule e ~pin:1 ~at:1.0 (fun () -> pinned := true);
   Engine.set_up e 1 false;
   Engine.run e;
   Alcotest.(check bool) "pinned fired while down" true !pinned
 
-let test_shards_require_lookahead () =
-  let net = { Network.default with min_delay = 0.0 } in
-  Alcotest.check_raises "no lookahead"
-    (Invalid_argument
-       "Engine.create: shards > 1 requires positive network min_delay \
-        (conservative windows need non-zero lookahead)") (fun () ->
-      ignore (Engine.create ~n:4 ~seed:5 ~net ~shards:2 () : unit Engine.t))
-
-let test_sharded_global_action_order () =
-  (* a global action scheduled at a window boundary sees every routed
-     event of the same timestamp already executed *)
-  let e = Engine.create ~n:2 ~seed:5 ~net:Network.default ~shards:2 () in
-  let routed = ref 0 and seen_at_global = ref (-1) in
-  Engine.schedule e ~pin:0 ~at:1.0 (fun () -> incr routed);
-  Engine.schedule e ~pin:1 ~at:1.0 (fun () -> incr routed);
-  Engine.schedule e ~at:1.0 (fun () -> seen_at_global := !routed);
+let test_unpinned_after_pinned () =
+  (* canonical keys: an unpinned action sees every pinned event of the
+     same timestamp already executed, whatever the scheduling order *)
+  let e = make ~n:2 () in
+  let pinned = ref 0 and seen_by_unpinned = ref (-1) in
+  Engine.schedule e ~at:1.0 (fun () -> seen_by_unpinned := !pinned);
+  Engine.schedule e ~pin:1 ~at:1.0 (fun () -> incr pinned);
+  Engine.schedule e ~pin:0 ~at:1.0 (fun () -> incr pinned);
   Engine.run e;
-  Alcotest.(check int) "globals run after same-time routed events" 2
-    !seen_at_global
+  Alcotest.(check int) "unpinned runs after same-time pinned events" 2
+    !seen_by_unpinned
 
-let test_sharded_stats_merge () =
-  let run shards =
-    let e = Engine.create ~n:4 ~seed:13 ~net:Network.default ~shards () in
-    for p = 0 to 3 do
-      Engine.set_receiver e p (fun ~src:_ msg ->
-          if msg < 10 then Engine.send e ~src:p ~dst:((p + 3) mod 4) (msg + 1))
-    done;
-    Engine.send e ~src:0 ~dst:1 0;
-    Engine.run e;
-    let s = Engine.stats e in
-    (s.Engine.sent, s.Engine.delivered, s.Engine.events)
-  in
-  Alcotest.(check (triple int int int))
-    "merged stats equal sequential" (run 1) (run 4)
+(* --- event-order golden ------------------------------------------------ *)
+
+(* [Digest] of [Trace.to_string] for fixed runner configurations.  The
+   trace is the whole event order as the protocols saw it, so any change
+   to the engine's tie-breaking keys, to the network or workload draws,
+   or to what the middleware records shows up here; a deliberate change
+   must regenerate the digests. *)
+module Sim_config = Rdt_core.Sim_config
+module Workload = Rdt_workload.Workload
+
+let golden =
+  [
+    ( "uniform default",
+      { Sim_config.default with n = 8; seed = 7; duration = 50.0 },
+      "15ef1ffb1a6648ebd1127a320ef4ea2a" );
+    ( "faults and recovery",
+      {
+        Sim_config.default with
+        n = 6;
+        seed = 3;
+        duration = 40.0;
+        faults =
+          [
+            { Sim_config.pid = 2; crash_at = 15.0; repair_after = 4.0 };
+            { Sim_config.pid = 4; crash_at = 25.0; repair_after = 6.0 };
+          ];
+      },
+      "534561feb5ab6fc0deef59e0fe80030a" );
+    ( "coordinated rounds",
+      {
+        Sim_config.default with
+        n = 6;
+        seed = 11;
+        duration = 40.0;
+        gc = Sim_config.Coordinated { period = 5.0 };
+        net = { Network.default with loss_probability = 0.05 };
+      },
+      "4742e81a51a94dd2270f7ec1f8dbd33c" );
+    ( "fifo client-server",
+      {
+        Sim_config.default with
+        n = 7;
+        seed = 11;
+        duration = 60.0;
+        gc = Sim_config.Local_lazy { period = 4.0 };
+        workload =
+          {
+            Workload.default with
+            pattern = Workload.Client_server { servers = 2 };
+          };
+        net = { Network.default with fifo = true };
+        faults = [ { Sim_config.pid = 1; crash_at = 20.0; repair_after = 6.0 } ];
+      },
+      "d36333c12a61bf65dbf52890c461ff79" );
+    ( "n=256 client-server:16",
+      {
+        Sim_config.default with
+        n = 256;
+        seed = 1;
+        duration = 1.0;
+        workload =
+          {
+            Workload.default with
+            pattern = Workload.Client_server { servers = 16 };
+          };
+      },
+      "c122fde25da04b212dec9a295ca02b63" );
+  ]
+
+let test_event_order_golden () =
+  List.iter
+    (fun (name, cfg, digest) ->
+      let r = Rdt_core.Runner.create cfg in
+      Rdt_core.Runner.run r;
+      let trace = Rdt_ccp.Trace.to_string (Rdt_core.Runner.trace r) in
+      Alcotest.(check string) name digest (Digest.to_hex (Digest.string trace)))
+    golden
 
 let suite =
   [
@@ -258,17 +235,10 @@ let suite =
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
     Alcotest.test_case "schedule in past rejected" `Quick
       test_schedule_in_past_rejected;
-    Alcotest.test_case "shard count follows the dispatch rule" `Quick
-      test_dispatch_rule;
-    Alcotest.test_case "sharded cross-shard delivery" `Quick
-      test_sharded_cross_shard_delivery;
-    Alcotest.test_case "sharded same event order" `Quick
-      test_sharded_same_event_order;
     Alcotest.test_case "pinned action fires when down" `Quick
       test_pinned_action_fires_when_down;
-    Alcotest.test_case "shards require lookahead" `Quick
-      test_shards_require_lookahead;
-    Alcotest.test_case "sharded global action order" `Quick
-      test_sharded_global_action_order;
-    Alcotest.test_case "sharded stats merge" `Quick test_sharded_stats_merge;
+    Alcotest.test_case "unpinned action runs after same-time pinned events"
+      `Quick test_unpinned_after_pinned;
+    Alcotest.test_case "event order matches the committed golden" `Quick
+      test_event_order_golden;
   ]

@@ -257,6 +257,55 @@ let test_durable_epilogue () =
     Alcotest.failf "durable run violated: %s" (Fmt.str "%a" Oracles.pp_violation v));
   Alcotest.(check bool) "completed" true (r.Harness.stop = Harness.Completed)
 
+(* --- committed corpus ---------------------------------------------------- *)
+
+(* `dune runtest` runs in the test sandbox (corpus/ alongside the exe);
+   `dune exec test/test_main.exe` runs from the project root *)
+let corpus_dir =
+  if Sys.file_exists "corpus" then "corpus" else "test/corpus"
+
+let corpus_files () =
+  Sys.readdir corpus_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".scn")
+  |> List.sort compare
+
+let test_corpus_replays_clean () =
+  let files = corpus_files () in
+  Alcotest.(check bool) "corpus is non-empty" true (files <> []);
+  List.iter
+    (fun f ->
+      match Scenario.load (Filename.concat corpus_dir f) with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok sc ->
+        let r = Harness.run sc in
+        Alcotest.(check int)
+          (Printf.sprintf "%s passes the oracles" f)
+          0
+          (List.length r.Harness.violations))
+    files
+
+let test_corpus_regenerates () =
+  (* the generator transcribes the engine's trace for simulated-mode
+     scenarios, so regenerating a committed file from its seed is an
+     end-to-end check on the event order.  Hand-built scenarios carry
+     seed 0 by convention and have no generator to regenerate from;
+     shrunk reproducers (.min.scn) keep their discovery seed for
+     provenance but are ddmin output, not generator output. *)
+  List.iter
+    (fun f ->
+      match Scenario.load (Filename.concat corpus_dir f) with
+      | _ when Filename.check_suffix f ".min.scn" -> ()
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok committed when committed.Scenario.seed = 0 -> ()
+      | Ok committed ->
+        let regen =
+          Scenario.generate ~seed:committed.Scenario.seed ~max_procs:6 ()
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%s regenerated from its seed" f)
+          (Scenario.to_string committed) (Scenario.to_string regen))
+    (corpus_files ())
+
 let suite =
   [
     Alcotest.test_case "campaigns are byte-reproducible" `Quick
@@ -274,4 +323,7 @@ let suite =
       test_durable_epilogue;
     Alcotest.test_case "campaign driver reports, shrinks and saves a stub arm"
       `Quick test_driver_stub_arm;
+    Alcotest.test_case "corpus replays clean" `Quick test_corpus_replays_clean;
+    Alcotest.test_case "corpus regenerates from its seeds" `Quick
+      test_corpus_regenerates;
   ]

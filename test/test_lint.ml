@@ -24,8 +24,7 @@ let fixture_dir = "lint_fixtures"
 let fixture_cfg =
   {
     Lint_config.lib_prefixes = [ "test/lint_fixtures/" ];
-    parallel_prefixes =
-      [ "test/lint_fixtures/parallel_ok"; "test/lint_fixtures/mt_" ];
+    parallel_prefixes = [ "test/lint_fixtures/parallel_ok" ];
     hashtbl_det_prefixes = [ "test/lint_fixtures/det_" ];
     realtime_prefixes = [ "test/lint_fixtures/realtime_ok" ];
     unsafe_allowlist = [ "test/lint_fixtures/unsafe_ok.ml" ];
@@ -86,7 +85,6 @@ let check_fixture file () =
     && not (String.equal file "clean_ok.ml")
     && not (String.equal file "unsafe_ok.ml")
     && not (String.equal file "parallel_ok.ml")
-    && not (String.equal file "mt_ok.ml")
   then
     Alcotest.(check bool) (file ^ " has expectations") true
       (not (List.is_empty expected));
@@ -131,21 +129,9 @@ let test_suppressed_sites () =
       Alcotest.(check string) "suppressed rule" "polycmp/equal" f.rule)
     sup;
   check_not_double_reported "suppress_fixture.ml" sup;
-  (* nothing outside the two suppression fixtures is suppressed *)
-  Alcotest.(check int) "no other suppressions" 5
+  (* nothing outside the suppression fixture is suppressed *)
+  Alcotest.(check int) "no other suppressions" 2
     (List.length s.Engine.suppressed)
-
-let test_mt_suppressed_sites () =
-  (* mt_suppress.ml holds two sites silenced by a justified
-     single_writer (a_single_writer, d_writer) and one where the allow
-     wins; all suppress mt/escape-mutable and nothing else *)
-  let sup = suppressions_in "mt_suppress.ml" in
-  Alcotest.(check int) "two single_writers + one allow" 3 (List.length sup);
-  List.iter
-    (fun ((f : Finding.t), _) ->
-      Alcotest.(check string) "suppressed rule" "mt/escape-mutable" f.rule)
-    sup;
-  check_not_double_reported "mt_suppress.ml" sup
 
 (* ---------------- reporter goldens ---------------- *)
 
@@ -272,14 +258,6 @@ let suite =
       (check_fixture "suppress_fixture.ml");
     Alcotest.test_case "suppression silences exactly its site" `Quick
       test_suppressed_sites;
-    Alcotest.test_case "mt family flags the shared-stamp-cell shapes" `Quick
-      (check_fixture "mt_bad.ml");
-    Alcotest.test_case "mt striped/atomic/scope-local idioms are clean" `Quick
-      (check_fixture "mt_ok.ml");
-    Alcotest.test_case "single_writer precedence and hygiene" `Quick
-      (check_fixture "mt_suppress.ml");
-    Alcotest.test_case "single_writer suppresses exactly its mt write site"
-      `Quick test_mt_suppressed_sites;
     Alcotest.test_case "fixture discovery is warning-free" `Quick
       test_no_scan_warnings;
     Alcotest.test_case "every emitted rule is registered" `Quick

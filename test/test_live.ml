@@ -20,7 +20,7 @@ let corpus_dir =
 
 (* The TCP tests spawn node processes by exec'ing the CLI (declared as a
    test dep): Unix.fork is off the table inside this binary because
-   earlier suites (parallel, shards) have already created domains, and
+   earlier suites (parallel) have already created domains, and
    OCaml 5 forbids forking a multi-domain runtime. *)
 let cli_exe =
   let cand = Filename.concat ".." "bin/rdtgc_cli.exe" in

@@ -29,7 +29,6 @@ let () =
       ("perf-diff", Test_perf_diff.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("fuzz", Test_fuzz.suite);
-      ("shards", Test_shards.suite);
       ("lint", Test_lint.suite);
       ("wire", Test_wire.suite);
       ("nemesis", Test_nemesis.suite);

@@ -122,20 +122,6 @@ let test_parallel_cells_equal_sequential () =
             (Barrier_team.map team run_cell cell_configs)))
     [ 2; 4 ]
 
-(* A map member other than the caller that runs a sharded cell starts the
-   engine's own team round from inside this one, so the engine must see
-   itself as shard 0 there, not as the map member's index.  On a 1-thread
-   host the engine clamps to one shard and this degenerates to the case
-   above. *)
-let test_sharded_cells_under_team () =
-  let configs =
-    List.map (fun cfg -> { cfg with Sim_config.shards = 2 }) cell_configs
-  in
-  let sequential = List.map run_cell configs in
-  with_team ~jobs:2 (fun team ->
-      check_cells_equal ~label:"shards=2 on 2 members" sequential
-        (Barrier_team.map team run_cell configs))
-
 (* Rendered artifact: a results table filled from team results must be
    byte-identical to the sequentially filled one. *)
 let render_table results =
@@ -173,6 +159,4 @@ let suite =
       test_parallel_cells_equal_sequential;
     Alcotest.test_case "rendered table byte-identical" `Quick
       test_rendered_table_identical;
-    Alcotest.test_case "sharded cells under a team round" `Quick
-      test_sharded_cells_under_team;
   ]

@@ -6,7 +6,7 @@ let row ?(allocs = 0.0) name ~ns ~r2 =
   Printf.sprintf
     "    { \"name\": \"%s\", \"ns_per_run\": %.4f, \"r_square\": %.4f, \
      \"allocs_per_run\": %.4f, \"promoted_per_run\": 0.0000, \
-     \"events_per_sec\": null, \"speedup_vs_seq\": null },"
+     \"events_per_sec\": null },"
     name ns r2 allocs
 
 let fixture rows =
@@ -14,7 +14,7 @@ let fixture rows =
   let oc = open_out path in
   output_string oc
     (String.concat "\n"
-       ([ "{"; "  \"schema\": \"rdtgc-bench-micro/3\","; "  \"benchmarks\": [" ]
+       ([ "{"; "  \"schema\": \"rdtgc-bench-micro/4\","; "  \"benchmarks\": [" ]
        @ rows
        @ [ "  ]"; "}" ]));
   close_out oc;

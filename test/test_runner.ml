@@ -364,6 +364,7 @@ let test_validation_rejects_bad_configs () =
   let bad cfg = try Sim_config.validate cfg; false with Invalid_argument _ -> true in
   Alcotest.(check bool) "n too small" true (bad { base with n = 1 });
   Alcotest.(check bool) "negative duration" true (bad { base with duration = -1.0 });
+  Alcotest.(check bool) "more than one shard" true (bad { base with shards = 2 });
   Alcotest.(check bool) "overlapping faults" true
     (bad
        {

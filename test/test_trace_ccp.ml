@@ -250,23 +250,17 @@ let test_diagram_truncation () =
   Alcotest.(check bool) "notes the omission" true
     (String.length rendered > 0 && String.get rendered 0 = '.')
 
-(* regression: [finalize] used to seed its flattened event array from
-   process 0's pending buffer, so a deferred-order trace where pid 0
-   buffered nothing (its arrays still [||]) while other pids did crashed
-   with Invalid_argument; the seed must come from the first non-empty
-   buffer *)
-let test_finalize_empty_first_process () =
+(* the k-way merge in [iter] must cope with a process whose log is empty
+   (no column storage allocated) ahead of non-empty ones, and walk the
+   logs in record order, not pid order *)
+let test_iter_empty_first_process () =
   let t = Trace.create ~n:3 in
-  let clock = ref 0.0 in
-  Trace.set_order_source t (fun c ->
-      clock := !clock +. 1.0;
-      Rdt_sim.Stamp.set c ~time:!clock ~u:0 ~v:0);
   Trace.record_checkpoint t ~pid:2 ~index:0;
   Trace.record_checkpoint t ~pid:1 ~index:0;
   let evs = Helpers.events t in
-  Alcotest.(check int) "both records sequenced" 2 (List.length evs);
+  Alcotest.(check int) "both records read" 2 (List.length evs);
   Alcotest.(check (list int))
-    "canonical (stamp) order, not pid order" [ 2; 1 ]
+    "record order, not pid order" [ 2; 1 ]
     (List.map (fun (e : Helpers.event) -> e.pid) evs)
 
 (* --- packed-code range checks --------------------------------------- *)
@@ -359,14 +353,11 @@ let test_record_allocation () =
 
 (* --- model-based property -------------------------------------------- *)
 
-(* Random sequences of records, truncations and finalizations, on traces
-   with and without an order source, checked against a plain list model:
-   per-process logs (newest first) whose seqs are assigned at record time,
-   or — with a source — at the model's own finalize, by sorting the
-   buffered records on (time, k, pid) as the trace's canonical order
-   does (the test source stamps u = v = 0 and a non-decreasing time). *)
+(* Random sequences of records and truncations checked against a plain
+   list model: per-process logs (newest first) whose seqs are assigned at
+   record time. *)
 type m_event = {
-  mutable m_seq : int;
+  m_seq : int;
   m_pid : int;
   m_tag : Trace.tag;
   m_peer : int;
@@ -375,49 +366,20 @@ type m_event = {
 
 type model = {
   m_logs : m_event list array;
-  mutable m_pending : (float * int * m_event) list;
   mutable m_next_seq : int;
-  m_last_time : float array;
-  m_last_k : int array;
   m_last_ckpt : int array;
 }
 
-type op = { kind : int; a : int; b : int; c : int; tick : bool }
+type op = { kind : int; a : int; b : int; c : int }
 
-let print_op o =
-  Printf.sprintf "{kind=%d a=%d b=%d c=%d tick=%b}" o.kind o.a o.b o.c o.tick
-
-let model_finalize m =
-  let sorted =
-    List.sort
-      (fun (t1, k1, e1) (t2, k2, e2) -> compare (t1, k1, e1.m_pid) (t2, k2, e2.m_pid))
-      m.m_pending
-  in
-  List.iter
-    (fun (_, _, e) ->
-      e.m_seq <- m.m_next_seq;
-      m.m_next_seq <- m.m_next_seq + 1)
-    sorted;
-  m.m_pending <- []
+let print_op o = Printf.sprintf "{kind=%d a=%d b=%d c=%d}" o.kind o.a o.b o.c
 
 let expect_invalid what f =
   if not (raises_invalid f) then QCheck.Test.fail_reportf "%s did not raise" what
 
-let run_model ~n ~sourced ops =
+let run_model ~n ops =
   let t = Trace.create ~n in
-  let clock = ref 0.0 in
-  if sourced then
-    Trace.set_order_source t (fun c -> Rdt_sim.Stamp.set c ~time:!clock ~u:0 ~v:0);
-  let m =
-    {
-      m_logs = Array.make n [];
-      m_pending = [];
-      m_next_seq = 0;
-      m_last_time = Array.make n nan;
-      m_last_k = Array.make n 0;
-      m_last_ckpt = Array.make n (-1);
-    }
-  in
+  let m = { m_logs = Array.make n []; m_next_seq = 0; m_last_ckpt = Array.make n (-1) } in
   let top = Trace.max_payload t in
   (* pid n-1 and the widest payload are picked often; n and top + 1 now
      and then, which the trace must reject untouched *)
@@ -436,25 +398,15 @@ let run_model ~n ~sourced ops =
     if not (valid pid peer payload) then expect_invalid "out-of-range record" go
     else begin
       go ();
-      let e = { m_seq = -1; m_pid = pid; m_tag = tag; m_peer = peer; m_payload = payload } in
+      let e =
+        { m_seq = m.m_next_seq; m_pid = pid; m_tag = tag; m_peer = peer; m_payload = payload }
+      in
+      m.m_next_seq <- m.m_next_seq + 1;
       m.m_logs.(pid) <- e :: m.m_logs.(pid);
-      if tag = Trace.Checkpoint then m.m_last_ckpt.(pid) <- payload;
-      if sourced then begin
-        let k =
-          if Float.equal !clock m.m_last_time.(pid) then m.m_last_k.(pid) + 1 else 0
-        in
-        m.m_last_time.(pid) <- !clock;
-        m.m_last_k.(pid) <- k;
-        m.m_pending <- (!clock, k, e) :: m.m_pending
-      end
-      else begin
-        e.m_seq <- m.m_next_seq;
-        m.m_next_seq <- m.m_next_seq + 1
-      end
+      if tag = Trace.Checkpoint then m.m_last_ckpt.(pid) <- payload
     end
   in
   let step o =
-    if o.tick then clock := !clock +. 1.0;
     match o.kind with
     | 0 ->
       let pid = pick o.a in
@@ -467,7 +419,7 @@ let run_model ~n ~sourced ops =
       record pid Trace.Checkpoint 0 index
     | 1 -> record (pick o.a) Trace.Send (pick o.b) (payload_of o.c)
     | 2 -> record (pick o.a) Trace.Receive (pick o.b) (payload_of o.c)
-    | 3 ->
+    | _ ->
       let pid = o.a mod n in
       let ckpts =
         List.filter_map
@@ -478,7 +430,6 @@ let run_model ~n ~sourced ops =
         if ckpts = [] || o.b mod 4 = 0 then o.c mod 7
         else List.nth ckpts (o.c mod List.length ckpts)
       in
-      model_finalize m;
       if List.mem index ckpts then begin
         Trace.truncate_to_checkpoint t ~pid ~index;
         let rec cut = function
@@ -492,9 +443,6 @@ let run_model ~n ~sourced ops =
       else
         expect_invalid "truncation to a missing checkpoint" (fun () ->
             Trace.truncate_to_checkpoint t ~pid ~index)
-    | _ ->
-      Trace.finalize t;
-      model_finalize m
   in
   List.iter step ops;
   for pid = 0 to n - 1 do
@@ -502,7 +450,6 @@ let run_model ~n ~sourced ops =
       QCheck.Test.fail_reportf "last_checkpoint_index p%d: %d, model %d" pid
         (Trace.last_checkpoint_index t ~pid) m.m_last_ckpt.(pid)
   done;
-  model_finalize m;
   let decode e = (e.m_seq, e.m_pid, e.m_tag, e.m_peer, e.m_payload) in
   let of_event (e : Helpers.event) = (e.seq, e.pid, e.tag, e.peer, e.payload) in
   let model_all =
@@ -535,16 +482,15 @@ let prop_trace_model =
   let op_gen =
     QCheck.Gen.(
       map
-        (fun (kind, a, b, (c, tick)) -> { kind; a; b; c; tick })
-        (quad (int_bound 4) nat nat (pair nat bool)))
+        (fun (kind, a, b, c) -> { kind; a; b; c })
+        (quad (int_bound 3) nat nat nat))
   in
   QCheck.Test.make ~name:"trace columns match a list model" ~count:300
     (QCheck.make
-       ~print:(fun (n, sourced, ops) ->
-         Printf.sprintf "n=%d sourced=%b [%s]" n sourced
-           (String.concat "; " (List.map print_op ops)))
-       QCheck.Gen.(triple (int_range 1 5) bool (list_size (int_range 0 80) op_gen)))
-    (fun (n, sourced, ops) -> run_model ~n ~sourced ops)
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(pair (int_range 1 5) (list_size (int_range 0 80) op_gen)))
+    (fun (n, ops) -> run_model ~n ops)
 
 let suite =
   [
@@ -571,8 +517,8 @@ let suite =
       test_truncation_erases_send;
     Alcotest.test_case "truncate missing checkpoint" `Quick
       test_truncate_missing_checkpoint;
-    Alcotest.test_case "finalize with empty first process" `Quick
-      test_finalize_empty_first_process;
+    Alcotest.test_case "iter with an empty first process" `Quick
+      test_iter_empty_first_process;
     Alcotest.test_case "record rejects what the code cannot pack" `Quick
       test_record_rejects_unpackable;
     Alcotest.test_case "load rejects what the code cannot pack" `Quick
