@@ -1,4 +1,4 @@
-.PHONY: all build test lint tsan-smoke bench figures eval micro smoke bench-json perf perf-smoke fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
+.PHONY: all build test lint bench figures eval micro smoke bench-json perf perf-smoke fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
 
 all: build
 
@@ -13,36 +13,15 @@ test:
 lint:
 	dune build @lint
 
-# ThreadSanitizer smoke: the project's one piece of domain code, the
-# experiment harness's Barrier_team fan-out, under tsan — the parallel
-# suite and the evaluation report on a 2-member team.  Requires an OCaml
-# switch configured with ThreadSanitizer (`ocamlopt -config` reports
-# `tsan: true`; available from 5.2 via ocaml-option-tsan); on any other
-# switch the target prints SKIP and exits 0 so plain dev machines and CI
-# stay green.
-tsan-smoke:
-	@if ocamlopt -config 2>/dev/null | grep -q '^tsan: true'; then \
-	  echo "tsan-smoke: tsan-enabled switch detected"; \
-	  dune build @all && \
-	  dune exec test/test_main.exe -- test parallel && \
-	  dune exec bench/main.exe -- eval -j 2 > /dev/null; \
-	else \
-	  echo "tsan-smoke: SKIP -- active switch lacks ThreadSanitizer (ocamlopt -config has no 'tsan: true')"; \
-	  echo "tsan-smoke: create one with: opam switch create 5.2.0+tsan ocaml-variants.5.2.0+options ocaml-option-tsan"; \
-	fi
-
-# parallelism for the experiment harness: JOBS=0 uses every core
-JOBS ?= 1
-
 # full experiment harness (figures + evaluation + micro-benchmarks)
 bench:
-	dune exec bench/main.exe -- all -j $(JOBS)
+	dune exec bench/main.exe -- all
 
 figures:
-	dune exec bench/main.exe -- figures -j $(JOBS)
+	dune exec bench/main.exe -- figures
 
 eval:
-	dune exec bench/main.exe -- eval -j $(JOBS)
+	dune exec bench/main.exe -- eval
 
 micro:
 	dune exec bench/main.exe -- micro

@@ -55,42 +55,12 @@ let exp_e1 () =
     ]
   in
   let sizes = [ 4; 8 ] in
-  (* phase 1: one cell per (pattern, n, policy, seed) *)
-  let cells =
-    List.concat_map
-      (fun (pattern, _) ->
-        List.concat_map
-          (fun n ->
-            List.concat_map
-              (fun (_, gc) ->
-                List.map
-                  (fun seed () ->
-                    let cfg = base_config ~n ~seed ~gc ~pattern ~duration:80.0 in
-                    let s = Runner.summary (run_sim cfg) in
-                    let bound_ok =
-                      Array.for_all (fun final -> final <= n)
-                        s.Runner.final_retained
-                      && Array.for_all (fun p -> p <= n + 1)
-                           s.Runner.peak_retained
-                    in
-                    ( s.Runner.mean_total_retained,
-                      s.Runner.peak_retained_global,
-                      s.Runner.control_messages,
-                      s.Runner.mean_optimal_retained,
-                      bound_ok ))
-                  seeds)
-              policies)
-          sizes)
-      patterns
-  in
-  let next = popper (par_run cells) in
-  (* phase 2: replay the loops, consuming cell results in order *)
   let ok = ref true in
-  let optimal_means = Hashtbl.create 8 in
   List.iter
-    (fun (_, pname) ->
+    (fun (pattern, pname) ->
       List.iter
         (fun n ->
+          let optimal_mean = ref nan in
           List.iter
             (fun (gc_name, gc) ->
               let mean = Stats.create () in
@@ -98,17 +68,24 @@ let exp_e1 () =
               let ctrl = Stats.create () in
               let optimal = Stats.create () in
               List.iter
-                (fun _seed ->
-                  let m, p, c, opt, bound_ok = next () in
-                  Stats.add mean m;
-                  Stats.add_int peak p;
-                  Stats.add_int ctrl c;
+                (fun seed ->
+                  let cfg = base_config ~n ~seed ~gc ~pattern ~duration:80.0 in
+                  let s = Runner.summary (run_sim cfg) in
+                  Stats.add mean s.Runner.mean_total_retained;
+                  Stats.add_int peak s.Runner.peak_retained_global;
+                  Stats.add_int ctrl s.Runner.control_messages;
+                  let opt = s.Runner.mean_optimal_retained in
                   if not (Float.is_nan opt) then Stats.add optimal opt;
                   (* the paper's bound: never more than n per process *)
+                  let bound_ok =
+                    Array.for_all (fun final -> final <= n)
+                      s.Runner.final_retained
+                    && Array.for_all (fun p -> p <= n + 1)
+                         s.Runner.peak_retained
+                  in
                   if gc = Sim_config.Local && not bound_ok then ok := false)
                 seeds;
-              if gc = Sim_config.Local then
-                Hashtbl.replace optimal_means (pname, n) (Stats.mean optimal);
+              if gc = Sim_config.Local then optimal_mean := Stats.mean optimal;
               Table.add_row t
                 [
                   pname;
@@ -121,7 +98,7 @@ let exp_e1 () =
                   Table.fmt_float ~decimals:0 (Stats.mean ctrl);
                 ])
             policies;
-          let opt = try Hashtbl.find optimal_means (pname, n) with Not_found -> nan in
+          let opt = !optimal_mean in
           Table.add_row t
             [
               pname;
@@ -159,36 +136,22 @@ let exp_e2 () =
         ]
   in
   let sizes = [ 2; 4; 8; 16 ] in
-  (* phase 1: one cell per (n, seed); each returns its sample values in
-     the same reverse-accumulated order the sequential loop builds *)
-  let cells =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun seed () ->
-            let cfg =
-              base_config ~n ~seed ~gc:Sim_config.Local
-                ~pattern:Workload.Uniform ~duration:60.0
-            in
-            let run = run_sim cfg in
-            let acc = ref [] in
-            Array.iter
-              (fun series ->
-                List.iter (fun v -> acc := v :: !acc) (Series.values series))
-              (Runner.retained_series run);
-            !acc)
-          seeds)
-      sizes
-  in
-  let next = popper (par_run cells) in
   let ok = ref true in
   List.iter
     (fun n ->
-      (* prepending each seed's reversed segment reproduces the
-         sequential accumulation order exactly *)
-      let per_process = ref [] in
-      List.iter (fun _seed -> per_process := next () @ !per_process) seeds;
-      let values = !per_process in
+      let values = ref [] in
+      List.iter
+        (fun seed ->
+          let cfg =
+            base_config ~n ~seed ~gc:Sim_config.Local ~pattern:Workload.Uniform
+              ~duration:60.0
+          in
+          Array.iter
+            (fun series ->
+              List.iter (fun v -> values := v :: !values) (Series.values series))
+            (Runner.retained_series (run_sim cfg)))
+        seeds;
+      let values = !values in
       let max_v = List.fold_left Float.max 0.0 values in
       if max_v > float_of_int n then ok := false;
       Table.add_row t
@@ -227,50 +190,6 @@ let exp_e3 () =
   in
   let send_means = [ 0.5; 1.0; 2.0 ] in
   let ckpt_means = [ 2.0; 5.0; 10.0 ] in
-  (* phase 1: one cell per (rates, seed); sums and conjunctions are
-     order-insensitive, so per-seed increments recombine exactly *)
-  let cells =
-    List.concat_map
-      (fun send_mean ->
-        List.concat_map
-          (fun ckpt_mean ->
-            List.map
-              (fun seed () ->
-                let cfg =
-                  {
-                    (base_config ~n:6 ~seed ~gc:Sim_config.Local
-                       ~pattern:Workload.Uniform ~duration:60.0)
-                    with
-                    workload =
-                      {
-                        (base_workload Workload.Uniform) with
-                        send_mean_interval = send_mean;
-                        basic_ckpt_mean_interval = ckpt_mean;
-                      };
-                  }
-                in
-                let run = run_sim cfg in
-                let s = Runner.summary run in
-                (* the trace-derived CCP contains every checkpoint ever
-                   taken, so the oracle's obsolete set already includes
-                   the collected ones *)
-                let ccp = Runner.ccp run in
-                let obsolete = List.length (Oracle.obsolete ccp) in
-                (* Theorem 5 check: retained = Theorem-2 set *)
-                let optimal =
-                  List.is_empty
-                    (Oracles.optimality ~stack:(Runner.stack run) ~ccp
-                       ~exact:true ~op:(-1))
-                in
-                ( s.Runner.stored_total,
-                  s.Runner.eliminated_total,
-                  obsolete,
-                  optimal ))
-              seeds)
-          ckpt_means)
-      send_means
-  in
-  let next = popper (par_run cells) in
   let all_optimal = ref true in
   List.iter
     (fun send_mean ->
@@ -279,12 +198,36 @@ let exp_e3 () =
           let stored = ref 0 and collected = ref 0 and obsolete = ref 0 in
           let optimal = ref true in
           List.iter
-            (fun _seed ->
-              let st, co, ob, opt = next () in
-              stored := !stored + st;
-              collected := !collected + co;
-              obsolete := !obsolete + ob;
-              if not opt then optimal := false)
+            (fun seed ->
+              let cfg =
+                {
+                  (base_config ~n:6 ~seed ~gc:Sim_config.Local
+                     ~pattern:Workload.Uniform ~duration:60.0)
+                  with
+                  workload =
+                    {
+                      (base_workload Workload.Uniform) with
+                      send_mean_interval = send_mean;
+                      basic_ckpt_mean_interval = ckpt_mean;
+                    };
+                }
+              in
+              let run = run_sim cfg in
+              let s = Runner.summary run in
+              (* the trace-derived CCP contains every checkpoint ever
+                 taken, so the oracle's obsolete set already includes the
+                 collected ones *)
+              let ccp = Runner.ccp run in
+              stored := !stored + s.Runner.stored_total;
+              collected := !collected + s.Runner.eliminated_total;
+              obsolete := !obsolete + List.length (Oracle.obsolete ccp);
+              (* Theorem 5 check: retained = Theorem-2 set *)
+              if
+                not
+                  (List.is_empty
+                     (Oracles.optimality ~stack:(Runner.stack run) ~ccp
+                        ~exact:true ~op:(-1)))
+              then optimal := false)
             seeds;
           if not !optimal then all_optimal := false;
           Table.add_row t
@@ -333,41 +276,26 @@ let exp_e5 () =
       (Workload.Client_server { servers = 2 }, "client-server");
     ]
   in
-  (* phase 1: one cell per (pattern, protocol, seed) *)
-  let cells =
-    List.concat_map
-      (fun (pattern, _) ->
-        List.concat_map
-          (fun (p : Protocol.t) ->
-            List.map
-              (fun seed () ->
-                let cfg =
-                  {
-                    (base_config ~n:6 ~seed ~gc:Sim_config.No_gc ~pattern
-                       ~duration:60.0)
-                    with
-                    protocol = p;
-                  }
-                in
-                let s = Runner.summary (run_sim cfg) in
-                (s.Runner.basic_checkpoints, s.Runner.forced_checkpoints))
-              seeds)
-          Protocol.all)
-      patterns
-  in
-  let next = popper (par_run cells) in
   let ordering_ok = ref true in
   List.iter
-    (fun (_, pname) ->
+    (fun (pattern, pname) ->
       let forced_of = Hashtbl.create 8 in
       List.iter
         (fun (p : Protocol.t) ->
           let basic = ref 0 and forced = ref 0 in
           List.iter
-            (fun _seed ->
-              let b, f = next () in
-              basic := !basic + b;
-              forced := !forced + f)
+            (fun seed ->
+              let cfg =
+                {
+                  (base_config ~n:6 ~seed ~gc:Sim_config.No_gc ~pattern
+                     ~duration:60.0)
+                  with
+                  protocol = p;
+                }
+              in
+              let s = Runner.summary (run_sim cfg) in
+              basic := !basic + s.Runner.basic_checkpoints;
+              forced := !forced + s.Runner.forced_checkpoints)
             seeds;
           Hashtbl.replace forced_of p.Protocol.id !forced;
           Table.add_row t
@@ -423,38 +351,21 @@ let exp_e7 () =
       ("no-gc", Sim_config.No_gc);
     ]
   in
-  (* phase 1: one cell per (variant, seed) *)
-  let cells =
-    List.concat_map
-      (fun (_, gc) ->
-        List.map
-          (fun seed () ->
-            let cfg =
-              base_config ~n ~seed ~gc ~pattern:Workload.Uniform
-                ~duration:80.0
-            in
-            let s = Runner.summary (run_sim cfg) in
-            let over =
-              Array.exists (fun p -> p > n + 1) s.Runner.peak_retained
-            in
-            ( s.Runner.mean_total_retained,
-              s.Runner.peak_retained_global,
-              over ))
-          seeds)
-      variants
-  in
-  let next = popper (par_run cells) in
   let incremental_ok = ref true in
   List.iter
     (fun (name, gc) ->
       let mean = Stats.create () and peak = Stats.create () in
       let over_bound = ref false in
       List.iter
-        (fun _seed ->
-          let m, p, over = next () in
-          Stats.add mean m;
-          Stats.add_int peak p;
-          if over then over_bound := true)
+        (fun seed ->
+          let cfg =
+            base_config ~n ~seed ~gc ~pattern:Workload.Uniform ~duration:80.0
+          in
+          let s = Runner.summary (run_sim cfg) in
+          Stats.add mean s.Runner.mean_total_retained;
+          Stats.add_int peak s.Runner.peak_retained_global;
+          if Array.exists (fun p -> p > n + 1) s.Runner.peak_retained then
+            over_bound := true)
         seeds;
       if gc = Sim_config.Local && !over_bound then incremental_ok := false;
       Table.add_row t
@@ -491,54 +402,39 @@ let exp_e6 () =
         ]
   in
   let knowledges = [ (`Global, "global (LI)"); (`Causal, "causal (DV)") ] in
-  (* phase 1: one cell per (knowledge, seed) *)
-  let cells =
-    List.concat_map
-      (fun (knowledge, _) ->
-        List.map
-          (fun seed () ->
-            let cfg =
-              {
-                (base_config ~n:5 ~seed ~gc:Sim_config.Local
-                   ~pattern:Workload.Uniform ~duration:80.0)
-                with
-                knowledge;
-                faults =
-                  [
-                    { Sim_config.crash_at = 25.0; pid = 1; repair_after = 3.0 };
-                    { Sim_config.crash_at = 55.0; pid = 3; repair_after = 4.0 };
-                  ];
-              }
-            in
-            let run = run_sim cfg in
-            let s = Runner.summary run in
-            let ccp = Runner.ccp run in
-            let safe =
-              List.is_empty
-                (Oracles.safety ~stack:(Runner.stack run) ~ccp ~op:(-1))
-            in
-            ( s.Runner.recovery_sessions,
-              s.Runner.checkpoints_rolled_back,
-              Array.fold_left ( + ) 0 s.Runner.final_retained,
-              safe ))
-          seeds)
-      knowledges
-  in
-  let next = popper (par_run cells) in
   let all_safe = ref true in
   List.iter
-    (fun (_, kname) ->
+    (fun (knowledge, kname) ->
       List.iter
         (fun seed ->
-          let sessions, rolled_back, retained, safe = next () in
+          let cfg =
+            {
+              (base_config ~n:5 ~seed ~gc:Sim_config.Local
+                 ~pattern:Workload.Uniform ~duration:80.0)
+              with
+              knowledge;
+              faults =
+                [
+                  { Sim_config.crash_at = 25.0; pid = 1; repair_after = 3.0 };
+                  { Sim_config.crash_at = 55.0; pid = 3; repair_after = 4.0 };
+                ];
+            }
+          in
+          let run = run_sim cfg in
+          let s = Runner.summary run in
+          let safe =
+            List.is_empty
+              (Oracles.safety ~stack:(Runner.stack run) ~ccp:(Runner.ccp run)
+                 ~op:(-1))
+          in
           if not safe then all_safe := false;
           Table.add_row t
             [
               kname;
               string_of_int seed;
-              string_of_int sessions;
-              string_of_int rolled_back;
-              string_of_int retained;
+              string_of_int s.Runner.recovery_sessions;
+              string_of_int s.Runner.checkpoints_rolled_back;
+              string_of_int (Array.fold_left ( + ) 0 s.Runner.final_retained);
               (if safe then "yes" else "NO");
             ])
         seeds)
@@ -570,71 +466,52 @@ let exp_e8 () =
   let n = 5 in
   let crash_periods = [ 40.0; 20.0; 10.0 ] in
   let knowledges = [ (`Global, "global"); (`Causal, "causal") ] in
-  (* phase 1: one cell per (period, knowledge, seed); each runs the
-     collected and the no-gc execution back to back *)
-  let cells =
-    List.concat_map
-      (fun crash_period ->
-        List.concat_map
-          (fun (knowledge, _) ->
-            List.map
-              (fun seed () ->
-                let faults =
-                  (* staggered crashes of rotating processes *)
-                  List.init
-                    (int_of_float (120.0 /. crash_period) - 1)
-                    (fun i ->
-                      {
-                        Sim_config.pid = i mod n;
-                        crash_at = crash_period *. float_of_int (i + 1);
-                        repair_after = 2.0;
-                      })
-                in
-                let run gc =
-                  let cfg =
-                    {
-                      (base_config ~n ~seed ~gc ~pattern:Workload.Uniform
-                         ~duration:120.0)
-                      with
-                      faults;
-                      knowledge;
-                    }
-                  in
-                  run_sim cfg
-                in
-                let s = Runner.summary (run Sim_config.Local) in
-                let s_none = Runner.summary (run Sim_config.No_gc) in
-                let bound_ok =
-                  Array.for_all (fun p -> p <= n + 1) s.Runner.peak_retained
-                in
-                ( s.Runner.recovery_sessions,
-                  s.Runner.checkpoints_rolled_back,
-                  s.Runner.mean_total_retained,
-                  bound_ok,
-                  s.Runner.checkpoints_rolled_back
-                  = s_none.Runner.checkpoints_rolled_back ))
-              seeds)
-          knowledges)
-      crash_periods
-  in
-  let next = popper (par_run cells) in
   let ok = ref true in
   List.iter
     (fun crash_period ->
+      let faults =
+        (* staggered crashes of rotating processes *)
+        List.init
+          (int_of_float (120.0 /. crash_period) - 1)
+          (fun i ->
+            {
+              Sim_config.pid = i mod n;
+              crash_at = crash_period *. float_of_int (i + 1);
+              repair_after = 2.0;
+            })
+      in
       List.iter
-        (fun (_, kname) ->
+        (fun (knowledge, kname) ->
           let sessions = Stats.create ()
           and undone = Stats.create ()
           and retained = Stats.create () in
           let same = ref true in
           List.iter
-            (fun _seed ->
-              let se, un, re, bound_ok, same_rollback = next () in
-              Stats.add_int sessions se;
-              Stats.add_int undone un;
-              Stats.add retained re;
-              if not bound_ok then ok := false;
-              if not same_rollback then begin
+            (fun seed ->
+              (* the collected and the no-gc execution, back to back *)
+              let run gc =
+                let cfg =
+                  {
+                    (base_config ~n ~seed ~gc ~pattern:Workload.Uniform
+                       ~duration:120.0)
+                    with
+                    faults;
+                    knowledge;
+                  }
+                in
+                Runner.summary (run_sim cfg)
+              in
+              let s = run Sim_config.Local in
+              let s_none = run Sim_config.No_gc in
+              Stats.add_int sessions s.Runner.recovery_sessions;
+              Stats.add_int undone s.Runner.checkpoints_rolled_back;
+              Stats.add retained s.Runner.mean_total_retained;
+              if not (Array.for_all (fun p -> p <= n + 1) s.Runner.peak_retained)
+              then ok := false;
+              if
+                s.Runner.checkpoints_rolled_back
+                <> s_none.Runner.checkpoints_rolled_back
+              then begin
                 same := false;
                 ok := false
               end)

@@ -97,8 +97,7 @@ let exp_f2 () =
         ]
   in
   let ok = ref true in
-  (* phase 1: one cell per protocol *)
-  let run_protocol p () =
+  let run_protocol p =
     let s = Figures.figure2_with_protocol p in
     let ccp = Script.ccp s in
     let useless = List.length (Zigzag.useless ccp) in
@@ -113,7 +112,7 @@ let exp_f2 () =
     let domino = line.(0) = 0 && line.(1) = 0 in
     (p, forced, useless, depth, domino)
   in
-  let results = par_run (List.map run_protocol Protocol.all) in
+  let results = List.map run_protocol Protocol.all in
   List.iter
     (fun ((p : Protocol.t), forced, useless, depth, domino) ->
       Table.add_row t
@@ -294,30 +293,19 @@ let exp_f5 () =
         ]
   in
   let sizes = [ 2; 3; 4; 6; 8; 12; 16 ] in
-  (* phase 1: one cell per n *)
-  let cells =
-    List.map
-      (fun n () ->
-        let s = Figures.worst_case ~n in
-        (* trigger the transient: all processes take one more checkpoint *)
-        for pid = 0 to n - 1 do
-          Script.checkpoint s pid
-        done;
-        let counts =
-          List.init n (fun pid -> List.length (Script.retained s pid))
-        in
-        let peaks =
-          List.init n (fun pid ->
-              (Stable_store.stats (Script.store s pid)).Stable_store.peak_count)
-        in
-        (counts, peaks))
-      sizes
-  in
-  let next = popper (par_run cells) in
   let ok = ref true in
   List.iter
     (fun n ->
-      let counts, peaks = next () in
+      let s = Figures.worst_case ~n in
+      (* trigger the transient: all processes take one more checkpoint *)
+      for pid = 0 to n - 1 do
+        Script.checkpoint s pid
+      done;
+      let counts = List.init n (fun pid -> List.length (Script.retained s pid)) in
+      let peaks =
+        List.init n (fun pid ->
+            (Stable_store.stats (Script.store s pid)).Stable_store.peak_count)
+      in
       let global = List.fold_left ( + ) 0 counts in
       let global_peak = List.fold_left ( + ) 0 peaks in
       if

@@ -4,47 +4,6 @@ module Table = Rdt_metrics.Table
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
-module Barrier_team = Rdt_parallel.Barrier_team
-
-(* --- parallel fan-out -------------------------------------------------- *)
-
-(* Experiments are organized in two phases so the report stays
-   byte-identical at any [-j]: phase 1 enumerates the independent
-   simulation cells in loop order and evaluates them in one round of a
-   [-j]-member team (cells never print), phase 2 replays the same loops
-   sequentially, popping each cell's result in order and formatting the
-   report. *)
-
-let jobs = ref 1
-let set_jobs n = jobs := max 1 n
-
-let team = ref None
-
-let get_team () =
-  match !team with
-  | Some t -> t
-  | None ->
-    let t = Barrier_team.create ~size:!jobs in
-    team := Some t;
-    t
-
-let shutdown_team () =
-  match !team with
-  | Some t ->
-    Barrier_team.shutdown t;
-    team := None
-  | None -> ()
-
-let par_run cells = Barrier_team.map (get_team ()) (fun cell -> cell ()) cells
-
-let popper results =
-  let rest = ref results in
-  fun () ->
-    match !rest with
-    | x :: tl ->
-      rest := tl;
-      x
-    | [] -> invalid_arg "Exp_support.popper: phase 2 popped too many results"
 
 let section title description =
   Printf.printf "\n=== %s ===\n%s\n\n" title description

@@ -3,22 +3,21 @@
    E6), plus Bechamel micro-benchmarks for the complexity claims (E4).
 
    Usage:
-     dune exec bench/main.exe                 # everything, sequential
+     dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- figures      # only F1-F5
-     dune exec bench/main.exe -- eval -j 8    # only E1-E3, E5-E8, 8 domains
+     dune exec bench/main.exe -- eval         # only E1-E3, E5-E8
      dune exec bench/main.exe -- micro        # only the Bechamel benches
      dune exec bench/main.exe -- smoke        # fast micro subset
      dune exec bench/main.exe -- perf-diff BASELINE.json CURRENT.json
                                               # non-fatal regression report
 
-   [-j N] fans the independent simulation cells of the figure/eval
-   experiments over N domains (default 1; [-j 0] means the machine's
-   recommended domain count).  The report is byte-identical at any N.
-   [micro] and [smoke] also write machine-readable BENCH_micro.json. *)
+   Every simulation is a pure function of its seed, so the figure and
+   evaluation reports are byte-identical from run to run.  [micro] and
+   [smoke] also write machine-readable BENCH_micro.json. *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [all|figures|eval|micro|smoke] [-j N]\n\
+    "usage: main.exe [all|figures|eval|micro|smoke]\n\
     \       main.exe perf-diff BASELINE.json CURRENT.json";
   exit 2
 
@@ -29,29 +28,12 @@ let () =
     Perf_diff.run ~baseline:Sys.argv.(2) ~current:Sys.argv.(3);
     exit 0
   end;
-  let what = ref "all" in
-  let rec parse i =
-    if i < Array.length Sys.argv then begin
-      (match Sys.argv.(i) with
-      | "-j" ->
-        if i + 1 >= Array.length Sys.argv then usage ();
-        let n =
-          match int_of_string_opt Sys.argv.(i + 1) with
-          | Some n when n >= 0 -> n
-          | Some _ | None -> usage ()
-        in
-        Exp_support.set_jobs
-          (if n = 0 then Rdt_parallel.Barrier_team.hardware_parallelism ()
-           else n);
-        parse (i + 2)
-      | ("all" | "figures" | "eval" | "micro" | "smoke") as w ->
-        what := w;
-        parse (i + 1)
-      | _ -> usage ())
-    end
+  let what =
+    match Sys.argv with
+    | [| _ |] -> "all"
+    | [| _; ("all" | "figures" | "eval" | "micro" | "smoke" as w) |] -> w
+    | _ -> usage ()
   in
-  parse 1;
-  let what = !what in
   Printf.printf
     "RDT-LGC benchmark harness — reproduction of Schmidt, Garcia, Pedone &\n\
      Buzato, \"Optimal Asynchronous Garbage Collection for RDT\n\
@@ -67,7 +49,6 @@ let () =
     else if what = "smoke" then Some (Micro.smoke ())
     else None
   in
-  Exp_support.shutdown_team ();
   let verdict label = function
     | None -> ()
     | Some true -> Printf.printf "%s: all checks passed\n" label

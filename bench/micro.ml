@@ -729,8 +729,6 @@ let write_json ~mode ~wall_time_s ~rows ~speedup =
   Buffer.add_string buf
     (Printf.sprintf "  \"domains\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string buf
-    (Printf.sprintf "  \"jobs\": %d,\n" !Exp_support.jobs);
-  Buffer.add_string buf
     (Printf.sprintf "  \"wall_time_s\": %.3f,\n" wall_time_s);
   Buffer.add_string buf "  \"benchmarks\": [\n";
   List.iteri

@@ -60,7 +60,6 @@ val last_stable_ckpt : t -> int -> ckpt
 val mem : t -> ckpt -> bool
 (** Does this general checkpoint exist in the CCP? *)
 
-val is_volatile : t -> ckpt -> bool
 val is_stable : t -> ckpt -> bool
 
 val checkpoints : t -> ckpt list

@@ -115,14 +115,11 @@ val iter : t -> (View.t -> unit) -> unit
     of the per-process logs, each of which is already in sequence order.
     The callback must not record into or truncate the trace. *)
 
-val iter_pid : t -> pid:int -> (View.t -> unit) -> unit
-(** Events of one process, oldest first. *)
-
 val fold : t -> init:'a -> ('a -> View.t -> 'a) -> 'a
 (** {!iter} as a fold. *)
 
 val fold_pid : t -> pid:int -> init:'a -> ('a -> View.t -> 'a) -> 'a
-(** {!iter_pid} as a fold. *)
+(** Events of one process, oldest first, as a fold. *)
 
 val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
 (** Erase every event of [pid] after its last [Checkpoint index] event,

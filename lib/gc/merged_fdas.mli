@@ -8,8 +8,7 @@
     production checkpointing layer would ship it.  The paper's Section 4.5
     argues the merge adds no asymptotic cost; the test suite checks
     behavioural equivalence with the composed stack
-    ([Middleware] + {!Rdt_lgc}) on arbitrary operation sequences, and the
-    micro-benchmarks compare their constants. *)
+    ([Middleware] + {!Rdt_lgc}) on arbitrary operation sequences. *)
 
 type t
 

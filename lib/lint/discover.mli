@@ -7,8 +7,4 @@ type result = {
   warnings : string list;
 }
 
-val build_root : root:string -> string
-(** [<root>/_build/default] when it exists, else [root] itself (the case
-    when the caller already runs inside the build tree). *)
-
 val find_cmts : root:string -> dirs:string list -> result

@@ -40,8 +40,8 @@ let wall_clock_names = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
 let domain_spawn_names = [ "Domain.spawn" ]
 
 (* any Atomic.* operation: matched by module prefix rather than an
-   explicit list because the whole module is off-limits outside
-   lib/parallel, the home of the one domain team *)
+   explicit list because the whole module is off-limits in lib/, which
+   runs on one domain *)
 let atomic_name name = String.length name > 7 && String.sub name 0 7 = "Atomic."
 
 let hashtbl_order_names =
@@ -305,18 +305,12 @@ let check_ident ctx e path =
     then
       error ctx ~loc ~rule:"det/wall-clock"
         ~msg:(name ^ " reads the wall clock; simulated time must come from the engine");
-    if
-      mem_name name domain_spawn_names
-      && not (Lint_config.in_parallel ctx.cfg ctx.file)
-    then
+    if mem_name name domain_spawn_names then
       error ctx ~loc ~rule:"det/domain-spawn"
-        ~msg:(name ^ " outside lib/parallel; use Barrier_team");
-    if atomic_name name && not (Lint_config.in_parallel ctx.cfg ctx.file) then
+        ~msg:(name ^ " spawns a domain; the library runs on one domain");
+    if atomic_name name then
       error ctx ~loc ~rule:"det/atomic"
-        ~msg:
-          (name
-         ^ " outside lib/parallel; Barrier_team.map is the one concurrency \
-            primitive");
+        ~msg:(name ^ " shares state across domains; the library runs on one domain");
     if
       mem_name name hashtbl_order_names
       && Lint_config.in_hashtbl_det ctx.cfg ctx.file

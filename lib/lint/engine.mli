@@ -8,12 +8,6 @@ type scan = {
 val empty_scan : scan
 val merge : scan -> scan -> scan
 
-val scan_structure :
-  cfg:Lint_config.t -> file:string -> Typedtree.structure -> scan
-(** Scan one typedtree; [file] is the source path used for scoping and
-    reporting.  The compiler's load path must already be initialised
-    (see {!Lint_compat.init_load_path}). *)
-
 type cmt_result = Scanned of string * scan | Skipped of string
 
 val scan_cmt : cfg:Lint_config.t -> string -> cmt_result

@@ -6,8 +6,6 @@
 type t = {
   lib_prefixes : string list;
       (* determinism, unsafe and polycmp rules apply here *)
-  parallel_prefixes : string list;
-      (* Domain.spawn and Atomic are legal here *)
   hashtbl_det_prefixes : string list;
       (* order-dependent Hashtbl iteration is banned here *)
   realtime_prefixes : string list;
@@ -20,7 +18,6 @@ type t = {
 let default =
   {
     lib_prefixes = [ "lib/" ];
-    parallel_prefixes = [ "lib/parallel/" ];
     hashtbl_det_prefixes =
       [
         (* simulation + verification proper *)
@@ -57,7 +54,6 @@ let matches prefixes path =
   List.exists (fun prefix -> has_prefix ~prefix path) prefixes
 
 let in_lib t path = matches t.lib_prefixes path
-let in_parallel t path = matches t.parallel_prefixes path
 let in_hashtbl_det t path = matches t.hashtbl_det_prefixes path
 let in_realtime t path = matches t.realtime_prefixes path
 

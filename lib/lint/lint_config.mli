@@ -3,15 +3,14 @@
 
 type t = {
   lib_prefixes : string list;
-  parallel_prefixes : string list;
   hashtbl_det_prefixes : string list;
   realtime_prefixes : string list;
   unsafe_allowlist : string list;
 }
 
 val default : t
-(** The project policy: everything under [lib/] is in scope; Domain.spawn
-    and Atomic only in [lib/parallel/]; Hashtbl iteration order matters
+(** The project policy: everything under [lib/] is in scope, with no
+    Domain.spawn or Atomic anywhere; Hashtbl iteration order matters
     in [lib/sim/], [lib/verify/], [lib/scenarios/], [lib/ccp/],
     [lib/core/] and [lib/metrics/]; wall-clock
     reads are legal only in [lib/live/] (the real-time runtime — its
@@ -20,7 +19,6 @@ val default : t
 
 val normalize_path : string -> string
 val in_lib : t -> string -> bool
-val in_parallel : t -> string -> bool
 val in_hashtbl_det : t -> string -> bool
 
 (** [in_realtime] is the scope where [det/wall-clock] does not apply. *)

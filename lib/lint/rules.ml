@@ -16,11 +16,10 @@ let all =
       "wall-clock reads (Unix.gettimeofday/Unix.time/Sys.time) leak real \
        time into simulated time";
     mk "det/domain-spawn"
-      "Domain.spawn outside lib/parallel bypasses the deterministic domain \
-       team";
+      "Domain.spawn in the library; every run is sequential on one domain";
     mk "det/atomic"
-      "Atomic outside lib/parallel; the experiment fan-out team is the one \
-       place domains share state";
+      "Atomic in the library; with one domain there is no shared state to \
+       guard";
     mk "det/hashtbl-order"
       "Hashtbl.iter/fold visit in hash order, which depends on insertion \
        history; sort the keys or keep a deterministic index";

@@ -23,5 +23,4 @@ val strings_of_payload : Parsetree.payload -> string list option
 (** String literals of an attribute payload ([Some []] for an empty
     payload, [None] when the payload is not string literals). *)
 
-val parse_attribute : Parsetree.attribute -> parsed option
 val parse_attributes : Parsetree.attributes -> parsed list

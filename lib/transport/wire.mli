@@ -11,9 +11,6 @@
 val header_bytes : int
 val max_frame_bytes : int
 
-val max_count : int
-(** Upper bound accepted for any embedded array/list/string length. *)
-
 type error =
   | Oversized of { len : int; max : int }
       (** length prefix exceeds {!max_frame_bytes} *)

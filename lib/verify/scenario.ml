@@ -463,15 +463,20 @@ let of_string s =
 
 let save sc path =
   let oc = open_out path in
-  output_string oc (to_string sc);
-  close_out oc
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (to_string sc))
 
 let load path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_string s
+  match
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | s -> of_string s
+  | exception Sys_error e -> Error e
+  | exception End_of_file -> Error (path ^ ": file shrank while reading")
 
 (* --- reproducer emission ---------------------------------------------- *)
 

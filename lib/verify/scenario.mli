@@ -69,6 +69,8 @@ val of_string : string -> (t, string) result
 
 val save : t -> string -> unit
 val load : string -> (t, string) result
+(** [Error] for a file that cannot be read as well as for one that does
+    not parse. *)
 
 val to_script_ml : t -> string
 (** Standalone OCaml reproducer: a function building and running the

@@ -109,6 +109,11 @@ let test_roundtrip () =
           Alcotest.failf "seed %d: corpus roundtrip changed the scenario" seed)
     [ 1; 2; 3; 17; 2026; 0x5eed ]
 
+let test_load_missing_file () =
+  match Scenario.load "no-such-dir/missing.scn" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "loaded a scenario from a missing file"
+
 let test_normalize () =
   let base = Scenario.generate ~seed:1 ~max_procs:3 () in
   let sc =
@@ -315,6 +320,8 @@ let suite =
     Alcotest.test_case "over-collecting mutant is caught and shrunk" `Quick
       test_mutant_caught_and_shrunk;
     Alcotest.test_case "corpus format roundtrips" `Quick test_roundtrip;
+    Alcotest.test_case "loading a missing file is an error" `Quick
+      test_load_missing_file;
     Alcotest.test_case "normalization repairs ill-formed op lists" `Quick
       test_normalize;
     Alcotest.test_case "corpus replay works as regression gate" `Quick

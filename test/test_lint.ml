@@ -24,7 +24,6 @@ let fixture_dir = "lint_fixtures"
 let fixture_cfg =
   {
     Lint_config.lib_prefixes = [ "test/lint_fixtures/" ];
-    parallel_prefixes = [ "test/lint_fixtures/parallel_ok" ];
     hashtbl_det_prefixes = [ "test/lint_fixtures/det_" ];
     realtime_prefixes = [ "test/lint_fixtures/realtime_ok" ];
     unsafe_allowlist = [ "test/lint_fixtures/unsafe_ok.ml" ];
@@ -84,7 +83,6 @@ let check_fixture file () =
     String.length file > 4
     && not (String.equal file "clean_ok.ml")
     && not (String.equal file "unsafe_ok.ml")
-    && not (String.equal file "parallel_ok.ml")
   then
     Alcotest.(check bool) (file ^ " has expectations") true
       (not (List.is_empty expected));
@@ -249,8 +247,6 @@ let suite =
       (check_fixture "polycmp_bad.ml");
     Alcotest.test_case "approved idioms are clean" `Quick
       (check_fixture "clean_ok.ml");
-    Alcotest.test_case "parallel scope admits Domain.spawn" `Quick
-      (check_fixture "parallel_ok.ml");
     Alcotest.test_case "realtime scope admits the wall clock, nothing else"
       `Quick
       (check_fixture "realtime_ok.ml");

@@ -24,7 +24,6 @@ let () =
       ("workload", Test_workload.suite);
       ("metrics", Test_metrics.suite);
       ("ccp-incremental", Test_ccp_incremental.suite);
-      ("parallel", Test_parallel.suite);
       ("engine-alloc", Test_engine_alloc.suite);
       ("perf-diff", Test_perf_diff.suite);
       ("edge-cases", Test_edge_cases.suite);

@@ -16,14 +16,48 @@ let run cfg =
 
 let base = Helpers.sim_config_of_case 1
 
+(* A run is a pure function of its config: two runs agree on every
+   summary field and every sampled retention value. *)
 let test_deterministic_replay () =
-  let s1 = Runner.summary (run base) in
-  let s2 = Runner.summary (run base) in
-  Alcotest.(check int) "same stored" s1.Runner.stored_total s2.Runner.stored_total;
-  Alcotest.(check int) "same eliminated" s1.Runner.eliminated_total
-    s2.Runner.eliminated_total;
-  Alcotest.(check int) "same messages" s1.Runner.app_messages
-    s2.Runner.app_messages
+  let observe cfg =
+    let t = run cfg in
+    ( Runner.summary t,
+      Array.map Series.values (Runner.retained_series t) )
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun gc ->
+          let cfg =
+            {
+              Sim_config.default with
+              n = 4;
+              seed;
+              duration = 30.0;
+              gc;
+              sample_interval = 2.0;
+              workload =
+                {
+                  Workload.pattern = Workload.Uniform;
+                  send_mean_interval = 0.8;
+                  basic_ckpt_mean_interval = 4.0;
+                  reply_probability = 0.3;
+                };
+            }
+          in
+          let s1, v1 = observe cfg and s2, v2 = observe cfg in
+          let label = Printf.sprintf "seed %d, %s" seed s1.Runner.gc in
+          (* [compare], not [=]: summaries hold NaN for unsampled means *)
+          Alcotest.(check bool) (label ^ ": summary identical") true
+            (compare s1 s2 = 0);
+          Alcotest.(check (array (list (float 0.0))))
+            (label ^ ": series identical") v1 v2)
+        [
+          Sim_config.No_gc;
+          Sim_config.Local;
+          Sim_config.Coordinated { period = 5.0 };
+        ])
+    [ 7; 19 ]
 
 let test_seed_changes_execution () =
   let s1 = Runner.summary (run base) in
