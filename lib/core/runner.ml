@@ -25,6 +25,16 @@ type round_state = {
   mutable rounds_completed : int;
 }
 
+(* Spare piggyback buffers: the [n]-word [dv] arrays of delivered
+   application messages.  [Middleware.receive] only borrows a message
+   (Control's borrow contract), so once it returns the buffer can carry
+   the next send's copy.  A recycled buffer has long been promoted, so
+   filling it costs the minor GC nothing; a fresh copy per send would
+   stay in flight across a minor collection and be promoted.  Messages
+   that are lost, dropped at a down process or flushed by recovery never
+   come back; the GC collects their buffers. *)
+type spare = { mutable bufs : int array array; mutable count : int }
+
 type t = {
   cfg : Sim_config.t;
   engine : Sim_msg.t Engine.t;
@@ -44,6 +54,7 @@ type t = {
      for the ground truth pay nothing; once created it folds each trace
      event as it is recorded instead of rebuilding from scratch. *)
   mutable ccp_incr : Ccp.Incremental.t option;
+  spare : spare;
 }
 
 let config t = t.cfg
@@ -77,9 +88,31 @@ let snapshots t = Array.map Session.snapshot_of t.middlewares
 
 (* --- application activity ------------------------------------------- *)
 
+let take_spare t =
+  let s = t.spare in
+  if s.count = 0 then Array.make t.cfg.Sim_config.n 0
+  else begin
+    s.count <- s.count - 1;
+    let buf = s.bufs.(s.count) in
+    (* the slot must not keep an in-flight buffer alive *)
+    s.bufs.(s.count) <- [||];
+    buf
+  end
+
+let return_spare t buf =
+  let s = t.spare in
+  if s.count = Array.length s.bufs then begin
+    let bufs = Array.make (max 16 (2 * s.count)) [||] in
+    Array.blit s.bufs 0 bufs 0 s.count;
+    s.bufs <- bufs
+  end;
+  s.bufs.(s.count) <- buf;
+  s.count <- s.count + 1
+
 let app_send t ~src ~dst =
   let msg =
-    Middleware.prepare_send t.middlewares.(src) ~dst ~now:(Engine.now t.engine)
+    Middleware.prepare_send ~into:(take_spare t) t.middlewares.(src) ~dst
+      ~now:(Engine.now t.engine)
   in
   Engine.send t.engine ~src ~dst (Sim_msg.App msg)
 
@@ -250,6 +283,7 @@ let handle_message t pid ~src msg =
   match msg with
   | Sim_msg.App m ->
     Middleware.receive t.middlewares.(pid) m ~now:(Engine.now t.engine);
+    return_spare t m.Middleware.control.Rdt_protocols.Control.dv;
     reply_sends t pid ~src
   | Sim_msg.Gc_query { round } ->
     control_send t ~src:pid ~dst:coordinator
@@ -381,6 +415,7 @@ let create (cfg : Sim_config.t) =
       recoveries = [];
       on_sample = None;
       ccp_incr = None;
+      spare = { bufs = [||]; count = 0 };
     }
   in
   for pid = 0 to cfg.n - 1 do

@@ -70,7 +70,7 @@ let basic_checkpoint t ~now =
 
 let before_send t =
   t.sent <- true;
-  Control.make ~dv:t.dv ~index:0
+  Control.make ~dv:t.dv ~index:0 ()
 
 let receive t (m : Control.t) ~now =
   (* FDAS freezes the dependency vector once a send occurred in the

@@ -2,43 +2,53 @@ module Dependency_vector = Rdt_causality.Dependency_vector
 module Stable_store = Rdt_storage.Stable_store
 module Middleware = Rdt_protocols.Middleware
 
+(* [on_new_dependency] runs once per new dependency a receive brings (35
+   per message at n=256 client-server) and must not allocate: [link]
+   stores an existing, already-promoted CCB, never a fresh block, so the
+   receive path adds nothing to the minor GC's remembered set.  rdt_lint
+   enforces this. *)
+[@@@lint.zero_alloc_hot "release" "link" "on_new_dependency"]
+
 (* Checkpoint control block (paper, Algorithm 1): index of the stable
    checkpoint it represents and the number of UC entries referencing it. *)
 type ccb = { ind : int; mutable rc : int }
+
+(* The paper's Null reference: one shared CCB that no UC entry ever
+   counts and that is never eliminated.  Compared physically. *)
+let null = { ind = -1; rc = 0 }
 
 type t = {
   n : int;
   me : int;
   store : Stable_store.t;
   dv : Dependency_vector.t;
-  uc : ccb option array;
+  uc : ccb array;
   mutable test_overcollect : bool;
 }
 
 let release t j =
-  match t.uc.(j) with
-  | None -> ()
-  | Some ccb ->
+  let ccb = t.uc.(j) in
+  if ccb != null then begin
     ccb.rc <- ccb.rc - 1;
     if ccb.rc = 0 then Stable_store.eliminate t.store ~index:ccb.ind;
-    t.uc.(j) <- None
+    t.uc.(j) <- null
+  end
 
 let link t j =
   (* UC.(j) <- UC.(me); UC.(j).rc++ — UC.(me) always references the last
      stable checkpoint, so it is never Null. *)
-  match t.uc.(t.me) with
-  | None -> assert false
-  | Some ccb ->
-    ccb.rc <- ccb.rc + 1;
-    t.uc.(j) <- Some ccb
+  let ccb = t.uc.(t.me) in
+  assert (ccb != null);
+  ccb.rc <- ccb.rc + 1;
+  t.uc.(j) <- ccb
 
-let new_ccb t ~index = t.uc.(t.me) <- Some { ind = index; rc = 1 }
+let new_ccb t ~index = t.uc.(t.me) <- { ind = index; rc = 1 }
 
 let create ~me ~store ~dv ~n =
   if Stable_store.count store <> 1 || not (Stable_store.mem store ~index:0)
   then
     invalid_arg "Rdt_lgc.create: attach to a fresh middleware holding only s^0";
-  let t = { n; me; store; dv; uc = Array.make n None; test_overcollect = false } in
+  let t = { n; me; store; dv; uc = Array.make n null; test_overcollect = false } in
   (* state after initialize() plus the checkpoint step for s^0 *)
   new_ccb t ~index:0;
   t
@@ -51,7 +61,7 @@ let restore ~me ~store ~dv ~n =
      collector starts all-Null and must see a rollback before any other
      hook fires (the recovery session guarantees it: the faulty process
      always rolls back) *)
-  { n; me; store; dv; uc = Array.make n None; test_overcollect = false }
+  { n; me; store; dv; uc = Array.make n null; test_overcollect = false }
 
 let on_new_dependency t j =
   release t j;
@@ -89,8 +99,8 @@ let on_rollback t ~li =
     | Some index ->
       let ccb = ccb_of_index index in
       ccb.rc <- ccb.rc + 1;
-      t.uc.(f) <- Some ccb
-    | None -> t.uc.(f) <- None
+      t.uc.(f) <- ccb
+    | None -> t.uc.(f) <- null
   done;
   (* lines 15-17: eliminate every checkpoint left unreferenced *)
   Array.iter
@@ -114,14 +124,16 @@ let hooks t =
 
 let attach t mw = Middleware.set_hooks mw (hooks t)
 
-let uc_view t = Array.map (Option.map (fun ccb -> ccb.ind)) t.uc
+let retained_because_of t f =
+  let ccb = t.uc.(f) in
+  if ccb == null then None else Some ccb.ind
 
-let retained_because_of t f = Option.map (fun ccb -> ccb.ind) t.uc.(f)
+let uc_view t = Array.init t.n (retained_because_of t)
 
 let pp ppf t =
-  let entry ppf = function
-    | None -> Format.pp_print_string ppf "*"
-    | Some ccb -> Format.fprintf ppf "%d" ccb.ind
+  let entry ppf ccb =
+    if ccb == null then Format.pp_print_string ppf "*"
+    else Format.fprintf ppf "%d" ccb.ind
   in
   Format.fprintf ppf "UC=(%a)"
     (Format.pp_print_list

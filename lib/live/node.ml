@@ -139,11 +139,11 @@ let boot t ~n ~protocol ~epoch ~ports ~(history : Wire.tev list) ~sends_ever =
 let do_deliver t sys ~now ~src ~msg_id ~dv ~index =
   let mw = Process_stack.middleware sys in
   Middleware.receive mw
-    { Middleware.msg_id; src; control = Control.make ~dv ~index }
+    { Middleware.msg_id; src; control = Control.make ~dv ~index () }
     ~now;
   if t.dup_deliver then
     Middleware.receive mw
-      { Middleware.msg_id; src; control = Control.make ~dv ~index }
+      { Middleware.msg_id; src; control = Control.make ~dv ~index () }
       ~now
 
 let handle_app t ~src ~(frame_epoch : int) ~msg_id ~dv ~index =

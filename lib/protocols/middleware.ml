@@ -144,13 +144,15 @@ let current_interval t = Dependency_vector.get t.dv t.me
 let basic_checkpoint t ~now =
   take_checkpoint t ~kind:Basic ~now
 
-let prepare_send t ~dst ~now =
+let prepare_send ?into t ~dst ~now =
   t.proto.Protocol.note_send ();
-  (* [Control.make] performs the single message-boundary copy itself *)
+  (* [Control.make] performs the single message-boundary copy itself, into
+     [into] when the caller recycles buffers *)
   let control =
-    Control.make
+    Control.make ?into
       ~dv:(Dependency_vector.view t.dv)
       ~index:(t.proto.Protocol.control_index ())
+      ()
   in
   let msg_id = Trace.fresh_msg_id t.trace ~pid:t.me in
   Trace.record_send t.trace ~pid:t.me ~msg_id ~dst;

@@ -96,16 +96,23 @@ val current_interval : t -> int
 val basic_checkpoint : t -> now:float -> unit
 (** Take a basic (autonomous) checkpoint. *)
 
-val prepare_send : t -> dst:int -> now:float -> message
+val prepare_send : ?into:int array -> t -> dst:int -> now:float -> message
 (** Build an application message: runs the protocol's send rule and
     records the send in the trace.  For checkpoint-after-send protocols
     the forced checkpoint is stored right after the send event (the
-    message itself carries the pre-checkpoint dependency vector). *)
+    message itself carries the pre-checkpoint dependency vector).  The
+    piggybacked vector is the one message-boundary copy, made into [into]
+    (an [n]-word buffer the message then owns) when given, else into a
+    fresh array ({!Control.make}). *)
 
 val receive : t -> message -> now:float -> unit
 (** Process a delivered message: consult the protocol (taking a forced
     checkpoint first if required), record the receive, merge the
-    dependency vector and fire GC hooks for each new dependency. *)
+    dependency vector and fire GC hooks for each new dependency.  The
+    message is borrowed for the duration of the call only: neither the
+    middleware, nor its protocol, nor its hooks keep a reference to
+    [message.control] or its [dv] after [receive] returns, so the caller
+    may recycle the buffer for a later {!prepare_send} ([~into]). *)
 
 val rollback : t -> to_index:int -> li:int array option -> unit
 (** Roll back to stable checkpoint [s^to_index]: eliminate later

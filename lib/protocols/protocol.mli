@@ -38,14 +38,19 @@ type instance = {
   name : string;
   need_forced : local_dv:int array -> incoming:Control.t -> bool;
       (** must a forced checkpoint be taken before processing this
-          message? Consulted before the dependency vector is merged. *)
+          message? Consulted before the dependency vector is merged.
+          [local_dv] and [incoming] are borrowed for the duration of the
+          call: read them, never keep them (the caller recycles
+          [incoming.dv], see {!Control}). *)
   force_after_send : bool;
       (** take a forced checkpoint immediately after every send (the
           checkpoint-after-send family) *)
   note_send : unit -> unit;  (** an application message is about to leave *)
   note_receive : incoming:Control.t -> unit;
       (** a message was processed (after merge, after any forced
-          checkpoint) *)
+          checkpoint).  [incoming] is borrowed for the duration of the
+          call, as for [need_forced]: copy any scalar it needs, keep no
+          reference. *)
   note_checkpoint : unit -> unit;
       (** a checkpoint (basic or forced) was just stored *)
   control_index : unit -> int;

@@ -25,6 +25,7 @@ let () =
       ("metrics", Test_metrics.suite);
       ("ccp-incremental", Test_ccp_incremental.suite);
       ("engine-alloc", Test_engine_alloc.suite);
+      ("message-alloc", Test_message_alloc.suite);
       ("perf-diff", Test_perf_diff.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("fuzz", Test_fuzz.suite);

@@ -7,8 +7,10 @@ module Middleware = Rdt_protocols.Middleware
 module Script = Rdt_scenarios.Script
 module Stable_store = Rdt_storage.Stable_store
 module Trace = Rdt_ccp.Trace
+module Process_stack = Rdt_recovery.Process_stack
+module Dependency_vector = Rdt_causality.Dependency_vector
 
-let control ?(index = 0) dv = Control.make ~dv ~index
+let control ?(index = 0) dv = Control.make ~dv ~index ()
 
 let test_fdas_rule () =
   let p = Protocol.fdas.Protocol.make ~n:3 ~me:0 in
@@ -223,6 +225,67 @@ let test_bcs_script () =
   Script.transfer s ~src:0 ~dst:1 (* p1 must force: 2 > 0 *);
   Alcotest.(check int) "p1 forced" 1 (Script.forced_taken s 1)
 
+(* Control's borrow contract: a receive reads the incoming control during
+   the call and keeps nothing.  For every built-in protocol, one process
+   receives fresh copies while its twin receives the same controls in two
+   alternating buffers, each overwritten once its receive returns (as the
+   simulator recycles them); a protocol or collector that kept a buffer
+   would then read poisoned entries at the next receive and diverge. *)
+let test_receive_borrows_incoming () =
+  let n = 4 in
+  List.iter
+    (fun (protocol : Protocol.t) ->
+      let make () =
+        Process_stack.middleware
+          (Process_stack.create ~n ~me:0 ~protocol
+             ~trace:(Trace.create ~n) ~with_lgc:protocol.Protocol.rdt ())
+      in
+      let fresh = make () and recycled = make () in
+      let bufs = [| Array.make n 0; Array.make n 0 |] in
+      let rng = Random.State.make [| 11 |] in
+      let peer = Array.make n 0 in
+      for step = 1 to 300 do
+        (match Random.State.int rng 4 with
+        | 0 ->
+          List.iter
+            (fun mw -> ignore (Middleware.prepare_send mw ~dst:1 ~now:0.0))
+            [ fresh; recycled ]
+        | 1 ->
+          List.iter (Middleware.basic_checkpoint ~now:0.0) [ fresh; recycled ]
+        | _ ->
+          let src = 1 + Random.State.int rng (n - 1) in
+          for j = 1 to n - 1 do
+            if Random.State.bool rng then peer.(j) <- peer.(j) + 1
+          done;
+          let index = Random.State.int rng (step + 1) in
+          let buf = bufs.(step land 1) in
+          Middleware.receive fresh
+            {
+              Middleware.msg_id = step;
+              src;
+              control = Control.make ~dv:peer ~index ();
+            }
+            ~now:0.0;
+          Middleware.receive recycled
+            {
+              Middleware.msg_id = step;
+              src;
+              control = Control.make ~into:buf ~dv:peer ~index ();
+            }
+            ~now:0.0;
+          Array.fill buf 0 n (max_int / 2));
+        let id = Printf.sprintf "%s step %d" protocol.Protocol.id step in
+        Alcotest.(check int) (id ^ ": forced") (Middleware.forced_count fresh)
+          (Middleware.forced_count recycled);
+        Alcotest.(check (array int)) (id ^ ": dv")
+          (Dependency_vector.to_array (Middleware.dv fresh))
+          (Dependency_vector.to_array (Middleware.dv recycled));
+        Alcotest.(check (list int)) (id ^ ": retained")
+          (Stable_store.retained_indices (Middleware.store fresh))
+          (Stable_store.retained_indices (Middleware.store recycled))
+      done)
+    Protocol.all
+
 let suite =
   [
     Alcotest.test_case "fdas rule" `Quick test_fdas_rule;
@@ -249,4 +312,6 @@ let suite =
     Alcotest.test_case "checkpoint counts" `Quick
       test_middleware_checkpoint_counts;
     Alcotest.test_case "bcs forces on higher index" `Quick test_bcs_script;
+    Alcotest.test_case "receive borrows the incoming control" `Quick
+      test_receive_borrows_incoming;
   ]
