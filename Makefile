@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench figures eval micro smoke bench-json perf perf-smoke fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
+.PHONY: all build test lint bench figures eval micro smoke perf fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
 
 all: build
 
@@ -23,14 +23,12 @@ figures:
 eval:
 	dune exec bench/main.exe -- eval
 
+# both also write the machine-readable results, BENCH_micro.json
 micro:
 	dune exec bench/main.exe -- micro
 
 smoke:
 	dune exec bench/main.exe -- smoke
-
-# machine-readable micro-benchmark results (writes BENCH_micro.json)
-bench-json: micro
 
 # perf regression check: save the committed BENCH_micro.json as baseline,
 # re-run the micro benchmarks (overwrites BENCH_micro.json), and print a
@@ -45,9 +43,6 @@ perf:
 	  2>/dev/null || cp BENCH_micro.json _build/BENCH_micro.baseline.json
 	dune exec bench/main.exe -- micro
 	dune exec bench/main.exe -- perf-diff _build/BENCH_micro.baseline.json BENCH_micro.json
-
-# fast perf regression check: the incremental-CCP criterion only
-perf-smoke: smoke
 
 # ~10 s differential-fuzz budget: a fixed-seed campaign plus the
 # over-collecting-mutant self-check (DESIGN.md §11); the nightly CI job

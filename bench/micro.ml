@@ -164,11 +164,14 @@ let queue_churn_setup () =
   let q = Event_queue.create () in
   let now = ref 0.0 in
   (* grow the columns before measuring *)
-  Event_queue.add q ~time:0.0 0;
+  Event_queue.add_keyed q ~time:0.0 ~u:0 ~v:0 0;
   ignore (Event_queue.pop q);
+  (* the key is the entry's own counter, as the engine's are *)
+  let v = ref 0 in
   fun () ->
     now := !now +. 1.0;
-    Event_queue.add q ~time:!now 0;
+    incr v;
+    Event_queue.add_keyed q ~time:!now ~u:0 ~v:!v 0;
     ignore (Event_queue.pop q)
 
 let send_deliver_setup () =

@@ -236,7 +236,7 @@ let compare_files ~baseline ~current =
   if !fatal > 0 then
     say
       "perf-diff: FAILED — %d structural mismatch(es); regenerate the \
-       baseline (`make bench-json` and commit BENCH_micro.json) alongside \
+       baseline (`make micro` and commit BENCH_micro.json) alongside \
        the change"
       !fatal;
   (List.rev !lines, !fatal)

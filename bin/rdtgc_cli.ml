@@ -199,8 +199,7 @@ let run_cmd =
 
 (* --- analyze ------------------------------------------------------------ *)
 
-let analyze_trace trace retained_of =
-  let ccp = Rdt_ccp.Ccp.of_trace trace in
+let analyze_trace trace ccp retained_of =
   Format.printf "%a@.@." Rdt_ccp.Ccp.pp ccp;
   let events = Rdt_ccp.Trace.length trace in
   if events <= 72 then begin
@@ -245,7 +244,8 @@ let do_analyze cfg save =
     Rdt_ccp.Trace.save (Runner.trace t) path;
     Format.printf "trace saved to %s@." path
   | None -> ());
-  analyze_trace (Runner.trace t) (fun pid ->
+  let trace = Runner.trace t in
+  analyze_trace trace (Rdt_ccp.Ccp.of_trace trace) (fun pid ->
       Some
         (Rdt_storage.Stable_store.retained_indices
            (Rdt_protocols.Middleware.store (Runner.middleware t pid))))
@@ -258,8 +258,16 @@ let analyze_cmd =
 (* --- inspect ------------------------------------------------------------- *)
 
 let do_inspect path =
-  let trace = Rdt_ccp.Trace.load path in
-  analyze_trace trace (fun _ -> None)
+  (* a file from outside may be malformed or not a CCP at all (a receive
+     with no send): report it, like [cluster-run] does a bad scenario *)
+  match
+    let trace = Rdt_ccp.Trace.load path in
+    (trace, Rdt_ccp.Ccp.of_trace trace)
+  with
+  | exception (Failure e | Invalid_argument e | Sys_error e) ->
+    Printf.eprintf "cannot load %s: %s\n" path e;
+    exit 1
+  | trace, ccp -> analyze_trace trace ccp (fun _ -> None)
 
 let inspect_cmd =
   let doc = "Analyze a previously saved execution trace." in

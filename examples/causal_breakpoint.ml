@@ -53,14 +53,10 @@ let () =
     "suspect state: checkpoint s%d of p%d (of %d checkpoints it took)@.@."
     target.index target.pid
     (Rdt_storage.Dv_archive.count archives.(3));
-  (match
-     Tracking.max_consistent_containing_archived ~archives ~live_dvs [ target ]
-   with
+  (match Tracking.max_consistent_containing ~archives ~live_dvs [ target ] with
   | Some g -> Format.printf "breakpoint (max consistent):  %s@." (fmt_global g)
   | None -> Format.printf "no consistent global checkpoint contains it@.");
-  (match
-     Tracking.min_consistent_containing_archived ~archives ~live_dvs [ target ]
-   with
+  (match Tracking.min_consistent_containing ~archives ~live_dvs [ target ] with
   | Some g -> Format.printf "cause horizon (min consistent): %s@." (fmt_global g)
   | None -> ());
   let s = Runner.summary t in

@@ -109,7 +109,9 @@ val pp : Format.formatter -> t -> unit
     O(events since the last call).  Rollbacks ({!Trace.on_truncate})
     retract events; they mark the builder dirty and the next {!ccp} call
     rebuilds from scratch (rollbacks are rare — crash recovery only — so
-    the amortized cost stays linear).
+    the amortized cost stays linear).  The trace must be recording
+    ({!Trace.set_recording}): a muted trace still hands over its appends
+    but neither keeps them for a rebuild nor reports its truncations.
 
     The returned CCP is a live view: it mutates as the trace grows, and
     vector clocks obtained from it are only meaningful until the next

@@ -98,32 +98,36 @@ let notify t ~pid ~seq code =
     v.code <- code;
     fire v subs
 
-let record t ~pid tag ~peer ~payload =
+(* Appends one event to [pid]'s columns; a rejected event stores nothing. *)
+let store t ~pid tag ~peer ~payload ~seq code =
   if pid < 0 || pid >= t.n then invalid_arg "Trace.record: bad pid";
   if peer < 0 || peer >= t.n then invalid_arg "Trace.record: bad peer";
   if payload < 0 || payload > t.max_payload then
     invalid_arg "Trace.record: payload does not fit the packed code";
-  let code = pack t tag ~peer ~payload in
-  let seqs = t.seqs.(pid) in
   (match tag with
   | Checkpoint -> t.last_ckpt.(pid) <- payload
   | Send | Receive -> ());
+  Int_column.push t.seqs.(pid) seq;
+  Int_column.push t.codes.(pid) code
+
+(* A muted trace (benchmarks, long soak runs, live nodes) checks and
+   stores nothing, but still numbers the event and hands it to the
+   subscribers: with none, it does no work at all. *)
+let record t ~pid tag ~peer ~payload =
+  let code = pack t tag ~peer ~payload in
   let seq = t.next_seq in
+  if t.recording then store t ~pid tag ~peer ~payload ~seq code;
   t.next_seq <- seq + 1;
-  Int_column.push seqs seq;
-  Int_column.push t.codes.(pid) code;
   notify t ~pid ~seq code
 
-(* the [recording] test sits here so a muted trace (benchmarks, long soak
-   runs) does no work at all *)
 let record_checkpoint t ~pid ~index =
-  if t.recording then record t ~pid Checkpoint ~peer:0 ~payload:index
+  record t ~pid Checkpoint ~peer:0 ~payload:index
 
 let record_send t ~pid ~msg_id ~dst =
-  if t.recording then record t ~pid Send ~peer:dst ~payload:msg_id
+  record t ~pid Send ~peer:dst ~payload:msg_id
 
 let record_receive t ~pid ~msg_id ~src =
-  if t.recording then record t ~pid Receive ~peer:src ~payload:msg_id
+  record t ~pid Receive ~peer:src ~payload:msg_id
 
 let fresh_msg_id t ~pid =
   let k = t.next_msg_id.(pid) in

@@ -55,12 +55,15 @@ val create : n:int -> t
 val n : t -> int
 
 val set_recording : t -> bool -> unit
-(** Disable (or re-enable) event recording.  With recording off the
-    [record_*] functions and {!truncate_to_checkpoint} are no-ops
-    (message ids are still allocated), so a muted run survives rollbacks;
-    used by benchmarks that drive the middleware in a hot loop and must
-    not accumulate an unbounded log.  A trace that was paused is no
-    longer a faithful basis for {!Ccp.of_trace}. *)
+(** Disable (or re-enable) event storage.  A muted trace stores nothing
+    and cuts nothing: the [record_*] functions check and keep nothing and
+    {!truncate_to_checkpoint} is a no-op, so a muted run survives
+    rollbacks.  It still mints message ids and still hands every event to
+    the {!on_event} subscribers, so it serves as an event tap (a live
+    node's, which keeps no transcript of its own) and, with no
+    subscriber, costs nothing (benchmarks that drive the middleware in a
+    hot loop).  A trace that was paused is no longer a faithful basis for
+    {!Ccp.of_trace}. *)
 
 val on_event : t -> (View.t -> unit) -> unit
 (** Subscribe to appends: the callback runs after each event is recorded
@@ -68,7 +71,8 @@ val on_event : t -> (View.t -> unit) -> unit
     walks).  The view is the trace's own and is valid only during the
     callback; delivering an event allocates nothing.  {!Ccp.Incremental}
     subscribes here to keep an analysis graph up to date in O(new
-    events).  Callbacks do not fire while recording is off. *)
+    events).  Callbacks fire on a muted trace too ({!set_recording});
+    only its truncations are silent. *)
 
 val on_truncate : t -> (pid:int -> unit) -> unit
 (** Subscribe to rollbacks: the callback runs after
@@ -99,9 +103,9 @@ val fresh_msg_id : t -> pid:int -> int
 val restore_msg_ids : t -> pid:int -> count:int -> unit
 (** Raise [pid]'s send counter to at least [count] sends.  The counter is
     monotone — a rollback erases send events but never reuses their ids —
-    so a process whose trace is rebuilt from surviving history (live-node
-    respawn) must restore the counter past the sends the truncations
-    erased, or it would mint colliding ids.  Lowering is a no-op. *)
+    so a process that restarts on a fresh trace (live-node respawn) must
+    restore the counter past every send it ever made, or it would mint
+    colliding ids.  Lowering is a no-op. *)
 
 val last_checkpoint_index : t -> pid:int -> int
 (** Index of the last stable checkpoint in [pid]'s log; [-1] if none.

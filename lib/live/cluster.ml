@@ -127,7 +127,12 @@ let run ~scenario ~root ~backend ?timeout ?nemesis ?on_nemesis ?log () =
       for pid = 0 to n - 1 do
         spawn pid
       done;
-      let result = Coordinator.run ~transport:coord ~ctl ~scenario:sc ?timeout ?log () in
+      let result =
+        (* a raising coordinator must not strand its nodes: they would
+           wait for a shutdown that never comes *)
+        try Coordinator.run ~transport:coord ~ctl ~scenario:sc ?timeout ?log ()
+        with e -> Error ("coordinator raised " ^ Printexc.to_string e)
+      in
       match result with
       | Ok record ->
         (* shutdown commands were acknowledged and each node exits once

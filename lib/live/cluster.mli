@@ -38,8 +38,9 @@ val run :
   unit ->
   (Coordinator.run_record, string) result
 (** Wipe [root], spawn one process per scenario pid, drive the scenario,
-    reap the processes.  On [Error] all processes are killed and each
-    node's log tail is appended to the message.
+    reap the processes.  When the coordinator fails — it returns [Error]
+    or raises (a raising [log] included) — all processes are killed and
+    reaped, and the [Error] message carries each node's log tail.
 
     [nemesis] wraps the coordinator endpoint in this process and is
     forwarded to every node process via [--nemesis], so each endpoint

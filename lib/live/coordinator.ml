@@ -234,7 +234,7 @@ let await_hello co ~expect_pid ~expect_recovering =
 (* Boot a registered node.  Its seq is fresh, so it becomes the node's
    at-most-once watermark: a delayed retransmission of any command sent
    to an earlier incarnation can never execute. *)
-let configure co ~pid ~history ~sends_ever =
+let configure co ~pid ~sends_ever =
   ignore
     (simple co ~dst:pid ~now:co.clock ~what:"configuration"
        (Wire.C_config
@@ -243,7 +243,6 @@ let configure co ~pid ~history ~sends_ever =
             protocol = co.sc.Scenario.protocol.Rdt_protocols.Protocol.id;
             epoch = co.epoch;
             ports = Array.copy co.ports;
-            history;
             sends_ever;
           }))
 
@@ -262,7 +261,7 @@ let register_fresh co =
     end
   done;
   for pid = 0 to n - 1 do
-    configure co ~pid ~history:[] ~sends_ever:0
+    configure co ~pid ~sends_ever:0
   done;
   (* the transcript starts like the simulator's: every process stores s^0
      (the nodes' bootstrap did it before event capture began) *)
@@ -271,11 +270,6 @@ let register_fresh co =
   done
 
 (* --- crash + recovery session ------------------------------------------ *)
-
-let history_of co ~pid =
-  List.rev
-    (Trace.fold_pid co.mirror ~pid ~init:[] (fun acc ev ->
-         Wire.tev_of_view ev :: acc))
 
 (* A dead incarnation's stashed Hello must not satisfy the respawn wait:
    it would re-register a dead port (peers would dial into nothing). *)
@@ -311,13 +305,13 @@ let crash_op co ~op ~faulty =
       ignore
         (simple co ~dst:pid ~now ~what:"flush" (Wire.C_flush { epoch = co.epoch }))
   done;
-  (* 3. respawn each faulty process from its durable store, handing it
-     the transcript of its own surviving events (message-id restoration
-     included).  All respawns must re-register BEFORE any C_config goes
-     out: a respawned node redials every peer from the C_config's port
-     table, so on a simultaneous multi-crash the table must already
-     hold the other respawns' new ports — a dead incarnation's port is
-     an ECONNREFUSED crash in the redialing node. *)
+  (* 3. respawn each faulty process from its durable store, telling it
+     how many sends it ever made so its message ids stay unique.  All
+     respawns must re-register BEFORE any C_config goes out: a respawned
+     node redials every peer from the C_config's port table, so on a
+     simultaneous multi-crash the table must already hold the other
+     respawns' new ports — a dead incarnation's port is an ECONNREFUSED
+     crash in the redialing node. *)
   List.iter (fun f -> co.ctl.respawn f) faulty;
   List.iter
     (fun f ->
@@ -325,11 +319,7 @@ let crash_op co ~op ~faulty =
       co.ports.(f) <- port;
       co.down.(f) <- false)
     faulty;
-  List.iter
-    (fun f ->
-      configure co ~pid:f ~history:(history_of co ~pid:f)
-        ~sends_ever:co.sends_ever.(f))
-    faulty;
+  List.iter (fun f -> configure co ~pid:f ~sends_ever:co.sends_ever.(f)) faulty;
   (* 4. gather every process's stable state — the recovery manager's
      state query *)
   let snapshots = Array.make n { Global_gc.entries = [||]; live_dv = [||] } in

@@ -73,12 +73,10 @@ let nemesis_for dir scn_file =
     else Filename.concat dir (Filename.chop_suffix base ".min" ^ ".nms")
   in
   if not (Sys.file_exists cand) then Ok Nemesis.default
-  else begin
-    let ic = open_in cand in
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    Nemesis.of_string line
-  end
+  else
+    match In_channel.with_open_text cand In_channel.input_line with
+    | line -> Nemesis.of_string (Option.value line ~default:"")
+    | exception Sys_error e -> Error e
 
 let corpus_entry ~dir file loaded =
   let broken what e =

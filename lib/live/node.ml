@@ -1,6 +1,8 @@
 (* One live process of the cluster: the full protocol stack (middleware +
-   RDT-LGC + durable store + local transcript) behind a transport
-   endpoint.  The node is purely reactive — it answers coordinator
+   RDT-LGC + durable store) behind a transport endpoint.  The node keeps
+   no transcript: its muted trace only mints message ids and taps each
+   event into the next reply, and the coordinator's mirror is the run's
+   one transcript.  The node is purely reactive — it answers coordinator
    commands and stages peer App frames — and backend-agnostic: the same
    logic runs over TCP sockets (its own OS process) and inside the
    deterministic simulator.
@@ -36,6 +38,9 @@ type t = {
   tr : Transport.t;
   me : int;
   dir : string;
+  recovering : bool;
+      (* the store directory held data at start: a respawn, which boots
+         from the store *)
   mutable epoch : int;
   mutable sys : Process_stack.t option;
   staged : (int * int, int array * int) Hashtbl.t;
@@ -68,7 +73,7 @@ type t = {
 let hello_timer_id = 1
 let hello_retry = 0.5
 
-let store_dir t = Filename.concat t.dir "store"
+let store_dir dir = Filename.concat dir "store"
 
 let drain t =
   let evs = List.rev t.events in
@@ -93,7 +98,7 @@ let reply t ~seq reply =
 
 (* --- boot -------------------------------------------------------------- *)
 
-let boot t ~n ~protocol ~epoch ~ports ~(history : Wire.tev list) ~sends_ever =
+let boot t ~n ~protocol ~epoch ~ports ~sends_ever =
   t.hello <- None;
   let protocol =
     match Protocol.by_id protocol with
@@ -101,35 +106,32 @@ let boot t ~n ~protocol ~epoch ~ports ~(history : Wire.tev list) ~sends_ever =
     | None -> failwith ("node: unknown protocol " ^ protocol)
   in
   t.epoch <- epoch;
-  let dir = store_dir t in
+  let dir = store_dir t.dir in
   let trace = Trace.create ~n in
+  Trace.set_recording trace false;
   let log = Log_store.create ~config:Harness.log_config ~pid:t.me ~dir () in
   let sys =
-    if List.is_empty history then
-      (* fresh start: s^0 goes through the durable backend, exactly like
-         the simulator's bootstrap *)
-      Process_stack.create ~n ~me:t.me ~protocol ~trace ~log ~with_lgc:true ()
-    else begin
+    if t.recovering then begin
       (* respawn after a kill: volatile state is rebuilt from what the
-         durable log recovered plus the coordinator's transcript of our
-         own pre-crash events *)
-      List.iter (Wire.record_tev trace ~pid:t.me) history;
-      (* ids are monotone across rollbacks: restore the counter past the
-         sends the erased history performed *)
+         durable log recovered, and message ids, monotone across
+         rollbacks, resume past every send the node ever made *)
       Trace.restore_msg_ids trace ~pid:t.me ~count:sends_ever;
       Process_stack.restore ~n ~me:t.me ~protocol ~trace ~log ~with_lgc:true ()
     end
+    else
+      (* fresh start: s^0 goes through the durable backend, exactly like
+         the simulator's bootstrap *)
+      Process_stack.create ~n ~me:t.me ~protocol ~trace ~log ~with_lgc:true ()
   in
-  (* subscribe only now: neither the s^0 bootstrap nor the history replay
-     is a new event as far as the coordinator's transcript is concerned *)
+  (* subscribe only now: the s^0 bootstrap is not a new event as far as
+     the coordinator's transcript is concerned *)
   Trace.on_event trace (fun ev -> t.events <- Wire.tev_of_view ev :: t.events);
   t.sys <- Some sys;
   (* establish the peer mesh: on a fresh start lower ids are dialed by
      higher ids (one link per pair); a respawned node redials everyone,
      and the peers' transports swap in the new link *)
-  let recovering = not (List.is_empty history) in
   for j = 0 to n - 1 do
-    if j <> t.me && (recovering || j < t.me) then
+    if j <> t.me && (t.recovering || j < t.me) then
       Transport.connect t.tr ~dst:j ~port:ports.(j)
   done;
   sys
@@ -232,8 +234,8 @@ let run_cmd t sys ~seq ~now cmd =
 
 let handle_cmd t ~seq ~now (cmd : Wire.cmd) =
   match (cmd, t.sys) with
-  | C_config { n; protocol; epoch; ports; history; sends_ever }, None ->
-    let sys = boot t ~n ~protocol ~epoch ~ports ~history ~sends_ever in
+  | C_config { n; protocol; epoch; ports; sends_ever }, None ->
+    let sys = boot t ~n ~protocol ~epoch ~ports ~sends_ever in
     reply t ~seq (Wire.R_done { events = []; state = state_of sys })
   | _, None -> failwith "node: command before configuration"
   | cmd, Some sys -> run_cmd t sys ~seq ~now cmd
@@ -289,11 +291,16 @@ let handle t (ev : Transport.event) =
 let create ~transport ~dir () =
   let me = Transport.me transport in
   Harness.mkdir_p dir;
+  let sdir = store_dir dir in
+  let recovering =
+    Sys.file_exists sdir && Array.length (Sys.readdir sdir) > 0
+  in
   let t =
     {
       tr = transport;
       me;
       dir;
+      recovering;
       epoch = 0;
       sys = None;
       staged = Hashtbl.create 16;
@@ -310,10 +317,6 @@ let create ~transport ~dir () =
         | Some "1" -> true
         | _ -> false);
     }
-  in
-  let sdir = store_dir t in
-  let recovering =
-    Sys.file_exists sdir && Array.length (Sys.readdir sdir) > 0
   in
   Transport.set_handler transport (handle t);
   let send_hello () =

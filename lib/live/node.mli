@@ -1,15 +1,17 @@
 (** One live process: the full protocol stack (middleware, RDT-LGC
-    collector, durable {!Rdt_store.Log_store}, local transcript) behind a
-    transport endpoint, driven entirely by coordinator commands and peer
-    App frames.  Backend-agnostic: runs as its own OS process over TCP and
-    in-process over the simulator backend.
+    collector, durable {!Rdt_store.Log_store}) behind a transport
+    endpoint, driven entirely by coordinator commands and peer App
+    frames.  Backend-agnostic: runs as its own OS process over TCP and
+    in-process over the simulator backend.  The node records no trace:
+    each command's events travel in its reply, into the coordinator's
+    transcript.
 
     On creation the node sends [Hello] (announcing its peer port and
     whether its store directory already holds data) and waits for the
-    [C_config] command, the only one it accepts before booting; a
-    non-empty [history] selects the respawn path, which rebuilds
-    volatile state from the recovered durable log plus the coordinator's
-    transcript of the node's own surviving events. *)
+    [C_config] command, the only one it accepts before booting.  A node
+    whose store held data takes the respawn path: volatile state is
+    rebuilt from the recovered durable log alone (Algorithm 3), with
+    message ids resuming past [C_config]'s [sends_ever]. *)
 
 type t
 

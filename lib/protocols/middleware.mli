@@ -66,9 +66,10 @@ val restore :
   t
 (** Rebuild the middleware of a process that crashed and lost its volatile
     state: [store] is the restored stable store (built by
-    [Rdt_recovery.Process_stack.restore]) and [trace] must already contain
-    the process's surviving event history (the live runtime replays it
-    from the coordinator's transcript).  The DV, application state and
+    [Rdt_recovery.Process_stack.restore]).  [trace] need not hold the
+    process's history: the live runtime passes a muted one.  A recording
+    [trace] must hold the checkpoint the recovery-session rollback cuts
+    back to.  The DV, application state and
     archive are recreated from the last surviving checkpoint, as in
     Algorithm 3; no new checkpoint is stored.  The caller must drive a
     recovery-session rollback before resuming normal operation — until

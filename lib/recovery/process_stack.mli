@@ -48,9 +48,13 @@ val restore :
   with_lgc:bool ->
   unit ->
   t
-(** Respawn a process from what [log] recovered; [trace] must already hold
-    its surviving history.  The DV is the last checkpoint's with the own
-    entry + 1 and [UC] is all-Null until the recovery session's rollback.
+(** Respawn a process from what [log] recovered, and from nothing else
+    (Algorithm 3).  The DV is the last checkpoint's with the own entry + 1
+    and [UC] is all-Null until the recovery session's rollback.  [trace]
+    only mints ids and receives the new events: a muted one
+    ({!Rdt_ccp.Trace.set_recording}) with its message ids restored, as a
+    live node uses.  A recording [trace] must hold a checkpoint the
+    session rolls back to.
     @raise Invalid_argument if the log recovered nothing. *)
 
 val recovered :

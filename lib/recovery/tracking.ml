@@ -1,42 +1,17 @@
-module Global_gc = Rdt_gc.Global_gc
-module Stable_store = Rdt_storage.Stable_store
 module Dv_archive = Rdt_storage.Dv_archive
 
 type target = { pid : int; index : int }
 
-(* Internal view: a complete DV table per process, however it is backed. *)
+(* Every process's DV history: the archived vector of each stable
+   checkpoint, then the live DV of the volatile state. *)
 type view = {
   n : int;
   last : int array;  (* last stable checkpoint index per process *)
-  dv_at : int -> int -> int array;  (* pid -> checkpoint index -> DV *)
-  live : int -> int array;  (* pid -> DV of the volatile state *)
+  archives : Dv_archive.t array;
+  live_dvs : int array array;
 }
 
-let view_of_snapshots snaps =
-  Array.iter
-    (fun (snap : Global_gc.snapshot) ->
-      if Array.length snap.entries = 0 then
-        invalid_arg "Tracking: empty snapshot";
-      Array.iteri
-        (fun pos (e : Stable_store.entry) ->
-          if e.index <> pos then
-            invalid_arg
-              "Tracking: snapshots must contain every checkpoint (use the \
-               archived variants when a collector is running)")
-        snap.entries)
-    snaps;
-  {
-    n = Array.length snaps;
-    last =
-      Array.map
-        (fun (s : Global_gc.snapshot) -> Array.length s.entries - 1)
-        snaps;
-    dv_at =
-      (fun pid index -> snaps.(pid).entries.(index).Stable_store.dv);
-    live = (fun pid -> snaps.(pid).Global_gc.live_dv);
-  }
-
-let view_of_archives ~archives ~live_dvs =
+let view_of ~archives ~live_dvs =
   if Array.length archives <> Array.length live_dvs then
     invalid_arg "Tracking: archives / live_dvs arity mismatch";
   Array.iter
@@ -46,12 +21,8 @@ let view_of_archives ~archives ~live_dvs =
   {
     n = Array.length archives;
     last = Array.map Dv_archive.last_index archives;
-    dv_at =
-      (fun pid index ->
-        match Dv_archive.find archives.(pid) ~index with
-        | Some dv -> dv
-        | None -> invalid_arg "Tracking: checkpoint index out of range");
-    live = (fun pid -> live_dvs.(pid));
+    archives;
+    live_dvs;
   }
 
 let volatile_index v pid = v.last.(pid) + 1
@@ -59,16 +30,20 @@ let volatile_index v pid = v.last.(pid) + 1
 let dv_of v { pid; index } =
   if index < 0 || index > volatile_index v pid then
     invalid_arg "Tracking: checkpoint index out of range";
-  if index <= v.last.(pid) then v.dv_at pid index else v.live pid
+  if index > v.last.(pid) then v.live_dvs.(pid)
+  else
+    match Dv_archive.find v.archives.(pid) ~index with
+    | Some dv -> dv
+    | None -> invalid_arg "Tracking: checkpoint index out of range"
 
 (* Equation 2, extended to volatile checkpoints (which precede nothing). *)
-let precedes_v v a b =
+let precedes v a b =
   if a.pid = b.pid then a.index < b.index
   else if a.index > v.last.(a.pid) then false
   else a.index < (dv_of v b).(a.pid)
 
-let consistent_pair_v v a b =
-  (not (precedes_v v a b)) && not (precedes_v v b a)
+let consistent_pair v a b =
+  (not (precedes v a b)) && not (precedes v b a)
 
 let check_targets v targets =
   let seen = Hashtbl.create 8 in
@@ -89,7 +64,7 @@ let verify_consistent v (global : int array) =
     for j = 0 to v.n - 1 do
       if
         i <> j
-        && precedes_v v { pid = i; index = global.(i) }
+        && precedes v { pid = i; index = global.(i) }
              { pid = j; index = global.(j) }
       then ok := false
     done
@@ -105,7 +80,7 @@ let build v targets ~component =
            List.for_all
              (fun b ->
                (a.pid = b.pid && a.index = b.index)
-               || consistent_pair_v v a b)
+               || consistent_pair v a b)
              targets)
          targets)
   then None
@@ -134,7 +109,7 @@ let max_component v targets pid =
     else if
       List.exists
         (fun s ->
-          precedes_v v { pid = s.pid; index = s.index } { pid; index = gamma })
+          precedes v { pid = s.pid; index = s.index } { pid; index = gamma })
         targets
     then scan (gamma - 1)
     else gamma
@@ -150,7 +125,7 @@ let min_component v targets pid =
     else if
       List.exists
         (fun s ->
-          precedes_v v { pid; index = gamma } { pid = s.pid; index = s.index })
+          precedes v { pid; index = gamma } { pid = s.pid; index = s.index })
         targets
     then scan (gamma + 1)
     else gamma
@@ -159,20 +134,10 @@ let min_component v targets pid =
 
 (* --- public API -------------------------------------------------------- *)
 
-let max_consistent_containing snaps targets =
-  let v = view_of_snapshots snaps in
+let max_consistent_containing ~archives ~live_dvs targets =
+  let v = view_of ~archives ~live_dvs in
   build v targets ~component:(max_component v targets)
 
-let min_consistent_containing snaps targets =
-  let v = view_of_snapshots snaps in
-  build v targets ~component:(min_component v targets)
-
-let consistent_pair snaps a b = consistent_pair_v (view_of_snapshots snaps) a b
-
-let max_consistent_containing_archived ~archives ~live_dvs targets =
-  let v = view_of_archives ~archives ~live_dvs in
-  build v targets ~component:(max_component v targets)
-
-let min_consistent_containing_archived ~archives ~live_dvs targets =
-  let v = view_of_archives ~archives ~live_dvs in
+let min_consistent_containing ~archives ~live_dvs targets =
+  let v = view_of ~archives ~live_dvs in
   build v targets ~component:(min_component v targets)

@@ -20,8 +20,9 @@ type stats = {
      unpinned action        u = max_int           v = global counter
 
    [chan_seq] is a per-(src,dst) counter assigned by the sender, the
-   action counters are assigned at scheduling time.  Unpinned actions
-   carry the largest [u], so at any timestamp every process's events
+   action counters are assigned at scheduling time, and none is ever
+   reset, so no two events of a run share a key (the precondition of
+   {!Event_queue.add_keyed}).  Unpinned actions carry the largest [u], so at any timestamp every process's events
    precede every unpinned action.  The keys fix the event order the
    committed event-order golden pins (test_engine). *)
 

@@ -1,11 +1,10 @@
-(* Binary min-heap over (time, u, v, seq), stored flat: an unboxed
-   [float array] of times, int arrays for the canonical key and the
-   insertion stamp, and one value array — parallel columns indexed by
-   heap slot.  A comparison reads only the columns, never a separately
-   allocated entry.  Scheduling allocates nothing once the columns have
-   grown to the queue's working size, and neither does firing, which
-   returns the bare value (the caller reads the time with [next_time]
-   first).
+(* Binary min-heap over (time, u, v), stored flat: an unboxed
+   [float array] of times, int arrays for the canonical key, and one
+   value array — parallel columns indexed by heap slot.  A comparison
+   reads only the columns, never a separately allocated entry.
+   Scheduling allocates nothing once the columns have grown to the
+   queue's working size, and neither does firing, which returns the bare
+   value (the caller reads the time with [next_time] first).
 
    Slot 0 is a staging slot: [add_keyed] writes the new entry there and
    [pop] moves the displaced last entry there; the sifts then walk a hole
@@ -13,39 +12,27 @@
    into its final slot once.  The heap proper occupies slots [1 .. size]
    (the parent of slot [i] is [i / 2]).
 
-   The (u, v) pair is a caller-supplied canonical key: the engine's keys
-   make execution order at equal timestamps a function of the simulation,
-   not of insertion order; the plain {!add} entry point sets u = v = 0, so
-   its ties fall through to [seq] and keep insertion order. *)
+   The (u, v) pair is a caller-supplied canonical key, unique among the
+   entries: the engine's keys make execution order at equal timestamps a
+   function of the simulation, not of insertion order. *)
 
 (* Scheduling and firing are the simulator's inner loop; rdt_lint holds
    the named functions to alloc/*. *)
 [@@@lint.zero_alloc_hot
-  "less" "move" "sift_up" "sift_down" "add_keyed" "add" "pop"]
+  "less" "move" "sift_up" "sift_down" "add_keyed" "pop"]
 
 type 'a t = {
   mutable times : float array;
   mutable us : int array;
   mutable vs : int array;
-  mutable seqs : int array;
   (* slots past [size] keep the values last moved through them until they
      are overwritten, so a queue retains at most its capacity in stale
      values *)
   mutable values : 'a array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
-let create () =
-  {
-    times = [||];
-    us = [||];
-    vs = [||];
-    seqs = [||];
-    values = [||];
-    size = 0;
-    next_seq = 0;
-  }
+let create () = { times = [||]; us = [||]; vs = [||]; values = [||]; size = 0 }
 
 (* slot [i] sorts before slot [j] *)
 let[@inline] less t i j =
@@ -53,16 +40,12 @@ let[@inline] less t i j =
   if ti <> tj then ti < tj
   else
     let ui = t.us.(i) and uj = t.us.(j) in
-    if ui <> uj then ui < uj
-    else
-      let vi = t.vs.(i) and vj = t.vs.(j) in
-      if vi <> vj then vi < vj else t.seqs.(i) < t.seqs.(j)
+    if ui <> uj then ui < uj else t.vs.(i) < t.vs.(j)
 
 let[@inline] move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
   t.us.(dst) <- t.us.(src);
   t.vs.(dst) <- t.vs.(src);
-  t.seqs.(dst) <- t.seqs.(src);
   t.values.(dst) <- t.values.(src)
 
 (* double every column, keeping the heap slots [1 .. size]; [filler]
@@ -73,20 +56,17 @@ let grow t filler =
   let times = Array.make cap 0.0 in
   let us = Array.make cap 0 in
   let vs = Array.make cap 0 in
-  let seqs = Array.make cap 0 in
   let values = Array.make cap filler in
   (* a never-grown queue has empty columns, which have no slot 1 *)
   if t.size > 0 then begin
     Array.blit t.times 1 times 1 t.size;
     Array.blit t.us 1 us 1 t.size;
     Array.blit t.vs 1 vs 1 t.size;
-    Array.blit t.seqs 1 seqs 1 t.size;
     Array.blit t.values 1 values 1 t.size
   end;
   t.times <- times;
   t.us <- us;
   t.vs <- vs;
-  t.seqs <- seqs;
   t.values <- values
 
 (* the hole at [h] moves up past every parent the staged entry precedes *)
@@ -117,13 +97,9 @@ let add_keyed t ~time ~u ~v value =
   t.times.(0) <- time;
   t.us.(0) <- u;
   t.vs.(0) <- v;
-  t.seqs.(0) <- t.next_seq;
   t.values.(0) <- value;
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t t.size
-
-let add t ~time value = add_keyed t ~time ~u:0 ~v:0 value
 
 let pop t =
   if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";

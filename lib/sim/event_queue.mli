@@ -1,10 +1,9 @@
 (** Priority queue of timed events for the discrete-event engine.
 
-    Events are ordered by timestamp; ties are broken first by an optional
-    caller-supplied canonical key [(u, v)] ({!add_keyed}), then by a
-    monotonically increasing sequence number assigned at insertion.  The
-    plain {!add} entry point uses [u = v = 0], so its ties resolve in
-    insertion order.  The engine keys every event, which makes the order
+    Events are ordered by timestamp, and ties by a caller-supplied
+    canonical key [(u, v)] that must be unique among the queued entries:
+    two entries with equal times and keys pop in an unspecified order.
+    The engine's keys are unique for the whole run, which makes the order
     of simultaneous events a function of the simulation, not of the order
     in which its handlers happened to insert them.  There is no
     cancellation: an added event fires.
@@ -20,13 +19,11 @@ type 'a t
 
 val create : unit -> 'a t
 
-val add : 'a t -> time:float -> 'a -> unit
-(** [add q ~time v] schedules [v] at [time]. *)
-
 val add_keyed : 'a t -> time:float -> u:int -> v:int -> 'a -> unit
-(** [add_keyed q ~time ~u ~v x] schedules [x] with an explicit canonical
-    tie-break key: entries at equal [time] order by [(u, v)]
-    lexicographically (before falling back to insertion order). *)
+(** [add_keyed q ~time ~u ~v x] schedules [x] at [time] with the
+    canonical tie-break key [(u, v)]: entries at equal [time] order by
+    [(u, v)] lexicographically.  The key must differ from every queued
+    entry's. *)
 
 val next_time : 'a t -> float
 (** Timestamp of the earliest entry, or [infinity] when the queue is

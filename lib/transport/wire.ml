@@ -15,8 +15,9 @@ module Trace = Rdt_ccp.Trace
 let header_bytes = 8
 let max_frame_bytes = 1 lsl 20
 
-(* a DV has one slot per process; nothing in a frame is longer than a
-   recovery history, and even that is bounded by the scenario size *)
+(* a DV has one slot per process, and no other list in a frame is
+   longer: a reply carries the few trace events of one command, a
+   snapshot the checkpoints RDT-LGC retains (at most n + 1) *)
 let max_count = 1 lsl 16
 
 type error =
@@ -83,7 +84,6 @@ type cmd =
       protocol : string;
       epoch : int;
       ports : int array;
-      history : tev list;
       sends_ever : int;
     }
 
@@ -180,13 +180,12 @@ let put_cmd b = function
     put_int_array b li
   | C_state -> put_u8 b 8
   | C_shutdown -> put_u8 b 9
-  | C_config { n; protocol; epoch; ports; history; sends_ever } ->
+  | C_config { n; protocol; epoch; ports; sends_ever } ->
     put_u8 b 10;
     put_i64 b n;
     put_string b protocol;
     put_i64 b epoch;
     put_int_array b ports;
-    put_tevs b history;
     put_i64 b sends_ever
 
 let put_reply b = function
@@ -363,8 +362,7 @@ let get_cmd c =
     let protocol = get_string c in
     let epoch = get_i64 c in
     let ports = get_int_array c in
-    let history = get_tevs c in
-    C_config { n; protocol; epoch; ports; history; sends_ever = get_i64 c }
+    C_config { n; protocol; epoch; ports; sends_ever = get_i64 c }
   | t -> raise (Bad (Malformed (Printf.sprintf "command tag %d" t)))
 
 let get_reply c =

@@ -45,7 +45,8 @@ val tev_of_view : Rdt_ccp.Trace.View.t -> tev
 (** The event a trace reader is looking at. *)
 
 val record_tev : Rdt_ccp.Trace.t -> pid:int -> tev -> unit
-(** Append the event to [pid]'s log of the trace. *)
+(** Append the event to [pid]'s log of the trace (the coordinator's
+    transcript). *)
 
 type entry = Rdt_storage.Stable_store.entry
 
@@ -66,15 +67,15 @@ type cmd =
       protocol : string;
       epoch : int;
       ports : int array;
-      history : tev list;
-          (** the node's own pre-crash trace events, for transcript and
-              message-id restoration; empty on a fresh start *)
       sends_ever : int;
           (** sends the node ever performed — message ids are monotone and
-              survive rollbacks, so the counter must be restored past the
-              truncated history *)
+              survive rollbacks, so a respawned node restores its counter
+              past every id it minted; 0 on a fresh start *)
     }
-      (** boot the node; the only command accepted before it.  Its seq
+      (** boot the node; the only command accepted before it.  A node
+          whose store directory held data when it started boots from that
+          store (Algorithm 3); no history travels with the command, since
+          the coordinator's transcript is the run's only one.  Its seq
           becomes the node's at-most-once watermark, so a delayed
           retransmission of a command sent to an earlier incarnation can
           never execute *)

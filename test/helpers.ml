@@ -120,6 +120,56 @@ let random_trace ~seed ~n ~ops =
   done;
   t
 
+(* [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* --- the CLI executable ------------------------------------------------ *)
+
+(* The CLI is a test dependency: `dune runtest` runs in the test sandbox,
+   next to ../bin; `dune exec test/test_main.exe` runs from the root. *)
+let cli_exe =
+  let cand = Filename.concat ".." "bin/rdtgc_cli.exe" in
+  if Sys.file_exists cand then cand else "_build/default/bin/rdtgc_cli.exe"
+
+(* Runs the CLI with [args]; returns its exit code and its stdout and
+   stderr, interleaved. *)
+let run_cli args =
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
+  let out = Filename.temp_file "rdtgc-cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let fd = Unix.openfile out [ O_WRONLY; O_TRUNC ] 0o600 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.create_process cli_exe
+              (Array.of_list (cli_exe :: args))
+              Unix.stdin fd fd)
+      in
+      let code =
+        match snd (Unix.waitpid [] pid) with
+        | WEXITED c -> c
+        | WSIGNALED s | WSTOPPED s -> -s
+      in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
+(* Wang tracking's inputs for a system of middlewares, indexed by pid:
+   each process's DV archive and live DV. *)
+let tracking_inputs mws =
+  ( Array.map Rdt_protocols.Middleware.archive mws,
+    Array.map
+      (fun mw ->
+        Rdt_causality.Dependency_vector.to_array
+          (Rdt_protocols.Middleware.dv mw))
+      mws )
+
 (* --- ground-truth audits --------------------------------------------- *)
 
 (* Fails the test on the first violation an {!Oracles} check reports. *)

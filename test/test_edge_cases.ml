@@ -173,18 +173,24 @@ let test_tracking_volatile_target () =
   let s = Script.create ~n:2 ~protocol:Protocol.fdas ~with_lgc:false () in
   Script.transfer s ~src:0 ~dst:1;
   Script.checkpoint s 1;
-  let snaps =
-    Array.init 2 (fun pid -> Session.snapshot_of (Script.middleware s pid))
+  let archives, live_dvs =
+    Helpers.tracking_inputs (Array.init 2 (Script.middleware s))
   in
   let target : Rdt_recovery.Tracking.target =
     { pid = 1; index = 2 (* p1's volatile *) }
   in
-  (match Rdt_recovery.Tracking.max_consistent_containing snaps [ target ] with
+  (match
+     Rdt_recovery.Tracking.max_consistent_containing ~archives ~live_dvs
+       [ target ]
+   with
   | Some g ->
     Alcotest.(check int) "volatile kept" 2 g.(1);
     Alcotest.(check bool) "consistent with p0's volatile" true (g.(0) >= 0)
   | None -> Alcotest.fail "no max");
-  match Rdt_recovery.Tracking.min_consistent_containing snaps [ target ] with
+  match
+    Rdt_recovery.Tracking.min_consistent_containing ~archives ~live_dvs
+      [ target ]
+  with
   | Some g ->
     (* p1's volatile depends on s0_p0's interval: p0's component must be
        at least 1 *)
@@ -200,8 +206,8 @@ let test_multi_target_consistency_cross_check () =
   Script.transfer s ~src:1 ~dst:2;
   Script.checkpoint s 2;
   Script.checkpoint s 0;
-  let snaps =
-    Array.init 3 (fun pid -> Session.snapshot_of (Script.middleware s pid))
+  let archives, live_dvs =
+    Helpers.tracking_inputs (Array.init 3 (Script.middleware s))
   in
   let ccp = Script.ccp s in
   let targets : Rdt_recovery.Tracking.target list =
@@ -216,11 +222,13 @@ let test_multi_target_consistency_cross_check () =
   Alcotest.(check (option (array int)))
     "max agrees"
     (Rdt_ccp.Consistency.max_consistent_containing ccp ccp_targets)
-    (Rdt_recovery.Tracking.max_consistent_containing snaps targets);
+    (Rdt_recovery.Tracking.max_consistent_containing ~archives ~live_dvs
+       targets);
   Alcotest.(check (option (array int)))
     "min agrees"
     (Rdt_ccp.Consistency.min_consistent_containing ccp ccp_targets)
-    (Rdt_recovery.Tracking.min_consistent_containing snaps targets)
+    (Rdt_recovery.Tracking.min_consistent_containing ~archives ~live_dvs
+       targets)
 
 let test_merged_basic_count () =
   let m = Rdt_gc.Merged_fdas.create ~n:2 ~me:0 in

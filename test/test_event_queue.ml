@@ -11,24 +11,23 @@ let drain q =
   in
   loop []
 
+(* [add q ~time x] schedules [x] under a key of its own: every entry gets
+   a fresh one, as every engine event does. *)
+let next_key = ref 0
+
+let add q ~time x =
+  incr next_key;
+  Q.add_keyed q ~time ~u:0 ~v:!next_key x
+
 let test_time_order () =
   let q = Q.create () in
-  Q.add q ~time:3.0 "c";
-  Q.add q ~time:1.0 "a";
-  Q.add q ~time:2.0 "b";
+  add q ~time:3.0 "c";
+  add q ~time:1.0 "a";
+  add q ~time:2.0 "b";
   Alcotest.(check (list (pair (float 0.0) string)))
     "sorted by time"
     [ (1.0, "a"); (2.0, "b"); (3.0, "c") ]
     (drain q)
-
-let test_fifo_ties () =
-  let q = Q.create () in
-  Q.add q ~time:1.0 "first";
-  Q.add q ~time:1.0 "second";
-  Q.add q ~time:1.0 "third";
-  Alcotest.(check (list string)) "insertion order on ties"
-    [ "first"; "second"; "third" ]
-    (List.map snd (drain q))
 
 let test_keyed_ties () =
   (* at equal times, (u, v) decides regardless of insertion order *)
@@ -47,8 +46,8 @@ let test_length_and_empty () =
   let q = Q.create () in
   Alcotest.(check bool) "fresh empty" true (Q.is_empty q);
   Alcotest.(check (float 0.0)) "empty next_time" infinity (Q.next_time q);
-  Q.add q ~time:1.0 ();
-  Q.add q ~time:2.0 ();
+  add q ~time:1.0 ();
+  add q ~time:2.0 ();
   Alcotest.(check int) "two live" 2 (Q.length q);
   ignore (Q.pop q);
   Alcotest.(check int) "one live" 1 (Q.length q);
@@ -59,10 +58,10 @@ let test_length_and_empty () =
 
 let test_interleaved_operations () =
   let q = Q.create () in
-  Q.add q ~time:2.0 2;
-  Q.add q ~time:1.0 1;
+  add q ~time:2.0 2;
+  add q ~time:1.0 1;
   Alcotest.(check int) "1 first" 1 (Q.pop q);
-  Q.add q ~time:0.5 0;
+  add q ~time:0.5 0;
   Alcotest.(check (float 0.0)) "head after add" 0.5 (Q.next_time q);
   Alcotest.(check (pair (float 0.0) int)) "then fires" (0.5, 0) (take q)
 
@@ -70,41 +69,35 @@ let test_many_random () =
   let rng = Rdt_sim.Prng.create ~seed:99 in
   let q = Q.create () in
   let times = List.init 500 (fun _ -> Rdt_sim.Prng.float rng 100.0) in
-  List.iter (fun t -> Q.add q ~time:t ()) times;
+  List.iter (fun t -> add q ~time:t ()) times;
   let popped = List.map fst (drain q) in
   Alcotest.(check (list (float 1e-9))) "heap sorts" (List.sort compare times)
     popped
 
-(* Reference model: a sorted association list over (time, u, v, insertion
-   seq) — the order the heap must reproduce. *)
+(* Reference model: a sorted association list over (time, u, v) — the
+   order the heap must reproduce. *)
 module Reference = struct
-  type 'a t = {
-    mutable entries : (float * int * int * int * 'a) list;
-    mutable next_seq : int;
-  }
+  type 'a t = { mutable entries : (float * int * int * 'a) list }
 
-  let create () = { entries = []; next_seq = 0 }
+  let create () = { entries = [] }
 
   let add t ~time ~u ~v x =
-    let key (time, u, v, seq, _) = (time, u, v, seq) in
+    let key (time, u, v, _) = (time, u, v) in
     t.entries <-
-      List.sort
-        (fun a b -> compare (key a) (key b))
-        ((time, u, v, t.next_seq, x) :: t.entries);
-    t.next_seq <- t.next_seq + 1
+      List.sort (fun a b -> compare (key a) (key b)) ((time, u, v, x) :: t.entries)
 
   let pop t =
     match t.entries with
     | [] -> None
-    | (time, u, v, _, x) :: rest ->
+    | (time, u, v, x) :: rest ->
       t.entries <- rest;
       Some (time, u, v, x)
 end
 
-(* Coarse times and keys force ties at every level, so the (u, v)
-   tie-break and the FIFO fallback on fully equal keys are both
-   exercised; runs that schedule more than they fire grow the columns
-   several times past their initial capacity. *)
+(* Coarse times and a small [u] force ties at both levels, so the (u, v)
+   tie-break is exercised; [v] counts the adds, which keeps every key
+   distinct, as the queue requires.  Runs that schedule more than they
+   fire grow the columns several times past their initial capacity. *)
 let prop_matches_reference =
   QCheck.Test.make ~name:"schedule/fire = sorted-list reference order"
     ~count:200
@@ -123,10 +116,10 @@ let prop_matches_reference =
           t1 = t2 && x1 = x2
       in
       let ok = ref true in
-      for _ = 1 to 400 do
+      for v = 1 to 400 do
         if Rdt_sim.Prng.int rng (adds + 1) < adds then begin
           let time = float_of_int (Rdt_sim.Prng.int rng 8) in
-          let u = Rdt_sim.Prng.int rng 3 and v = Rdt_sim.Prng.int rng 3 in
+          let u = Rdt_sim.Prng.int rng 3 in
           let x = Rdt_sim.Prng.int rng 1_000_000 in
           Q.add_keyed q ~time ~u ~v x;
           Reference.add r ~time ~u ~v x
@@ -137,7 +130,7 @@ let prop_matches_reference =
           Q.next_time q
           <> (match r.Reference.entries with
              | [] -> infinity
-             | (t, _, _, _, _) :: _ -> t)
+             | (t, _, _, _) :: _ -> t)
         then ok := false
       done;
       (* drain the rest: firing order must agree to the end *)
@@ -148,11 +141,11 @@ let prop_matches_reference =
 
 let test_growth_past_capacity () =
   (* thousands of live entries, far past the initial columns, popped in
-     order with FIFO ties intact *)
+     order with key ties intact *)
   let q = Q.create () in
   let k = 5000 in
   for i = 0 to k - 1 do
-    Q.add q ~time:(float_of_int ((k - 1 - i) / 2)) i
+    Q.add_keyed q ~time:(float_of_int ((k - 1 - i) / 2)) ~u:i ~v:0 i
   done;
   Alcotest.(check int) "all live" k (Q.length q);
   let popped = List.map snd (drain q) in
@@ -163,13 +156,12 @@ let test_growth_past_capacity () =
         let first = k - 2 - (2 * slot) in
         if j mod 2 = 0 then first else first + 1)
   in
-  Alcotest.(check (list int)) "time order, insertion order within a time"
+  Alcotest.(check (list int)) "time order, key order within a time"
     expected popped
 
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_time_order;
-    Alcotest.test_case "fifo on ties" `Quick test_fifo_ties;
     Alcotest.test_case "keyed ties order by (u, v)" `Quick test_keyed_ties;
     Alcotest.test_case "length / is_empty" `Quick test_length_and_empty;
     Alcotest.test_case "interleaved ops" `Quick test_interleaved_operations;

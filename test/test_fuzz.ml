@@ -84,15 +84,10 @@ let test_mutant_caught_and_shrunk () =
   Alcotest.(check int) "healthy collector passes the reproducer" 0
     (List.length healthy.Harness.violations);
   (* the emitted OCaml reproducer is a Script program *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    m = 0 || go 0
-  in
   let ml = Scenario.to_script_ml min_sc in
   List.iter
     (fun needle ->
-      if not (contains ml needle) then
+      if not (Helpers.contains ml needle) then
         Alcotest.failf "reproducer lacks %S:\n%s" needle ml)
     [ "Rdt_scenarios.Script.create"; "~with_lgc:true" ]
 

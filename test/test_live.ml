@@ -19,15 +19,10 @@ let corpus_dir =
   if Sys.file_exists "corpus" then "corpus" else "test/corpus"
 
 (* The TCP tests spawn node processes by exec'ing the CLI (declared as a
-   test dep): Unix.fork is off the table inside this binary because
-   earlier suites (parallel) have already created domains, and
-   OCaml 5 forbids forking a multi-domain runtime. *)
-let cli_exe =
-  let cand = Filename.concat ".." "bin/rdtgc_cli.exe" in
-  if Sys.file_exists cand then cand else "_build/default/bin/rdtgc_cli.exe"
-
+   test dep): nodes are always exec'd, never forked (OCaml 5 cannot fork
+   a runtime that has started domains). *)
 let tcp_backend () =
-  if Sys.file_exists cli_exe then Rdt_live.Cluster.Exec cli_exe
+  if Sys.file_exists Helpers.cli_exe then Rdt_live.Cluster.Exec Helpers.cli_exe
   else Alcotest.skip ()
 
 let smoke_scenario () =
@@ -169,6 +164,50 @@ let test_tcp_teardown () =
         let teardown = Unix.gettimeofday () -. !shutdown_at in
         if not (teardown < 1.0) then
           Alcotest.failf "teardown took %.2f s (want < 1 s)" teardown)
+
+(* Live processes whose command line runs a node under [root]. *)
+let node_processes root =
+  let prefix = Filename.concat root "p" in
+  let cmdline pid =
+    try
+      In_channel.with_open_bin
+        (Printf.sprintf "/proc/%s/cmdline" pid)
+        In_channel.input_all
+      |> String.split_on_char '\000'
+    with Sys_error _ -> []
+  in
+  let rec runs_node = function
+    | "--dir" :: dir :: _ when String.starts_with ~prefix dir -> true
+    | _ :: rest -> runs_node rest
+    | [] -> false
+  in
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter (fun pid ->
+         int_of_string_opt pid <> None
+         && (match cmdline pid with
+            | _ :: "node" :: args -> runs_node args
+            | _ -> false))
+
+(* A coordinator that raises (here: its log, at op 1) fails the run like
+   an [Error] does, and leaves no node process behind. *)
+let test_tcp_coordinator_raises () =
+  let sc = smoke_scenario () in
+  let backend = tcp_backend () in
+  if not (Sys.file_exists "/proc/self/cmdline") then Alcotest.skip ();
+  let root = fresh_root "tcp-raises" in
+  let log line =
+    if String.starts_with ~prefix:"op 1:" line then failwith "log refused op 1"
+  in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf root)
+    (fun () ->
+      (match Rdt_live.Cluster.run ~scenario:sc ~root ~backend ~log () with
+      | Ok _ -> Alcotest.fail "a raising coordinator reported success"
+      | Error e ->
+        if not (Helpers.contains e "log refused op 1") then
+          Alcotest.failf "failure not reported: %s" e);
+      Alcotest.(check (list string)) "no node process survives" []
+        (node_processes root))
 
 (* --- wire-error surfacing on a live socket ------------------------------ *)
 
@@ -374,8 +413,7 @@ let test_node_config () =
       let is_error = function Wire.R_error _ -> true | _ -> false in
       let config =
         Wire.C_config
-          { n = 1; protocol = "fdas"; epoch = 0; ports = [| 0 |]; history = [];
-            sends_ever = 0 }
+          { n = 1; protocol = "fdas"; epoch = 0; ports = [| 0 |]; sends_ever = 0 }
       in
       send 1 Wire.C_state;
       let seq, r = one "command before boot" (replies ()) in
@@ -415,6 +453,95 @@ let test_node_config () =
       | _ -> Alcotest.fail "state query not answered by R_state");
       send 6 Wire.C_shutdown;
       ignore (one "shutdown" (replies ())))
+
+(* A node started over its own non-empty store boots from that store
+   alone: it announces a recovery, keeps the retained checkpoints, and
+   mints ids past C_config's [sends_ever] with no history shipped. *)
+let test_node_respawn_from_store () =
+  let root = fresh_root "respawn" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf root)
+    (fun () ->
+      let n = 2 and me = 0 in
+      let cluster = Rdt_transport.Sim_backend.create ~n ~seed:1 () in
+      let coord =
+        Rdt_transport.Sim_backend.transport cluster
+          ~me:Transport.coordinator_id
+      in
+      let tr = Rdt_transport.Sim_backend.transport cluster ~me in
+      let inbox = Queue.create () in
+      Transport.set_handler coord (fun ev -> Queue.add ev inbox);
+      (* the frames node 0 sent the coordinator until the simulation goes
+         quiet, oldest first *)
+      let frames () =
+        let rec pump k =
+          if k > 0 && Transport.poll coord ~timeout:1.0 <> `Idle then
+            pump (k - 1)
+        in
+        pump 50;
+        let fs =
+          Queue.fold
+            (fun acc ev ->
+              match ev with
+              | Transport.Frame { src = 0; frame } -> frame :: acc
+              | _ -> acc)
+            [] inbox
+        in
+        Queue.clear inbox;
+        List.rev fs
+      in
+      let command seq cmd =
+        Transport.send coord ~dst:me (Wire.Cmd { seq; now = float seq; cmd });
+        match
+          List.filter_map
+            (function
+              | Wire.Reply { seq = s; reply } when s = seq -> Some reply
+              | _ -> None)
+            (frames ())
+        with
+        | [ r ] -> r
+        | rs -> Alcotest.failf "command %d: %d replies" seq (List.length rs)
+      in
+      let config ~sends_ever =
+        Wire.C_config
+          { n; protocol = "fdas"; epoch = 0; ports = [| 0; 0 |]; sends_ever }
+      in
+      let state_of = function
+        | Wire.R_done { state; _ } -> state
+        | _ -> Alcotest.fail "not answered by R_done"
+      in
+      let sent_id = function
+        | Wire.R_sent { msg_id; _ } -> msg_id
+        | _ -> Alcotest.fail "send not answered by R_sent"
+      in
+      let hello_recovering () =
+        match frames () with
+        | Wire.Hello { recovering; _ } :: _ -> recovering
+        | _ -> Alcotest.fail "no Hello"
+      in
+      (* first incarnation: boot fresh, checkpoint, send *)
+      ignore (Rdt_live.Node.create ~transport:tr ~dir:root ());
+      Alcotest.(check bool) "fresh node announces a fresh start" false
+        (hello_recovering ());
+      ignore (command 1 (config ~sends_ever:0));
+      let before = state_of (command 2 Wire.C_checkpoint) in
+      Alcotest.(check int) "first id" me
+        (sent_id (command 3 (Wire.C_send { dst = 1 })));
+      (* kill it and start another over the same directory *)
+      Rdt_transport.Sim_backend.kill cluster ~pid:me;
+      ignore (Rdt_live.Node.create ~transport:tr ~dir:root ());
+      Alcotest.(check bool) "respawn announces a recovery" true
+        (hello_recovering ());
+      let k = 5 in
+      let booted = state_of (command 4 (config ~sends_ever:k)) in
+      Alcotest.(check (array int)) "retained checkpoints recovered"
+        before.Wire.st_retained booted.Wire.st_retained;
+      (* the live DV right after the last checkpoint: its DV, own entry
+         + 1 *)
+      Alcotest.(check (array int)) "DV rebuilt from the last checkpoint"
+        before.Wire.st_dv booted.Wire.st_dv;
+      Alcotest.(check int) "first id after the respawn" ((k * n) + me)
+        (sent_id (command 5 (Wire.C_send { dst = 1 }))))
 
 (* --- nemesis corpus ----------------------------------------------------- *)
 
@@ -591,6 +718,8 @@ let suite =
       test_tcp_stores_survive;
     Alcotest.test_case "tcp run ends within 1 s of shutting down" `Slow
       test_tcp_teardown;
+    Alcotest.test_case "tcp nodes die with a raising coordinator" `Slow
+      test_tcp_coordinator_raises;
     Alcotest.test_case "garbage length prefix surfaces and drops the link"
       `Quick test_wire_error_kills_link;
     Alcotest.test_case "corrupt body surfaces and resynchronizes" `Quick
@@ -601,6 +730,8 @@ let suite =
       test_simultaneous_dial;
     Alcotest.test_case "node boots once, on C_config only" `Quick
       test_node_config;
+    Alcotest.test_case "respawned node boots from its store" `Quick
+      test_node_respawn_from_store;
     Alcotest.test_case "nemesis corpus replays clean on the simulator" `Quick
       test_nemesis_corpus_sim;
     Alcotest.test_case "nemesis corpus replays clean over TCP" `Slow

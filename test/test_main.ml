@@ -33,4 +33,5 @@ let () =
       ("wire", Test_wire.suite);
       ("nemesis", Test_nemesis.suite);
       ("live", Test_live.suite);
+      ("cli", Test_cli.suite);
     ]

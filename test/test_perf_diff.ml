@@ -44,14 +44,7 @@ let current () =
       row "ccp/incremental-append/10k-events" ~ns:600.0 ~r2:0.20;
     ]
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-let about name lines = List.filter (fun l -> contains l name) lines
+let about name lines = List.filter (fun l -> Helpers.contains l name) lines
 
 let test_r2_floor () =
   let b = baseline () and c = current () in
@@ -77,7 +70,7 @@ let test_r2_floor () =
        (fun name ->
          List.exists
            (fun l ->
-             String.starts_with ~prefix:"INFO" l && contains l "not gated (r²")
+             String.starts_with ~prefix:"INFO" l && Helpers.contains l "not gated (r²")
            (about name lines))
        [
          "per-event/noisy/n=8";
@@ -88,7 +81,7 @@ let test_r2_floor () =
   | [ info; warn ]
     when String.starts_with ~prefix:"INFO" info
          && String.starts_with ~prefix:"WARN" warn
-         && contains warn "allocation growth" ->
+         && Helpers.contains warn "allocation growth" ->
     ()
   | ls ->
     Alcotest.failf "recovery-line: expected INFO then allocation WARN, got [%s]"
@@ -97,11 +90,11 @@ let test_r2_floor () =
     (List.exists
        (fun l ->
          String.starts_with ~prefix:"INFO derived ccp_incremental_speedup" l
-         && contains l "ccp/incremental-append/10k-events"
-         && not (contains l "ccp/full-rebuild"))
+         && Helpers.contains l "ccp/incremental-append/10k-events"
+         && not (Helpers.contains l "ccp/full-rebuild"))
        lines);
   Alcotest.(check bool) "two warnings in the tally" true
-    (List.exists (fun l -> contains l "perf-diff: 2 warning(s)") lines)
+    (List.exists (fun l -> Helpers.contains l "perf-diff: 2 warning(s)") lines)
 
 let suite =
   [ Alcotest.test_case "r² floor ungates noisy rows" `Quick test_r2_floor ]

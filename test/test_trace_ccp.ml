@@ -351,6 +351,44 @@ let test_record_allocation () =
   if w >= 0.1 then Alcotest.failf "delivering to a subscriber: %.3f minor words/event" w;
   Alcotest.(check int) "every event delivered" 120_000 !seen
 
+(* --- muted traces ------------------------------------------------------ *)
+
+(* A muted trace stores nothing and cuts nothing, yet its subscribers see
+   the events a recording trace's see, with the same message ids. *)
+let test_muted_trace_notifies () =
+  let n = 3 in
+  let run ~recording =
+    let t = Trace.create ~n in
+    Trace.set_recording t recording;
+    let seen = ref [] and cuts = ref 0 in
+    Trace.on_event t (fun v ->
+        seen :=
+          Trace.View.(pid v, tag v, peer v, payload v) :: !seen);
+    Trace.on_truncate t (fun ~pid:_ -> incr cuts);
+    for pid = 0 to n - 1 do
+      Trace.record_checkpoint t ~pid ~index:0
+    done;
+    Trace.message t ~src:0 ~dst:1;
+    Trace.record_checkpoint t ~pid:1 ~index:1;
+    Trace.message t ~src:1 ~dst:2;
+    ignore (Trace.send t ~src:1 ~dst:0);
+    Trace.truncate_to_checkpoint t ~pid:1 ~index:1;
+    Trace.message t ~src:1 ~dst:0;
+    (t, List.rev !seen, !cuts)
+  in
+  let recorded, recorded_events, recorded_cuts = run ~recording:true in
+  let muted, muted_events, muted_cuts = run ~recording:false in
+  Alcotest.(check int) "every event delivered" 11 (List.length muted_events);
+  Alcotest.(check bool) "same (pid, tag, peer, payload) stream" true
+    (recorded_events = muted_events);
+  Alcotest.(check int) "same next id" (Trace.fresh_msg_id recorded ~pid:1)
+    (Trace.fresh_msg_id muted ~pid:1);
+  Alcotest.(check int) "recording trace cut once" 1 recorded_cuts;
+  Alcotest.(check int) "muted truncation fires nothing" 0 muted_cuts;
+  Alcotest.(check int) "muted trace stores nothing" 0 (Trace.length muted);
+  (* nothing stored, so no checkpoint is missing either *)
+  Trace.truncate_to_checkpoint muted ~pid:2 ~index:7
+
 (* --- model-based property -------------------------------------------- *)
 
 (* Random sequences of records and truncations checked against a plain
@@ -495,6 +533,8 @@ let prop_trace_model =
 let suite =
   [
     Alcotest.test_case "trace building" `Quick test_trace_building;
+    Alcotest.test_case "muted trace notifies, stores and cuts nothing" `Quick
+      test_muted_trace_notifies;
     Alcotest.test_case "serialization roundtrip" `Quick
       test_serialization_roundtrip;
     Alcotest.test_case "to_string writes the bytes save writes" `Quick

@@ -3,15 +3,23 @@
    lattice fixpoints. *)
 
 module Tracking = Rdt_recovery.Tracking
-module Session = Rdt_recovery.Session
 module Consistency = Rdt_ccp.Consistency
 module Ccp = Rdt_ccp.Ccp
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Prng = Rdt_sim.Prng
 
-let snapshots_of_runner t n =
-  Array.init n (fun pid -> Session.snapshot_of (Runner.middleware t pid))
+(* The closed forms over a system's archives and live DVs. *)
+let max_of mws targets =
+  let archives, live_dvs = Helpers.tracking_inputs mws in
+  Tracking.max_consistent_containing ~archives ~live_dvs targets
+
+let min_of mws targets =
+  let archives, live_dvs = Helpers.tracking_inputs mws in
+  Tracking.min_consistent_containing ~archives ~live_dvs targets
+
+let script_mws s n = Array.init n (Rdt_scenarios.Script.middleware s)
+let runner_mws t = Array.init (Runner.config t).Sim_config.n (Runner.middleware t)
 
 let to_ccp_targets = List.map (fun (t : Tracking.target) -> { Ccp.pid = t.pid; index = t.index })
 
@@ -29,19 +37,17 @@ let test_figure_style_unit () =
   Script.checkpoint s 1;
   Script.transfer s ~src:1 ~dst:2;
   Script.checkpoint s 2;
-  let snaps =
-    Array.init 3 (fun pid -> Session.snapshot_of (Script.middleware s pid))
-  in
+  let mws = script_mws s 3 in
   let ccp = Script.ccp s in
   let target : Tracking.target = { pid = 1; index = 1 } in
-  (match Tracking.max_consistent_containing snaps [ target ] with
+  (match max_of mws [ target ] with
   | None -> Alcotest.fail "max missing"
   | Some g ->
     Alcotest.(check (option (array int)))
       "max agrees with trace fixpoint"
       (Consistency.max_consistent_containing ccp (to_ccp_targets [ target ]))
       (Some g));
-  match Tracking.min_consistent_containing snaps [ target ] with
+  match min_of mws [ target ] with
   | None -> Alcotest.fail "min missing"
   | Some g ->
     Alcotest.(check (option (array int)))
@@ -57,42 +63,13 @@ let test_inconsistent_targets_rejected () =
   let module Script = Rdt_scenarios.Script in
   Script.transfer s ~src:0 ~dst:1;
   Script.checkpoint s 1;
-  let snaps =
-    Array.init 2 (fun pid -> Session.snapshot_of (Script.middleware s pid))
-  in
+  let mws = script_mws s 2 in
   (* s0_p0 precedes s1_p1 *)
-  Alcotest.(check bool) "pair is inconsistent" false
-    (Tracking.consistent_pair snaps { pid = 0; index = 0 } { pid = 1; index = 1 });
-  Alcotest.(check bool) "max rejects" true
-    (Tracking.max_consistent_containing snaps
-       [ { pid = 0; index = 0 }; { pid = 1; index = 1 } ]
-    = None);
-  Alcotest.(check bool) "min rejects" true
-    (Tracking.min_consistent_containing snaps
-       [ { pid = 0; index = 0 }; { pid = 1; index = 1 } ]
-    = None)
-
-let test_requires_complete_snapshots () =
-  (* with RDT-LGC enabled, checkpoints are missing: the module refuses *)
-  let t = Helpers.run_case ~gc:Sim_config.Local 4 in
-  let n = (Runner.config t).Sim_config.n in
-  let snaps = snapshots_of_runner t n in
-  let snapshot_has_gap (s : Rdt_gc.Global_gc.snapshot) =
-    let gap = ref false in
-    Array.iteri
-      (fun pos (e : Rdt_storage.Stable_store.entry) ->
-        if e.index <> pos then gap := true)
-      s.entries;
-    !gap
+  let targets : Tracking.target list =
+    [ { pid = 0; index = 0 }; { pid = 1; index = 1 } ]
   in
-  let has_gap = Array.exists snapshot_has_gap snaps in
-  if has_gap then
-    Alcotest.(check bool) "rejected" true
-      (try
-         ignore
-           (Tracking.max_consistent_containing snaps [ { pid = 0; index = 0 } ]);
-         false
-       with Invalid_argument _ -> true)
+  Alcotest.(check bool) "max rejects" true (max_of mws targets = None);
+  Alcotest.(check bool) "min rejects" true (min_of mws targets = None)
 
 let random_targets rng ccp =
   let n = Ccp.n ccp in
@@ -106,60 +83,33 @@ let random_targets rng ccp =
         index = Prng.int rng (Ccp.volatile_index ccp pid + 1);
       })
 
-let prop_closed_forms_match_fixpoints =
-  QCheck.Test.make
-    ~name:"Wang closed forms = trace lattice fixpoints (RDT executions)"
-    ~count:25
-    QCheck.(make ~print:string_of_int Gen.(int_bound 2_000))
-    (fun case ->
-      let t = run_no_gc case in
-      let ccp = Runner.ccp t in
-      let n = Ccp.n ccp in
-      let snaps = snapshots_of_runner t n in
-      let rng = Prng.create ~seed:(case * 31 + 5) in
-      let ok = ref true in
-      for _ = 1 to 5 do
-        let targets = random_targets rng ccp in
-        let ccp_targets = to_ccp_targets targets in
-        let max_dv = Tracking.max_consistent_containing snaps targets in
-        let max_tr = Consistency.max_consistent_containing ccp ccp_targets in
-        let min_dv = Tracking.min_consistent_containing snaps targets in
-        let min_tr = Consistency.min_consistent_containing ccp ccp_targets in
-        (* the trace fixpoint returns None exactly when no consistent
-           global checkpoint contains the targets; the DV closed form
-           pre-filters on pairwise consistency, which under RDT is the
-           same condition *)
-        if max_dv <> max_tr || min_dv <> min_tr then ok := false
-      done;
-      !ok)
-
-let archives_of_runner t n =
-  ( Array.init n (fun pid ->
-        Rdt_protocols.Middleware.archive (Runner.middleware t pid)),
-    Array.init n (fun pid ->
-        Rdt_causality.Dependency_vector.to_array
-          (Rdt_protocols.Middleware.dv (Runner.middleware t pid))) )
-
-(* The archived closed forms agree with the trace fixpoints on five
-   random target sets of a finished run. *)
+(* The closed forms agree with the trace fixpoints on five random target
+   sets of a finished run.  The trace fixpoint returns None exactly when
+   no consistent global checkpoint contains the targets; the DV closed
+   form pre-filters on pairwise consistency, which under RDT is the same
+   condition. *)
 let archived_tracking_matches t ~case =
   let ccp = Runner.ccp t in
-  let n = Ccp.n ccp in
-  let archives, live_dvs = archives_of_runner t n in
+  let mws = runner_mws t in
   let rng = Prng.create ~seed:(case * 17 + 3) in
   let ok = ref true in
   for _ = 1 to 5 do
     let targets = random_targets rng ccp in
     let ccp_targets = to_ccp_targets targets in
     if
-      Tracking.max_consistent_containing_archived ~archives ~live_dvs targets
-      <> Consistency.max_consistent_containing ccp ccp_targets
-      || Tracking.min_consistent_containing_archived ~archives ~live_dvs
-           targets
+      max_of mws targets <> Consistency.max_consistent_containing ccp ccp_targets
+      || min_of mws targets
          <> Consistency.min_consistent_containing ccp ccp_targets
     then ok := false
   done;
   !ok
+
+let prop_closed_forms_match_fixpoints =
+  QCheck.Test.make
+    ~name:"Wang closed forms = trace lattice fixpoints (RDT executions)"
+    ~count:25
+    QCheck.(make ~print:string_of_int Gen.(int_bound 2_000))
+    (fun case -> archived_tracking_matches ~case (run_no_gc case))
 
 let prop_archive_tracking_survives_gc =
   QCheck.Test.make
@@ -222,7 +172,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_archive_tracking_survives_rollbacks;
     Alcotest.test_case "inconsistent targets rejected" `Quick
       test_inconsistent_targets_rejected;
-    Alcotest.test_case "requires complete snapshots" `Quick
-      test_requires_complete_snapshots;
     QCheck_alcotest.to_alcotest prop_closed_forms_match_fixpoints;
   ]

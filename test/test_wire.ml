@@ -178,10 +178,8 @@ let gen_frame =
         (let* protocol = string_printable in
          let* epoch = small_int in
          let* ports = gen_dv n in
-         let* history = gen_tevs in
          let* sends_ever = small_int in
-         return
-           (Wire.C_config { n; protocol; epoch; ports; history; sends_ever }));
+         return (Wire.C_config { n; protocol; epoch; ports; sends_ever }));
       ]
   in
   let gen_entry n =
@@ -281,7 +279,7 @@ let test_streaming () =
         cmd =
           Wire.C_config
             { n = 2; protocol = "fdas"; epoch = 1; ports = [| 0; 0 |];
-              history = [ Wire.T_ckpt { index = 1 } ]; sends_ever = 3 };
+              sends_ever = 3 };
       }
   in
   let b = Wire.encode second in
