@@ -44,9 +44,10 @@ perf:
 	dune exec bench/main.exe -- micro
 	dune exec bench/main.exe -- perf-diff _build/BENCH_micro.baseline.json BENCH_micro.json
 
-# ~10 s differential-fuzz budget: a fixed-seed campaign plus the
-# over-collecting-mutant self-check (DESIGN.md §11); the nightly CI job
-# runs the same campaign with a fresh seed and a much larger budget
+# ~5 s differential-fuzz budget (3-4 s once built, on a 2-thread
+# host): a fixed-seed campaign plus the over-collecting-mutant
+# self-check (DESIGN.md §11); the nightly CI job runs the same campaign
+# with a fresh seed and a much larger budget
 fuzz-smoke:
 	dune exec bin/rdtgc_cli.exe -- fuzz --seed 2026 --runs 500 --max-procs 6 -q
 	dune exec bin/rdtgc_cli.exe -- fuzz --mutate-lgc --seed 7 --runs 10 -q

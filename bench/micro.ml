@@ -325,6 +325,8 @@ let theorem1_tests =
         (fun () -> ignore (Global_gc.theorem1_retained snaps ~me:0 ~li)))
     [ 8; 32; 64 ]
 
+(* One BFS from s^0_0; each run also builds the analyzer, one sort of
+   the messages by sender and send interval. *)
 let zigzag_tests =
   List.map
     (fun n ->
@@ -336,11 +338,11 @@ let zigzag_tests =
              ignore (Rdt_ccp.Zigzag.reach ccp ~src:{ Rdt_ccp.Ccp.pid = 0; index = 0 }))))
     [ 4; 8; 16 ]
 
-(* Incremental CCP engine vs from-scratch rebuild.  A 10k-event trace is
-   the harness's sampling scenario: the oracle-instrumented runner
-   queries the ground-truth CCP at every sample point, so the cost that
-   matters is appending the events since the last query and asking
-   again, not replaying the whole history. *)
+(* Incremental CCP engine vs from-scratch rebuild.  A 10k-event trace
+   stands for a long checked run: the fuzz harness queries the
+   ground-truth CCP after every op, so the cost that matters is
+   appending the events since the last query and asking again, not
+   replaying the whole history. *)
 let big_trace_events = 10_000
 
 (* Records the benchmark execution into [trace], fresh from

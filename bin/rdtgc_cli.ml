@@ -177,9 +177,17 @@ let config_term =
 
 (* --- run --------------------------------------------------------------- *)
 
+(* A configuration [Sim_config.validate] rejects, or a [--store-dir] that
+   already holds checkpoints, is the user's mistake: report it and exit 1
+   instead of letting the exception out of cmdliner. *)
+let or_exit f x =
+  try f x
+  with Invalid_argument e | Failure e | Sys_error e ->
+    Printf.eprintf "rdtgc: %s\n" e;
+    exit 1
+
 let do_run cfg series =
-  Sim_config.validate cfg;
-  let t = Runner.create cfg in
+  let t = or_exit Runner.create cfg in
   Runner.run t;
   Runner.sync_stores t;
   Format.printf "%a@." Runner.pp_summary (Runner.summary t);
@@ -236,8 +244,7 @@ let save_arg =
        & info [ "save" ] ~docv:"FILE" ~doc:"Save the execution trace to FILE (reload with 'rdtgc inspect').")
 
 let do_analyze cfg save =
-  Sim_config.validate cfg;
-  let t = Runner.create cfg in
+  let t = or_exit Runner.create cfg in
   Runner.run t;
   (match save with
   | Some path ->
@@ -283,7 +290,7 @@ let seeds_arg =
        & info [ "seeds" ] ~docv:"K" ~doc:"Number of seeds to average over.")
 
 let do_sweep cfg seeds =
-  Sim_config.validate cfg;
+  or_exit Sim_config.validate cfg;
   let module Table = Rdt_metrics.Table in
   let module Stats = Rdt_metrics.Stats in
   let collectors =
@@ -314,7 +321,7 @@ let do_sweep cfg seeds =
       and collected = Stats.create ()
       and ctrl = Stats.create () in
       for k = 0 to seeds - 1 do
-        let t = Runner.create { cfg with gc; seed = cfg.seed + k } in
+        let t = or_exit Runner.create { cfg with gc; seed = cfg.seed + k } in
         Runner.run t;
         let s = Runner.summary t in
         Stats.add mean s.Runner.mean_total_retained;

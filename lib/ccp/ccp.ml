@@ -15,16 +15,12 @@ type message = {
 
 (* The CCP graph is stored in growable vectors so that an incremental
    builder can extend it in place, one trace event at a time; a one-shot
-   [of_trace] CCP is simply a builder that is never extended again.
-   [generation] is bumped whenever the content is rebuilt in place (after
-   a rollback truncated the underlying trace), so derived caches such as
-   {!Zigzag.analyzer} know their indexes are stale. *)
+   [of_trace] CCP is simply a builder that is never extended again. *)
 type t = {
   n : int;
   ckpt_vc : Vector_clock.t Vec.t array;  (* [pid] -> VC of s^0 .. s^last *)
   volatile_vc : Vector_clock.t array;  (* running (= volatile) VC per pid *)
   messages : message Vec.t;
-  mutable generation : int;
 }
 
 type pending_send = {
@@ -50,7 +46,6 @@ let empty_builder ~n =
         ckpt_vc = Array.init n (fun _ -> Vec.create ());
         volatile_vc = Array.init n (fun _ -> Vector_clock.create ~n);
         messages = Vec.create ();
-        generation = 0;
       };
     b_cur_interval = Array.make n 0;
     b_pending = Hashtbl.create 64;
@@ -135,7 +130,6 @@ let of_trace trace =
   b.b_ccp
 
 let n t = t.n
-let generation t = t.generation
 let last_stable t pid = Vec.length t.ckpt_vc.(pid) - 1
 let volatile_index t pid = Vec.length t.ckpt_vc.(pid)
 let volatile t pid = { pid; index = volatile_index t pid }
@@ -158,15 +152,11 @@ let stable_checkpoints t =
          List.init (last_stable t pid + 1) (fun index -> { pid; index })))
 
 let messages t = Vec.to_array t.messages
-let message_count t = Vec.length t.messages
-let message_at t i = Vec.get t.messages i
 
 let vc t c =
   if not (mem t c) then invalid_arg "Ccp.vc: checkpoint not in CCP";
   if is_volatile t c then t.volatile_vc.(c.pid)
   else Vec.get t.ckpt_vc.(c.pid) c.index
-
-let vc_entry t c j = Vector_clock.get (vc t c) j
 
 let precedes t c1 c2 =
   if not (mem t c1 && mem t c2) then
@@ -176,6 +166,28 @@ let precedes t c1 c2 =
   else
     (* event test: e -> f iff VC(e).(proc e) <= VC(f).(proc e) *)
     Vector_clock.get (vc t c1) c1.pid <= Vector_clock.get (vc t c2) c1.pid
+
+(* Upward closure: [c -> c^g_pid] implies [c -> c^(g+1)_pid], because the
+   test reads [VC(c^g_pid).(c.pid)], which never decreases with [g].  So
+   the checkpoints of [pid] that [c] precedes form a suffix, found by a
+   binary search for its first index. *)
+let first_preceded t c ~pid =
+  if not (mem t c && pid >= 0 && pid < t.n) then
+    invalid_arg "Ccp.first_preceded: checkpoint not in CCP";
+  let none = volatile_index t pid + 1 in
+  if is_volatile t c then none
+  else if c.pid = pid then c.index + 1
+  else begin
+    let e = Vector_clock.get (vc t c) c.pid in
+    (* the answer lies in [lo, hi]; [hi = none] stands for "no index" *)
+    let lo = ref 0 and hi = ref none in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let entry = Vector_clock.get (vc t { pid; index = mid }) c.pid in
+      if e <= entry then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
 
 let consistent_pair t c1 c2 = (not (precedes t c1 c2)) && not (precedes t c2 c1)
 
@@ -200,7 +212,6 @@ module Incremental = struct
   let rebuild t =
     reset_builder t.builder;
     build_from_trace t.builder t.trace;
-    t.builder.b_ccp.generation <- t.builder.b_ccp.generation + 1;
     t.dirty <- false
 
   let of_trace trace =

@@ -38,13 +38,6 @@ val of_trace : Trace.t -> t
 
 val n : t -> int
 
-val generation : t -> int
-(** Rebuild stamp.  A CCP built by {!of_trace} stays at generation 0; a
-    CCP maintained by {!Incremental} bumps its generation every time a
-    trace truncation (rollback) forces an in-place rebuild.  Derived
-    caches keyed on the message prefix ({!Zigzag.analyzer}) compare this
-    to know when their indexes are stale rather than merely behind. *)
-
 val last_stable : t -> int -> int
 (** [last_s(i)]: index of the last stable checkpoint of process [i]. *)
 
@@ -68,29 +61,27 @@ val checkpoints : t -> ckpt list
 val stable_checkpoints : t -> ckpt list
 
 val messages : t -> message array
-(** Delivered messages only, in trace order (a fresh copy; prefer
-    {!message_count}/{!message_at} on hot paths). *)
-
-val message_count : t -> int
-val message_at : t -> int -> message
-(** Delivered messages in trace order, without copying.  For a CCP behind
-    {!Incremental}, the prefix [0 .. message_count - 1] only ever grows
-    between generation bumps — the property the incremental zigzag
-    analyzer relies on. *)
+(** Delivered messages only, in trace order (a fresh copy). *)
 
 val vc : t -> ckpt -> Rdt_causality.Vector_clock.t
 (** Vector clock of the checkpoint event ([v_i]: the process's final
     clock).  Do not mutate. *)
 
-val vc_entry : t -> ckpt -> int -> int
-(** [vc_entry t c j = Vector_clock.get (vc t c) j] — the single clock
-    entry Equation-2-style precedence tests need; {!Oracle} uses it to
-    answer all witness queries of one sweep from [2n] preloaded entries. *)
-
 val precedes : t -> ckpt -> ckpt -> bool
 (** Causal precedence [c1 -> c2] between checkpoint events (Definition 1).
     Volatile checkpoints precede nothing; everything a process did
     precedes its own volatile checkpoint. *)
+
+val first_preceded : t -> ckpt -> pid:int -> int
+(** The causal frontier of [c] on process [pid]: the smallest index [g]
+    with [precedes t c c^g_pid], or [volatile_index t pid + 1] if [c]
+    precedes no checkpoint of [pid].  Precedence is upward-closed —
+    [c -> c^g_pid] implies [c -> c^(g+1)_pid] — so [c] precedes exactly
+    the checkpoints of [pid] from this index on.  Theorem 1, the
+    Equation-4 invariant, Lemma 1 and the RDT check all reduce to it.
+    It is [c.index + 1] when [c] is on [pid], and "none" when [c] is
+    volatile.  O(log) clock reads.
+    @raise Invalid_argument if [c] or [pid] is not in the CCP. *)
 
 val consistent_pair : t -> ckpt -> ckpt -> bool
 (** Neither precedes the other (Section 2.2). *)
@@ -101,9 +92,10 @@ val pp : Format.formatter -> t -> unit
 
 (** Incremental CCP maintenance.
 
-    [of_trace] costs O(trace); sampling-time analyses (the runner's oracle
-    instrumentation, invariant audits on every sample) that rebuilt the
-    CCP at each sample point were therefore quadratic in trace length.
+    [of_trace] costs O(trace); analyses that query the ground truth
+    throughout a run (the fuzz harness's oracles after every op, the
+    tier-1 audits at every runner sample) would be quadratic in trace
+    length if they rebuilt it at each query.
     An [Incremental.t] subscribes to the trace's append stream
     ({!Trace.on_event}) and extends one CCP graph in place, so {!ccp} costs
     O(events since the last call).  Rollbacks ({!Trace.on_truncate})

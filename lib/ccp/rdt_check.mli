@@ -5,9 +5,11 @@
     Equivalently, every Z-path is doubled by a C-path and no checkpoint is
     useless.
 
-    The checker is exhaustive — one zigzag BFS per source checkpoint — and
-    intended for validating executions produced by the protocols (property
-    tests run it on every randomly generated run). *)
+    The checker is exhaustive — one zigzag BFS per source checkpoint,
+    whose per-process landing index is compared with the source's causal
+    frontier ({!Ccp.first_preceded}) — and intended for validating
+    executions produced by the protocols (property tests run it on every
+    randomly generated run). *)
 
 type violation = {
   source : Ccp.ckpt;
@@ -16,7 +18,8 @@ type violation = {
 (** A pair with a zigzag path but no causal precedence. *)
 
 val violations : ?limit:int -> Ccp.t -> violation list
-(** All (or the first [limit]) RDT violations of the CCP. *)
+(** All (or the first [limit]) RDT violations of the CCP, ordered by
+    source, then target, each process by process and index by index. *)
 
 val holds : Ccp.t -> bool
 (** [holds ccp] iff the CCP satisfies RDT. *)

@@ -1,88 +1,46 @@
-module Vec = Rdt_sim.Vec
-
 type verdict = Causal_path | Non_causal_zigzag | Not_a_path
 
-(* Messages sent by each process, in ascending send_interval order, so
-   that relaxing a constraint "send_interval >= gamma" enqueues a suffix
-   and a per-process pointer (walking from the top down) makes each
-   message enqueued at most once per BFS.
-
-   Per-process send intervals are nondecreasing in trace order (a
-   process's interval counter only grows within one consistent trace), so
-   messages appended by an incremental CCP extend each bucket in sorted
-   position: incorporating new messages is O(1) amortized per message,
-   and only a generation bump (trace rollback) forces a re-index. *)
+(* Messages sorted by sender, then by ascending send_interval, so that
+   relaxing a constraint "send_interval >= gamma" enqueues a suffix of the
+   sender's bucket and a per-process pointer (walking from the top down)
+   makes each message enqueued at most once per BFS.  The bucket of [pid]
+   is [a_sends.(a_start.(pid)) .. a_sends.(a_start.(pid + 1) - 1)]. *)
 type analyzer = {
   a_ccp : Ccp.t;
-  a_sends : Ccp.message Vec.t array;
-  mutable a_seen : int;  (* messages of a_ccp already bucketed *)
-  mutable a_generation : int;
-  a_memo : (Ccp.ckpt, int array) Hashtbl.t;
-  a_by_id : (int, Ccp.message) Hashtbl.t;
+  a_sends : Ccp.message array;
+  a_start : int array;
 }
 
-let incorporate a =
-  let count = Ccp.message_count a.a_ccp in
-  if count <> a.a_seen || Ccp.generation a.a_ccp <> a.a_generation then begin
-    if Ccp.generation a.a_ccp <> a.a_generation then begin
-      (* the CCP was rebuilt in place: our buckets describe retracted
-         messages — start over *)
-      Array.iter Vec.clear a.a_sends;
-      Hashtbl.reset a.a_by_id;
-      a.a_seen <- 0;
-      a.a_generation <- Ccp.generation a.a_ccp
-    end;
-    for i = a.a_seen to count - 1 do
-      let m = Ccp.message_at a.a_ccp i in
-      let bucket = a.a_sends.(m.Ccp.src) in
-      (* messages arrive in receive order; a non-FIFO network can deliver
-         a later-interval send first, so restore sortedness by bubbling
-         the newcomer down (rare and shallow: delays are bounded) *)
-      Vec.push bucket m;
-      let j = ref (Vec.length bucket - 1) in
-      while
-        !j > 0
-        && (Vec.get bucket (!j - 1)).Ccp.send_interval > m.Ccp.send_interval
-      do
-        Vec.set bucket !j (Vec.get bucket (!j - 1));
-        decr j
-      done;
-      Vec.set bucket !j m;
-      Hashtbl.replace a.a_by_id m.Ccp.id m
-    done;
-    a.a_seen <- count;
-    (* reach results depend on the message set: new messages invalidate
-       every memoized BFS *)
-    Hashtbl.reset a.a_memo
-  end
-
 let analyzer ccp =
-  let a =
-    {
-      a_ccp = ccp;
-      a_sends = Array.init (Ccp.n ccp) (fun _ -> Vec.create ());
-      a_seen = 0;
-      a_generation = Ccp.generation ccp;
-      a_memo = Hashtbl.create 64;
-      a_by_id = Hashtbl.create 64;
-    }
-  in
-  incorporate a;
-  a
-
-let compute_reach a ~(src : Ccp.ckpt) =
-  let ccp = a.a_ccp in
+  let sends = Ccp.messages ccp in
+  Array.stable_sort
+    (fun (a : Ccp.message) (b : Ccp.message) ->
+      match Int.compare a.src b.src with
+      | 0 -> Int.compare a.send_interval b.send_interval
+      | c -> c)
+    sends;
   let n = Ccp.n ccp in
+  let start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (m : Ccp.message) -> start.(m.src + 1) <- start.(m.src + 1) + 1)
+    sends;
+  for pid = 1 to n do
+    start.(pid) <- start.(pid) + start.(pid - 1)
+  done;
+  { a_ccp = ccp; a_sends = sends; a_start = start }
+
+let reach_from a ~(src : Ccp.ckpt) =
+  if not (Ccp.mem a.a_ccp src) then invalid_arg "Zigzag.reach: bad checkpoint";
+  let n = Ccp.n a.a_ccp in
   (* ptr.(pid): highest bucket position not yet enqueued (buckets are
      ascending, the BFS consumes them from the top down) *)
-  let ptr = Array.map (fun b -> Vec.length b - 1) a.a_sends in
+  let ptr = Array.init n (fun pid -> a.a_start.(pid + 1) - 1) in
   let min_recv = Array.make n max_int in
   let queue = Queue.create () in
   let relax pid gamma =
-    let bucket = a.a_sends.(pid) in
-    while ptr.(pid) >= 0
-          && (Vec.get bucket ptr.(pid)).Ccp.send_interval >= gamma do
-      Queue.push (Vec.get bucket ptr.(pid)) queue;
+    while ptr.(pid) >= a.a_start.(pid)
+          && a.a_sends.(ptr.(pid)).Ccp.send_interval >= gamma do
+      Queue.push a.a_sends.(ptr.(pid)) queue;
       ptr.(pid) <- ptr.(pid) - 1
     done
   in
@@ -98,35 +56,27 @@ let compute_reach a ~(src : Ccp.ckpt) =
   done;
   min_recv
 
-let reach_from a ~src =
-  incorporate a;
-  if not (Ccp.mem a.a_ccp src) then invalid_arg "Zigzag.reach: bad checkpoint";
-  match Hashtbl.find_opt a.a_memo src with
-  | Some r -> r
-  | None ->
-    let r = compute_reach a ~src in
-    Hashtbl.replace a.a_memo src r;
-    r
-
 let reach ccp ~src = reach_from (analyzer ccp) ~src
 
-let path_exists_from a c1 (c2 : Ccp.ckpt) =
-  let r = reach_from a ~src:c1 in
-  r.(c2.pid) <= c2.index
-
-let cycle_from a (c : Ccp.ckpt) =
+let cycle_in a (c : Ccp.ckpt) =
   let r = reach_from a ~src:c in
   r.(c.pid) <= c.index
 
-let useless_from a = List.filter (cycle_from a) (Ccp.checkpoints a.a_ccp)
+let path_exists ccp c1 (c2 : Ccp.ckpt) =
+  let r = reach ccp ~src:c1 in
+  r.(c2.pid) <= c2.index
 
-let path_exists ccp c1 c2 = path_exists_from (analyzer ccp) c1 c2
-let cycle ccp c = cycle_from (analyzer ccp) c
-let useless ccp = useless_from (analyzer ccp)
+let cycle ccp c = cycle_in (analyzer ccp) c
 
-let classify_sequence_from a ~(from_ : Ccp.ckpt) ~(to_ : Ccp.ckpt) msg_ids =
-  incorporate a;
-  let lookup id = Hashtbl.find_opt a.a_by_id id in
+let useless ccp =
+  let a = analyzer ccp in
+  List.filter (cycle_in a) (Ccp.checkpoints ccp)
+
+let classify_sequence ccp ~(from_ : Ccp.ckpt) ~(to_ : Ccp.ckpt) msg_ids =
+  let messages = Ccp.messages ccp in
+  let lookup id =
+    Array.find_opt (fun (m : Ccp.message) -> m.id = id) messages
+  in
   match List.map lookup msg_ids with
   | [] -> Not_a_path
   | maybe_msgs when List.exists Option.is_none maybe_msgs -> Not_a_path
@@ -158,6 +108,3 @@ let classify_sequence_from a ~(from_ : Ccp.ckpt) ~(to_ : Ccp.ckpt) msg_ids =
       | Some true -> Causal_path
       | Some false -> Non_causal_zigzag
     end
-
-let classify_sequence ccp ~from_ ~to_ msg_ids =
-  classify_sequence_from (analyzer ccp) ~from_ ~to_ msg_ids

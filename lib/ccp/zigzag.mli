@@ -25,29 +25,14 @@ val reach : Ccp.t -> src:Ccp.ckpt -> int array
     [src ~~> c^beta_b] exists iff [r.(b) <= beta]. *)
 
 type analyzer
-(** Preprocessed message index for repeated reachability queries on one
-    CCP: per-process send buckets (one sort per CCP instead of one per
-    query), a message-id table, and memoized {!reach} results.
-
-    The analyzer is incremental: before answering it folds in any
-    messages the CCP gained since the last query (O(1) amortized each —
-    an incremental CCP only ever appends), drops its memo when new
-    messages arrived, and re-indexes from scratch when the CCP's
-    {!Ccp.generation} changed (trace rollback).  It is therefore safe and
-    cheap to keep one analyzer alongside a long-lived {!Ccp.Incremental}
-    view and query it at every sample point. *)
+(** A CCP's messages sorted once into per-process send buckets, for
+    running {!reach} from many sources of one CCP (as {!Rdt_check} and
+    {!useless} do).  It is a snapshot: build a fresh one after the CCP
+    grows. *)
 
 val analyzer : Ccp.t -> analyzer
 val reach_from : analyzer -> src:Ccp.ckpt -> int array
-(** Same result as {!reach}; memoized — do not mutate. *)
-
-val path_exists_from : analyzer -> Ccp.ckpt -> Ccp.ckpt -> bool
-val cycle_from : analyzer -> Ccp.ckpt -> bool
-val useless_from : analyzer -> Ccp.ckpt list
-val classify_sequence_from :
-  analyzer -> from_:Ccp.ckpt -> to_:Ccp.ckpt -> int list -> verdict
-(** Analyzer-routed variants of the eponymous functions below: one shared
-    message index answers any number of queries. *)
+(** Same result as {!reach}, without re-sorting the messages. *)
 
 val path_exists : Ccp.t -> Ccp.ckpt -> Ccp.ckpt -> bool
 (** [path_exists ccp c1 c2] is the paper's [c1 ~~> c2]. *)
@@ -58,7 +43,7 @@ val cycle : Ccp.t -> Ccp.ckpt -> bool
 val useless : Ccp.t -> Ccp.ckpt list
 (** Checkpoints involved in a zigzag cycle; such checkpoints cannot be part
     of any consistent global checkpoint.  Builds one analyzer for the
-    whole scan (not one send index per checkpoint). *)
+    whole scan. *)
 
 val classify_sequence :
   Ccp.t -> from_:Ccp.ckpt -> to_:Ccp.ckpt -> int list -> verdict

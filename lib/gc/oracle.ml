@@ -1,9 +1,11 @@
 module Ccp = Rdt_ccp.Ccp
-module Vector_clock = Rdt_causality.Vector_clock
 
-let witnesses ccp (c : Ccp.ckpt) =
+let check_stable ccp c =
   if not (Ccp.is_stable ccp c) then
-    invalid_arg "Oracle: Theorem 1 characterizes stable checkpoints";
+    invalid_arg "Oracle: Theorem 1 characterizes stable checkpoints"
+
+let needed_by ccp (c : Ccp.ckpt) =
+  check_stable ccp c;
   let successor : Ccp.ckpt = { pid = c.pid; index = c.index + 1 } in
   let witness f =
     let last_f = Ccp.last_stable_ckpt ccp f in
@@ -11,57 +13,29 @@ let witnesses ccp (c : Ccp.ckpt) =
   in
   List.filter witness (List.init (Ccp.n ccp) Fun.id)
 
-let needed_by = witnesses
-
-(* DV-style fast path for the Theorem-1 sweeps: [precedes last_f x] only
-   reads the [f] entry of two clocks (Equation 2 shape), and [last_f] is
-   shared by every query of a sweep — so preload [VC(s^last_f).(f)] for
-   all [f] once and answer each witness test with two integer compares.
-   The [last_f = x] equality guards reproduce [Ccp.precedes]'s
-   irreflexivity exactly. *)
-let last_entries ccp =
-  Array.init (Ccp.n ccp) (fun f ->
-      Ccp.vc_entry ccp (Ccp.last_stable_ckpt ccp f) f)
-
-let has_witness ccp ~last_entry (c : Ccp.ckpt) =
-  let n = Ccp.n ccp in
-  let p = c.pid in
-  let lp = Ccp.last_stable ccp p in
-  let vc_c = Ccp.vc ccp c in
-  let vc_s = Ccp.vc ccp { pid = p; index = c.index + 1 } in
-  let rec loop f =
-    if f >= n then false
-    else begin
-      let precedes_successor =
-        (not (f = p && lp = c.index + 1))
-        && last_entry.(f) <= Vector_clock.get vc_s f
-      in
-      let precedes_c =
-        (not (f = p && lp = c.index))
-        && last_entry.(f) <= Vector_clock.get vc_c f
-      in
-      (precedes_successor && not precedes_c) || loop (f + 1)
-    end
-  in
-  loop 0
-
-let is_obsolete ccp c =
-  if not (Ccp.is_stable ccp c) then
-    invalid_arg "Oracle: Theorem 1 characterizes stable checkpoints";
-  not (has_witness ccp ~last_entry:(last_entries ccp) c)
-
-let obsolete ccp =
-  let last_entry = last_entries ccp in
-  List.filter
-    (fun c -> not (has_witness ccp ~last_entry c))
-    (Ccp.stable_checkpoints ccp)
+(* [s^last_f] precedes [c^(gamma+1)_pid] but not [s^gamma_pid] exactly
+   when [gamma + 1] is the first index of [pid] that [s^last_f]
+   precedes. *)
+let witness ccp ~pid ~f =
+  Ccp.first_preceded ccp (Ccp.last_stable_ckpt ccp f) ~pid - 1
 
 let retained ccp ~pid =
-  let last_entry = last_entries ccp in
-  List.filter_map
-    (fun index ->
-      if has_witness ccp ~last_entry { Ccp.pid; index } then Some index
-      else None)
-    (List.init (Ccp.last_stable ccp pid + 1) Fun.id)
+  let last = Ccp.last_stable ccp pid in
+  List.init (Ccp.n ccp) (fun f -> witness ccp ~pid ~f)
+  |> List.filter (fun gamma -> gamma >= 0 && gamma <= last)
+  |> List.sort_uniq Int.compare
 
 let retained_count ccp ~pid = List.length (retained ccp ~pid)
+
+let is_obsolete ccp (c : Ccp.ckpt) =
+  check_stable ccp c;
+  not (List.mem c.index (retained ccp ~pid:c.pid))
+
+let obsolete ccp =
+  List.concat_map
+    (fun pid ->
+      let kept = retained ccp ~pid in
+      List.init (Ccp.last_stable ccp pid + 1) Fun.id
+      |> List.filter (fun index -> not (List.mem index kept))
+      |> List.map (fun index -> { Ccp.pid; index }))
+    (List.init (Ccp.n ccp) Fun.id)

@@ -13,11 +13,23 @@
 
     Only meaningful on RD-trackable CCPs (Theorem 1's proof uses RDT).
 
-    The sweeps ({!obsolete}, {!retained}) answer each witness query from
-    [n] preloaded [VC(s^last_f).(f)] entries (the Equation-2 fast path for
-    {!Rdt_ccp.Ccp.precedes}): two integer compares per (checkpoint,
-    process) pair, no clock allocation — cheap enough to run at every
-    sample point of an oracle-instrumented simulation. *)
+    Precedence is upward-closed, so each [p_f] witnesses at most one
+    checkpoint of [p_i]: the one just below the first checkpoint of [p_i]
+    that [s^last_f] precedes ({!witness}).  The sweeps ({!obsolete},
+    {!retained}) are built from these [n] lookups per process;
+    {!needed_by} evaluates the theorem literally and is their
+    reference. *)
+
+val witness : Rdt_ccp.Ccp.t -> pid:int -> f:int -> int
+(** [witness ccp ~pid ~f] is the index [gamma] with
+    [s^last_f -> c^(gamma+1)_pid] and [s^last_f -/-> s^gamma_pid]:
+    {!Rdt_ccp.Ccp.first_preceded} of [s^last_f] on [pid], minus one.
+    [p_f] keeps [s^gamma_pid] from being obsolete when [gamma] is a
+    stable index; a result outside [0 .. last_stable pid] (such as
+    [last_stable pid + 1] when [s^last_f] precedes no checkpoint of
+    [pid]) witnesses nothing.  [witness ccp ~pid ~f:pid] is
+    [last_stable pid].  A stable result is the checkpoint Equation 4
+    makes [UC.(f)] of [p_pid] reference. *)
 
 val obsolete : Rdt_ccp.Ccp.t -> Rdt_ccp.Ccp.ckpt list
 (** All obsolete stable checkpoints of the CCP. *)
@@ -33,5 +45,7 @@ val retained : Rdt_ccp.Ccp.t -> pid:int -> int list
 val retained_count : Rdt_ccp.Ccp.t -> pid:int -> int
 
 val needed_by : Rdt_ccp.Ccp.t -> Rdt_ccp.Ccp.ckpt -> int list
-(** The processes [p_f] witnessing non-obsolescence (empty iff obsolete);
-    diagnostic for tests and the CLI. *)
+(** The processes [p_f] witnessing non-obsolescence (empty iff obsolete),
+    by Theorem 1's two {!Rdt_ccp.Ccp.precedes} tests per process: the
+    reference the tests hold the sweeps to.
+    @raise Invalid_argument if the checkpoint is volatile or absent. *)

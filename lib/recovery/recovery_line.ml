@@ -13,21 +13,19 @@ let check_faulty ~n faulty =
 let lemma1 ccp ~faulty =
   let n = Ccp.n ccp in
   check_faulty ~n faulty;
-  let last_of_faulty = List.map (Ccp.last_stable_ckpt ccp) faulty in
   let component i =
     (* max gamma such that no faulty last stable checkpoint precedes
-       c^gamma_i; the violating set is upward-closed, so scan downwards *)
-    let rec scan gamma =
-      if gamma < 0 then
-        invalid_arg "Recovery_line.lemma1: no admissible checkpoint"
-      else begin
-        let c : Ccp.ckpt = { pid = i; index = gamma } in
-        if List.exists (fun lf -> Ccp.precedes ccp lf c) last_of_faulty then
-          scan (gamma - 1)
-        else gamma
-      end
+       c^gamma_i: the preceded checkpoints of p_i form a suffix *)
+    let gamma =
+      List.fold_left
+        (fun gamma f ->
+          min gamma
+            (Ccp.first_preceded ccp (Ccp.last_stable_ckpt ccp f) ~pid:i - 1))
+        (Ccp.volatile_index ccp i) faulty
     in
-    scan (Ccp.volatile_index ccp i)
+    if gamma < 0 then
+      invalid_arg "Recovery_line.lemma1: no admissible checkpoint";
+    gamma
   in
   Array.init n component
 

@@ -114,7 +114,7 @@ let bound ~stack ~ccp ~op =
 
 (* Equation-4 invariant (Theorem 3) vs CCP ground truth: whenever
    s^last_f -> c^(gamma+1)_i and s^last_f -/-> s^gamma_i, UC.(f) of p_i
-   must reference s^gamma_i. *)
+   must reference s^gamma_i.  That gamma is {!Oracle.witness}. *)
 let invariant ~stack ~ccp ~op =
   collect @@ fun emit ->
   let n = Ccp.n ccp in
@@ -123,28 +123,15 @@ let invariant ~stack ~ccp ~op =
     | None -> ()
     | Some lgc ->
       for f = 0 to n - 1 do
-        let last_f = Ccp.last_stable_ckpt ccp f in
-        let last_i = Ccp.last_stable ccp pid in
-        let rec find gamma =
-          if gamma > last_i then None
-          else begin
-            let c : Ccp.ckpt = { pid; index = gamma } in
-            let succ : Ccp.ckpt = { pid; index = gamma + 1 } in
-            if
-              (not (Ccp.precedes ccp last_f c)) && Ccp.precedes ccp last_f succ
-            then Some gamma
-            else find (gamma + 1)
-          end
-        in
-        match find 0 with
-        | None -> ()
-        | Some gamma ->
+        let gamma = Oracle.witness ccp ~pid ~f in
+        if gamma >= 0 && gamma <= Ccp.last_stable ccp pid then begin
           let got = Rdt_lgc.retained_because_of lgc f in
           if not (Option.equal Int.equal got (Some gamma)) then
             emit
               (violation "invariant" ~op
                  "p%d must hold UC[%d] = s^%d, found %s" pid f gamma
                  (match got with None -> "Null" | Some g -> string_of_int g))
+        end
       done
   done
 

@@ -64,7 +64,9 @@ val bound : stack:stack -> ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
 
 val invariant : stack:stack -> ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
 (** Theorem 3: every collector's UC array satisfies Equation 4 against
-    CCP ground truth.  Processes without a collector are skipped. *)
+    CCP ground truth: [UC.(f)] of [p_i] references exactly
+    [Oracle.witness ccp ~pid:i ~f] whenever that index is stable.
+    Processes without a collector are skipped. *)
 
 val rdt : ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
 (** Definition 4: the execution is RD-trackable (first violation only). *)

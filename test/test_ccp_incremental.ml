@@ -1,8 +1,8 @@
-(* The incremental analysis engine: a live {!Ccp.Incremental} view and a
-   long-lived {!Zigzag.analyzer} must agree with from-scratch rebuilds at
-   every point of a randomized execution, through appends, out-of-order
-   deliveries and rollbacks; the Oracle's preloaded fast path must agree
-   with its reference characterization. *)
+(* The incremental analysis engine: a live {!Ccp.Incremental} view must
+   agree with from-scratch rebuilds at every point of a randomized
+   execution, through appends, out-of-order deliveries and rollbacks; the
+   causal-frontier lookup {!Ccp.first_preceded} and the Oracle sweeps
+   built on it must agree with literal {!Ccp.precedes} scans. *)
 
 module Trace = Rdt_ccp.Trace
 module Ccp = Rdt_ccp.Ccp
@@ -19,7 +19,7 @@ let ck pid index : Ccp.ckpt = { pid; index }
 
 (* Grows a trace with checkpoints, immediate messages, and out-of-order
    deliveries (a send held back and received after later sends — the
-   non-FIFO case the analyzer's bucket insertion must keep sorted). *)
+   non-FIFO case). *)
 let grow_random ~rng ~steps trace =
   let n = Trace.n trace in
   let pending = ref [] in
@@ -91,51 +91,6 @@ let test_incremental_matches_rebuild () =
       (Ccp.Incremental.ccp incr) (Ccp.of_trace trace)
   done
 
-let test_incremental_zigzag_analyzer () =
-  let rng = Random.State.make [| 1337 |] in
-  let trace = Trace.init_with_initial_checkpoints ~n:4 in
-  let incr = Ccp.Incremental.of_trace trace in
-  let analyzer = Zigzag.analyzer (Ccp.Incremental.ccp incr) in
-  for round = 1 to 6 do
-    grow_random ~rng ~steps:30 trace;
-    let live = Ccp.Incremental.ccp incr in
-    let fresh = Ccp.of_trace trace in
-    List.iter
-      (fun src ->
-        Alcotest.(check (array int))
-          (Format.asprintf "round %d: reach from %a" round Ccp.pp_ckpt src)
-          (Zigzag.reach fresh ~src)
-          (Array.copy (Zigzag.reach_from analyzer ~src)))
-      (Ccp.checkpoints live);
-    Alcotest.(check bool)
-      (Printf.sprintf "round %d: useless sets equal" round)
-      true
-      (Zigzag.useless_from analyzer = Zigzag.useless fresh)
-  done
-
-let test_analyzer_routed_entry_points () =
-  let f = Figures.figure1 () in
-  let a = Zigzag.analyzer f.ccp in
-  let cs = Ccp.checkpoints f.ccp in
-  List.iter
-    (fun c1 ->
-      Alcotest.(check bool)
-        (Format.asprintf "cycle %a" Ccp.pp_ckpt c1)
-        (Zigzag.cycle f.ccp c1) (Zigzag.cycle_from a c1);
-      List.iter
-        (fun c2 ->
-          Alcotest.(check bool)
-            (Format.asprintf "path %a %a" Ccp.pp_ckpt c1 Ccp.pp_ckpt c2)
-            (Zigzag.path_exists f.ccp c1 c2)
-            (Zigzag.path_exists_from a c1 c2))
-        cs)
-    cs;
-  Alcotest.(check bool) "classify [m5,m4]" true
-    (Zigzag.classify_sequence f.ccp ~from_:(ck 0 1) ~to_:(ck 2 2)
-       [ f.m5; f.m4 ]
-    = Zigzag.classify_sequence_from a ~from_:(ck 0 1) ~to_:(ck 2 2)
-        [ f.m5; f.m4 ])
-
 (* --- rollback (trace truncation) --------------------------------------- *)
 
 let test_rollback_invalidates () =
@@ -148,31 +103,25 @@ let test_rollback_invalidates () =
   Trace.message trace ~src:2 ~dst:0;
   let before = Ccp.Incremental.ccp incr in
   Alcotest.(check int) "p1 took s1" 1 (Ccp.last_stable before 1);
-  let gen_before = Ccp.generation before in
   (* roll p1 back to s0: erases its receive (the message becomes
      in-transit, which the model allows), its checkpoint and its send *)
   Trace.truncate_to_checkpoint trace ~pid:1 ~index:0;
   let live = Ccp.Incremental.ccp incr in
   check_equal_ccp ~msg:"after rollback" live (Ccp.of_trace trace);
   Alcotest.(check int) "p1 rolled back to s0" 0 (Ccp.last_stable live 1);
-  Alcotest.(check bool) "generation bumped by the rebuild" true
-    (Ccp.generation live > gen_before);
   (* appends after the rollback keep folding in *)
   Trace.message trace ~src:0 ~dst:2;
   Trace.checkpoint trace 0;
   check_equal_ccp ~msg:"appends after rollback"
     (Ccp.Incremental.ccp incr) (Ccp.of_trace trace);
-  (* a second rollback while an analyzer holds the view: its queries must
-     reindex after the generation bump *)
-  let a = Zigzag.analyzer live in
-  ignore (Zigzag.reach_from a ~src:(ck 0 0));
+  (* a second rollback: zigzag queries on the rebuilt view see only the
+     surviving messages *)
   Trace.checkpoint trace 2;
   ignore (Trace.send trace ~src:2 ~dst:0);
   Trace.truncate_to_checkpoint trace ~pid:2 ~index:1;
-  ignore (Ccp.Incremental.ccp incr);
-  Alcotest.(check (array int)) "analyzer reindexes after generation bump"
+  Alcotest.(check (array int)) "reach after the second rollback"
     (Zigzag.reach (Ccp.of_trace trace) ~src:(ck 2 0))
-    (Array.copy (Zigzag.reach_from a ~src:(ck 2 0)))
+    (Zigzag.reach (Ccp.Incremental.ccp incr) ~src:(ck 2 0))
 
 (* --- the runner's live view ------------------------------------------- *)
 
@@ -217,14 +166,50 @@ let test_runner_ccp_through_recovery () =
         (Ccp.of_trace (Runner.trace t)))
     [ 5; 23 ]
 
-(* --- oracle fast path -------------------------------------------------- *)
+(* --- the causal frontier and the oracle built on it --------------------- *)
+
+(* [first_preceded] and [Oracle.witness] against a literal scan of
+   [Ccp.precedes], from every checkpoint (volatile ones included) to every
+   process (its own included). *)
+let test_first_preceded_scan () =
+  let rng = Random.State.make [| 31415 |] in
+  for round = 1 to 5 do
+    let trace = Trace.init_with_initial_checkpoints ~n:4 in
+    grow_random ~rng ~steps:(40 * round) trace;
+    let ccp = Ccp.of_trace trace in
+    let scan c ~pid =
+      let none = Ccp.volatile_index ccp pid + 1 in
+      let rec go g =
+        if g = none || Ccp.precedes ccp c (ck pid g) then g else go (g + 1)
+      in
+      go 0
+    in
+    List.iter
+      (fun c ->
+        for pid = 0 to Ccp.n ccp - 1 do
+          Alcotest.(check int)
+            (Format.asprintf "round %d: first_preceded %a on p%d" round
+               Ccp.pp_ckpt c pid)
+            (scan c ~pid)
+            (Ccp.first_preceded ccp c ~pid)
+        done)
+      (Ccp.checkpoints ccp);
+    for pid = 0 to Ccp.n ccp - 1 do
+      for f = 0 to Ccp.n ccp - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: witness p%d f=%d" round pid f)
+          (scan (Ccp.last_stable_ckpt ccp f) ~pid - 1)
+          (Oracle.witness ccp ~pid ~f)
+      done
+    done
+  done
 
 let reference_obsolete ccp =
   List.filter
     (fun c -> Oracle.needed_by ccp c = [])
     (Ccp.stable_checkpoints ccp)
 
-let test_oracle_fast_path () =
+let test_oracle_sweeps () =
   let rng = Random.State.make [| 2718 |] in
   for _round = 1 to 5 do
     let trace = Trace.init_with_initial_checkpoints ~n:5 in
@@ -268,16 +253,13 @@ let suite =
   [
     Alcotest.test_case "incremental view matches rebuilds" `Quick
       test_incremental_matches_rebuild;
-    Alcotest.test_case "analyzer tracks a growing CCP" `Quick
-      test_incremental_zigzag_analyzer;
-    Alcotest.test_case "analyzer-routed entry points agree" `Quick
-      test_analyzer_routed_entry_points;
     Alcotest.test_case "rollback invalidates and rebuilds" `Quick
       test_rollback_invalidates;
     Alcotest.test_case "runner live view through recoveries" `Quick
       test_runner_ccp_through_recovery;
-    Alcotest.test_case "oracle fast path = reference" `Quick
-      test_oracle_fast_path;
+    Alcotest.test_case "first_preceded = precedes scan" `Quick
+      test_first_preceded_scan;
+    Alcotest.test_case "oracle sweeps = reference" `Quick test_oracle_sweeps;
     Alcotest.test_case "oracle rejects volatile checkpoints" `Quick
       test_oracle_rejects_volatile;
   ]

@@ -1,6 +1,7 @@
 (* The CLI on input from outside: a file it cannot use is reported as
    "cannot load FILE: ..." with exit 1 (or, in a corpus, as a broken
-   entry), never as an uncaught exception. *)
+   entry), and a configuration it cannot run as "rdtgc: ..." with exit 1,
+   never as an uncaught exception. *)
 
 module Harness = Rdt_verify.Harness
 
@@ -66,6 +67,32 @@ let test_unreadable_nemesis () =
       check_refused "live-fuzz" ~code ~output
         ~expect:"corpus x.scn: RUN-FAILED(unreadable nemesis")
 
+(* The default collector, rdt-lgc, needs an RDT protocol. *)
+let test_run_rejects_config () =
+  let code, output = Helpers.run_cli [ "run"; "--protocol"; "none" ] in
+  check_refused "run --protocol none" ~code ~output
+    ~expect:
+      "rdtgc: Sim_config: garbage collection requires an RDT protocol"
+
+(* A durable run needs a fresh store directory; a second run over the
+   first one's is refused. *)
+let test_run_rejects_used_store_dir () =
+  let dir = scratch "store" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf dir)
+    (fun () ->
+      let store = Filename.concat dir "s" in
+      let run () =
+        Helpers.run_cli [ "run"; "--duration"; "5"; "--store-dir"; store ]
+      in
+      let code, output = run () in
+      if code <> 0 then Alcotest.failf "first run exited %d:\n%s" code output;
+      let code, output = run () in
+      check_refused "second run" ~code ~output
+        ~expect:
+          (Printf.sprintf "rdtgc: Runner.create: store directory %s already \
+                           holds checkpoints" store))
+
 let suite =
   [
     Alcotest.test_case "inspect reports a bad trace line" `Quick
@@ -74,4 +101,8 @@ let suite =
       test_inspect_orphan_receive;
     Alcotest.test_case "live-fuzz reports an unreadable schedule" `Quick
       test_unreadable_nemesis;
+    Alcotest.test_case "run reports an invalid config" `Quick
+      test_run_rejects_config;
+    Alcotest.test_case "run reports a used store directory" `Quick
+      test_run_rejects_used_store_dir;
   ]

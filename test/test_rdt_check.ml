@@ -30,6 +30,46 @@ let test_violations_limit () =
   Alcotest.(check int) "limit respected" 1
     (List.length (Rdt_check.violations ~limit:1 ccp))
 
+(* The pairwise reference: every (source, target) pair with a zigzag path
+   and no causal precedence, in checkpoint order. *)
+let reference_violations ?(limit = max_int) ccp =
+  let ckpts = Ccp.checkpoints ccp in
+  let pairs =
+    List.concat_map
+      (fun source ->
+        let r = Zigzag.reach ccp ~src:source in
+        List.filter_map
+          (fun (target : Ccp.ckpt) ->
+            if
+              r.(target.pid) <= target.index
+              && not (Ccp.precedes ccp source target)
+            then Some { Rdt_check.source; target }
+            else None)
+          ckpts)
+      ckpts
+  in
+  List.filteri (fun i _ -> i < limit) pairs
+
+let test_violations_match_reference () =
+  let seen = ref 0 in
+  for seed = 1 to 12 do
+    let ccp = Ccp.of_trace (Helpers.random_trace ~seed ~n:4 ~ops:60) in
+    let expected = reference_violations ccp in
+    if expected <> [] then incr seen;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: all violations" seed)
+      true
+      (Rdt_check.violations ccp = expected);
+    List.iter
+      (fun limit ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: first %d violations" seed limit)
+          true
+          (Rdt_check.violations ~limit ccp = reference_violations ~limit ccp))
+      [ 1; 3; 10 ]
+  done;
+  Alcotest.(check bool) "some traces are not RD-trackable" true (!seen > 0)
+
 let test_empty_execution_is_rdt () =
   let t = Rdt_ccp.Trace.init_with_initial_checkpoints ~n:3 in
   Alcotest.(check bool) "trivially RDT" true (Rdt_check.holds (Ccp.of_trace t))
@@ -98,6 +138,8 @@ let suite =
       test_figure1_without_m3_is_not;
     Alcotest.test_case "figure 2 is not RDT" `Quick test_figure2_is_not_rdt;
     Alcotest.test_case "violations limit" `Quick test_violations_limit;
+    Alcotest.test_case "violations = pairwise reference" `Quick
+      test_violations_match_reference;
     Alcotest.test_case "empty execution is RDT" `Quick
       test_empty_execution_is_rdt;
     Alcotest.test_case "RDT protocols fix the domino interleaving" `Quick

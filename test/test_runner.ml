@@ -342,11 +342,11 @@ let test_muted_trace_survives_rollback () =
     "same summary" (summary ~recording:true) (summary ~recording:false)
 
 (* The Runner-path twin of [fuzz --mutate-lgc]: with every collector
-   over-collecting, the safety audit the tier-1 tests share must fire.  It
-   runs at every sample because the damage is transient: these runs end
-   in a safe state.  An audit fails by raising Alcotest's (unexported)
-   check error, hence the catch-all. *)
-let test_overcollect_caught () =
+   over-collecting, an audit the tier-1 tests share must fire.  It runs
+   at every sample because the damage is transient: these runs end in a
+   safe state.  An audit fails by raising Alcotest's (unexported) check
+   error, hence the catch-all. *)
+let overcollect_caught_by audit =
   let caught = ref 0 in
   List.iter
     (fun seed ->
@@ -365,12 +365,20 @@ let test_overcollect_caught () =
           (Runner.collector t pid)
       done;
       Runner.set_on_sample t (fun t ->
-          match Helpers.audit_safety t with
-          | () -> ()
-          | exception _ -> incr caught);
+          match audit t with () -> () | exception _ -> incr caught);
       Runner.run t)
     [ 1; 2; 3 ];
-  Alcotest.(check bool) "over-collection caught" true (!caught > 0)
+  !caught > 0
+
+let test_overcollect_caught () =
+  Alcotest.(check bool) "over-collection caught" true
+    (overcollect_caught_by Helpers.audit_safety)
+
+(* The Equation-4 oracle on its own: the mutant drops UC references that
+   {!Rdt_gc.Oracle.witness} says must stay. *)
+let test_overcollect_breaks_invariant () =
+  Alcotest.(check bool) "invariant violated" true
+    (overcollect_caught_by Helpers.audit_invariant)
 
 (* --- metrics ----------------------------------------------------------- *)
 
@@ -452,6 +460,8 @@ let suite =
       test_muted_trace_survives_rollback;
     Alcotest.test_case "over-collecting mutant caught" `Quick
       test_overcollect_caught;
+    Alcotest.test_case "over-collection breaks the invariant" `Quick
+      test_overcollect_breaks_invariant;
     Alcotest.test_case "series recorded" `Quick test_series_recorded;
     Alcotest.test_case "summary accounting" `Quick test_summary_accounting;
     Alcotest.test_case "config validation" `Quick
