@@ -347,6 +347,51 @@ let test_log_store_open_is_readonly () =
   Alcotest.(check bool) "no bytes written" true (before = mtimes ());
   rm_rf dir
 
+(* --- on-disk format golden ---------------------------------------------- *)
+
+(* A fixed op sequence — 4 KiB and 1-byte checkpoints, eliminations that
+   trigger auto-compaction, a rollback truncation, a clean close — and the
+   MD5 of every file it leaves.  Any change to record encoding, framing,
+   CRC, segment rotation, compaction or the manifest shows up here; a
+   deliberate format change must update these digests (and bump the
+   segment magic). *)
+let golden_config =
+  {
+    Log_store.batch_records = 4;
+    fsync = Log_store.Every 8;
+    segment_target_bytes = 16 * 1024;
+    compact_min_dead_bytes = 8 * 1024;
+    auto_compact = true;
+  }
+
+let golden_digests =
+  [
+    ("MANIFEST", "1f96713307e53e9a7dbbfe7e0c54e797");
+    ("seg-00000014.log", "32085b4a32f156ba042f2cc6893194d6");
+    ("seg-00000015.log", "8692242c14197c9c2c1ff25e272b5697");
+  ]
+
+let test_format_golden () =
+  let dir = tmp_dir () in
+  let t = Log_store.create ~config:golden_config ~pid:5 ~dir () in
+  for i = 0 to 23 do
+    let size_bytes = if i mod 3 = 2 then 1 else 4096 in
+    Log_store.append t
+      (mk_entry ~dv:[| i; i / 2; 7; 0x1234_5678 |] ~size_bytes ~payload:(31 * i) i);
+    if i >= 3 then Log_store.eliminate t ~index:(i - 3)
+  done;
+  Log_store.truncate_above t ~index:21;
+  let s = Log_store.stats t in
+  Alcotest.(check bool) "auto-compaction ran" true (s.Log_store.compactions > 0);
+  Alcotest.(check (list int)) "live after truncate" [ 21 ] (Log_store.live_indices t);
+  Log_store.close t;
+  let got =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
+  in
+  Alcotest.(check (list (pair string string))) "file digests" golden_digests got;
+  rm_rf dir
+
 (* --- injected crashes --------------------------------------------------- *)
 
 (* Drive a store with fsync-per-record until the armed fault fires; with
@@ -602,6 +647,7 @@ let suite =
       test_log_store_corrupt_record;
     Alcotest.test_case "opening never writes" `Quick
       test_log_store_open_is_readonly;
+    Alcotest.test_case "on-disk format golden" `Quick test_format_golden;
     Alcotest.test_case "crash: short write" `Quick test_crash_short_write;
     Alcotest.test_case "crash: before sync" `Quick test_crash_before_sync;
     Alcotest.test_case "crash: bit flip" `Quick test_crash_bit_flip;
