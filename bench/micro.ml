@@ -416,26 +416,26 @@ let bench_tmp_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "rdtgc_bench_store_%d_%d" (Unix.getpid ()) !counter)
 
-let store_entry index =
+let store_entry ?(size_bytes = 256) index =
   {
     Stable_store.index;
     dv = [| index; 0; 0; 0 |];
     taken_at = float_of_int index;
-    size_bytes = 256;
+    size_bytes;
     payload = index;
   }
 
 (* Steady state: append s^i and collect s^(i-8) — the live set stays at 8
    and auto-compaction keeps the directory bounded, so each call is the
    durable cost of one checkpoint under a working collector. *)
-let store_append_setup ~config =
+let store_append_setup ?size_bytes ~config () =
   let t = Log_store.create ~config ~pid:0 ~dir:(bench_tmp_dir ()) () in
   for j = 0 to 7 do
-    Log_store.append t (store_entry j)
+    Log_store.append t (store_entry ?size_bytes j)
   done;
   let i = ref 8 in
   fun () ->
-    Log_store.append t (store_entry !i);
+    Log_store.append t (store_entry ?size_bytes !i);
     Log_store.eliminate t ~index:(!i - 8);
     incr i
 
@@ -449,9 +449,10 @@ let store_append_tests =
     make_batched ~name:"store/append+collect/fsync=never" ~k:64
       (store_append_setup
          ~config:
-           { Log_store.default_config with Log_store.fsync = Log_store.Never });
+           { Log_store.default_config with Log_store.fsync = Log_store.Never }
+         ());
     make_batched ~name:"store/append+collect/fsync=every64" ~k:64
-      (store_append_setup ~config:Log_store.default_config);
+      (store_append_setup ~config:Log_store.default_config ());
     Test.make ~name:"store/append+collect/fsync=always,batch=1"
       (Staged.stage
          (store_append_setup
@@ -460,7 +461,23 @@ let store_append_tests =
                 Log_store.default_config with
                 Log_store.fsync = Log_store.Always;
                 batch_records = 1;
-              }));
+              }
+            ()));
+    (* the checkpoint size of the full-stack durable workload: encode,
+       filler and CRC scale with the payload, so here they are the bulk of
+       the CPU cost rather than a small share of it *)
+    make_batched ~name:"store/append+collect/size=4096" ~k:64
+      (store_append_setup ~size_bytes:4096 ~config:Log_store.default_config ());
+  ]
+
+(* The checksum of one 4 KiB checkpoint record (4,096 filler bytes plus a
+   short header), computed in place as the segment writer does. *)
+let crc32_tests =
+  let b = Bytes.init 4203 (fun i -> Char.chr ((i * 167) land 0xff)) in
+  [
+    Test.make ~name:"crc32/4KiB"
+      (Staged.stage (fun () ->
+           ignore (Sys.opaque_identity (Rdt_store.Crc32.bytes b ~pos:0 ~len:4203))));
   ]
 
 (* One full compaction cycle: 16 checkpoints written and obsoleted, then
@@ -791,6 +808,7 @@ let micro_groups =
     ("Theorem 1 retained-set computation", `Fast, theorem1_tests);
     ("zigzag reachability (analysis substrate)", `Medium, zigzag_tests);
     ccp_group;
+    ("CRC-32 of a 4 KiB record", `Medium, crc32_tests);
     ( "durable log store: append path, compaction, recovery scan",
       `SlowIO,
       store_tests );

@@ -48,6 +48,7 @@ type t = {
   segs : (int, seg_info) Hashtbl.t;
   live : (int, live_rec) Hashtbl.t;  (* checkpoint index -> live record *)
   mutable active : (Segment.writer * seg_info) option;
+  mutable last_writer : Segment.writer option;  (* staging buffer to reuse *)
   mutable next_lsn : int;
   mutable next_seg_id : int;
   mutable appended : int;  (* this instance *)
@@ -177,6 +178,7 @@ let create ?(config = default_config) ?(faults = Fault.none) ~pid ~dir () =
       segs = Hashtbl.create 8;
       live = Hashtbl.create 16;
       active = None;
+      last_writer = None;
       next_lsn = 0;
       next_seg_id = 0;
       appended = 0;
@@ -233,13 +235,21 @@ let fresh_lsn t =
   t.next_lsn <- lsn + 1;
   lsn
 
+(* At most one writer is open at a time — compaction seals the active
+   segment before it rewrites — so each new one takes over the last one's
+   staging buffer. *)
+let new_writer t id =
+  let w = Segment.create_writer ?reuse:t.last_writer ~path:(seg_path t id) () in
+  t.last_writer <- Some w;
+  w
+
 let ensure_writer t =
   match t.active with
   | Some (w, info) -> (w, info)
   | None ->
     let id = t.next_seg_id in
     t.next_seg_id <- id + 1;
-    let w = Segment.create_writer ~path:(seg_path t id) in
+    let w = new_writer t id in
     let info = { id; total_bytes = 0; dead_bytes = 0; sealed = false } in
     Hashtbl.add t.segs id info;
     t.active <- Some (w, info);
@@ -261,14 +271,18 @@ let seal t =
     t.active <- None;
     write_manifest t
 
+(* Callers append a tombstone before killing what it obsoletes, so a
+   rejected record leaves the live set untouched too. *)
 let append_record t make_record =
   check_usable t;
+  let record = make_record t.next_lsn in
+  (* an unframeable record is rejected before anything changes: no LSN,
+     no segment file, nothing staged *)
+  ignore (Segment.frame_length record);
+  t.next_lsn <- t.next_lsn + 1;
   t.dirty <- true;
   let w, info = ensure_writer t in
-  let record = make_record (fresh_lsn t) in
-  let payload = Record.encode record in
-  let frame_bytes = Bytes.length payload + Segment.frame_overhead in
-  Segment.append w payload;
+  let frame_bytes = Segment.append w record in
   info.total_bytes <- info.total_bytes + frame_bytes;
   t.appended <- t.appended + 1;
   t.ops_since_sync <- t.ops_since_sync + 1;
@@ -337,20 +351,22 @@ let compact_sealed t =
     if not (List.is_empty movers) then begin
       let id = t.next_seg_id in
       t.next_seg_id <- id + 1;
-      let w = Segment.create_writer ~path:(seg_path t id) in
+      let w = new_writer t id in
       let info = { id; total_bytes = 0; dead_bytes = 0; sealed = true } in
       List.iter
         (fun r ->
-          let payload =
-            Record.encode
+          let frame_bytes =
+            Segment.append w
               (Record.Store
                  { pid = t.pid; lsn = fresh_lsn t; entry = r.lr_entry })
           in
-          Segment.append w payload;
-          let frame_bytes = Bytes.length payload + Segment.frame_overhead in
           info.total_bytes <- info.total_bytes + frame_bytes;
           r.lr_seg <- info;
-          r.lr_bytes <- frame_bytes)
+          r.lr_bytes <- frame_bytes;
+          (* batch-sized writes keep the staging buffer, which the next
+             writer inherits, from growing to the whole live set *)
+          if Segment.pending_records w >= t.config.batch_records then
+            Segment.flush w)
         movers;
       Segment.close ~sync:true w;
       t.syncs <- t.syncs + 1;
@@ -412,10 +428,10 @@ let eliminate t ~index =
   | None ->
     invalid_arg (Printf.sprintf "Log_store.eliminate: no live s^%d" index)
   | Some rec_ ->
-    kill t rec_;
     let frame_bytes, info =
       append_record t (fun lsn -> Record.Eliminate { pid = t.pid; lsn; index })
     in
+    kill t rec_;
     info.dead_bytes <- info.dead_bytes + frame_bytes;
     maybe_compact t
 
@@ -426,11 +442,11 @@ let truncate_above t ~index =
       t.live []
   in
   if not (List.is_empty doomed) then begin
-    List.iter (kill t) doomed;
     let frame_bytes, info =
       append_record t (fun lsn ->
           Record.Truncate_above { pid = t.pid; lsn; index })
     in
+    List.iter (kill t) doomed;
     info.dead_bytes <- info.dead_bytes + frame_bytes;
     maybe_compact t
   end

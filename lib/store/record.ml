@@ -26,53 +26,88 @@ let store_ext_len = 8 + 4 + 8 + 2
 let filler_byte ~payload ~k =
   Char.chr ((payload + (k * 167)) land 0xff)
 
-let put_head b ~kind ~pid ~lsn ~index =
-  Bytes.set_uint8 b 0 kind;
-  Bytes.set_int32_le b 1 (Int32.of_int pid);
-  Bytes.set_int64_le b 5 (Int64.of_int lsn);
-  Bytes.set_int32_le b 13 (Int32.of_int index)
+(* 167 * 256 = 0 (mod 256): the filler repeats every 256 bytes *)
+let filler_period = 256
 
-let encode = function
-  | Eliminate { pid; lsn; index } ->
-    let b = Bytes.create head_len in
-    put_head b ~kind:tag_eliminate ~pid ~lsn ~index;
-    b
-  | Truncate_above { pid; lsn; index } ->
-    let b = Bytes.create head_len in
-    put_head b ~kind:tag_truncate ~pid ~lsn ~index;
-    b
-  | Store { pid; lsn; entry } ->
-    let dv_len = Array.length entry.Stable_store.dv in
-    if dv_len > 0xffff then invalid_arg "Record.encode: dv too long";
-    if entry.size_bytes < 0 then invalid_arg "Record.encode: negative size";
-    let b =
-      Bytes.create (head_len + store_ext_len + (4 * dv_len) + entry.size_bytes)
-    in
-    put_head b ~kind:tag_store ~pid ~lsn ~index:entry.index;
-    Bytes.set_int64_le b head_len (Int64.bits_of_float entry.taken_at);
-    Bytes.set_int32_le b (head_len + 8) (Int32.of_int entry.size_bytes);
-    Bytes.set_int64_le b (head_len + 12) (Int64.of_int entry.payload);
-    Bytes.set_uint16_le b (head_len + 20) dv_len;
-    let dv_off = head_len + store_ext_len in
-    Array.iteri
-      (fun i x -> Bytes.set_int32_le b (dv_off + (4 * i)) (Int32.of_int x))
-      entry.dv;
-    let fill_off = dv_off + (4 * dv_len) in
-    for k = 0 to entry.size_bytes - 1 do
-      Bytes.set b (fill_off + k) (filler_byte ~payload:entry.payload ~k)
+(* every u32 field must round-trip; [Int32.of_int] would wrap silently *)
+let check_u32 what x =
+  if x < 0 || x > 0xffff_ffff then
+    invalid_arg (Printf.sprintf "Record: %s %d out of u32 range" what x)
+
+let encoded_length = function
+  | Eliminate { pid; index; _ } | Truncate_above { pid; index; _ } ->
+    check_u32 "pid" pid;
+    check_u32 "index" index;
+    head_len
+  | Store { pid; entry; _ } ->
+    check_u32 "pid" pid;
+    check_u32 "index" entry.Stable_store.index;
+    check_u32 "size_bytes" entry.size_bytes;
+    let dv_len = Array.length entry.dv in
+    if dv_len > 0xffff then invalid_arg "Record: dv too long";
+    for i = 0 to dv_len - 1 do
+      check_u32 "dv entry" entry.dv.(i)
     done;
-    b
+    head_len + store_ext_len + (4 * dv_len) + entry.size_bytes
+
+let put_head b pos ~kind ~pid ~lsn ~index =
+  Bytes.set_uint8 b pos kind;
+  Bytes.set_int32_le b (pos + 1) (Int32.of_int pid);
+  Bytes.set_int64_le b (pos + 5) (Int64.of_int lsn);
+  Bytes.set_int32_le b (pos + 13) (Int32.of_int index)
+
+(* [size] filler bytes at [off]: one period bytewise, then doubling
+   non-overlapping blits of what is already written *)
+let put_filler b off ~payload ~size =
+  for k = 0 to min size filler_period - 1 do
+    Bytes.set b (off + k) (filler_byte ~payload ~k)
+  done;
+  let filled = ref (min size filler_period) in
+  while !filled < size do
+    let n = min !filled (size - !filled) in
+    Bytes.blit b off b (off + !filled) n;
+    filled := !filled + n
+  done
+
+let encode_into r b ~pos =
+  let len = encoded_length r in
+  if pos < 0 || pos > Bytes.length b - len then invalid_arg "Record.encode_into";
+  match r with
+  | Eliminate { pid; lsn; index } ->
+    put_head b pos ~kind:tag_eliminate ~pid ~lsn ~index
+  | Truncate_above { pid; lsn; index } ->
+    put_head b pos ~kind:tag_truncate ~pid ~lsn ~index
+  | Store { pid; lsn; entry } ->
+    put_head b pos ~kind:tag_store ~pid ~lsn ~index:entry.Stable_store.index;
+    let ext = pos + head_len in
+    Bytes.set_int64_le b ext (Int64.bits_of_float entry.taken_at);
+    Bytes.set_int32_le b (ext + 8) (Int32.of_int entry.size_bytes);
+    Bytes.set_int64_le b (ext + 12) (Int64.of_int entry.payload);
+    Bytes.set_uint16_le b (ext + 20) (Array.length entry.dv);
+    let dv_off = ext + store_ext_len in
+    for i = 0 to Array.length entry.dv - 1 do
+      Bytes.set_int32_le b (dv_off + (4 * i)) (Int32.of_int entry.dv.(i))
+    done;
+    put_filler b
+      (dv_off + (4 * Array.length entry.dv))
+      ~payload:entry.payload ~size:entry.size_bytes
+
+let encode r =
+  let b = Bytes.create (encoded_length r) in
+  encode_into r b ~pos:0;
+  b
 
 let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
-let decode b =
-  let len = Bytes.length b in
+let decode b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Record.decode";
   if len < head_len then Error "record shorter than header"
   else begin
-    let kind = Bytes.get_uint8 b 0 in
-    let pid = u32 b 1 in
-    let lsn = Int64.to_int (Bytes.get_int64_le b 5) in
-    let index = u32 b 13 in
+    let kind = Bytes.get_uint8 b pos in
+    let pid = u32 b (pos + 1) in
+    let lsn = Int64.to_int (Bytes.get_int64_le b (pos + 5)) in
+    let index = u32 b (pos + 13) in
     if kind = tag_eliminate then
       if len = head_len then Ok (Eliminate { pid; lsn; index })
       else Error "eliminate record has trailing bytes"
@@ -82,14 +117,15 @@ let decode b =
     else if kind = tag_store then begin
       if len < head_len + store_ext_len then Error "store record truncated"
       else begin
-        let taken_at = Int64.float_of_bits (Bytes.get_int64_le b head_len) in
-        let size_bytes = u32 b (head_len + 8) in
-        let payload = Int64.to_int (Bytes.get_int64_le b (head_len + 12)) in
-        let dv_len = Bytes.get_uint16_le b (head_len + 20) in
+        let ext = pos + head_len in
+        let taken_at = Int64.float_of_bits (Bytes.get_int64_le b ext) in
+        let size_bytes = u32 b (ext + 8) in
+        let payload = Int64.to_int (Bytes.get_int64_le b (ext + 12)) in
+        let dv_len = Bytes.get_uint16_le b (ext + 20) in
         let expect = head_len + store_ext_len + (4 * dv_len) + size_bytes in
         if len <> expect then Error "store record length mismatch"
         else begin
-          let dv_off = head_len + store_ext_len in
+          let dv_off = ext + store_ext_len in
           let dv = Array.init dv_len (fun i -> u32 b (dv_off + (4 * i))) in
           Ok
             (Store

@@ -28,11 +28,29 @@ type t =
 val pid : t -> int
 val lsn : t -> int
 
-val encode : t -> Bytes.t
-(** Payload bytes (unframed). *)
+val encoded_length : t -> int
+(** Length of the record's payload bytes (unframed).  This is also the
+    validity check: raises [Invalid_argument] if a field cannot be encoded
+    losslessly — a pid, index, DV entry or [size_bytes] outside
+    [\[0, 2^32)], or a DV longer than 65,535 entries. *)
 
-val decode : Bytes.t -> (t, string) result
-(** Inverse of {!encode}; [Error] explains the malformation.  A CRC-valid
-    frame should always decode — a decode error means a foreign or
-    corrupted-yet-CRC-colliding record and is counted as dropped by the
-    scan. *)
+val encode_into : t -> Bytes.t -> pos:int -> unit
+(** Write exactly [encoded_length r] payload bytes into [b] at [pos],
+    touching nothing else of [b].  The filler is written by block copies
+    (it repeats every 256 bytes).  Raises [Invalid_argument] as
+    {!encoded_length} does, or if the bytes do not fit in [b]; either way
+    [b] is left unchanged. *)
+
+val encode : t -> Bytes.t
+(** [encode_into] a fresh buffer of exactly [encoded_length r] bytes. *)
+
+val decode : Bytes.t -> pos:int -> len:int -> (t, string) result
+(** Inverse of {!encode_into}, reading the [len] bytes at [pos] in place;
+    [Error] explains the malformation.  A CRC-valid frame should always
+    decode — a decode error means a foreign or corrupted-yet-CRC-colliding
+    record and is counted as dropped by the scan.  Raises
+    [Invalid_argument] if the window is not inside [b]. *)
+
+val filler_byte : payload:int -> k:int -> char
+(** Byte [k] of a store record's filler blob, a function of the
+    checkpoint's state digest [payload]. *)

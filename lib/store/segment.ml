@@ -10,36 +10,82 @@ let max_payload = 64 * 1024 * 1024
 type writer = {
   w_path : string;
   fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable pending : int;  (* records in [buf] *)
+  mutable buf : Bytes.t;  (* staging buffer, kept across flushes *)
+  mutable staged : int;  (* bytes of [buf] not yet written *)
+  mutable pending : int;  (* records staged *)
   mutable written : int;  (* bytes handed to write(2) *)
   mutable synced : int;  (* bytes covered by the last fsync *)
   mutable closed : bool;
 }
 
-let create_writer ~path =
+(* grow by doubling; the staged prefix moves, nothing else is kept *)
+let reserve w n =
+  let need = w.staged + n in
+  if need > Bytes.length w.buf then begin
+    let cap = ref (max 4096 (2 * Bytes.length w.buf)) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit w.buf 0 buf 0 w.staged;
+    w.buf <- buf
+  end
+
+let create_writer ?reuse ~path () =
+  let buf =
+    match reuse with
+    | None -> Bytes.empty
+    | Some old ->
+      if not old.closed then
+        invalid_arg "Segment.create_writer: reuse of an open writer";
+      let buf = old.buf in
+      old.buf <- Bytes.empty;
+      buf
+  in
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  { w_path = path; fd; buf; pending = 0; written = 0; synced = 0; closed = false }
+  let w =
+    {
+      w_path = path;
+      fd;
+      buf;
+      staged = 0;
+      pending = 0;
+      written = 0;
+      synced = 0;
+      closed = false;
+    }
+  in
+  reserve w magic_len;
+  Bytes.blit_string magic 0 w.buf 0 magic_len;
+  w.staged <- magic_len;
+  w
 
 let path w = w.w_path
 
-let frame payload =
-  let len = Bytes.length payload in
-  let b = Bytes.create (frame_head_len + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (Crc32.bytes payload ~pos:0 ~len);
-  Bytes.blit payload 0 b frame_head_len len;
-  b
+let frame_length r =
+  let len = Record.encoded_length r in
+  if len > max_payload then
+    invalid_arg
+      (Printf.sprintf "Segment: a %d-byte record exceeds the %d-byte frame limit"
+         len max_payload);
+  frame_head_len + len
 
-let append w payload =
+let append w r =
   if w.closed then invalid_arg "Segment.append: writer closed";
-  Buffer.add_bytes w.buf (frame payload);
-  w.pending <- w.pending + 1
+  let frame = frame_length r in
+  reserve w frame;
+  let head = w.staged in
+  let len = frame - frame_head_len in
+  Record.encode_into r w.buf ~pos:(head + frame_head_len);
+  Bytes.set_int32_le w.buf head (Int32.of_int len);
+  Bytes.set_int32_le w.buf (head + 4)
+    (Crc32.bytes w.buf ~pos:(head + frame_head_len) ~len);
+  w.staged <- head + frame;
+  w.pending <- w.pending + 1;
+  frame
 
 let pending_records w = w.pending
-let pending_bytes w = Buffer.length w.buf
+let pending_bytes w = w.staged
 let written_bytes w = w.written
 
 let write_all fd b pos len =
@@ -51,10 +97,10 @@ let write_all fd b pos len =
   done
 
 let flush w =
-  let len = Buffer.length w.buf in
+  let len = w.staged in
   if len > 0 then begin
-    write_all w.fd (Buffer.to_bytes w.buf) 0 len;
-    Buffer.clear w.buf;
+    write_all w.fd w.buf 0 len;
+    w.staged <- 0;
     w.pending <- 0;
     w.written <- w.written + len
   end
@@ -77,18 +123,17 @@ let close ?(sync = true) w =
 
 let abandon w =
   w.closed <- true;
-  Buffer.clear w.buf;
+  w.staged <- 0;
   w.pending <- 0;
   Unix.close w.fd
 
 (* --- crash mechanics --------------------------------------------------- *)
 
 let crash_short_write w ~rng =
-  let b = Buffer.to_bytes w.buf in
-  let len = Bytes.length b in
+  let len = w.staged in
   (* a strict prefix: at least nothing, at most all-but-one byte *)
   let keep = if len = 0 then 0 else Rdt_sim.Prng.int rng len in
-  if keep > 0 then write_all w.fd b 0 keep;
+  if keep > 0 then write_all w.fd w.buf 0 keep;
   abandon w
 
 let crash_drop_unsynced w =
@@ -157,7 +202,7 @@ let scan ~path ~f =
           let ppos = !off + frame_head_len in
           if Crc32.bytes b ~pos:ppos ~len:plen <> crc then incr dropped
           else begin
-            match Record.decode (Bytes.sub b ppos plen) with
+            match Record.decode b ~pos:ppos ~len:plen with
             | Ok r ->
               f ~frame_bytes:(frame_head_len + plen) r;
               incr records

@@ -5,9 +5,12 @@
     Segments are created once, appended to while active, sealed, and only
     ever deleted whole (by compaction); nothing rewrites in place.
 
-    The writer buffers frames ([append]) and hands batching to the store:
-    [flush] issues one [write] for everything pending, [sync] additionally
-    [fsync]s.  The three [crash_*] operations implement the fault model of
+    The writer stages frames in one growable byte buffer that it keeps
+    across flushes: [append] encodes a record straight into it behind a
+    reserved frame header, checksums those bytes in place and fills the
+    header in, so a record is written once and never copied.  Batching is
+    the store's call: [flush] issues one [write] of the staged bytes from
+    that same buffer, [sync] additionally [fsync]s.  The three [crash_*] operations implement the fault model of
     {!Fault} — they leave the file exactly as the modeled crash would
     (torn batch prefix / unsynced data rolled back / flipped bit) and
     close the descriptor.
@@ -20,15 +23,26 @@
 
 type writer
 
-val create_writer : path:string -> writer
+val create_writer : ?reuse:writer -> path:string -> unit -> writer
 (** Create (truncating) a fresh segment file.  The magic header is
-    buffered like any payload, so a crash before the first flush leaves an
-    empty file, which scans as zero records. *)
+    staged like any payload, so a crash before the first flush leaves an
+    empty file, which scans as zero records.  [reuse] hands over the
+    staging buffer of a closed writer (raises [Invalid_argument] if it is
+    still open), so a store rolling through segments grows one buffer
+    once instead of one per segment. *)
 
 val path : writer -> string
 
-val append : writer -> Bytes.t -> unit
-(** Buffer one framed record (no syscall). *)
+val frame_length : Record.t -> int
+(** The record's on-disk footprint, frame header included.  Raises
+    [Invalid_argument] if the record cannot be framed: a field
+    {!Record.encoded_length} rejects, or a payload over the 64 MiB frame
+    limit the scanner enforces (it would read back as a torn tail). *)
+
+val append : writer -> Record.t -> int
+(** Stage one framed record (no syscall) and return its
+    {!frame_length}.  An unframeable record raises [Invalid_argument]
+    before the buffer grows, leaving the writer unchanged. *)
 
 val pending_records : writer -> int
 val pending_bytes : writer -> int

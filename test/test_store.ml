@@ -66,6 +66,41 @@ let test_crc32_vectors () =
   Alcotest.(check int32) "123456789" 0xCBF43926l (Crc32.string "123456789");
   Alcotest.(check int32) "empty" 0l (Crc32.string "")
 
+(* the definition, one bit at a time: independent of the table-driven
+   implementation under test *)
+let crc32_reference b ~pos ~len =
+  let crc = ref 0xffff_ffff in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xffff_ffff)
+
+(* random windows over a random buffer: unaligned starts and every tail
+   length past the 8-byte blocks *)
+let crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 = bytewise reference on random windows"
+    ~count:500
+    QCheck.(triple (string_of_size Gen.(0 -- 96)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let b_ = Bytes.of_string s in
+      let n = Bytes.length b_ in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Crc32.bytes b_ ~pos ~len = crc32_reference b_ ~pos ~len)
+
+let test_crc32_every_tail () =
+  let b = Bytes.init 64 (fun i -> Char.chr (((i * 73) + 11) land 0xff)) in
+  for pos = 0 to 8 do
+    for len = 0 to 64 - pos do
+      if Crc32.bytes b ~pos ~len <> crc32_reference b ~pos ~len then
+        Alcotest.failf "crc32 mismatch at pos %d len %d" pos len
+    done
+  done
+
 let test_crc32_window () =
   let b = Bytes.of_string "xx123456789yy" in
   Alcotest.(check int32) "windowed = string" (Crc32.string "123456789")
@@ -78,9 +113,11 @@ let test_crc32_window () =
 
 (* --- record encoding ---------------------------------------------------- *)
 
+let decode_all b = Record.decode b ~pos:0 ~len:(Bytes.length b)
+
 let test_record_roundtrip () =
   let roundtrip r =
-    match Record.decode (Record.encode r) with
+    match decode_all (Record.encode r) with
     | Ok r' -> r'
     | Error e -> Alcotest.failf "decode failed: %s" e
   in
@@ -100,14 +137,77 @@ let test_record_roundtrip () =
 
 let test_record_decode_garbage () =
   Alcotest.(check bool) "empty rejected" true
-    (Result.is_error (Record.decode (Bytes.create 0)));
+    (Result.is_error (decode_all (Bytes.create 0)));
   Alcotest.(check bool) "bad kind rejected" true
-    (Result.is_error (Record.decode (Bytes.make 40 '\xff')));
+    (Result.is_error (decode_all (Bytes.make 40 '\xff')));
   let whole =
     Record.encode (Record.Store { pid = 0; lsn = 1; entry = mk_entry 0 })
   in
   Alcotest.(check bool) "truncated rejected" true
-    (Result.is_error (Record.decode (Bytes.sub whole 0 (Bytes.length whole - 3))))
+    (Result.is_error
+       (Record.decode whole ~pos:0 ~len:(Bytes.length whole - 3)))
+
+let test_record_encode_into_offset () =
+  let records =
+    [
+      Record.Store { pid = 3; lsn = 12; entry = mk_entry ~size_bytes:700 4 };
+      Record.Eliminate { pid = 3; lsn = 13; index = 4 };
+      Record.Truncate_above { pid = 3; lsn = 14; index = 2 };
+    ]
+  in
+  List.iter
+    (fun r ->
+      let whole = Record.encode r in
+      let len = Record.encoded_length r in
+      Alcotest.(check int) "encoded_length = |encode|" (Bytes.length whole) len;
+      let b = Bytes.make (len + 20) '#' in
+      Record.encode_into r b ~pos:13;
+      Alcotest.(check string) "same bytes at pos 13" (Bytes.to_string whole)
+        (Bytes.sub_string b 13 len);
+      Alcotest.(check string) "prefix untouched" (String.make 13 '#')
+        (Bytes.sub_string b 0 13);
+      Alcotest.(check string) "suffix untouched" (String.make 7 '#')
+        (Bytes.sub_string b (13 + len) 7);
+      Alcotest.check_raises "no room" (Invalid_argument "Record.encode_into")
+        (fun () -> Record.encode_into r b ~pos:21))
+    records
+
+let test_record_filler_sizes () =
+  List.iter
+    (fun size_bytes ->
+      let entry = mk_entry ~dv:[| 9; 0; 2 |] ~size_bytes ~payload:77 6 in
+      let b = Record.encode (Record.Store { pid = 1; lsn = 5; entry }) in
+      let fill_off = Bytes.length b - size_bytes in
+      for k = 0 to size_bytes - 1 do
+        if Bytes.get b (fill_off + k) <> Record.filler_byte ~payload:entry.S.payload ~k
+        then Alcotest.failf "size %d: filler byte %d wrong" size_bytes k
+      done;
+      match decode_all b with
+      | Ok (Record.Store { pid = 1; lsn = 5; entry = e }) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "size %d roundtrips" size_bytes)
+          true (entry_eq entry e)
+      | Ok _ | Error _ -> Alcotest.failf "size %d: decode failed" size_bytes)
+    [ 0; 1; 255; 256; 257; 512; 4096; 4097 ]
+
+let test_record_rejects_unencodable () =
+  let rejects name r =
+    Alcotest.(check bool) name true
+      (match Record.encoded_length r with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let store ?(pid = 0) entry = Record.Store { pid; lsn = 0; entry } in
+  rejects "pid >= 2^32" (store ~pid:(1 lsl 32) (mk_entry 0));
+  rejects "negative pid" (store ~pid:(-1) (mk_entry 0));
+  rejects "index >= 2^32" (store (mk_entry (1 lsl 32)));
+  rejects "dv entry >= 2^32" (store (mk_entry ~dv:[| 0; 1 lsl 32 |] 0));
+  rejects "size_bytes >= 2^32" (store (mk_entry ~size_bytes:(1 lsl 32) 0));
+  rejects "negative size_bytes" (store (mk_entry ~size_bytes:(-1) 0));
+  rejects "tombstone index" (Record.Eliminate { pid = 0; lsn = 0; index = -1 });
+  Alcotest.(check int) "u32 max accepted" 17
+    (Record.encoded_length
+       (Record.Truncate_above { pid = 0xffff_ffff; lsn = 0; index = 0xffff_ffff }))
 
 (* --- segments ----------------------------------------------------------- *)
 
@@ -117,8 +217,8 @@ let seg_records =
     [ 0; 1; 2 ]
 
 let write_segment path records =
-  let w = Segment.create_writer ~path in
-  List.iter (fun r -> Segment.append w (Record.encode r)) records;
+  let w = Segment.create_writer ~path () in
+  List.iter (fun r -> ignore (Segment.append w r)) records;
   Segment.close ~sync:true w
 
 let scan_lsns path =
@@ -157,10 +257,7 @@ let test_segment_corrupt_record_skipped () =
      without discarding its neighbours *)
   let path = Filename.temp_file "rdtseg" ".log" in
   write_segment path seg_records;
-  let frame =
-    Bytes.length (Record.encode (List.nth seg_records 0))
-    + Segment.frame_overhead
-  in
+  let frame = Segment.frame_length (List.nth seg_records 0) in
   (* a payload byte inside the *second* frame (8 = segment magic) *)
   flip_byte path (8 + frame + Segment.frame_overhead + 3);
   let lsns, stats = scan_lsns path in
@@ -177,6 +274,41 @@ let test_segment_bad_magic () =
   Alcotest.(check (list int)) "nothing delivered" [] lsns;
   Alcotest.(check bool) "flagged" true stats.Segment.bad_magic;
   Sys.remove path
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* A short write persists the flushed bytes plus a strict prefix of the
+   staged batch, cut from the very bytes a full flush would have written. *)
+let test_segment_short_write_prefix () =
+  let records =
+    List.init 7 (fun i ->
+        Record.Store
+          { pid = 0; lsn = i; entry = mk_entry ~size_bytes:(300 * i) i })
+  in
+  let first, batch = (List.filteri (fun i _ -> i < 3) records, List.filteri (fun i _ -> i >= 3) records) in
+  let full_path = Filename.temp_file "rdtseg" ".log" in
+  write_segment full_path records;
+  let full = read_all full_path in
+  for seed = 1 to 20 do
+    let path = Filename.temp_file "rdtseg" ".log" in
+    let w = Segment.create_writer ~path () in
+    List.iter (fun r -> ignore (Segment.append w r)) first;
+    Segment.flush w;
+    let flushed = Segment.written_bytes w in
+    List.iter (fun r -> ignore (Segment.append w r)) batch;
+    let staged = Segment.pending_bytes w in
+    Segment.crash_short_write w ~rng:(Prng.create ~seed);
+    let got = read_all path in
+    let n = String.length got in
+    if n < flushed || n >= flushed + staged then
+      Alcotest.failf "seed %d: %d bytes survive, not in [%d, %d)" seed n flushed
+        (flushed + staged);
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: a prefix of the full segment" seed)
+      (String.sub full 0 n) got;
+    Sys.remove path
+  done;
+  Sys.remove full_path
 
 (* --- manifest ----------------------------------------------------------- *)
 
@@ -310,8 +442,7 @@ let test_log_store_corrupt_record () =
   (* identical shapes => identical frame sizes, so offsets are computable *)
   List.iter (fun i -> Log_store.append t (mk_entry i)) [ 0; 1; 2; 3; 4 ];
   let frame =
-    Bytes.length (Record.encode (Record.Store { pid = 0; lsn = 0; entry = mk_entry 0 }))
-    + Segment.frame_overhead
+    Segment.frame_length (Record.Store { pid = 0; lsn = 0; entry = mk_entry 0 })
   in
   Log_store.close t;
   let seg =
@@ -325,6 +456,44 @@ let test_log_store_corrupt_record () =
   Alcotest.(check int) "exactly one dropped" 1 r.Log_store.records_dropped;
   Alcotest.(check (list int)) "neighbours survive" [ 0; 1; 3; 4 ]
     (Log_store.live_indices t2);
+  Log_store.close t2;
+  rm_rf dir
+
+(* An oversize record used to be staged, acknowledged, and then read back
+   as a torn tail; now it is refused up front and the store is untouched.
+   [frame_length] rejects on the declared size, so no 64 MiB buffer is
+   ever built. *)
+let test_log_store_rejects_oversize () =
+  let dir = tmp_dir () in
+  (* every append seals its segment, so a refused one must not even open
+     a new segment file *)
+  let config = { no_auto with Log_store.segment_target_bytes = 1 } in
+  let t = Log_store.create ~config ~pid:0 ~dir () in
+  List.iter (fun i -> Log_store.append t (mk_entry i)) [ 0; 2 ];
+  let before = Log_store.stats t in
+  let files () = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  let files_before = files () in
+  let refused name entry =
+    Alcotest.(check bool) name true
+      (match Log_store.append t entry with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+  in
+  refused "payload over the frame limit"
+    (mk_entry ~size_bytes:(64 * 1024 * 1024) 1);
+  refused "index over u32" (mk_entry (1 lsl 32));
+  refused "dv entry over u32" (mk_entry ~dv:[| 1; 1 lsl 32; 3 |] 1);
+  Alcotest.(check bool) "stats untouched" true (before = Log_store.stats t);
+  Alcotest.(check (list string)) "no file created" files_before (files ());
+  Alcotest.(check (list int)) "live set untouched" [ 0; 2 ]
+    (Log_store.live_indices t);
+  Log_store.close t;
+  let t2 = Log_store.create ~config:no_auto ~pid:0 ~dir () in
+  let r = Log_store.recovery t2 in
+  Alcotest.(check (list int)) "recovers the acknowledged records" [ 0; 2 ]
+    (List.map (fun (e : S.entry) -> e.S.index) r.Log_store.recovered);
+  Alcotest.(check int) "no torn bytes" 0 r.Log_store.torn_bytes;
+  Alcotest.(check int) "nothing dropped" 0 r.Log_store.records_dropped;
   Log_store.close t2;
   rm_rf dir
 
@@ -630,13 +799,23 @@ let suite =
   [
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 windowed" `Quick test_crc32_window;
+    QCheck_alcotest.to_alcotest crc32_matches_reference;
+    Alcotest.test_case "crc32 every start and tail" `Quick test_crc32_every_tail;
     Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;
     Alcotest.test_case "record decode garbage" `Quick test_record_decode_garbage;
+    Alcotest.test_case "record encode_into at an offset" `Quick
+      test_record_encode_into_offset;
+    Alcotest.test_case "record filler across sizes" `Quick
+      test_record_filler_sizes;
+    Alcotest.test_case "record rejects unencodable fields" `Quick
+      test_record_rejects_unencodable;
     Alcotest.test_case "segment roundtrip" `Quick test_segment_roundtrip;
     Alcotest.test_case "segment torn tail" `Quick test_segment_torn_tail;
     Alcotest.test_case "segment corrupt record skipped" `Quick
       test_segment_corrupt_record_skipped;
     Alcotest.test_case "segment bad magic" `Quick test_segment_bad_magic;
+    Alcotest.test_case "segment short write keeps a strict prefix" `Quick
+      test_segment_short_write_prefix;
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "log store ops" `Quick test_log_store_ops;
     Alcotest.test_case "log store recovery" `Quick test_log_store_recovery;
@@ -645,6 +824,8 @@ let suite =
       test_log_store_auto_compaction;
     Alcotest.test_case "corrupt record dropped, scan continues" `Quick
       test_log_store_corrupt_record;
+    Alcotest.test_case "oversize record refused, store untouched" `Quick
+      test_log_store_rejects_oversize;
     Alcotest.test_case "opening never writes" `Quick
       test_log_store_open_is_readonly;
     Alcotest.test_case "on-disk format golden" `Quick test_format_golden;
