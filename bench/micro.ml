@@ -477,7 +477,8 @@ let crc32_tests =
   [
     Test.make ~name:"crc32/4KiB"
       (Staged.stage (fun () ->
-           ignore (Sys.opaque_identity (Rdt_store.Crc32.bytes b ~pos:0 ~len:4203))));
+           ignore
+             (Sys.opaque_identity (Rdt_store.Crc32.bytes b ~pos:0 ~len:4203))));
   ]
 
 (* One full compaction cycle: 16 checkpoints written and obsoleted, then

@@ -7,28 +7,30 @@
    the polynomial literal enforces at compile time. *)
 
 (* [table.(k * 256 + n)] is the CRC of byte [n] followed by [k] zero
-   bytes; slice 0 is the classic bytewise table. *)
+   bytes; slice 0 is the classic bytewise table.  Built on first use, so
+   a program that never checksums never allocates it. *)
 let table =
-  let t = Array.make (8 * 256) 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for k = 1 to 7 do
-    for n = 0 to 255 do
-      let prev = t.(((k - 1) * 256) + n) in
-      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-    done
-  done;
-  t
+  lazy
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
 (* callers ([bytes]) validate pos/len before entering the loops; every
    table index is masked to its slice *)
 let update crc b ~pos ~len =
-  let t = table in
+  let t = Lazy.force table in
   let crc = ref crc and i = ref pos in
   let stop = pos + len in
   while !i + 8 <= stop do

@@ -71,7 +71,8 @@ let put_filler b off ~payload ~size =
 
 let encode_into r b ~pos =
   let len = encoded_length r in
-  if pos < 0 || pos > Bytes.length b - len then invalid_arg "Record.encode_into";
+  if pos < 0 || pos > Bytes.length b - len then
+    invalid_arg "Record.encode_into";
   match r with
   | Eliminate { pid; lsn; index } ->
     put_head b pos ~kind:tag_eliminate ~pid ~lsn ~index

@@ -66,8 +66,9 @@ let frame_length r =
   let len = Record.encoded_length r in
   if len > max_payload then
     invalid_arg
-      (Printf.sprintf "Segment: a %d-byte record exceeds the %d-byte frame limit"
-         len max_payload);
+      (Printf.sprintf
+         "Segment: a %d-byte record exceeds the %d-byte frame limit" len
+         max_payload);
   frame_head_len + len
 
 let append w r =

@@ -10,10 +10,10 @@
     reserved frame header, checksums those bytes in place and fills the
     header in, so a record is written once and never copied.  Batching is
     the store's call: [flush] issues one [write] of the staged bytes from
-    that same buffer, [sync] additionally [fsync]s.  The three [crash_*] operations implement the fault model of
-    {!Fault} — they leave the file exactly as the modeled crash would
-    (torn batch prefix / unsynced data rolled back / flipped bit) and
-    close the descriptor.
+    that same buffer, [sync] additionally [fsync]s.  The three [crash_*]
+    operations implement the fault model of {!Fault} — they leave the
+    file exactly as the modeled crash would (torn batch prefix / unsynced
+    data rolled back / flipped bit) and close the descriptor.
 
     The scanner replays a segment tolerantly: a frame whose length field
     is insane or runs past end-of-file ends the scan of that segment (a

@@ -179,8 +179,8 @@ let test_record_filler_sizes () =
       let b = Record.encode (Record.Store { pid = 1; lsn = 5; entry }) in
       let fill_off = Bytes.length b - size_bytes in
       for k = 0 to size_bytes - 1 do
-        if Bytes.get b (fill_off + k) <> Record.filler_byte ~payload:entry.S.payload ~k
-        then Alcotest.failf "size %d: filler byte %d wrong" size_bytes k
+        let want = Record.filler_byte ~payload:entry.S.payload ~k in
+        if Bytes.get b (fill_off + k) <> want then Alcotest.failf "size %d: filler byte %d wrong" size_bytes k
       done;
       match decode_all b with
       | Ok (Record.Store { pid = 1; lsn = 5; entry = e }) ->
@@ -285,7 +285,8 @@ let test_segment_short_write_prefix () =
         Record.Store
           { pid = 0; lsn = i; entry = mk_entry ~size_bytes:(300 * i) i })
   in
-  let first, batch = (List.filteri (fun i _ -> i < 3) records, List.filteri (fun i _ -> i >= 3) records) in
+  let first = List.filteri (fun i _ -> i < 3) records
+  and batch = List.filteri (fun i _ -> i >= 3) records in
   let full_path = Filename.temp_file "rdtseg" ".log" in
   write_segment full_path records;
   let full = read_all full_path in
