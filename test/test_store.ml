@@ -82,15 +82,15 @@ let crc32_reference b ~pos ~len =
 (* random windows over a random buffer: unaligned starts and every tail
    length past the 8-byte blocks *)
 let crc32_matches_reference =
-  QCheck.Test.make ~name:"crc32 = bytewise reference on random windows"
+  QCheck.Test.make ~name:"crc32 = bit-at-a-time reference on random windows"
     ~count:500
     QCheck.(triple (string_of_size Gen.(0 -- 96)) small_nat small_nat)
-    (fun (s, a, b) ->
-      let b_ = Bytes.of_string s in
-      let n = Bytes.length b_ in
-      let pos = if n = 0 then 0 else a mod (n + 1) in
-      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
-      Crc32.bytes b_ ~pos ~len = crc32_reference b_ ~pos ~len)
+    (fun (s, x, y) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let pos = x mod (n + 1) in
+      let len = y mod (n - pos + 1) in
+      Crc32.bytes b ~pos ~len = crc32_reference b ~pos ~len)
 
 let test_crc32_every_tail () =
   let b = Bytes.init 64 (fun i -> Char.chr (((i * 73) + 11) land 0xff)) in
@@ -180,7 +180,8 @@ let test_record_filler_sizes () =
       let fill_off = Bytes.length b - size_bytes in
       for k = 0 to size_bytes - 1 do
         let want = Record.filler_byte ~payload:entry.S.payload ~k in
-        if Bytes.get b (fill_off + k) <> want then Alcotest.failf "size %d: filler byte %d wrong" size_bytes k
+        if Bytes.get b (fill_off + k) <> want then
+          Alcotest.failf "size %d: filler byte %d wrong" size_bytes k
       done;
       match decode_all b with
       | Ok (Record.Store { pid = 1; lsn = 5; entry = e }) ->
