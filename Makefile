@@ -47,10 +47,18 @@ perf:
 # ~5 s differential-fuzz budget (3-4 s once built, on a 2-thread
 # host): a fixed-seed campaign plus the over-collecting-mutant
 # self-check (DESIGN.md §11); the nightly CI job runs the same campaign
-# with a fresh seed and a much larger budget
+# with a fresh seed and a much larger budget.  Both print every run's
+# verdict and shrunk reproducer, and the target fails unless that output
+# matches test/fuzz-smoke.expected byte for byte.  After a deliberate
+# behaviour change, regenerate the golden with
+#   make fuzz-smoke; cp _build/fuzz-smoke.out test/fuzz-smoke.expected
 fuzz-smoke:
-	dune exec bin/rdtgc_cli.exe -- fuzz --seed 2026 --runs 500 --max-procs 6 -q
-	dune exec bin/rdtgc_cli.exe -- fuzz --mutate-lgc --seed 7 --runs 10 -q
+	@mkdir -p _build
+	dune exec bin/rdtgc_cli.exe -- fuzz --seed 2026 --runs 500 --max-procs 6 \
+	  > _build/fuzz-smoke.out
+	dune exec bin/rdtgc_cli.exe -- fuzz --mutate-lgc --seed 7 --runs 10 \
+	  >> _build/fuzz-smoke.out
+	diff -u test/fuzz-smoke.expected _build/fuzz-smoke.out
 
 # live-process runtime smoke (DESIGN.md §14): the committed scenario on a
 # real 3-process localhost TCP cluster — SIGKILL + durable recovery at

@@ -325,8 +325,8 @@ let theorem1_tests =
         (fun () -> ignore (Global_gc.theorem1_retained snaps ~me:0 ~li)))
     [ 8; 32; 64 ]
 
-(* One BFS from s^0_0; each run also builds the analyzer, one sort of
-   the messages by sender and send interval. *)
+(* One BFS from s^0_0; each run also sorts the messages by sender and
+   send interval. *)
 let zigzag_tests =
   List.map
     (fun n ->
@@ -396,12 +396,21 @@ let ccp_incremental_test =
   Hashtbl.replace batch_scale name (float_of_int (run ()));
   Test.make ~name (Staged.stage (fun () -> ignore (run ())))
 
-(* both drivers take milliseconds per run, so they share a [`Slow]
+(* What a crash point's deep oracles pay for the structural checks: one
+   zigzag sweep (a BFS from every checkpoint) that yields both the
+   useless checkpoints and the first RDT violation. *)
+let rdt_sweep_test =
+  let ccp = Rdt_ccp.Ccp.of_trace (build_big_trace ()) in
+  Test.make
+    ~name:(Printf.sprintf "rdt-check/sweep/%dk-events" (big_trace_events / 1000))
+    (Staged.stage (fun () -> ignore (Rdt_ccp.Rdt_check.analyze ~limit:1 ccp)))
+
+(* all three drivers take milliseconds per run, so they share a [`Slow]
    group *)
 let ccp_group =
   ( "incremental CCP engine vs full rebuild",
     `Slow,
-    [ ccp_rebuild_test; ccp_incremental_test ] )
+    [ ccp_rebuild_test; ccp_incremental_test; rdt_sweep_test ] )
 
 (* --- durable log store (lib/store) ------------------------------------- *)
 

@@ -214,12 +214,13 @@ let analyze_trace trace ccp retained_of =
     Rdt_ccp.Diagram.print trace;
     print_newline ()
   end;
-  let violations = Rdt_ccp.Rdt_check.violations ~limit:5 ccp in
+  let { Rdt_ccp.Rdt_check.useless; violations } =
+    Rdt_ccp.Rdt_check.analyze ~limit:5 ccp
+  in
   Format.printf "RD-trackable: %b@." (violations = []);
   List.iter
     (fun v -> Format.printf "  violation: %a@." Rdt_ccp.Rdt_check.pp_violation v)
     violations;
-  let useless = Rdt_ccp.Zigzag.useless ccp in
   Format.printf "useless checkpoints: %d@." (List.length useless);
   if violations = [] then begin
     let obsolete = Rdt_gc.Oracle.obsolete ccp in

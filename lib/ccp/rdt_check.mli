@@ -5,17 +5,27 @@
     Equivalently, every Z-path is doubled by a C-path and no checkpoint is
     useless.
 
-    The checker is exhaustive — one zigzag BFS per source checkpoint,
-    whose per-process landing index is compared with the source's causal
+    The checker is exhaustive — one {!Zigzag.sweep}, whose per-process
+    landing index from each source is compared with the source's causal
     frontier ({!Ccp.first_preceded}) — and intended for validating
     executions produced by the protocols (property tests run it on every
-    randomly generated run). *)
+    randomly generated run).  A zigzag cycle [c ~~> c] is itself a
+    violation, so {!analyze} also reads the useless checkpoints off the
+    same sweep: crash-point oracles and [rdtgc analyze] pay for one. *)
 
 type violation = {
   source : Ccp.ckpt;
   target : Ccp.ckpt;
 }
 (** A pair with a zigzag path but no causal precedence. *)
+
+type analysis = {
+  useless : Ccp.ckpt list;  (** {!Zigzag.useless} *)
+  violations : violation list;  (** {!violations} with the same [limit] *)
+}
+
+val analyze : ?limit:int -> Ccp.t -> analysis
+(** Both checks from one sweep. *)
 
 val violations : ?limit:int -> Ccp.t -> violation list
 (** All (or the first [limit]) RDT violations of the CCP, ordered by

@@ -4,14 +4,9 @@ type verdict = Causal_path | Non_causal_zigzag | Not_a_path
    relaxing a constraint "send_interval >= gamma" enqueues a suffix of the
    sender's bucket and a per-process pointer (walking from the top down)
    makes each message enqueued at most once per BFS.  The bucket of [pid]
-   is [a_sends.(a_start.(pid)) .. a_sends.(a_start.(pid + 1) - 1)]. *)
-type analyzer = {
-  a_ccp : Ccp.t;
-  a_sends : Ccp.message array;
-  a_start : int array;
-}
-
-let analyzer ccp =
+   is [sends.(start.(pid)) .. sends.(start.(pid + 1) - 1)].  [bfs] answers
+   any number of sources of one CCP from one sort. *)
+let bfs ccp =
   let sends = Ccp.messages ccp in
   Array.stable_sort
     (fun (a : Ccp.message) (b : Ccp.message) ->
@@ -27,50 +22,47 @@ let analyzer ccp =
   for pid = 1 to n do
     start.(pid) <- start.(pid) + start.(pid - 1)
   done;
-  { a_ccp = ccp; a_sends = sends; a_start = start }
+  fun (src : Ccp.ckpt) ->
+    if not (Ccp.mem ccp src) then invalid_arg "Zigzag.reach: bad checkpoint";
+    (* ptr.(pid): highest bucket position not yet enqueued (buckets are
+       ascending, the BFS consumes them from the top down) *)
+    let ptr = Array.init n (fun pid -> start.(pid + 1) - 1) in
+    let min_recv = Array.make n max_int in
+    let queue = Queue.create () in
+    let relax pid gamma =
+      while ptr.(pid) >= start.(pid)
+            && sends.(ptr.(pid)).Ccp.send_interval >= gamma do
+        Queue.push sends.(ptr.(pid)) queue;
+        ptr.(pid) <- ptr.(pid) - 1
+      done
+    in
+    (* condition (i): first message sent after c^alpha, i.e. in interval
+       >= alpha + 1 *)
+    relax src.pid (src.index + 1);
+    while not (Queue.is_empty queue) do
+      let (m : Ccp.message) = Queue.pop queue in
+      if m.recv_interval < min_recv.(m.dst) then
+        min_recv.(m.dst) <- m.recv_interval;
+      (* condition (ii): next message sent in the same or later interval *)
+      relax m.dst m.recv_interval
+    done;
+    min_recv
 
-let reach_from a ~(src : Ccp.ckpt) =
-  if not (Ccp.mem a.a_ccp src) then invalid_arg "Zigzag.reach: bad checkpoint";
-  let n = Ccp.n a.a_ccp in
-  (* ptr.(pid): highest bucket position not yet enqueued (buckets are
-     ascending, the BFS consumes them from the top down) *)
-  let ptr = Array.init n (fun pid -> a.a_start.(pid + 1) - 1) in
-  let min_recv = Array.make n max_int in
-  let queue = Queue.create () in
-  let relax pid gamma =
-    while ptr.(pid) >= a.a_start.(pid)
-          && a.a_sends.(ptr.(pid)).Ccp.send_interval >= gamma do
-      Queue.push a.a_sends.(ptr.(pid)) queue;
-      ptr.(pid) <- ptr.(pid) - 1
-    done
-  in
-  (* condition (i): first message sent after c^alpha, i.e. in interval
-     >= alpha + 1 *)
-  relax src.Ccp.pid (src.Ccp.index + 1);
-  while not (Queue.is_empty queue) do
-    let (m : Ccp.message) = Queue.pop queue in
-    if m.recv_interval < min_recv.(m.dst) then
-      min_recv.(m.dst) <- m.recv_interval;
-    (* condition (ii): next message sent in the same or later interval *)
-    relax m.dst m.recv_interval
-  done;
-  min_recv
+let reach ccp ~src = bfs ccp src
 
-let reach ccp ~src = reach_from (analyzer ccp) ~src
-
-let cycle_in a (c : Ccp.ckpt) =
-  let r = reach_from a ~src:c in
-  r.(c.pid) <= c.index
+let sweep ccp =
+  let reach = bfs ccp in
+  Seq.map (fun c -> (c, reach c)) (List.to_seq (Ccp.checkpoints ccp))
 
 let path_exists ccp c1 (c2 : Ccp.ckpt) =
   let r = reach ccp ~src:c1 in
   r.(c2.pid) <= c2.index
 
-let cycle ccp c = cycle_in (analyzer ccp) c
-
 let useless ccp =
-  let a = analyzer ccp in
-  List.filter (cycle_in a) (Ccp.checkpoints ccp)
+  List.of_seq
+    (Seq.filter_map
+       (fun ((c : Ccp.ckpt), r) -> if r.(c.pid) <= c.index then Some c else None)
+       (sweep ccp))
 
 let classify_sequence ccp ~(from_ : Ccp.ckpt) ~(to_ : Ccp.ckpt) msg_ids =
   let messages = Ccp.messages ccp in

@@ -11,7 +11,10 @@
     received by [p_c] in interval [gamma], every message sent by [p_c] in
     an interval [>= gamma] is reachable.  One BFS from a source checkpoint
     yields, for every process, the minimum interval in which a zigzag path
-    can land ({!reach}), answering all targets at once. *)
+    can land ({!reach}), answering all targets at once.  {!sweep} runs
+    that BFS from every checkpoint after sorting the messages once; it is
+    the one pass behind {!useless} and {!Rdt_check}, so a crash point's
+    Z-cycle and RDT checks share it. *)
 
 type verdict =
   | Causal_path  (** a C-path: every hop is locally ordered receive-then-send *)
@@ -24,26 +27,20 @@ val reach : Ccp.t -> src:Ccp.ckpt -> int array
     [src] and received by process [b] ([max_int] if none).  A zigzag path
     [src ~~> c^beta_b] exists iff [r.(b) <= beta]. *)
 
-type analyzer
-(** A CCP's messages sorted once into per-process send buckets, for
-    running {!reach} from many sources of one CCP (as {!Rdt_check} and
-    {!useless} do).  It is a snapshot: build a fresh one after the CCP
-    grows. *)
-
-val analyzer : Ccp.t -> analyzer
-val reach_from : analyzer -> src:Ccp.ckpt -> int array
-(** Same result as {!reach}, without re-sorting the messages. *)
+val sweep : Ccp.t -> (Ccp.ckpt * int array) Seq.t
+(** Every checkpoint with its {!reach}, in {!Ccp.checkpoints} order.  The
+    messages are sorted once per call; each element runs one BFS when the
+    sequence reaches it, so a consumer that stops early saves the rest.
+    It is a snapshot of the CCP at the call. *)
 
 val path_exists : Ccp.t -> Ccp.ckpt -> Ccp.ckpt -> bool
-(** [path_exists ccp c1 c2] is the paper's [c1 ~~> c2]. *)
-
-val cycle : Ccp.t -> Ccp.ckpt -> bool
-(** Zigzag cycle: [c ~~> c]. *)
+(** [path_exists ccp c1 c2] is the paper's [c1 ~~> c2]; [c ~~> c] is a
+    zigzag cycle. *)
 
 val useless : Ccp.t -> Ccp.ckpt list
-(** Checkpoints involved in a zigzag cycle; such checkpoints cannot be part
-    of any consistent global checkpoint.  Builds one analyzer for the
-    whole scan. *)
+(** Checkpoints involved in a zigzag cycle, in {!Ccp.checkpoints} order;
+    such checkpoints cannot be part of any consistent global checkpoint.
+    One {!sweep}. *)
 
 val classify_sequence :
   Ccp.t -> from_:Ccp.ckpt -> to_:Ccp.ckpt -> int list -> verdict

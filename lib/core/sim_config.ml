@@ -53,18 +53,25 @@ let default =
     shards = 1;
   }
 
+(* NaN fails every comparison, so test for the good range, not the bad
+   one. *)
+let finite_positive x = Float.is_finite x && x > 0.0
+
 let validate t =
   if t.n < 2 then invalid_arg "Sim_config: n must be at least 2";
-  if t.duration <= 0.0 then invalid_arg "Sim_config: duration must be positive";
-  if t.sample_interval <= 0.0 then
-    invalid_arg "Sim_config: sample interval must be positive";
+  if not (finite_positive t.duration) then
+    invalid_arg "Sim_config: duration must be finite and positive";
+  if not (finite_positive t.sample_interval) then
+    invalid_arg "Sim_config: sample interval must be finite and positive";
+  if t.ckpt_bytes < 0 then invalid_arg "Sim_config: ckpt_bytes must be >= 0";
   if t.shards <> 1 then invalid_arg "Sim_config: shards must be 1";
   (match t.gc with
   | Coordinated { period }
   | Simple { period }
   | Oracle_periodic { period }
   | Local_lazy { period } ->
-    if period <= 0.0 then invalid_arg "Sim_config: GC period must be positive"
+    if not (finite_positive period) then
+      invalid_arg "Sim_config: GC period must be finite and positive"
   | No_gc | Local -> ());
   (* every collector in this library reasons over dependency vectors via
      Equation 2, which is only exact on RD-trackable executions; pairing
@@ -77,8 +84,8 @@ let validate t =
         "Sim_config: garbage collection requires an RDT protocol (Equation 2)");
   let check_fault f =
     if f.pid < 0 || f.pid >= t.n then invalid_arg "Sim_config: fault pid";
-    if f.crash_at <= 0.0 || f.repair_after <= 0.0 then
-      invalid_arg "Sim_config: fault times must be positive"
+    if not (finite_positive f.crash_at && finite_positive f.repair_after) then
+      invalid_arg "Sim_config: fault times must be finite and positive"
   in
   List.iter check_fault t.faults;
   (* reject overlapping fault windows for the same process *)

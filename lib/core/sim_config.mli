@@ -66,4 +66,7 @@ val default : t
     duration 100. *)
 
 val validate : t -> unit
-(** @raise Invalid_argument on out-of-range parameters. *)
+(** @raise Invalid_argument on out-of-range parameters: a duration,
+    sample interval, GC period or fault time that is not finite and
+    positive, or a negative [ckpt_bytes].  {!Rdt_workload.Workload.create}
+    and {!Rdt_sim.Network.create} check [workload] and [net]. *)

@@ -22,9 +22,11 @@ type t = {
 }
 
 let create cfg ~n ~rng =
-  if cfg.min_delay < 0.0 || cfg.max_delay < cfg.min_delay then
-    invalid_arg "Network.create: bad delay bounds";
-  if cfg.loss_probability < 0.0 || cfg.loss_probability > 1.0 then
+  (* each test names the good range, so that NaN fails it *)
+  if not (0.0 <= cfg.min_delay && cfg.min_delay <= cfg.max_delay
+          && Float.is_finite cfg.max_delay)
+  then invalid_arg "Network.create: bad delay bounds";
+  if not (0.0 <= cfg.loss_probability && cfg.loss_probability <= 1.0) then
     invalid_arg "Network.create: bad loss probability";
   {
     cfg;

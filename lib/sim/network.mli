@@ -23,7 +23,9 @@ val create : config -> n:int -> rng:Prng.t -> t
 (** [create config ~n ~rng] builds channel state for an [n]-process
     system.  Internally one PRNG stream per source process is derived
     from [rng] by indexed split ([rng] itself does not advance), so the
-    delay/loss draws of different senders never perturb each other. *)
+    delay/loss draws of different senders never perturb each other.
+    @raise Invalid_argument unless [0 <= min_delay <= max_delay], both
+    finite, and [loss_probability] lies in [\[0, 1\]]. *)
 
 val config : t -> config
 

@@ -1,6 +1,5 @@
 module Ccp = Rdt_ccp.Ccp
 module Consistency = Rdt_ccp.Consistency
-module Zigzag = Rdt_ccp.Zigzag
 module Rdt_check = Rdt_ccp.Rdt_check
 module Oracle = Rdt_gc.Oracle
 module Global_gc = Rdt_gc.Global_gc
@@ -136,15 +135,16 @@ let invariant ~stack ~ccp ~op =
   done
 
 (* RD-trackability (Definition 4): the protocol must have forced enough
-   checkpoints. *)
-let rdt ~ccp ~op =
-  match Rdt_check.violations ~limit:1 ccp with
+   checkpoints.  [rdt_of] reports the first of a checker's violations. *)
+let rdt_of ~op = function
   | [] -> []
   | v :: _ ->
     [
       violation "rdt" ~op "execution is not RD-trackable: %s"
         (Fmt.str "%a" Rdt_check.pp_violation v);
     ]
+
+let rdt ~ccp ~op = rdt_of ~op (Rdt_check.violations ~limit:1 ccp)
 
 let quiescent ~stack ~ccp ~exact ~op =
   List.concat
@@ -186,19 +186,19 @@ let lines ~stack ~ccp ~op =
     done
   done
 
-(* Zigzag analyzer: an RDT execution admits no useless (Z-cycle)
-   checkpoints. *)
-let zigzag ~ccp ~op =
-  match Zigzag.useless ccp with
-  | [] -> []
-  | l ->
-    [
-      violation "zigzag" ~op "useless checkpoints in an RDT execution: %s"
-        (String.concat "," (List.map (Fmt.str "%a" Ccp.pp_ckpt) l));
-    ]
-
+(* One zigzag sweep answers both structural checks: an RDT execution
+   admits no useless (Z-cycle) checkpoints, and no violation at all. *)
 let deep ~stack ~ccp ~op =
-  List.concat [ lines ~stack ~ccp ~op; zigzag ~ccp ~op; rdt ~ccp ~op ]
+  let { Rdt_check.useless; violations } = Rdt_check.analyze ~limit:1 ccp in
+  let zigzag =
+    if List.is_empty useless then []
+    else
+      [
+        violation "zigzag" ~op "useless checkpoints in an RDT execution: %s"
+          (String.concat "," (List.map (Fmt.str "%a" Ccp.pp_ckpt) useless));
+      ]
+  in
+  List.concat [ lines ~stack ~ccp ~op; zigzag; rdt_of ~op violations ]
 
 (* --- crash differential ------------------------------------------------ *)
 

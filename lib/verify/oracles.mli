@@ -5,8 +5,8 @@
     and {!Rdt_gc.Global_gc} closed forms evaluate Theorems 1/2 on the CCP
     and snapshots, {!Rdt_recovery.Recovery_line.lemma1} derives recovery
     lines from trace vector clocks (not the protocols' dependency
-    vectors), and the {!Rdt_ccp.Zigzag} / {!Rdt_ccp.Rdt_check} analyzers
-    validate the communication structure itself.
+    vectors), and one {!Rdt_ccp.Rdt_check.analyze} sweep validates the
+    communication structure itself.
 
     {b One battery, three users.}  A check reads a system through a
     process-stack accessor [~stack] (pid → {!Rdt_recovery.Process_stack.t})
@@ -80,8 +80,9 @@ val quiescent :
 
 val deep : stack:stack -> ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
 (** Expensive checks run at crash points and end of run: every
-    single-failure Lemma-1 recovery line is consistent and fully retained,
-    the zigzag analyzer finds no useless checkpoint, and {!rdt}. *)
+    single-failure Lemma-1 recovery line is consistent and fully retained
+    (["line"]), then, from one zigzag sweep, no checkpoint is useless
+    (["zigzag"]) and {!rdt} holds. *)
 
 val crash :
   ccp_before:Rdt_ccp.Ccp.t ->

@@ -64,8 +64,13 @@ type t = {
 
 let create cfg ~n ~rng =
   if n < 2 then invalid_arg "Workload.create: need at least two processes";
-  if cfg.send_mean_interval <= 0.0 || cfg.basic_ckpt_mean_interval <= 0.0 then
-    invalid_arg "Workload.create: intervals must be positive";
+  let finite_positive x = Float.is_finite x && x > 0.0 in
+  if not (finite_positive cfg.send_mean_interval
+          && finite_positive cfg.basic_ckpt_mean_interval)
+  then invalid_arg "Workload.create: intervals must be finite and positive";
+  (* written so that NaN fails *)
+  if not (0.0 <= cfg.reply_probability && cfg.reply_probability <= 1.0) then
+    invalid_arg "Workload.create: reply probability must lie in [0, 1]";
   (match cfg.pattern with
   | Client_server { servers } ->
     if servers <= 0 || servers >= n then

@@ -48,8 +48,9 @@ type t
 
 val create : config -> n:int -> rng:Rdt_sim.Prng.t -> t
 (** Process [me] draws from the indexed split [me] of [rng].
-    @raise Invalid_argument on fewer than two processes, a non-positive
-    interval, or a pattern that does not fit [n]. *)
+    @raise Invalid_argument on fewer than two processes, an interval that
+    is not finite and positive, a reply probability outside [\[0, 1\]],
+    or a pattern that does not fit [n]. *)
 
 val config : t -> config
 

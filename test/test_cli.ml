@@ -67,12 +67,30 @@ let test_unreadable_nemesis () =
       check_refused "live-fuzz" ~code ~output
         ~expect:"corpus x.scn: RUN-FAILED(unreadable nemesis")
 
-(* The default collector, rdt-lgc, needs an RDT protocol. *)
+(* The default collector, rdt-lgc, needs an RDT protocol, and every
+   duration, interval, period, probability and size must be in range. *)
 let test_run_rejects_config () =
-  let code, output = Helpers.run_cli [ "run"; "--protocol"; "none" ] in
-  check_refused "run --protocol none" ~code ~output
-    ~expect:
-      "rdtgc: Sim_config: garbage collection requires an RDT protocol"
+  let refused args ~expect =
+    let code, output = Helpers.run_cli ("run" :: args) in
+    check_refused (String.concat " " ("run" :: args)) ~code ~output ~expect
+  in
+  refused [ "--protocol"; "none" ]
+    ~expect:"rdtgc: Sim_config: garbage collection requires an RDT protocol";
+  (* NaN fails every comparison, so a "<= 0" test lets it through (a NaN
+     duration would simulate nothing and exit 0).  An infinite duration
+     is left to the validation unit test in test_runner, which starts no
+     run. *)
+  refused [ "--duration=nan" ]
+    ~expect:"rdtgc: Sim_config: duration must be finite and positive";
+  refused [ "--gc=lazy:nan" ]
+    ~expect:"rdtgc: Sim_config: GC period must be finite and positive";
+  refused [ "--ckpt-bytes=-5" ]
+    ~expect:"rdtgc: Sim_config: ckpt_bytes must be >= 0";
+  refused [ "--loss=nan" ] ~expect:"rdtgc: Network.create: bad loss probability";
+  refused [ "--send-interval=nan" ]
+    ~expect:"rdtgc: Workload.create: intervals must be finite and positive";
+  refused [ "--reply-probability=2" ]
+    ~expect:"rdtgc: Workload.create: reply probability must lie in [0, 1]"
 
 (* A durable run needs a fresh store directory; a second run over the
    first one's is refused. *)

@@ -402,10 +402,73 @@ let test_summary_accounting () =
     (s.Runner.basic_checkpoints + s.Runner.forced_checkpoints + base.n)
     s.Runner.stored_total
 
+(* Only the validators run here: no simulation starts, so an infinite
+   duration the checks let through cannot hang the suite. *)
 let test_validation_rejects_bad_configs () =
-  let bad cfg = try Sim_config.validate cfg; false with Invalid_argument _ -> true in
+  let rejects f = try f (); false with Invalid_argument _ -> true in
+  let bad cfg = rejects (fun () -> Sim_config.validate cfg) in
+  let bad_workload w =
+    rejects (fun () ->
+        ignore
+          (Workload.create w ~n:base.n ~rng:(Rdt_sim.Prng.create ~seed:1)))
+  in
+  let bad_net net =
+    rejects (fun () ->
+        ignore (Rdt_sim.Network.create net ~n:base.n
+                  ~rng:(Rdt_sim.Prng.create ~seed:1)))
+  in
+  Alcotest.(check bool) "base is valid" false
+    (bad base || bad_workload base.workload || bad_net base.net);
   Alcotest.(check bool) "n too small" true (bad { base with n = 1 });
   Alcotest.(check bool) "negative duration" true (bad { base with duration = -1.0 });
+  List.iter
+    (fun x ->
+      let name what = Printf.sprintf "%s = %g" what x in
+      Alcotest.(check bool) (name "duration") true (bad { base with duration = x });
+      Alcotest.(check bool) (name "sample interval") true
+        (bad { base with sample_interval = x });
+      Alcotest.(check bool) (name "lazy GC period") true
+        (bad { base with gc = Sim_config.Local_lazy { period = x } });
+      Alcotest.(check bool) (name "coordinated GC period") true
+        (bad { base with gc = Sim_config.Coordinated { period = x } });
+      Alcotest.(check bool) (name "crash time") true
+        (bad
+           {
+             base with
+             faults = [ { Sim_config.crash_at = x; pid = 0; repair_after = 1.0 } ];
+           });
+      Alcotest.(check bool) (name "repair time") true
+        (bad
+           {
+             base with
+             faults = [ { Sim_config.crash_at = 1.0; pid = 0; repair_after = x } ];
+           });
+      Alcotest.(check bool) (name "send interval") true
+        (bad_workload { base.workload with send_mean_interval = x });
+      Alcotest.(check bool) (name "checkpoint interval") true
+        (bad_workload { base.workload with basic_ckpt_mean_interval = x });
+      Alcotest.(check bool) (name "max delay") true
+        (bad_net { base.net with max_delay = x }))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0 ];
+  List.iter
+    (fun p ->
+      let name what = Printf.sprintf "%s = %g" what p in
+      Alcotest.(check bool) (name "reply probability") true
+        (bad_workload { base.workload with reply_probability = p });
+      Alcotest.(check bool) (name "loss probability") true
+        (bad_net { base.net with loss_probability = p }))
+    [ Float.nan; -0.1; 1.5; Float.infinity ];
+  Alcotest.(check bool) "NaN min delay" true
+    (bad_net { base.net with min_delay = Float.nan });
+  Alcotest.(check bool) "zero delays are fine" false
+    (bad_net { base.net with min_delay = 0.0; max_delay = 0.0 });
+  Alcotest.(check bool) "certain loss and reply are fine" false
+    (bad_net { base.net with loss_probability = 1.0 }
+    || bad_workload { base.workload with reply_probability = 1.0 });
+  Alcotest.(check bool) "negative ckpt_bytes" true
+    (bad { base with ckpt_bytes = -5 });
+  Alcotest.(check bool) "zero ckpt_bytes is fine" false
+    (bad { base with ckpt_bytes = 0 });
   Alcotest.(check bool) "more than one shard" true (bad { base with shards = 2 });
   Alcotest.(check bool) "overlapping faults" true
     (bad

@@ -67,7 +67,8 @@ let test_figure1_sequence_ends_matter () =
    non-initial stable checkpoints are useless. *)
 let test_figure2_cycle () =
   let f = Figures.figure2 () in
-  Alcotest.(check bool) "s1_p0 in a Z-cycle" true (Zigzag.cycle f.ccp (ck 0 1));
+  Alcotest.(check bool) "s1_p0 in a Z-cycle" true
+    (Zigzag.path_exists f.ccp (ck 0 1) (ck 0 1));
   Alcotest.check verdict "[m2,m1] zigzag" Zigzag.Non_causal_zigzag
     (Zigzag.classify_sequence f.ccp ~from_:(ck 0 1) ~to_:(ck 0 1)
        [ f.m2; f.m1 ])
@@ -87,8 +88,9 @@ let test_figure2_useless_set () =
 
 let test_initial_checkpoints_never_useless () =
   let f = Figures.figure2 () in
-  Alcotest.(check bool) "s0_p0" false (Zigzag.cycle f.ccp (ck 0 0));
-  Alcotest.(check bool) "s0_p1" false (Zigzag.cycle f.ccp (ck 1 0))
+  let useless = Zigzag.useless f.ccp in
+  Alcotest.(check bool) "s0_p0" false (List.mem (ck 0 0) useless);
+  Alcotest.(check bool) "s0_p1" false (List.mem (ck 1 0) useless)
 
 let test_reach_shape () =
   let f = Figures.figure1 () in
