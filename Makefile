@@ -67,11 +67,20 @@ live-smoke:
 	dune exec bin/rdtgc_cli.exe -- cluster-run test/corpus/live_smoke.scn --backend exec -q
 
 # ~10 s nemesis smoke (DESIGN.md §15): every live-representable corpus
-# scenario replays clean under its committed fault schedule on the
-# simulator backend, then the partition reproducer runs once against a
-# real TCP cluster with the nemesis dropping frames on the wire
+# scenario replays under its committed fault schedule on the simulator
+# backend, then a fixed-seed 20-run simulator campaign; the verdicts of
+# both must match test/live-nemesis-smoke.expected byte for byte.  Last,
+# the partition reproducer runs once against a real TCP cluster with the
+# nemesis dropping frames on the wire.  After a deliberate behaviour
+# change, regenerate the golden with
+#   make live-nemesis-smoke; cp _build/live-nemesis-smoke.out test/live-nemesis-smoke.expected
 live-nemesis-smoke:
-	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 0 --backend sim --corpus test/corpus -q
+	@mkdir -p _build
+	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 0 --backend sim --corpus test/corpus \
+	  > _build/live-nemesis-smoke.out
+	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 20 --backend sim --seed 42 \
+	  >> _build/live-nemesis-smoke.out
+	diff -u test/live-nemesis-smoke.expected _build/live-nemesis-smoke.out
 	dune exec bin/rdtgc_cli.exe -- cluster-run test/corpus/live_nemesis_partition.scn \
 	  --backend exec --nemesis "$$(cat test/corpus/live_nemesis_partition.nms)" -q
 

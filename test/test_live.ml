@@ -682,6 +682,111 @@ let test_dup_bug_reproducer () =
     (not (List.is_empty buggy));
   check_clean "reproducer is clean without the bug" (run ())
 
+(* --- pinned corpus records ----------------------------------------------- *)
+
+(* Every live corpus scenario runs on the simulator cluster under its
+   committed fault schedule (a transparent nemesis when it has none), and
+   the MD5 of a printed form of the run record and of every endpoint's
+   fault schedule is pinned.  The commands the coordinator sends, their
+   order and their seqs all feed these digests, so any change to the
+   recovery session's wire traffic shows up here. *)
+
+let live_corpus () =
+  Sys.readdir corpus_dir |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"live_" f && Filename.check_suffix f ".scn")
+  |> List.map Filename.chop_extension
+  |> List.sort compare
+
+let print_record (r : Rdt_live.Coordinator.run_record) =
+  let b = Buffer.create 4096 in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  List.iter
+    (fun (o : Rdt_live.Coordinator.observation) ->
+      List.iter
+        (fun (pid, (st : Wire.state)) ->
+          Printf.bprintf b "op%d p%d dv=%s uc=%s retained=%s app=%d\n"
+            o.Rdt_live.Coordinator.obs_op pid (ints st.Wire.st_dv)
+            (String.concat ","
+               (Array.to_list
+                  (Array.map
+                     (function Some i -> string_of_int i | None -> "_")
+                     st.Wire.st_uc)))
+            (ints st.Wire.st_retained) st.Wire.st_app)
+        o.Rdt_live.Coordinator.obs_states)
+    r.Rdt_live.Coordinator.rr_observations;
+  Buffer.add_string b r.Rdt_live.Coordinator.rr_trace;
+  List.iter
+    (fun rep ->
+      Buffer.add_string b
+        (Format.asprintf "%a\n" Rdt_recovery.Session.pp_report rep))
+    r.Rdt_live.Coordinator.rr_reports;
+  Buffer.contents b
+
+let pinned_corpus_digests =
+  [
+    ( "live_dup_bug.min",
+      "471464a62a0ae883a40f9742b328b687",
+      "93e89325a26ed95f880abe2e0b1107ed" );
+    ( "live_nemesis_delay",
+      "3967db394f8bd6ae50274c334db635d1",
+      "f9a96ca92ccff1ac239022d944a13b56" );
+    ( "live_nemesis_dup",
+      "3967db394f8bd6ae50274c334db635d1",
+      "a7c7b6dedb119b5f12173008261ae48a" );
+    ( "live_nemesis_partition",
+      "3967db394f8bd6ae50274c334db635d1",
+      "e070519c038e9de06e24c8d48ca51170" );
+    ( "live_ready_partition",
+      "6d375ddbcdc8ecf796a1bd4eca63167d",
+      "0c4d7a2860fb4e9742fb3c339137c229" );
+    ( "live_smoke",
+      "3967db394f8bd6ae50274c334db635d1",
+      "fc36d4f40e25f0bc6d4b1509270de363" );
+    ( "live_stale_ready",
+      "a1f549b95357bc67a8bbbec15cd0388c",
+      "a8e2bae03bf0b12c47a723ca938a67d4" );
+  ]
+
+let corpus_digests name =
+  let sc = load_scenario name in
+  let nemesis =
+    if Sys.file_exists (Filename.concat corpus_dir (name ^ ".nms")) then
+      load_nemesis name
+    else Nemesis.default
+  in
+  let handles = ref [] in
+  let root = fresh_root ("pin-" ^ name) in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf root)
+    (fun () ->
+      match
+        Rdt_live.Sim_cluster.run ~scenario:sc ~root ~nemesis
+          ~on_nemesis:(fun hs -> handles := hs)
+          ()
+      with
+      | Error e -> Alcotest.failf "%s run failed: %s" name e
+      | Ok record ->
+        let schedules =
+          List.mapi
+            (fun i h -> Printf.sprintf "#%d\n%s\n" i
+                (String.concat "\n" (Nemesis.schedule h)))
+            !handles
+        in
+        ( Digest.to_hex (Digest.string (print_record record)),
+          Digest.to_hex (Digest.string (String.concat "" schedules)) ))
+
+let test_corpus_pinned () =
+  let got =
+    List.map
+      (fun name ->
+        let record, schedule = corpus_digests name in
+        (name, record, schedule))
+      (live_corpus ())
+  in
+  Alcotest.(check (list (triple string string string)))
+    "run record and fault schedule digests" pinned_corpus_digests got
+
 (* --- campaign determinism ----------------------------------------------- *)
 
 let test_campaign_deterministic () =
@@ -742,6 +847,8 @@ let suite =
       `Quick test_dup_bug_campaign_catches;
     Alcotest.test_case "committed dup-bug reproducer still bites" `Quick
       test_dup_bug_reproducer;
+    Alcotest.test_case "corpus run records and fault schedules are pinned"
+      `Quick test_corpus_pinned;
     Alcotest.test_case "campaign logs are byte-identical across runs" `Quick
       test_campaign_deterministic;
   ]
