@@ -2,8 +2,9 @@
    against live nodes as a serialized workload (one command in flight at
    a time), mirrors every node-reported trace event into a transcript,
    and — on a crash op — kills the faulty processes for real, respawns
-   them, and drives a distributed recovery session with the same pure
-   plan ({!Rdt_recovery.Session.plan}) the in-memory session applies.
+   them, and runs the recovery session with {!Rdt_recovery.Session.run},
+   the same code the in-memory session runs, over handles whose actions
+   are commands to the nodes.
 
    The virtual clock mirrors {!Rdt_scenarios.Script.tick} (one unit per
    op, drops excepted) and travels inside each command, so checkpoint
@@ -203,13 +204,16 @@ let command co ~dst ~now ~what cmd =
   | Wire.R_error { message } -> failf "node %d: %s (during %s)" dst message what
   | reply -> reply
 
-(* a command whose reply is R_done/R_sent: record events, return state *)
-let simple co ~dst ~now ~what cmd =
+(* a command whose reply is R_done: record its events, return them and
+   the state *)
+let command_done co ~dst ~now ~what cmd =
   match command co ~dst ~now ~what cmd with
   | Wire.R_done { events; state } ->
     record_events co ~pid:dst events;
-    state
+    (events, state)
   | _ -> failf "node %d: wrong reply kind to %s" dst what
+
+let simple co ~dst ~now ~what cmd = snd (command_done co ~dst ~now ~what cmd)
 
 let query_state co ~pid =
   match command co ~dst:pid ~now:co.clock ~what:"state query" Wire.C_state with
@@ -284,6 +288,29 @@ let purge_stale co ~pid =
   Queue.clear co.stash;
   Queue.transfer keep co.stash
 
+(* One node as the recovery session sees it.  A rollback also truncates
+   the node's log of the mirrored transcript, as the replay's in-memory
+   rollback truncates its trace. *)
+let session_handle co ~now pid =
+  {
+    Session.snapshot =
+      (fun () ->
+        match command co ~dst:pid ~now ~what:"snapshot" Wire.C_snapshot with
+        | Wire.R_snapshot { entries; live_dv } ->
+          { Global_gc.entries = Array.of_list entries; live_dv }
+        | _ -> failf "node %d: wrong reply kind to snapshot" pid);
+    rollback =
+      (fun ~to_index ~li ->
+        ignore
+          (simple co ~dst:pid ~now ~what:"rollback"
+             (Wire.C_rollback { to_index; li }));
+        Trace.truncate_to_checkpoint co.mirror ~pid ~index:to_index);
+    release =
+      (fun ~li ->
+        ignore
+          (simple co ~dst:pid ~now ~what:"release" (Wire.C_release { li })));
+  }
+
 let crash_op co ~op ~faulty =
   let n = co.sc.Scenario.n in
   let now = tick co in
@@ -320,47 +347,13 @@ let crash_op co ~op ~faulty =
       co.down.(f) <- false)
     faulty;
   List.iter (fun f -> configure co ~pid:f ~sends_ever:co.sends_ever.(f)) faulty;
-  (* 4. gather every process's stable state — the recovery manager's
-     state query *)
-  let snapshots = Array.make n { Global_gc.entries = [||]; live_dv = [||] } in
-  let last = Array.make n (-1) in
-  for pid = 0 to n - 1 do
-    match
-      command co ~dst:pid ~now ~what:"snapshot" Wire.C_snapshot
-    with
-    | Wire.R_snapshot { entries; live_dv; last = l } ->
-      snapshots.(pid) <-
-        { Global_gc.entries = Array.of_list entries; live_dv };
-      last.(pid) <- l
-    | _ -> failf "node %d: wrong reply kind to snapshot" pid
-  done;
-  (* 5. the same pure decision the in-memory session makes *)
-  let plan = Session.plan ~snapshots ~last ~faulty in
-  let li_arg =
-    match co.sc.Scenario.knowledge with
-    | `Global -> Some plan.Session.p_li
-    | `Causal -> None
+  (* 4. the recovery session itself, each of its actions a command *)
+  let report =
+    Session.run ~faulty ~knowledge:co.sc.Scenario.knowledge
+      (Array.init n (session_handle co ~now))
   in
-  for pid = 0 to n - 1 do
-    if plan.Session.p_rollback.(pid) then begin
-      ignore
-        (simple co ~dst:pid ~now ~what:"rollback"
-           (Wire.C_rollback
-              { to_index = plan.Session.p_line.(pid); li = li_arg }));
-      Trace.truncate_to_checkpoint co.mirror ~pid
-        ~index:plan.Session.p_line.(pid)
-    end
-    else begin
-      match co.sc.Scenario.knowledge with
-      | `Global ->
-        ignore
-          (simple co ~dst:pid ~now ~what:"release"
-             (Wire.C_release { li = plan.Session.p_li }))
-      | `Causal -> ()
-    end
-  done;
-  co.reports <- Session.report_of_plan plan ~faulty :: co.reports;
-  (* 6. observe every process, like the replay's post-crash oracles *)
+  co.reports <- report :: co.reports;
+  (* 5. observe every process, like the replay's post-crash oracles *)
   observe co ~op (List.init n (fun pid -> (pid, query_state co ~pid)))
 
 (* --- the run ----------------------------------------------------------- *)
@@ -373,13 +366,19 @@ let execute co ~op (sop : Scenario.op) =
     observe co ~op [ (p, state) ]
   | Scenario.Send { id; src; dst } ->
     let now = tick co in
+    let events, state =
+      command_done co ~dst:src ~now ~what:"send" (Wire.C_send { dst })
+    in
     begin
-      match command co ~dst:src ~now ~what:"send" (Wire.C_send { dst }) with
-      | Wire.R_sent { msg_id; events; state } ->
-        record_events co ~pid:src events;
+      match
+        List.find_map
+          (function Wire.T_send { msg_id; _ } -> Some msg_id | _ -> None)
+          events
+      with
+      | Some msg_id ->
         Hashtbl.replace co.msgs id (src, msg_id, dst);
         observe co ~op [ (src, state) ]
-      | _ -> failf "node %d: wrong reply kind to send" src
+      | None -> failf "node %d: a send reported no send event" src
     end
   | Scenario.Deliver id -> begin
     match Hashtbl.find_opt co.msgs id with

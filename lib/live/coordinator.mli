@@ -4,9 +4,10 @@
     serialized workload, mirroring every node-reported trace event into a
     coordinator-side transcript.  A [Crash] op kills the faulty processes
     for real (through [ctl]), flushes the survivors into the next epoch,
-    respawns the victims from their durable stores, and drives a
-    distributed recovery session using {!Rdt_recovery.Session.plan} — the
-    same pure decision step the in-memory session applies.
+    respawns the victims from their durable stores, and runs the whole
+    recovery session with {!Rdt_recovery.Session.run} — the same code the
+    in-memory session runs — over handles that send [C_snapshot],
+    [C_rollback] and [C_release] to the nodes.
 
     The coordinator's virtual clock mirrors {!Rdt_scenarios.Script.tick}
     exactly (one unit per checkpoint/send/deliver, one per crash, none
@@ -29,7 +30,7 @@ type run_record = {
   rr_observations : observation list;  (** in op order *)
   rr_trace : string;  (** mirrored transcript, {!Rdt_ccp.Trace} text *)
   rr_reports : Rdt_recovery.Session.report list;
-      (** one per crash op, derived from the distributed plan *)
+      (** one per crash op, as {!Rdt_recovery.Session.run} returned it *)
 }
 
 val run :

@@ -185,10 +185,7 @@ let run_cmd t sys ~seq ~now cmd =
            dv = m.Middleware.control.Control.dv;
            index = m.Middleware.control.Control.index;
          });
-    reply t ~seq
-      (Wire.R_sent
-         { msg_id = m.Middleware.msg_id; events = drain t;
-           state = state_of sys })
+    done_ ()
   | C_deliver { src; msg_id } -> begin
     match Hashtbl.find_opt t.staged (src, msg_id) with
     | Some (dv, index) ->
@@ -211,13 +208,11 @@ let run_cmd t sys ~seq ~now cmd =
     t.armed <- None;
     done_ ()
   | C_snapshot ->
-    let store = Process_stack.store sys in
     reply t ~seq
       (Wire.R_snapshot
          {
-           entries = Stable_store.retained store;
+           entries = Stable_store.retained (Process_stack.store sys);
            live_dv = Dependency_vector.to_array (Middleware.dv mw);
-           last = Stable_store.last_index store;
          })
   | C_rollback { to_index; li } ->
     Middleware.rollback mw ~to_index ~li;

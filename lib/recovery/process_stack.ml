@@ -57,9 +57,9 @@ let release_outdated t ~li =
   match t.lgc with Some lgc -> Rdt_lgc.release_outdated lgc ~li | None -> ()
 
 let session stacks ~faulty ~knowledge =
-  Session.run
-    ~middlewares:(Array.map middleware stacks)
-    ~faulty ~knowledge
-    ~release_outdated:(fun pid ~li -> release_outdated stacks.(pid) ~li)
+  Session.run ~faulty ~knowledge
+    (Array.map
+       (fun t -> Session.in_memory ~release:(release_outdated t) t.mw)
+       stacks)
 
 let close t = Option.iter Log_store.close t.log

@@ -75,7 +75,8 @@ val release_outdated : t -> li:int array -> unit
 
 val session :
   t array -> faulty:int list -> knowledge:Session.knowledge -> Session.report
-(** {!Session.run} over a system of stacks indexed by pid. *)
+(** {!Session.run} over a system of stacks indexed by pid, with
+    {!Session.in_memory} handles whose release is {!release_outdated}. *)
 
 val close : t -> unit
 (** Close the owned log store, if any. *)

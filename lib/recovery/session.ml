@@ -12,72 +12,54 @@ type report = {
   checkpoints_rolled_back : int;
 }
 
+type handle = {
+  snapshot : unit -> Global_gc.snapshot;
+  rollback : to_index:int -> li:int array option -> unit;
+  release : li:int array -> unit;
+}
+
 let snapshot_of mw =
   {
     Global_gc.entries = Array.of_list (Stable_store.retained (Middleware.store mw));
     live_dv = Dependency_vector.to_array (Middleware.dv mw);
   }
 
-type plan = {
-  p_line : int array;
-  p_li : int array;
-  p_last : int array;
-  p_rollback : bool array;
-  p_undone : int;
-}
-
-(* The pure decision step of a session, shared with the live runtime's
-   coordinator (which gathers snapshots over the wire and drives each
-   rollback as a command instead of a direct call). *)
-let plan ~snapshots ~last ~faulty =
-  let n = Array.length snapshots in
-  let line = Recovery_line.from_snapshots snapshots ~faulty in
-  (* LI in the post-rollback CCP: rolled-back processes end at their line
-     component, the others keep their last stable checkpoint *)
-  let li = Array.init n (fun j -> min line.(j) last.(j) + 1) in
-  let rollback = Array.init n (fun i -> line.(i) <= last.(i)) in
-  let undone = ref 0 in
-  for i = 0 to n - 1 do
-    undone := !undone + (last.(i) + 1 - line.(i))
-  done;
-  { p_line = line; p_li = li; p_last = last; p_rollback = rollback;
-    p_undone = !undone }
-
-let report_of_plan plan ~faulty =
-  let rolled = ref [] in
-  for i = Array.length plan.p_rollback - 1 downto 0 do
-    if plan.p_rollback.(i) then rolled := i :: !rolled
-  done;
+let in_memory ~release mw =
   {
-    faulty;
-    line = plan.p_line;
-    rolled_back = !rolled;
-    checkpoints_rolled_back = plan.p_undone;
+    snapshot = (fun () -> snapshot_of mw);
+    rollback = (fun ~to_index ~li -> Middleware.rollback mw ~to_index ~li);
+    release;
   }
 
-let run ~middlewares ~faulty ~knowledge ~release_outdated =
-  let n = Array.length middlewares in
-  let snapshots = Array.map snapshot_of middlewares in
-  let last =
-    Array.map
-      (fun mw -> Stable_store.last_index (Middleware.store mw))
-      middlewares
-  in
-  let plan = plan ~snapshots ~last ~faulty in
+let run handles ~faulty ~knowledge =
+  let n = Array.length handles in
+  let snapshots = Array.map (fun h -> h.snapshot ()) handles in
+  let line = Recovery_line.from_snapshots snapshots ~faulty in
+  (* last_s + 1 per process, from the last entry of its snapshot *)
+  let last_li = Global_gc.last_interval_vector snapshots in
+  (* LI in the post-rollback CCP: rolled-back processes end at their line
+     component, the others keep their last stable checkpoint *)
+  let li = Array.init n (fun j -> min (line.(j) + 1) last_li.(j)) in
+  let rolled_back = ref [] and undone = ref 0 in
   for i = 0 to n - 1 do
-    if plan.p_rollback.(i) then begin
-      let li_arg =
-        match knowledge with `Global -> Some plan.p_li | `Causal -> None
-      in
-      Middleware.rollback middlewares.(i) ~to_index:plan.p_line.(i) ~li:li_arg
+    undone := !undone + (last_li.(i) - line.(i));
+    if line.(i) < last_li.(i) then begin
+      rolled_back := i :: !rolled_back;
+      handles.(i).rollback ~to_index:line.(i)
+        ~li:(match knowledge with `Global -> Some li | `Causal -> None)
     end
     else begin
       match knowledge with
-      | `Global -> release_outdated i ~li:plan.p_li
+      | `Global -> handles.(i).release ~li
       | `Causal -> ()
     end
   done;
-  report_of_plan plan ~faulty
+  {
+    faulty;
+    line;
+    rolled_back = List.rev !rolled_back;
+    checkpoints_rolled_back = !undone;
+  }
 
 let pp_report ppf r =
   let pp_ints ppf l =

@@ -3,9 +3,15 @@
     The recovery manager stops the execution of non-faulty processes,
     gathers every process's stable state, computes the recovery line
     [R_F] from stored dependency vectors, and drives each process's
-    rollback.  In the simulator the session is atomic (it runs inside one
-    engine event), which models the stop-world assumption; the runner is
-    responsible for flushing in-transit messages around it.
+    rollback.  {!run} is the whole session, for every deployment: it
+    talks to each process only through a {!handle}, so the simulator
+    passes handles that act on in-memory middlewares ({!in_memory}) and
+    the live runtime's coordinator passes handles that send commands
+    over the wire.  Both therefore gather, decide and apply in the same
+    order, and roll back to the identical line by construction.  In the
+    simulator the session is atomic (it runs inside one engine event),
+    which models the stop-world assumption; the caller is responsible
+    for flushing in-transit messages around it.
 
     Two knowledge modes, as in the paper:
     - [`Global]: every process receives the last-interval vector [LI]
@@ -26,41 +32,34 @@ type report = {
       (** general checkpoints undone across all processes *)
 }
 
-val snapshot_of : Rdt_protocols.Middleware.t -> Rdt_gc.Global_gc.snapshot
-(** One process's reply to the manager's state query. *)
-
-type plan = {
-  p_line : int array;  (** the recovery line *)
-  p_li : int array;  (** LI of the post-rollback CCP *)
-  p_last : int array;  (** last stable index per process, as gathered *)
-  p_rollback : bool array;  (** [p_line.(i) <= p_last.(i)] *)
-  p_undone : int;  (** general checkpoints the plan rolls back *)
+type handle = {
+  snapshot : unit -> Rdt_gc.Global_gc.snapshot;
+      (** the process's reply to the manager's state query; its last
+          entry is the process's last stable checkpoint *)
+  rollback : to_index:int -> li:int array option -> unit;
+      (** roll back to stable checkpoint [to_index], running Algorithm 3
+          with [li] ([None] in [`Causal] mode) *)
+  release : li:int array -> unit;
+      (** release outdated [UC] entries given [li] (a process that did
+          not roll back, [`Global] mode only) *)
 }
+(** The manager's view of one process. *)
 
-val plan :
-  snapshots:Rdt_gc.Global_gc.snapshot array ->
-  last:int array ->
-  faulty:int list ->
-  plan
-(** The pure decision step of a session: compute the recovery line, LI and
-    who must roll back from the gathered snapshots.  {!run} applies it to
-    in-memory middlewares; the live runtime's coordinator applies the same
-    plan over the wire, so both deployments roll back to the identical
-    line by construction. *)
+val snapshot_of : Rdt_protocols.Middleware.t -> Rdt_gc.Global_gc.snapshot
+(** One in-memory process's reply to the manager's state query. *)
 
-val report_of_plan : plan -> faulty:int list -> report
+val in_memory :
+  release:(li:int array -> unit) -> Rdt_protocols.Middleware.t -> handle
+(** A handle on an in-memory process: {!snapshot_of}, and rollbacks
+    through {!Rdt_protocols.Middleware.rollback}, which fires the
+    collector's [on_rollback] hook.  Wire [release] to
+    {!Rdt_gc.Rdt_lgc.release_outdated}, or pass a no-op for other
+    collectors. *)
 
-val run :
-  middlewares:Rdt_protocols.Middleware.t array ->
-  faulty:int list ->
-  knowledge:knowledge ->
-  release_outdated:(int -> li:int array -> unit) ->
-  report
-(** Run a recovery session.  [release_outdated pid ~li] is called for
-    every process that did not roll back when global knowledge is
-    disseminated (wire it to {!Rdt_gc.Rdt_lgc.release_outdated}, or pass
-    a no-op for other collectors).  Rollbacks themselves go through
-    {!Rdt_protocols.Middleware.rollback}, which fires the collector's
-    [on_rollback] hook. *)
+val run : handle array -> faulty:int list -> knowledge:knowledge -> report
+(** Run a recovery session over the processes' handles, indexed by pid:
+    gather every snapshot in pid order, compute the recovery line and
+    [LI], then in pid order roll back each process the line cuts and
+    (in [`Global] mode) release the others. *)
 
 val pp_report : Format.formatter -> report -> unit

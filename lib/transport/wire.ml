@@ -89,8 +89,7 @@ type cmd =
 
 type reply =
   | R_done of { events : tev list; state : state }
-  | R_sent of { msg_id : int; events : tev list; state : state }
-  | R_snapshot of { entries : entry list; live_dv : int array; last : int }
+  | R_snapshot of { entries : entry list; live_dv : int array }
   | R_state of { state : state }
   | R_error of { message : string }
 
@@ -193,22 +192,16 @@ let put_reply b = function
     put_u8 b 0;
     put_tevs b events;
     put_state b state
-  | R_sent { msg_id; events; state } ->
+  | R_snapshot { entries; live_dv } ->
     put_u8 b 1;
-    put_i64 b msg_id;
-    put_tevs b events;
-    put_state b state
-  | R_snapshot { entries; live_dv; last } ->
-    put_u8 b 2;
     put_i64 b (List.length entries);
     List.iter (put_entry b) entries;
-    put_int_array b live_dv;
-    put_i64 b last
+    put_int_array b live_dv
   | R_state { state } ->
-    put_u8 b 3;
+    put_u8 b 2;
     put_state b state
   | R_error { message } ->
-    put_u8 b 4;
+    put_u8 b 3;
     put_string b message
 
 let put_frame b = function
@@ -371,16 +364,11 @@ let get_reply c =
     let events = get_tevs c in
     R_done { events; state = get_state c }
   | 1 ->
-    let msg_id = get_i64 c in
-    let events = get_tevs c in
-    R_sent { msg_id; events; state = get_state c }
-  | 2 ->
     let count = get_count c "entries" in
     let entries = List.init count (fun _ -> get_entry c) in
-    let live_dv = get_int_array c in
-    R_snapshot { entries; live_dv; last = get_i64 c }
-  | 3 -> R_state { state = get_state c }
-  | 4 -> R_error { message = get_string c }
+    R_snapshot { entries; live_dv = get_int_array c }
+  | 2 -> R_state { state = get_state c }
+  | 3 -> R_error { message = get_string c }
   | t -> raise (Bad (Malformed (Printf.sprintf "reply tag %d" t)))
 
 let get_frame c =

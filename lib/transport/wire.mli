@@ -82,10 +82,16 @@ type cmd =
 
 type reply =
   | R_done of { events : tev list; state : state }
-  | R_sent of { msg_id : int; events : tev list; state : state }
-  | R_snapshot of { entries : entry list; live_dv : int array; last : int }
-  | R_state of { state : state }
-  | R_error of { message : string }
+      (** the command ran: the trace events it produced, in order, and
+          the node's state after it.  A [C_send]'s message id is the one
+          [T_send] among its events *)
+  | R_snapshot of { entries : entry list; live_dv : int array }
+      (** the answer to [C_snapshot]: the retained checkpoints, ascending
+          (the last is the node's last stable checkpoint), and the live
+          DV: one process's snapshot for the coordinator's recovery
+          session *)
+  | R_state of { state : state }  (** the answer to [C_state] *)
+  | R_error of { message : string }  (** the command raised *)
 
 type frame =
   | App of { epoch : int; msg_id : int; src : int; dv : int array; index : int }

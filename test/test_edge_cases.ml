@@ -78,11 +78,11 @@ let test_session_all_faulty () =
   Script.checkpoint s 1;
   Script.transfer s ~src:1 ~dst:2;
   Script.checkpoint s 2;
-  let middlewares = Array.init 3 (Script.middleware s) in
-  let report =
-    Session.run ~middlewares ~faulty:[ 0; 1; 2 ] ~knowledge:`Global
-      ~release_outdated:(fun _ ~li:_ -> ())
+  let handles =
+    Array.init 3 (fun pid ->
+        Session.in_memory ~release:(fun ~li:_ -> ()) (Script.middleware s pid))
   in
+  let report = Session.run handles ~faulty:[ 0; 1; 2 ] ~knowledge:`Global in
   (* everyone loses at least the volatile checkpoint *)
   Alcotest.(check int) "all processes rolled back" 3
     (List.length report.Session.rolled_back);

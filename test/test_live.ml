@@ -511,8 +511,8 @@ let test_node_respawn_from_store () =
         | _ -> Alcotest.fail "not answered by R_done"
       in
       let sent_id = function
-        | Wire.R_sent { msg_id; _ } -> msg_id
-        | _ -> Alcotest.fail "send not answered by R_sent"
+        | Wire.R_done { events = [ Wire.T_send { msg_id; _ } ]; _ } -> msg_id
+        | _ -> Alcotest.fail "send not answered by one T_send event"
       in
       let hello_recovering () =
         match frames () with

@@ -132,6 +132,9 @@ let session_setup () =
   s
 
 let middlewares_of s = Array.init 3 (Script.middleware s)
+
+let handles_of ~release s =
+  Array.map (Session.in_memory ~release) (middlewares_of s)
 let stacks_of s = Array.init 3 (Script.stack s)
 
 let test_session_rolls_back_dependents () =
@@ -162,9 +165,10 @@ let test_session_preserves_safety () =
 let test_session_causal_mode () =
   let s = session_setup () in
   let report =
-    Session.run ~middlewares:(middlewares_of s) ~faulty:[ 2 ]
-      ~knowledge:`Causal
-      ~release_outdated:(fun _ ~li:_ -> Alcotest.fail "not called in causal mode")
+    Session.run
+      (handles_of s ~release:(fun ~li:_ ->
+           Alcotest.fail "not called in causal mode"))
+      ~faulty:[ 2 ] ~knowledge:`Causal
   in
   Alcotest.(check bool) "report produced" true
     (report.Session.checkpoints_rolled_back >= 1)
@@ -180,9 +184,9 @@ let test_session_counts_undone () =
     |> List.fold_left ( + ) 0
   in
   let report =
-    Session.run ~middlewares:(middlewares_of s) ~faulty:[ 2 ]
-      ~knowledge:`Global
-      ~release_outdated:(fun _ ~li:_ -> ())
+    Session.run
+      (handles_of s ~release:(fun ~li:_ -> ()))
+      ~faulty:[ 2 ] ~knowledge:`Global
   in
   Alcotest.(check int) "undone count" expected
     report.Session.checkpoints_rolled_back

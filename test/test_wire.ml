@@ -197,14 +197,9 @@ let gen_frame =
         (let* events = gen_tevs in
          let* state = gen_state n in
          return (Wire.R_done { events; state }));
-        (let* msg_id = small_int in
-         let* events = gen_tevs in
-         let* state = gen_state n in
-         return (Wire.R_sent { msg_id; events; state }));
         (let* entries = list_size (int_bound 3) (gen_entry n) in
          let* live_dv = gen_dv n in
-         let* last = small_int in
-         return (Wire.R_snapshot { entries; live_dv; last }));
+         return (Wire.R_snapshot { entries; live_dv }));
         map (fun state -> Wire.R_state { state }) (gen_state n);
         map (fun message -> Wire.R_error { message }) string_printable;
       ]
