@@ -353,20 +353,22 @@ let sweep_cmd =
 let do_store_stats dir =
   let module Log_store = Rdt_store.Log_store in
   let module Table = Rdt_metrics.Table in
-  let pids =
+  (* only a pid's canonical name counts: [int_of_string_opt] also reads
+     "p+5", "p0x4" and "p00", which name no store *)
+  let stores =
     Sys.readdir dir |> Array.to_list
     |> List.filter_map (fun name ->
            match int_of_string_opt (String.sub name 1 (String.length name - 1))
            with
            | Some pid
-             when String.length name > 1
-                  && name.[0] = 'p'
+             when pid >= 0
+                  && name = "p" ^ string_of_int pid
                   && Sys.is_directory (Filename.concat dir name) ->
-             Some pid
-           | _ | (exception Invalid_argument _) -> None)
+             Some (pid, name)
+           | _ -> None)
     |> List.sort compare
   in
-  if pids = [] then begin
+  if stores = [] then begin
     Format.eprintf "no p<pid> store directories under %s@." dir;
     exit 1
   end;
@@ -387,10 +389,8 @@ let do_store_stats dir =
   in
   let tot = ref None in
   List.iter
-    (fun pid ->
-      let ls =
-        Log_store.create ~pid ~dir:(Filename.concat dir (Printf.sprintf "p%d" pid)) ()
-      in
+    (fun (pid, name) ->
+      let ls = Log_store.create ~pid ~dir:(Filename.concat dir name) () in
       let r = Log_store.recovery ls in
       if r.Log_store.records_dropped > 0 || r.Log_store.torn_bytes > 0 then
         Format.eprintf "p%d: scan dropped %d corrupt record(s), %d torn byte(s)@."
@@ -399,7 +399,7 @@ let do_store_stats dir =
       Log_store.close ls;
       Table.add_row table
         [
-          Printf.sprintf "p%d" pid;
+          name;
           string_of_int s.Log_store.segments;
           string_of_int s.Log_store.live_records;
           string_of_int s.Log_store.live_bytes;
@@ -427,9 +427,9 @@ let do_store_stats dir =
               bytes_reclaimed =
                 a.Log_store.bytes_reclaimed + s.Log_store.bytes_reclaimed;
             }))
-    pids;
+    stores;
   (match !tot with
-  | Some s when List.length pids > 1 ->
+  | Some s when List.length stores > 1 ->
     Table.add_row table
       [
         "total";

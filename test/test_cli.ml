@@ -111,6 +111,45 @@ let test_run_rejects_used_store_dir () =
           (Printf.sprintf "rdtgc: Runner.create: store directory %s already \
                            holds checkpoints" store))
 
+(* Every path under [dir], sorted. *)
+let rec listing dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let path = Filename.concat dir name in
+         if Sys.is_directory path then path :: listing path else [ path ])
+
+(* store-stats only reads: directories whose names [int_of_string]
+   would take for a pid but which are not a pid's canonical name get no
+   row and are not turned into stores. *)
+let test_store_stats_ignores_stray_dirs () =
+  let dir = scratch "stats" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf dir)
+    (fun () ->
+      let store = Filename.concat dir "s" in
+      let code, output =
+        Helpers.run_cli
+          [ "run"; "-n"; "2"; "--duration"; "5"; "--store-dir"; store ]
+      in
+      if code <> 0 then Alcotest.failf "run exited %d:\n%s" code output;
+      List.iter
+        (fun name -> Unix.mkdir (Filename.concat store name) 0o755)
+        [ "p+5"; "p0x4"; "p00"; "p-1" ];
+      let before = listing store in
+      let code, output = Helpers.run_cli [ "store-stats"; store ] in
+      Alcotest.(check int) "exit code" 0 code;
+      let rows =
+        String.split_on_char '\n' output
+        |> List.filter_map (fun line ->
+               match String.index_opt line '|' with
+               | Some i -> Some (String.trim (String.sub line 0 i))
+               | None -> None)
+      in
+      Alcotest.(check (list string)) "rows printed"
+        [ "process"; "p0"; "p1"; "total" ] rows;
+      Alcotest.(check (list string)) "directory listing unchanged" before
+        (listing store))
+
 let suite =
   [
     Alcotest.test_case "inspect reports a bad trace line" `Quick
@@ -123,4 +162,6 @@ let suite =
       test_run_rejects_config;
     Alcotest.test_case "run reports a used store directory" `Quick
       test_run_rejects_used_store_dir;
+    Alcotest.test_case "store-stats ignores stray directories" `Quick
+      test_store_stats_ignores_stray_dirs;
   ]
