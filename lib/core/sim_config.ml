@@ -59,6 +59,12 @@ let finite_positive x = Float.is_finite x && x > 0.0
 
 let validate t =
   if t.n < 2 then invalid_arg "Sim_config: n must be at least 2";
+  if t.n > Rdt_store.Record.max_dv_len then
+    invalid_arg
+      (Printf.sprintf
+         "Sim_config: n must be at most %d (the longest DV a checkpoint \
+          record holds)"
+         Rdt_store.Record.max_dv_len);
   if not (finite_positive t.duration) then
     invalid_arg "Sim_config: duration must be finite and positive";
   if not (finite_positive t.sample_interval) then

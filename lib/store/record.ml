@@ -23,6 +23,8 @@ let head_len = 1 + 4 + 8 + 4
    then dv_len * u32, then size_bytes filler bytes. *)
 let store_ext_len = 8 + 4 + 8 + 2
 
+let max_dv_len = 0xffff
+
 let filler_byte ~payload ~k =
   Char.chr ((payload + (k * 167)) land 0xff)
 
@@ -44,7 +46,7 @@ let encoded_length = function
     check_u32 "index" entry.Stable_store.index;
     check_u32 "size_bytes" entry.size_bytes;
     let dv_len = Array.length entry.dv in
-    if dv_len > 0xffff then invalid_arg "Record: dv too long";
+    if dv_len > max_dv_len then invalid_arg "Record: dv too long";
     for i = 0 to dv_len - 1 do
       check_u32 "dv entry" entry.dv.(i)
     done;

@@ -25,6 +25,11 @@ type t =
   | Truncate_above of { pid : int; lsn : int; index : int }
       (** drop every checkpoint with index strictly greater *)
 
+val max_dv_len : int
+(** The longest dependency vector a checkpoint record holds (its length
+    is a u16): 65,535.  Configurations and scenarios with more processes
+    are rejected up front. *)
+
 val pid : t -> int
 val lsn : t -> int
 

@@ -382,6 +382,9 @@ let of_string s =
             | None -> fail "bad seed %S" v)
           | [ "n"; v ] -> (
             match int_of_string_opt v with
+            | Some v when v > Rdt_store.Record.max_dv_len ->
+              fail "n %d exceeds %d, the longest DV a checkpoint record holds"
+                v Rdt_store.Record.max_dv_len
             | Some v when v >= 2 -> n := v
             | _ -> fail "bad n %S" v)
           | [ "protocol"; id ] -> (

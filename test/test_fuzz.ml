@@ -104,6 +104,29 @@ let test_roundtrip () =
           Alcotest.failf "seed %d: corpus roundtrip changed the scenario" seed)
     [ 1; 2; 3; 17; 2026; 0x5eed ]
 
+(* The parser refuses a system wider than a checkpoint record's DV
+   before anything is sized by n. *)
+let test_parse_rejects_huge_n () =
+  let text = Scenario.to_string (Scenario.generate ~seed:1 ~max_procs:3 ()) in
+  let with_n n =
+    String.split_on_char '\n' text
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"n " l then Printf.sprintf "n %d" n
+           else l)
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun n ->
+      match Scenario.of_string (with_n n) with
+      | Ok _ -> Alcotest.failf "n %d parsed" n
+      | Error e ->
+        let expect =
+          Printf.sprintf "n %d exceeds %d" n Rdt_store.Record.max_dv_len
+        in
+        if not (Helpers.contains e expect) then
+          Alcotest.failf "n %d: error %S lacks %S" n e expect)
+    [ Rdt_store.Record.max_dv_len + 1; 100_000_000_000 ]
+
 let test_load_missing_file () =
   match Scenario.load "no-such-dir/missing.scn" with
   | Error _ -> ()
@@ -315,6 +338,8 @@ let suite =
     Alcotest.test_case "over-collecting mutant is caught and shrunk" `Quick
       test_mutant_caught_and_shrunk;
     Alcotest.test_case "corpus format roundtrips" `Quick test_roundtrip;
+    Alcotest.test_case "parser rejects n past the longest record DV" `Quick
+      test_parse_rejects_huge_n;
     Alcotest.test_case "loading a missing file is an error" `Quick
       test_load_missing_file;
     Alcotest.test_case "normalization repairs ill-formed op lists" `Quick

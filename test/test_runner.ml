@@ -420,6 +420,10 @@ let test_validation_rejects_bad_configs () =
   Alcotest.(check bool) "base is valid" false
     (bad base || bad_workload base.workload || bad_net base.net);
   Alcotest.(check bool) "n too small" true (bad { base with n = 1 });
+  Alcotest.(check bool) "n past the longest record DV" true
+    (bad { base with n = Rdt_store.Record.max_dv_len + 1 });
+  Alcotest.(check bool) "n far too large" true
+    (bad { base with n = 100_000_000_000 });
   Alcotest.(check bool) "negative duration" true (bad { base with duration = -1.0 });
   List.iter
     (fun x ->
