@@ -5,7 +5,6 @@ let create ~n =
   Array.make n 0
 
 let copy = Array.copy
-let size = Array.length
 let get t i = t.(i)
 let set t i v = t.(i) <- v
 let tick t i = t.(i) <- t.(i) + 1
@@ -16,23 +15,3 @@ let merge_into ~dst ~src =
   for i = 0 to Array.length dst - 1 do
     if src.(i) > dst.(i) then dst.(i) <- src.(i)
   done
-
-let leq a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Vector_clock.leq: size mismatch";
-  let rec loop i = i = Array.length a || (a.(i) <= b.(i) && loop (i + 1)) in
-  loop 0
-
-let equal a b = a = b
-let precedes a b = leq a b && not (equal a b)
-let concurrent a b = (not (leq a b)) && not (leq b a)
-let compare = Stdlib.compare
-let to_array = Array.copy
-let of_array a = Array.copy a
-
-let pp ppf t =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (Array.to_list t)

@@ -11,7 +11,6 @@ val create : n:int -> t
 (** All-zero clock for an [n]-process system. *)
 
 val copy : t -> t
-val size : t -> int
 
 val get : t -> int -> int
 val set : t -> int -> int -> unit
@@ -21,23 +20,5 @@ val tick : t -> int -> unit
     process [i]. *)
 
 val merge_into : dst:t -> src:t -> unit
-(** Component-wise maximum, written into [dst]; the receive rule. *)
-
-val leq : t -> t -> bool
-(** Pointwise [<=]. *)
-
-val precedes : t -> t -> bool
-(** [precedes a b] is the strict happened-before test: [leq a b && a <> b]. *)
-
-val concurrent : t -> t -> bool
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Total order extending [leq] (lexicographic); useful for sorting only. *)
-
-val to_array : t -> int array
-(** Fresh array copy of the components. *)
-
-val of_array : int array -> t
-
-val pp : Format.formatter -> t -> unit
+(** Component-wise maximum, written into [dst]; the receive rule.
+    @raise Invalid_argument if the two clocks differ in size. *)

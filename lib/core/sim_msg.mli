@@ -15,5 +15,3 @@ type t =
     }
   | Gc_collect of { round : int; indices : int list }
       (** coordinator orders elimination of these checkpoint indices *)
-
-val pp : Format.formatter -> t -> unit

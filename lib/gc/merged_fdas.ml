@@ -37,7 +37,7 @@ let new_ccb t ~index = t.uc.(t.me) <- Some { ind = index; rc = 1 }
 let take_checkpoint t ~now =
   t.sent <- false;
   let index = t.dv.(t.me) in
-  Stable_store.store t.store ~index ~dv:t.dv ~now ~size_bytes:1 ();
+  ignore (Stable_store.store_from t.store ~index ~dv:t.dv ~now ~size_bytes:1 ());
   release t t.me;
   new_ccb t ~index;
   t.dv.(t.me) <- t.dv.(t.me) + 1

@@ -35,5 +35,3 @@ val borrow : dv:int array -> index:int -> t
     (receiver runs before the caller mutates [dv] again) — the
     micro-benchmarks drive the receive path with a single reused control
     this way.  Never use it for a message that stays in flight. *)
-
-val pp : Format.formatter -> t -> unit

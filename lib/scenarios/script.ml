@@ -94,7 +94,6 @@ let crash t ~faulty =
   Process_stack.session t.stacks ~faulty ~knowledge:t.knowledge
 
 let crash_count t = t.crashes
-let knowledge t = t.knowledge
 let store t pid = Process_stack.store t.stacks.(pid)
 let dv t pid = Dependency_vector.to_array (Middleware.dv (middleware t pid))
 

@@ -61,8 +61,6 @@ val crash : t -> faulty:int list -> Rdt_recovery.Session.report
 val crash_count : t -> int
 (** Recovery sessions run so far. *)
 
-val knowledge : t -> Rdt_recovery.Session.knowledge
-
 val stack : t -> int -> Rdt_recovery.Process_stack.t
 (** One process's store → middleware → collector stack. *)
 

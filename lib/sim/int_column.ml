@@ -22,10 +22,6 @@ let get t i =
   check t i;
   t.chunks.(i lsr chunk_bits).(i land chunk_mask)
 
-let set t i x =
-  check t i;
-  t.chunks.(i lsr chunk_bits).(i land chunk_mask) <- x
-
 let grow t =
   if t.nchunks = 0 then begin
     t.chunks <- [| Array.make first_chunk 0 |];

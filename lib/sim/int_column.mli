@@ -18,9 +18,6 @@ val length : t -> int
 val get : t -> int -> int
 (** @raise Invalid_argument unless [0 <= i < length]. *)
 
-val set : t -> int -> int -> unit
-(** @raise Invalid_argument unless [0 <= i < length]. *)
-
 val push : t -> int -> unit
 
 val truncate : t -> int -> unit

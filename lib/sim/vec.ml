@@ -4,16 +4,9 @@ let create () = { data = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let check t i =
-  if i < 0 || i >= t.size then invalid_arg "Vec: index out of bounds"
-
 let get t i =
-  check t i;
+  if i < 0 || i >= t.size then invalid_arg "Vec: index out of bounds";
   t.data.(i)
-
-let set t i v =
-  check t i;
-  t.data.(i) <- v
 
 let push t v =
   if t.size = Array.length t.data then begin
@@ -41,22 +34,4 @@ let truncate t len =
 
 let clear t = truncate t 0
 
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.size - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let to_list t = List.init t.size (fun i -> t.data.(i))
 let to_array t = Array.sub t.data 0 t.size

@@ -9,7 +9,6 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 
 val truncate : 'a t -> int -> unit
@@ -20,8 +19,4 @@ val truncate : 'a t -> int -> unit
 val clear : 'a t -> unit
 (** [truncate v 0]: also releases the backing array. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array

@@ -38,7 +38,6 @@ let create ~me =
     prev = [||];
   }
 
-let me t = t.me
 let count t = Int_column.length t.desc
 let last_index t = count t - 1
 let desc t i = Int_column.get t.desc i

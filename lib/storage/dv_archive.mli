@@ -23,7 +23,6 @@
 type t
 
 val create : me:int -> t
-val me : t -> int
 
 val restore : me:int -> entries:(int * int array) list -> t
 (** Rebuild an archive from the [(index, dv)] pairs that survived a crash

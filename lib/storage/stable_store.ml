@@ -62,8 +62,6 @@ let restore ~me ~entries =
   t.peak_bytes <- t.bytes;
   t
 
-let me t = t.me
-
 let last_index t =
   match Int_map.max_binding_opt t.entries with
   | None -> -1
@@ -73,7 +71,7 @@ let store_from t ~index ~dv ~now ~size_bytes ?(payload = 0) () =
   if index <= last_index t then
     invalid_arg
       (Printf.sprintf
-         "Stable_store.store: p%d writing s^%d but already holds s^%d" t.me
+         "Stable_store.store_from: p%d writing s^%d but already holds s^%d" t.me
          index (last_index t));
   (* the single store-boundary copy: the entry owns its snapshot of the
      borrowed vector and never mutates it afterwards *)
@@ -87,9 +85,6 @@ let store_from t ~index ~dv ~now ~size_bytes ?(payload = 0) () =
   t.peak_bytes <- max t.peak_bytes t.bytes;
   (match t.backend with Some b -> b.b_store entry | None -> ());
   entry
-
-let store t ~index ~dv ~now ~size_bytes ?payload () =
-  ignore (store_from t ~index ~dv ~now ~size_bytes ?payload ())
 
 let eliminate t ~index =
   match Int_map.find_opt index t.entries with

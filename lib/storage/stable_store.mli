@@ -58,22 +58,6 @@ val restore : me:int -> entries:entry list -> t
     population ([stored_total] = number of entries, nothing
     eliminated). *)
 
-val me : t -> int
-
-val store :
-  t ->
-  index:int ->
-  dv:int array ->
-  now:float ->
-  size_bytes:int ->
-  ?payload:int ->
-  unit ->
-  unit
-(** Writes [s^index].
-    @raise Invalid_argument if the index is already present or is not
-    greater than every retained index (checkpoints are written in order;
-    after a rollback the undone ones are truncated first). *)
-
 val store_from :
   t ->
   index:int ->
@@ -83,12 +67,15 @@ val store_from :
   ?payload:int ->
   unit ->
   entry
-(** Borrow-style {!store}: [dv] is only read during the call (a borrowed
+(** Writes [s^index].  [dv] is only read during the call (a borrowed
     {!Rdt_causality.Dependency_vector.view} is fine) and is copied
     internally exactly once — the store-boundary copy of DESIGN.md §10.
     Returns the stored entry so callers that need the same snapshot
     elsewhere (e.g. the DV archive) can share [entry.dv] instead of
-    copying again; the entry's vector is immutable from here on. *)
+    copying again; the entry's vector is immutable from here on.
+    @raise Invalid_argument if the index is not greater than every
+    retained index (checkpoints are written in order; after a rollback
+    the undone ones are truncated first). *)
 
 val eliminate : t -> index:int -> unit
 (** Collects one checkpoint.  @raise Invalid_argument if not retained. *)

@@ -264,7 +264,7 @@ let seal t =
   match t.active with
   | None -> ()
   | Some (w, info) ->
-    Segment.close ~sync:true w;
+    Segment.close w;
     t.syncs <- t.syncs + 1;
     t.ops_since_sync <- 0;
     info.sealed <- true;
@@ -368,7 +368,7 @@ let compact_sealed t =
           if Segment.pending_records w >= t.config.batch_records then
             Segment.flush w)
         movers;
-      Segment.close ~sync:true w;
+      Segment.close w;
       t.syncs <- t.syncs + 1;
       Hashtbl.add t.segs id info
     end;

@@ -111,13 +111,11 @@ let sync w =
   Unix.fsync w.fd;
   w.synced <- w.written
 
-let close ?(sync = true) w =
+let close w =
   if not w.closed then begin
     flush w;
-    if sync then begin
-      Unix.fsync w.fd;
-      w.synced <- w.written
-    end;
+    Unix.fsync w.fd;
+    w.synced <- w.written;
     w.closed <- true;
     Unix.close w.fd
   end

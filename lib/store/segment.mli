@@ -56,8 +56,8 @@ val flush : writer -> unit
 val sync : writer -> unit
 (** [flush] then [fsync]. *)
 
-val close : ?sync:bool -> writer -> unit
-(** Flush, optionally fsync (default [true]), close. *)
+val close : writer -> unit
+(** Flush, fsync, close. *)
 
 (* Crash mechanics, driven by {!Log_store} when a fault fires: *)
 

@@ -53,7 +53,6 @@ val log_config : Rdt_store.Log_store.config
     fsync); the live runtime's nodes use the same one, so live store
     directories and replayed scratch directories age identically. *)
 
-val entry_eq : Rdt_storage.Stable_store.entry -> Rdt_storage.Stable_store.entry -> bool
 val set_eq : Rdt_storage.Stable_store.entry list -> Rdt_storage.Stable_store.entry list -> bool
 (** Full structural comparison (index, dv, taken_at, size, payload) used
     by the durability oracles, shared with the live-cluster checker. *)

@@ -1,8 +1,9 @@
 module S = Rdt_storage.Stable_store
 
 let store_simple t index =
-  S.store t ~index ~dv:[| index; 0 |] ~now:(float_of_int index) ~size_bytes:10
-    ~payload:(100 + index) ()
+  ignore
+    (S.store_from t ~index ~dv:[| index; 0 |] ~now:(float_of_int index)
+       ~size_bytes:10 ~payload:(100 + index) ())
 
 let test_store_and_find () =
   let t = S.create ~me:0 in
@@ -35,7 +36,7 @@ let test_store_out_of_order_rejected () =
 let test_dv_isolation () =
   let t = S.create ~me:0 in
   let dv = [| 5; 5 |] in
-  S.store t ~index:0 ~dv ~now:0.0 ~size_bytes:1 ();
+  ignore (S.store_from t ~index:0 ~dv ~now:0.0 ~size_bytes:1 ());
   dv.(0) <- 99;
   match S.find t ~index:0 with
   | Some e -> Alcotest.(check int) "stored copy unaffected" 5 e.S.dv.(0)
@@ -63,8 +64,8 @@ let test_truncate_above () =
 
 let test_byte_accounting () =
   let t = S.create ~me:0 in
-  S.store t ~index:0 ~dv:[| 0 |] ~now:0.0 ~size_bytes:100 ();
-  S.store t ~index:1 ~dv:[| 1 |] ~now:1.0 ~size_bytes:50 ();
+  ignore (S.store_from t ~index:0 ~dv:[| 0 |] ~now:0.0 ~size_bytes:100 ());
+  ignore (S.store_from t ~index:1 ~dv:[| 1 |] ~now:1.0 ~size_bytes:50 ());
   Alcotest.(check int) "bytes" 150 (S.bytes t);
   S.eliminate t ~index:0;
   Alcotest.(check int) "bytes after eliminate" 50 (S.bytes t)

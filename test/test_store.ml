@@ -220,7 +220,7 @@ let seg_records =
 let write_segment path records =
   let w = Segment.create_writer ~path () in
   List.iter (fun r -> ignore (Segment.append w r)) records;
-  Segment.close ~sync:true w
+  Segment.close w
 
 let scan_lsns path =
   let got = ref [] in
