@@ -48,17 +48,12 @@ perf:
 # host): a fixed-seed campaign plus the over-collecting-mutant
 # self-check (DESIGN.md §11); the nightly CI job runs the same campaign
 # with a fresh seed and a much larger budget.  Both print every run's
-# verdict and shrunk reproducer, and the target fails unless that output
-# matches test/fuzz-smoke.expected byte for byte.  After a deliberate
-# behaviour change, regenerate the golden with
-#   make fuzz-smoke; cp _build/fuzz-smoke.out test/fuzz-smoke.expected
+# verdict and shrunk reproducer; the dune alias (also part of
+# `dune runtest`, see test/dune) fails unless that output matches
+# test/fuzz-smoke.expected byte for byte.  After a deliberate behaviour
+# change, regenerate the golden with `dune promote`.
 fuzz-smoke:
-	@mkdir -p _build
-	dune exec bin/rdtgc_cli.exe -- fuzz --seed 2026 --runs 500 --max-procs 6 \
-	  > _build/fuzz-smoke.out
-	dune exec bin/rdtgc_cli.exe -- fuzz --mutate-lgc --seed 7 --runs 10 \
-	  >> _build/fuzz-smoke.out
-	diff -u test/fuzz-smoke.expected _build/fuzz-smoke.out
+	dune build @test/fuzz-smoke
 
 # live-process runtime smoke (DESIGN.md §14): the committed scenario on a
 # real 3-process localhost TCP cluster — SIGKILL + durable recovery at
@@ -68,19 +63,14 @@ live-smoke:
 
 # ~10 s nemesis smoke (DESIGN.md §15): every live-representable corpus
 # scenario replays under its committed fault schedule on the simulator
-# backend, then a fixed-seed 20-run simulator campaign; the verdicts of
-# both must match test/live-nemesis-smoke.expected byte for byte.  Last,
+# backend, then a fixed-seed 20-run simulator campaign; the dune alias
+# (also part of `dune runtest`, see test/dune) fails unless the verdicts
+# of both match test/live-nemesis-smoke.expected byte for byte.  Last,
 # the partition reproducer runs once against a real TCP cluster with the
 # nemesis dropping frames on the wire.  After a deliberate behaviour
-# change, regenerate the golden with
-#   make live-nemesis-smoke; cp _build/live-nemesis-smoke.out test/live-nemesis-smoke.expected
+# change, regenerate the golden with `dune promote`.
 live-nemesis-smoke:
-	@mkdir -p _build
-	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 0 --backend sim --corpus test/corpus \
-	  > _build/live-nemesis-smoke.out
-	dune exec bin/rdtgc_cli.exe -- live-fuzz --runs 20 --backend sim --seed 42 \
-	  >> _build/live-nemesis-smoke.out
-	diff -u test/live-nemesis-smoke.expected _build/live-nemesis-smoke.out
+	dune build @test/live-nemesis-smoke
 	dune exec bin/rdtgc_cli.exe -- cluster-run test/corpus/live_nemesis_partition.scn \
 	  --backend exec --nemesis "$$(cat test/corpus/live_nemesis_partition.nms)" -q
 

@@ -11,10 +11,12 @@
      reach — nothing before it can have influenced s^k.
 
    Under RDT both are computed directly from the dependency vectors, with
-   no zigzag analysis; and because the middleware archives every
-   checkpoint's vector (one whole vector in 32, only the changed entries
-   for the rest), the computation keeps working while RDT-LGC
-   aggressively collects the checkpoints themselves.
+   no zigzag analysis.  A middleware keeps no archive of them until it is
+   asked for one ([Middleware.archive]); from that call on it archives
+   every checkpoint's vector (one whole vector in 32, only the changed
+   entries for the rest).  Asking before the run starts keeps the whole
+   history, so the computation keeps working while RDT-LGC aggressively
+   collects the checkpoints themselves.
 
    Run with:  dune exec examples/causal_breakpoint.exe
    (`dune runtest` diffs the output against causal_breakpoint.expected) *)
@@ -37,10 +39,11 @@ let () =
     { Sim_config.default with n; seed = 4242; duration = 60.0 }
   in
   let t = Runner.create cfg in
-  Runner.run t;
+  (* ask for the archives before any checkpoint is collected *)
   let archives =
     Array.init n (fun pid -> Middleware.archive (Runner.middleware t pid))
   in
+  Runner.run t;
   let live_dvs =
     Array.init n (fun pid ->
         Dependency_vector.to_array (Middleware.dv (Runner.middleware t pid)))

@@ -1,5 +1,6 @@
 module Dependency_vector = Rdt_causality.Dependency_vector
 module Stable_store = Rdt_storage.Stable_store
+module Dv_archive = Rdt_storage.Dv_archive
 module Trace = Rdt_ccp.Trace
 
 (* [receive] runs once per delivered message and must not allocate (its
@@ -31,7 +32,9 @@ type t = {
   proto : Protocol.instance;
   trace : Trace.t;
   store : Stable_store.t;
-  archive : Rdt_storage.Dv_archive.t;
+  (* built by the first {!archive} call; until then checkpoints and
+     rollbacks do no archive work *)
+  mutable archive : Dv_archive.t option;
   dv : Dependency_vector.t;
   ckpt_bytes : int;
   mutable hooks : hooks;
@@ -50,14 +53,15 @@ let evolve_state state tag =
 let take_checkpoint t ~kind ~now =
   let index = Dependency_vector.get t.dv t.me in
   (* one snapshot copy at the store boundary (DESIGN.md §10): the stored
-     entry owns it, the archive shares the same immutable array *)
+     entry owns it, an archive shares the same immutable array *)
   let entry =
     Stable_store.store_from t.store ~index
       ~dv:(Dependency_vector.view t.dv)
       ~now ~size_bytes:t.ckpt_bytes ~payload:t.app_state ()
   in
-  Rdt_storage.Dv_archive.record t.archive ~index
-    ~dv:entry.Stable_store.dv;
+  (match t.archive with
+  | Some a -> Dv_archive.record a ~index ~dv:entry.Stable_store.dv
+  | None -> ());
   Trace.record_checkpoint t.trace ~pid:t.me ~index;
   t.proto.Protocol.note_checkpoint ();
   t.hooks.on_checkpoint_stored index;
@@ -82,7 +86,7 @@ let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
       proto = protocol.Protocol.make ~n ~me;
       trace;
       store;
-      archive = Rdt_storage.Dv_archive.create ~me;
+      archive = None;
       dv = Dependency_vector.create ~n;
       ckpt_bytes;
       hooks = no_hooks;
@@ -97,11 +101,10 @@ let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
   t
 
 let restore ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
-  let entries = Stable_store.retained store in
   let last =
-    match List.rev entries with
-    | [] -> invalid_arg "Middleware.restore: restored store is empty"
-    | e :: _ -> e
+    match Stable_store.find store ~index:(Stable_store.last_index store) with
+    | None -> invalid_arg "Middleware.restore: restored store is empty"
+    | Some e -> e
   in
   let dv = Dependency_vector.create ~n in
   (* Algorithm 3 lines 4-6 applied to the last surviving checkpoint: the
@@ -120,12 +123,7 @@ let restore ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
     proto = protocol.Protocol.make ~n ~me;
     trace;
     store;
-    archive =
-      Rdt_storage.Dv_archive.restore ~me
-        ~entries:
-          (List.map
-             (fun (e : Stable_store.entry) -> (e.index, e.dv))
-             entries);
+    archive = None;
     dv;
     ckpt_bytes;
     hooks = no_hooks;
@@ -138,7 +136,22 @@ let set_hooks t hooks = t.hooks <- hooks
 
 let dv t = t.dv
 let store t = t.store
-let archive t = t.archive
+
+let archive t =
+  match t.archive with
+  | Some a -> a
+  | None ->
+    (* the vectors of checkpoints collected before this call are gone *)
+    let a =
+      Dv_archive.restore ~me:t.me
+        ~entries:
+          (List.map
+             (fun (e : Stable_store.entry) -> (e.index, e.dv))
+             (Stable_store.retained t.store))
+    in
+    t.archive <- Some a;
+    a
+
 let current_interval t = Dependency_vector.get t.dv t.me
 
 let basic_checkpoint t ~now =
@@ -178,7 +191,9 @@ let rollback t ~to_index ~li =
       (Printf.sprintf "Middleware.rollback: p%d holds no s^%d" t.me to_index)
   | Some entry ->
     ignore (Stable_store.truncate_above t.store ~index:to_index);
-    Rdt_storage.Dv_archive.truncate_above t.archive ~index:to_index;
+    (match t.archive with
+    | Some a -> Dv_archive.truncate_above a ~index:to_index
+    | None -> ());
     (* Algorithm 3 lines 4-6: recreate DV from the restored checkpoint *)
     Dependency_vector.blit_into
       ~src:(Dependency_vector.of_view entry.Stable_store.dv)

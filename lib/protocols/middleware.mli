@@ -69,9 +69,10 @@ val restore :
     [Rdt_recovery.Process_stack.restore]).  [trace] need not hold the
     process's history: the live runtime passes a muted one.  A recording
     [trace] must hold the checkpoint the recovery-session rollback cuts
-    back to.  The DV, application state and
-    archive are recreated from the last surviving checkpoint, as in
-    Algorithm 3; no new checkpoint is stored.  The caller must drive a
+    back to.  The DV and application state are recreated from the last
+    surviving checkpoint, as in Algorithm 3; no new checkpoint is stored
+    and no DV archive is built (a first {!archive} call seeds one from
+    [store]).  The caller must drive a
     recovery-session rollback before resuming normal operation — until
     then the state is provisional, and the protocol instance restarts
     interval-fresh (valid for the RDT protocols, whose per-interval flags
@@ -86,9 +87,17 @@ val dv : t -> Rdt_causality.Dependency_vector.t
 val store : t -> Rdt_storage.Stable_store.t
 
 val archive : t -> Rdt_storage.Dv_archive.t
-(** Archive of the dependency vectors of every checkpoint ever taken
-    (survives garbage collection; rewound on rollback).  Feeds the
-    decentralized tracking computations of [Rdt_recovery.Tracking]. *)
+(** The archive of this process's checkpoint dependency vectors, which
+    feeds the decentralized tracking computations of
+    [Rdt_recovery.Tracking].  A middleware keeps none until this is first
+    called, so a run that never asks pays nothing for it.  The first call
+    seeds one from the checkpoints the store retains (the vectors of
+    those already collected are gone;
+    {!Rdt_storage.Dv_archive.find} answers [None] for them);
+    every later call returns the same archive, which records each
+    checkpoint taken from then on (it survives garbage collection) and is
+    rewound by {!rollback}.  Call it right after creating the process to
+    archive its whole history. *)
 
 val current_interval : t -> int
 (** [DV(v_i).(i)] — index of the current checkpoint interval; also the

@@ -16,10 +16,12 @@
       no member of [S].
 
     Precedence is evaluated with Equation 2 over each process's
-    {!Rdt_storage.Dv_archive.t} (the middleware maintains one) and live
-    DV.  The archive keeps the vector of every checkpoint a rollback did
+    {!Rdt_storage.Dv_archive.t} (the middleware builds one on the first
+    {!Rdt_protocols.Middleware.archive} call) and live DV.  From that call
+    on, the archive keeps the vector of every checkpoint a rollback did
     not undo, eliminated ones included, so tracking and aggressive garbage
-    collection coexist.  A checkpoint found this way may itself have been
+    collection coexist as long as the archives are asked for before the
+    run collects anything.  A checkpoint found this way may itself have been
     collected: these computations answer causality placement questions
     (breakpoints, error propagation analysis), not restart-ability.  The
     test suite cross-checks these closed forms against the trace-based

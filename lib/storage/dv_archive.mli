@@ -1,11 +1,15 @@
-(** Archive of dependency vectors, one per checkpoint ever taken.
+(** Archive of dependency vectors, one per checkpoint taken since the
+    archive was started.
 
     Garbage collection eliminates checkpoint *states* (which are large);
     the archive keeps their dependency vectors, so causality queries about
     collected checkpoints still have answers — which is what the
     decentralized min/max consistent-global-checkpoint computations
     ({!Rdt_recovery.Tracking}) need to work alongside an aggressive
-    collector.
+    collector.  Nothing else reads it, so a process keeps none by
+    default: {!Rdt_protocols.Middleware.archive} starts one on its first
+    call, seeded by {!restore} from the checkpoints the store still
+    retains, and records every checkpoint from then on.
 
     A vector is not kept whole for every checkpoint: that would be [n]
     words per checkpoint forever, unbounded where the store itself is

@@ -63,6 +63,11 @@ let sim_config_of_case ?(gc = Sim_config.Local) ?(faults = []) case =
 
 let run_case ?gc ?faults case =
   let t = Runner.create (sim_config_of_case ?gc ?faults case) in
+  (* DV archives from the start, so {!tracking_inputs} after the run sees
+     the vectors of collected checkpoints too *)
+  for pid = 0 to (Runner.config t).Sim_config.n - 1 do
+    ignore (Rdt_protocols.Middleware.archive (Runner.middleware t pid))
+  done;
   Runner.run t;
   t
 

@@ -133,21 +133,98 @@ let test_archive_after_rollback () =
   | None -> Alcotest.fail "re-taken checkpoint not archived");
   Alcotest.(check int) "last index" 3 (A.last_index a)
 
-let test_archive_tracks_store () =
-  (* the middleware archive always covers 0 .. last taken, even after
-     collection removed checkpoints from the store *)
+(* A scripted two-process system with RDT-LGC where p0 checkpoints
+   alone; [taken] maps each of p0's checkpoint indices to the vector the
+   store held for it when it was taken. *)
+let lgc_script () =
   let module Script = Rdt_scenarios.Script in
   let s =
     Script.create ~n:2 ~protocol:Rdt_protocols.Protocol.fdas ~with_lgc:true ()
   in
-  for _ = 1 to 5 do
-    Script.checkpoint s 0
-  done;
-  let mw = Script.middleware s 0 in
+  let taken = Hashtbl.create 16 in
+  let note () =
+    let store = Script.store s 0 in
+    let index = Rdt_storage.Stable_store.last_index store in
+    match Rdt_storage.Stable_store.find store ~index with
+    | Some e -> Hashtbl.replace taken index (Array.copy e.dv)
+    | None -> Alcotest.fail "last checkpoint not retained"
+  in
+  note ();
+  let checkpoint () =
+    Script.checkpoint s 0;
+    note ()
+  in
+  (s, taken, checkpoint)
+
+let check_archived a taken ~index =
+  Alcotest.(check (option (array int)))
+    (Printf.sprintf "s^%d archived" index)
+    (Some (Hashtbl.find taken index))
+    (A.find a ~index)
+
+let test_archive_tracks_store () =
+  (* asked for before any collection, the archive covers 0 .. last taken
+     after collection removed checkpoints from the store *)
+  let s, taken, checkpoint = lgc_script () in
+  let mw = Rdt_scenarios.Script.middleware s 0 in
   let archive = Rdt_protocols.Middleware.archive mw in
-  Alcotest.(check int) "archive complete" 6 (A.count archive);
+  for _ = 1 to 5 do
+    checkpoint ()
+  done;
   Alcotest.(check bool) "store collected" true
-    (Rdt_storage.Stable_store.count (Rdt_protocols.Middleware.store mw) < 6)
+    (Rdt_storage.Stable_store.count (Rdt_protocols.Middleware.store mw) < 6);
+  Alcotest.(check int) "archive complete" 6 (A.count archive);
+  for index = 0 to 5 do
+    check_archived archive taken ~index
+  done
+
+let test_archive_asked_mid_run () =
+  (* a late first call seeds the archive from the store: the vectors of
+     checkpoints already collected are gone, the retained ones and every
+     later one are kept *)
+  let s, taken, checkpoint = lgc_script () in
+  for _ = 1 to 4 do
+    checkpoint ()
+  done;
+  let retained = Rdt_scenarios.Script.retained s 0 in
+  Alcotest.(check bool) "some collected" true (List.length retained < 5);
+  let mw = Rdt_scenarios.Script.middleware s 0 in
+  let a = Rdt_protocols.Middleware.archive mw in
+  Alcotest.(check bool) "same archive on a second call" true
+    (a == Rdt_protocols.Middleware.archive mw);
+  for _ = 1 to 4 do
+    checkpoint ()
+  done;
+  Alcotest.(check int) "count" 9 (A.count a);
+  for index = 0 to 8 do
+    if index <= 4 && not (List.mem index retained) then
+      Alcotest.(check bool)
+        (Printf.sprintf "collected s^%d absent" index)
+        true
+        (A.find a ~index = None)
+    else check_archived a taken ~index
+  done
+
+let test_rollback_before_archive () =
+  (* a rollback before the first call leaves nothing to rewind: the
+     archive later seeded from the store starts at the rollback target *)
+  let trace = Rdt_ccp.Trace.create ~n:2 in
+  let mw =
+    Rdt_protocols.Middleware.create ~n:2 ~me:0
+      ~protocol:Rdt_protocols.Protocol.fdas ~trace ()
+  in
+  for i = 1 to 4 do
+    Rdt_protocols.Middleware.basic_checkpoint mw ~now:(float_of_int i)
+  done;
+  Rdt_protocols.Middleware.rollback mw ~to_index:2 ~li:None;
+  let a = Rdt_protocols.Middleware.archive mw in
+  Alcotest.(check int) "seeded up to the target" 3 (A.count a);
+  Alcotest.(check bool) "undone vectors absent" true
+    (A.find a ~index:3 = None && A.find a ~index:4 = None);
+  Rdt_protocols.Middleware.basic_checkpoint mw ~now:9.0;
+  match A.find a ~index:3 with
+  | Some dv -> Alcotest.(check (array int)) "re-taken interval" [| 3; 0 |] dv
+  | None -> Alcotest.fail "re-taken checkpoint not archived"
 
 (* --- model test ----------------------------------------------------- *)
 
@@ -324,6 +401,10 @@ let suite =
       test_archive_after_rollback;
     Alcotest.test_case "archive outlives collection" `Quick
       test_archive_tracks_store;
+    Alcotest.test_case "archive first asked mid-run" `Quick
+      test_archive_asked_mid_run;
+    Alcotest.test_case "rollback before the first archive call" `Quick
+      test_rollback_before_archive;
     QCheck_alcotest.to_alcotest prop_model;
     Alcotest.test_case "vec truncate releases dropped elements" `Quick
       test_vec_truncate_releases;

@@ -485,6 +485,46 @@ let test_validation_rejects_bad_configs () =
            ];
        })
 
+(* Live heap words a muted n=8 run on the memory store leaves behind,
+   beyond what was live before it: RDT-LGC bounds each store at n
+   checkpoints and the trace records nothing, so nothing the run keeps
+   may grow with its length.  Sampling every [duration / 10] keeps the
+   series the same size at every length. *)
+(* [Gc.stat] counts live words exactly after a compaction (the
+   [quick_stat] figure lags a major cycle behind).  The muted run itself
+   leaves about 3.8k words at either length; an archive of every
+   checkpoint adds about 0.3M words at T and 1.26M at 4T. *)
+let bounded_memory_slack = 50_000
+
+let live_words_after_run ~duration =
+  let cfg =
+    {
+      Sim_config.default with
+      n = 8;
+      seed = 7;
+      duration;
+      sample_interval = duration /. 10.0;
+    }
+  in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let t = Runner.create cfg in
+  Rdt_ccp.Trace.set_recording (Runner.trace t) false;
+  Runner.run t;
+  Gc.compact ();
+  let words = (Gc.stat ()).Gc.live_words - before in
+  ignore (Sys.opaque_identity t);
+  words
+
+let test_bounded_memory () =
+  let short = live_words_after_run ~duration:8_000.0 in
+  let long = live_words_after_run ~duration:32_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words at 4T (%d) within %d of T (%d)" long
+       bounded_memory_slack short)
+    true
+    (abs (long - short) < bounded_memory_slack)
+
 let suite =
   [
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
@@ -523,6 +563,8 @@ let suite =
       test_crash_with_lossy_network;
     Alcotest.test_case "faults under every protocol" `Slow
       test_faults_under_every_protocol;
+    Alcotest.test_case "memory does not grow with run length" `Quick
+      test_bounded_memory;
     Alcotest.test_case "muted trace survives rollback" `Quick
       test_muted_trace_survives_rollback;
     Alcotest.test_case "over-collecting mutant caught" `Quick
