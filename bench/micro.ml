@@ -346,14 +346,14 @@ let zigzag_tests =
 let big_trace_events = 10_000
 
 (* Records the benchmark execution into [trace], fresh from
-   [Trace.init_with_initial_checkpoints], until it holds
-   [big_trace_events] events, calling [after_message] after each
+   [Trace.init_with_initial_checkpoints], until it holds [events] events
+   ([big_trace_events] by default), calling [after_message] after each
    message; returns the number of messages. *)
-let record_big_trace trace ~after_message =
+let record_big_trace ?(events = big_trace_events) trace ~after_message =
   let n = Trace.n trace in
   let count = ref n in
   let i = ref 0 in
-  while !count < big_trace_events do
+  while !count < events do
     let src = !i mod n in
     let dst = (src + 1 + (!i / n mod (n - 1))) mod n in
     Rdt_ccp.Trace.message trace ~src ~dst;
@@ -411,6 +411,31 @@ let ccp_group =
   ( "incremental CCP engine vs full rebuild",
     `Slow,
     [ ccp_rebuild_test; ccp_incremental_test; rdt_sweep_test ] )
+
+(* --- trace logs ----------------------------------------------------------- *)
+
+(* The byte-packed trace (DESIGN.md §10) on the same n=8 execution, at
+   100k events.  [trace/record/n=8] records it into a fresh trace per run,
+   figures divided back per recorded event: the chunk allocations are in
+   it, as in a long run.  [trace/iter/100k-events] walks the recorded
+   trace once per run through [Trace.iter], the k-way merge of the
+   per-process logs that every analysis and [Trace.to_string] reads. *)
+let trace_bench_events = 100_000
+
+let trace_record_test =
+  let name = "trace/record/n=8" in
+  Hashtbl.replace batch_scale name (float_of_int trace_bench_events);
+  Test.make ~name
+    (Staged.stage (fun () ->
+         let trace = Trace.init_with_initial_checkpoints ~n:8 in
+         ignore (record_big_trace ~events:trace_bench_events trace ~after_message:ignore)))
+
+let trace_iter_test =
+  let trace = Trace.init_with_initial_checkpoints ~n:8 in
+  ignore (record_big_trace ~events:trace_bench_events trace ~after_message:ignore);
+  Test.make
+    ~name:(Printf.sprintf "trace/iter/%dk-events" (trace_bench_events / 1000))
+    (Staged.stage (fun () -> Trace.iter trace ignore))
 
 (* --- durable log store (lib/store) ------------------------------------- *)
 
@@ -818,6 +843,9 @@ let micro_groups =
     ("Theorem 1 retained-set computation", `Fast, theorem1_tests);
     ("zigzag reachability (analysis substrate)", `Medium, zigzag_tests);
     ccp_group;
+    ( "byte-packed trace: record, k-way merge read",
+      `Slow,
+      [ trace_record_test; trace_iter_test ] );
     ("CRC-32 of a 4 KiB record", `Medium, crc32_tests);
     ( "durable log store: append path, compaction, recovery scan",
       `SlowIO,

@@ -29,18 +29,65 @@ module View = struct
   let payload v = v.code lsr (v.peer_bits + tag_bits)
 end
 
-module Int_column = Rdt_sim.Int_column
+(* Process [p]'s log is a run of byte chunks.  Each event is three LEB128
+   varints: the [seq] delta from [p]'s previous event, [peer lsl 2 lor
+   tag] (the low bits of the packed code), and the zigzagged payload
+   delta from a per-tag reference — the previous checkpoint index + 1,
+   the previous send id + [n] (the next id {!fresh_msg_id} mints), the
+   previous receive id — so the common event takes about 3 bytes.  An
+   event never straddles two chunks, and each chunk's head holds the
+   decoder state at its start, so a chunk decodes on its own: a
+   truncation scans back chunk by chunk from the tail.  Only chunk 0
+   grows by doubling; full chunks are larger than the minor heap's
+   object limit and go straight to the major heap. *)
+let chunk_bytes = 4096
+let first_chunk_bytes = 64
+
+(* three varints of at most 9 bytes each: a zigzagged delta stays below
+   [2^62] since payloads and references stay below [2^61] *)
+let max_event_bytes = 27
+
+(* a chunk's head: the events before it, then the decoder state at its
+   start — the previous event's [seq], the references of the three tags *)
+let head_words = 5
+let h_count = 0
+let h_seq = 1
+let h_ckpt = 2
+let h_send = 3
+let h_recv = 4
+
+type log = {
+  mutable chunks : Bytes.t array;  (* slots past [nchunks] are empty *)
+  mutable heads : int array;  (* [head_words] per chunk *)
+  mutable nchunks : int;
+  mutable fill : int;  (* bytes used in the last chunk *)
+  mutable count : int;
+  (* the encoder state after the last event: its [seq], the last
+     checkpoint index ([-1] if none), send id and receive id *)
+  mutable seq : int;
+  mutable ckpt : int;
+  mutable send : int;
+  mutable recv : int;
+}
+
+let new_log ~n ~pid =
+  {
+    chunks = [||];
+    heads = [||];
+    nchunks = 0;
+    fill = 0;
+    count = 0;
+    seq = -1;
+    ckpt = -1;
+    send = pid - n;
+    recv = 0;
+  }
 
 type t = {
   n : int;
   peer_bits : int;
   max_payload : int;
-  (* process [p]'s log: two columns of one entry per event, the [seq]
-     and the packed code.  An append never copies what is already
-     recorded, and short logs (tests, figures, live nodes) stay small. *)
-  seqs : Int_column.t array;
-  codes : Int_column.t array;
-  last_ckpt : int array;  (* per pid: index of the log's last checkpoint *)
+  logs : log array;
   mutable next_seq : int;
   (* per-process msg-id counters: id = k * n + pid, so ids are unique and
      a pure function of the sender's own history — no global counter whose
@@ -60,9 +107,7 @@ let create ~n =
     n;
     peer_bits;
     max_payload = max_int lsr (peer_bits + tag_bits);
-    seqs = Array.init n (fun _ -> Int_column.create ());
-    codes = Array.init n (fun _ -> Int_column.create ());
-    last_ckpt = Array.make n (-1);
+    logs = Array.init n (fun pid -> new_log ~n ~pid);
     next_seq = 0;
     next_msg_id = Array.make n 0;
     recording = true;
@@ -98,27 +143,192 @@ let notify t ~pid ~seq code =
     v.code <- code;
     fire v subs
 
-(* Appends one event to [pid]'s columns; a rejected event stores nothing. *)
-let store t ~pid tag ~peer ~payload ~seq code =
+(* Codec *)
+
+let zigzag d = (d lsl 1) lxor (d asr 62)
+let unzigzag z = (z lsr 1) lxor -(z land 1)
+
+(* Writes [x >= 0] at [pos]; returns the position after it. *)
+let rec put_varint b pos x =
+  if x < 0x80 then begin
+    Bytes.set_uint8 b pos x;
+    pos + 1
+  end
+  else begin
+    Bytes.set_uint8 b pos (x land 0x7f lor 0x80);
+    put_varint b (pos + 1) (x lsr 7)
+  end
+
+let write_head log c =
+  let h = head_words * c in
+  log.heads.(h + h_count) <- log.count;
+  log.heads.(h + h_seq) <- log.seq;
+  log.heads.(h + h_ckpt) <- log.ckpt;
+  log.heads.(h + h_send) <- log.send;
+  log.heads.(h + h_recv) <- log.recv
+
+(* Makes room for one more event at the tail of [log]. *)
+let grow log =
+  let c = log.nchunks in
+  if c = 0 then begin
+    log.chunks <- [| Bytes.create first_chunk_bytes |];
+    log.heads <- Array.make head_words 0;
+    log.nchunks <- 1;
+    write_head log 0
+  end
+  else if c = 1 && Bytes.length log.chunks.(0) < chunk_bytes then begin
+    (* only chunk 0 is ever copied, and never more than [chunk_bytes] *)
+    let b = Bytes.create (min chunk_bytes (2 * Bytes.length log.chunks.(0))) in
+    Bytes.blit log.chunks.(0) 0 b 0 log.fill;
+    log.chunks.(0) <- b
+  end
+  else begin
+    if c = Array.length log.chunks then begin
+      let dir = Array.make (2 * c) Bytes.empty in
+      Array.blit log.chunks 0 dir 0 c;
+      log.chunks <- dir;
+      let heads = Array.make (2 * c * head_words) 0 in
+      Array.blit log.heads 0 heads 0 (c * head_words);
+      log.heads <- heads
+    end;
+    log.chunks.(c) <- Bytes.create chunk_bytes;
+    log.nchunks <- c + 1;
+    log.fill <- 0;
+    write_head log c
+  end
+
+let append t log tag ~peer ~payload ~seq =
+  if log.nchunks = 0
+     || log.fill + max_event_bytes > Bytes.length log.chunks.(log.nchunks - 1)
+  then grow log;
+  let b = log.chunks.(log.nchunks - 1) in
+  let pos = put_varint b log.fill (seq - log.seq) in
+  let pos = put_varint b pos ((peer lsl tag_bits) lor code_of_tag tag) in
+  let delta =
+    match tag with
+    | Checkpoint ->
+      let d = payload - (log.ckpt + 1) in
+      log.ckpt <- payload;
+      d
+    | Send ->
+      let d = payload - (log.send + t.n) in
+      log.send <- payload;
+      d
+    | Receive ->
+      let d = payload - log.recv in
+      log.recv <- payload;
+      d
+  in
+  log.fill <- put_varint b pos (zigzag delta);
+  log.seq <- seq;
+  log.count <- log.count + 1
+
+(* A decoding cursor over one log: the state after the last event it
+   decoded, and that event's packed code. *)
+type cursor = {
+  log : log;
+  mutable chunk : int;
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable left : int;  (* events left in [chunk] *)
+  mutable dseq : int;
+  mutable dckpt : int;
+  mutable dsend : int;
+  mutable drecv : int;
+  mutable code : int;
+}
+
+let chunk_events log c =
+  let next =
+    if c + 1 < log.nchunks then log.heads.((head_words * (c + 1)) + h_count)
+    else log.count
+  in
+  next - log.heads.((head_words * c) + h_count)
+
+(* Places [k] at the start of chunk [c], in the state of its head. *)
+let seek k c =
+  let log = k.log and h = head_words * c in
+  k.chunk <- c;
+  k.buf <- log.chunks.(c);
+  k.pos <- 0;
+  k.left <- chunk_events log c;
+  k.dseq <- log.heads.(h + h_seq);
+  k.dckpt <- log.heads.(h + h_ckpt);
+  k.dsend <- log.heads.(h + h_send);
+  k.drecv <- log.heads.(h + h_recv)
+
+(* A cursor before the first event of [log]. *)
+let cursor log =
+  let k =
+    {
+      log;
+      chunk = 0;
+      buf = Bytes.empty;
+      pos = 0;
+      left = 0;
+      dseq = 0;
+      dckpt = 0;
+      dsend = 0;
+      drecv = 0;
+      code = 0;
+    }
+  in
+  if log.nchunks > 0 then seek k 0;
+  k
+
+let rec varint_at k x shift =
+  let byte = Bytes.get_uint8 k.buf k.pos in
+  k.pos <- k.pos + 1;
+  let x = x lor ((byte land 0x7f) lsl shift) in
+  if byte < 0x80 then x else varint_at k x (shift + 7)
+
+(* Decodes the event after [k]'s, moving to the next chunk at the end of
+   this one; there must be one.  A chunk's head is the state its previous
+   chunk ends in, so moving on only resets the position. *)
+let next t k =
+  if k.left = 0 then begin
+    k.chunk <- k.chunk + 1;
+    k.buf <- k.log.chunks.(k.chunk);
+    k.pos <- 0;
+    k.left <- chunk_events k.log k.chunk
+  end;
+  k.left <- k.left - 1;
+  k.dseq <- k.dseq + varint_at k 0 0;
+  let low = varint_at k 0 0 in
+  let delta = unzigzag (varint_at k 0 0) in
+  let payload =
+    match tag_of_code low with
+    | Checkpoint ->
+      let p = k.dckpt + 1 + delta in
+      k.dckpt <- p;
+      p
+    | Send ->
+      let p = k.dsend + t.n + delta in
+      k.dsend <- p;
+      p
+    | Receive ->
+      let p = k.drecv + delta in
+      k.drecv <- p;
+      p
+  in
+  k.code <- (payload lsl (t.peer_bits + tag_bits)) lor low
+
+(* Appends one event to [pid]'s log; a rejected event stores nothing. *)
+let store t ~pid tag ~peer ~payload ~seq =
   if pid < 0 || pid >= t.n then invalid_arg "Trace.record: bad pid";
   if peer < 0 || peer >= t.n then invalid_arg "Trace.record: bad peer";
   if payload < 0 || payload > t.max_payload then
     invalid_arg "Trace.record: payload does not fit the packed code";
-  (match tag with
-  | Checkpoint -> t.last_ckpt.(pid) <- payload
-  | Send | Receive -> ());
-  Int_column.push t.seqs.(pid) seq;
-  Int_column.push t.codes.(pid) code
+  append t t.logs.(pid) tag ~peer ~payload ~seq
 
 (* A muted trace (benchmarks, long soak runs, live nodes) checks and
    stores nothing, but still numbers the event and hands it to the
    subscribers: with none, it does no work at all. *)
 let record t ~pid tag ~peer ~payload =
-  let code = pack t tag ~peer ~payload in
   let seq = t.next_seq in
-  if t.recording then store t ~pid tag ~peer ~payload ~seq code;
+  if t.recording then store t ~pid tag ~peer ~payload ~seq;
   t.next_seq <- seq + 1;
-  notify t ~pid ~seq code
+  notify t ~pid ~seq (pack t tag ~peer ~payload)
 
 let record_checkpoint t ~pid ~index =
   record t ~pid Checkpoint ~peer:0 ~payload:index
@@ -137,30 +347,33 @@ let fresh_msg_id t ~pid =
 let restore_msg_ids t ~pid ~count =
   if count > t.next_msg_id.(pid) then t.next_msg_id.(pid) <- count
 
-let last_checkpoint_index t ~pid = t.last_ckpt.(pid)
-let length t =
-  Array.fold_left (fun acc seqs -> acc + Int_column.length seqs) 0 t.seqs
+let last_checkpoint_index t ~pid = t.logs.(pid).ckpt
+let length t = Array.fold_left (fun acc log -> acc + log.count) 0 t.logs
 
 (* Readers *)
 
 let iter_pid t ~pid f =
-  let seqs = t.seqs.(pid) and codes = t.codes.(pid) in
+  let log = t.logs.(pid) in
   let v = View.make ~peer_bits:t.peer_bits in
   v.View.pid <- pid;
-  for i = 0 to Int_column.length seqs - 1 do
-    v.View.seq <- Int_column.get seqs i;
-    v.View.code <- Int_column.get codes i;
+  let k = cursor log in
+  for _ = 1 to log.count do
+    next t k;
+    v.View.seq <- k.dseq;
+    v.View.code <- k.code;
     f v
   done
 
 (* A k-way merge by [seq]: [heap] is a binary min-heap of the pids whose
-   log still has events, keyed by the [seq] at their cursor. *)
+   log still has events, keyed by the [seq] of the event their cursor
+   last decoded, which is the next to deliver. *)
 let iter t f =
   let v = View.make ~peer_bits:t.peer_bits in
-  let cursor = Array.make t.n 0 in
+  let cursors = Array.map cursor t.logs in
+  let left = Array.map (fun log -> log.count) t.logs in
   let heap = Array.make t.n 0 in
   let size = ref 0 in
-  let head p = Int_column.get t.seqs.(p) cursor.(p) in
+  let head p = cursors.(p).dseq in
   let rec sift_down i =
     let l = (2 * i) + 1 in
     if l < !size then begin
@@ -175,7 +388,8 @@ let iter t f =
     end
   in
   for p = 0 to t.n - 1 do
-    if Int_column.length t.seqs.(p) > 0 then begin
+    if left.(p) > 0 then begin
+      next t cursors.(p);
       heap.(!size) <- p;
       incr size
     end
@@ -185,17 +399,17 @@ let iter t f =
   done;
   while !size > 0 do
     let p = heap.(0) in
-    let seqs = t.seqs.(p) in
-    let i = cursor.(p) in
-    v.View.seq <- Int_column.get seqs i;
+    let k = cursors.(p) in
+    v.View.seq <- k.dseq;
     v.View.pid <- p;
-    v.View.code <- Int_column.get t.codes.(p) i;
+    v.View.code <- k.code;
     f v;
-    cursor.(p) <- i + 1;
-    if i + 1 = Int_column.length seqs then begin
+    left.(p) <- left.(p) - 1;
+    if left.(p) = 0 then begin
       decr size;
       heap.(0) <- heap.(!size)
-    end;
+    end
+    else next t k;
     sift_down 0
   done
 
@@ -207,24 +421,53 @@ let fold_with iter t ~init f =
 let fold t ~init f = fold_with iter t ~init f
 let fold_pid t ~pid ~init f = fold_with (iter_pid ~pid) t ~init f
 
+(* Cuts [log] just after the last [Checkpoint index] event.  Varints only
+   decode forwards, so each chunk, from the tail back, is decoded from its
+   head, remembering the last match; the first chunk with one holds the
+   cut, and nothing before it is read. *)
+let cut_at_checkpoint t log ~index =
+  let target = pack t Checkpoint ~peer:0 ~payload:index in
+  let k = cursor log in
+  let rec scan c =
+    if c < 0 then false
+    else begin
+      seek k c;
+      let found = ref (-1) and fill = ref 0 in
+      let seq = ref 0 and send = ref 0 and recv = ref 0 in
+      for i = 1 to k.left do
+        next t k;
+        if k.code = target then begin
+          found := i;
+          fill := k.pos;
+          seq := k.dseq;
+          send := k.dsend;
+          recv := k.drecv
+        end
+      done;
+      if !found < 0 then scan (c - 1)
+      else begin
+        for d = c + 1 to log.nchunks - 1 do
+          log.chunks.(d) <- Bytes.empty
+        done;
+        log.nchunks <- c + 1;
+        log.fill <- !fill;
+        log.count <- log.heads.((head_words * c) + h_count) + !found;
+        log.seq <- !seq;
+        log.ckpt <- index;
+        log.send <- !send;
+        log.recv <- !recv;
+        true
+      end
+    end
+  in
+  scan (log.nchunks - 1)
+
 let truncate_to_checkpoint t ~pid ~index =
   (* a muted trace recorded nothing, so there is nothing to cut *)
   if t.recording then begin
-    let codes = t.codes.(pid) in
-    let missing () =
-      invalid_arg "Trace.truncate_to_checkpoint: checkpoint not in trace"
-    in
-    if index < 0 || index > t.max_payload then missing ();
-    let target = pack t Checkpoint ~peer:0 ~payload:index in
-    let rec find i =
-      if i < 0 then missing ()
-      else if Int_column.get codes i = target then i
-      else find (i - 1)
-    in
-    let cut = find (Int_column.length codes - 1) in
-    Int_column.truncate t.seqs.(pid) (cut + 1);
-    Int_column.truncate codes (cut + 1);
-    t.last_ckpt.(pid) <- index;
+    let log = t.logs.(pid) in
+    if index < 0 || index > t.max_payload || not (cut_at_checkpoint t log ~index)
+    then invalid_arg "Trace.truncate_to_checkpoint: checkpoint not in trace";
     List.iter (fun f -> f ~pid) t.on_truncate
   end
 
@@ -232,23 +475,39 @@ let truncate_to_checkpoint t ~pid ~index =
 
 let magic = "rdtgc-trace 1"
 
-(* the one formatter: hands each line, newline included, to [emit] *)
-let iter_lines t emit =
-  emit (magic ^ "\n");
-  emit (Printf.sprintf "n %d\n" t.n);
-  iter t (fun v ->
-      let pid = View.pid v and payload = View.payload v in
-      emit
-        (match View.tag v with
-        | Checkpoint -> Printf.sprintf "C %d %d\n" pid payload
-        | Send -> Printf.sprintf "S %d %d %d\n" pid payload (View.peer v)
-        | Receive -> Printf.sprintf "R %d %d %d\n" pid payload (View.peer v)))
+(* [x >= 0] in decimal, as [%d] prints it, without a format string *)
+let rec add_int b x =
+  if x >= 10 then add_int b (x / 10);
+  Buffer.add_char b (Char.chr (Char.code '0' + (x mod 10)))
 
-let to_channel t oc = iter_lines t (output_string oc)
+(* the one formatter: appends the text to [b] and hands [b] to [flush]
+   each time it passes 64 KiB, and once at the end *)
+let write_text t b flush =
+  let field x =
+    Buffer.add_char b ' ';
+    add_int b x
+  in
+  Buffer.add_string b magic;
+  Buffer.add_string b "\nn";
+  field t.n;
+  Buffer.add_char b '\n';
+  iter t (fun v ->
+      (match View.tag v with
+      | Checkpoint -> Buffer.add_char b 'C'
+      | Send -> Buffer.add_char b 'S'
+      | Receive -> Buffer.add_char b 'R');
+      field (View.pid v);
+      field (View.payload v);
+      (match View.tag v with
+      | Checkpoint -> ()
+      | Send | Receive -> field (View.peer v));
+      Buffer.add_char b '\n';
+      if Buffer.length b >= 65536 then flush b);
+  flush b
 
 let to_string t =
   let b = Buffer.create 4096 in
-  iter_lines t (Buffer.add_string b);
+  write_text t b ignore;
   Buffer.contents b
 
 let of_channel ic =
@@ -303,7 +562,10 @@ let of_channel ic =
 
 let save t path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel t oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      write_text t (Buffer.create 65536) (fun b ->
+          Buffer.output_buffer oc b;
+          Buffer.clear b))
 
 let load path =
   let ic = open_in path in

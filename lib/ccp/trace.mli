@@ -15,9 +15,15 @@
     would mean the rollback was inconsistent, and {!Ccp.of_trace} treats it
     as an error.
 
-    Storage: each process's log is two [int] columns — the sequence
-    number and one packed code holding the tag, the peer and the payload
-    — kept in fixed-size chunks, about two words per event. *)
+    Storage: each process's log is a run of byte chunks of up to 4 KiB.
+    An event is three LEB128 varints — the sequence-number delta from the
+    process's previous event, the peer above a 2-bit tag, and the
+    zigzagged payload delta from the value its tag predicts (the last
+    checkpoint index + 1, the last send id + [n], the last receive id) —
+    about 3.4 bytes in a simulated run.  Each chunk's head holds the
+    decoder state at its start, so readers decode forwards with one
+    cursor per process and a truncation decodes only the chunks it
+    scans back over. *)
 
 type tag =
   | Checkpoint  (** the process stored stable checkpoint [s^payload] *)
@@ -25,7 +31,7 @@ type tag =
   | Receive  (** the process received message [payload] from [peer] *)
 
 (** Read-only window onto one recorded event.  The trace stores events
-    as packed integer columns, not as records; readers and subscribers
+    as packed bytes, not as records; readers and subscribers
     are handed a view the trace reuses, so reading an event allocates
     nothing.  A view is valid only during the callback it is passed to:
     copy out the fields to keep them. *)
@@ -49,7 +55,7 @@ type t
 val create : n:int -> t
 (** Empty trace for [n] processes.  Initial checkpoints are not implicit:
     record checkpoint [0] for each process (the middleware and the
-    builder helpers below do).  No column storage is allocated until a
+    builder helpers below do).  No log storage is allocated until a
     process records its first event. *)
 
 val n : t -> int
@@ -127,7 +133,8 @@ val fold_pid : t -> pid:int -> init:'a -> ('a -> View.t -> 'a) -> 'a
 
 val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
 (** Erase every event of [pid] after its last [Checkpoint index] event,
-    scanning back from the tail of the log (a rollback cuts near it).
+    scanning back from the tail of the log a chunk at a time (a rollback
+    cuts near it).
     While recording is off it does nothing and {!on_truncate} callbacks do
     not fire.
     @raise Invalid_argument if that checkpoint is not in the trace. *)
@@ -136,8 +143,8 @@ val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
    from one tool run and analyzed in another ([rdtgc analyze --save] /
    [rdtgc inspect]). *)
 
-val to_channel : t -> out_channel -> unit
-(** Writes the trace:
+val save : t -> string -> unit
+(** Writes the trace to a file:
     {v
     rdtgc-trace 1
     n <processes>
@@ -145,19 +152,18 @@ val to_channel : t -> out_channel -> unit
     S <pid> <msg_id> <dst>     (send)
     R <pid> <msg_id> <src>     (receive)
     v}
-    Events appear in sequence order, one line at a time (the text is
-    never held whole in memory). *)
+    Events appear in sequence order, a line at a time (the text is never
+    held whole in memory). *)
 
 val to_string : t -> string
-(** The bytes {!to_channel} writes, collected in memory. *)
+(** The bytes {!save} writes, collected in memory. *)
 
 val of_channel : in_channel -> t
-(** Reads the format written by {!to_channel}.
+(** Reads the format {!save} writes.
     @raise Failure on malformed input, including a line the recorders
     reject (a pid or peer outside [\[0, n)], a payload outside
     [\[0, max_payload\]]): [Failure "Trace.of_channel: bad line ..."]. *)
 
-val save : t -> string -> unit
 val load : string -> t
 
 (* Builder helpers: hand-constructed patterns (paper figures, tests). *)

@@ -1,5 +1,6 @@
 (* [2^12] rather than larger keeps the slack of a wide run small: [n =
-   256] processes with two trace columns each leave at most 16 MB. *)
+   256] processes with two columns each (a DV archive's descriptors and
+   cells) leave at most 16 MB. *)
 let chunk_bits = 12
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1

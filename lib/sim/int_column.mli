@@ -1,14 +1,16 @@
-(** Growable column of unboxed [int]s for append-mostly logs.
+(** Growable column of unboxed [int]s for append-mostly logs (the DV
+    archive's descriptors and cells; the trace packs its logs into bytes
+    instead).
 
     Entries live in chunks of 4096 behind a directory, so a push never
     copies what is already stored and a column holds at most one chunk
     of slack.  Chunk 0 alone starts at 4 entries and doubles up to the
     chunk size, so short columns stay small: creating one allocates
-    nothing, and a run's setup, which pushes one entry into each
-    process's columns, touches little memory.  Writes store an
-    immediate into an [int array]: no write barrier, no boxing.  Full
-    chunks are larger than the minor heap's object limit and go
-    straight to the major heap. *)
+    nothing, and an archive that holds a few entries per process
+    touches little memory.  Writes store an immediate into an
+    [int array]: no write barrier, no boxing.  Full chunks are larger
+    than the minor heap's object limit and go straight to the major
+    heap. *)
 
 type t
 

@@ -496,7 +496,9 @@ let test_validation_rejects_bad_configs () =
    checkpoint adds about 0.3M words at T and 1.26M at 4T. *)
 let bounded_memory_slack = 50_000
 
-let live_words_after_run ~duration =
+(* Live words an n=8 run of [duration] leaves behind, its trace muted
+   unless [recording], and the events the trace holds. *)
+let live_words_after_run ?(recording = false) ~duration () =
   let cfg =
     {
       Sim_config.default with
@@ -509,21 +511,35 @@ let live_words_after_run ~duration =
   Gc.compact ();
   let before = (Gc.stat ()).Gc.live_words in
   let t = Runner.create cfg in
-  Rdt_ccp.Trace.set_recording (Runner.trace t) false;
+  Rdt_ccp.Trace.set_recording (Runner.trace t) recording;
   Runner.run t;
   Gc.compact ();
   let words = (Gc.stat ()).Gc.live_words - before in
   ignore (Sys.opaque_identity t);
-  words
+  (words, Rdt_ccp.Trace.length (Runner.trace t))
 
 let test_bounded_memory () =
-  let short = live_words_after_run ~duration:8_000.0 in
-  let long = live_words_after_run ~duration:32_000.0 in
+  let short, _ = live_words_after_run ~duration:8_000.0 () in
+  let long, _ = live_words_after_run ~duration:32_000.0 () in
   Alcotest.(check bool)
     (Printf.sprintf "live words at 4T (%d) within %d of T (%d)" long
        bounded_memory_slack short)
     true
     (abs (long - short) < bounded_memory_slack)
+
+(* Live heap bytes a recorded run leaves behind per trace event.
+   Everything else the run keeps is bounded (see above), so at this
+   length the figure is the trace's own cost: about 3.4 bytes per event,
+   where two [int] words per event would read 16.  [Gc.stat] after
+   [Gc.compact] on both sides, for the reason given above. *)
+let max_trace_bytes_per_event = 6.0
+
+let test_trace_bytes_per_event () =
+  let words, events = live_words_after_run ~recording:true ~duration:8_000.0 () in
+  let per_event = float_of_int (words * (Sys.word_size / 8)) /. float_of_int events in
+  if per_event > max_trace_bytes_per_event then
+    Alcotest.failf "%.2f live bytes per trace event over %d events (bound %.1f)"
+      per_event events max_trace_bytes_per_event
 
 let suite =
   [
@@ -565,6 +581,8 @@ let suite =
       test_faults_under_every_protocol;
     Alcotest.test_case "memory does not grow with run length" `Quick
       test_bounded_memory;
+    Alcotest.test_case "a recorded trace costs at most 6 bytes per event"
+      `Quick test_trace_bytes_per_event;
     Alcotest.test_case "muted trace survives rollback" `Quick
       test_muted_trace_survives_rollback;
     Alcotest.test_case "over-collecting mutant caught" `Quick

@@ -530,6 +530,234 @@ let prop_trace_model =
        QCheck.Gen.(pair (int_range 1 5) (list_size (int_range 0 80) op_gen)))
     (fun (n, ops) -> run_model ~n ops)
 
+(* --- packed logs against a dense model --------------------------------- *)
+
+(* Random programs aimed at the byte-packed logs rather than at the API's
+   edges: long logs that span many chunks, payloads that jump between 0
+   and [max_payload] (the extremes of the zigzagged deltas), and a
+   rollback sweep that cuts at every event of a run of checkpoints, one
+   step at a time.  Every checkpoint of that run takes 10 or 11 bytes, so
+   a 4 KiB chunk holds at most 408 of them and a run of [sweep_len] holds
+   a chunk's last event and the next chunk's first.  After every step the
+   readers are compared with a dense model: every event, oldest first, in
+   one list and in one list per process. *)
+type dense_event = { ev : Helpers.event; line : string (* its text line *) }
+
+type dense = {
+  d_n : int;
+  d_top : int;
+  mutable d_all : dense_event list;  (* newest first *)
+  d_logs : Helpers.event list array;  (* newest first *)
+  mutable d_seq : int;
+  d_ckpt : int array;
+  d_send : int array;
+  d_recv : int array;
+}
+
+type dense_op =
+  | Record of { pid : int; what : int; peer : int; pick : int }
+  | Burst of { pid : int; len : int; seed : int }
+  | Sweep of { pid : int }
+  | Cut of { pid : int; pick : int }
+
+let sweep_len = 420
+
+let print_dense_op = function
+  | Record { pid; what; peer; pick } ->
+    Printf.sprintf "Record(p%d, %d, peer %d, %d)" pid what peer pick
+  | Burst { pid; len; seed } -> Printf.sprintf "Burst(p%d, %d, seed %d)" pid len seed
+  | Sweep { pid } -> Printf.sprintf "Sweep(p%d)" pid
+  | Cut { pid; pick } -> Printf.sprintf "Cut(p%d, %d)" pid pick
+
+let dense_line (e : Helpers.event) =
+  match e.tag with
+  | Trace.Checkpoint -> Printf.sprintf "C %d %d\n" e.pid e.payload
+  | Trace.Send -> Printf.sprintf "S %d %d %d\n" e.pid e.payload e.peer
+  | Trace.Receive -> Printf.sprintf "R %d %d %d\n" e.pid e.payload e.peer
+
+let dense_text m =
+  String.concat ""
+    (Printf.sprintf "rdtgc-trace 1\nn %d\n" m.d_n :: List.rev_map (fun d -> d.line) m.d_all)
+
+let check_dense ~step t m =
+  let fail what = QCheck.Test.fail_reportf "after step %d: %s differs" step what in
+  if Trace.length t <> List.length m.d_all then fail "length";
+  let seen = ref [] in
+  Trace.iter t (fun v -> seen := Helpers.event_of_view v :: !seen);
+  let rec same es ds =
+    match (es, ds) with
+    | [], [] -> true
+    | e :: es, d :: ds -> e = d.ev && same es ds
+    | _ -> false
+  in
+  if not (same !seen m.d_all) then fail "iter";
+  for pid = 0 to m.d_n - 1 do
+    if Trace.last_checkpoint_index t ~pid <> m.d_ckpt.(pid) then
+      fail (Printf.sprintf "last_checkpoint_index p%d" pid);
+    let log =
+      Trace.fold_pid t ~pid ~init:[] (fun acc v -> Helpers.event_of_view v :: acc)
+    in
+    if log <> m.d_logs.(pid) then fail (Printf.sprintf "fold_pid p%d" pid)
+  done;
+  if Trace.to_string t <> dense_text m then fail "to_string"
+
+let dense_record t m ~pid tag ~peer ~payload =
+  (match tag with
+  | Trace.Checkpoint -> Trace.record_checkpoint t ~pid ~index:payload
+  | Trace.Send -> Trace.record_send t ~pid ~msg_id:payload ~dst:peer
+  | Trace.Receive -> Trace.record_receive t ~pid ~msg_id:payload ~src:peer);
+  let e : Helpers.event = { seq = m.d_seq; pid; tag; peer; payload } in
+  m.d_seq <- m.d_seq + 1;
+  m.d_all <- { ev = e; line = dense_line e } :: m.d_all;
+  m.d_logs.(pid) <- e :: m.d_logs.(pid);
+  match tag with
+  | Trace.Checkpoint -> m.d_ckpt.(pid) <- payload
+  | Trace.Send -> m.d_send.(pid) <- payload
+  | Trace.Receive -> m.d_recv.(pid) <- payload
+
+(* A payload for [tag]: most often the one its reference predicts (a
+   one-byte delta), else 0, [max_payload], a repeat, or anywhere. *)
+let dense_payload m ~pid tag pick =
+  let clamp x = max 0 (min m.d_top x) in
+  let natural =
+    match tag with
+    | Trace.Checkpoint -> m.d_ckpt.(pid) + 1
+    | Trace.Send -> m.d_send.(pid) + m.d_n
+    | Trace.Receive -> m.d_recv.(pid) + (pick mod 40)
+  in
+  match pick mod 8 with
+  | 0 -> 0
+  | 1 -> m.d_top
+  | 2 -> clamp (m.d_top - (pick mod 3))
+  | 3 -> pick land m.d_top
+  | 4 -> clamp (natural - 1 - (pick mod 5))
+  | _ -> clamp natural
+
+let dense_tag what = match what mod 3 with 0 -> Trace.Checkpoint | 1 -> Trace.Send | _ -> Trace.Receive
+
+(* Cuts [pid]'s model log after its last [Checkpoint index]. *)
+let dense_cut m ~pid ~index =
+  let rec cut = function
+    | (e : Helpers.event) :: rest when e.tag = Trace.Checkpoint && e.payload = index ->
+      e :: rest
+    | _ :: rest -> cut rest
+    | [] -> []
+  in
+  let log = cut m.d_logs.(pid) in
+  let top = match log with e :: _ -> e.seq | [] -> -1 in
+  m.d_logs.(pid) <- log;
+  m.d_all <- List.filter (fun d -> d.ev.pid <> pid || d.ev.seq <= top) m.d_all;
+  m.d_ckpt.(pid) <- index;
+  let rec last tag = function
+    | (e : Helpers.event) :: _ when e.tag = tag -> Some e.payload
+    | _ :: rest -> last tag rest
+    | [] -> None
+  in
+  m.d_send.(pid) <- Option.value (last Trace.Send log) ~default:(pid - m.d_n);
+  m.d_recv.(pid) <- Option.value (last Trace.Receive log) ~default:0
+
+let run_dense (n, ops) =
+  let t = Trace.create ~n in
+  let m =
+    {
+      d_n = n;
+      d_top = Trace.max_payload t;
+      d_all = [];
+      d_logs = Array.make n [];
+      d_seq = 0;
+      d_ckpt = Array.make n (-1);
+      d_send = Array.init n (fun pid -> pid - n);
+      d_recv = Array.make n 0;
+    }
+  in
+  let step = ref 0 in
+  let checked () =
+    incr step;
+    check_dense ~step:!step t m
+  in
+  let cut ~pid ~index =
+    if List.exists
+         (fun (e : Helpers.event) -> e.tag = Trace.Checkpoint && e.payload = index)
+         m.d_logs.(pid)
+    then begin
+      Trace.truncate_to_checkpoint t ~pid ~index;
+      dense_cut m ~pid ~index
+    end
+    else
+      expect_invalid "truncation to a missing checkpoint" (fun () ->
+          Trace.truncate_to_checkpoint t ~pid ~index)
+  in
+  let record ~pid what peer pick =
+    let tag = dense_tag what in
+    let peer = if tag = Trace.Checkpoint then 0 else peer mod n in
+    dense_record t m ~pid tag ~peer ~payload:(dense_payload m ~pid tag pick)
+  in
+  let run = function
+    | Record { pid; what; peer; pick } ->
+      record ~pid:(pid mod n) what peer pick;
+      checked ()
+    | Burst { pid; len; seed } ->
+      let rng = Random.State.make [| seed |] in
+      for _ = 1 to len do
+        record ~pid:(pid mod n) (Random.State.bits rng) (Random.State.bits rng)
+          (Random.State.bits rng)
+      done;
+      checked ()
+    | Sweep { pid } ->
+      let pid = pid mod n in
+      let wide = [| 0; m.d_top; 1; m.d_top - 1 |] in
+      for i = 0 to sweep_len - 1 do
+        dense_record t m ~pid Trace.Checkpoint ~peer:0 ~payload:wide.(i mod 4);
+        checked ()
+      done;
+      for i = sweep_len - 1 downto 0 do
+        cut ~pid ~index:wide.(i mod 4);
+        checked ()
+      done
+    | Cut { pid; pick } ->
+      let pid = pid mod n in
+      let ckpts =
+        List.filter_map
+          (fun (e : Helpers.event) ->
+            if e.tag = Trace.Checkpoint then Some e.payload else None)
+          m.d_logs.(pid)
+      in
+      let index =
+        match ckpts with
+        | [] -> pick mod 3
+        | _ when pick mod 5 = 0 -> m.d_top - (pick mod 2)
+        | _ -> List.nth ckpts (pick mod List.length ckpts)
+      in
+      cut ~pid ~index;
+      checked ()
+  in
+  List.iter run ops;
+  true
+
+let prop_dense_model =
+  let open QCheck.Gen in
+  let record =
+    map (fun (pid, what, peer, pick) -> Record { pid; what; peer; pick }) (quad nat nat nat nat)
+  in
+  let cut = map2 (fun pid pick -> Cut { pid; pick }) nat nat in
+  let burst = map3 (fun pid len seed -> Burst { pid; len; seed }) nat (int_range 500 6000) nat in
+  let op = frequency [ (6, record); (1, burst); (3, cut) ] in
+  (* no burst before the sweep, which checks the whole trace twice per
+     checkpoint of its run *)
+  let program =
+    oneofl [ 1; 2; 8; 300 ] >>= fun n ->
+    list_size (int_range 0 20) (frequency [ (2, record); (1, cut) ]) >>= fun before ->
+    nat >>= fun pid ->
+    list_size (int_range 0 25) op >>= fun after ->
+    return (n, before @ (Sweep { pid } :: after))
+  in
+  QCheck.Test.make ~name:"packed trace logs match a dense model" ~count:8
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map print_dense_op ops)))
+       program)
+    run_dense
+
 let suite =
   [
     Alcotest.test_case "trace building" `Quick test_trace_building;
@@ -567,4 +795,5 @@ let suite =
       test_record_allocation;
     QCheck_alcotest.to_alcotest prop_precedes_vs_reachability;
     QCheck_alcotest.to_alcotest prop_trace_model;
+    QCheck_alcotest.to_alcotest prop_dense_model;
   ]
