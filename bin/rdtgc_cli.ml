@@ -186,6 +186,13 @@ let or_exit f x =
     Printf.eprintf "rdtgc: %s\n" e;
     exit 1
 
+(* A count flag below [min] would run nothing and still exit 0. *)
+let require_at_least ~flag ~min v =
+  if v < min then begin
+    Printf.eprintf "rdtgc: --%s must be at least %d, got %d\n" flag min v;
+    exit 1
+  end
+
 let do_run cfg series =
   let t = or_exit Runner.create cfg in
   Runner.run t;
@@ -292,6 +299,7 @@ let seeds_arg =
 
 let do_sweep cfg seeds =
   or_exit Sim_config.validate cfg;
+  require_at_least ~flag:"seeds" ~min:1 seeds;
   let module Table = Rdt_metrics.Table in
   let module Stats = Rdt_metrics.Stats in
   let collectors =
@@ -539,7 +547,9 @@ let campaign_term ~runs ~max_procs ~corpus_doc =
 
 let campaign_log o = if o.quiet then fun _ -> () else print_endline
 
+(* [--runs 0] still replays the corpus. *)
 let run_campaign o arm =
+  require_at_least ~flag:"runs" ~min:0 o.runs;
   Fuzz.campaign ~shrink:o.shrink ?corpus:o.corpus ~log:(campaign_log o)
     ~seed:o.seed ~runs:o.runs ~max_procs:o.max_procs arm
 

@@ -63,10 +63,6 @@ val stable_checkpoints : t -> ckpt list
 val messages : t -> message array
 (** Delivered messages only, in trace order (a fresh copy). *)
 
-val vc : t -> ckpt -> Rdt_causality.Vector_clock.t
-(** Vector clock of the checkpoint event ([v_i]: the process's final
-    clock).  Do not mutate. *)
-
 val precedes : t -> ckpt -> ckpt -> bool
 (** Causal precedence [c1 -> c2] between checkpoint events (Definition 1).
     Volatile checkpoints precede nothing; everything a process did

@@ -58,8 +58,6 @@ let create ~n ~me =
   take_checkpoint t ~now:0.0;
   t
 
-let me t = t.me
-let n t = t.n
 let dv t = Array.copy t.dv
 let uc_view t = Array.map (Option.map (fun ccb -> ccb.ind)) t.uc
 let store t = t.store

@@ -16,9 +16,6 @@ val create : n:int -> me:int -> t
 (** Initialization: [sent <- false; initialize()], then the initial
     checkpoint [s^0] is stored. *)
 
-val me : t -> int
-val n : t -> int
-
 val dv : t -> int array
 (** Copy of the current dependency vector. *)
 

@@ -129,14 +129,3 @@ let retained_because_of t f =
   if ccb == null then None else Some ccb.ind
 
 let uc_view t = Array.init t.n (retained_because_of t)
-
-let pp ppf t =
-  let entry ppf ccb =
-    if ccb == null then Format.pp_print_string ppf "*"
-    else Format.fprintf ppf "%d" ccb.ind
-  in
-  Format.fprintf ppf "UC=(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       entry)
-    (Array.to_list t.uc)

@@ -63,10 +63,6 @@ val on_new_dependency : t -> int -> unit
 (** Algorithm 2, receive: entry [j] of the DV just increased —
     [release(j); link(j, me)]. *)
 
-val on_checkpoint_stored : t -> int -> unit
-(** Algorithm 2, checkpoint: [s^index] was stored —
-    [release(me); newCCB(me, index)]. *)
-
 val on_rollback : t -> li:int array -> unit
 (** Algorithm 3: rebuild [UC] after a rollback of this process.  [li] is
     the last-interval vector when global information is available, or the
@@ -95,5 +91,3 @@ val uc_view : t -> int option array
 val retained_because_of : t -> int -> int option
 (** [retained_because_of t f]: index of the checkpoint retained because of
     process [f], if any. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,7 +6,6 @@ type summary = {
   warnings : string list;
 }
 
-val errors : summary -> Finding.t list
 val ok : summary -> bool
 (** True when there are no error-severity findings. *)
 

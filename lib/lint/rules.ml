@@ -66,5 +66,3 @@ let families = List.sort_uniq String.compare (List.map (fun r -> r.family) all)
 let is_known id =
   List.exists (fun r -> String.equal r.id id) all
   || List.exists (fun f -> String.equal f id) families
-
-let find id = List.find_opt (fun r -> String.equal r.id id) all

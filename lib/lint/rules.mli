@@ -2,12 +2,9 @@
 
 type t = { id : string; family : string; doc : string }
 
-val all : t list
 val ids : string list
 val families : string list
 
 val is_known : string -> bool
 (** True for exact rule ids and for bare family names (valid in
     [@lint.allow]). *)
-
-val find : string -> t option

@@ -52,9 +52,3 @@ let percentile l ~p =
     int_of_float (ceil (p /. 100.0 *. float_of_int len)) - 1
   in
   arr.(Stdlib.max 0 (Stdlib.min (len - 1) rank))
-
-let pp ppf t =
-  if t.count = 0 then Format.pp_print_string ppf "(no samples)"
-  else
-    Format.fprintf ppf "%.3f ± %.3f [%.3f, %.3f] (%d)" (mean t) (stddev t)
-      t.min t.max t.count

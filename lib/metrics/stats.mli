@@ -23,6 +23,3 @@ val of_list : float list -> t
 
 val percentile : float list -> p:float -> float
 (** Nearest-rank percentile of a non-empty list, [p] in [\[0, 100\]]. *)
-
-val pp : Format.formatter -> t -> unit
-(** "mean ± stddev [min, max] (count)". *)

@@ -70,5 +70,3 @@ let from_snapshots snaps ~faulty =
     end
   in
   Array.init n component
-
-let rolled_back = Consistency.count_rolled_back

@@ -33,6 +33,3 @@ val from_snapshots :
     checkpoint) when process [i] need not roll back.  Requires RDT and
     that no non-obsolete checkpoint is missing from the snapshots. *)
 
-val rolled_back : Rdt_ccp.Ccp.t -> Rdt_ccp.Consistency.global -> int
-(** Number of general checkpoints rolled back by restarting from the
-    line (the quantity Definition 5 minimizes). *)

@@ -1,7 +1,10 @@
 (** Growable arrays (OCaml 5.1 predates [Dynarray]).
 
-    Used for event logs and per-process checkpoint tables, which grow by
-    appending and occasionally truncate from the end (rollback). *)
+    Used for the CCP analysis's message log and per-process checkpoint
+    vector clocks ([Rdt_ccp.Ccp]), which grow by appending and are cleared
+    on a rebuild, and for the DV archive's one vector per index
+    ([Rdt_storage.Dv_archive]), which also truncates from the end on a
+    rollback. *)
 
 type 'a t
 

@@ -11,15 +11,14 @@
     call, seeded by {!restore} from the checkpoints the store still
     retains, and records every checkpoint from then on.
 
-    A vector is not kept whole for every checkpoint: that would be [n]
-    words per checkpoint forever, unbounded where the store itself is
-    bounded.  Per process, every 32nd index (and the first index after a
-    {!restore} gap) is a key, kept by reference; every other index keeps
-    only the entries that changed since the previous index, one packed
-    [int] each in an {!Rdt_sim.Int_column}, plus one descriptor word.
-    Consecutive checkpoints of one process change few entries, so the
-    archive costs about [d + 1] words per checkpoint for [d] changed
-    entries, plus one shared key vector in 32.
+    Each present index keeps the vector its checkpoint was stored with,
+    shared by reference with the store's entry, so the archive adds one
+    slot word per index on top of vectors the store already holds while
+    it retains them; once a checkpoint is collected its vector lives on
+    here alone, [n] words for each such index.  An index in a {!restore}
+    gap costs its slot word only.  A whole-history archive therefore
+    grows with the run where the store is bounded, which is why no
+    process keeps one unless asked.
 
     A rollback rewinds the archive too ({!truncate_above}): the undone
     checkpoints never existed as far as future queries are concerned. *)
@@ -44,11 +43,8 @@ val record : t -> index:int -> dv:int array -> unit
     {!Rdt_storage.Stable_store.store_from} entry already owns.  This keeps
     the checkpoint hot path at exactly one copy (DESIGN.md §10).
     @raise Invalid_argument unless [index] is exactly one past the last
-    recorded index (checkpoints are taken in order), if [dv] is empty or
-    differs in length from the vectors already recorded, or if [index] is
-    not a key and an entry that changed since [index - 1] is negative or
-    above [(max_int - n + 1) / n] (the range of the packed form;
-    dependency-vector entries are checkpoint indices, far below it). *)
+    recorded index (checkpoints are taken in order), or if [dv] is empty
+    or differs in length from the vectors already recorded. *)
 
 val truncate_above : t -> index:int -> unit
 (** Forget every archived vector with index strictly greater than
@@ -59,9 +55,9 @@ val last_index : t -> int
 (** Greatest archived index; [-1] when empty. *)
 
 val find : t -> index:int -> int array option
-(** A fresh copy of the archived vector, rebuilt from the nearest key at
-    or below [index] in O(n + 32·d) for [d] changed entries per
-    checkpoint; [None] out of range and inside {!restore} gaps. *)
+(** A fresh copy of the archived vector (the archived array itself is the
+    stored checkpoint's and must not be handed out); [None] out of range
+    and inside {!restore} gaps. *)
 
 val count : t -> int
 (** One past {!last_index}: the number of indices archived, gaps

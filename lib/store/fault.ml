@@ -31,10 +31,6 @@ let of_seed ~seed ~max_op =
   in
   at_op ~op:(1 + Prng.int rng max_op) ~kind ~rng
 
-let armed = function
-  | None -> false
-  | Some p -> not p.fired
-
 let kind_name = function
   | Short_write -> "short-write"
   | Crash_before_sync -> "crash-before-sync"

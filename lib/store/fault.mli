@@ -36,9 +36,6 @@ val of_seed : seed:int -> max_op:int -> t
 (** Derive a whole plan — kind and firing op in [1, max_op] — from a seed
     (the seeded fault schedules of the property tests). *)
 
-val armed : t -> bool
-(** [true] until the plan has fired (always [false] for {!none}). *)
-
 val kind_name : kind -> string
 
 (* Used by the store internals: *)

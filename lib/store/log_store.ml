@@ -66,7 +66,6 @@ type t = {
 
 exception Compaction_crash of [ `After_seal | `After_rewrite ]
 
-let pid t = t.pid
 let dir t = t.dir
 let recovery t = t.recovery_info
 

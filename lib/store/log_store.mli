@@ -70,7 +70,6 @@ type recovery = {
 val recovery : t -> recovery
 (** What the opening scan found (empty lists/zeros for a fresh dir). *)
 
-val pid : t -> int
 val dir : t -> string
 
 (* Mutations (normally reached through {!backend}): *)

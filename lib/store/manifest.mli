@@ -15,8 +15,6 @@ type t = {
   appended_records : int;  (** cumulative records ever appended *)
 }
 
-val empty : t
-
 val file_name : string
 (** ["MANIFEST"] *)
 

@@ -5,9 +5,6 @@ type t =
   | Eliminate of { pid : int; lsn : int; index : int }
   | Truncate_above of { pid : int; lsn : int; index : int }
 
-let pid = function
-  | Store { pid; _ } | Eliminate { pid; _ } | Truncate_above { pid; _ } -> pid
-
 let lsn = function
   | Store { lsn; _ } | Eliminate { lsn; _ } | Truncate_above { lsn; _ } -> lsn
 

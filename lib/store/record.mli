@@ -30,7 +30,6 @@ val max_dv_len : int
     is a u16): 65,535.  Configurations and scenarios with more processes
     are rejected up front. *)
 
-val pid : t -> int
 val lsn : t -> int
 
 val encoded_length : t -> int

@@ -60,8 +60,6 @@ let create_writer ?reuse ~path () =
   w.staged <- magic_len;
   w
 
-let path w = w.w_path
-
 let frame_length r =
   let len = Record.encoded_length r in
   if len > max_payload then

@@ -31,8 +31,6 @@ val create_writer : ?reuse:writer -> path:string -> unit -> writer
     still open), so a store rolling through segments grows one buffer
     once instead of one per segment. *)
 
-val path : writer -> string
-
 val frame_length : Record.t -> int
 (** The record's on-disk footprint, frame header included.  Raises
     [Invalid_argument] if the record cannot be framed: a field

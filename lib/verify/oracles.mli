@@ -24,8 +24,8 @@
     {b Comparison point.}  All state oracles compare at {e post-event
     quiescence}: after an operation and every middleware/collector hook it
     triggers have completed.  Mid-event the store legitimately holds
-    [n + 1] checkpoints — {!Rdt_gc.Rdt_lgc.on_checkpoint_stored} runs
-    [release(me)] only after the new checkpoint is in stable storage — and
+    [n + 1] checkpoints — RDT-LGC's checkpoint hook runs [release(me)]
+    only after the new checkpoint is in stable storage — and
     the UC array may be half-updated, so mid-event states are bounded
     ([peak <= n + 1]) but not compared for equality.  See DESIGN.md §11
     and the pinning test in [test/test_rdt_lgc.ml]. *)

@@ -67,30 +67,42 @@ let test_unreadable_nemesis () =
       check_refused "live-fuzz" ~code ~output
         ~expect:"corpus x.scn: RUN-FAILED(unreadable nemesis")
 
-(* The default collector, rdt-lgc, needs an RDT protocol, and every
-   duration, interval, period, probability and size must be in range. *)
+(* The default collector, rdt-lgc, needs an RDT protocol, every
+   duration, interval, period, probability and size must be in range, and
+   so must the seed and run counts of sweep and the fuzz campaigns. *)
 let test_run_rejects_config () =
-  let refused args ~expect =
-    let code, output = Helpers.run_cli ("run" :: args) in
-    check_refused (String.concat " " ("run" :: args)) ~code ~output ~expect
+  let refused cmd args ~expect =
+    let code, output = Helpers.run_cli (cmd :: args) in
+    check_refused (String.concat " " (cmd :: args)) ~code ~output ~expect
   in
-  refused [ "--protocol"; "none" ]
+  refused "run" [ "--protocol"; "none" ]
     ~expect:"rdtgc: Sim_config: garbage collection requires an RDT protocol";
   (* NaN fails every comparison, so a "<= 0" test lets it through (a NaN
      duration would simulate nothing and exit 0).  An infinite duration
      is left to the validation unit test in test_runner, which starts no
      run. *)
-  refused [ "--duration=nan" ]
+  refused "run" [ "--duration=nan" ]
     ~expect:"rdtgc: Sim_config: duration must be finite and positive";
-  refused [ "--gc=lazy:nan" ]
+  refused "run" [ "--gc=lazy:nan" ]
     ~expect:"rdtgc: Sim_config: GC period must be finite and positive";
-  refused [ "--ckpt-bytes=-5" ]
+  refused "run" [ "--ckpt-bytes=-5" ]
     ~expect:"rdtgc: Sim_config: ckpt_bytes must be >= 0";
-  refused [ "--loss=nan" ] ~expect:"rdtgc: Network.create: bad loss probability";
-  refused [ "--send-interval=nan" ]
+  refused "run" [ "--loss=nan" ]
+    ~expect:"rdtgc: Network.create: bad loss probability";
+  refused "run" [ "--send-interval=nan" ]
     ~expect:"rdtgc: Workload.create: intervals must be finite and positive";
-  refused [ "--reply-probability=2" ]
-    ~expect:"rdtgc: Workload.create: reply probability must lie in [0, 1]"
+  refused "run" [ "--reply-probability=2" ]
+    ~expect:"rdtgc: Workload.create: reply probability must lie in [0, 1]";
+  (* a count that runs nothing would print zeros, or an empty campaign,
+     and exit 0; [--runs 0] stays valid, it replays the corpus only *)
+  refused "sweep" [ "--seeds"; "0" ]
+    ~expect:"rdtgc: --seeds must be at least 1, got 0";
+  refused "sweep" [ "--seeds=-2" ]
+    ~expect:"rdtgc: --seeds must be at least 1, got -2";
+  refused "fuzz" [ "--runs=-3" ]
+    ~expect:"rdtgc: --runs must be at least 0, got -3";
+  refused "live-fuzz" [ "--runs=-1" ]
+    ~expect:"rdtgc: --runs must be at least 0, got -1"
 
 (* A durable run needs a fresh store directory; a second run over the
    first one's is refused. *)

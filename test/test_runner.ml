@@ -493,7 +493,9 @@ let test_validation_rejects_bad_configs () =
 (* [Gc.stat] counts live words exactly after a compaction (the
    [quick_stat] figure lags a major cycle behind).  The muted run itself
    leaves about 3.8k words at either length; an archive of every
-   checkpoint adds about 0.3M words at T and 1.26M at 4T. *)
+   checkpoint (one vector of n words plus header and slot per index, about
+   10.1 words per checkpoint) adds about 0.60M words at T and 2.40M at
+   4T. *)
 let bounded_memory_slack = 50_000
 
 (* Live words an n=8 run of [duration] leaves behind, its trace muted
