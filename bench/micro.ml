@@ -270,7 +270,7 @@ let recompute_setup ~n =
   let live_dv = Script.dv s 0 in
   fun () ->
     let entries = Array.of_list (Rdt_storage.Stable_store.retained store) in
-    ignore (Global_gc.theorem2_collectable ~entries ~live_dv)
+    ignore (Global_gc.collectable { Global_gc.entries; live_dv } ~li:live_dv)
 
 let ablation_ns = [ 8; 32; 64 ]
 
@@ -322,7 +322,7 @@ let theorem1_tests =
       make_batched
         ~name:(Printf.sprintf "theorem1-retained/n=%d" n)
         ~k:(if n <= 8 then 8 else 1)
-        (fun () -> ignore (Global_gc.theorem1_retained snaps ~me:0 ~li)))
+        (fun () -> ignore (Global_gc.retained snaps.(0) ~li)))
     [ 8; 32; 64 ]
 
 (* One BFS from s^0_0; each run also sorts the messages by sender and

@@ -67,7 +67,7 @@ let pattern_conv =
   let parse s =
     match Workload.pattern_of_string s with
     | Some p -> Ok p
-    | None -> Error (`Msg "expected uniform, ring, pipeline, broadcast or client-server:<k>")
+    | None -> Error (`Msg "expected uniform, ring, pipeline, broadcast, client-server:<k> or bursty:<k>")
   in
   Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Workload.pattern_name p))
 
@@ -94,7 +94,7 @@ let crash_conv =
   (* PID@TIME+REPAIR, e.g. 2@40+5 *)
   let parse s =
     try
-      Scanf.sscanf s "%d@%f+%f" (fun pid crash_at repair_after ->
+      Scanf.sscanf s "%d@%f+%f%!" (fun pid crash_at repair_after ->
           Ok { Sim_config.pid; crash_at; repair_after })
     with Scanf.Scan_failure _ | Failure _ | End_of_file ->
       Error (`Msg "expected PID@TIME+REPAIR, e.g. 2@40+5")

@@ -197,7 +197,7 @@ let finish_round t round =
       match t.cfg.Sim_config.gc with
       | Sim_config.Coordinated _ ->
         let li = Global_gc.last_interval_vector snaps in
-        fun me -> Global_gc.theorem1_collectable snaps ~me ~li
+        fun me -> Global_gc.collectable snaps.(me) ~li
       | Sim_config.Simple _ ->
         (* the simple baseline [5, 8] collects everything strictly below
            R_Pi, the recovery line for the failure of every process *)
@@ -249,13 +249,13 @@ let lazy_local_collect t pid =
   let mw = t.middlewares.(pid) in
   let store = Middleware.store mw in
   let entries = Array.of_list (Stable_store.retained store) in
-  (* borrowed: [theorem2_collectable] only reads it during the call *)
+  (* borrowed: [collectable] only reads it during the call *)
   let live_dv =
     Rdt_causality.Dependency_vector.view (Middleware.dv mw)
   in
   List.iter
     (fun index -> Stable_store.eliminate store ~index)
-    (Global_gc.theorem2_collectable ~entries ~live_dv)
+    (Global_gc.collectable { Global_gc.entries; live_dv } ~li:live_dv)
 
 let rec arm_lazy_local_timer t pid ~period =
   Engine.schedule_in t.engine ~pin:pid ~delay:period (fun () ->
@@ -267,7 +267,7 @@ let oracle_collect t =
   let snaps = snapshots t in
   let li = Global_gc.last_interval_vector snaps in
   for pid = 0 to t.cfg.Sim_config.n - 1 do
-    apply_collect t pid (Global_gc.theorem1_collectable snaps ~me:pid ~li)
+    apply_collect t pid (Global_gc.collectable snaps.(pid) ~li)
   done
 
 let rec arm_oracle_timer t ~period =
@@ -332,7 +332,7 @@ let sample t =
     let li = Global_gc.last_interval_vector snaps in
     let optimal = ref 0 in
     for pid = 0 to t.cfg.Sim_config.n - 1 do
-      optimal := !optimal + Global_gc.theorem1_retained_count snaps ~me:pid ~li
+      optimal := !optimal + List.length (Global_gc.retained snaps.(pid) ~li)
     done;
     Series.add_int t.series_optimal ~time ~value:!optimal
   end;

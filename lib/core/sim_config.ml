@@ -88,6 +88,11 @@ let validate t =
     if not t.protocol.Rdt_protocols.Protocol.rdt then
       invalid_arg
         "Sim_config: garbage collection requires an RDT protocol (Equation 2)");
+  (* so does the recovery session's Lemma 1: off RDT its line can leave
+     orphan messages *)
+  if (not (List.is_empty t.faults)) && not t.protocol.Rdt_protocols.Protocol.rdt
+  then
+    invalid_arg "Sim_config: crash faults require an RDT protocol (Equation 2)";
   let check_fault f =
     if f.pid < 0 || f.pid >= t.n then invalid_arg "Sim_config: fault pid";
     if not (finite_positive f.crash_at && finite_positive f.repair_after) then

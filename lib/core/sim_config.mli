@@ -68,5 +68,6 @@ val default : t
 val validate : t -> unit
 (** @raise Invalid_argument on out-of-range parameters: a duration,
     sample interval, GC period or fault time that is not finite and
-    positive, or a negative [ckpt_bytes].  {!Rdt_workload.Workload.create}
+    positive, or a negative [ckpt_bytes]; a collector or crash faults
+    with a non-RDT protocol.  {!Rdt_workload.Workload.create}
     and {!Rdt_sim.Network.create} check [workload] and [net]. *)

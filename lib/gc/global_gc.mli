@@ -1,13 +1,12 @@
-(** Global-knowledge garbage-collection computations over dependency
-    vectors — the building blocks of the coordinated baselines the paper
-    contrasts RDT-LGC with (Wang et al. [21]; Bhargava & Lian / the survey
-    [5, 8]).
+(** Garbage-collection computations over stored dependency vectors — the
+    building blocks of the coordinated baselines the paper contrasts
+    RDT-LGC with (Wang et al. [21]; Bhargava & Lian / the survey [5, 8]).
+    Pure: the runner gathers the snapshots and disseminates the results.
 
-    These functions are pure: the runner gathers each process's snapshot
-    (retained checkpoints with their stored DVs, live DV, last index) over
-    simulated control messages, calls into here at the coordinator, and
-    disseminates the results.  Correctness relies on Equation 2
-    ([c^alpha_a -> c^beta_b <=> alpha < DV(c^beta_b)[a]]), hence on RDT.
+    Equation 2 ([c^alpha_a -> c^beta_b <=> alpha < DV(c^beta_b)[a]],
+    exact under RDT) makes every question asked of stored DVs one search,
+    {!first_reaching}; Lemma 1 ([Recovery_line.from_snapshots]) and Wang's
+    maximum ([Tracking]) use it too.
 
     Staleness safety: obsolescence is stable (an obsolete checkpoint stays
     obsolete), so evaluating Theorem 1 on an old consistent snapshot can
@@ -19,46 +18,37 @@ type snapshot = {
       (** retained stable checkpoints, ascending index order *)
   live_dv : int array;  (** DV of the volatile state at snapshot time *)
 }
-(** One process's reply to the coordinator's query. *)
+(** One process's reply to the coordinator's query.  Its *positions* are
+    [0 .. len - 1] for [entries] and [len] for the volatile state. *)
 
 val last_interval_vector : snapshot array -> int array
 (** [LI]: entry [f] is [last_s(f) + 1] as of the snapshots. *)
 
-val retained_for :
-  entries:Rdt_storage.Stable_store.entry array ->
-  live_dv:int array ->
-  f:int ->
-  li_f:int ->
-  int option
-(** The checkpoint one process retains *because of* [p_f], knowing that
-    [p_f]'s last interval is at least [li_f] (Algorithm 3 line 9,
-    generalized to stale knowledge — see {!Rdt_lgc}): the most recent
-    entry whose successor's DV reaches [li_f] in component [f] while its
-    own does not.  [entries] must be in ascending index order; [live_dv]
-    stands in for the successor of the last entry. *)
+val dv_at : snapshot -> int -> int array
+(** The DV at a position of the snapshot: [entries.(pos).dv] below
+    [len], [live_dv] at [len].  Not a copy. *)
 
-val theorem1_retained : snapshot array -> me:int -> li:int array -> int list
-(** Indices process [me] must retain according to Theorem 1 evaluated with
-    the last-interval vector [li]: for each [f] with [li.(f) >= 1], the
-    most recent stable checkpoint whose successor's DV reaches [li.(f)] in
-    entry [f] while its own does not; plus always the last stable
-    checkpoint. *)
+val first_reaching :
+  len:int -> dv_at:(int -> int array) -> f:int -> x:int -> int
+(** The smallest position [p] in [0 .. len] with [(dv_at p).(f) >= x]
+    (by Equation 2, the first checkpoint [c^(x-1)_f] precedes), or
+    [len + 1] if none.  Positions [0 .. len - 1] are stored checkpoints
+    in index order and [len] the volatile state; entry [f] must be
+    nondecreasing over them.  O(log len) calls to [dv_at]. *)
 
-val theorem1_retained_count : snapshot array -> me:int -> li:int array -> int
-(** [List.length (theorem1_retained ...)] without materializing the list —
-    the runner's per-sample "optimal" instrumentation. *)
+val retained_for : snapshot -> f:int -> li_f:int -> int option
+(** The position of the checkpoint a process retains *because of* [p_f],
+    knowing that [p_f]'s last interval is at least [li_f] (Algorithm 3
+    line 9, generalized to stale knowledge — see {!Rdt_lgc}): the stored
+    position just before the first one that reaches [li_f] in entry
+    [f], if both exist. *)
 
-val theorem1_collectable : snapshot array -> me:int -> li:int array -> int list
-(** Complement of {!theorem1_retained} within the retained set — what the
-    Wang-style coordinated collector tells [me] to eliminate. *)
+val retained : snapshot -> li:int array -> int list
+(** Indices (ascending) to retain by Theorem 1 evaluated with [li]
+    ({!last_interval_vector}, or for Theorem 2 the snapshot's own
+    [live_dv]): {!retained_for} each [f], plus the last stable checkpoint.
+    @raise Invalid_argument if the snapshot holds no checkpoint. *)
 
-val theorem2_collectable :
-  entries:Rdt_storage.Stable_store.entry array ->
-  live_dv:int array ->
-  int list
-(** Corollary 1 evaluated from one process's own state alone (Theorem 2:
-    [li] is the process's own dependency vector): the checkpoints of
-    [entries] an optimal asynchronous collector eliminates at this
-    instant.  RDT-LGC maintains the retained complement incrementally;
-    this closed form recomputes it from scratch — used by the
-    lazy-collection ablation and by the optimality audits. *)
+val collectable : snapshot -> li:int array -> int list
+(** The snapshot's other indices (ascending): what the collector
+    eliminates. *)

@@ -86,18 +86,13 @@ let on_rollback t ~li =
   let ccbs =
     Array.map (fun (e : Stable_store.entry) -> { ind = e.index; rc = 0 }) entries
   in
-  let ccb_of_index index =
-    let found = ref None in
-    Array.iter (fun c -> if c.ind = index then found := Some c) ccbs;
-    match !found with Some c -> c | None -> assert false
-  in
   (* borrowed: [retained_for] only reads the live vector during the call *)
-  let live_dv = Dependency_vector.view t.dv in
+  let snap = { Global_gc.entries; live_dv = Dependency_vector.view t.dv } in
   for f = 0 to t.n - 1 do
     (* Algorithm 3 line 9 *)
-    match Global_gc.retained_for ~entries ~live_dv ~f ~li_f:li.(f) with
-    | Some index ->
-      let ccb = ccb_of_index index in
+    match Global_gc.retained_for snap ~f ~li_f:li.(f) with
+    | Some pos ->
+      let ccb = ccbs.(pos) in
       ccb.rc <- ccb.rc + 1;
       t.uc.(f) <- ccb
     | None -> t.uc.(f) <- null

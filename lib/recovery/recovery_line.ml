@@ -44,29 +44,21 @@ let by_max_consistent ccp ~faulty =
 let from_snapshots snaps ~faulty =
   let n = Array.length snaps in
   check_faulty ~n faulty;
-  let last_index i =
-    let entries = snaps.(i).Global_gc.entries in
-    entries.(Array.length entries - 1).Stable_store.index
-  in
+  let li = Global_gc.last_interval_vector snaps in
   let component i =
     let entries = snaps.(i).Global_gc.entries in
-    let preceded_by_faulty dv =
-      List.exists (fun f -> last_index f < dv.(f)) faulty
+    let len = Array.length entries in
+    let dv_at = Global_gc.dv_at snaps.(i) in
+    (* as in [lemma1]; a faulty process's own live DV reaches [LI.(i)]
+       in entry [i], so its volatile state never qualifies *)
+    let pos =
+      List.fold_left
+        (fun pos f ->
+          Int.min pos (Global_gc.first_reaching ~len ~dv_at ~f ~x:li.(f) - 1))
+        len faulty
     in
-    if
-      (not (List.mem i faulty))
-      && not (preceded_by_faulty snaps.(i).Global_gc.live_dv)
-    then last_index i + 1 (* the volatile checkpoint survives *)
-    else begin
-      let rec scan pos =
-        if pos < 0 then
-          invalid_arg "Recovery_line.from_snapshots: no admissible checkpoint"
-        else begin
-          let entry : Stable_store.entry = entries.(pos) in
-          if preceded_by_faulty entry.dv then scan (pos - 1) else entry.index
-        end
-      in
-      scan (Array.length entries - 1)
-    end
+    if pos < 0 then
+      invalid_arg "Recovery_line.from_snapshots: no admissible checkpoint";
+    if pos = len then li.(i) else entries.(pos).Stable_store.index
   in
   Array.init n component

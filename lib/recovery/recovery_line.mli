@@ -8,11 +8,12 @@
     checkpoint of any faulty process.
 
     Three computations are provided:
-    - {!lemma1}: directly from the lemma, over trace ground truth;
+    - {!lemma1}: directly from the lemma, over trace ground truth: per
+      process, the least [Ccp.first_preceded] of a faulty [s_last], minus one;
     - {!by_max_consistent}: from Definition 5, as the greatest consistent
       global checkpoint below the faulty bound (tests cross-check the two);
-    - {!from_snapshots}: the runtime version over stored dependency
-      vectors, which the recovery manager uses. *)
+    - {!from_snapshots}: the same over stored dependency vectors, with
+      {!Rdt_gc.Global_gc.first_reaching}, which the recovery manager uses. *)
 
 val lemma1 : Rdt_ccp.Ccp.t -> faulty:int list -> Rdt_ccp.Consistency.global
 (** [R_F] per Lemma 1.  [faulty] must be non-empty and name valid
@@ -31,5 +32,6 @@ val from_snapshots :
     as the centralized recovery manager does at run time.  Entry [i] is a
     general checkpoint index; it equals [last_index + 1] (the volatile
     checkpoint) when process [i] need not roll back.  Requires RDT and
-    that no non-obsolete checkpoint is missing from the snapshots. *)
+    that no non-obsolete checkpoint is missing from the snapshots.
+    @raise Invalid_argument if some process has no admissible one. *)
 

@@ -1,4 +1,5 @@
 module Dv_archive = Rdt_storage.Dv_archive
+module Global_gc = Rdt_gc.Global_gc
 
 type target = { pid : int; index : int }
 
@@ -101,36 +102,28 @@ let build v targets ~component =
   end
 
 let max_component v targets pid =
-  (* last checkpoint preceded by no target; the violating set is upward
-     closed in the index *)
-  let rec scan gamma =
-    if gamma < 0 then
-      invalid_arg "Tracking: no admissible checkpoint (malformed pattern)"
-    else if
-      List.exists
-        (fun s ->
-          precedes v { pid = s.pid; index = s.index } { pid; index = gamma })
-        targets
-    then scan (gamma - 1)
-    else gamma
+  (* Lemma 1's shape, the targets in place of the faulty processes' last
+     stable checkpoints: the last index no stable target precedes *)
+  let len = volatile_index v pid in
+  let dv_at index = dv_of v { pid; index } in
+  let gamma =
+    List.fold_left
+      (fun gamma s ->
+        if s.index > v.last.(s.pid) then gamma (* volatile: precedes nothing *)
+        else
+          Global_gc.first_reaching ~len ~dv_at ~f:s.pid ~x:(s.index + 1) - 1
+          |> Int.min gamma)
+      len targets
   in
-  scan (volatile_index v pid)
+  if gamma < 0 then
+    invalid_arg "Tracking: no admissible checkpoint (malformed pattern)";
+  gamma
 
 let min_component v targets pid =
-  (* first checkpoint that precedes no target; the violating set is
-     downward closed in the index *)
-  let rec scan gamma =
-    if gamma > volatile_index v pid then
-      invalid_arg "Tracking: no admissible checkpoint (malformed pattern)"
-    else if
-      List.exists
-        (fun s ->
-          precedes v { pid; index = gamma } { pid = s.pid; index = s.index })
-        targets
-    then scan (gamma + 1)
-    else gamma
-  in
-  scan 0
+  (* first index that precedes no target: [c^g_pid -> s] iff
+     [g < DV(s).(pid)], and the volatile checkpoint precedes nothing *)
+  Int.min (volatile_index v pid)
+    (List.fold_left (fun gamma s -> Int.max gamma (dv_of v s).(pid)) 0 targets)
 
 (* --- public API -------------------------------------------------------- *)
 

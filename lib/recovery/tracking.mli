@@ -21,11 +21,15 @@
     on, the archive keeps the vector of every checkpoint a rollback did
     not undo, eliminated ones included, so tracking and aggressive garbage
     collection coexist as long as the archives are asked for before the
-    run collects anything.  A checkpoint found this way may itself have been
-    collected: these computations answer causality placement questions
-    (breakpoints, error propagation analysis), not restart-ability.  The
-    test suite cross-checks these closed forms against the trace-based
-    lattice fixpoints of {!Rdt_ccp.Consistency} on random executions. *)
+    run collects anything; every caller does.  The maximum is a binary
+    search ({!Rdt_gc.Global_gc.first_reaching}) over the archive, and the
+    minimum a closed form ([c^g_pid -> s] iff [g < DV(s).(pid)], so per
+    process the largest [DV(s).(pid)], capped at the volatile index).  A
+    checkpoint found this way may itself have been collected: these
+    computations answer causality placement questions (breakpoints,
+    error propagation analysis), not restart-ability.  The test suite
+    cross-checks these closed forms against the trace-based lattice
+    fixpoints of {!Rdt_ccp.Consistency} on random executions. *)
 
 type target = { pid : int; index : int }
 
@@ -37,8 +41,9 @@ val max_consistent_containing :
 (** [archives.(p)] and [live_dvs.(p)] are process [p]'s archive and live
     DV.  [None] when the targets are not pairwise consistent (no
     consistent global checkpoint contains them).
-    @raise Invalid_argument on an empty archive, bad targets or two
-    targets on one process. *)
+    @raise Invalid_argument on an empty archive, bad targets, two
+    targets on one process, or a search that reaches an index the archive
+    holds no vector for (a [Dv_archive.restore] gap). *)
 
 val min_consistent_containing :
   archives:Rdt_storage.Dv_archive.t array ->

@@ -67,13 +67,9 @@ let safety ~stack ~ccp ~op =
 let optimality ~stack ~ccp ~exact ~op =
   collect @@ fun emit ->
   let n = Ccp.n ccp in
-  let snaps =
-    Array.init n (fun pid ->
-        Session.snapshot_of (Process_stack.middleware (stack pid)))
-  in
   for pid = 0 to n - 1 do
-    let li = snaps.(pid).Global_gc.live_dv in
-    let causal = Global_gc.theorem1_retained snaps ~me:pid ~li in
+    let snap = Session.snapshot_of (Process_stack.middleware (stack pid)) in
+    let causal = Global_gc.retained snap ~li:snap.Global_gc.live_dv in
     let retained = retained stack pid in
     List.iter
       (fun index ->

@@ -77,6 +77,8 @@ let test_run_rejects_config () =
   in
   refused "run" [ "--protocol"; "none" ]
     ~expect:"rdtgc: Sim_config: garbage collection requires an RDT protocol";
+  refused "run" [ "--protocol"; "none"; "--gc"; "none"; "--crash"; "1@20+2" ]
+    ~expect:"rdtgc: Sim_config: crash faults require an RDT protocol";
   (* NaN fails every comparison, so a "<= 0" test lets it through (a NaN
      duration would simulate nothing and exit 0).  An infinite duration
      is left to the validation unit test in test_runner, which starts no
@@ -102,7 +104,19 @@ let test_run_rejects_config () =
   refused "fuzz" [ "--runs=-3" ]
     ~expect:"rdtgc: --runs must be at least 0, got -3";
   refused "live-fuzz" [ "--runs=-1" ]
-    ~expect:"rdtgc: --runs must be at least 0, got -1"
+    ~expect:"rdtgc: --runs must be at least 0, got -1";
+  (* an option value that does not parse is the option parser's usage
+     error, exit 124 *)
+  let unparsed args ~expect =
+    let code, output = Helpers.run_cli ("run" :: args) in
+    let what = String.concat " " ("run" :: args) in
+    Alcotest.(check int) (what ^ ": exit code") 124 code;
+    if not (Helpers.contains output expect) then
+      Alcotest.failf "%s: output lacks %S:\n%s" what expect output
+  in
+  unparsed [ "--crash"; "1@20+2junk" ] ~expect:"expected PID@TIME+REPAIR";
+  unparsed [ "--pattern"; "bursty:0" ]
+    ~expect:"client-server:<k> or bursty:<k>"
 
 (* A durable run needs a fresh store directory; a second run over the
    first one's is refused. *)

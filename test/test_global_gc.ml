@@ -47,7 +47,7 @@ let test_theorem1_matches_oracle () =
     Alcotest.(check (list int))
       (Printf.sprintf "retained of p%d" pid)
       (Oracle.retained ccp ~pid)
-      (Global_gc.theorem1_retained snaps ~me:pid ~li)
+      (Global_gc.retained snaps.(pid) ~li)
   done
 
 let test_theorem1_collectable_is_complement () =
@@ -55,8 +55,8 @@ let test_theorem1_collectable_is_complement () =
   let snaps = snapshots_of s in
   let li = Global_gc.last_interval_vector snaps in
   for pid = 0 to 2 do
-    let retained = Global_gc.theorem1_retained snaps ~me:pid ~li in
-    let collectable = Global_gc.theorem1_collectable snaps ~me:pid ~li in
+    let retained = Global_gc.retained snaps.(pid) ~li in
+    let collectable = Global_gc.collectable snaps.(pid) ~li in
     let all =
       Array.to_list snaps.(pid).Global_gc.entries
       |> List.map (fun (e : Rdt_storage.Stable_store.entry) -> e.index)
@@ -73,8 +73,8 @@ let test_stale_li_is_conservative () =
   let li = Global_gc.last_interval_vector snaps in
   let stale = Array.map (fun v -> max 1 (v - 1)) li in
   for pid = 0 to 2 do
-    let fresh_set = Global_gc.theorem1_retained snaps ~me:pid ~li in
-    let stale_set = Global_gc.theorem1_retained snaps ~me:pid ~li:stale in
+    let fresh_set = Global_gc.retained snaps.(pid) ~li in
+    let stale_set = Global_gc.retained snaps.(pid) ~li:stale in
     (* staleness must only add retained checkpoints, never drop one...
        more precisely it must never collect something fresh knowledge
        keeps *)
@@ -97,20 +97,20 @@ let test_retained_for_basics () =
   let entries =
     [| entry 0 [| 0; 0 |]; entry 1 [| 1; 1 |]; entry 2 [| 2; 3 |] |]
   in
-  let live_dv = [| 3; 3 |] in
-  (* knowing p1's interval 3: s^1 is the most recent checkpoint with
-     dv.(1) < 3, and its successor reaches 3 *)
+  let snap = { Global_gc.entries; live_dv = [| 3; 3 |] } in
+  (* positions equal indices here.  Knowing p1's interval 3: s^1 is the
+     most recent checkpoint with dv.(1) < 3, and its successor reaches 3 *)
   Alcotest.(check (option int)) "pinned" (Some 1)
-    (Global_gc.retained_for ~entries ~live_dv ~f:1 ~li_f:3);
+    (Global_gc.retained_for snap ~f:1 ~li_f:3);
   (* knowing only interval 1: s^0 pinned *)
   Alcotest.(check (option int)) "earlier knowledge" (Some 0)
-    (Global_gc.retained_for ~entries ~live_dv ~f:1 ~li_f:1);
+    (Global_gc.retained_for snap ~f:1 ~li_f:1);
   (* no knowledge: nothing pinned *)
   Alcotest.(check (option int)) "no knowledge" None
-    (Global_gc.retained_for ~entries ~live_dv ~f:1 ~li_f:0);
+    (Global_gc.retained_for snap ~f:1 ~li_f:0);
   (* knowledge beyond what any successor reaches: nothing pinned *)
   Alcotest.(check (option int)) "beyond" None
-    (Global_gc.retained_for ~entries ~live_dv ~f:1 ~li_f:9)
+    (Global_gc.retained_for snap ~f:1 ~li_f:9)
 
 (* R_Pi, the recovery line for the failure of every process, as the
    simple baseline computes it at run time *)
@@ -142,49 +142,46 @@ let test_below_total_line_subset_of_obsolete () =
     done
   done
 
-(* the binary search in retained_for against a linear reference, on random
-   monotone DV columns *)
+(* the binary search behind retained_for, [first_reaching], against a
+   linear reference on random monotone DV columns: an empty history,
+   [x <= 0] and an [x] even the live vector misses included *)
 let prop_retained_for_binary_search =
   QCheck.Test.make ~name:"retained_for binary search = linear reference"
     ~count:300
     QCheck.(
       make
-        Gen.(
-          triple (int_bound 1_000) (int_range 0 12) (int_range 0 15)))
-    (fun (seed, len, li_f) ->
+        Gen.(triple (int_bound 1_000) (int_range 0 12) (int_range (-2) 40)))
+    (fun (seed, len, x) ->
       let rng = Rdt_sim.Prng.create ~seed in
-      (* monotone nondecreasing dv column *)
+      (* monotone nondecreasing dv column; position [len] is the live DV *)
       let acc = ref 0 in
-      let entries =
-        Array.init len (fun index ->
+      let column =
+        Array.init (len + 1) (fun _ ->
             acc := !acc + Rdt_sim.Prng.int rng 3;
-            {
-              Rdt_storage.Stable_store.index;
-              dv = [| !acc |];
-              taken_at = 0.0;
-              size_bytes = 1;
-              payload = 0;
-            })
+            [| !acc |])
       in
-      let live_dv = [| !acc + Rdt_sim.Prng.int rng 3 |] in
-      let linear () =
-        let best = ref None in
-        Array.iteri
-          (fun pos (e : Rdt_storage.Stable_store.entry) ->
-            if e.dv.(0) < li_f then best := Some pos)
-          entries;
-        match !best with
-        | None -> None
-        | Some pos ->
-          let successor =
-            if pos + 1 < len then entries.(pos + 1).dv else live_dv
-          in
-          if successor.(0) >= li_f then Some entries.(pos).index else None
+      let dv_at pos = column.(pos) in
+      let rec linear pos =
+        if pos > len || column.(pos).(0) >= x then pos else linear (pos + 1)
       in
-      (if li_f <= 0 || len = 0 then
-         Global_gc.retained_for ~entries ~live_dv ~f:0 ~li_f = None
-       else
-         Global_gc.retained_for ~entries ~live_dv ~f:0 ~li_f = linear ()))
+      let first = linear 0 in
+      let snap =
+        {
+          Global_gc.entries =
+            Array.init len (fun index ->
+                {
+                  Rdt_storage.Stable_store.index;
+                  dv = column.(index);
+                  taken_at = 0.0;
+                  size_bytes = 1;
+                  payload = 0;
+                });
+          live_dv = column.(len);
+        }
+      in
+      Global_gc.first_reaching ~len ~dv_at ~f:0 ~x = first
+      && Global_gc.retained_for snap ~f:0 ~li_f:x
+         = if first >= 1 && first <= len then Some (first - 1) else None)
 
 (* property: on random protocol-driven executions without local GC, the
    DV-based Theorem 1 equals the trace oracle — Equation 2 at work *)
@@ -203,7 +200,7 @@ let prop_theorem1_equals_oracle =
       List.for_all
         (fun pid ->
           Oracle.retained ccp ~pid
-          = Global_gc.theorem1_retained snaps ~me:pid ~li)
+          = Global_gc.retained snaps.(pid) ~li)
         (List.init n Fun.id))
 
 let suite =

@@ -103,6 +103,27 @@ let test_snapshots_agree_with_lemma1_no_gc () =
         (Recovery_line.from_snapshots snaps ~faulty))
     (all_faulty_subsets 3)
 
+(* Lemma 1 over stored DVs equals Lemma 1 over the trace on finished
+   RDT-LGC runs, whose snapshots miss the collected checkpoints *)
+let prop_snapshots_equal_trace =
+  QCheck.Test.make ~name:"snapshot recovery line = Lemma 1 on the trace"
+    ~count:25
+    QCheck.(make Gen.(pair (int_bound 2_000) (int_range 1 63)))
+    (fun (case, mask) ->
+      let t = Helpers.run_case case in
+      let ccp = Rdt_core.Runner.ccp t in
+      let n = Ccp.n ccp in
+      let faulty =
+        List.filter (fun pid -> mask land (1 lsl pid) <> 0) (List.init n Fun.id)
+      in
+      let faulty = if faulty = [] then [ mask mod n ] else faulty in
+      let snaps =
+        Array.init n (fun pid ->
+            Session.snapshot_of (Rdt_core.Runner.middleware t pid))
+      in
+      Recovery_line.lemma1 ccp ~faulty
+      = Recovery_line.from_snapshots snaps ~faulty)
+
 let test_domino_effect_rollback_depth () =
   (* Figure 2's promise: a single failure forces the uncoordinated run
      back to the initial state, while FDAS keeps the loss bounded *)
@@ -199,6 +220,7 @@ let suite =
       test_lemma1_minimizes_rollback;
     Alcotest.test_case "snapshot computation agrees" `Quick
       test_snapshots_agree_with_lemma1_no_gc;
+    QCheck_alcotest.to_alcotest prop_snapshots_equal_trace;
     Alcotest.test_case "domino rollback depth" `Quick
       test_domino_effect_rollback_depth;
     Alcotest.test_case "session rolls back dependents" `Quick

@@ -483,6 +483,15 @@ let test_validation_rejects_bad_configs () =
              { Sim_config.crash_at = 5.0; pid = 0; repair_after = 10.0 };
              { Sim_config.crash_at = 8.0; pid = 0; repair_after = 1.0 };
            ];
+       });
+  (* Lemma 1's recovery line is exact only under RDT *)
+  Alcotest.(check bool) "crash faults under a non-RDT protocol" true
+    (bad
+       {
+         base with
+         protocol = Rdt_protocols.Protocol.no_forced;
+         gc = Sim_config.No_gc;
+         faults = [ { Sim_config.crash_at = 5.0; pid = 0; repair_after = 1.0 } ];
        })
 
 (* Live heap words a muted n=8 run on the memory store leaves behind,

@@ -81,8 +81,7 @@ let prop_theorem2_weakens_theorem1 =
       List.for_all
         (fun pid ->
           let causal =
-            Global_gc.theorem1_retained snaps ~me:pid
-              ~li:snaps.(pid).Global_gc.live_dv
+            Global_gc.retained snaps.(pid) ~li:snaps.(pid).Global_gc.live_dv
           in
           List.for_all
             (fun needed -> List.mem needed causal)
