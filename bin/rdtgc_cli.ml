@@ -1,10 +1,18 @@
 (* rdtgc — command-line front end.
 
    Subcommands:
-     run       simulate a checkpointed system and report GC behaviour
-     analyze   run a simulation and analyze its CCP (RDT, obsolete set)
-     figure4   replay the paper's Figure 4 execution step by step
-     protocols list the available checkpointing protocols *)
+     run          simulate a checkpointed system and report GC behaviour
+     analyze      run a simulation and analyze its CCP (RDT, obsolete set)
+     inspect      analyze a saved execution trace
+     sweep        compare every garbage collector on one workload
+     store-stats  inspect a durable checkpoint store directory
+     figure4      replay the paper's Figure 4 execution step by step
+     protocols    list the available checkpointing protocols
+     fuzz         differential fuzzing against the theorem oracles
+     live-fuzz    fuzz whole clusters under nemesis fault schedules
+     cluster-run  run one scenario file on a live cluster and check it
+     node         one cluster node process (spawned by cluster-run)
+     lint         project-invariant static analysis *)
 
 open Cmdliner
 module Runner = Rdt_core.Runner
@@ -395,61 +403,34 @@ let do_store_stats dir =
           ("reclaimed", Table.Right);
         ]
   in
-  let tot = ref None in
-  List.iter
-    (fun (pid, name) ->
-      let ls = Log_store.create ~pid ~dir:(Filename.concat dir name) () in
-      let r = Log_store.recovery ls in
-      if r.Log_store.records_dropped > 0 || r.Log_store.torn_bytes > 0 then
-        Format.eprintf "p%d: scan dropped %d corrupt record(s), %d torn byte(s)@."
-          pid r.Log_store.records_dropped r.Log_store.torn_bytes;
-      let s = Log_store.stats ls in
-      Log_store.close ls;
-      Table.add_row table
-        [
-          name;
-          string_of_int s.Log_store.segments;
-          string_of_int s.Log_store.live_records;
-          string_of_int s.Log_store.live_bytes;
-          string_of_int s.Log_store.dead_bytes;
-          string_of_int s.Log_store.disk_bytes;
-          string_of_int s.Log_store.appended_records;
-          string_of_int s.Log_store.compactions;
-          string_of_int s.Log_store.bytes_reclaimed;
-        ];
-      tot :=
-        Some
-          (match !tot with
-          | None -> s
-          | Some (a : Log_store.stats) ->
-            {
-              a with
-              Log_store.segments = a.Log_store.segments + s.Log_store.segments;
-              live_records = a.Log_store.live_records + s.Log_store.live_records;
-              live_bytes = a.Log_store.live_bytes + s.Log_store.live_bytes;
-              dead_bytes = a.Log_store.dead_bytes + s.Log_store.dead_bytes;
-              disk_bytes = a.Log_store.disk_bytes + s.Log_store.disk_bytes;
-              appended_records =
-                a.Log_store.appended_records + s.Log_store.appended_records;
-              compactions = a.Log_store.compactions + s.Log_store.compactions;
-              bytes_reclaimed =
-                a.Log_store.bytes_reclaimed + s.Log_store.bytes_reclaimed;
-            }))
-    stores;
-  (match !tot with
-  | Some s when List.length stores > 1 ->
-    Table.add_row table
-      [
-        "total";
-        string_of_int s.Log_store.segments;
-        string_of_int s.Log_store.live_records;
-        string_of_int s.Log_store.live_bytes;
-        string_of_int s.Log_store.dead_bytes;
-        string_of_int s.Log_store.disk_bytes;
-        string_of_int s.Log_store.appended_records;
-        string_of_int s.Log_store.compactions;
-        string_of_int s.Log_store.bytes_reclaimed;
-      ]
+  (* one cell per numeric column, so the total row is the column sums *)
+  let cells (s : Log_store.stats) =
+    [
+      s.segments; s.live_records; s.live_bytes; s.dead_bytes; s.disk_bytes;
+      s.appended_records; s.compactions; s.bytes_reclaimed;
+    ]
+  in
+  let add_row name cells =
+    Table.add_row table (name :: List.map string_of_int cells)
+  in
+  let rows =
+    List.map
+      (fun (pid, name) ->
+        let ls = Log_store.create ~pid ~dir:(Filename.concat dir name) () in
+        let r = Log_store.recovery ls in
+        if r.Log_store.records_dropped > 0 || r.Log_store.torn_bytes > 0 then
+          Format.eprintf
+            "p%d: scan dropped %d corrupt record(s), %d torn byte(s)@." pid
+            r.Log_store.records_dropped r.Log_store.torn_bytes;
+        let row = cells (Log_store.stats ls) in
+        Log_store.close ls;
+        add_row name row;
+        row)
+      stores
+  in
+  (match rows with
+  | first :: (_ :: _ as rest) ->
+    add_row "total" (List.fold_left (List.map2 ( + )) first rest)
   | _ -> ());
   Table.print table
 
@@ -614,7 +595,7 @@ let fuzz_cmd =
     campaign_term ~runs:100 ~max_procs:6
       ~corpus_doc:
         "Replay saved failing scenarios ($(b,*.scn)) first, and save new \
-         failures (original, shrunk, and an OCaml reproducer) here."
+         failures (original and shrunk) here."
   in
   let mutate_arg =
     Arg.(value & flag & info [ "mutate-lgc" ]

@@ -27,7 +27,6 @@ module Process_stack = Rdt_recovery.Process_stack
 
 type result = {
   violations : Oracles.violation list;  (** empty = the live run checks out *)
-  replay : Harness.result;  (** the simulator arm, for inspection *)
 }
 
 let uc_eq (a : int option array) b =
@@ -146,4 +145,4 @@ let check ~record ~root ?scratch_dir () =
         @ check_reports record.Coordinator.rr_reports replay.Harness.reports
         @ check_stores ~root ~n:sc.Scenario.n script
   in
-  { violations = replay.Harness.violations @ tail; replay }
+  { violations = replay.Harness.violations @ tail }

@@ -18,7 +18,6 @@ type result = {
       (** empty = the live run checks out; oracles "live-state",
           "live-trace", "live-report", "live-durability" plus anything
           the replay's own battery raises *)
-  replay : Rdt_verify.Harness.result;
 }
 
 val check :

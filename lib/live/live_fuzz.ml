@@ -127,7 +127,8 @@ let arm ?timeout ?(mutate_deliver = false) ~backend ~root () =
             shrink_failure ~backend ~run_root ?timeout ~nemesis ~oracle sc));
     (* committed reproducers would "fail" by design under the mutation *)
     corpus = (if mutate_deliver then None else Some corpus_entry);
+    (* the shrunk [.min.scn] finds this schedule through [nemesis_for]'s
+       fallback *)
     reproducer_files =
-      (fun nemesis ~shrunk _ ->
-        if shrunk then [] else [ (".nms", Nemesis.to_string nemesis ^ "\n") ]);
+      (fun nemesis -> [ (".nms", Nemesis.to_string nemesis ^ "\n") ]);
   }

@@ -10,7 +10,6 @@ type stats = {
   stored_total : int;
   eliminated_total : int;
   peak_count : int;
-  peak_bytes : int;
 }
 
 type backend = {
@@ -29,7 +28,6 @@ type t = {
   mutable stored_total : int;
   mutable eliminated_total : int;
   mutable peak_count : int;
-  mutable peak_bytes : int;
 }
 
 let create ~me =
@@ -41,7 +39,6 @@ let create ~me =
     stored_total = 0;
     eliminated_total = 0;
     peak_count = 0;
-    peak_bytes = 0;
   }
 
 let set_backend t backend = t.backend <- Some backend
@@ -59,7 +56,6 @@ let restore ~me ~entries =
     entries;
   t.stored_total <- Int_map.cardinal t.entries;
   t.peak_count <- Int_map.cardinal t.entries;
-  t.peak_bytes <- t.bytes;
   t
 
 let last_index t =
@@ -82,7 +78,6 @@ let store_from t ~index ~dv ~now ~size_bytes ?(payload = 0) () =
   t.bytes <- t.bytes + size_bytes;
   t.stored_total <- t.stored_total + 1;
   t.peak_count <- max t.peak_count (Int_map.cardinal t.entries);
-  t.peak_bytes <- max t.peak_bytes t.bytes;
   (match t.backend with Some b -> b.b_store entry | None -> ());
   entry
 
@@ -128,7 +123,6 @@ let stats t =
     stored_total = t.stored_total;
     eliminated_total = t.eliminated_total;
     peak_count = t.peak_count;
-    peak_bytes = t.peak_bytes;
   }
 
 let pp ppf t =

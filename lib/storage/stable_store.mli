@@ -5,7 +5,8 @@
     with every checkpoint for recovery purposes).  Storage survives
     crashes; garbage collectors call {!eliminate} and rollbacks call
     {!truncate_above}.  The module keeps byte and count accounting so the
-    space-overhead experiments can report peak and current usage. *)
+    space-overhead experiments can report current bytes and peak
+    count. *)
 
 type entry = {
   index : int;  (** checkpoint index gamma of [s^gamma] *)
@@ -22,7 +23,6 @@ type stats = {
   stored_total : int;  (** checkpoints ever written *)
   eliminated_total : int;  (** checkpoints ever collected *)
   peak_count : int;  (** maximum simultaneously retained *)
-  peak_bytes : int;
 }
 
 type backend = {

@@ -34,8 +34,6 @@ type live_rec = {
 
 type recovery = {
   recovered : Stable_store.entry list;
-  segments_scanned : int;
-  records_replayed : int;
   records_dropped : int;
   torn_bytes : int;
 }
@@ -99,7 +97,7 @@ let recover t =
     |> List.sort compare
   in
   let all = ref [] in
-  let dropped = ref 0 and torn = ref 0 and replayed = ref 0 in
+  let dropped = ref 0 and torn = ref 0 in
   List.iter
     (fun id ->
       let path = seg_path t id in
@@ -123,7 +121,6 @@ let recover t =
   in
   List.iter
     (fun (info, frame_bytes, r) ->
-      incr replayed;
       t.next_lsn <- max t.next_lsn (Record.lsn r + 1);
       match r with
       | Record.Store { entry; _ } ->
@@ -154,13 +151,7 @@ let recover t =
     |> List.sort (fun (a : Stable_store.entry) b -> compare a.index b.index)
   in
   t.recovery_info <-
-    {
-      recovered;
-      segments_scanned = List.length seg_ids;
-      records_replayed = !replayed;
-      records_dropped = !dropped;
-      torn_bytes = !torn;
-    }
+    { recovered; records_dropped = !dropped; torn_bytes = !torn }
 
 let create ?(config = default_config) ?(faults = Fault.none) ~pid ~dir () =
   if config.batch_records < 1 then invalid_arg "Log_store: batch_records < 1";
@@ -186,14 +177,7 @@ let create ?(config = default_config) ?(faults = Fault.none) ~pid ~dir () =
       bytes_reclaimed = 0;
       syncs = 0;
       ops_since_sync = 0;
-      recovery_info =
-        {
-          recovered = [];
-          segments_scanned = 0;
-          records_replayed = 0;
-          records_dropped = 0;
-          torn_bytes = 0;
-        };
+      recovery_info = { recovered = []; records_dropped = 0; torn_bytes = 0 };
       dirty = false;
       poisoned = false;
       closed = false;

@@ -61,8 +61,6 @@ val create : ?config:config -> ?faults:Fault.t -> pid:int -> dir:string -> unit 
 
 type recovery = {
   recovered : Stable_store.entry list;  (** surviving live checkpoints, ascending *)
-  segments_scanned : int;
-  records_replayed : int;
   records_dropped : int;  (** CRC- or decode-rejected *)
   torn_bytes : int;  (** abandoned torn-tail bytes across segments *)
 }

@@ -17,16 +17,9 @@ type cluster = {
 let proc_of_endpoint me = me + 1
 let endpoint_of_proc p = p - 1
 
-let create ~n ~seed ?(net : Network.config option) () =
-  let net =
-    match net with
-    | Some net -> net
-    | None ->
-      (* FIFO, lossless, positive delay: TCP's delivery contract *)
-      { Network.default with fifo = true; loss_probability = 0.0 }
-  in
-  if net.loss_probability <> 0.0 || not net.fifo then
-    invalid_arg "Sim_backend.create: transport channels are FIFO and lossless";
+let create ~n ~seed =
+  (* FIFO, lossless, positive delay: TCP's delivery contract *)
+  let net = { Network.default with fifo = true; loss_probability = 0.0 } in
   let engine = Engine.create ~n:(n + 1) ~seed ~net () in
   let mailboxes = Array.init (n + 1) (fun _ -> Transport.Mailbox.create ()) in
   Array.iteri

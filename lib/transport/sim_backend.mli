@@ -9,12 +9,9 @@
 
 type cluster
 
-val create :
-  n:int -> seed:int -> ?net:Rdt_sim.Network.config -> unit -> cluster
-(** [?net] defaults to the engine's default delays with [fifo = true] and
-    no loss.
-    @raise Invalid_argument if [net] is lossy or non-FIFO — the transport
-    models a connection-oriented medium. *)
+val create : n:int -> seed:int -> cluster
+(** The engine's default delays, FIFO and lossless: the transport models
+    a connection-oriented medium. *)
 
 val transport : cluster -> me:int -> Transport.t
 (** The endpoint of node [me] (or of the coordinator for

@@ -15,7 +15,7 @@ type 'x arm = {
   shrink : 'x -> oracle:string -> Scenario.t -> Scenario.t;
   corpus :
     (dir:string -> string -> (Scenario.t, string) result -> 'x replay) option;
-  reproducer_files : 'x -> shrunk:bool -> Scenario.t -> (string * string) list;
+  reproducer_files : 'x -> (string * string) list;
 }
 
 type failure = {
@@ -84,9 +84,7 @@ let harness ?mutate_lgc ?scratch_dir () =
         (fun ~dir:_ _ -> function
           | Ok sc -> Replay (sc, ())
           | Error e -> Broken (Printf.sprintf "unreadable (%s)" e));
-    reproducer_files =
-      (fun () ~shrunk sc ->
-        if shrunk then [ (".ml", Scenario.to_script_ml sc) ] else []);
+    reproducer_files = (fun () -> []);
   }
 
 (* --- the driver --------------------------------------------------------- *)
@@ -118,22 +116,17 @@ let replay_corpus (arm : _ arm) entry ~log dir =
 let save_reproducer (arm : _ arm) x ~log ~dir ~sub_seed sc shrunk =
   Harness.mkdir_p dir;
   let base = Printf.sprintf "seed-%x" sub_seed in
-  let write ~shrunk sc =
-    let scn = base ^ if shrunk then ".min.scn" else ".scn" in
-    Scenario.save sc (Filename.concat dir scn);
-    let extras =
-      List.map
-        (fun (ext, contents) ->
-          Out_channel.with_open_text
-            (Filename.concat dir (base ^ ext))
-            (fun oc -> output_string oc contents);
-          base ^ ext)
-        (arm.reproducer_files x ~shrunk sc)
-    in
-    log ("saved " ^ String.concat " and " (scn :: extras))
+  let write (ext, contents) =
+    Out_channel.with_open_text
+      (Filename.concat dir (base ^ ext))
+      (fun oc -> output_string oc contents);
+    base ^ ext
   in
-  write ~shrunk:false sc;
-  Option.iter (write ~shrunk:true) shrunk
+  let files = (".scn", Scenario.to_string sc) :: arm.reproducer_files x in
+  log ("saved " ^ String.concat " and " (List.map write files));
+  Option.iter
+    (fun m -> log ("saved " ^ write (".min.scn", Scenario.to_string m)))
+    shrunk
 
 let campaign ?(shrink = true) ?corpus ?(log = fun _ -> ()) ~seed ~runs
     ~max_procs (arm : _ arm) =

@@ -6,8 +6,10 @@
     delta-debugs a minimal reproducer ({!Shrink}).  With a corpus
     directory, previously saved scenarios ([*.scn]) are replayed first
     as regressions, and new failures are written back as
-    [seed-<hex>.scn] (original) and [seed-<hex>.min.scn] (shrunk), each
-    with the arm's extra reproducer files.
+    [seed-<hex>.scn] (original, with the arm's extra reproducer files
+    beside it) and [seed-<hex>.min.scn] (shrunk).  The saved scenario is
+    the whole reproducer: a campaign's corpus replay, [rdtgc fuzz
+    --replay] and [cluster-run] all run it.
 
     Two arms exist: {!harness} (the {!Harness} oracles, in-process) and
     [Rdt_live.Live_fuzz.arm] (whole clusters under a nemesis fault
@@ -42,9 +44,9 @@ type 'x arm = {
     (dir:string -> string -> (Scenario.t, string) result -> 'x replay) option;
       (** how a corpus file (name, load result) replays; [None] skips
           corpus replay altogether *)
-  reproducer_files : 'x -> shrunk:bool -> Scenario.t -> (string * string) list;
+  reproducer_files : 'x -> (string * string) list;
       (** extra [(extension, contents)] files written next to the saved
-          original ([shrunk = false]) or shrunk scenario *)
+          original scenario *)
 }
 
 type failure = {
@@ -76,12 +78,10 @@ val fails_with : oracle:string -> outcome -> bool
 
 val harness : ?mutate_lgc:bool -> ?scratch_dir:string -> unit -> unit arm
 (** Runs each scenario through {!Harness.run}, shrinks by re-running
-    it, replays every corpus file, and saves each shrunk reproducer
-    with a standalone OCaml program ([seed-<hex>.ml], over
-    {!Rdt_scenarios.Script}).  [mutate_lgc] is the self-check
-    configuration: every collector over-collects via
-    {!Rdt_gc.Rdt_lgc.set_test_overcollect}, and the campaign is expected
-    to catch it. *)
+    it, replays every corpus file, and saves no extra reproducer files.
+    [mutate_lgc] is the self-check configuration: every collector
+    over-collects via {!Rdt_gc.Rdt_lgc.set_test_overcollect}, and the
+    campaign is expected to catch it. *)
 
 val campaign :
   ?shrink:bool ->

@@ -12,7 +12,6 @@ type stop = Completed | Store_crashed of { pid : int; at_op : int }
 type result = {
   scenario : Scenario.t;
   violations : Oracles.violation list;
-  ops_executed : int;
   stop : stop;
   script : Script.t option;
   reports : Rdt_recovery.Session.report list;
@@ -213,8 +212,8 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
   with
   | Error (Fault.Injected_crash _) ->
     (try check_store_crash ~at_op:0 with Stopped -> ());
-    { scenario = sc; violations = !violations; ops_executed = 0; stop = !stop;
-      script = None; reports = [] }
+    { scenario = sc; violations = !violations; stop = !stop; script = None;
+      reports = [] }
   | Error e -> raise e
   | Ok script ->
     if mutate_lgc then
@@ -328,7 +327,6 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
     {
       scenario = sc;
       violations = !violations;
-      ops_executed = !executed;
       stop = !stop;
       script = Some script;
       reports = !reports;

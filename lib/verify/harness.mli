@@ -22,7 +22,6 @@ type result = {
   scenario : Scenario.t;  (** the normalized scenario that actually ran *)
   violations : Oracles.violation list;
       (** empty = passed; fail-fast, so usually a single entry *)
-  ops_executed : int;
   stop : stop;
   script : Rdt_scenarios.Script.t option;
       (** the replayed script, for post-run inspection (trace comparison
@@ -46,7 +45,8 @@ val run :
     after each op (and its oracles); any violations it returns stop the
     run like an oracle failure — the live-cluster checker compares the
     states it recorded from real processes against the replay here.
-    @raise Invalid_argument on a non-RDT protocol. *)
+    @raise Invalid_argument on a non-RDT protocol, which only a
+    hand-built scenario can hold ({!Scenario.of_string} refuses one). *)
 
 val log_config : Rdt_store.Log_store.config
 (** The store configuration harness runs use (small segments, eager

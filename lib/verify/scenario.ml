@@ -389,7 +389,8 @@ let of_string s =
             | _ -> fail "bad n %S" v)
           | [ "protocol"; id ] -> (
             match Protocol.by_id id with
-            | Some p -> protocol := Some p
+            | Some p when p.Protocol.rdt -> protocol := Some p
+            | Some _ -> fail "protocol %S does not guarantee RDT" id
             | None -> fail "unknown protocol %S" id)
           | [ "knowledge"; "global" ] -> knowledge := `Global
           | [ "knowledge"; "causal" ] -> knowledge := `Causal
@@ -480,49 +481,6 @@ let load path =
   | s -> of_string s
   | exception Sys_error e -> Error e
   | exception End_of_file -> Error (path ^ ": file shrank while reading")
-
-(* --- reproducer emission ---------------------------------------------- *)
-
-let to_script_ml sc =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "(* Reproducer emitted by the differential fuzzer (seed 0x%x).\n" sc.seed;
-  pf "   Replays a shrunk scenario through Rdt_scenarios.Script%s. *)\n"
-    (if sc.durable then
-       " — in-memory\n   stores; attach a Log_store backend via ~store_of to re-add durability"
-     else "");
-  pf "let scenario () =\n";
-  pf "  let protocol =\n";
-  pf "    Option.get (Rdt_protocols.Protocol.by_id %S)\n" sc.protocol.Protocol.id;
-  pf "  in\n";
-  pf "  let s =\n";
-  pf "    Rdt_scenarios.Script.create ~knowledge:%s ~n:%d ~protocol\n"
-    (match sc.knowledge with `Global -> "`Global" | `Causal -> "`Causal")
-    sc.n;
-  pf "      ~with_lgc:true ()\n";
-  pf "  in\n";
-  let used = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Deliver id | Drop id -> Hashtbl.replace used id ()
-      | _ -> ())
-    sc.ops;
-  List.iter
-    (fun op ->
-      match op with
-      | Checkpoint p -> pf "  Rdt_scenarios.Script.checkpoint s %d;\n" p
-      | Send { id; src; dst } ->
-        pf "  let %sm%d = Rdt_scenarios.Script.send s ~src:%d ~dst:%d in\n"
-          (if Hashtbl.mem used id then "" else "_")
-          id src dst
-      | Deliver id -> pf "  Rdt_scenarios.Script.deliver s m%d;\n" id
-      | Drop id -> pf "  Rdt_scenarios.Script.drop s m%d;\n" id
-      | Crash faulty ->
-        pf "  ignore (Rdt_scenarios.Script.crash s ~faulty:[%s]);\n"
-          (String.concat "; " (List.map string_of_int faulty)))
-    sc.ops;
-  pf "  s\n";
-  Buffer.contents b
 
 (* --- printing --------------------------------------------------------- *)
 

@@ -13,8 +13,7 @@
     on and its trace is transcribed into ops — real workload patterns and
     network behaviour donate the communication structure).
 
-    Scenarios serialize to a line-oriented corpus format and to a
-    standalone OCaml reproducer over {!Rdt_scenarios.Script}. *)
+    Scenarios serialize to a line-oriented corpus format. *)
 
 type op =
   | Checkpoint of int  (** basic checkpoint of one process *)
@@ -65,17 +64,13 @@ val to_string : t -> string
 (** Corpus format, [of_string]-roundtrippable. *)
 
 val of_string : string -> (t, string) result
-(** Parses and {!normalize}s. *)
+(** Parses and {!normalize}s.  [Error] for a protocol that does not
+    guarantee RDT, as for any line that does not parse. *)
 
 val save : t -> string -> unit
 val load : string -> (t, string) result
 (** [Error] for a file that cannot be read as well as for one that does
     not parse. *)
-
-val to_script_ml : t -> string
-(** Standalone OCaml reproducer: a function building and running the
-    scenario through {!Rdt_scenarios.Script} — what gets committed as a
-    regression test next to the corpus file. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (seed, size, protocol, op count). *)

@@ -40,6 +40,13 @@ let test_inspect_orphan_receive =
   inspect_refuses "orphan" "rdtgc-trace 1\nn 2\nC 0 0\nC 1 0\nR 1 5 0\n"
     ~expect:"Ccp.of_trace: orphan receive"
 
+let smoke_scenario () =
+  In_channel.with_open_bin
+    (Filename.concat
+       (if Sys.file_exists "corpus" then "corpus" else "test/corpus")
+       "live_smoke.scn")
+    In_channel.input_all
+
 (* A corpus scenario whose sibling schedule cannot be read is a broken
    corpus entry: the campaign fails and names it. *)
 let test_unreadable_nemesis () =
@@ -49,14 +56,7 @@ let test_unreadable_nemesis () =
     (fun () ->
       let corpus = Filename.concat dir "corpus" in
       Harness.mkdir_p (Filename.concat corpus "x.nms");
-      let smoke =
-        In_channel.with_open_bin
-          (Filename.concat
-             (if Sys.file_exists "corpus" then "corpus" else "test/corpus")
-             "live_smoke.scn")
-          In_channel.input_all
-      in
-      write (Filename.concat corpus "x.scn") smoke;
+      write (Filename.concat corpus "x.scn") (smoke_scenario ());
       let code, output =
         Helpers.run_cli
           [
@@ -66,6 +66,39 @@ let test_unreadable_nemesis () =
       in
       check_refused "live-fuzz" ~code ~output
         ~expect:"corpus x.scn: RUN-FAILED(unreadable nemesis")
+
+(* A scenario file naming a protocol without RDT is refused on load by
+   every command that reads one, before anything runs; in a corpus it is
+   one broken entry, not the end of the campaign. *)
+let test_non_rdt_scenario () =
+  let dir = scratch "non-rdt" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf dir)
+    (fun () ->
+      let corpus = Filename.concat dir "corpus" in
+      Harness.mkdir_p corpus;
+      let file = Filename.concat corpus "bcs.scn" in
+      String.split_on_char '\n' (smoke_scenario ())
+      |> List.map (fun l ->
+             if String.starts_with ~prefix:"protocol " l then "protocol bcs"
+             else l)
+      |> String.concat "\n" |> write file;
+      let why = "protocol \"bcs\" does not guarantee RDT" in
+      let cannot_load = Printf.sprintf "cannot load %s: %s" file why in
+      List.iter
+        (fun (args, expect) ->
+          let code, output = Helpers.run_cli args in
+          check_refused (String.concat " " args) ~code ~output ~expect)
+        [
+          ([ "fuzz"; "--replay"; file ], cannot_load);
+          ( [ "fuzz"; "--corpus"; corpus; "--runs"; "0" ],
+            Printf.sprintf "corpus bcs.scn: unreadable (%s" why );
+          ( [
+              "cluster-run"; file; "--backend"; "sim"; "--root";
+              Filename.concat dir "run";
+            ],
+            cannot_load );
+        ])
 
 (* The default collector, rdt-lgc, needs an RDT protocol, every
    duration, interval, period, probability and size must be in range, and
@@ -184,6 +217,8 @@ let suite =
       test_inspect_orphan_receive;
     Alcotest.test_case "live-fuzz reports an unreadable schedule" `Quick
       test_unreadable_nemesis;
+    Alcotest.test_case "a scenario without RDT is refused on load" `Quick
+      test_non_rdt_scenario;
     Alcotest.test_case "run reports an invalid config" `Quick
       test_run_rejects_config;
     Alcotest.test_case "run reports a used store directory" `Quick

@@ -13,10 +13,10 @@ let scratch = Filename.concat (Filename.get_temp_dir_name ()) "rdtgc-test-fuzz"
 
 (* --- determinism ------------------------------------------------------- *)
 
-let campaign_log ~mutate_lgc ~seed ~runs =
+let campaign_log ?corpus ~mutate_lgc ~seed ~runs () =
   let buf = Buffer.create 4096 in
   let report =
-    Fuzz.campaign ~shrink:mutate_lgc
+    Fuzz.campaign ~shrink:mutate_lgc ?corpus
       ~log:(fun l ->
         Buffer.add_string buf l;
         Buffer.add_char buf '\n')
@@ -26,8 +26,8 @@ let campaign_log ~mutate_lgc ~seed ~runs =
   (report, Buffer.contents buf)
 
 let test_deterministic () =
-  let r1, log1 = campaign_log ~mutate_lgc:false ~seed:99 ~runs:12 in
-  let r2, log2 = campaign_log ~mutate_lgc:false ~seed:99 ~runs:12 in
+  let r1, log1 = campaign_log ~mutate_lgc:false ~seed:99 ~runs:12 () in
+  let r2, log2 = campaign_log ~mutate_lgc:false ~seed:99 ~runs:12 () in
   Alcotest.(check string) "byte-identical logs" log1 log2;
   Alcotest.(check int) "same failure count"
     (List.length r1.Fuzz.failures)
@@ -40,14 +40,19 @@ let test_deterministic () =
 (* --- clean campaign ---------------------------------------------------- *)
 
 let test_clean_campaign () =
-  let report, log = campaign_log ~mutate_lgc:false ~seed:5 ~runs:25 in
+  let report, log = campaign_log ~mutate_lgc:false ~seed:5 ~runs:25 () in
   if not (Fuzz.passed report) then
     Alcotest.failf "clean campaign found violations:\n%s" log
 
 (* --- self-check: seeded known violation -------------------------------- *)
 
 let test_mutant_caught_and_shrunk () =
-  let report, log = campaign_log ~mutate_lgc:true ~seed:7 ~runs:10 in
+  (* beside [scratch], which every durable harness run wipes *)
+  let dir = scratch ^ "-mutant-corpus" in
+  Harness.rm_rf dir;
+  let report, log =
+    campaign_log ~corpus:dir ~mutate_lgc:true ~seed:7 ~runs:10 ()
+  in
   (match report.Fuzz.failures with
   | [] ->
     Alcotest.failf "over-collecting mutant escaped every oracle:\n%s" log
@@ -83,13 +88,32 @@ let test_mutant_caught_and_shrunk () =
   let healthy = Harness.run ~scratch_dir:scratch min_sc in
   Alcotest.(check int) "healthy collector passes the reproducer" 0
     (List.length healthy.Harness.violations);
-  (* the emitted OCaml reproducer is a Script program *)
-  let ml = Scenario.to_script_ml min_sc in
-  List.iter
-    (fun needle ->
-      if not (Helpers.contains ml needle) then
-        Alcotest.failf "reproducer lacks %S:\n%s" needle ml)
-    [ "Rdt_scenarios.Script.create"; "~with_lgc:true" ]
+  (* the saved scenarios are the whole reproducer: exactly the original
+     and the shrunk one per failure, each failing again under the mutant
+     on replay and passing on the healthy collector *)
+  let expected =
+    List.concat_map
+      (fun (f : Fuzz.failure) ->
+        let base = Printf.sprintf "seed-%x" f.sub_seed in
+        [ base ^ ".scn"; base ^ ".min.scn" ])
+      report.Fuzz.failures
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "saved files" expected
+    (Sys.readdir dir |> Array.to_list |> List.sort compare);
+  let replay ~mutate_lgc =
+    Fuzz.campaign ~corpus:dir ~seed:7 ~runs:0 ~max_procs:5
+      (Fuzz.harness ~mutate_lgc ~scratch_dir:scratch ())
+  in
+  let under_mutant = replay ~mutate_lgc:true in
+  Alcotest.(check int) "every saved file replayed" (List.length expected)
+    under_mutant.Fuzz.corpus_replayed;
+  Alcotest.(check int) "and fails under the mutant" (List.length expected)
+    under_mutant.Fuzz.corpus_failed;
+  let under_healthy = replay ~mutate_lgc:false in
+  Alcotest.(check int) "and passes on the healthy collector" 0
+    under_healthy.Fuzz.corpus_failed;
+  Harness.rm_rf dir
 
 (* --- serialization ----------------------------------------------------- *)
 
@@ -104,28 +128,36 @@ let test_roundtrip () =
           Alcotest.failf "seed %d: corpus roundtrip changed the scenario" seed)
     [ 1; 2; 3; 17; 2026; 0x5eed ]
 
-(* The parser refuses a system wider than a checkpoint record's DV
-   before anything is sized by n. *)
-let test_parse_rejects_huge_n () =
+(* The parser refuses a header line that [Harness.run] could not run: a
+   system wider than a checkpoint record's DV (before anything is sized
+   by n), or a protocol that does not guarantee RDT.  Each case replaces
+   one header line and names the error it expects. *)
+let test_parse_rejects cases () =
   let text = Scenario.to_string (Scenario.generate ~seed:1 ~max_procs:3 ()) in
-  let with_n n =
+  let with_line line =
+    let key = List.hd (String.split_on_char ' ' line) ^ " " in
     String.split_on_char '\n' text
-    |> List.map (fun l ->
-           if String.starts_with ~prefix:"n " l then Printf.sprintf "n %d" n
-           else l)
+    |> List.map (fun l -> if String.starts_with ~prefix:key l then line else l)
     |> String.concat "\n"
   in
   List.iter
-    (fun n ->
-      match Scenario.of_string (with_n n) with
-      | Ok _ -> Alcotest.failf "n %d parsed" n
+    (fun (line, expect) ->
+      match Scenario.of_string (with_line line) with
+      | Ok _ -> Alcotest.failf "%S parsed" line
       | Error e ->
-        let expect =
-          Printf.sprintf "n %d exceeds %d" n Rdt_store.Record.max_dv_len
-        in
         if not (Helpers.contains e expect) then
-          Alcotest.failf "n %d: error %S lacks %S" n e expect)
+          Alcotest.failf "%S: error %S lacks %S" line e expect)
+    cases
+
+let huge_n =
+  List.map
+    (fun n ->
+      ( Printf.sprintf "n %d" n,
+        Printf.sprintf "n %d exceeds %d" n Rdt_store.Record.max_dv_len ))
     [ Rdt_store.Record.max_dv_len + 1; 100_000_000_000 ]
+
+let non_rdt_protocol =
+  [ ("protocol bcs", "protocol \"bcs\" does not guarantee RDT") ]
 
 let test_load_missing_file () =
   match Scenario.load "no-such-dir/missing.scn" with
@@ -224,8 +256,7 @@ let stub_arm ~ran =
         (fun ~dir:_ _ -> function
           | Ok sc -> Fuzz.Replay (sc, ())
           | Error e -> Fuzz.Broken e);
-    reproducer_files =
-      (fun () ~shrunk _ -> if shrunk then [] else [ (".stub", "stub\n") ]);
+    reproducer_files = (fun () -> [ (".stub", "stub\n") ]);
   }
 
 let test_driver_stub_arm () =
@@ -339,7 +370,9 @@ let suite =
       test_mutant_caught_and_shrunk;
     Alcotest.test_case "corpus format roundtrips" `Quick test_roundtrip;
     Alcotest.test_case "parser rejects n past the longest record DV" `Quick
-      test_parse_rejects_huge_n;
+      (test_parse_rejects huge_n);
+    Alcotest.test_case "parser rejects a protocol without RDT" `Quick
+      (test_parse_rejects non_rdt_protocol);
     Alcotest.test_case "loading a missing file is an error" `Quick
       test_load_missing_file;
     Alcotest.test_case "normalization repairs ill-formed op lists" `Quick

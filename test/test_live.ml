@@ -372,7 +372,7 @@ let test_node_config () =
   Fun.protect
     ~finally:(fun () -> Harness.rm_rf root)
     (fun () ->
-      let cluster = Rdt_transport.Sim_backend.create ~n:1 ~seed:1 () in
+      let cluster = Rdt_transport.Sim_backend.create ~n:1 ~seed:1 in
       let coord =
         Rdt_transport.Sim_backend.transport cluster
           ~me:Transport.coordinator_id
@@ -463,7 +463,7 @@ let test_node_respawn_from_store () =
     ~finally:(fun () -> Harness.rm_rf root)
     (fun () ->
       let n = 2 and me = 0 in
-      let cluster = Rdt_transport.Sim_backend.create ~n ~seed:1 () in
+      let cluster = Rdt_transport.Sim_backend.create ~n ~seed:1 in
       let coord =
         Rdt_transport.Sim_backend.transport cluster
           ~me:Transport.coordinator_id
