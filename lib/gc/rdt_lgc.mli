@@ -91,3 +91,12 @@ val uc_view : t -> int option array
 val retained_because_of : t -> int -> int option
 (** [retained_because_of t f]: index of the checkpoint retained because of
     process [f], if any. *)
+
+val slots_in_use : t -> int
+(** Number of live CCBs: slots of the control-block table referenced by
+    at least one [UC] entry.  Each is one retained checkpoint, so this
+    stays at most [n + 1]. *)
+
+val slot_capacity : t -> int
+(** Current size of the control-block table.  It starts small and
+    doubles when a new CCB finds no free slot. *)

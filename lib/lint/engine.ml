@@ -134,6 +134,12 @@ let rec head_is_scalar env ty ~fuel =
        end
   | _ -> false
 
+let rec is_type_var ty =
+  match Types.get_desc ty with
+  | Tvar _ | Tunivar _ -> true
+  | Tpoly (ty, _) -> is_type_var ty
+  | _ -> false
+
 let first_arg_type ty =
   match Types.get_desc ty with
   | Tarrow (_, arg, _, _) -> Some arg
@@ -357,7 +363,20 @@ let check_ident ctx e path =
       | None -> ()
       | Some arg ->
         let env = env_of e in
-        if not (head_is_scalar env arg ~fuel:8) then
+        (* a type variable is fine in a genuinely polymorphic helper, but
+           on the hot path it compiles to a C call per comparison *)
+        if
+          is_type_var arg
+          && (ctx.hot_depth > 0 || ctx.bounds_depth > 0)
+          && not (String.equal rule "polycmp/hash")
+        then
+          error ctx ~loc ~rule:"polycmp/generic-hot"
+            ~msg:
+              (Printf.sprintf
+                 "%s at type %s in a hot function compiles to a C call; \
+                  annotate the operands' type"
+                 name (type_to_string arg))
+        else if not (head_is_scalar env arg ~fuel:8) then
           error ctx ~loc ~rule
             ~msg:
               (Printf.sprintf "polymorphic %s instantiated at type %s" name

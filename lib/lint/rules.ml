@@ -52,6 +52,10 @@ let all =
       "polymorphic compare/min/max/ordering instantiated at a non-scalar \
        type";
     mk "polycmp/hash" "Hashtbl.hash instantiated at a non-scalar type";
+    mk "polycmp/generic-hot"
+      "comparison left at a type variable inside a [@@@lint.zero_alloc_hot] \
+       or [@@lint.bounds_checked] function: it compiles to a \
+       caml_compare-family C call, and the stores beside it to caml_modify";
     (* lint hygiene *)
     mk "lint/missing-justification"
       "[@lint.allow] without a justification string; write [@lint.allow \

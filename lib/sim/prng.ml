@@ -2,22 +2,38 @@
    generators" (OOPSLA 2014).  Chosen because it is trivially splittable,
    passes BigCrush, and needs only 64-bit arithmetic. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes, read and written with
+   [Bytes.get/set_int64_le], so a draw allocates nothing and stores no
+   pointer; a [mutable int64] field would box a fresh state, behind a
+   write barrier, on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let[@inline] state t = Bytes.get_int64_le t 0
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let split t = { state = bits64 t }
+let create ~seed = of_state (mix (Int64.of_int seed))
+
+(* Advance the state and return the next output.  Inlined into every
+   draw below, so the [int64] stays in a register. *)
+let[@inline] next t =
+  let s = Int64.add (state t) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
+
+let bits64 t = next t
+
+let split t = of_state (next t)
 
 (* Indexed split: child [i] is a pure function of the parent's *current*
    state and [i]; the parent does not advance, so any number of processes
@@ -27,30 +43,28 @@ let split t = { state = bits64 t }
 let split_at t ~index =
   if index < 0 then invalid_arg "Prng.split_at: index must be non-negative";
   let z =
-    Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (index + 1)))
+    Int64.add (state t) (Int64.mul golden_gamma (Int64.of_int (index + 1)))
   in
-  { state = mix (Int64.logxor (mix z) 0xD1B54A32D192ED03L) }
+  of_state (mix (Int64.logxor (mix z) 0xD1B54A32D192ED03L))
 
-(* Non-negative 62-bit int extracted from the top bits. *)
-let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+(* Rejection sampling to avoid modulo bias: redraw a non-negative 62-bit
+   int (the top bits) until it falls below [limit].  Top-level rather than
+   a local closure, which would be allocated on every call. *)
+let rec draw_below t ~bound ~limit =
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
+  if v >= limit then draw_below t ~bound ~limit else v mod bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
   let max_int62 = (1 lsl 62) - 1 in
-  let limit = max_int62 - (max_int62 mod bound) in
-  let rec draw () =
-    let v = positive_int t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  draw_below t ~bound ~limit:(max_int62 - (max_int62 mod bound))
 
 let float t bound =
   (* 53 uniform mantissa bits. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t ~p = float t 1.0 < p
 

@@ -15,3 +15,11 @@ let hash_coords (p : coords) = Hashtbl.hash p (* EXPECT polycmp/hash *)
 let same_pid (a : pid) (b : pid) = a = b
 let max_pid (a : pid) (b : pid) = max a b
 let same_name (a : string) b = a = b
+
+(* hot code: a compare left at a type variable compiles to a C call (a
+   generic helper outside the hot path is still not an instantiation
+   site, see [later_generic]) *)
+let first_greater a b = a.(0) > b.(0) [@@lint.zero_alloc_hot] (* EXPECT polycmp/generic-hot *)
+let first_equal a b = a.(0) = b.(0) [@@lint.bounds_checked] (* EXPECT polycmp/generic-hot *)
+let first_greater_int (a : int array) b = a.(0) > b.(0) [@@lint.zero_alloc_hot]
+let later_generic a b = a > b

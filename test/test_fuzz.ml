@@ -189,7 +189,8 @@ let test_normalize () =
 (* --- corpus regression replay ------------------------------------------ *)
 
 let test_corpus_replay () =
-  let dir = Filename.concat scratch "corpus" in
+  (* beside [scratch], which every durable harness run wipes *)
+  let dir = scratch ^ "-corpus" in
   Harness.rm_rf dir;
   Harness.mkdir_p dir;
   (* save the canonical 3-op mutant killer and replay it as a corpus *)

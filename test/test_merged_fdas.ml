@@ -8,6 +8,7 @@ module Protocol = Rdt_protocols.Protocol
 module Middleware = Rdt_protocols.Middleware
 module Stable_store = Rdt_storage.Stable_store
 module Prng = Rdt_sim.Prng
+module Rdt_lgc = Rdt_gc.Rdt_lgc
 
 type lockstep = {
   script : Script.t;  (* composed implementation *)
@@ -133,6 +134,74 @@ let prop_random_equivalence =
       compare_states ~at:"random" l;
       true)
 
+(* RDT-LGC keeps its CCBs in a slot table that starts at 4 slots and
+   doubles on demand.  Here p0 hears from one new peer between each two
+   of its checkpoints (the Figure 5 pattern), so every checkpoint stays
+   pinned: the table grows past its first capacity, a rollback rebuilds
+   it with free slots left over, and the pattern then grows it again. *)
+let test_slot_table_grows_and_rebuilds () =
+  let n = 16 in
+  let l = make n in
+  let lgc = Option.get (Script.collector l.script 0) in
+  let check_table at =
+    for pid = 0 to n - 1 do
+      let ctx what = Printf.sprintf "%s p%d %s" at pid what in
+      let lgc = Option.get (Script.collector l.script pid) in
+      let in_use = Rdt_lgc.slots_in_use lgc in
+      if in_use > n + 1 then
+        Alcotest.failf "%s" (ctx (Printf.sprintf "%d live slots" in_use));
+      (* one live slot per retained checkpoint, each referenced by UC *)
+      let referenced =
+        Array.to_list (Script.uc l.script pid)
+        |> List.filter_map Fun.id |> List.sort_uniq Int.compare
+      in
+      Alcotest.(check (list int))
+        (ctx "retained = referenced") referenced
+        (Script.retained l.script pid);
+      Alcotest.(check int) (ctx "live slots") (List.length referenced) in_use
+    done
+  in
+  (* peers 1..5 pin s^1..s^5, and s^6 is the last: 6 live slots *)
+  for k = 1 to 5 do
+    checkpoint l 0;
+    transfer l ~src:k ~dst:0;
+    compare_states ~at:(Printf.sprintf "pin %d" k) l;
+    check_table (Printf.sprintf "pin %d" k)
+  done;
+  checkpoint l 0;
+  compare_states ~at:"grown" l;
+  check_table "grown";
+  Alcotest.(check (list int)) "p0 retains" [ 1; 2; 3; 4; 5; 6 ]
+    (Script.retained l.script 0);
+  Alcotest.(check int) "the table doubled once" 8 (Rdt_lgc.slot_capacity lgc);
+  (* decentralized rollback to s^3, whose DV knows p1 and p2 only *)
+  Middleware.rollback (Script.middleware l.script 0) ~to_index:3 ~li:None;
+  let uc = Array.make n None in
+  uc.(0) <- Some 3;
+  uc.(1) <- Some 1;
+  uc.(2) <- Some 2;
+  Alcotest.(check (array (option int))) "uc after rollback" uc
+    (Script.uc l.script 0);
+  check_table "rolled back";
+  (* peers 6..15 pin s^4..s^13: 12 live slots, past the rebuilt 8 *)
+  for k = 6 to n - 1 do
+    Script.checkpoint l.script 0;
+    Script.transfer l.script ~src:k ~dst:0;
+    check_table (Printf.sprintf "re-pin %d" k)
+  done;
+  Alcotest.(check (list int)) "p0 retains again"
+    [ 1; 2; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ]
+    (Script.retained l.script 0);
+  Alcotest.(check int) "the table doubled again" 16
+    (Rdt_lgc.slot_capacity lgc);
+  (* each new checkpoint now eliminates the last one: its slot is reused *)
+  for _ = 1 to 50 do
+    Script.checkpoint l.script 0
+  done;
+  check_table "steady";
+  Alcotest.(check int) "eliminated slots are reused" 16
+    (Rdt_lgc.slot_capacity lgc)
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -141,5 +210,7 @@ let suite =
       test_forced_checkpoint_path;
     Alcotest.test_case "figure 4 on the merged implementation" `Quick
       test_figure4_on_merged;
+    Alcotest.test_case "CCB slot table grows and rebuilds" `Quick
+      test_slot_table_grows_and_rebuilds;
     QCheck_alcotest.to_alcotest prop_random_equivalence;
   ]

@@ -1,7 +1,7 @@
 (* Steady-state allocation discipline of the message path (DESIGN.md
    §10).  A receive with RDT-LGC attached allocates nothing, however many
-   new dependencies it brings: [link] stores an existing CCB (the Null
-   CCB stands in for the paper's Null reference), never a fresh [Some].
+   new dependencies it brings: [link] and [release] only update the int
+   arrays of the collector's CCB slot table.
    A send that copies into a supplied buffer allocates only its fixed
    records, so its allocation does not grow with the vector's width. *)
 

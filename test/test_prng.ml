@@ -157,6 +157,109 @@ let test_split_at_negative () =
     (Invalid_argument "Prng.split_at: index must be non-negative") (fun () ->
       ignore (Prng.split_at t ~index:(-1)))
 
+(* --- bit-identity with the boxed reference ------------------------------ *)
+
+(* The generator as it was first written: splitmix64 over a boxed
+   [mutable int64] field.  Every committed trace, golden and on-disk byte
+   is a function of this stream, so the unboxed [Prng] must reproduce it
+   draw for draw. *)
+(* The splitmix64 finalizer, from the published constants. *)
+let reference_mix z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+module Reference = struct
+  type t = { mutable state : int64 }
+
+  let gamma = 0x9E3779B97F4A7C15L
+  let create ~seed = { state = reference_mix (Int64.of_int seed) }
+
+  let bits64 t =
+    t.state <- Int64.add t.state gamma;
+    reference_mix t.state
+
+  let split t = { state = bits64 t }
+
+  let split_at t ~index =
+    let z = Int64.add t.state (Int64.mul gamma (Int64.of_int (index + 1))) in
+    {
+      state =
+        reference_mix (Int64.logxor (reference_mix z) 0xD1B54A32D192ED03L);
+    }
+
+  let int t bound =
+    let max_int62 = (1 lsl 62) - 1 in
+    let limit = max_int62 - (max_int62 mod bound) in
+    let rec draw () =
+      let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+      if v >= limit then draw () else v mod bound
+    in
+    draw ()
+
+  let float t bound =
+    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+    float_of_int v /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+end
+
+(* One mixed stream of every kind of draw, as a string so a mismatch
+   prints where the two generators part.  Bounds include 1, powers of two,
+   and values near 2^62 where rejection sampling redraws often. *)
+let draws ~bits64 ~int ~float ~bool rng =
+  let bounds = [| 1; 2; 7; 1024; 1_000_003; (1 lsl 61) + 1; max_int / 3 |] in
+  List.init 64 (fun i ->
+      match i mod 4 with
+      | 0 -> Printf.sprintf "b%Lx" (bits64 rng)
+      | 1 -> Printf.sprintf "i%d" (int rng bounds.(i / 4 mod Array.length bounds))
+      | 2 -> Printf.sprintf "f%h" (float rng 3.5)
+      | _ -> Printf.sprintf "c%b" (bool rng))
+  |> String.concat " "
+
+let new_draws = draws ~bits64:Prng.bits64 ~int:Prng.int ~float:Prng.float ~bool:Prng.bool
+
+let ref_draws =
+  draws ~bits64:Reference.bits64 ~int:Reference.int ~float:Reference.float
+    ~bool:Reference.bool
+
+let prop_bit_identical =
+  QCheck.Test.make ~count:300
+    ~name:"unboxed state reproduces the boxed splitmix64 stream"
+    QCheck.(pair int (int_bound 1000))
+    (fun (seed, index) ->
+      let mix_ok =
+        Int64.equal (Prng.mix (Int64.of_int seed))
+          (reference_mix (Int64.of_int seed))
+      in
+      let a = Prng.create ~seed and r = Reference.create ~seed in
+      let same what x y =
+        String.equal x y || QCheck.Test.fail_reportf "%s: %s <> %s" what x y
+      in
+      mix_ok
+      && same "root" (new_draws a) (ref_draws r)
+      && same "split_at"
+           (new_draws (Prng.split_at a ~index))
+           (ref_draws (Reference.split_at r ~index))
+      && same "split" (new_draws (Prng.split a)) (ref_draws (Reference.split r))
+      && same "parent after split" (new_draws a) (ref_draws r))
+
+let test_int_allocates_nothing () =
+  let t = Prng.create ~seed:43 in
+  let draws = 100_000 in
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to draws do
+    sink := !sink + Prng.int t (1 + (i land 1023))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  (* [Gc.minor_words] boxes its own float result *)
+  if words > 8.0 then
+    Alcotest.failf "Prng.int: %.0f minor words over %d draws (want 0)" words
+      draws
+
 let suite =
   [
     Alcotest.test_case "deterministic streams" `Quick test_deterministic;
@@ -179,4 +282,7 @@ let suite =
       test_split_at_stable;
     Alcotest.test_case "split_at rejects negative index" `Quick
       test_split_at_negative;
+    QCheck_alcotest.to_alcotest prop_bit_identical;
+    Alcotest.test_case "int allocates nothing per draw" `Quick
+      test_int_allocates_nothing;
   ]
