@@ -210,7 +210,7 @@ let suite =
       test_forced_checkpoint_path;
     Alcotest.test_case "figure 4 on the merged implementation" `Quick
       test_figure4_on_merged;
+    QCheck_alcotest.to_alcotest prop_random_equivalence;
     Alcotest.test_case "CCB slot table grows and rebuilds" `Quick
       test_slot_table_grows_and_rebuilds;
-    QCheck_alcotest.to_alcotest prop_random_equivalence;
   ]
