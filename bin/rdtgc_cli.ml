@@ -810,7 +810,10 @@ let live_fuzz_cmd =
 
 (* --- lint ---------------------------------------------------------------- *)
 
-let do_lint root dirs = exit (Rdt_lint.Lint.run ~root ~dirs ())
+let do_lint root dirs =
+  let summary = Rdt_lint.Lint.scan ~root ~dirs () in
+  Rdt_lint.Report.text Format.std_formatter summary;
+  exit (if Rdt_lint.Report.ok summary then 0 else 1)
 
 let lint_cmd =
   let doc =
@@ -818,10 +821,12 @@ let lint_cmd =
      determinism (no wall clocks, self-seeded RNGs, stray Domain.spawn or \
      hash-order iteration), zero-allocation hot paths \
      ($(b,[@@@lint.zero_alloc_hot])), unsafe-op hygiene \
-     ($(b,[@@lint.bounds_checked]) + file allowlist) and polymorphic \
-     compare at non-scalar types.  Suppress per site with \
-     $(b,[@lint.allow \"rule-id\" \"justification\"]).  Exit 1 iff there \
-     are error-severity findings."
+     ($(b,[@@lint.bounds_checked]) + file allowlist), polymorphic \
+     compare at non-scalar types, and lib/ exports that no other unit, or \
+     only test/, references.  Suppress per site with \
+     $(b,[@lint.allow \"rule-id\" \"justification\"]), or keep an export \
+     for the tests with $(b,[@@lint.reference \"justification\"]).  Exit 1 \
+     iff there are error-severity findings."
   in
   let root_arg =
     Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR"
@@ -830,9 +835,13 @@ let lint_cmd =
                  inside a build tree.")
   in
   let dir_arg =
-    Arg.(value & opt_all string [ "lib" ] & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Directory (relative to the build root) to scan; repeatable. \
-                 Default: lib.")
+    Arg.(value
+         & opt_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
+         & info [ "dir" ] ~docv:"DIR"
+             ~doc:"Directory (relative to the build root) to scan; \
+                   repeatable.  The per-unit rules apply under lib/; every \
+                   scanned unit counts as a reference for the dead-export \
+                   rules.  Default: lib, bin, bench, examples and test.")
   in
   Cmd.v (Cmd.info "lint" ~doc) Term.(const do_lint $ root_arg $ dir_arg)
 

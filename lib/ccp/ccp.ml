@@ -132,7 +132,6 @@ let of_trace trace =
 let n t = t.n
 let last_stable t pid = Vec.length t.ckpt_vc.(pid) - 1
 let volatile_index t pid = Vec.length t.ckpt_vc.(pid)
-let volatile t pid = { pid; index = volatile_index t pid }
 let last_stable_ckpt t pid = { pid; index = last_stable t pid }
 
 let mem t c =
@@ -145,11 +144,6 @@ let checkpoints t =
   List.concat
     (List.init t.n (fun pid ->
          List.init (volatile_index t pid + 1) (fun index -> { pid; index })))
-
-let stable_checkpoints t =
-  List.concat
-    (List.init t.n (fun pid ->
-         List.init (last_stable t pid + 1) (fun index -> { pid; index })))
 
 let messages t = Vec.to_array t.messages
 
@@ -188,8 +182,6 @@ let first_preceded t c ~pid =
     done;
     !lo
   end
-
-let consistent_pair t c1 c2 = (not (precedes t c1 c2)) && not (precedes t c2 c1)
 
 let pp_ckpt ppf c = Format.fprintf ppf "c%d_p%d" c.index c.pid
 

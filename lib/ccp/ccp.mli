@@ -44,9 +44,6 @@ val last_stable : t -> int -> int
 val volatile_index : t -> int -> int
 (** [last_stable t i + 1]. *)
 
-val volatile : t -> int -> ckpt
-(** The volatile checkpoint [v_i]. *)
-
 val last_stable_ckpt : t -> int -> ckpt
 (** [s^last_i]. *)
 
@@ -57,8 +54,6 @@ val is_stable : t -> ckpt -> bool
 
 val checkpoints : t -> ckpt list
 (** Every general checkpoint (stable and volatile), process by process. *)
-
-val stable_checkpoints : t -> ckpt list
 
 val messages : t -> message array
 (** Delivered messages only, in trace order (a fresh copy). *)
@@ -78,9 +73,6 @@ val first_preceded : t -> ckpt -> pid:int -> int
     It is [c.index + 1] when [c] is on [pid], and "none" when [c] is
     volatile.  O(log) clock reads.
     @raise Invalid_argument if [c] or [pid] is not in the CCP. *)
-
-val consistent_pair : t -> ckpt -> ckpt -> bool
-(** Neither precedes the other (Section 2.2). *)
 
 val pp_ckpt : Format.formatter -> ckpt -> unit
 val pp : Format.formatter -> t -> unit

@@ -32,14 +32,17 @@ val max_consistent : Ccp.t -> bound:global -> global option
     middleware always admits the all-zero solution). *)
 
 val max_consistent_containing : Ccp.t -> Ccp.ckpt list -> global option
+[@@lint.reference "the fixpoint definition Tracking's answers are tested against"]
 (** Maximum consistent global checkpoint containing all the given local
     checkpoints, or [None] if no consistent one contains them. *)
 
 val min_consistent_containing : Ccp.t -> Ccp.ckpt list -> global option
+[@@lint.reference "the fixpoint definition Tracking's answers are tested against"]
 (** Minimum consistent global checkpoint containing all the given local
     checkpoints, or [None]. *)
 
 val brute_force_max_consistent : Ccp.t -> bound:global -> global option
+[@@lint.reference "exhaustive search: the recovery lines are tested against it"]
 (** Exhaustive search over the product of all checkpoints (exponential —
     tests only): among consistent global checkpoints below [bound], the
     one minimizing {!count_rolled_back}; ties broken by... there are no

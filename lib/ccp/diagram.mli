@@ -13,7 +13,5 @@
     patterns of the paper's figures and for CLI inspection of short runs
     — wide executions are truncated to the last [max_events] columns. *)
 
-val render : ?max_events:int -> Trace.t -> string
-(** Render the trace ([max_events] defaults to 64 columns). *)
-
 val print : ?max_events:int -> Trace.t -> unit
+(** Prints the diagram to stdout ([max_events] defaults to 64 columns). *)

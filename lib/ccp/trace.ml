@@ -117,7 +117,6 @@ let create ~n =
   }
 
 let n t = t.n
-let max_payload t = t.max_payload
 let set_recording t b = t.recording <- b
 let on_event t f = t.on_event <- f :: t.on_event
 let on_truncate t f = t.on_truncate <- f :: t.on_truncate
@@ -352,18 +351,6 @@ let length t = Array.fold_left (fun acc log -> acc + log.count) 0 t.logs
 
 (* Readers *)
 
-let iter_pid t ~pid f =
-  let log = t.logs.(pid) in
-  let v = View.make ~peer_bits:t.peer_bits in
-  v.View.pid <- pid;
-  let k = cursor log in
-  for _ = 1 to log.count do
-    next t k;
-    v.View.seq <- k.dseq;
-    v.View.code <- k.code;
-    f v
-  done
-
 (* A k-way merge by [seq]: [heap] is a binary min-heap of the pids whose
    log still has events, keyed by the [seq] of the event their cursor
    last decoded, which is the next to deliver. *)
@@ -412,14 +399,6 @@ let iter t f =
     else next t k;
     sift_down 0
   done
-
-let fold_with iter t ~init f =
-  let acc = ref init in
-  iter t (fun v -> acc := f !acc v);
-  !acc
-
-let fold t ~init f = fold_with iter t ~init f
-let fold_pid t ~pid ~init f = fold_with (iter_pid ~pid) t ~init f
 
 (* Cuts [log] just after the last [Checkpoint index] event.  Varints only
    decode forwards, so each chunk, from the tail back, is decoded from its

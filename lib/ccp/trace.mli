@@ -91,14 +91,11 @@ val record_send : t -> pid:int -> msg_id:int -> dst:int -> unit
 val record_receive : t -> pid:int -> msg_id:int -> src:int -> unit
 (** Append one event to [pid]'s log.
     @raise Invalid_argument if [pid] or the peer ([dst], [src]) is outside
-    [\[0, n)], or if the payload ([index], [msg_id]) is outside
-    [\[0, max_payload t\]] — the packed code never wraps.  A muted trace
-    ({!set_recording}) checks nothing. *)
-
-val max_payload : t -> int
-(** The largest checkpoint index or message id the packed code holds: a
-    code is the payload above the peer's bits above a 2-bit tag, so the
-    bound depends on [n] ([2^57 - 1] at [n = 8]). *)
+    [\[0, n)], or if the payload ([index], [msg_id]) is negative or too
+    wide for the packed code, which never wraps: a code is the payload
+    above the peer's bits above a 2-bit tag, so the largest checkpoint
+    index or message id depends on [n] ([2^57 - 1] at [n = 8]).  A muted
+    trace ({!set_recording}) checks nothing. *)
 
 val fresh_msg_id : t -> pid:int -> int
 (** Allocates a message identifier unique across the trace
@@ -113,10 +110,6 @@ val restore_msg_ids : t -> pid:int -> count:int -> unit
     restore the counter past every send it ever made, or it would mint
     colliding ids.  Lowering is a no-op. *)
 
-val last_checkpoint_index : t -> pid:int -> int
-(** Index of the last stable checkpoint in [pid]'s log; [-1] if none.
-    O(1): kept up to date by the recorders and {!truncate_to_checkpoint}. *)
-
 val length : t -> int
 (** Number of events in the trace. *)
 
@@ -124,12 +117,6 @@ val iter : t -> (View.t -> unit) -> unit
 (** All events in sequence order (a causal linearization): a k-way merge
     of the per-process logs, each of which is already in sequence order.
     The callback must not record into or truncate the trace. *)
-
-val fold : t -> init:'a -> ('a -> View.t -> 'a) -> 'a
-(** {!iter} as a fold. *)
-
-val fold_pid : t -> pid:int -> init:'a -> ('a -> View.t -> 'a) -> 'a
-(** Events of one process, oldest first, as a fold. *)
 
 val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
 (** Erase every event of [pid] after its last [Checkpoint index] event,
@@ -158,13 +145,11 @@ val save : t -> string -> unit
 val to_string : t -> string
 (** The bytes {!save} writes, collected in memory. *)
 
-val of_channel : in_channel -> t
-(** Reads the format {!save} writes.
-    @raise Failure on malformed input, including a line the recorders
-    reject (a pid or peer outside [\[0, n)], a payload outside
-    [\[0, max_payload\]]): [Failure "Trace.of_channel: bad line ..."]. *)
-
 val load : string -> t
+(** Reads the file {!save} writes.
+    @raise Failure on malformed input, including a line the recorders
+    reject (a pid or peer outside [\[0, n)], a payload the packed code
+    cannot hold): [Failure "Trace.of_channel: bad line ..."]. *)
 
 (* Builder helpers: hand-constructed patterns (paper figures, tests). *)
 

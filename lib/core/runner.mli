@@ -26,9 +26,11 @@ val run : t -> unit
 (** Execute until the configured duration. *)
 
 val step : t -> bool
+[@@lint.reference "step seam: tests check invariants between single events"]
 (** Execute a single engine event; [false] when nothing is left. *)
 
 val set_on_sample : t -> (t -> unit) -> unit
+[@@lint.reference "sampling seam: tests observe the run at every sample"]
 (** Callback invoked at every metrics sample (tests hook invariant audits
     here). *)
 

@@ -25,7 +25,6 @@ let retained ccp ~pid =
   |> List.filter (fun gamma -> gamma >= 0 && gamma <= last)
   |> List.sort_uniq Int.compare
 
-let retained_count ccp ~pid = List.length (retained ccp ~pid)
 
 let is_obsolete ccp (c : Ccp.ckpt) =
   check_stable ccp c;

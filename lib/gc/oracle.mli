@@ -42,9 +42,8 @@ val retained : Rdt_ccp.Ccp.t -> pid:int -> int list
 (** Indices of the non-obsolete stable checkpoints of one process —
     what an omniscient collector would keep. *)
 
-val retained_count : Rdt_ccp.Ccp.t -> pid:int -> int
-
 val needed_by : Rdt_ccp.Ccp.t -> Rdt_ccp.Ccp.ckpt -> int list
+[@@lint.reference "Theorem 1 by its definition: the sweeps are held to it"]
 (** The processes [p_f] witnessing non-obsolescence (empty iff obsolete),
     by Theorem 1's two {!Rdt_ccp.Ccp.precedes} tests per process: the
     reference the tests hold the sweeps to.

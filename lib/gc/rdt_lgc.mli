@@ -93,10 +93,12 @@ val retained_because_of : t -> int -> int option
     process [f], if any. *)
 
 val slots_in_use : t -> int
+[@@lint.reference "probe of the CCB table, checked against the n + 1 bound"]
 (** Number of live CCBs: slots of the control-block table referenced by
     at least one [UC] entry.  Each is one retained checkpoint, so this
     stays at most [n + 1]. *)
 
 val slot_capacity : t -> int
+[@@lint.reference "probe of the CCB table, checked against the n + 1 bound"]
 (** Current size of the control-block table.  It starts small and
     doubles when a new CCB finds no free slot. *)

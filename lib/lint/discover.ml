@@ -5,7 +5,7 @@
    exits nonzero on genuine findings. *)
 
 type result = {
-  cmts : string list;
+  cmts : string list;  (* .cmt and .cmti *)
   load_dirs : string list;  (* every directory that held a .cmt or .cmi *)
   warnings : string list;
 }
@@ -48,7 +48,9 @@ let find_cmts ~root ~dirs =
           :: !warnings
       else
         walk abs ~f:(fun path ->
-            if has_suffix ~suffix:".cmt" path then begin
+            if
+              has_suffix ~suffix:".cmt" path || has_suffix ~suffix:".cmti" path
+            then begin
               cmts := path :: !cmts;
               Hashtbl.replace load_dirs (Filename.dirname path) ()
             end

@@ -2,7 +2,7 @@
     layouts. *)
 
 type result = {
-  cmts : string list;
+  cmts : string list;  (** .cmt and .cmti files *)
   load_dirs : string list;
   warnings : string list;
 }

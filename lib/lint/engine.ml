@@ -1,5 +1,5 @@
-(* The typed-AST pass.  One [scan_cmt] per compilation unit: load the
-   .cmt, walk the typedtree with a Tast_iterator, apply the four rule
+(* The typed-AST pass.  One [scan_structure] per compilation unit: walk
+   the typedtree with a Tast_iterator, apply the four rule
    families (DESIGN.md §12) under the path scopes of [Lint_config], and
    honour [@lint.allow]/[@@@lint.zero_alloc_hot]/[@@lint.bounds_checked]
    attributes as they come into scope. *)
@@ -11,14 +11,6 @@ type scan = {
   suppressed : (Finding.t * string) list;
       (* finding silenced by a justified allow, with its justification *)
 }
-
-let empty_scan = { findings = []; suppressed = [] }
-
-let merge a b =
-  {
-    findings = a.findings @ b.findings;
-    suppressed = a.suppressed @ b.suppressed;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Identifier tables                                                   *)
@@ -602,21 +594,3 @@ let source_of_cmt (cmt : Cmt_format.cmt_infos) ~cmt_path =
     else find (i + 1)
   in
   find 0
-
-type cmt_result =
-  | Scanned of string * scan  (* source path, results *)
-  | Skipped of string  (* warning *)
-
-let scan_cmt ~cfg cmt_path =
-  match Cmt_format.read_cmt cmt_path with
-  | exception exn ->
-    Skipped
-      (Printf.sprintf "lint: cannot read %s (%s); skipped" cmt_path
-         (Printexc.to_string exn))
-  | cmt -> begin
-    match cmt.cmt_annots with
-    | Implementation str ->
-      let file = source_of_cmt cmt ~cmt_path in
-      Scanned (file, scan_structure ~cfg ~file str)
-    | _ -> Skipped (Printf.sprintf "lint: %s is not an implementation; skipped" cmt_path)
-  end

@@ -5,12 +5,10 @@ type scan = {
   suppressed : (Finding.t * string) list;
 }
 
-val empty_scan : scan
-val merge : scan -> scan -> scan
+val scan_structure :
+  cfg:Lint_config.t -> file:string -> Typedtree.structure -> scan
+(** Scan one compilation unit's implementation; [file] is its source path
+    relative to the build root. *)
 
-type cmt_result = Scanned of string * scan | Skipped of string
-
-val scan_cmt : cfg:Lint_config.t -> string -> cmt_result
-(** Read and scan one .cmt.  Unreadable or non-implementation cmts are
-    [Skipped] with a warning, never an error: the lint only fails on
-    genuine findings. *)
+val source_of_cmt : Cmt_format.cmt_infos -> cmt_path:string -> string
+(** The unit's source path relative to the build root. *)

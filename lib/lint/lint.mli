@@ -1,13 +1,8 @@
-(** Driver for the whole pass: discovery, scan, report. *)
+(** Driver for the whole pass: discovery, then the scan. *)
 
 val scan :
   ?cfg:Lint_config.t -> root:string -> dirs:string list -> unit ->
-  Engine.scan * string list
-(** Discovery + scan without rendering: the findings and the
-    discovery/skip warnings.  test_lint.ml drives the fixtures with
-    this. *)
-
-val run : ?cfg:Lint_config.t -> root:string -> dirs:string list -> unit -> int
-(** Scans, prints the text report on stdout and returns the process exit
-    status: 0 when clean (possibly with warnings about missing
-    artefacts), 1 on any error-severity finding. *)
+  Report.summary
+(** Every finding over the [.cmt]/[.cmti] files under [dirs], plus the
+    discovery and skip warnings.  [cfg] defaults to the project policy;
+    test_lint.ml drives the fixtures with its own. *)

@@ -13,6 +13,8 @@ type t = {
          (the live TCP runtime), never under the simulator's clock *)
   unsafe_allowlist : string list;
       (* files where annotated unsafe indexing is legal *)
+  test_prefixes : string list;
+      (* a lib/ value referenced only from here is dead/test-only *)
 }
 
 let default =
@@ -40,6 +42,7 @@ let default =
         "lib/store/crc32.ml";
         "lib/gc/merged_fdas.ml";
       ];
+    test_prefixes = [ "test/" ];
   }
 
 let normalize_path p =
@@ -56,6 +59,7 @@ let matches prefixes path =
 let in_lib t path = matches t.lib_prefixes path
 let in_hashtbl_det t path = matches t.hashtbl_det_prefixes path
 let in_realtime t path = matches t.realtime_prefixes path
+let in_test t path = matches t.test_prefixes path
 
 let unsafe_allowed t path =
   let path = normalize_path path in

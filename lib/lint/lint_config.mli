@@ -6,6 +6,7 @@ type t = {
   hashtbl_det_prefixes : string list;
   realtime_prefixes : string list;
   unsafe_allowlist : string list;
+  test_prefixes : string list;
 }
 
 val default : t
@@ -15,7 +16,8 @@ val default : t
     [lib/core/] and [lib/metrics/]; wall-clock
     reads are legal only in [lib/live/] (the real-time runtime — its
     transport seam [lib/transport/] stays deterministic); unsafe
-    indexing only in the allowlisted files. *)
+    indexing only in the allowlisted files; a [lib/] export that only
+    [test/] references is dead/test-only. *)
 
 val normalize_path : string -> string
 val in_lib : t -> string -> bool
@@ -24,3 +26,4 @@ val in_hashtbl_det : t -> string -> bool
 (** [in_realtime] is the scope where [det/wall-clock] does not apply. *)
 val in_realtime : t -> string -> bool
 val unsafe_allowed : t -> string -> bool
+val in_test : t -> string -> bool

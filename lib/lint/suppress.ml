@@ -12,17 +12,12 @@ let family_of rule =
   | None -> rule
   | Some i -> String.sub rule 0 i
 
-(* The matching core, kept pure so the qcheck property in test_lint.ml can
-   drive it directly: an allow silences a rule iff it carries a
+(* The matching core, kept pure so the qcheck properties in test_lint.ml
+   can drive it directly: an allow silences a rule iff it carries a
    justification and names either the exact rule or its family. *)
 let allow_matches ~allow_rule ~justified ~rule =
   justified
   && (String.equal allow_rule rule || String.equal allow_rule (family_of rule))
-
-let silences ~allows ~rule =
-  List.exists
-    (fun (allow_rule, justified) -> allow_matches ~allow_rule ~justified ~rule)
-    allows
 
 (* [@lint.allow "rule" "justification"] — the payload is parsed from the
    Parsetree attribute that survives into the typedtree. *)

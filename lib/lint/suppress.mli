@@ -9,15 +9,9 @@ type allow = {
 
 type parsed = Allow of allow | Malformed of string * Location.t
 
-val family_of : string -> string
-
 val allow_matches : allow_rule:string -> justified:bool -> rule:string -> bool
 (** Pure matching core: an allow silences [rule] iff it is justified and
     names the exact rule id or the rule's family. *)
-
-val silences : allows:(string * bool) list -> rule:string -> bool
-(** [silences ~allows ~rule] over (rule, justified) pairs; the qcheck
-    property in test_lint.ml checks this against a model. *)
 
 val strings_of_payload : Parsetree.payload -> string list option
 (** String literals of an attribute payload ([Some []] for an empty

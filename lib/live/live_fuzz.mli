@@ -25,16 +25,6 @@ type backend =
   | Sim  (** in-process {!Sim_cluster}: deterministic, fast *)
   | Live of Cluster.backend  (** real OS processes over loopback TCP *)
 
-val run_one :
-  backend:backend ->
-  root:string ->
-  ?timeout:float ->
-  nemesis:Rdt_transport.Nemesis.config ->
-  Rdt_verify.Scenario.t ->
-  Rdt_verify.Fuzz.outcome
-(** One cluster run + checker verdict under [root] (wiped); the
-    building block tests use to replay a single [.scn]/[.nms] pair. *)
-
 val arm :
   ?timeout:float ->
   ?mutate_deliver:bool ->

@@ -69,7 +69,7 @@ type t = {
 }
 
 (* the registration retry timer; nemesis delay releases live at ids >=
-   {!Rdt_transport.Nemesis.timer_base}, far above this *)
+   0x40000000 (see [Rdt_transport.Nemesis.wrap]), far above this *)
 let hello_timer_id = 1
 let hello_retry = 0.5
 

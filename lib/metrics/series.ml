@@ -12,7 +12,6 @@ let add_int t ~time ~value = add t ~time ~value:(float_of_int value)
 
 let points t = List.rev t.rev_points
 let length t = t.len
-let last t = match t.rev_points with [] -> None | p :: _ -> Some p
 let values t = List.rev_map (fun p -> p.value) t.rev_points
 let stats t = Stats.of_list (values t)
 

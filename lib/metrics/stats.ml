@@ -2,40 +2,22 @@ type t = {
   mutable count : int;
   mutable mean : float;
   mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  mutable sum : float;
 }
 
-let create () =
-  { count = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan; sum = 0.0 }
+let create () = { count = 0; mean = 0.0; m2 = 0.0 }
 
 let add t x =
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if t.count = 1 then begin
-    t.min <- x;
-    t.max <- x
-  end
-  else begin
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-  end
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
 let add_int t x = add t (float_of_int x)
 
-let count t = t.count
 let mean t = if t.count = 0 then 0.0 else t.mean
 
 let stddev t =
   if t.count < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.count - 1))
-
-let min t = t.min
-let max t = t.max
-let sum t = t.sum
 
 let of_list l =
   let t = create () in
@@ -51,4 +33,4 @@ let percentile l ~p =
   let rank =
     int_of_float (ceil (p /. 100.0 *. float_of_int len)) - 1
   in
-  arr.(Stdlib.max 0 (Stdlib.min (len - 1) rank))
+  arr.(max 0 (min (len - 1) rank))

@@ -6,18 +6,11 @@ val create : unit -> t
 val add : t -> float -> unit
 val add_int : t -> int -> unit
 
-val count : t -> int
 val mean : t -> float
 (** 0 on an empty accumulator. *)
 
 val stddev : t -> float
 (** Sample standard deviation; 0 with fewer than two observations. *)
-
-val min : t -> float
-val max : t -> float
-(** [nan] on an empty accumulator. *)
-
-val sum : t -> float
 
 val of_list : float list -> t
 

@@ -13,16 +13,14 @@ val add_row : t -> string list -> unit
 val add_separator : t -> unit
 (** Horizontal rule between row groups. *)
 
-val render : t -> string
-(** Rendered table with a header rule, e.g.:
+val print : t -> unit
+(** Prints the table to stdout with a header rule, followed by a newline,
+    e.g.:
     {v
     workload   | n  | retained
     -----------+----+---------
     uniform    |  8 |     3.20
     v} *)
-
-val print : t -> unit
-(** [render] to stdout, followed by a newline. *)
 
 (* Formatting helpers used by every experiment. *)
 

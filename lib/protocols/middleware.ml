@@ -152,8 +152,6 @@ let archive t =
     t.archive <- Some a;
     a
 
-let current_interval t = Dependency_vector.get t.dv t.me
-
 let basic_checkpoint t ~now =
   take_checkpoint t ~kind:Basic ~now
 
@@ -215,4 +213,3 @@ let app_state t = t.app_state
 
 let basic_count t = t.basic_count
 let forced_count t = t.forced_count
-let checkpoint_count t = t.basic_count + t.forced_count + 1

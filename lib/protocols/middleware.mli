@@ -99,10 +99,6 @@ val archive : t -> Rdt_storage.Dv_archive.t
     rewound by {!rollback}.  Call it right after creating the process to
     archive its whole history. *)
 
-val current_interval : t -> int
-(** [DV(v_i).(i)] — index of the current checkpoint interval; also the
-    index the next stable checkpoint will get. *)
-
 val basic_checkpoint : t -> now:float -> unit
 (** Take a basic (autonomous) checkpoint. *)
 
@@ -139,6 +135,3 @@ val app_state : t -> int
 
 val basic_count : t -> int
 val forced_count : t -> int
-
-val checkpoint_count : t -> int
-(** [basic_count + forced_count + 1] (counting [s^0]). *)

@@ -64,15 +64,12 @@ type t = {
 }
 
 val fdas : t
-val fdi : t
-val bcs : t
-val cbr : t
-val cas : t
-val casbr : t
-val no_forced : t
+(** Fixed-Dependency-After-Send, the protocol the paper's collector
+    runs under.  The others are reached by {!by_id} or {!all}. *)
 
 val all : t list
-(** Every protocol above. *)
+(** Every protocol: [fdas], [fdi], [bcs], [cbr], [cas], [casbr] and
+    [none] (no forced checkpoints). *)
 
 val rdt_protocols : t list
 (** Only the protocols that guarantee RDT. *)

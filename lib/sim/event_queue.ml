@@ -115,4 +115,3 @@ let pop t =
 let[@inline] next_time t = if t.size = 0 then infinity else t.times.(1)
 
 let is_empty t = t.size = 0
-let length t = t.size

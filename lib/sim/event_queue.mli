@@ -36,5 +36,3 @@ val pop : 'a t -> 'a
     @raise Invalid_argument if the queue is empty. *)
 
 val is_empty : 'a t -> bool
-
-val length : 'a t -> int

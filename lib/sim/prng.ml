@@ -78,11 +78,3 @@ let uniform_in t ~lo ~hi = lo +. float t (hi -. lo)
 let pick t a =
   if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
   a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

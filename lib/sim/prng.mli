@@ -60,6 +60,3 @@ val uniform_in : t -> lo:float -> hi:float -> float
 
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

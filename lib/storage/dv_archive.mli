@@ -25,8 +25,6 @@
 
 type t
 
-val create : me:int -> t
-
 val restore : me:int -> entries:(int * int array) list -> t
 (** Rebuild an archive from the [(index, dv)] pairs that survived a crash
     (ascending indices, as the durable store recovers them — the vectors

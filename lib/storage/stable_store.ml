@@ -24,7 +24,6 @@ type t = {
   me : int;
   mutable backend : backend option;
   mutable entries : entry Int_map.t;
-  mutable bytes : int;
   mutable stored_total : int;
   mutable eliminated_total : int;
   mutable peak_count : int;
@@ -35,7 +34,6 @@ let create ~me =
     me;
     backend = None;
     entries = Int_map.empty;
-    bytes = 0;
     stored_total = 0;
     eliminated_total = 0;
     peak_count = 0;
@@ -51,8 +49,7 @@ let restore ~me ~entries =
                          | None -> -1
                          | Some (i, _) -> i)
       then invalid_arg "Stable_store.restore: entries not ascending";
-      t.entries <- Int_map.add entry.index entry t.entries;
-      t.bytes <- t.bytes + entry.size_bytes)
+      t.entries <- Int_map.add entry.index entry t.entries)
     entries;
   t.stored_total <- Int_map.cardinal t.entries;
   t.peak_count <- Int_map.cardinal t.entries;
@@ -75,7 +72,6 @@ let store_from t ~index ~dv ~now ~size_bytes ?(payload = 0) () =
     { index; dv = Array.copy dv; taken_at = now; size_bytes; payload }
   in
   t.entries <- Int_map.add index entry t.entries;
-  t.bytes <- t.bytes + size_bytes;
   t.stored_total <- t.stored_total + 1;
   t.peak_count <- max t.peak_count (Int_map.cardinal t.entries);
   (match t.backend with Some b -> b.b_store entry | None -> ());
@@ -89,34 +85,25 @@ let eliminate t ~index =
          index)
   | Some entry ->
     t.entries <- Int_map.remove index t.entries;
-    t.bytes <- t.bytes - entry.size_bytes;
     t.eliminated_total <- t.eliminated_total + 1;
     (match t.backend with Some b -> b.b_eliminate entry | None -> ())
 
 let truncate_above t ~index =
-  let doomed =
-    Int_map.fold
-      (fun idx entry acc -> if idx > index then (idx, entry) :: acc else acc)
-      t.entries []
-  in
-  List.iter
-    (fun (idx, entry) ->
-      t.entries <- Int_map.remove idx t.entries;
-      t.bytes <- t.bytes - entry.size_bytes;
-      t.eliminated_total <- t.eliminated_total + 1)
-    doomed;
+  let below, at, above = Int_map.split index t.entries in
+  let removed = Int_map.cardinal above in
+  t.entries <- Option.fold at ~none:below ~some:(fun e -> Int_map.add index e below);
+  t.eliminated_total <- t.eliminated_total + removed;
   (* one truncation record, not one tombstone per checkpoint: a rollback
      is a single durable event *)
-  if not (List.is_empty doomed) then
+  if removed > 0 then
     (match t.backend with Some b -> b.b_truncate_above ~index | None -> ());
-  List.length doomed
+  removed
 
 let mem t ~index = Int_map.mem index t.entries
 let find t ~index = Int_map.find_opt index t.entries
 let retained t = List.map snd (Int_map.bindings t.entries)
 let retained_indices t = List.map fst (Int_map.bindings t.entries)
 let count t = Int_map.cardinal t.entries
-let bytes t = t.bytes
 
 let stats t =
   {

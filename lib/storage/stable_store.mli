@@ -4,9 +4,8 @@
     the dependency vector stored alongside each one (the paper stores DV
     with every checkpoint for recovery purposes).  Storage survives
     crashes; garbage collectors call {!eliminate} and rollbacks call
-    {!truncate_above}.  The module keeps byte and count accounting so the
-    space-overhead experiments can report current bytes and peak
-    count. *)
+    {!truncate_above}.  The module counts stored and eliminated
+    checkpoints and the peak retained count ({!stats}). *)
 
 type entry = {
   index : int;  (** checkpoint index gamma of [s^gamma] *)
@@ -95,7 +94,6 @@ val retained : t -> entry list
 
 val retained_indices : t -> int list
 val count : t -> int
-val bytes : t -> int
 val stats : t -> stats
 
 val pp : Format.formatter -> t -> unit

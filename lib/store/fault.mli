@@ -33,6 +33,7 @@ val at_op : op:int -> kind:kind -> rng:Rdt_sim.Prng.t -> t
 (** Arm [kind] to fire at the [op]-th store operation (1-based). *)
 
 val of_seed : seed:int -> max_op:int -> t
+[@@lint.reference "fault seam: seeded crash plans for the store tests"]
 (** Derive a whole plan — kind and firing op in [1, max_op] — from a seed
     (the seeded fault schedules of the property tests). *)
 

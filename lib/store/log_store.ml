@@ -64,7 +64,6 @@ type t = {
 
 exception Compaction_crash of [ `After_seal | `After_rewrite ]
 
-let dir t = t.dir
 let recovery t = t.recovery_info
 
 let seg_file_name id = Printf.sprintf "seg-%08d.log" id
@@ -454,8 +453,6 @@ let backend t =
   }
 
 (* --- observation ------------------------------------------------------- *)
-
-let live_count t = Hashtbl.length t.live
 
 let live_entries t =
   Hashtbl.fold (fun _ r acc -> r.lr_entry :: acc) t.live []

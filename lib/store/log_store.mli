@@ -68,13 +68,10 @@ type recovery = {
 val recovery : t -> recovery
 (** What the opening scan found (empty lists/zeros for a fresh dir). *)
 
-val dir : t -> string
-
-(* Mutations (normally reached through {!backend}): *)
+(* Mutations (a rollback's truncation only through {!backend}): *)
 
 val append : t -> Stable_store.entry -> unit
 val eliminate : t -> index:int -> unit
-val truncate_above : t -> index:int -> unit
 
 val sync : t -> unit
 (** Flush and fsync the active segment. *)
@@ -88,6 +85,7 @@ exception Compaction_crash of [ `After_seal | `After_rewrite ]
     instance is poisoned afterwards and the directory must be reopened. *)
 
 val arm_compaction_crash : t -> [ `After_seal | `After_rewrite ] -> unit
+[@@lint.reference "fault seam: a crash inside compaction"]
 (** Test hook: make the next compaction (manual {!compact} or automatic)
     crash deterministically at one of its two durability windows —
     [`After_seal]: the active segment has been sealed but no rewrite has
@@ -106,12 +104,9 @@ val backend : t -> Stable_store.backend
 
 (* Observation: *)
 
-val live_count : t -> int
-(** Live (non-eliminated) checkpoints on disk — the quantity the paper
-    bounds by [n] ([n+1] transiently). *)
-
 val live_indices : t -> int list
-val live_entries : t -> Stable_store.entry list
+(** Indices of the live (non-eliminated) checkpoints on disk, ascending:
+    at most [n] of them ([n+1] transiently) under RDT-LGC. *)
 
 type stats = {
   segments : int;

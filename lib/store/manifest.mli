@@ -15,9 +15,6 @@ type t = {
   appended_records : int;  (** cumulative records ever appended *)
 }
 
-val file_name : string
-(** ["MANIFEST"] *)
-
 val write : dir:string -> t -> unit
 
 val read : dir:string -> t option

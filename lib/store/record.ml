@@ -92,11 +92,6 @@ let encode_into r b ~pos =
       (dv_off + (4 * Array.length entry.dv))
       ~payload:entry.payload ~size:entry.size_bytes
 
-let encode r =
-  let b = Bytes.create (encoded_length r) in
-  encode_into r b ~pos:0;
-  b
-
 let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
 let decode b ~pos ~len =

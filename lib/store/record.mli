@@ -45,16 +45,9 @@ val encode_into : t -> Bytes.t -> pos:int -> unit
     {!encoded_length} does, or if the bytes do not fit in [b]; either way
     [b] is left unchanged. *)
 
-val encode : t -> Bytes.t
-(** [encode_into] a fresh buffer of exactly [encoded_length r] bytes. *)
-
 val decode : Bytes.t -> pos:int -> len:int -> (t, string) result
 (** Inverse of {!encode_into}, reading the [len] bytes at [pos] in place;
     [Error] explains the malformation.  A CRC-valid frame should always
     decode — a decode error means a foreign or corrupted-yet-CRC-colliding
     record and is counted as dropped by the scan.  Raises
     [Invalid_argument] if the window is not inside [b]. *)
-
-val filler_byte : payload:int -> k:int -> char
-(** Byte [k] of a store record's filler blob, a function of the
-    checkpoint's state digest [payload]. *)

@@ -1,7 +1,6 @@
 let magic = "RDTSEG01"
 let magic_len = String.length magic
 let frame_head_len = 8 (* u32 length + u32 crc *)
-let frame_overhead = frame_head_len
 
 (* Upper bound on a sane frame payload; anything larger read back from
    disk is treated as a torn/corrupt length field. *)

@@ -84,6 +84,3 @@ val scan : path:string -> f:(frame_bytes:int -> Record.t -> unit) -> scan_stats
 (** Replay every readable record of the segment through [f].
     [frame_bytes] is the record's on-disk footprint (frame header
     included) — what compaction accounting needs. *)
-
-val frame_overhead : int
-(** Bytes the frame adds around a payload (length prefix + CRC). *)

@@ -18,7 +18,6 @@
 
 module Wire = Wire
 module Prng = Rdt_sim.Prng
-module Crc32 = Rdt_store.Crc32
 
 type partition = {
   pt_from : int;
@@ -173,14 +172,6 @@ let pp ppf cfg =
 
 type style = Flip_payload | Forge_tag | Trailing
 
-let raw_frame payload =
-  let len = String.length payload in
-  let out = Bytes.create (Wire.header_bytes + len) in
-  Bytes.set_int32_be out 0 (Int32.of_int len);
-  Bytes.set_int32_be out 4 (Crc32.string payload);
-  Bytes.blit_string payload 0 out Wire.header_bytes len;
-  out
-
 let flip_payload encoded =
   let b = Bytes.copy encoded in
   let pos = Wire.header_bytes + ((Bytes.length b - Wire.header_bytes) / 2) in
@@ -190,11 +181,13 @@ let flip_payload encoded =
 let garble style encoded =
   match style with
   | Flip_payload -> flip_payload encoded
-  | Forge_tag -> raw_frame "\xee"
+  | Forge_tag -> Wire.frame_of_payload "\xee"
   | Trailing ->
     let plen = Bytes.length encoded - Wire.header_bytes in
     if plen + 1 > Wire.max_frame_bytes then flip_payload encoded
-    else raw_frame (Bytes.sub_string encoded Wire.header_bytes plen ^ "\x00")
+    else
+      Wire.frame_of_payload
+        (Bytes.sub_string encoded Wire.header_bytes plen ^ "\x00")
 
 (* --- the pure decision core --------------------------------------------- *)
 

@@ -78,6 +78,7 @@ type style =
   | Trailing  (** valid CRC over the payload plus a trailing byte *)
 
 val garble : style -> Bytes.t -> Bytes.t
+[@@lint.reference "fault seam: the wire corruptions, applied alone"]
 (** [garble style encoded] returns a corrupted variant of an encoded
     frame.  Every style keeps the length prefix intact and within
     bounds, so a receiver can always resynchronize at the next frame;
@@ -96,19 +97,19 @@ type stats = {
 
 type t
 
-val timer_base : int
-(** Timer ids at or above this value are reserved for the nemesis's
-    delayed-frame releases; owners of a wrapped transport must keep
-    their own timer ids below it. *)
-
 val wrap : config -> Transport.t -> t * Transport.t
 (** Decorate [inner].  The returned transport is [inner] with [send]
     and [set_handler] replaced; everything else passes through.  The
-    handle gives access to {!stats}, {!schedule} and {!flush_held}. *)
+    handle gives access to {!stats}, {!schedule} and {!flush_held}.
+    Timer ids at or above [0x40000000] are reserved for the nemesis's
+    delayed-frame releases; owners of a wrapped transport must keep
+    their own timer ids below it. *)
 
 val stats : t -> stats
+[@@lint.reference "fault seam: what a nemesis did, for the tests' assertions"]
 
 val schedule : t -> string list
+[@@lint.reference "fault seam: the schedule a nemesis was built from"]
 (** Chronological log of every per-frame decision (passes included) —
     the replayability witness: identical [(config, frame flow)] yields
     an identical list. *)

@@ -40,8 +40,6 @@ let pp_error ppf = function
   | Bad_tag { tag } -> Format.fprintf ppf "unknown frame tag 0x%02x" tag
   | Malformed msg -> Format.fprintf ppf "malformed frame: %s" msg
 
-let error_to_string e = Format.asprintf "%a" pp_error e
-
 type state = {
   st_dv : int array;  (** live dependency vector *)
   st_uc : int option array;  (** RDT-LGC UC as checkpoint indices *)
@@ -231,13 +229,7 @@ let put_frame b = function
     put_i64 b seq;
     put_reply b reply
 
-let encode_payload frame =
-  let b = Buffer.create 128 in
-  put_frame b frame;
-  Buffer.contents b
-
-let encode frame =
-  let payload = encode_payload frame in
+let frame_of_payload payload =
   let len = String.length payload in
   if len > max_frame_bytes then
     invalid_arg (Printf.sprintf "Wire.encode: frame of %d bytes" len);
@@ -246,6 +238,11 @@ let encode frame =
   Bytes.set_int32_be out 4 (Crc32.string payload);
   Bytes.blit_string payload 0 out header_bytes len;
   out
+
+let encode frame =
+  let b = Buffer.create 128 in
+  put_frame b frame;
+  frame_of_payload (Buffer.contents b)
 
 (* --- decoding --------------------------------------------------------- *)
 
@@ -427,14 +424,4 @@ let decode_body header buf ~pos ~len =
         else Ok frame
       | exception Bad e -> Error e
     end
-  end
-
-let decode buf =
-  let len = Bytes.length buf in
-  match decode_header buf ~pos:0 ~len with
-  | Error e -> Error e
-  | Ok h -> begin
-    match decode_body h buf ~pos:header_bytes ~len:(len - header_bytes) with
-    | Error e -> Error e
-    | Ok frame -> Ok (frame, header_bytes + h.h_len)
   end

@@ -21,7 +21,6 @@ type error =
   | Malformed of string
 
 val pp_error : Format.formatter -> error -> unit
-val error_to_string : error -> string
 
 type state = {
   st_dv : int array;  (** live dependency vector *)
@@ -111,8 +110,10 @@ val encode : frame -> Bytes.t
 (** Header plus payload, ready to write.
     @raise Invalid_argument if the payload exceeds {!max_frame_bytes}. *)
 
-val encode_payload : frame -> string
-(** Payload bytes only (golden tests). *)
+val frame_of_payload : string -> Bytes.t
+(** [u32 length | u32 crc32(payload) | payload]: the header {!encode}
+    puts around an encoded frame, here around any bytes.
+    @raise Invalid_argument if the payload exceeds {!max_frame_bytes}. *)
 
 type header = { h_len : int; h_crc : int32 }
 
@@ -124,7 +125,3 @@ val decode_header : Bytes.t -> pos:int -> len:int -> (header, error) result
 val decode_body : header -> Bytes.t -> pos:int -> len:int -> (frame, error) result
 (** Check the CRC over the [h_len] payload bytes at [pos] and parse the
     frame.  Rejects trailing garbage inside the payload. *)
-
-val decode : Bytes.t -> (frame * int, error) result
-(** One-shot: parse a complete frame from the start of [buf]; returns the
-    frame and the number of bytes consumed. *)

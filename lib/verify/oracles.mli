@@ -59,16 +59,19 @@ val optimality :
     global knowledge. *)
 
 val bound : stack:stack -> ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
+[@@lint.reference "one theorem oracle, run alone by the test audits"]
 (** Section 4.5: at most [n] checkpoints retained per process, and a peak
     of at most [n + 1]. *)
 
 val invariant : stack:stack -> ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
+[@@lint.reference "one theorem oracle, run alone by the test audits"]
 (** Theorem 3: every collector's UC array satisfies Equation 4 against
     CCP ground truth: [UC.(f)] of [p_i] references exactly
     [Oracle.witness ccp ~pid:i ~f] whenever that index is stable.
     Processes without a collector are skipped. *)
 
 val rdt : ccp:Rdt_ccp.Ccp.t -> op:int -> violation list
+[@@lint.reference "one theorem oracle, run alone by the test audits"]
 (** Definition 4: the execution is RD-trackable (first violation only). *)
 
 (** {2 Batteries} *)

@@ -61,16 +61,13 @@ val equal : t -> t -> bool
 (** Structural equality (protocols compared by id). *)
 
 val to_string : t -> string
-(** Corpus format, [of_string]-roundtrippable. *)
-
-val of_string : string -> (t, string) result
-(** Parses and {!normalize}s.  [Error] for a protocol that does not
-    guarantee RDT, as for any line that does not parse. *)
+(** Corpus format, the text {!save} writes. *)
 
 val save : t -> string -> unit
 val load : string -> (t, string) result
-(** [Error] for a file that cannot be read as well as for one that does
-    not parse. *)
+(** Parses and {!normalize}s.  [Error] for a file that cannot be read, a
+    line that does not parse, or a protocol that does not guarantee
+    RDT. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (seed, size, protocol, op count). *)

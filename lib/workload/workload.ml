@@ -80,7 +80,6 @@ let create cfg ~n ~rng =
   | Uniform | Ring | Pipeline | Broadcast -> ());
   { cfg; n; streams = Array.init n (fun me -> Prng.split_at rng ~index:me) }
 
-let config t = t.cfg
 
 let next_send_delay t ~me =
   Prng.exponential t.streams.(me) ~mean:t.cfg.send_mean_interval

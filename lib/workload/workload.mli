@@ -52,8 +52,6 @@ val create : config -> n:int -> rng:Rdt_sim.Prng.t -> t
     is not finite and positive, a reply probability outside [\[0, 1\]],
     or a pattern that does not fit [n]. *)
 
-val config : t -> config
-
 val next_send_delay : t -> me:int -> float
 (** Draw the delay until process [me]'s next spontaneous send. *)
 

@@ -9,6 +9,65 @@ module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
 
+(* What [f] prints on stdout. *)
+let stdout_of f =
+  let path = Filename.temp_file "rdtgc-test" ".out" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect f ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved);
+  let out = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  out
+
+(* A whole wire frame decoded from the start of [buf], with the bytes it
+   took. *)
+let wire_decode buf =
+  let module Wire = Rdt_transport.Wire in
+  let len = Bytes.length buf in
+  match Wire.decode_header buf ~pos:0 ~len with
+  | Error e -> Error e
+  | Ok h -> (
+    let pos = Wire.header_bytes in
+    match Wire.decode_body h buf ~pos ~len:(len - pos) with
+    | Error e -> Error e
+    | Ok frame -> Ok (frame, pos + h.h_len))
+
+let wire_error e = Format.asprintf "%a" Rdt_transport.Wire.pp_error e
+
+(* [Rdt_verify.Scenario.load] of a file holding [text]. *)
+let scenario_of_string text =
+  let path = Filename.temp_file "rdtgc-test" ".scn" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> Rdt_verify.Scenario.load path)
+
+(* A checkpointing protocol by its CLI id. *)
+let protocol id = Option.get (Rdt_protocols.Protocol.by_id id)
+
+(* A fresh path under the temp directory, for a store to create. *)
+let tmp_dir =
+  let counter = ref 0 in
+  fun () ->
+    incr counter;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rdt_test_%d_%d" (Unix.getpid ()) !counter)
+
+(* Stored checkpoints, field by field. *)
+let entry_eq (a : Rdt_storage.Stable_store.entry)
+    (b : Rdt_storage.Stable_store.entry) =
+  a.index = b.index && a.dv = b.dv && a.taken_at = b.taken_at
+  && a.size_bytes = b.size_bytes && a.payload = b.payload
+
+let entries_eq a b = List.length a = List.length b && List.for_all2 entry_eq a b
+
 let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
@@ -83,13 +142,32 @@ let event_of_view v =
     payload = Trace.View.payload v;
   }
 
+(* The volatile checkpoint v_pid, and every stable checkpoint, process by
+   process. *)
+let volatile ccp pid = { Ccp.pid; index = Ccp.volatile_index ccp pid }
+let stable_checkpoints ccp = List.filter (Ccp.is_stable ccp) (Ccp.checkpoints ccp)
+
 (* Copies of a trace's events, oldest first: all of them in sequence
    order, or one process's. *)
 let events t =
-  List.rev (Trace.fold t ~init:[] (fun acc v -> event_of_view v :: acc))
+  let acc = ref [] in
+  Trace.iter t (fun v -> acc := event_of_view v :: !acc);
+  List.rev !acc
 
-let events_of t ~pid =
-  List.rev (Trace.fold_pid t ~pid ~init:[] (fun acc v -> event_of_view v :: acc))
+let events_of t ~pid = List.filter (fun (e : event) -> e.pid = pid) (events t)
+
+(* The index of [pid]'s last recorded checkpoint; -1 if none. *)
+let last_checkpoint t ~pid =
+  List.fold_left
+    (fun acc (e : event) -> if e.tag = Trace.Checkpoint then e.payload else acc)
+    (-1) (events_of t ~pid)
+
+(* The largest checkpoint index or message id a trace of [n] processes
+   records: the packed code is the payload above the bits of a peer id
+   (at most n - 1) above a 2-bit tag. *)
+let max_payload ~n =
+  let rec width m = if m = 0 then 0 else 1 + width (m lsr 1) in
+  max_int lsr (width (n - 1) + 2)
 
 (* Appends a copied event to [pid]'s log of [into]. *)
 let record_event into ~pid (e : event) =

@@ -209,6 +209,42 @@ let test_store_stats_ignores_stray_dirs () =
       Alcotest.(check (list string)) "directory listing unchanged" before
         (listing store))
 
+(* The durable store's on-disk bytes are a function of the seed: two runs
+   shaped like the sim-durable benchmark (4 KiB checkpoints, two crashes,
+   compaction) leave byte-identical store directories. *)
+let test_store_bytes_deterministic () =
+  let dir = scratch "determinism" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf dir)
+    (fun () ->
+      (* every path under the store, relative to it, with a file's bytes *)
+      let run name =
+        let store = Filename.concat dir name in
+        let code, output =
+          Helpers.run_cli
+            [ "run"; "-n"; "16"; "--duration"; "300"; "--seed"; "7";
+              "--ckpt-bytes"; "4096"; "--ckpt-interval"; "2";
+              "--crash"; "3@60+5"; "--crash"; "7@120+5"; "--store-dir"; store ]
+        in
+        if code <> 0 then Alcotest.failf "run %s exited %d:\n%s" name code output;
+        let skip = String.length store + 1 in
+        List.map
+          (fun path ->
+            ( String.sub path skip (String.length path - skip),
+              if Sys.is_directory path then None
+              else Some (In_channel.with_open_bin path In_channel.input_all) ))
+          (listing store)
+      in
+      let a = run "a" and b = run "b" in
+      Alcotest.(check bool) "the run wrote a store" true (a <> []);
+      Alcotest.(check (list string)) "same listing" (List.map fst a)
+        (List.map fst b);
+      List.iter2
+        (fun (path, x) (_, y) ->
+          if not (Option.equal String.equal x y) then
+            Alcotest.failf "%s differs between the runs" path)
+        a b)
+
 let suite =
   [
     Alcotest.test_case "inspect reports a bad trace line" `Quick
@@ -225,4 +261,6 @@ let suite =
       test_run_rejects_used_store_dir;
     Alcotest.test_case "store-stats ignores stray directories" `Quick
       test_store_stats_ignores_stray_dirs;
+    Alcotest.test_case "two identical durable runs leave identical stores"
+      `Quick test_store_bytes_deterministic;
   ]

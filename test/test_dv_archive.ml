@@ -1,7 +1,7 @@
 module A = Rdt_storage.Dv_archive
 
 let test_record_and_find () =
-  let a = A.create ~me:2 in
+  let a = A.restore ~me:2 ~entries:[] in
   Alcotest.(check int) "empty" (-1) (A.last_index a);
   A.record a ~index:0 ~dv:[| 0; 0 |];
   A.record a ~index:1 ~dv:[| 1; 3 |];
@@ -13,7 +13,7 @@ let test_record_and_find () =
   Alcotest.(check bool) "negative" true (A.find a ~index:(-1) = None)
 
 let test_record_out_of_order () =
-  let a = A.create ~me:0 in
+  let a = A.restore ~me:0 ~entries:[] in
   A.record a ~index:0 ~dv:[| 0 |];
   Alcotest.(check bool) "gap rejected" true
     (try
@@ -27,7 +27,7 @@ let test_record_out_of_order () =
      with Invalid_argument _ -> true)
 
 let test_rejected_record_leaves_archive_intact () =
-  let a = A.create ~me:0 in
+  let a = A.restore ~me:0 ~entries:[] in
   A.record a ~index:0 ~dv:[| 0; 5 |];
   A.record a ~index:1 ~dv:[| 1; 5 |];
   let rejected dv =
@@ -38,7 +38,7 @@ let test_rejected_record_leaves_archive_intact () =
   in
   Alcotest.(check bool) "empty vector" true
     (try
-       A.record (A.create ~me:1) ~index:0 ~dv:[||];
+       A.record (A.restore ~me:1 ~entries:[]) ~index:0 ~dv:[||];
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "width change" true (rejected [| 2; 5; 0 |]);
@@ -49,7 +49,7 @@ let test_rejected_record_leaves_archive_intact () =
     && A.find a ~index:1 = Some [| 1; 5 |])
 
 let test_truncate () =
-  let a = A.create ~me:0 in
+  let a = A.restore ~me:0 ~entries:[] in
   for i = 0 to 4 do
     A.record a ~index:i ~dv:[| i |]
   done;
@@ -63,13 +63,13 @@ let test_truncate () =
   | None -> Alcotest.fail "missing"
 
 let test_truncate_noop () =
-  let a = A.create ~me:0 in
+  let a = A.restore ~me:0 ~entries:[] in
   A.record a ~index:0 ~dv:[| 0 |];
   A.truncate_above a ~index:5;
   Alcotest.(check int) "unchanged" 1 (A.count a)
 
 let test_empty_archive () =
-  let a = A.create ~me:1 in
+  let a = A.restore ~me:1 ~entries:[] in
   Alcotest.(check int) "count" 0 (A.count a);
   Alcotest.(check int) "last index" (-1) (A.last_index a);
   Alcotest.(check bool) "find 0" true (A.find a ~index:0 = None);
@@ -90,7 +90,7 @@ let test_empty_archive () =
 let test_duplicate_after_truncate () =
   (* a duplicate insert is rejected even right after a truncation put the
      cursor back onto an existing index *)
-  let a = A.create ~me:0 in
+  let a = A.restore ~me:0 ~entries:[] in
   for i = 0 to 3 do
     A.record a ~index:i ~dv:[| i |]
   done;
@@ -283,7 +283,7 @@ let model_me = 2
 (* Runs [ops] on an archive and on the dense reference, comparing every
    query after every op. *)
 let run_model ops =
-  let a = ref (A.create ~me:model_me) in
+  let a = ref (A.restore ~me:model_me ~entries:[]) in
   let model = ref [||] in
   let last_present () =
     let rec go i =

@@ -98,7 +98,9 @@ let test_runner_byte_accounting () =
     Alcotest.(check int)
       (Printf.sprintf "bytes = 7 * count at p%d" pid)
       (7 * Stable_store.count store)
-      (Stable_store.bytes store)
+      (List.fold_left
+         (fun acc (e : Stable_store.entry) -> acc + e.size_bytes)
+         0 (Stable_store.retained store))
   done
 
 let test_engine_send_to_self () =
@@ -160,7 +162,7 @@ let test_script_double_delivery_rejected () =
 
 let test_figure2_under_cas () =
   (* checkpoint-after-send also breaks the domino interleaving *)
-  let s = Figures.figure2_with_protocol Protocol.cas in
+  let s = Figures.figure2_with_protocol (Helpers.protocol "cas") in
   let ccp = Script.ccp s in
   Alcotest.(check bool) "RDT" true (Rdt_ccp.Rdt_check.holds ccp);
   Alcotest.(check (list string)) "no useless" []

@@ -121,7 +121,7 @@ let test_roundtrip () =
   List.iter
     (fun seed ->
       let sc = Scenario.generate ~seed ~max_procs:6 () in
-      match Scenario.of_string (Scenario.to_string sc) with
+      match Helpers.scenario_of_string (Scenario.to_string sc) with
       | Error e -> Alcotest.failf "seed %d: reparse failed: %s" seed e
       | Ok sc' ->
         if not (Scenario.equal sc sc') then
@@ -142,7 +142,7 @@ let test_parse_rejects cases () =
   in
   List.iter
     (fun (line, expect) ->
-      match Scenario.of_string (with_line line) with
+      match Helpers.scenario_of_string (with_line line) with
       | Ok _ -> Alcotest.failf "%S parsed" line
       | Error e ->
         if not (Helpers.contains e expect) then

@@ -11,7 +11,6 @@
 
 module Lint = Rdt_lint.Lint
 module Lint_config = Rdt_lint.Lint_config
-module Engine = Rdt_lint.Engine
 module Finding = Rdt_lint.Finding
 module Suppress = Rdt_lint.Suppress
 module Rules = Rdt_lint.Rules
@@ -27,6 +26,7 @@ let fixture_cfg =
     hashtbl_det_prefixes = [ "test/lint_fixtures/det_" ];
     realtime_prefixes = [ "test/lint_fixtures/realtime_ok" ];
     unsafe_allowlist = [ "test/lint_fixtures/unsafe_ok.ml" ];
+    test_prefixes = [ "test/lint_fixtures/dead_test_" ];
   }
 
 let scan_result =
@@ -36,12 +36,12 @@ let site_compare (l1, r1) (l2, r2) =
   match Int.compare l1 l2 with 0 -> String.compare r1 r2 | c -> c
 
 let findings_of file =
-  let s, _ = Lazy.force scan_result in
+  let s = Lazy.force scan_result in
   List.filter_map
     (fun (f : Finding.t) ->
       if String.equal (Filename.basename f.file) file then Some (f.line, f.rule)
       else None)
-    s.Engine.findings
+    s.Report.findings
   |> List.sort site_compare
 
 (* Pull the (line, rule-id) expectations out of a fixture source. *)
@@ -89,22 +89,22 @@ let check_fixture file () =
   Alcotest.(check (list (pair int string))) file expected (findings_of file)
 
 let test_no_scan_warnings () =
-  let _, warnings = Lazy.force scan_result in
-  Alcotest.(check (list string)) "clean discovery" [] warnings
+  Alcotest.(check (list string)) "clean discovery" []
+    (Lazy.force scan_result).Report.warnings
 
 let test_every_rule_known () =
-  let s, _ = Lazy.force scan_result in
+  let s = Lazy.force scan_result in
   List.iter
     (fun (f : Finding.t) ->
       Alcotest.(check bool) (f.rule ^ " registered") true (Rules.is_known f.rule))
-    s.Engine.findings
+    s.Report.findings
 
 let suppressions_in file =
-  let s, _ = Lazy.force scan_result in
+  let s = Lazy.force scan_result in
   List.filter
     (fun ((f : Finding.t), _) ->
       String.equal (Filename.basename f.file) file)
-    s.Engine.suppressed
+    s.Report.suppressed
 
 let check_not_double_reported file sup =
   let reported = findings_of file in
@@ -119,7 +119,7 @@ let check_not_double_reported file sup =
     sup
 
 let test_suppressed_sites () =
-  let s, _ = Lazy.force scan_result in
+  let s = Lazy.force scan_result in
   let sup = suppressions_in "suppress_fixture.ml" in
   Alcotest.(check int) "exactly the two justified allows" 2 (List.length sup);
   List.iter
@@ -129,7 +129,7 @@ let test_suppressed_sites () =
   check_not_double_reported "suppress_fixture.ml" sup;
   (* nothing outside the suppression fixture is suppressed *)
   Alcotest.(check int) "no other suppressions" 2
-    (List.length s.Engine.suppressed)
+    (List.length s.Report.suppressed)
 
 (* ---------------- reporter goldens ---------------- *)
 
@@ -181,20 +181,36 @@ let test_ok_logic () =
 
 let test_run_exit_status () =
   (* the fixture tree carries error-severity findings in every family,
-     so a whole run over it must fail *)
-  Alcotest.(check int) "errors fail the run" 1
-    (Lint.run ~cfg:fixture_cfg ~root:"." ~dirs:[ fixture_dir ] ())
+     so a whole run over it must fail (rdtgc lint exits 1 when not ok) *)
+  Alcotest.(check bool) "errors fail the run" false
+    (Report.ok (Lazy.force scan_result))
 
 (* ---------------- qcheck properties ---------------- *)
 
-let rule_arb = QCheck.make (QCheck.Gen.oneofl Rules.ids)
+(* rule ids from every family, and the bare family names *)
+let sample_ids =
+  [
+    "det/random-self-init"; "det/hashtbl-order"; "alloc/tuple"; "alloc/list";
+    "unsafe/array"; "polycmp/equal"; "polycmp/compare"; "dead/export";
+    "dead/test-only"; "lint/unused-allow";
+  ]
+
+let sample_families = [ "det"; "alloc"; "unsafe"; "polycmp"; "dead"; "lint" ]
+
+(* the model of a rule's family: the id up to its slash *)
+let family_of rule =
+  match String.index_opt rule '/' with
+  | None -> rule
+  | Some i -> String.sub rule 0 i
+
+let rule_arb = QCheck.make (QCheck.Gen.oneofl sample_ids)
 
 let allow_arb =
   QCheck.make
     (QCheck.Gen.oneof
        [
-         QCheck.Gen.oneofl Rules.ids;
-         QCheck.Gen.oneofl Rules.families;
+         QCheck.Gen.oneofl sample_ids;
+         QCheck.Gen.oneofl sample_families;
          QCheck.Gen.oneofl
            [ ""; "junk"; "allo"; "det/"; "polycmp/equa"; "polycmp/equal/x" ];
        ])
@@ -216,22 +232,9 @@ let prop_matches_model =
       let expect =
         justified
         && (String.equal allow_rule rule
-           || String.equal allow_rule (Suppress.family_of rule))
+           || String.equal allow_rule (family_of rule))
       in
       Bool.equal (Suppress.allow_matches ~allow_rule ~justified ~rule) expect)
-
-let prop_silences =
-  QCheck.Test.make ~count:500
-    ~name:"a site is silenced iff one of its allows matches"
-    (QCheck.pair rule_arb
-       (QCheck.small_list (QCheck.pair allow_arb QCheck.bool)))
-    (fun (rule, allows) ->
-      Bool.equal
-        (Suppress.silences ~allows ~rule)
-        (List.exists
-           (fun (allow_rule, justified) ->
-             Suppress.allow_matches ~allow_rule ~justified ~rule)
-           allows))
 
 let suite =
   [
@@ -250,6 +253,8 @@ let suite =
     Alcotest.test_case "realtime scope admits the wall clock, nothing else"
       `Quick
       (check_fixture "realtime_ok.ml");
+    Alcotest.test_case "dead-export family" `Quick
+      (check_fixture "dead_lib.mli");
     Alcotest.test_case "suppression meta-rules" `Quick
       (check_fixture "suppress_fixture.ml");
     Alcotest.test_case "suppression silences exactly its site" `Quick
@@ -264,5 +269,4 @@ let suite =
     Alcotest.test_case "warnings do not fail the run" `Quick test_ok_logic;
     QCheck_alcotest.to_alcotest prop_exact_site;
     QCheck_alcotest.to_alcotest prop_matches_model;
-    QCheck_alcotest.to_alcotest prop_silences;
   ]

@@ -260,7 +260,7 @@ let check_garbled what ev pred =
   | Transport.Garbled { peer; error } ->
     Alcotest.failf "%s: unexpected Garbled (peer=%s): %s" what
       (match peer with Some p -> string_of_int p | None -> "?")
-      (Wire.error_to_string error)
+      (Helpers.wire_error error)
   | _ -> Alcotest.failf "%s: expected a Garbled event" what
 
 let check_peer_down what ev =
@@ -428,8 +428,8 @@ let test_node_config () =
       let seq, again = one "retransmitted config" (replies ()) in
       Alcotest.(check int) "retransmission answers its seq" 2 seq;
       Alcotest.(check string) "cached reply"
-        (Wire.encode_payload (Wire.Reply { seq; reply = booted }))
-        (Wire.encode_payload (Wire.Reply { seq; reply = again }));
+        (Bytes.to_string (Wire.encode (Wire.Reply { seq; reply = booted })))
+        (Bytes.to_string (Wire.encode (Wire.Reply { seq; reply = again })));
       (* a second boot would rebuild the stack and lose this checkpoint *)
       send 3 Wire.C_checkpoint;
       let after_ckpt =
@@ -568,7 +568,7 @@ let replay_pair ~backend name =
       Harness.rm_rf root;
       Harness.rm_rf (root ^ ".replay"))
     (fun () ->
-      match Live_fuzz.run_one ~backend ~root ~nemesis sc with
+      match (Live_fuzz.arm ~backend ~root ()).Fuzz.run nemesis sc with
       | Error e -> Alcotest.failf "%s run failed: %s" name e
       | Ok vs -> check_clean (name ^ " oracles") vs)
 
@@ -673,7 +673,8 @@ let test_dup_bug_reproducer () =
         Harness.rm_rf root;
         Harness.rm_rf (root ^ ".replay"))
       (fun () ->
-        match Live_fuzz.run_one ~backend:Live_fuzz.Sim ~root ~nemesis sc with
+        let arm = Live_fuzz.arm ~backend:Live_fuzz.Sim ~root () in
+        match arm.Fuzz.run nemesis sc with
         | Error e -> Alcotest.failf "reproducer run failed: %s" e
         | Ok vs -> vs)
   in

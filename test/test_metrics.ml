@@ -6,11 +6,7 @@ let feps = Alcotest.float 1e-9
 
 let test_stats_basic () =
   let s = Stats.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
-  Alcotest.check feps "mean" 2.5 (Stats.mean s);
-  Alcotest.check feps "min" 1.0 (Stats.min s);
-  Alcotest.check feps "max" 4.0 (Stats.max s);
-  Alcotest.check feps "sum" 10.0 (Stats.sum s);
-  Alcotest.(check int) "count" 4 (Stats.count s)
+  Alcotest.check feps "mean" 2.5 (Stats.mean s)
 
 let test_stats_stddev () =
   let s = Stats.of_list [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
@@ -20,8 +16,7 @@ let test_stats_stddev () =
 let test_stats_empty () =
   let s = Stats.create () in
   Alcotest.check feps "mean of empty" 0.0 (Stats.mean s);
-  Alcotest.check feps "stddev of empty" 0.0 (Stats.stddev s);
-  Alcotest.(check int) "count" 0 (Stats.count s)
+  Alcotest.check feps "stddev of empty" 0.0 (Stats.stddev s)
 
 let test_stats_single () =
   let s = Stats.of_list [ 42.0 ] in
@@ -46,26 +41,28 @@ let test_percentile () =
 
 let test_series () =
   let s = Series.create ~name:"x" in
-  Series.add s ~time:0.0 ~value:1.0;
+  Series.add_int s ~time:0.0 ~value:1;
   Series.add_int s ~time:1.0 ~value:3;
   Alcotest.(check int) "length" 2 (Series.length s);
   Alcotest.check feps "max" 3.0 (Series.max_value s);
-  (match Series.last s with
-  | Some p -> Alcotest.check feps "last" 3.0 p.Series.value
-  | None -> Alcotest.fail "empty");
   Alcotest.check feps "mean via stats" 2.0 (Stats.mean (Series.stats s))
 
 let test_series_point_order () =
   let s = Series.create ~name:"x" in
   List.iter (fun i -> Series.add_int s ~time:(float_of_int i) ~value:i) [ 1; 2; 3 ];
   Alcotest.(check (list int)) "in insertion order" [ 1; 2; 3 ]
-    (List.map (fun p -> int_of_float p.Series.value) (Series.points s))
+    (List.map int_of_float (Series.values s))
+
+(* [Table.print] writes the rendered table and a newline *)
+let table_text t =
+  let out = Helpers.stdout_of (fun () -> Table.print t) in
+  String.sub out 0 (String.length out - 1)
 
 let test_table_render () =
   let t = Table.create ~columns:[ ("name", Table.Left); ("value", Table.Right) ] in
   Table.add_row t [ "alpha"; "1" ];
   Table.add_row t [ "b"; "22" ];
-  let rendered = Table.render t in
+  let rendered = table_text t in
   let lines = String.split_on_char '\n' rendered in
   Alcotest.(check int) "header + rule + 2 rows" 4 (List.length lines);
   (* all lines same width *)
@@ -89,7 +86,7 @@ let test_table_separator () =
   Table.add_separator t;
   Table.add_row t [ "y" ];
   Alcotest.(check int) "5 lines" 5
-    (List.length (String.split_on_char '\n' (Table.render t)))
+    (List.length (String.split_on_char '\n' (table_text t)))
 
 let test_fmt_helpers () =
   Alcotest.(check string) "float" "3.14" (Table.fmt_float ~decimals:2 3.14159);

@@ -48,7 +48,7 @@ let fire_timers d =
   d.timers <- []
 
 let sent_payloads d =
-  List.rev_map (fun (dst, f) -> (dst, Wire.encode_payload f)) d.sent
+  List.rev_map (fun (dst, f) -> (dst, Bytes.to_string (Wire.encode f))) d.sent
 
 (* --- determinism (the replayability witness) ---------------------------- *)
 
@@ -193,7 +193,7 @@ let test_corruption_precedes_frame () =
   Alcotest.(check int) "garbled copy on the raw hatch" 1 (List.length d.raws);
   Alcotest.(check int) "intact frame still sent" 1 (List.length d.sent);
   let _, raw = List.hd d.raws in
-  match Wire.decode (Bytes.of_string raw) with
+  match Helpers.wire_decode (Bytes.of_string raw) with
   | Ok _ -> Alcotest.fail "garbled copy decoded"
   | Error _ -> ()
 

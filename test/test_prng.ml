@@ -101,13 +101,6 @@ let test_pick () =
     Alcotest.(check bool) "member" true (Array.mem v arr)
   done
 
-let test_shuffle_permutation () =
-  let t = Prng.create ~seed:31 in
-  let arr = Array.init 20 Fun.id in
-  Prng.shuffle t arr;
-  Alcotest.(check (list int)) "same multiset" (List.init 20 Fun.id)
-    (List.sort compare (Array.to_list arr))
-
 (* --- indexed split ----------------------------------------------------- *)
 
 let test_split_at_pure () =
@@ -274,7 +267,6 @@ let suite =
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "uniform_in range" `Quick test_uniform_in;
     Alcotest.test_case "pick membership" `Quick test_pick;
-    Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
     Alcotest.test_case "split_at is pure" `Quick test_split_at_pure;
     Alcotest.test_case "split_at streams disjoint" `Quick
       test_split_at_disjoint;

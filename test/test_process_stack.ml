@@ -17,14 +17,6 @@ module Harness = Rdt_verify.Harness
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 
-let tmp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rdt_stack_test_%d_%d" (Unix.getpid ()) !counter)
-
 (* no fsync: these tests exercise the wiring, not the disk *)
 let config = { Log_store.default_config with Log_store.fsync = Log_store.Never }
 
@@ -110,7 +102,7 @@ let prop_memory_equals_durable =
   QCheck.Test.make ~count:40
     ~name:"memory and durable stacks agree on DV, UC and retained set"
     arb_case (fun (n, ops) ->
-      let dir = tmp_dir () in
+      let dir = Helpers.tmp_dir () in
       let _, mem = system ~n () and _, dur = system ~n ~dir () in
       let pm = ref [] and pd = ref [] in
       Fun.protect
@@ -150,7 +142,7 @@ let prop_memory_equals_durable =
 (* --- (b) close / restore round trip ------------------------------------- *)
 
 let test_restore_round_trip () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let n = 3 in
   let _, stacks = system ~n ~dir () in
   let mw p = mw_of stacks.(p) in
@@ -217,7 +209,7 @@ let test_runner_rejects_stale_dir () =
   let n = 4 in
   List.iter
     (fun stale ->
-      let dir = tmp_dir () in
+      let dir = Helpers.tmp_dir () in
       let log =
         Log_store.create ~config ~pid:stale ~dir:(pid_dir dir stale) ()
       in

@@ -193,7 +193,7 @@ let deep_matches_old s =
    unsound there, so every deep oracle gets a chance to fire. *)
 let random_none_script ~seed ~n ~ops =
   let rng = Rdt_sim.Prng.create ~seed in
-  let s = Script.create ~n ~protocol:Protocol.no_forced ~with_lgc:true () in
+  let s = Script.create ~n ~protocol:(Helpers.protocol "none") ~with_lgc:true () in
   let pending = ref [] in
   for _ = 1 to ops do
     match Rdt_sim.Prng.int rng 4 with
@@ -213,7 +213,7 @@ let random_none_script ~seed ~n ~ops =
   s
 
 let test_deep_matches_old_composition () =
-  let domino = Figures.figure2_with_protocol Protocol.no_forced in
+  let domino = Figures.figure2_with_protocol (Helpers.protocol "none") in
   let fired =
     List.map
       (fun (v : Oracles.violation) -> v.oracle)
@@ -270,7 +270,7 @@ let test_protocols_break_figure2 () =
     Protocol.rdt_protocols
 
 let test_no_forced_reproduces_domino () =
-  let s = Figures.figure2_with_protocol Protocol.no_forced in
+  let s = Figures.figure2_with_protocol (Helpers.protocol "none") in
   let ccp = Script.ccp s in
   Alcotest.(check bool) "no forced checkpoints" true
     (Script.forced_taken s 0 = 0 && Script.forced_taken s 1 = 0);
@@ -306,7 +306,7 @@ let prop_bcs_z_cycle_free =
       let cfg =
         {
           (Helpers.sim_config_of_case ~gc:Rdt_core.Sim_config.No_gc case) with
-          Rdt_core.Sim_config.protocol = Protocol.bcs;
+          Rdt_core.Sim_config.protocol = (Helpers.protocol "bcs");
         }
       in
       let t = Rdt_core.Runner.create cfg in

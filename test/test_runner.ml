@@ -489,7 +489,7 @@ let test_validation_rejects_bad_configs () =
     (bad
        {
          base with
-         protocol = Rdt_protocols.Protocol.no_forced;
+         protocol = (Helpers.protocol "none");
          gc = Sim_config.No_gc;
          faults = [ { Sim_config.crash_at = 5.0; pid = 0; repair_after = 1.0 } ];
        })

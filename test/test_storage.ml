@@ -63,12 +63,15 @@ let test_truncate_above () =
   Alcotest.(check int) "idempotent" 0 (S.truncate_above t ~index:2)
 
 let test_byte_accounting () =
+  let bytes t =
+    List.fold_left (fun acc (e : S.entry) -> acc + e.size_bytes) 0 (S.retained t)
+  in
   let t = S.create ~me:0 in
   ignore (S.store_from t ~index:0 ~dv:[| 0 |] ~now:0.0 ~size_bytes:100 ());
   ignore (S.store_from t ~index:1 ~dv:[| 1 |] ~now:1.0 ~size_bytes:50 ());
-  Alcotest.(check int) "bytes" 150 (S.bytes t);
+  Alcotest.(check int) "bytes" 150 (bytes t);
   S.eliminate t ~index:0;
-  Alcotest.(check int) "bytes after eliminate" 50 (S.bytes t)
+  Alcotest.(check int) "bytes after eliminate" 50 (bytes t)
 
 let test_stats () =
   let t = S.create ~me:0 in
@@ -115,24 +118,6 @@ module Global_gc = Rdt_gc.Global_gc
 module Recovery_line = Rdt_recovery.Recovery_line
 module Prng = Rdt_sim.Prng
 
-let entry_eq (a : S.entry) (b : S.entry) =
-  a.S.index = b.S.index && a.S.dv = b.S.dv
-  && a.S.taken_at = b.S.taken_at
-  && a.S.size_bytes = b.S.size_bytes
-  && a.S.payload = b.S.payload
-
-let entries_eq a b = List.length a = List.length b && List.for_all2 entry_eq a b
-
-let rm_rf dir =
-  let rec go path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> go (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then go dir
-
 type crash_run = {
   cr_dir : string;
   cr_kind : Fault.kind;
@@ -151,7 +136,7 @@ let run_until_crash ~seed ~fsync =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "rdt_storage_prop_%d_%d" (Unix.getpid ()) seed)
   in
-  rm_rf dir;
+  Rdt_verify.Harness.rm_rf dir;
   let config = { Log_store.default_config with Log_store.fsync } in
   let faults = Fault.of_seed ~seed ~max_op:30 in
   let ls = Log_store.create ~config ~faults ~pid:0 ~dir () in
@@ -211,7 +196,7 @@ let run_until_crash ~seed ~fsync =
    with Fault.Injected_crash { op = _; kind } -> crashed := Some kind);
   match !crashed with
   | None ->
-    rm_rf dir;
+    Rdt_verify.Harness.rm_rf dir;
     QCheck.Test.fail_reportf "seed %d: fault plan never fired" seed
   | Some kind ->
     {
@@ -266,12 +251,12 @@ let prop_crash_recovers_acknowledged_prefix =
            survivor must still be a record that was really appended *)
         List.iter
           (fun (e : S.entry) ->
-            if not (List.exists (fun a -> entry_eq a e) run.cr_appended) then
+            if not (List.exists (fun a -> Helpers.entry_eq a e) run.cr_appended) then
               QCheck.Test.fail_reportf "seed %d: foreign entry %d recovered"
                 seed e.S.index)
           recovered
       | Fault.Short_write | Fault.Crash_before_sync ->
-        if not (entries_eq recovered (List.hd run.cr_history)) then
+        if not (Helpers.entries_eq recovered (List.hd run.cr_history)) then
           QCheck.Test.fail_reportf
             "seed %d (%s): recovered %d entries, expected the %d-entry \
              acknowledged prefix"
@@ -302,7 +287,7 @@ let prop_crash_recovers_acknowledged_prefix =
           let line = Recovery_line.from_snapshots snaps ~faulty:[ 0 ] in
           check_line_consistent snaps line
         | _ -> ()));
-      rm_rf run.cr_dir;
+      Rdt_verify.Harness.rm_rf run.cr_dir;
       true)
 
 let prop_crash_recovers_some_prefix =
@@ -319,17 +304,17 @@ let prop_crash_recovers_some_prefix =
       | Fault.Bit_flip ->
         List.iter
           (fun (e : S.entry) ->
-            if not (List.exists (fun a -> entry_eq a e) run.cr_appended) then
+            if not (List.exists (fun a -> Helpers.entry_eq a e) run.cr_appended) then
               QCheck.Test.fail_reportf "seed %d: foreign entry %d recovered"
                 seed e.S.index)
           recovered
       | Fault.Short_write | Fault.Crash_before_sync ->
-        if not (List.exists (entries_eq recovered) run.cr_history) then
+        if not (List.exists (Helpers.entries_eq recovered) run.cr_history) then
           QCheck.Test.fail_reportf
             "seed %d (%s): recovered set matches no point of the history"
             seed
             (Fault.kind_name run.cr_kind));
-      rm_rf run.cr_dir;
+      Rdt_verify.Harness.rm_rf run.cr_dir;
       true)
 
 let suite =

@@ -12,24 +12,7 @@ module Log_store = Rdt_store.Log_store
 module Prng = Rdt_sim.Prng
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
-
-let tmp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rdt_store_test_%d_%d" (Unix.getpid ()) !counter)
-
-let rm_rf dir =
-  let rec go path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> go (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then go dir
+module Harness = Rdt_verify.Harness
 
 let mk_entry ?(dv = [| 1; 2; 3 |]) ?(size_bytes = 24) ?(payload = 4242) index =
   {
@@ -39,14 +22,6 @@ let mk_entry ?(dv = [| 1; 2; 3 |]) ?(size_bytes = 24) ?(payload = 4242) index =
     size_bytes;
     payload = payload + index;
   }
-
-let entry_eq (a : S.entry) (b : S.entry) =
-  a.S.index = b.S.index && a.S.dv = b.S.dv
-  && a.S.taken_at = b.S.taken_at
-  && a.S.size_bytes = b.S.size_bytes
-  && a.S.payload = b.S.payload
-
-let entries_eq a b = List.length a = List.length b && List.for_all2 entry_eq a b
 
 (* flip one bit of [path] at byte [offset] *)
 let flip_byte path offset =
@@ -115,9 +90,17 @@ let test_crc32_window () =
 
 let decode_all b = Record.decode b ~pos:0 ~len:(Bytes.length b)
 
+let encode r =
+  let b = Bytes.create (Record.encoded_length r) in
+  Record.encode_into r b ~pos:0;
+  b
+
+(* the segment frame around a record: u32 length + u32 CRC *)
+let frame_head = 8
+
 let test_record_roundtrip () =
   let roundtrip r =
-    match decode_all (Record.encode r) with
+    match decode_all (encode r) with
     | Ok r' -> r'
     | Error e -> Alcotest.failf "decode failed: %s" e
   in
@@ -126,7 +109,7 @@ let test_record_roundtrip () =
   | Record.Store { pid; lsn; entry = e } ->
     Alcotest.(check int) "pid" 2 pid;
     Alcotest.(check int) "lsn" 41 lsn;
-    Alcotest.(check bool) "entry" true (entry_eq entry e)
+    Alcotest.(check bool) "entry" true (Helpers.entry_eq entry e)
   | _ -> Alcotest.fail "wrong kind");
   (match roundtrip (Record.Eliminate { pid = 1; lsn = 9; index = 3 }) with
   | Record.Eliminate { pid = 1; lsn = 9; index = 3 } -> ()
@@ -141,7 +124,7 @@ let test_record_decode_garbage () =
   Alcotest.(check bool) "bad kind rejected" true
     (Result.is_error (decode_all (Bytes.make 40 '\xff')));
   let whole =
-    Record.encode (Record.Store { pid = 0; lsn = 1; entry = mk_entry 0 })
+    encode (Record.Store { pid = 0; lsn = 1; entry = mk_entry 0 })
   in
   Alcotest.(check bool) "truncated rejected" true
     (Result.is_error
@@ -157,9 +140,8 @@ let test_record_encode_into_offset () =
   in
   List.iter
     (fun r ->
-      let whole = Record.encode r in
-      let len = Record.encoded_length r in
-      Alcotest.(check int) "encoded_length = |encode|" (Bytes.length whole) len;
+      let whole = encode r in
+      let len = Bytes.length whole in
       let b = Bytes.make (len + 20) '#' in
       Record.encode_into r b ~pos:13;
       Alcotest.(check string) "same bytes at pos 13" (Bytes.to_string whole)
@@ -176,10 +158,11 @@ let test_record_filler_sizes () =
   List.iter
     (fun size_bytes ->
       let entry = mk_entry ~dv:[| 9; 0; 2 |] ~size_bytes ~payload:77 6 in
-      let b = Record.encode (Record.Store { pid = 1; lsn = 5; entry }) in
+      let b = encode (Record.Store { pid = 1; lsn = 5; entry }) in
       let fill_off = Bytes.length b - size_bytes in
       for k = 0 to size_bytes - 1 do
-        let want = Record.filler_byte ~payload:entry.S.payload ~k in
+        (* the filler's definition: a function of the state digest *)
+        let want = Char.chr ((entry.S.payload + (k * 167)) land 0xff) in
         if Bytes.get b (fill_off + k) <> want then
           Alcotest.failf "size %d: filler byte %d wrong" size_bytes k
       done;
@@ -187,7 +170,7 @@ let test_record_filler_sizes () =
       | Ok (Record.Store { pid = 1; lsn = 5; entry = e }) ->
         Alcotest.(check bool)
           (Printf.sprintf "size %d roundtrips" size_bytes)
-          true (entry_eq entry e)
+          true (Helpers.entry_eq entry e)
       | Ok _ | Error _ -> Alcotest.failf "size %d: decode failed" size_bytes)
     [ 0; 1; 255; 256; 257; 512; 4096; 4097 ]
 
@@ -260,7 +243,7 @@ let test_segment_corrupt_record_skipped () =
   write_segment path seg_records;
   let frame = Segment.frame_length (List.nth seg_records 0) in
   (* a payload byte inside the *second* frame (8 = segment magic) *)
-  flip_byte path (8 + frame + Segment.frame_overhead + 3);
+  flip_byte path (8 + frame + frame_head + 3);
   let lsns, stats = scan_lsns path in
   Alcotest.(check (list int)) "neighbours survive" [ 0; 2 ] lsns;
   Alcotest.(check int) "one dropped" 1 stats.Segment.dropped;
@@ -315,7 +298,7 @@ let test_segment_short_write_prefix () =
 (* --- manifest ----------------------------------------------------------- *)
 
 let test_manifest_roundtrip () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   Unix.mkdir dir 0o755;
   let m =
     {
@@ -330,28 +313,28 @@ let test_manifest_roundtrip () =
   | Some m' -> Alcotest.(check bool) "roundtrip" true (m = m')
   | None -> Alcotest.fail "manifest unreadable");
   (* corrupt it: read must fall back to None, not crash *)
-  let path = Filename.concat dir Manifest.file_name in
+  let path = Filename.concat dir "MANIFEST" in
   let oc = open_out_bin path in
   output_string oc "rdt-store-manifest v1\ngarbage\n";
   close_out oc;
   Alcotest.(check bool) "corrupt rejected" true (Manifest.read ~dir = None);
   Sys.remove path;
   Alcotest.(check bool) "missing is None" true (Manifest.read ~dir = None);
-  rm_rf dir
+  Harness.rm_rf dir
 
 (* --- log store ---------------------------------------------------------- *)
 
 let no_auto = { Log_store.default_config with Log_store.auto_compact = false }
 
 let test_log_store_ops () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   List.iter (fun i -> Log_store.append t (mk_entry i)) [ 0; 1; 2; 3; 4 ];
-  Alcotest.(check int) "live" 5 (Log_store.live_count t);
+  Alcotest.(check int) "live" 5 (List.length (Log_store.live_indices t));
   Log_store.eliminate t ~index:1;
   Log_store.eliminate t ~index:3;
   Alcotest.(check (list int)) "live indices" [ 0; 2; 4 ] (Log_store.live_indices t);
-  Log_store.truncate_above t ~index:2;
+  (Log_store.backend t).S.b_truncate_above ~index:2;
   Alcotest.(check (list int)) "after truncate" [ 0; 2 ] (Log_store.live_indices t);
   (* a truncated index can be stored again (rollback then new s^3) *)
   Log_store.append t (mk_entry ~payload:9000 3);
@@ -360,19 +343,19 @@ let test_log_store_ops () =
   Alcotest.(check int) "appended counts tombstones" 9 stats.Log_store.appended_records;
   Alcotest.(check bool) "dead bytes tracked" true (stats.Log_store.dead_bytes > 0);
   Log_store.close t;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_log_store_recovery () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:no_auto ~pid:3 ~dir () in
   List.iter (fun i -> Log_store.append t (mk_entry ~dv:[| i; 0; i |] i)) [ 0; 1; 2 ];
   Log_store.eliminate t ~index:0;
-  let live = Log_store.live_entries t in
+  let live = List.map (fun i -> mk_entry ~dv:[| i; 0; i |] i) [ 1; 2 ] in
   Log_store.close t;
   let t2 = Log_store.create ~config:no_auto ~pid:3 ~dir () in
   let r = Log_store.recovery t2 in
   Alcotest.(check bool) "entries survive byte-exactly" true
-    (entries_eq live r.Log_store.recovered);
+    (Helpers.entries_eq live r.Log_store.recovered);
   Alcotest.(check int) "nothing dropped" 0 r.Log_store.records_dropped;
   Alcotest.(check int) "no torn bytes" 0 r.Log_store.torn_bytes;
   (* counters carry over through the manifest *)
@@ -382,39 +365,39 @@ let test_log_store_recovery () =
   Log_store.append t2 (mk_entry 3);
   Alcotest.(check (list int)) "continues" [ 1; 2; 3 ] (Log_store.live_indices t2);
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_log_store_compaction () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   for i = 0 to 19 do
     Log_store.append t (mk_entry ~size_bytes:128 i);
     if i >= 2 then Log_store.eliminate t ~index:(i - 2)
   done;
   let before = (Log_store.stats t).Log_store.disk_bytes in
-  let live = Log_store.live_entries t in
+  let live = List.map (fun i -> mk_entry ~size_bytes:128 i) [ 18; 19 ] in
   Log_store.compact t;
   let s = Log_store.stats t in
   Alcotest.(check bool) "disk shrank" true (s.Log_store.disk_bytes < before);
   Alcotest.(check int) "one compaction" 1 s.Log_store.compactions;
   Alcotest.(check bool) "reclaimed counted" true (s.Log_store.bytes_reclaimed > 0);
-  Alcotest.(check bool) "live set intact" true
-    (entries_eq live (Log_store.live_entries t));
+  Alcotest.(check (list int)) "live set intact" [ 18; 19 ]
+    (Log_store.live_indices t);
   Log_store.close t;
   (* the rewritten store recovers to the same live set *)
   let t2 = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   Alcotest.(check bool) "recovers post-compaction" true
-    (entries_eq live (Log_store.recovery t2).Log_store.recovered);
+    (Helpers.entries_eq live (Log_store.recovery t2).Log_store.recovered);
   Alcotest.(check int) "compaction counter durable" 1
     (Log_store.stats t2).Log_store.compactions;
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_log_store_auto_compaction () =
   (* every elimination re-evaluates the dead ratio (the RDT-LGC
      notification path): garbage must be reclaimed without any explicit
      compact call *)
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let config =
     {
       Log_store.default_config with
@@ -434,12 +417,12 @@ let test_log_store_auto_compaction () =
   Alcotest.(check (list int)) "live set correct" [ 47; 48; 49 ]
     (Log_store.live_indices t);
   Log_store.close t;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_log_store_corrupt_record () =
   (* acceptance (c), store level: a deliberately corrupted record is
      rejected by the CRC scan without aborting recovery *)
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   (* identical shapes => identical frame sizes, so offsets are computable *)
   List.iter (fun i -> Log_store.append t (mk_entry i)) [ 0; 1; 2; 3; 4 ];
@@ -452,21 +435,21 @@ let test_log_store_corrupt_record () =
     |> List.find (fun f -> Filename.check_suffix f ".log")
   in
   (* corrupt a payload byte of the third record *)
-  flip_byte (Filename.concat dir seg) (8 + (2 * frame) + Segment.frame_overhead + 3);
+  flip_byte (Filename.concat dir seg) (8 + (2 * frame) + frame_head + 3);
   let t2 = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   let r = Log_store.recovery t2 in
   Alcotest.(check int) "exactly one dropped" 1 r.Log_store.records_dropped;
   Alcotest.(check (list int)) "neighbours survive" [ 0; 1; 3; 4 ]
     (Log_store.live_indices t2);
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 (* An oversize record used to be staged, acknowledged, and then read back
    as a torn tail; now it is refused up front and the store is untouched.
    [frame_length] rejects on the declared size, so no 64 MiB buffer is
    ever built. *)
 let test_log_store_rejects_oversize () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   (* every append seals its segment, so a refused one must not even open
      a new segment file *)
   let config = { no_auto with Log_store.segment_target_bytes = 1 } in
@@ -497,10 +480,10 @@ let test_log_store_rejects_oversize () =
   Alcotest.(check int) "no torn bytes" 0 r.Log_store.torn_bytes;
   Alcotest.(check int) "nothing dropped" 0 r.Log_store.records_dropped;
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_log_store_open_is_readonly () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   List.iter (fun i -> Log_store.append t (mk_entry i)) [ 0; 1; 2 ];
   Log_store.close t;
@@ -516,7 +499,7 @@ let test_log_store_open_is_readonly () =
   ignore (Log_store.stats ro);
   Log_store.close ro;
   Alcotest.(check bool) "no bytes written" true (before = mtimes ());
-  rm_rf dir
+  Harness.rm_rf dir
 
 (* --- on-disk format golden ---------------------------------------------- *)
 
@@ -543,7 +526,7 @@ let golden_digests =
   ]
 
 let test_format_golden () =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:golden_config ~pid:5 ~dir () in
   for i = 0 to 23 do
     let size_bytes = if i mod 3 = 2 then 1 else 4096 in
@@ -551,7 +534,7 @@ let test_format_golden () =
       (mk_entry ~dv:[| i; i / 2; 7; 0x1234_5678 |] ~size_bytes ~payload:(31 * i) i);
     if i >= 3 then Log_store.eliminate t ~index:(i - 3)
   done;
-  Log_store.truncate_above t ~index:21;
+  (Log_store.backend t).S.b_truncate_above ~index:21;
   let s = Log_store.stats t in
   Alcotest.(check bool) "auto-compaction ran" true (s.Log_store.compactions > 0);
   Alcotest.(check (list int)) "live after truncate" [ 21 ] (Log_store.live_indices t);
@@ -561,14 +544,14 @@ let test_format_golden () =
     |> List.map (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
   in
   Alcotest.(check (list (pair string string))) "file digests" golden_digests got;
-  rm_rf dir
+  Harness.rm_rf dir
 
 (* --- injected crashes --------------------------------------------------- *)
 
 (* Drive a store with fsync-per-record until the armed fault fires; with
    [Always] the durable prefix is sharp: exactly ops 1..F-1 survive. *)
 let crash_at_op kind op =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let config = { no_auto with Log_store.fsync = Log_store.Always } in
   let faults = Fault.at_op ~op ~kind ~rng:(Prng.create ~seed:99) in
   let t = Log_store.create ~config ~faults ~pid:0 ~dir () in
@@ -608,7 +591,7 @@ let crash_at_op kind op =
     (Printf.sprintf "durable prefix after %s" (Fault.kind_name kind))
     expected (Log_store.live_indices t2);
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_crash_short_write () = crash_at_op Fault.Short_write 7
 let test_crash_before_sync () = crash_at_op Fault.Crash_before_sync 5
@@ -616,7 +599,7 @@ let test_crash_before_sync () = crash_at_op Fault.Crash_before_sync 5
 let test_crash_bit_flip () =
   (* a flipped bit may knock out any one already-written record; recovery
      must still complete and return intact records only *)
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let config = { no_auto with Log_store.fsync = Log_store.Always } in
   let faults = Fault.at_op ~op:6 ~kind:Fault.Bit_flip ~rng:(Prng.create ~seed:5) in
   let t = Log_store.create ~config ~faults ~pid:0 ~dir () in
@@ -634,17 +617,18 @@ let test_crash_bit_flip () =
     (List.length r.Log_store.recovered > 0);
   List.iter
     (fun (e : S.entry) ->
-      match List.find_opt (fun a -> entry_eq a e) !appended with
+      match List.find_opt (fun a -> Helpers.entry_eq a e) !appended with
       | Some _ -> ()
       | None -> Alcotest.failf "recovered entry %d was never appended" e.S.index)
     r.Log_store.recovered;
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_fault_of_seed_deterministic () =
   let plan seed = Fault.of_seed ~seed ~max_op:20 in
   let fire p =
-    let t = Log_store.create ~faults:p ~pid:0 ~dir:(tmp_dir ()) () in
+    let dir = Helpers.tmp_dir () in
+    let t = Log_store.create ~faults:p ~pid:0 ~dir () in
     let result =
       try
         for i = 0 to 24 do
@@ -653,7 +637,7 @@ let test_fault_of_seed_deterministic () =
         None
       with Fault.Injected_crash { op; kind } -> Some (op, kind)
     in
-    rm_rf (Log_store.dir t);
+    Harness.rm_rf dir;
     result
   in
   (match (fire (plan 7), fire (plan 7)) with
@@ -687,14 +671,15 @@ let test_runner_durable_bound () =
   (* acceptance (a): with RDT-LGC driving compaction, the per-process
      on-disk live checkpoint count never exceeds n+1 — the paper's
      Theorem 3 bound materialized on disk *)
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let cfg = durable_cfg ~dir ~n:4 ~seed:11 ~duration:80.0 ~faults:[] in
   let t = Runner.create cfg in
   let violations = ref 0 in
   Runner.set_on_sample t (fun t ->
       for pid = 0 to 3 do
         match Runner.log_store t pid with
-        | Some ls -> if Log_store.live_count ls > 5 then incr violations
+        | Some ls ->
+          if List.length (Log_store.live_indices ls) > 5 then incr violations
         | None -> Alcotest.fail "expected a durable backend"
       done);
   Runner.run t;
@@ -705,7 +690,7 @@ let test_runner_durable_bound () =
       Alcotest.(check bool)
         (Printf.sprintf "final bound p%d" pid)
         true
-        (Log_store.live_count ls <= 5);
+        (List.length (Log_store.live_indices ls) <= 5);
       (* the disk mirrors the in-memory model exactly *)
       Alcotest.(check (list int))
         (Printf.sprintf "mirror p%d" pid)
@@ -717,13 +702,13 @@ let test_runner_durable_bound () =
   let s = Runner.summary t in
   Alcotest.(check bool) "compaction ran" true (s.Runner.store_compactions > 0);
   Runner.close_stores t;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_runner_durable_crash_recovery () =
   (* acceptance (b): a full run with process crashes on the durable
      backend — the recovery session completes, and reopening every store
      directory afterwards restores exactly what the simulation retained *)
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let cfg =
     durable_cfg ~dir ~n:4 ~seed:3 ~duration:80.0
       ~faults:
@@ -749,13 +734,13 @@ let test_runner_durable_crash_recovery () =
     Alcotest.(check bool)
       (Printf.sprintf "p%d store recovered byte-exactly" pid)
       true
-      (entries_eq expected r.Log_store.recovered);
+      (Helpers.entries_eq expected r.Log_store.recovered);
     (* the recovered entries rebuild a working in-memory store *)
     let mem = S.restore ~me:pid ~entries:r.Log_store.recovered in
     Alcotest.(check int) "restore count" (List.length expected) (S.count mem);
     Log_store.close ls
   done;
-  rm_rf dir
+  Harness.rm_rf dir
 
 (* --- crash in the middle of compaction --------------------------------- *)
 
@@ -766,7 +751,7 @@ let test_runner_durable_crash_recovery () =
    set — the first from the untouched old segments, the second by LSN
    deduplication between the old segments and the rewrite. *)
 let compaction_crash_scenario point =
-  let dir = tmp_dir () in
+  let dir = Helpers.tmp_dir () in
   let t = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   List.iter (fun i -> Log_store.append t (mk_entry i)) [ 0; 1; 2; 3; 4; 5 ];
   List.iter (fun i -> Log_store.eliminate t ~index:i) [ 0; 2; 4 ];
@@ -780,7 +765,7 @@ let compaction_crash_scenario point =
   let t2 = Log_store.create ~config:no_auto ~pid:0 ~dir () in
   let r = Log_store.recovery t2 in
   Alcotest.(check bool) "pre-compaction live set restored" true
-    (entries_eq expected r.Log_store.recovered);
+    (Helpers.entries_eq expected r.Log_store.recovered);
   (* the reopened store is fully usable: a later compaction finishes the
      interrupted work and preserves the same live set *)
   Log_store.append t2 (mk_entry 6);
@@ -789,7 +774,7 @@ let compaction_crash_scenario point =
     [ 1; 3; 5; 6 ]
     (Log_store.live_indices t2);
   Log_store.close t2;
-  rm_rf dir
+  Harness.rm_rf dir
 
 let test_compaction_crash_after_seal () =
   compaction_crash_scenario `After_seal

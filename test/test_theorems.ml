@@ -63,7 +63,7 @@ let prop_lemma3 =
             List.exists (fun line -> line.(c.pid) = c.index) singles
           in
           Oracle.is_obsolete ccp c = not on_some_line)
-        (Ccp.stable_checkpoints ccp))
+        (Helpers.stable_checkpoints ccp))
 
 (* Theorem 2 is a weakening of Theorem 1: everything identified obsolete
    from causal knowledge is truly obsolete (oracle retained set is a

@@ -6,10 +6,10 @@ let ck pid index : Ccp.ckpt = { pid; index }
 
 let test_trace_building () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
-  Alcotest.(check int) "s0 recorded" 0 (Trace.last_checkpoint_index t ~pid:0);
+  Alcotest.(check int) "s0 recorded" 0 (Helpers.last_checkpoint t ~pid:0);
   Trace.checkpoint t 0;
-  Alcotest.(check int) "s1 recorded" 1 (Trace.last_checkpoint_index t ~pid:0);
-  Alcotest.(check int) "p1 untouched" 0 (Trace.last_checkpoint_index t ~pid:1)
+  Alcotest.(check int) "s1 recorded" 1 (Helpers.last_checkpoint t ~pid:0);
+  Alcotest.(check int) "p1 untouched" 0 (Helpers.last_checkpoint t ~pid:1)
 
 let test_seq_monotone () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
@@ -31,7 +31,7 @@ let test_ccp_shape () =
   Alcotest.(check int) "checkpoint count incl volatiles" (4 + 2 + 2)
     (List.length (Ccp.checkpoints ccp));
   Alcotest.(check int) "stable count" (3 + 1 + 1)
-    (List.length (Ccp.stable_checkpoints ccp))
+    (List.length (Helpers.stable_checkpoints ccp))
 
 let test_causality_direct_message () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
@@ -59,7 +59,7 @@ let test_volatile_precedence () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
   Trace.message t ~src:0 ~dst:1;
   let ccp = Ccp.of_trace t in
-  let v0 = Ccp.volatile ccp 0 and v1 = Ccp.volatile ccp 1 in
+  let v0 = Helpers.volatile ccp 0 and v1 = Helpers.volatile ccp 1 in
   Alcotest.(check bool) "own stable -> volatile" true
     (Ccp.precedes ccp (ck 0 0) v0);
   Alcotest.(check bool) "s0_0 -> v1 via message" true
@@ -74,10 +74,12 @@ let test_consistent_pair () =
   Trace.message t ~src:0 ~dst:1;
   Trace.checkpoint t 1;
   let ccp = Ccp.of_trace t in
+  (* consistent: neither precedes the other (Section 2.2) *)
+  let consistent a b = not (Ccp.precedes ccp a b || Ccp.precedes ccp b a) in
   Alcotest.(check bool) "initials consistent" true
-    (Ccp.consistent_pair ccp (ck 0 0) (ck 1 0));
+    (consistent (ck 0 0) (ck 1 0));
   Alcotest.(check bool) "dependent pair inconsistent" false
-    (Ccp.consistent_pair ccp (ck 0 0) (ck 1 1))
+    (consistent (ck 0 0) (ck 1 1))
 
 let test_in_transit_excluded () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
@@ -86,7 +88,7 @@ let test_in_transit_excluded () =
   Alcotest.(check int) "no delivered messages" 0 (Array.length (Ccp.messages ccp));
   (* an undelivered send creates no dependency *)
   Alcotest.(check bool) "no causality" false
-    (Ccp.precedes ccp (ck 0 0) (Ccp.volatile ccp 1))
+    (Ccp.precedes ccp (ck 0 0) (Helpers.volatile ccp 1))
 
 let test_orphan_receive_rejected () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
@@ -222,7 +224,7 @@ let test_diagram_shape () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
   Trace.message t ~src:0 ~dst:1;
   Trace.checkpoint t 1;
-  let rendered = Rdt_ccp.Diagram.render t in
+  let rendered = Helpers.stdout_of (fun () -> Rdt_ccp.Diagram.print t) in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' rendered)
   in
@@ -246,7 +248,9 @@ let test_diagram_truncation () =
   for _ = 1 to 100 do
     Trace.message t ~src:0 ~dst:1
   done;
-  let rendered = Rdt_ccp.Diagram.render ~max_events:10 t in
+  let rendered =
+    Helpers.stdout_of (fun () -> Rdt_ccp.Diagram.print ~max_events:10 t)
+  in
   Alcotest.(check bool) "notes the omission" true
     (String.length rendered > 0 && String.get rendered 0 = '.')
 
@@ -274,7 +278,7 @@ let raises_invalid f =
 let test_record_rejects_unpackable () =
   let t = Trace.init_with_initial_checkpoints ~n:2 in
   let before = Trace.to_string t in
-  let big = Trace.max_payload t + 1 in
+  let big = Helpers.max_payload ~n:2 + 1 in
   List.iter
     (fun (what, f) -> Alcotest.(check bool) what true (raises_invalid f))
     [
@@ -290,7 +294,7 @@ let test_record_rejects_unpackable () =
     ];
   Alcotest.(check string) "nothing stored" before (Trace.to_string t);
   (* the widest values that fit round-trip intact *)
-  let top = Trace.max_payload t in
+  let top = Helpers.max_payload ~n:2 in
   Trace.record_send t ~pid:1 ~msg_id:top ~dst:1;
   Trace.record_checkpoint t ~pid:1 ~index:top;
   Alcotest.(check (list (pair int int)))
@@ -299,7 +303,7 @@ let test_record_rejects_unpackable () =
        (List.map
           (fun (e : Helpers.event) -> (e.peer, e.payload))
           (Helpers.events_of t ~pid:1)));
-  Alcotest.(check int) "max index is last" top (Trace.last_checkpoint_index t ~pid:1)
+  Alcotest.(check int) "max index is last" top (Helpers.last_checkpoint t ~pid:1)
 
 let load_string text =
   let path = Filename.temp_file "rdtgc" ".trace" in
@@ -310,7 +314,7 @@ let load_string text =
       Trace.load path)
 
 let test_load_rejects_unpackable () =
-  let big = string_of_int (Trace.max_payload (Trace.create ~n:2) + 1) in
+  let big = string_of_int (Helpers.max_payload ~n:2 + 1) in
   List.iter
     (fun line ->
       Alcotest.check_raises line
@@ -418,7 +422,7 @@ let expect_invalid what f =
 let run_model ~n ops =
   let t = Trace.create ~n in
   let m = { m_logs = Array.make n []; m_next_seq = 0; m_last_ckpt = Array.make n (-1) } in
-  let top = Trace.max_payload t in
+  let top = Helpers.max_payload ~n in
   (* pid n-1 and the widest payload are picked often; n and top + 1 now
      and then, which the trace must reject untouched *)
   let pick x = if x mod 3 = 0 then n - 1 else if x mod 23 = 0 then n else x mod n in
@@ -483,11 +487,6 @@ let run_model ~n ops =
             Trace.truncate_to_checkpoint t ~pid ~index)
   in
   List.iter step ops;
-  for pid = 0 to n - 1 do
-    if Trace.last_checkpoint_index t ~pid <> m.m_last_ckpt.(pid) then
-      QCheck.Test.fail_reportf "last_checkpoint_index p%d: %d, model %d" pid
-        (Trace.last_checkpoint_index t ~pid) m.m_last_ckpt.(pid)
-  done;
   let decode e = (e.m_seq, e.m_pid, e.m_tag, e.m_peer, e.m_payload) in
   let of_event (e : Helpers.event) = (e.seq, e.pid, e.tag, e.peer, e.payload) in
   let model_all =
@@ -500,7 +499,6 @@ let run_model ~n ops =
         List.map of_event (Helpers.events_of t ~pid) = List.rev_map decode m.m_logs.(pid))
       (List.init n Fun.id)
   in
-  let ok_fold = Trace.fold t ~init:0 (fun k _ -> k + 1) = List.length model_all in
   let text =
     String.concat ""
       (Printf.sprintf "rdtgc-trace 1\nn %d\n" n
@@ -514,7 +512,19 @@ let run_model ~n ops =
   in
   let ok_text = Trace.to_string t = text in
   let ok_roundtrip = Trace.to_string (load_string (Trace.to_string t)) = text in
-  ok_all && ok_pids && ok_fold && ok_text && ok_roundtrip
+  (* last, as it records: [Trace.checkpoint] numbers the next checkpoint
+     from the counter the recorders and truncations keep *)
+  let ok_counter =
+    List.for_all
+      (fun pid ->
+        m.m_last_ckpt.(pid) >= top
+        || begin
+          Trace.checkpoint t pid;
+          Helpers.last_checkpoint t ~pid = m.m_last_ckpt.(pid) + 1
+        end)
+      (List.init n Fun.id)
+  in
+  ok_all && ok_pids && ok_text && ok_roundtrip && ok_counter
 
 let prop_trace_model =
   let op_gen =
@@ -582,8 +592,12 @@ let dense_text m =
 let check_dense ~step t m =
   let fail what = QCheck.Test.fail_reportf "after step %d: %s differs" step what in
   if Trace.length t <> List.length m.d_all then fail "length";
-  let seen = ref [] in
-  Trace.iter t (fun v -> seen := Helpers.event_of_view v :: !seen);
+  (* newest first, like the model's logs *)
+  let seen = ref [] and logs = Array.make m.d_n [] in
+  Trace.iter t (fun v ->
+      let e = Helpers.event_of_view v in
+      seen := e :: !seen;
+      logs.(e.pid) <- e :: logs.(e.pid));
   let rec same es ds =
     match (es, ds) with
     | [], [] -> true
@@ -592,12 +606,16 @@ let check_dense ~step t m =
   in
   if not (same !seen m.d_all) then fail "iter";
   for pid = 0 to m.d_n - 1 do
-    if Trace.last_checkpoint_index t ~pid <> m.d_ckpt.(pid) then
-      fail (Printf.sprintf "last_checkpoint_index p%d" pid);
-    let log =
-      Trace.fold_pid t ~pid ~init:[] (fun acc v -> Helpers.event_of_view v :: acc)
+    let log = logs.(pid) in
+    if log <> m.d_logs.(pid) then fail (Printf.sprintf "events of p%d" pid);
+    let last =
+      List.find_map
+        (fun (e : Helpers.event) ->
+          if e.tag = Trace.Checkpoint then Some e.payload else None)
+        log
     in
-    if log <> m.d_logs.(pid) then fail (Printf.sprintf "fold_pid p%d" pid)
+    if Option.value last ~default:(-1) <> m.d_ckpt.(pid) then
+      fail (Printf.sprintf "last checkpoint p%d" pid)
   done;
   if Trace.to_string t <> dense_text m then fail "to_string"
 
@@ -661,7 +679,7 @@ let run_dense (n, ops) =
   let m =
     {
       d_n = n;
-      d_top = Trace.max_payload t;
+      d_top = Helpers.max_payload ~n;
       d_all = [];
       d_logs = Array.make n [];
       d_seq = 0;

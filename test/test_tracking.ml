@@ -75,7 +75,12 @@ let random_targets rng ccp =
   let n = Ccp.n ccp in
   let count = 1 + Prng.int rng (min 3 n) in
   let pids = Array.init n Fun.id in
-  Prng.shuffle rng pids;
+  for i = n - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let tmp = pids.(i) in
+    pids.(i) <- pids.(j);
+    pids.(j) <- tmp
+  done;
   List.init count (fun i ->
       let pid = pids.(i) in
       {

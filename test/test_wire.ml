@@ -3,17 +3,16 @@
    over random frames (piggybacked DVs, control payloads, random n). *)
 
 module Wire = Rdt_transport.Wire
-module Crc32 = Rdt_store.Crc32
 
 let frame_eq a b =
   (* the encoding is a total injective function of the frame, so encoded
      equality is structural equality without a handwritten deep compare *)
-  String.equal (Wire.encode_payload a) (Wire.encode_payload b)
+  Bytes.equal (Wire.encode a) (Wire.encode b)
 
 let check_error what expected = function
   | Ok _ -> Alcotest.failf "%s: decode unexpectedly succeeded" what
   | Error e ->
-    Alcotest.(check string) what expected (Wire.error_to_string e)
+    Alcotest.(check string) what expected (Helpers.wire_error e)
 
 let sample_app =
   Wire.App { epoch = 1; msg_id = 5; src = 2; dv = [| 1; 2; 3 |]; index = 4 }
@@ -27,56 +26,55 @@ let test_oversized () =
   check_error "oversized length is rejected before any read"
     (Printf.sprintf "frame length %d exceeds limit %d"
        (Wire.max_frame_bytes + 1) Wire.max_frame_bytes)
-    (Wire.decode b)
+    (Helpers.wire_decode b)
 
 let test_bad_length () =
   let b = Bytes.create Wire.header_bytes in
   Bytes.set_int32_be b 0 0xFFFFFFF6l (* u32 garbage surfaces negative *);
   Bytes.set_int32_be b 4 0l;
   check_error "negative length prefix is garbage" "garbage frame length -10"
-    (Wire.decode b)
+    (Helpers.wire_decode b)
 
 let test_crc_mismatch () =
   let b = Wire.encode sample_app in
   let pos = Wire.header_bytes + 9 (* inside the epoch field *) in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-  (match Wire.decode b with
+  (match Helpers.wire_decode b with
   | Error (Wire.Crc_mismatch { expected; actual }) ->
     Alcotest.(check bool) "crc values differ" false (Int32.equal expected actual)
   | Error e ->
-    Alcotest.failf "wrong error for corrupt payload: %s" (Wire.error_to_string e)
+    Alcotest.failf "wrong error for corrupt payload: %s" (Helpers.wire_error e)
   | Ok _ -> Alcotest.fail "corrupt payload decoded");
   (* header corruption on the crc side is the same failure *)
   let b = Wire.encode sample_app in
   Bytes.set_int32_be b 4 (Int32.lognot (Bytes.get_int32_be b 4));
-  match Wire.decode b with
+  match Helpers.wire_decode b with
   | Error (Wire.Crc_mismatch _) -> ()
   | Error e ->
     Alcotest.failf "wrong error for corrupt header crc: %s"
-      (Wire.error_to_string e)
+      (Helpers.wire_error e)
   | Ok _ -> Alcotest.fail "corrupt header crc decoded"
 
 let test_truncated () =
   (* too short even for a header *)
-  (match Wire.decode (Bytes.create 3) with
+  (match Helpers.wire_decode (Bytes.create 3) with
   | Error (Wire.Truncated { wanted; have }) ->
     Alcotest.(check int) "header wanted" Wire.header_bytes wanted;
     Alcotest.(check int) "header have" 3 have
   | _ -> Alcotest.fail "3-byte buffer accepted");
   (* header complete, body cut short *)
   let b = Wire.encode sample_app in
-  match Wire.decode (Bytes.sub b 0 (Bytes.length b - 1)) with
+  match Helpers.wire_decode (Bytes.sub b 0 (Bytes.length b - 1)) with
   | Error (Wire.Truncated _) -> ()
   | Error e ->
-    Alcotest.failf "wrong error for short body: %s" (Wire.error_to_string e)
+    Alcotest.failf "wrong error for short body: %s" (Helpers.wire_error e)
   | Ok _ -> Alcotest.fail "short body decoded"
 
-let raw_frame payload =
-  let out = Bytes.create (Wire.header_bytes + String.length payload) in
-  Bytes.set_int32_be out 0 (Int32.of_int (String.length payload));
-  Bytes.set_int32_be out 4 (Crc32.string payload);
-  Bytes.blit_string payload 0 out Wire.header_bytes (String.length payload);
-  out
+let raw_frame = Wire.frame_of_payload
+
+let payload frame =
+  let e = Wire.encode frame in
+  Bytes.sub_string e Wire.header_bytes (Bytes.length e - Wire.header_bytes)
 
 let test_bad_tag () =
   (* tags 3 and 4 are unassigned: they must stay unknown *)
@@ -84,14 +82,14 @@ let test_bad_tag () =
     (fun tag ->
       check_error "unknown frame tag"
         (Printf.sprintf "unknown frame tag 0x%02x" tag)
-        (Wire.decode (raw_frame (String.make 1 (Char.chr tag)))))
+        (Helpers.wire_decode (raw_frame (String.make 1 (Char.chr tag)))))
     [ 0x03; 0x04; 0x2a ]
 
 let test_malformed () =
   (* valid frame, trailing garbage inside the CRC-covered payload *)
   check_error "trailing bytes are rejected"
     "malformed frame: 1 trailing bytes after frame"
-    (Wire.decode (raw_frame (Wire.encode_payload (Wire.Ident { pid = 3 }) ^ "\x00")));
+    (Helpers.wire_decode (raw_frame (payload (Wire.Ident { pid = 3 }) ^ "\x00")));
   (* a count field beyond any plausible cluster size *)
   let b = Buffer.create 32 in
   Buffer.add_uint8 b 0 (* App *);
@@ -101,7 +99,7 @@ let test_malformed () =
   Buffer.add_int64_be b 0x7FFFFFFFL (* dv length *);
   check_error "giant element count is malformed, not an allocation"
     "malformed frame: array count 2147483647 out of range"
-    (Wire.decode (raw_frame (Buffer.contents b)))
+    (Helpers.wire_decode (raw_frame (Buffer.contents b)))
 
 (* --- golden layout ------------------------------------------------------ *)
 
@@ -230,8 +228,8 @@ let gen_frame =
 let qcheck_roundtrip =
   QCheck.Test.make ~count:500 ~name:"encode/decode identity"
     (QCheck.make gen_frame) (fun frame ->
-      match Wire.decode (Wire.encode frame) with
-      | Error e -> QCheck.Test.fail_reportf "%s" (Wire.error_to_string e)
+      match Helpers.wire_decode (Wire.encode frame) with
+      | Error e -> QCheck.Test.fail_reportf "%s" (Helpers.wire_error e)
       | Ok (decoded, consumed) ->
         consumed = Bytes.length (Wire.encode frame) && frame_eq frame decoded)
 
@@ -255,7 +253,7 @@ let qcheck_garble =
         | Error _ -> false
       in
       let class_ok =
-        match (Wire.decode g, style) with
+        match (Helpers.wire_decode g, style) with
         | Error (Wire.Crc_mismatch _), Nemesis.Flip_payload -> true
         | Error (Wire.Bad_tag _), Nemesis.Forge_tag -> true
         | Error (Wire.Malformed _), Nemesis.Trailing -> true
@@ -279,17 +277,18 @@ let test_streaming () =
   in
   let b = Wire.encode second in
   let cat = Bytes.cat a b in
-  match Wire.decode cat with
-  | Error e -> Alcotest.failf "decode: %s" (Wire.error_to_string e)
+  match Helpers.wire_decode cat with
+  | Error e -> Alcotest.failf "decode: %s" (Helpers.wire_error e)
   | Ok (frame, consumed) ->
     Alcotest.(check int) "consumed first frame" (Bytes.length a) consumed;
     Alcotest.(check bool) "decoded first frame" true (frame_eq frame sample_app);
-    (match Wire.decode (Bytes.sub cat consumed (Bytes.length cat - consumed)) with
+    let rest = Bytes.sub cat consumed (Bytes.length cat - consumed) in
+    (match Helpers.wire_decode rest with
     | Ok (frame, rest) ->
       Alcotest.(check int) "consumed second frame" (Bytes.length b) rest;
       Alcotest.(check bool) "decoded second frame" true
         (frame_eq frame second)
-    | Error e -> Alcotest.failf "second decode: %s" (Wire.error_to_string e))
+    | Error e -> Alcotest.failf "second decode: %s" (Helpers.wire_error e))
 
 let suite =
   [
