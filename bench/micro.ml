@@ -269,7 +269,7 @@ let recompute_setup ~n =
   let store = Script.store s 0 in
   let live_dv = Script.dv s 0 in
   fun () ->
-    let entries = Array.of_list (Rdt_storage.Stable_store.retained store) in
+    let entries = Array.of_list (Rdt_storage.Stable_store.retained_view store) in
     ignore (Global_gc.collectable { Global_gc.entries; live_dv } ~li:live_dv)
 
 let ablation_ns = [ 8; 32; 64 ]

@@ -248,8 +248,9 @@ let rec arm_gc_timer t ~period =
 let lazy_local_collect t pid =
   let mw = t.middlewares.(pid) in
   let store = Middleware.store mw in
-  let entries = Array.of_list (Stable_store.retained store) in
-  (* borrowed: [collectable] only reads it during the call *)
+  (* both borrowed: [collectable] has built its list before the first
+     elimination *)
+  let entries = Array.of_list (Stable_store.retained_view store) in
   let live_dv =
     Rdt_causality.Dependency_vector.view (Middleware.dv mw)
   in
@@ -328,7 +329,18 @@ let sample t =
     t.middlewares;
   Series.add_int t.series_total ~time ~value:!total;
   if t.cfg.Sim_config.protocol.Rdt_protocols.Protocol.rdt then begin
-    let snaps = snapshots t in
+    (* borrowed stored and live vectors: nothing mutates a store or a DV
+       before the last read below *)
+    let snaps =
+      Array.map
+        (fun mw ->
+          {
+            Global_gc.entries =
+              Array.of_list (Stable_store.retained_view (Middleware.store mw));
+            live_dv = Rdt_causality.Dependency_vector.view (Middleware.dv mw);
+          })
+        t.middlewares
+    in
     let li = Global_gc.last_interval_vector snaps in
     let optimal = ref 0 in
     for pid = 0 to t.cfg.Sim_config.n - 1 do

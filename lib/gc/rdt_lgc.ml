@@ -138,7 +138,8 @@ let set_test_overcollect t flag = t.test_overcollect <- flag
 
 let on_rollback t ~li =
   if Array.length li <> t.n then invalid_arg "Rdt_lgc.on_rollback: arity";
-  let entries = Array.of_list (Stable_store.retained t.store) in
+  (* borrowed: read only before the first elimination below *)
+  let entries = Array.of_list (Stable_store.retained_view t.store) in
   (* Algorithm 3 line 7: fresh CCBs for every stored checkpoint; the old
      ones all go, so the whole table is freed first and [entries.(pos)]
      gets slot [slots.(pos)] *)

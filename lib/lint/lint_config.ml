@@ -39,6 +39,7 @@ let default =
       [
         "lib/causality/dependency_vector.ml";
         "lib/sim/event_queue.ml";
+        "lib/storage/stable_store.ml";
         "lib/store/crc32.ml";
         "lib/gc/merged_fdas.ml";
       ];

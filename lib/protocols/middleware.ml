@@ -52,15 +52,13 @@ let evolve_state state tag =
 
 let take_checkpoint t ~kind ~now =
   let index = Dependency_vector.get t.dv t.me in
-  (* one snapshot copy at the store boundary (DESIGN.md §10): the stored
-     entry owns it, an archive shares the same immutable array *)
-  let entry =
-    Stable_store.store_from t.store ~index
-      ~dv:(Dependency_vector.view t.dv)
-      ~now ~size_bytes:t.ckpt_bytes ~payload:t.app_state ()
-  in
+  (* one snapshot copy at the store boundary (DESIGN.md §10), into a row
+     the store recycles; an archive keeps a copy of its own *)
+  let dv = Dependency_vector.view t.dv in
+  Stable_store.store_from t.store ~index ~dv ~now ~size_bytes:t.ckpt_bytes
+    ~payload:t.app_state;
   (match t.archive with
-  | Some a -> Dv_archive.record a ~index ~dv:entry.Stable_store.dv
+  | Some a -> Dv_archive.record a ~index ~dv
   | None -> ());
   Trace.record_checkpoint t.trace ~pid:t.me ~index;
   t.proto.Protocol.note_checkpoint ();
@@ -141,7 +139,8 @@ let archive t =
   match t.archive with
   | Some a -> a
   | None ->
-    (* the vectors of checkpoints collected before this call are gone *)
+    (* the vectors of checkpoints collected before this call are gone;
+       [retained]'s copies become the archive's *)
     let a =
       Dv_archive.restore ~me:t.me
         ~entries:

@@ -1,16 +1,23 @@
 (* Binary min-heap over (time, u, v), stored flat: an unboxed
-   [float array] of times, int arrays for the canonical key, and one
-   value array — parallel columns indexed by heap slot.  A comparison
-   reads only the columns, never a separately allocated entry.
-   Scheduling allocates nothing once the columns have grown to the
-   queue's working size, and neither does firing, which returns the bare
-   value (the caller reads the time with [next_time] first).
+   [float array] of times and one [int array] holding, per heap position,
+   the canonical key [u], [v] and the payload's slot — three ints at
+   [3 * pos].  A comparison reads only these, never a separately
+   allocated entry.  Payloads live in a slot pool ([values]), written
+   once when the entry is added and read once when it fires, so a sift
+   moves ints and floats only: no store of a boxed value, no write
+   barrier ([caml_modify]).  Scheduling allocates nothing once the
+   columns have grown to the queue's working size, and neither does
+   firing, which returns the bare value (the caller reads the time with
+   [next_time] first).
 
    Slot 0 is a staging slot: [add_keyed] writes the new entry there and
    [pop] moves the displaced last entry there; the sifts then walk a hole
    through the heap, comparing against the staged entry, and write it
-   into its final slot once.  The heap proper occupies slots [1 .. size]
-   (the parent of slot [i] is [i / 2]).
+   into its final position once.  The heap proper occupies positions
+   [1 .. size] (the parent of position [i] is [i / 2]).  The slot field
+   of every position past [size] holds a free slot of the pool: [pop]
+   parks the fired entry's slot at the position it vacates, and
+   [add_keyed] takes the slot parked at the position it fills.
 
    The (u, v) pair is a caller-supplied canonical key, unique among the
    entries: the engine's keys make execution order at equal timestamps a
@@ -23,50 +30,63 @@
 
 type 'a t = {
   mutable times : float array;
-  mutable us : int array;
-  mutable vs : int array;
-  (* slots past [size] keep the values last moved through them until they
-     are overwritten, so a queue retains at most its capacity in stale
-     values *)
+  (* [u; v; slot] per position *)
+  mutable keys : int array;
+  (* a fired payload stays in its slot until the slot is reused, so a
+     queue retains at most its capacity in stale values *)
   mutable values : 'a array;
   mutable size : int;
 }
 
-let create () = { times = [||]; us = [||]; vs = [||]; values = [||]; size = 0 }
+let create () = { times = [||]; keys = [||]; values = [||]; size = 0 }
 
-(* slot [i] sorts before slot [j] *)
+(* Every position passed below is at most [size], which [add_keyed]
+   keeps below the columns' capacity, so the unchecked accesses stay in
+   range. *)
+
+(* position [i] sorts before position [j] *)
 let[@inline] less t i j =
-  let ti = t.times.(i) and tj = t.times.(j) in
+  let ti = Array.unsafe_get t.times i and tj = Array.unsafe_get t.times j in
   if ti <> tj then ti < tj
   else
-    let ui = t.us.(i) and uj = t.us.(j) in
-    if ui <> uj then ui < uj else t.vs.(i) < t.vs.(j)
+    let keys = t.keys in
+    let ui = Array.unsafe_get keys (3 * i)
+    and uj = Array.unsafe_get keys (3 * j) in
+    if ui <> uj then ui < uj
+    else Array.unsafe_get keys ((3 * i) + 1) < Array.unsafe_get keys ((3 * j) + 1)
+[@@lint.bounds_checked]
 
 let[@inline] move t ~src ~dst =
-  t.times.(dst) <- t.times.(src);
-  t.us.(dst) <- t.us.(src);
-  t.vs.(dst) <- t.vs.(src);
-  t.values.(dst) <- t.values.(src)
+  Array.unsafe_set t.times dst (Array.unsafe_get t.times src);
+  let keys = t.keys and s = 3 * src and d = 3 * dst in
+  Array.unsafe_set keys d (Array.unsafe_get keys s);
+  Array.unsafe_set keys (d + 1) (Array.unsafe_get keys (s + 1));
+  Array.unsafe_set keys (d + 2) (Array.unsafe_get keys (s + 2))
+[@@lint.bounds_checked]
 
-(* double every column, keeping the heap slots [1 .. size]; [filler]
-   initializes the fresh value slots.  The amortized doubling path, and
-   the one allocation the queue makes, so it is outside the hot set. *)
+(* double every column, keeping the heap positions [1 .. size] and the
+   payloads; the fresh positions get the fresh slots, their own numbers.
+   [filler] initializes the fresh pool slots.  The amortized doubling
+   path, and the one allocation the queue makes, so it is outside the
+   hot set.  It runs only when every slot is taken ([size] = capacity
+   - 1), so no free slot is lost. *)
 let grow t filler =
-  let cap = max 16 (2 * Array.length t.times) in
+  let old = Array.length t.times in
+  let cap = max 16 (2 * old) in
   let times = Array.make cap 0.0 in
-  let us = Array.make cap 0 in
-  let vs = Array.make cap 0 in
+  let keys = Array.make (3 * cap) 0 in
   let values = Array.make cap filler in
   (* a never-grown queue has empty columns, which have no slot 1 *)
   if t.size > 0 then begin
     Array.blit t.times 1 times 1 t.size;
-    Array.blit t.us 1 us 1 t.size;
-    Array.blit t.vs 1 vs 1 t.size;
+    Array.blit t.keys 3 keys 3 (3 * t.size);
     Array.blit t.values 1 values 1 t.size
   end;
+  for pos = max 1 old to cap - 1 do
+    keys.((3 * pos) + 2) <- pos
+  done;
   t.times <- times;
-  t.us <- us;
-  t.vs <- vs;
+  t.keys <- keys;
   t.values <- values
 
 (* the hole at [h] moves up past every parent the staged entry precedes *)
@@ -94,18 +114,26 @@ let rec sift_down t h =
 
 let add_keyed t ~time ~u ~v value =
   if t.size + 1 >= Array.length t.times then grow t value;
+  let h = t.size + 1 in
+  let keys = t.keys in
+  let slot = keys.((3 * h) + 2) in
+  t.values.(slot) <- value;
   t.times.(0) <- time;
-  t.us.(0) <- u;
-  t.vs.(0) <- v;
-  t.values.(0) <- value;
-  t.size <- t.size + 1;
-  sift_up t t.size
+  keys.(0) <- u;
+  keys.(1) <- v;
+  keys.(2) <- slot;
+  t.size <- h;
+  sift_up t h
 
 let pop t =
   if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";
-  let value = t.values.(1) in
-  move t ~src:t.size ~dst:0;
-  t.size <- t.size - 1;
+  let last = t.size in
+  (* the head's slot field *)
+  let slot = t.keys.((3 * 1) + 2) in
+  let value = t.values.(slot) in
+  move t ~src:last ~dst:0;
+  t.keys.((3 * last) + 2) <- slot;
+  t.size <- last - 1;
   if t.size > 0 then sift_down t 1;
   value
 

@@ -16,8 +16,9 @@ type t = {
      simulation, whatever order the processes' sends interleave in *)
   streams : Prng.t array;
   n : int;
-  (* last scheduled delivery time per directed channel, for FIFO order;
-     row [src] is only ever touched while executing [src] *)
+  (* last scheduled delivery time per directed channel, for FIFO order
+     only ([[||]] otherwise: n² floats no other order reads); row [src]
+     is only ever touched while executing [src] *)
   channel_clock : float array;
 }
 
@@ -32,7 +33,8 @@ let create cfg ~n ~rng =
     cfg;
     streams = Array.init n (fun src -> Prng.split_at rng ~index:src);
     n;
-    channel_clock = Array.make (n * n) neg_infinity;
+    channel_clock =
+      (if cfg.fifo then Array.make (n * n) neg_infinity else [||]);
   }
 
 let config t = t.cfg
@@ -58,4 +60,5 @@ let delivery_time t ~src ~dst ~now =
     else Some at
   end
 
-let reset_order t = Array.fill t.channel_clock 0 (t.n * t.n) neg_infinity
+let reset_order t =
+  Array.fill t.channel_clock 0 (Array.length t.channel_clock) neg_infinity

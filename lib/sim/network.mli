@@ -36,4 +36,4 @@ val delivery_time : t -> src:int -> dst:int -> now:float -> float option
 
 val reset_order : t -> unit
 (** Forgets per-channel FIFO clocks; used when a recovery session flushes
-    the network. *)
+    the network.  A no-op without [fifo], which keeps no clocks. *)

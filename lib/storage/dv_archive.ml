@@ -1,6 +1,6 @@
 module Vec = Rdt_sim.Vec
 
-(* One slot per index: the recorded vector by reference, or [[||]] for an
+(* One slot per index: the archive's own copy of the vector, or [[||]] for an
    index in a {!restore} gap ([record] refuses an empty vector, so the two
    cannot be confused). *)
 type t = {
@@ -18,13 +18,16 @@ let reject t fmt =
     (fun s -> invalid_arg (Printf.sprintf "Dv_archive.record: p%d %s" t.me s))
     fmt
 
-let record t ~index ~dv =
+(* [dv] becomes the archive's own *)
+let push t ~index ~dv =
   if index <> count t then reject t "expected index %d, got %d" (count t) index;
   let n = Array.length dv in
   if t.n = 0 then
     if n = 0 then reject t "got an empty vector" else t.n <- n
   else if n <> t.n then reject t "expected %d entries, got %d" t.n n;
   Vec.push t.dvs dv
+
+let record t ~index ~dv = push t ~index ~dv:(Array.copy dv)
 
 let restore ~me ~entries =
   let t = create ~me in
@@ -35,11 +38,11 @@ let restore ~me ~entries =
       for _ = count t to index - 1 do
         Vec.push t.dvs [||]
       done;
-      record t ~index ~dv)
+      push t ~index ~dv)
     entries;
   t
 
-(* a copy: the archived array is the stored checkpoint's own [dv] *)
+(* a copy: the archived array stays the archive's *)
 let find t ~index =
   if index < 0 || index >= count t then None
   else

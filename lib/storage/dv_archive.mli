@@ -11,14 +11,12 @@
     call, seeded by {!restore} from the checkpoints the store still
     retains, and records every checkpoint from then on.
 
-    Each present index keeps the vector its checkpoint was stored with,
-    shared by reference with the store's entry, so the archive adds one
-    slot word per index on top of vectors the store already holds while
-    it retains them; once a checkpoint is collected its vector lives on
-    here alone, [n] words for each such index.  An index in a {!restore}
-    gap costs its slot word only.  A whole-history archive therefore
-    grows with the run where the store is bounded, which is why no
-    process keeps one unless asked.
+    Each present index keeps its own copy of the vector its checkpoint
+    was stored with, [n] words per index: the store recycles the rows of
+    the checkpoints it collects (DESIGN.md §10), so the archive cannot
+    share them.  An index in a {!restore} gap costs its slot word only.
+    A whole-history archive therefore grows with the run where the store
+    is bounded, which is why no process keeps one unless asked.
 
     A rollback rewinds the archive too ({!truncate_above}): the undone
     checkpoints never existed as far as future queries are concerned. *)
@@ -28,18 +26,18 @@ type t
 val restore : me:int -> entries:(int * int array) list -> t
 (** Rebuild an archive from the [(index, dv)] pairs that survived a crash
     (ascending indices, as the durable store recovers them — the vectors
-    of already-eliminated checkpoints are lost), taking shared ownership
-    of each [dv] as {!record} does.  The archive's size resumes at one
-    past the last surviving index, so subsequent {!record}s continue
-    correctly; {!find} answers [None] inside the gaps.
+    of already-eliminated checkpoints are lost), taking ownership of each
+    [dv]: the caller hands over fresh copies, such as those
+    {!Rdt_storage.Stable_store.retained} returns, and keeps no alias.
+    The archive's size resumes at one past the last surviving index, so
+    subsequent {!record}s continue correctly; {!find} answers [None]
+    inside the gaps.
     @raise Invalid_argument if indices are not ascending. *)
 
 val record : t -> index:int -> dv:int array -> unit
-(** Archive the vector stored with checkpoint [s^index], taking shared
-    ownership of [dv] without copying: the caller guarantees the array is
-    immutable from now on — e.g. the snapshot a
-    {!Rdt_storage.Stable_store.store_from} entry already owns.  This keeps
-    the checkpoint hot path at exactly one copy (DESIGN.md §10).
+(** Archive a copy of the vector stored with checkpoint [s^index]; [dv]
+    is only read during the call (a borrowed
+    {!Rdt_causality.Dependency_vector.view} is fine).
     @raise Invalid_argument unless [index] is exactly one past the last
     recorded index (checkpoints are taken in order), or if [dv] is empty
     or differs in length from the vectors already recorded. *)
@@ -53,9 +51,8 @@ val last_index : t -> int
 (** Greatest archived index; [-1] when empty. *)
 
 val find : t -> index:int -> int array option
-(** A fresh copy of the archived vector (the archived array itself is the
-    stored checkpoint's and must not be handed out); [None] out of range
-    and inside {!restore} gaps. *)
+(** A fresh copy of the archived vector; [None] out of range and inside
+    {!restore} gaps. *)
 
 val count : t -> int
 (** One past {!last_index}: the number of indices archived, gaps

@@ -5,7 +5,16 @@
     with every checkpoint for recovery purposes).  Storage survives
     crashes; garbage collectors call {!eliminate} and rollbacks call
     {!truncate_above}.  The module counts stored and eliminated
-    checkpoints and the peak retained count ({!stats}). *)
+    checkpoints and the peak retained count ({!stats}).
+
+    {b Ownership.}  The store owns its vectors: each retained checkpoint's
+    DV lives in a row of the store, and the row of an eliminated or
+    truncated checkpoint is overwritten by a later {!store_from} instead
+    of being freed (DESIGN.md §10).  So every [entry] that leaves the
+    store — from {!find}, {!retained} or a {!backend} callback — carries a
+    fresh copy of its vector, which its receiver owns and may keep or
+    mutate.  The one exception is {!retained_view}, whose vectors are the
+    store's own rows, borrowed until the store's next mutation. *)
 
 type entry = {
   index : int;  (** checkpoint index gamma of [s^gamma] *)
@@ -30,19 +39,21 @@ type backend = {
   b_truncate_above : index:int -> unit;
       (** a rollback removed everything above [index] *)
 }
-(** Durability mirror.  The in-memory map stays the source of truth for
+(** Durability mirror.  The in-memory columns stay the source of truth for
     queries ([find]/[mem]/[retained] never touch the disk); every
-    *mutation* is forwarded to the backend after the map is updated, so a
-    log-structured store ({!Rdt_store.Log_store}) can persist the same
-    history the simulator sees.  A backend call that raises (injected
-    storage crash) leaves the in-memory map updated — the volatile state
-    is ahead of the durable one, exactly the situation crash recovery must
-    cope with. *)
+    *mutation* is forwarded to the backend after the columns are updated,
+    so a log-structured store ({!Rdt_store.Log_store}) can persist the
+    same history the simulator sees.  The entries passed to [b_store] and
+    [b_eliminate] are copies the backend owns.  A backend call that raises
+    (injected storage crash) leaves the in-memory columns updated — the
+    volatile state is ahead of the durable one, exactly the situation
+    crash recovery must cope with. *)
 
 type t
 
 val create : me:int -> t
-(** No backend: the pure in-memory model. *)
+(** No backend: the pure in-memory model.  Allocates no column until the
+    first checkpoint. *)
 
 val set_backend : t -> backend -> unit
 (** Attach the durability mirror.  Must happen before the first mutation
@@ -51,11 +62,11 @@ val set_backend : t -> backend -> unit
 
 val restore : me:int -> entries:entry list -> t
 (** Rebuild a store from checkpoints that survived a crash ([entries] in
-    ascending index order, as {!Rdt_store.Log_store} recovers them).  A
-    backend attached afterwards sees only *new* mutations — the restored
-    entries are already durable.  The statistics restart from the restored
-    population ([stored_total] = number of entries, nothing
-    eliminated). *)
+    ascending index order, as {!Rdt_store.Log_store} recovers them); their
+    vectors are copied into the store's rows.  A backend attached
+    afterwards sees only *new* mutations — the restored entries are
+    already durable.  The statistics restart from the restored population
+    ([stored_total] = number of entries, nothing eliminated). *)
 
 val store_from :
   t ->
@@ -63,15 +74,15 @@ val store_from :
   dv:int array ->
   now:float ->
   size_bytes:int ->
-  ?payload:int ->
-  unit ->
-  entry
-(** Writes [s^index].  [dv] is only read during the call (a borrowed
-    {!Rdt_causality.Dependency_vector.view} is fine) and is copied
-    internally exactly once — the store-boundary copy of DESIGN.md §10.
-    Returns the stored entry so callers that need the same snapshot
-    elsewhere (e.g. the DV archive) can share [entry.dv] instead of
-    copying again; the entry's vector is immutable from here on.
+  payload:int ->
+  unit
+(** Writes [s^index] with the application state [payload].  [dv] is
+    only read during the call (a borrowed
+    {!Rdt_causality.Dependency_vector.view} is fine) and is copied exactly
+    once — the store-boundary copy of DESIGN.md §10 — into a row recycled
+    from an eliminated or truncated checkpoint when one of the same width
+    is spare, so a store that has reached its working size allocates
+    nothing here without a backend.
     @raise Invalid_argument if the index is not greater than every
     retained index (checkpoints are written in order; after a rollback
     the undone ones are truncated first). *)
@@ -84,13 +95,26 @@ val truncate_above : t -> index:int -> int
     [index] (a rollback to [s^index]); returns how many were removed. *)
 
 val mem : t -> index:int -> bool
+
 val find : t -> index:int -> entry option
+(** The retained checkpoint [s^index], with a copy of its vector. *)
 
 val last_index : t -> int
 (** Greatest retained index; [-1] when empty. *)
 
 val retained : t -> entry list
-(** Retained checkpoints, in increasing index order. *)
+(** Retained checkpoints, in increasing index order, each with a copy of
+    its vector. *)
+
+val retained_view : t -> entry list
+(** The retained checkpoints, in increasing index order, *without*
+    copying their vectors: each [dv] is the store's own row.  Borrowed —
+    valid only until the store's next mutation ({!store_from},
+    {!eliminate}, {!truncate_above}), after which a row may hold another
+    checkpoint's vector — and never to be mutated.  For read-only sweeps
+    that finish before the store changes, such as a Theorem-1 snapshot
+    ({!Rdt_gc.Global_gc.snapshot}) evaluated on the spot.  Use
+    {!retained} for entries that must survive. *)
 
 val retained_indices : t -> int list
 val count : t -> int

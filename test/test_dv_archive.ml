@@ -130,8 +130,8 @@ let test_archive_after_rollback () =
   Alcotest.(check int) "last index" 3 (A.last_index a)
 
 let test_find_returns_a_copy () =
-  (* the archive shares each stored entry's [dv]: writing into what
-     [find] returns must reach neither the archive nor the store *)
+  (* the archive and the store each keep their own vectors: writing into
+     what [find] returns must reach neither *)
   let trace = Rdt_ccp.Trace.create ~n:2 in
   let mw =
     Rdt_protocols.Middleware.create ~n:2 ~me:0
@@ -156,6 +156,39 @@ let test_find_returns_a_copy () =
   Alcotest.(check (option (array int)))
     "archive unchanged" (Some before) (A.find a ~index);
   Alcotest.(check (array int)) "stored entry unchanged" before (stored ())
+
+let test_archive_survives_row_reuse () =
+  (* the store overwrites a collected checkpoint's row with the next
+     checkpoint's vector; the archive's copy must not follow *)
+  let module S = Rdt_storage.Stable_store in
+  let module Mw = Rdt_protocols.Middleware in
+  let trace = Rdt_ccp.Trace.create ~n:3 in
+  let mw =
+    Mw.create ~n:3 ~me:0 ~protocol:Rdt_protocols.Protocol.fdas ~trace ()
+  in
+  let a = Mw.archive mw in
+  let taken = Hashtbl.create 8 in
+  let note index =
+    match S.find (Mw.store mw) ~index with
+    | Some e -> Hashtbl.replace taken index e.dv
+    | None -> Alcotest.fail "checkpoint not stored"
+  in
+  note 0;
+  for index = 1 to 6 do
+    Mw.basic_checkpoint mw ~now:(float_of_int index);
+    note index;
+    (* collect all but the last two, so every later store reuses a row *)
+    if index >= 2 then S.eliminate (Mw.store mw) ~index:(index - 2)
+  done;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "store keeps the last two" [ 5; 6 ]
+    (S.retained_indices (Mw.store mw));
+  for index = 0 to 6 do
+    Alcotest.(check (option (array int)))
+      (Printf.sprintf "s^%d archived" index)
+      (Some (Hashtbl.find taken index))
+      (A.find a ~index)
+  done
 
 (* A scripted two-process system with RDT-LGC where p0 checkpoints
    alone; [taken] maps each of p0's checkpoint indices to the vector the
@@ -409,4 +442,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_model;
     Alcotest.test_case "vec truncate releases dropped elements" `Quick
       test_vec_truncate_releases;
+    Alcotest.test_case "archived vectors survive row reuse" `Quick
+      test_archive_survives_row_reuse;
   ]

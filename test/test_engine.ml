@@ -94,6 +94,58 @@ let test_flush_in_flight () =
   Engine.run e;
   Alcotest.(check int) "flushed counted" 1 (Engine.stats e).Engine.flushed
 
+let test_fifo_flush_in_flight () =
+  (* a flush under FIFO drops what is in transit and resets the channel
+     clocks; what is sent afterwards still arrives in send order *)
+  let net = { Network.default with fifo = true; min_delay = 0.1; max_delay = 5.0 } in
+  let e = make ~net () in
+  let got = ref [] in
+  Engine.set_receiver e 1 (fun ~src:_ msg -> got := msg :: !got);
+  for i = 1 to 10 do
+    Engine.send e ~src:0 ~dst:1 i
+  done;
+  Engine.flush_in_flight e;
+  for i = 11 to 30 do
+    Engine.send e ~src:0 ~dst:1 i
+  done;
+  Engine.run e;
+  Alcotest.(check int) "in-transit messages flushed" 10
+    (Engine.stats e).Engine.flushed;
+  Alcotest.(check (list int)) "later sends keep their order"
+    (List.init 20 (fun i -> i + 11))
+    (List.rev !got)
+
+let test_fifo_reset_order () =
+  (* the same draws with and without FIFO: FIFO clamps each delivery to
+     the channel's last one, [reset_order] forgets it, and without FIFO
+     there is nothing to forget *)
+  let times ~fifo ~reset =
+    let net =
+      Network.create
+        { Network.default with fifo; min_delay = 0.1; max_delay = 50.0 }
+        ~n:2 ~rng:(Rdt_sim.Prng.create ~seed:3)
+    in
+    List.init 20 (fun _ ->
+        if reset then Network.reset_order net;
+        match Network.delivery_time net ~src:0 ~dst:1 ~now:0.0 with
+        | Some at -> at
+        | None -> Alcotest.fail "lost without a loss model")
+  in
+  let raw = times ~fifo:false ~reset:false in
+  let running_max =
+    List.rev
+      (List.fold_left
+         (fun acc x -> match acc with m :: _ -> Float.max m x :: acc | [] -> [ x ])
+         [] raw)
+  in
+  Alcotest.(check bool) "the draws reorder" true (running_max <> raw);
+  Alcotest.(check (list (float 0.0))) "fifo clamps to the channel clock"
+    running_max (times ~fifo:true ~reset:false);
+  Alcotest.(check (list (float 0.0))) "reset forgets the channel clock" raw
+    (times ~fifo:true ~reset:true);
+  Alcotest.(check (list (float 0.0))) "reset without fifo is a no-op" raw
+    (times ~fifo:false ~reset:true)
+
 let test_run_until () =
   let e = make () in
   let count = ref 0 in
@@ -263,6 +315,9 @@ let suite =
       `Quick test_unpinned_after_pinned;
     Alcotest.test_case "message storm event order" `Quick
       test_message_storm_order;
+    Alcotest.test_case "fifo order survives flush in flight" `Quick
+      test_fifo_flush_in_flight;
+    Alcotest.test_case "fifo channel clocks reset" `Quick test_fifo_reset_order;
   ]
   @ List.map
       (fun ((name, _, _) as g) ->

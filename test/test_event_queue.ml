@@ -82,8 +82,12 @@ module Reference = struct
 
   let add t ~time ~u ~v x =
     let key (time, u, v, _) = (time, u, v) in
-    t.entries <-
-      List.sort (fun a b -> compare (key a) (key b)) ((time, u, v, x) :: t.entries)
+    let e = (time, u, v, x) in
+    let rec insert = function
+      | [] -> [ e ]
+      | y :: rest as l -> if compare (key e) (key y) < 0 then e :: l else y :: insert rest
+    in
+    t.entries <- insert t.entries
 
   let pop t =
     match t.entries with
@@ -138,6 +142,50 @@ let prop_matches_reference =
       done;
       !ok)
 
+(* Phases that mostly add, then mostly pop, repeated: the queue grows
+   through several capacities, drains to a few entries and refills, so
+   the payload pool hands out slots freed at every depth of the heap.
+   Payloads are fresh boxed values, checked by identity: a pop must
+   return the very value its entry was added with.  Keys are unique:
+   [u] is random and [v] counts the adds. *)
+let prop_slot_reuse =
+  QCheck.Test.make ~name:"grow/drain/refill = sorted-list reference, payload by identity"
+    ~count:100
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let rng = Rdt_sim.Prng.create ~seed in
+      let q = Q.create () in
+      let r = Reference.create () in
+      let live = ref 0 and v = ref 0 and ok = ref true in
+      let pop_both () =
+        match Reference.pop r with
+        | None -> if not (Q.is_empty q) then ok := false
+        | Some (time, _, _, x) ->
+          if Q.next_time q <> time || Q.pop q != x then ok := false;
+          decr live
+      in
+      for phase = 0 to 5 do
+        let target = if phase mod 2 = 0 then 20 + Rdt_sim.Prng.int rng 300 else Rdt_sim.Prng.int rng 4 in
+        while !ok && !live <> target do
+          (* four steps in five move toward the target *)
+          let toward = Rdt_sim.Prng.int rng 5 < 4 in
+          if (!live < target) = toward then begin
+            incr v;
+            let time = float_of_int (Rdt_sim.Prng.int rng 16) in
+            let u = Rdt_sim.Prng.int rng 4 in
+            let x = ref !v in
+            Q.add_keyed q ~time ~u ~v:!v x;
+            Reference.add r ~time ~u ~v:!v x;
+            incr live
+          end
+          else pop_both ()
+        done
+      done;
+      while !ok && !live > 0 do
+        pop_both ()
+      done;
+      !ok && Q.is_empty q)
+
 let test_growth_past_capacity () =
   (* thousands of live entries, far past the initial columns, popped in
      order with key ties intact *)
@@ -166,4 +214,5 @@ let suite =
     Alcotest.test_case "random stress sorts" `Quick test_many_random;
     Alcotest.test_case "growth past capacity" `Quick test_growth_past_capacity;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_slot_reuse;
   ]

@@ -1,9 +1,8 @@
 module S = Rdt_storage.Stable_store
 
 let store_simple t index =
-  ignore
-    (S.store_from t ~index ~dv:[| index; 0 |] ~now:(float_of_int index)
-       ~size_bytes:10 ~payload:(100 + index) ())
+  S.store_from t ~index ~dv:[| index; 0 |] ~now:(float_of_int index)
+    ~size_bytes:10 ~payload:(100 + index)
 
 let test_store_and_find () =
   let t = S.create ~me:0 in
@@ -36,7 +35,7 @@ let test_store_out_of_order_rejected () =
 let test_dv_isolation () =
   let t = S.create ~me:0 in
   let dv = [| 5; 5 |] in
-  ignore (S.store_from t ~index:0 ~dv ~now:0.0 ~size_bytes:1 ());
+  S.store_from t ~index:0 ~dv ~now:0.0 ~size_bytes:1 ~payload:0;
   dv.(0) <- 99;
   match S.find t ~index:0 with
   | Some e -> Alcotest.(check int) "stored copy unaffected" 5 e.S.dv.(0)
@@ -67,8 +66,8 @@ let test_byte_accounting () =
     List.fold_left (fun acc (e : S.entry) -> acc + e.size_bytes) 0 (S.retained t)
   in
   let t = S.create ~me:0 in
-  ignore (S.store_from t ~index:0 ~dv:[| 0 |] ~now:0.0 ~size_bytes:100 ());
-  ignore (S.store_from t ~index:1 ~dv:[| 1 |] ~now:1.0 ~size_bytes:50 ());
+  S.store_from t ~index:0 ~dv:[| 0 |] ~now:0.0 ~size_bytes:100 ~payload:0;
+  S.store_from t ~index:1 ~dv:[| 1 |] ~now:1.0 ~size_bytes:50 ~payload:0;
   Alcotest.(check int) "bytes" 150 (bytes t);
   S.eliminate t ~index:0;
   Alcotest.(check int) "bytes after eliminate" 50 (bytes t)
@@ -99,6 +98,204 @@ let test_retained_order () =
   S.eliminate t ~index:1;
   Alcotest.(check (list int)) "ascending" [ 0; 2; 3 ]
     (List.map (fun e -> e.S.index) (S.retained t))
+
+(* --- model: the columns against the map they replaced -------------------- *)
+
+(* The store's earlier representation, an [Int_map] from index to entry,
+   kept here as the reference: every query and every backend call of the
+   column store must match it. *)
+module Reference = struct
+  module M = Map.Make (Int)
+
+  type t = {
+    mutable entries : S.entry M.t;
+    mutable stored : int;
+    mutable eliminated : int;
+    mutable peak : int;
+  }
+
+  let of_entries entries =
+    let m = List.fold_left (fun m (e : S.entry) -> M.add e.index e m) M.empty entries in
+    let k = M.cardinal m in
+    { entries = m; stored = k; eliminated = 0; peak = k }
+
+  let last t = match M.max_binding_opt t.entries with None -> -1 | Some (i, _) -> i
+  let retained t = List.map snd (M.bindings t.entries)
+end
+
+type call = Stored of S.entry | Eliminated of S.entry | Truncated of int
+
+let call_eq a b =
+  match (a, b) with
+  | Stored x, Stored y | Eliminated x, Eliminated y -> Helpers.entry_eq x y
+  | Truncated i, Truncated j -> i = j
+  | _ -> false
+
+type op =
+  | Store of { gap : int; dv : int array }
+      (** [s^(last + 1 + gap)]; [gap = -1] repeats the last index *)
+  | Eliminate of int  (** a retained position, or a missing index if none *)
+  | Truncate of int  (** an index in [-1 .. last] *)
+  | Restore  (** rebuild from the retained entries, as after a crash *)
+
+let print_op = function
+  | Store { gap; dv } ->
+    Printf.sprintf "store(+%d,[%s])" gap
+      (String.concat ";" (Array.to_list (Array.map string_of_int dv)))
+  | Eliminate k -> Printf.sprintf "eliminate(%d)" k
+  | Truncate k -> Printf.sprintf "truncate(%d)" k
+  | Restore -> "restore"
+
+(* Vectors of two widths, so a spare row is sometimes the wrong size. *)
+let gen_ops =
+  QCheck.Gen.(
+    let dv = int_range 3 4 >>= fun w -> array_size (return w) (int_bound 50) in
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (6, map2 (fun gap dv -> Store { gap; dv }) (int_range (-1) 2) dv);
+           (4, map (fun k -> Eliminate k) (int_bound 1000));
+           (1, map (fun k -> Truncate k) (int_bound 1000));
+           (1, return Restore);
+         ]))
+
+let run_store_model ops =
+  let calls = ref [] in
+  let expected = ref [] in
+  (* every entry the store handed out, with the vector it had then *)
+  let held = ref [] in
+  let hold (e : S.entry) = held := (e, Array.copy e.dv) :: !held in
+  let backend =
+    {
+      S.b_store =
+        (fun e ->
+          hold e;
+          calls := Stored e :: !calls);
+      b_eliminate =
+        (fun e ->
+          hold e;
+          calls := Eliminated e :: !calls);
+      b_truncate_above = (fun ~index -> calls := Truncated index :: !calls);
+    }
+  in
+  let fresh t =
+    S.set_backend t backend;
+    t
+  in
+  let t = ref (fresh (S.create ~me:0)) in
+  let r = ref (Reference.of_entries []) in
+  let clock = ref 0.0 in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let rejects f = try f (); false with Invalid_argument _ -> true in
+  let step op =
+    let r' = !r in
+    match op with
+    | Store { gap; dv } ->
+      let index = Reference.last r' + 1 + gap in
+      (* the op's own array stays intact for shrinking and printing *)
+      let dv = Array.copy dv in
+      clock := !clock +. 1.0;
+      let e =
+        { S.index; dv = Array.copy dv; taken_at = !clock; size_bytes = 10 * index; payload = 7 * index }
+      in
+      let store () =
+        S.store_from !t ~index ~dv ~now:e.taken_at ~size_bytes:e.size_bytes ~payload:e.payload
+      in
+      if index <= Reference.last r' then begin
+        if not (rejects store) then fail "s^%d accepted out of order" index
+      end
+      else begin
+        store ();
+        (* the caller's vector is only read *)
+        Array.fill dv 0 (Array.length dv) (-1);
+        r'.entries <- Reference.M.add index e r'.entries;
+        r'.stored <- r'.stored + 1;
+        r'.peak <- max r'.peak (Reference.M.cardinal r'.entries);
+        expected := Stored e :: !expected
+      end
+    | Eliminate k -> (
+      match Reference.retained r' with
+      | [] ->
+        if not (rejects (fun () -> S.eliminate !t ~index:k)) then
+          fail "eliminating missing s^%d accepted" k
+      | retained ->
+        let e = List.nth retained (k mod List.length retained) in
+        S.eliminate !t ~index:e.index;
+        r'.entries <- Reference.M.remove e.index r'.entries;
+        r'.eliminated <- r'.eliminated + 1;
+        expected := Eliminated e :: !expected)
+    | Truncate k ->
+      let index = (k mod (Reference.last r' + 2)) - 1 in
+      let removed = S.truncate_above !t ~index in
+      let below, at, above = Reference.M.split index r'.entries in
+      let expected_removed = Reference.M.cardinal above in
+      if removed <> expected_removed then
+        fail "truncate_above %d removed %d, expected %d" index removed expected_removed;
+      r'.entries <- Option.fold at ~none:below ~some:(fun e -> Reference.M.add index e below);
+      r'.eliminated <- r'.eliminated + expected_removed;
+      if expected_removed > 0 then expected := Truncated index :: !expected
+    | Restore ->
+      let entries = S.retained !t in
+      t := fresh (S.restore ~me:0 ~entries);
+      (* the restored store owns copies: the survivors' vectors are the
+         caller's to overwrite *)
+      List.iter (fun (e : S.entry) -> Array.fill e.dv 0 (Array.length e.dv) (-2)) entries;
+      r := Reference.of_entries (Reference.retained r')
+  in
+  let agree op =
+    let t = !t and r = !r in
+    let want = Reference.retained r in
+    let got = S.retained t in
+    List.iter hold got;
+    if not (Helpers.entries_eq got want) then fail "after %s: retained differs" (print_op op);
+    if not (Helpers.entries_eq (S.retained_view t) want) then
+      fail "after %s: the view differs" (print_op op);
+    if S.retained_indices t <> List.map (fun (e : S.entry) -> e.index) want then
+      fail "after %s: retained_indices differs" (print_op op);
+    if S.count t <> List.length want then fail "after %s: count differs" (print_op op);
+    if S.last_index t <> Reference.last r then fail "after %s: last_index differs" (print_op op);
+    for index = -1 to Reference.last r + 1 do
+      let want = Reference.M.find_opt index r.entries in
+      if S.mem t ~index <> Option.is_some want then
+        fail "after %s: mem %d differs" (print_op op) index;
+      match (S.find t ~index, want) with
+      | None, None -> ()
+      | Some e, Some w when Helpers.entry_eq e w -> hold e
+      | _ -> fail "after %s: find %d differs" (print_op op) index
+    done;
+    let st = S.stats t in
+    if
+      st.S.stored_total <> r.stored
+      || st.S.eliminated_total <> r.eliminated
+      || st.S.peak_count <> r.peak
+    then
+      fail "after %s: stats %d/%d/%d, expected %d/%d/%d" (print_op op)
+        st.S.stored_total st.S.eliminated_total st.S.peak_count r.stored
+        r.eliminated r.peak;
+    if
+      List.length !calls <> List.length !expected
+      || not (List.for_all2 call_eq !calls !expected)
+    then fail "after %s: backend calls differ" (print_op op);
+    (* rows are recycled, the copies handed out are not *)
+    List.iter
+      (fun ((e : S.entry), dv) ->
+        if e.dv <> dv then
+          fail "after %s: s^%d handed out earlier changed its vector" (print_op op)
+            e.index)
+      !held
+  in
+  List.iter
+    (fun op ->
+      step op;
+      agree op)
+    ops;
+  true
+
+let prop_store_model =
+  QCheck.Test.make ~count:300
+    ~name:"columns = Int_map reference under store/eliminate/truncate/restore"
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
+    run_store_model
 
 (* --- durability under seeded fault schedules --------------------------- *)
 
@@ -331,4 +528,5 @@ let suite =
     Alcotest.test_case "retained order" `Quick test_retained_order;
     QCheck_alcotest.to_alcotest prop_crash_recovers_acknowledged_prefix;
     QCheck_alcotest.to_alcotest prop_crash_recovers_some_prefix;
+    QCheck_alcotest.to_alcotest prop_store_model;
   ]
