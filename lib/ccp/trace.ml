@@ -13,6 +13,12 @@ let tag_of_code code =
 
 let rec width_of m = if m = 0 then 0 else 1 + width_of (m lsr 1)
 
+(* Recording and reading an event are per-event paths; rdt_lint holds the
+   codec to alloc/*.  [grow], which allocates the chunks, stays outside. *)
+[@@@lint.zero_alloc_hot
+  "append" "put_head" "put_other" "next" "put_varint" "varint_at" "zigzag"
+  "unzigzag"]
+
 module View = struct
   type t = {
     mutable seq : int;
@@ -29,26 +35,50 @@ module View = struct
   let payload v = v.code lsr (v.peer_bits + tag_bits)
 end
 
-(* Process [p]'s log is a run of byte chunks.  Each event is three LEB128
-   varints: the [seq] delta from [p]'s previous event, [peer lsl 2 lor
-   tag] (the low bits of the packed code), and the zigzagged payload
-   delta from a per-tag reference — the previous checkpoint index + 1,
-   the previous send id + [n] (the next id {!fresh_msg_id} mints), the
-   previous receive id — so the common event takes about 3 bytes.  An
-   event never straddles two chunks, and each chunk's head holds the
-   decoder state at its start, so a chunk decodes on its own: a
-   truncation scans back chunk by chunk from the tail.  Only chunk 0
-   grows by doubling; full chunks are larger than the minor heap's
-   object limit and go straight to the major heap. *)
+(* Process [p]'s log is a run of byte chunks.  Every event starts with a
+   header byte: a 2-bit kind below [seq delta - 1], the delta from [p]'s
+   previous event; a delta of 64 or more writes 63 there and a varint
+   [delta - 64] after the header.  What follows depends on the kind:
+   - kind 0, a checkpoint at the predicted index (the last one + 1):
+     nothing;
+   - kind 1, a send at the predicted id (the last send's + [n], the next
+     id {!fresh_msg_id} mints): a varint peer;
+   - kind 2, a receive whose id is [k * n + src]: one varint,
+     [zigzag (k - the previous receive's k) lsl peer_bits lor src];
+   - kind 3, any other event (hand-written ids, id jumps after
+     {!restore_msg_ids}, a send after a rollback erased the sends before
+     it, whose ids are never reused): the varint
+     [peer lsl 2 lor tag] (the low bits of the packed code), then the
+     zigzagged payload delta from the value its tag predicts, where a
+     receive predicts [k * n] for the previous receive's [k].
+   An event takes about 2.1 bytes in an n = 8 simulated run.  An event
+   never straddles two chunks, and each chunk's head holds the decoder
+   state at its start, so a chunk decodes on its own: a truncation scans
+   back chunk by chunk from the tail.  Only chunk 0 grows by doubling;
+   full chunks are larger than the minor heap's object limit and go
+   straight to the major heap. *)
 let chunk_bytes = 4096
 let first_chunk_bytes = 64
 
-(* three varints of at most 9 bytes each: a zigzagged delta stays below
-   [2^62] since payloads and references stay below [2^61] *)
-let max_event_bytes = 27
+let kind_bits = 2
+let kind_mask = (1 lsl kind_bits) - 1
+let kind_ckpt = 0
+let kind_send = 1
+let kind_recv = 2
+let kind_other = 3
+
+(* the largest [seq delta - 1] the header holds; 63 there means a varint
+   follows *)
+let head_dseq = 63
+
+(* the header and three varints of at most 9 bytes each: a zigzagged
+   delta stays below [2^62] since payloads and references stay below
+   [2^61] *)
+let max_event_bytes = 28
 
 (* a chunk's head: the events before it, then the decoder state at its
-   start — the previous event's [seq], the references of the three tags *)
+   start — the previous event's [seq], the last checkpoint index, the
+   last send id and the last receive's [k] *)
 let head_words = 5
 let h_count = 0
 let h_seq = 1
@@ -63,7 +93,8 @@ type log = {
   mutable fill : int;  (* bytes used in the last chunk *)
   mutable count : int;
   (* the encoder state after the last event: its [seq], the last
-     checkpoint index ([-1] if none), send id and receive id *)
+     checkpoint index ([-1] if none), send id and receive id's [k]
+     ([id / n]) *)
   mutable seq : int;
   mutable ckpt : int;
   mutable send : int;
@@ -196,29 +227,56 @@ let grow log =
     write_head log c
   end
 
+(* Writes the header byte of an event of [kind] that comes [dseq >= 1]
+   after its log's previous one; returns the position after it. *)
+let put_head b pos kind dseq =
+  if dseq <= head_dseq then begin
+    Bytes.set_uint8 b pos (((dseq - 1) lsl kind_bits) lor kind);
+    pos + 1
+  end
+  else begin
+    Bytes.set_uint8 b pos ((head_dseq lsl kind_bits) lor kind);
+    put_varint b (pos + 1) (dseq - head_dseq - 1)
+  end
+
+(* Writes a kind-3 event's body: the low bits of its code, then its
+   payload's delta from the value its tag predicts. *)
+let put_other b pos tag ~peer delta =
+  let pos = put_varint b pos ((peer lsl tag_bits) lor code_of_tag tag) in
+  put_varint b pos (zigzag delta)
+
 let append t log tag ~peer ~payload ~seq =
   if log.nchunks = 0
      || log.fill + max_event_bytes > Bytes.length log.chunks.(log.nchunks - 1)
   then grow log;
   let b = log.chunks.(log.nchunks - 1) in
-  let pos = put_varint b log.fill (seq - log.seq) in
-  let pos = put_varint b pos ((peer lsl tag_bits) lor code_of_tag tag) in
-  let delta =
-    match tag with
-    | Checkpoint ->
-      let d = payload - (log.ckpt + 1) in
-      log.ckpt <- payload;
-      d
-    | Send ->
-      let d = payload - (log.send + t.n) in
-      log.send <- payload;
-      d
-    | Receive ->
-      let d = payload - log.recv in
-      log.recv <- payload;
-      d
-  in
-  log.fill <- put_varint b pos (zigzag delta);
+  let dseq = seq - log.seq in
+  let pos = log.fill in
+  log.fill <-
+    begin
+      match tag with
+      | Checkpoint ->
+        let d = payload - (log.ckpt + 1) in
+        log.ckpt <- payload;
+        if d = 0 then put_head b pos kind_ckpt dseq
+        else put_other b (put_head b pos kind_other dseq) tag ~peer d
+      | Send ->
+        let d = payload - (log.send + t.n) in
+        log.send <- payload;
+        if d = 0 then put_varint b (put_head b pos kind_send dseq) peer
+        else put_other b (put_head b pos kind_other dseq) tag ~peer d
+      | Receive ->
+        let k = payload / t.n in
+        let prev = log.recv in
+        log.recv <- k;
+        if payload - (k * t.n) = peer then
+          put_varint b
+            (put_head b pos kind_recv dseq)
+            ((zigzag (k - prev) lsl t.peer_bits) lor peer)
+        else
+          put_other b (put_head b pos kind_other dseq) tag ~peer
+            (payload - (prev * t.n))
+    end;
   log.seq <- seq;
   log.count <- log.count + 1
 
@@ -292,25 +350,51 @@ let next t k =
     k.left <- chunk_events k.log k.chunk
   end;
   k.left <- k.left - 1;
-  k.dseq <- k.dseq + varint_at k 0 0;
-  let low = varint_at k 0 0 in
-  let delta = unzigzag (varint_at k 0 0) in
-  let payload =
-    match tag_of_code low with
-    | Checkpoint ->
-      let p = k.dckpt + 1 + delta in
-      k.dckpt <- p;
-      p
-    | Send ->
-      let p = k.dsend + t.n + delta in
-      k.dsend <- p;
-      p
-    | Receive ->
-      let p = k.drecv + delta in
-      k.drecv <- p;
-      p
-  in
-  k.code <- (payload lsl (t.peer_bits + tag_bits)) lor low
+  let head = Bytes.get_uint8 k.buf k.pos in
+  k.pos <- k.pos + 1;
+  let d = head lsr kind_bits in
+  k.dseq <- k.dseq + 1 + (if d < head_dseq then d else d + varint_at k 0 0);
+  let shift = t.peer_bits + tag_bits in
+  let kind = head land kind_mask in
+  if kind = kind_ckpt then begin
+    let p = k.dckpt + 1 in
+    k.dckpt <- p;
+    k.code <- p lsl shift
+  end
+  else if kind = kind_send then begin
+    let peer = varint_at k 0 0 in
+    let p = k.dsend + t.n in
+    k.dsend <- p;
+    k.code <- (p lsl shift) lor (peer lsl tag_bits) lor code_of_tag Send
+  end
+  else if kind = kind_recv then begin
+    let v = varint_at k 0 0 in
+    let src = v land ((1 lsl t.peer_bits) - 1) in
+    let r = k.drecv + unzigzag (v lsr t.peer_bits) in
+    k.drecv <- r;
+    k.code <-
+      (((r * t.n) + src) lsl shift) lor (src lsl tag_bits) lor code_of_tag Receive
+  end
+  else begin
+    let low = varint_at k 0 0 in
+    let delta = unzigzag (varint_at k 0 0) in
+    let payload =
+      match tag_of_code low with
+      | Checkpoint ->
+        let p = k.dckpt + 1 + delta in
+        k.dckpt <- p;
+        p
+      | Send ->
+        let p = k.dsend + t.n + delta in
+        k.dsend <- p;
+        p
+      | Receive ->
+        let p = (k.drecv * t.n) + delta in
+        k.drecv <- p / t.n;
+        p
+    in
+    k.code <- (payload lsl shift) lor low
+  end
 
 (* Appends one event to [pid]'s log; a rejected event stores nothing. *)
 let store t ~pid tag ~peer ~payload ~seq =
@@ -504,14 +588,8 @@ let of_channel ic =
     end
     | None -> failwith "Trace.of_channel: missing process count"
   in
-  (* loaded traces may carry ids from other schemes (hand-written files);
-     push every counter past them so fresh ids never collide *)
-  let bump_past msg_id =
-    let base = (msg_id / t.n) + 1 in
-    for p = 0 to t.n - 1 do
-      if t.next_msg_id.(p) < base then t.next_msg_id.(p) <- base
-    done
-  in
+  (* the largest id a loaded send carries ([-1] if none) *)
+  let top_send = ref (-1) in
   let bad_line l = failwith (Printf.sprintf "Trace.of_channel: bad line %S" l) in
   let parse l =
     try
@@ -521,7 +599,7 @@ let of_channel ic =
       | 'S' ->
         Scanf.sscanf l "S %d %d %d" (fun pid msg_id dst ->
             record_send t ~pid ~msg_id ~dst;
-            bump_past msg_id)
+            if msg_id > !top_send then top_send := msg_id)
       | 'R' ->
         Scanf.sscanf l "R %d %d %d" (fun pid msg_id src ->
             record_receive t ~pid ~msg_id ~src)
@@ -537,6 +615,12 @@ let of_channel ic =
       loop ()
   in
   loop ();
+  (* loaded traces may carry ids from other schemes (hand-written files);
+     push every counter past the largest so fresh ids never collide *)
+  if !top_send >= 0 then
+    for pid = 0 to t.n - 1 do
+      restore_msg_ids t ~pid ~count:((!top_send / t.n) + 1)
+    done;
   t
 
 let save t path =

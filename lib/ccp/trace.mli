@@ -16,14 +16,18 @@
     as an error.
 
     Storage: each process's log is a run of byte chunks of up to 4 KiB.
-    An event is three LEB128 varints — the sequence-number delta from the
-    process's previous event, the peer above a 2-bit tag, and the
-    zigzagged payload delta from the value its tag predicts (the last
-    checkpoint index + 1, the last send id + [n], the last receive id) —
-    about 3.4 bytes in a simulated run.  Each chunk's head holds the
-    decoder state at its start, so readers decode forwards with one
-    cursor per process and a truncation decodes only the chunks it
-    scans back over. *)
+    An event starts with one header byte, its kind and the
+    sequence-number delta from the process's previous event (a delta of
+    64 or more adds a LEB128 varint).  A checkpoint at the index the log
+    predicts (the last one + 1) is that byte alone; a send at the
+    predicted id (the last send id + [n]) adds its peer; a receive of id
+    [k * n + src] adds one varint, the change in [k] since the previous
+    receive above [src].  Any other event adds the peer above a 2-bit
+    tag and the zigzagged payload delta from the predicted value.  An
+    event takes about 2.1 bytes in an [n = 8] simulated run.  Each
+    chunk's head holds the decoder state at its start, so readers
+    decode forwards with one cursor per process and a truncation
+    decodes only the chunks it scans back over. *)
 
 type tag =
   | Checkpoint  (** the process stored stable checkpoint [s^payload] *)

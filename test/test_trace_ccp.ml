@@ -325,6 +325,27 @@ let test_load_rejects_unpackable () =
       "C 2 0"; "C 0 -1"; "C 0"; "C 0 99999999999999999999999";
     ]
 
+(* A loaded trace's sends move every process's id counter past the
+   largest loaded id, even one that is not [k * n + pid] for its sender
+   (16 is 5 * 3 + 1, sent by p0): each pid's next id is the first of its
+   own past 16, and nothing a loaded send carries is minted again. *)
+let test_load_moves_msg_ids_past () =
+  let t =
+    load_string
+      "rdtgc-trace 1\nn 3\nC 0 0\nC 1 0\nC 2 0\nS 1 4 2\nS 0 16 2\nS 2 11 0\n\
+       R 2 16 0\nS 1 7 0\n"
+  in
+  let loaded = [ 4; 16; 11; 7 ] in
+  List.iter
+    (fun pid ->
+      let id = Trace.fresh_msg_id t ~pid in
+      Alcotest.(check int) (Printf.sprintf "p%d's next id" pid) (18 + pid) id;
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d mints past every loaded id" pid)
+        true
+        (List.for_all (fun l -> l < id) loaded))
+    [ 0; 1; 2 ]
+
 (* --- allocation guard ------------------------------------------------ *)
 
 (* Exact minor words ([Gc.minor_words], not the quantised
@@ -543,14 +564,20 @@ let prop_trace_model =
 (* --- packed logs against a dense model --------------------------------- *)
 
 (* Random programs aimed at the byte-packed logs rather than at the API's
-   edges: long logs that span many chunks, payloads that jump between 0
-   and [max_payload] (the extremes of the zigzagged deltas), and a
-   rollback sweep that cuts at every event of a run of checkpoints, one
-   step at a time.  Every checkpoint of that run takes 10 or 11 bytes, so
-   a 4 KiB chunk holds at most 408 of them and a run of [sweep_len] holds
-   a chunk's last event and the next chunk's first.  After every step the
-   readers are compared with a dense model: every event, oldest first, in
-   one list and in one list per process. *)
+   edges: long logs that span many chunks; every kind of event the codec
+   has (checkpoints and sends at and off the predicted payload, receives
+   of [k * n + src] ids whose [k] moves by 0, 1, -1 or far either way,
+   receives of other ids); [seq] gaps on both sides of what the header
+   byte holds; payloads that jump between 0 and [max_payload] (the
+   extremes of the zigzagged deltas); and a rollback sweep that cuts at
+   every event of a run of checkpoints, one step at a time.  Every
+   checkpoint of that run after its first is off the predicted index: a
+   header byte, a code byte and a zigzagged delta near [max_payload] of 8
+   or 9 bytes, 10 or 11 bytes in all.  A chunk takes an event only while
+   28 bytes are free, so a 4 KiB chunk holds at most 407 of them and a
+   run of [sweep_len] holds a chunk's last event and the next chunk's
+   first.  After every step the readers are compared with a dense model:
+   every event, oldest first, in one list and in one list per process. *)
 type dense_event = { ev : Helpers.event; line : string (* its text line *) }
 
 type dense = {
@@ -567,6 +594,7 @@ type dense = {
 type dense_op =
   | Record of { pid : int; what : int; peer : int; pick : int }
   | Burst of { pid : int; len : int; seed : int }
+  | Gap of { pid : int; len : int; seed : int }
   | Sweep of { pid : int }
   | Cut of { pid : int; pick : int }
 
@@ -576,6 +604,7 @@ let print_dense_op = function
   | Record { pid; what; peer; pick } ->
     Printf.sprintf "Record(p%d, %d, peer %d, %d)" pid what peer pick
   | Burst { pid; len; seed } -> Printf.sprintf "Burst(p%d, %d, seed %d)" pid len seed
+  | Gap { pid; len; seed } -> Printf.sprintf "Gap(p%d, %d, seed %d)" pid len seed
   | Sweep { pid } -> Printf.sprintf "Sweep(p%d)" pid
   | Cut { pid; pick } -> Printf.sprintf "Cut(p%d, %d)" pid pick
 
@@ -633,23 +662,45 @@ let dense_record t m ~pid tag ~peer ~payload =
   | Trace.Send -> m.d_send.(pid) <- payload
   | Trace.Receive -> m.d_recv.(pid) <- payload
 
+(* A received id from [src]: most often [k * n + src] with [k] near the
+   previous receive's, else far above or below it, an id whose residue
+   is another process's (with [n > 1]), 0, [max_payload], or anywhere. *)
+let dense_receive m ~pid ~src pick =
+  let n = m.d_n in
+  let k = m.d_recv.(pid) / n in
+  let regular k = (max 0 (min ((m.d_top - src) / n) k) * n) + src in
+  match pick mod 10 with
+  | 0 | 1 -> regular k
+  | 2 -> regular (k + 1)
+  | 3 -> regular (k - 1)
+  | 4 -> regular (k + 2 + (pick lsr 4))
+  | 5 -> regular (k - 2 - ((pick lsr 4) land 0xffff))
+  | 6 when n > 1 ->
+    let other = (src + 1 + ((pick lsr 4) mod (n - 1))) mod n in
+    (max 0 (min ((m.d_top / n) - 1) (k + ((pick lsr 4) mod 3) - 1)) * n) + other
+  | 7 -> 0
+  | 8 -> m.d_top
+  | _ -> pick land m.d_top
+
 (* A payload for [tag]: most often the one its reference predicts (a
-   one-byte delta), else 0, [max_payload], a repeat, or anywhere. *)
-let dense_payload m ~pid tag pick =
+   checkpoint or send that needs no payload bytes), else 0,
+   [max_payload], a repeat, or anywhere; a receive's comes from
+   [dense_receive]. *)
+let dense_payload m ~pid tag ~peer pick =
   let clamp x = max 0 (min m.d_top x) in
-  let natural =
-    match tag with
-    | Trace.Checkpoint -> m.d_ckpt.(pid) + 1
-    | Trace.Send -> m.d_send.(pid) + m.d_n
-    | Trace.Receive -> m.d_recv.(pid) + (pick mod 40)
+  let near natural =
+    match pick mod 8 with
+    | 0 -> 0
+    | 1 -> m.d_top
+    | 2 -> clamp (m.d_top - (pick mod 3))
+    | 3 -> pick land m.d_top
+    | 4 -> clamp (natural - 1 - (pick mod 5))
+    | _ -> clamp natural
   in
-  match pick mod 8 with
-  | 0 -> 0
-  | 1 -> m.d_top
-  | 2 -> clamp (m.d_top - (pick mod 3))
-  | 3 -> pick land m.d_top
-  | 4 -> clamp (natural - 1 - (pick mod 5))
-  | _ -> clamp natural
+  match tag with
+  | Trace.Checkpoint -> near (m.d_ckpt.(pid) + 1)
+  | Trace.Send -> near (m.d_send.(pid) + m.d_n)
+  | Trace.Receive -> dense_receive m ~pid ~src:peer pick
 
 let dense_tag what = match what mod 3 with 0 -> Trace.Checkpoint | 1 -> Trace.Send | _ -> Trace.Receive
 
@@ -708,7 +759,7 @@ let run_dense (n, ops) =
   let record ~pid what peer pick =
     let tag = dense_tag what in
     let peer = if tag = Trace.Checkpoint then 0 else peer mod n in
-    dense_record t m ~pid tag ~peer ~payload:(dense_payload m ~pid tag pick)
+    dense_record t m ~pid tag ~peer ~payload:(dense_payload m ~pid tag ~peer pick)
   in
   let run = function
     | Record { pid; what; peer; pick } ->
@@ -720,6 +771,19 @@ let run_dense (n, ops) =
         record ~pid:(pid mod n) (Random.State.bits rng) (Random.State.bits rng)
           (Random.State.bits rng)
       done;
+      checked ()
+    | Gap { pid; len; seed } ->
+      (* [pid]'s last event comes [len] after its previous one *)
+      let pid = pid mod n in
+      let rng = Random.State.make [| seed |] in
+      let any pid =
+        record ~pid (Random.State.bits rng) (Random.State.bits rng) (Random.State.bits rng)
+      in
+      any pid;
+      for _ = 2 to len do
+        any ((pid + 1) mod n)
+      done;
+      any pid;
       checked ()
     | Sweep { pid } ->
       let pid = pid mod n in
@@ -759,7 +823,16 @@ let prop_dense_model =
   in
   let cut = map2 (fun pid pick -> Cut { pid; pick }) nat nat in
   let burst = map3 (fun pid len seed -> Burst { pid; len; seed }) nat (int_range 500 6000) nat in
-  let op = frequency [ (6, record); (1, burst); (3, cut) ] in
+  (* 63 and 64 straddle the header byte's limit; the largest needs a
+     three-byte varint after it *)
+  let gap =
+    map3
+      (fun pid len seed -> Gap { pid; len; seed })
+      nat
+      (oneofl [ 1; 2; 62; 63; 64; 65; 127; 128; 191; 192; 16_447; 16_448 ])
+      nat
+  in
+  let op = frequency [ (6, record); (1, burst); (1, gap); (3, cut) ] in
   (* no burst before the sweep, which checks the whole trace twice per
      checkpoint of its run *)
   let program =
@@ -814,4 +887,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_precedes_vs_reachability;
     QCheck_alcotest.to_alcotest prop_trace_model;
     QCheck_alcotest.to_alcotest prop_dense_model;
+    Alcotest.test_case "load moves every id counter past the loaded ids" `Quick
+      test_load_moves_msg_ids_past;
   ]
