@@ -90,7 +90,6 @@ live-fuzz-nightly:
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/domino_effect.exe
-	dune exec examples/paper_trace.exe
 	dune exec examples/recovery_demo.exe
 	dune exec examples/storage_budget.exe
 	dune exec examples/causal_breakpoint.exe

@@ -369,25 +369,39 @@ let sweep_cmd =
 let do_store_stats dir =
   let module Log_store = Rdt_store.Log_store in
   let module Table = Rdt_metrics.Table in
-  (* only a pid's canonical name counts: [int_of_string_opt] also reads
-     "p+5", "p0x4" and "p00", which name no store *)
-  let stores =
+  (* only a pid's canonical directory counts: [int_of_string_opt] also
+     reads "p+5", "p0x4" and "p00", which name no store *)
+  let pid_dirs =
     Sys.readdir dir |> Array.to_list
     |> List.filter_map (fun name ->
+           let path = Filename.concat dir name in
            match int_of_string_opt (String.sub name 1 (String.length name - 1))
            with
            | Some pid
              when pid >= 0
-                  && name = "p" ^ string_of_int pid
-                  && Sys.is_directory (Filename.concat dir name) ->
-             Some (pid, name)
+                  && path = Log_store.pid_dir dir pid
+                  && Sys.is_directory path ->
+             Some (pid, path)
            | _ -> None)
     |> List.sort compare
   in
-  if stores = [] then begin
+  if pid_dirs = [] then begin
     Format.eprintf "no p<pid> store directories under %s@." dir;
     exit 1
   end;
+  (* a run keeps each store in the pid directory itself, a live cluster in
+     the node's store subdirectory; a directory with neither gets no row *)
+  let open_store pid path =
+    let node_store = Rdt_live.Node.store_dir path in
+    let store_dir = if Sys.file_exists node_store then node_store else path in
+    let ls = Log_store.create ~pid ~dir:store_dir () in
+    if (Log_store.stats ls).Log_store.segments = 0 then begin
+      Log_store.close ls;
+      Format.eprintf "%s holds no checkpoint store@." path;
+      exit 1
+    end;
+    ls
+  in
   let table =
     Table.create
       ~columns:
@@ -415,8 +429,8 @@ let do_store_stats dir =
   in
   let rows =
     List.map
-      (fun (pid, name) ->
-        let ls = Log_store.create ~pid ~dir:(Filename.concat dir name) () in
+      (fun (pid, path) ->
+        let ls = open_store pid path in
         let r = Log_store.recovery ls in
         if r.Log_store.records_dropped > 0 || r.Log_store.torn_bytes > 0 then
           Format.eprintf
@@ -424,9 +438,9 @@ let do_store_stats dir =
             r.Log_store.records_dropped r.Log_store.torn_bytes;
         let row = cells (Log_store.stats ls) in
         Log_store.close ls;
-        add_row name row;
+        add_row (Filename.basename path) row;
         row)
-      stores
+      pid_dirs
   in
   (match rows with
   | first :: (_ :: _ as rest) ->
@@ -436,9 +450,11 @@ let do_store_stats dir =
 
 let store_stats_cmd =
   let doc =
-    "Inspect a durable checkpoint store directory (as written by 'rdtgc run \
-     --store-dir'): per-process segment counts, live/dead bytes and \
-     compaction work."
+    "Inspect the durable checkpoint stores under DIR, as 'rdtgc run \
+     --store-dir' (DIR/p<pid>) or 'rdtgc cluster-run --root' \
+     (DIR/p<pid>/store) leaves them: per-process segment counts, live/dead \
+     bytes and compaction work.  Exits 1 if a p<pid> directory holds no \
+     store."
   in
   let dir_arg = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR") in
   Cmd.v (Cmd.info "store-stats" ~doc) Term.(const do_store_stats $ dir_arg)
@@ -447,21 +463,34 @@ let store_stats_cmd =
 
 let do_figure4 () =
   let module Script = Rdt_scenarios.Script in
-  let s = Rdt_scenarios.Figures.figure4 () in
-  Format.printf "Figure 4 final state (paper pids p1,p2,p3 = 0,1,2):@.";
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let show label s =
+    Format.printf "%-42s" label;
+    for pid = 0 to 2 do
+      Format.printf "  p%d (%s)/(%s)" pid
+        (ints (Array.to_list (Script.dv s pid)))
+        (String.concat ","
+           (Array.to_list
+              (Array.map
+                 (function None -> "*" | Some i -> string_of_int i)
+                 (Script.uc s pid))))
+    done;
+    Format.printf "@."
+  in
+  Format.printf
+    "Figure 4 replay (paper pids p1,p2,p3 = 0,1,2): DV/UC per process \
+     ('*' = Null).@.@.";
+  let s = Rdt_scenarios.Figures.figure4 ~on_step:show () in
+  Format.printf "@.final retained checkpoints:@.";
   for pid = 0 to 2 do
-    Format.printf "  p%d: DV=(%s) UC=(%s) retained={%s}@." pid
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int (Script.dv s pid))))
-      (String.concat ","
-         (Array.to_list
-            (Array.map
-               (function None -> "*" | Some i -> string_of_int i)
-               (Script.uc s pid))))
-      (String.concat "," (List.map string_of_int (Script.retained s pid)))
+    Format.printf "  p%d: {%s}@." pid (ints (Script.retained s pid))
   done;
   Format.printf
-    "(run `dune exec examples/paper_trace.exe` for the step-by-step replay)@."
+    "@.p1 still holds its s1 although it is obsolete (oracle: %b) —@.\
+     p1 cannot know that p2 checkpointed past the s1 it heard about;@.\
+     Theorem 5 proves no asynchronous collector can do better.@."
+    (Rdt_gc.Oracle.is_obsolete (Script.ccp s)
+       { Rdt_ccp.Ccp.pid = 1; index = 1 })
 
 let figure4_cmd =
   let doc = "Replay the paper's Figure 4 reference execution of RDT-LGC." in

@@ -84,7 +84,16 @@ let durable t =
 let sync_stores t = List.iter Log_store.sync (log_stores t)
 let close_stores t = Array.iter Process_stack.close t.stacks
 
-let snapshots t = Array.map Session.snapshot_of t.middlewares
+(* One process's Theorem-1 input, borrowed: the retained entries and the
+   live DV are the store's and the middleware's own, valid until either
+   changes.  The GC-round messages, which stay in flight, copy through
+   [Session.snapshot_of] instead. *)
+let borrowed_snapshot mw =
+  {
+    Global_gc.entries =
+      Array.of_list (Stable_store.retained_view (Middleware.store mw));
+    live_dv = Rdt_causality.Dependency_vector.view (Middleware.dv mw);
+  }
 
 (* --- application activity ------------------------------------------- *)
 
@@ -248,15 +257,11 @@ let rec arm_gc_timer t ~period =
 let lazy_local_collect t pid =
   let mw = t.middlewares.(pid) in
   let store = Middleware.store mw in
-  (* both borrowed: [collectable] has built its list before the first
-     elimination *)
-  let entries = Array.of_list (Stable_store.retained_view store) in
-  let live_dv =
-    Rdt_causality.Dependency_vector.view (Middleware.dv mw)
-  in
+  (* [collectable] has built its list before the first elimination *)
+  let snap = borrowed_snapshot mw in
   List.iter
     (fun index -> Stable_store.eliminate store ~index)
-    (Global_gc.collectable { Global_gc.entries; live_dv } ~li:live_dv)
+    (Global_gc.collectable snap ~li:snap.Global_gc.live_dv)
 
 let rec arm_lazy_local_timer t pid ~period =
   Engine.schedule_in t.engine ~pin:pid ~delay:period (fun () ->
@@ -265,11 +270,15 @@ let rec arm_lazy_local_timer t pid ~period =
 
 (* Idealized oracle: instant global knowledge, no messages. *)
 let oracle_collect t =
-  let snaps = snapshots t in
-  let li = Global_gc.last_interval_vector snaps in
-  for pid = 0 to t.cfg.Sim_config.n - 1 do
-    apply_collect t pid (Global_gc.collectable snaps.(pid) ~li)
-  done
+  let li =
+    Global_gc.last_interval_vector (Array.map borrowed_snapshot t.middlewares)
+  in
+  (* each process's snapshot is read before its own store loses anything;
+     collecting at one process changes no other's store or DV *)
+  Array.iteri
+    (fun pid mw ->
+      apply_collect t pid (Global_gc.collectable (borrowed_snapshot mw) ~li))
+    t.middlewares
 
 let rec arm_oracle_timer t ~period =
   Engine.schedule_in t.engine ~delay:period (fun () ->
@@ -329,18 +338,8 @@ let sample t =
     t.middlewares;
   Series.add_int t.series_total ~time ~value:!total;
   if t.cfg.Sim_config.protocol.Rdt_protocols.Protocol.rdt then begin
-    (* borrowed stored and live vectors: nothing mutates a store or a DV
-       before the last read below *)
-    let snaps =
-      Array.map
-        (fun mw ->
-          {
-            Global_gc.entries =
-              Array.of_list (Stable_store.retained_view (Middleware.store mw));
-            live_dv = Rdt_causality.Dependency_vector.view (Middleware.dv mw);
-          })
-        t.middlewares
-    in
+    (* nothing mutates a store or a DV before the last read below *)
+    let snaps = Array.map borrowed_snapshot t.middlewares in
     let li = Global_gc.last_interval_vector snaps in
     let optimal = ref 0 in
     for pid = 0 to t.cfg.Sim_config.n - 1 do
@@ -371,9 +370,7 @@ let create (cfg : Sim_config.t) =
         | Sim_config.Memory -> None
         | Sim_config.Durable { dir; config } ->
           let ls =
-            Log_store.create ~config ~pid:me
-              ~dir:(Filename.concat dir (Printf.sprintf "p%d" me))
-              ()
+            Log_store.create ~config ~pid:me ~dir:(Log_store.pid_dir dir me) ()
           in
           if not (List.is_empty (Log_store.recovery ls).Log_store.recovered)
           then

@@ -100,7 +100,7 @@ let check_stores ~root ~n script =
     (List.init n (fun pid ->
          let recovered =
            Process_stack.recovered ~config:Harness.log_config ~pid
-             ~dir:(Filename.concat (Sim_cluster.node_dir root pid) "store")
+             ~dir:(Node.store_dir (Sim_cluster.node_dir root pid))
          in
          let expected = Stable_store.retained (Script.store script pid) in
          if Harness.set_eq recovered expected then []

@@ -15,9 +15,14 @@
 
 type t
 
+val store_dir : string -> string
+(** [store_dir dir] is [dir/store]: where the node whose private
+    directory is [dir] keeps its durable store. *)
+
 val create : transport:Rdt_transport.Transport.t -> dir:string -> unit -> t
 (** Install the node behind [transport] and send [Hello].  [dir] is the
-    node's private directory; the durable store lives in [dir/store].
+    node's private directory; the durable store lives in
+    [store_dir dir].
     The node runs reactively through the transport's handler — callers
     that own the event loop (the simulator cluster) need nothing else.
     With [RDTGC_TEST_DUP_DELIVER=1] in the environment at creation, the

@@ -12,7 +12,7 @@ module Nemesis = Rdt_transport.Nemesis
 module Harness = Rdt_verify.Harness
 module Scenario = Rdt_verify.Scenario
 
-let node_dir root pid = Filename.concat root (Printf.sprintf "p%d" pid)
+let node_dir = Rdt_store.Log_store.pid_dir
 
 let run ~scenario ~root ?(seed = 1) ?nemesis ?on_nemesis ?log () =
   let sc = Scenario.normalize scenario in

@@ -98,7 +98,7 @@ let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
   t.basic_count <- 0;
   t
 
-let restore ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
+let restore ~n ~me ~protocol ~trace ~store () =
   let last =
     match Stable_store.find store ~index:(Stable_store.last_index store) with
     | None -> invalid_arg "Middleware.restore: restored store is empty"
@@ -123,7 +123,7 @@ let restore ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
     store;
     archive = None;
     dv;
-    ckpt_bytes;
+    ckpt_bytes = last.Stable_store.size_bytes;
     hooks = no_hooks;
     app_state = last.Stable_store.payload;
     basic_count = 0;

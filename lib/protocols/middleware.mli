@@ -60,7 +60,6 @@ val restore :
   me:int ->
   protocol:Protocol.t ->
   trace:Rdt_ccp.Trace.t ->
-  ?ckpt_bytes:int ->
   store:Rdt_storage.Stable_store.t ->
   unit ->
   t
@@ -70,7 +69,9 @@ val restore :
     process's history: the live runtime passes a muted one.  A recording
     [trace] must hold the checkpoint the recovery-session rollback cuts
     back to.  The DV and application state are recreated from the last
-    surviving checkpoint, as in Algorithm 3; no new checkpoint is stored
+    surviving checkpoint, as in Algorithm 3, and new checkpoints take that
+    checkpoint's [size_bytes] (what [create]'s [ckpt_bytes] gave the
+    process before the crash); no new checkpoint is stored
     and no DV archive is built (a first {!archive} call seeds one from
     [store]).  The caller must drive a
     recovery-session rollback before resuming normal operation — until

@@ -35,11 +35,11 @@ let create ~n ~me ~protocol ~trace ?ckpt_bytes ?store ?log ~with_lgc () =
   let mw = Middleware.create ~n ~me ~protocol ~trace ?ckpt_bytes ?store () in
   with_collector ~with_lgc ~make:Rdt_lgc.create ~n ~me mw log
 
-let restore ~n ~me ~protocol ~trace ?ckpt_bytes ~log ~with_lgc () =
+let restore ~n ~me ~protocol ~trace ~log ~with_lgc () =
   let recovered = (Log_store.recovery log).Log_store.recovered in
   let store = Stable_store.restore ~me ~entries:recovered in
   Stable_store.set_backend store (Log_store.backend log);
-  let mw = Middleware.restore ~n ~me ~protocol ~trace ?ckpt_bytes ~store () in
+  let mw = Middleware.restore ~n ~me ~protocol ~trace ~store () in
   with_collector ~with_lgc ~make:Rdt_lgc.restore ~n ~me mw (Some log)
 
 let recovered ~config ~pid ~dir =

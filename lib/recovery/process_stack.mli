@@ -43,14 +43,14 @@ val restore :
   me:int ->
   protocol:Rdt_protocols.Protocol.t ->
   trace:Rdt_ccp.Trace.t ->
-  ?ckpt_bytes:int ->
   log:Rdt_store.Log_store.t ->
   with_lgc:bool ->
   unit ->
   t
 (** Respawn a process from what [log] recovered, and from nothing else
     (Algorithm 3).  The DV is the last checkpoint's with the own entry + 1
-    and [UC] is all-Null until the recovery session's rollback.  [trace]
+    and [UC] is all-Null until the recovery session's rollback; new
+    checkpoints keep the last checkpoint's size.  [trace]
     only mints ids and receives the new events: a muted one
     ({!Rdt_ccp.Trace.set_recording}) with its message ids restored, as a
     live node uses.  A recording [trace] must hold a checkpoint the

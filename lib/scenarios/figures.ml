@@ -104,18 +104,32 @@ let figure2_with_protocol protocol =
 (* stays because p2 never learns of p3's checkpoints after s^1_3.      *)
 (* ------------------------------------------------------------------ *)
 
-let figure4 () =
+type step = Transfer of { src : int; dst : int } | Checkpoint of int
+
+let figure4_steps =
+  [
+    ("m: p0 -> p1 (p1 pins its s0 for p0)", Transfer { src = 0; dst = 1 });
+    ("m: p1 -> p2 (p2 pins its s0 for p0,p1)", Transfer { src = 1; dst = 2 });
+    ("p1 takes s1", Checkpoint 1);
+    ("p2 takes s1", Checkpoint 2);
+    ("m: p2 -> p1 (p1 pins its s1 for p2)", Transfer { src = 2; dst = 1 });
+    ("p1 takes s2", Checkpoint 1);
+    ("p1 takes s3: its s2 is collected", Checkpoint 1);
+    ("p2 takes s2: its s1 is collected", Checkpoint 2);
+    ("p2 takes s3: its s2 is collected", Checkpoint 2);
+    ("m: p1 -> p2 (p2 pins its s3 for p1)", Transfer { src = 1; dst = 2 });
+  ]
+
+let figure4 ?(on_step = fun _ _ -> ()) () =
   let s = Script.create ~n:3 ~protocol:Protocol.fdas ~with_lgc:true () in
-  Script.transfer s ~src:0 ~dst:1 (* p1 hears from p0, pins its s0 *);
-  Script.transfer s ~src:1 ~dst:2 (* relays p0's dependency to p2 *);
-  Script.checkpoint s 1 (* s1 of p1 *);
-  Script.checkpoint s 2 (* s1 of p2 *);
-  Script.transfer s ~src:2 ~dst:1 (* p1 learns s1 of p2: pins its s1 *);
-  Script.checkpoint s 1 (* s2 of p1 *);
-  Script.checkpoint s 1 (* s3 of p1: collects its s2 *);
-  Script.checkpoint s 2 (* s2 of p2: collects its s1 *);
-  Script.checkpoint s 2 (* s3 of p2: collects its s2 *);
-  Script.transfer s ~src:1 ~dst:2 (* p2 learns p1 up to interval 4 *);
+  on_step "initial checkpoints s0 stored" s;
+  List.iter
+    (fun (label, step) ->
+      (match step with
+      | Transfer { src; dst } -> Script.transfer s ~src ~dst
+      | Checkpoint pid -> Script.checkpoint s pid);
+      on_step label s)
+    figure4_steps;
   s
 
 (* ------------------------------------------------------------------ *)

@@ -54,8 +54,18 @@ val figure2_with_protocol : Rdt_protocols.Protocol.t -> Script.t
     (forced checkpoints included); used to show FDAS preventing the
     domino effect. *)
 
-val figure4 : unit -> Script.t
-(** Runs the scripted Figure 4 execution to completion (FDAS + RDT-LGC). *)
+type step =
+  | Transfer of { src : int; dst : int }  (** a send delivered at once *)
+  | Checkpoint of int  (** a basic checkpoint *)
+
+val figure4_steps : (string * step) list
+[@@lint.reference "Figure 4 as data: the merged Algorithm 4 replays the same steps"]
+(** Figure 4's execution after the initial checkpoints, one labelled step
+    per event. *)
+
+val figure4 : ?on_step:(string -> Script.t -> unit) -> unit -> Script.t
+(** Runs {!figure4_steps} to completion (FDAS + RDT-LGC), calling
+    [on_step label s] on the initial state and after every step. *)
 
 val recovery_ccp : unit -> Rdt_ccp.Ccp.t
 (** A 4-process CCP exercising recovery-line determination (Figure 3's

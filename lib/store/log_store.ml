@@ -66,6 +66,8 @@ exception Compaction_crash of [ `After_seal | `After_rewrite ]
 
 let recovery t = t.recovery_info
 
+let pid_dir root pid = Filename.concat root (Printf.sprintf "p%d" pid)
+
 let seg_file_name id = Printf.sprintf "seg-%08d.log" id
 let seg_path t id = Filename.concat t.dir (seg_file_name id)
 

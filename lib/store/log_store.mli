@@ -54,6 +54,12 @@ val default_config : config
 
 type t
 
+val pid_dir : string -> int -> string
+(** [pid_dir root pid] is [root/p<pid>]: where a multi-process run
+    (the simulator's [--store-dir], the fuzz harness) keeps [pid]'s store,
+    and, on a live cluster, the node's private directory that holds its
+    store. *)
+
 val create : ?config:config -> ?faults:Fault.t -> pid:int -> dir:string -> unit -> t
 (** Open (creating the directory if needed) and recover whatever it
     holds.  Opening never writes: a pure stats/recovery inspection leaves

@@ -134,7 +134,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
       mkdir_p root;
       Some
         (fun ~me ->
-          let dir = Filename.concat root ("p" ^ string_of_int me) in
+          let dir = Log_store.pid_dir root me in
           let faults =
             match sc.store_fault with
             | Some f when f.fault_pid = me ->
@@ -160,7 +160,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
     log_stores.(pid) <- None (* poisoned; the directory is the truth now *);
     let recovered =
       Process_stack.recovered ~config:log_config ~pid
-        ~dir:(Filename.concat root ("p" ^ string_of_int pid))
+        ~dir:(Log_store.pid_dir root pid)
     in
     stop := Store_crashed { pid; at_op };
     let vs =
@@ -295,7 +295,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
              log_stores.(pid) <- None;
              let recovered =
                Process_stack.recovered ~config:log_config ~pid
-                 ~dir:(Filename.concat root ("p" ^ string_of_int pid))
+                 ~dir:(Log_store.pid_dir root pid)
              in
              let live = Stable_store.retained (Script.store script pid) in
              if not (set_eq recovered live) then

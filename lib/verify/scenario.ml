@@ -27,35 +27,6 @@ type t = {
 
 let op_count t = List.length t.ops
 
-let op_equal a b =
-  match (a, b) with
-  | Checkpoint a, Checkpoint b -> a = b
-  | Send a, Send b -> a.id = b.id && a.src = b.src && a.dst = b.dst
-  | Deliver a, Deliver b | Drop a, Drop b -> a = b
-  | Crash a, Crash b -> List.equal Int.equal a b
-  | (Checkpoint _ | Send _ | Deliver _ | Drop _ | Crash _), _ -> false
-
-let knowledge_equal a b =
-  match (a, b) with
-  | `Global, `Global | `Causal, `Causal -> true
-  | (`Global | `Causal), _ -> false
-
-let store_fault_equal a b =
-  a.fault_pid = b.fault_pid && a.fault_op = b.fault_op
-  && (match (a.fault_kind, b.fault_kind) with
-     | Fault.Short_write, Fault.Short_write
-     | Crash_before_sync, Crash_before_sync
-     | Bit_flip, Bit_flip -> true
-     | (Fault.Short_write | Crash_before_sync | Bit_flip), _ -> false)
-
-let equal a b =
-  a.seed = b.seed && a.n = b.n
-  && a.protocol.Protocol.id = b.protocol.Protocol.id
-  && knowledge_equal a.knowledge b.knowledge
-  && a.durable = b.durable
-  && Option.equal store_fault_equal a.store_fault b.store_fault
-  && List.equal op_equal a.ops b.ops
-
 (* --- static normalization --------------------------------------------- *)
 
 (* Make an op list well formed without running it: delivery/drop only of
@@ -350,6 +321,9 @@ let to_string sc =
     sc.ops;
   pf "end\n";
   Buffer.contents b
+
+(* the corpus text prints every field, so it is the identity *)
+let equal a b = String.equal (to_string a) (to_string b)
 
 let of_string s =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in

@@ -58,7 +58,8 @@ val remove_process : t -> int -> t option
 val op_count : t -> int
 
 val equal : t -> t -> bool
-(** Structural equality (protocols compared by id). *)
+(** Equal {!to_string} texts: the corpus format prints every field
+    (protocols by id). *)
 
 val to_string : t -> string
 (** Corpus format, the text {!save} writes. *)

@@ -209,6 +209,46 @@ let test_store_stats_ignores_stray_dirs () =
       Alcotest.(check (list string)) "directory listing unchanged" before
         (listing store))
 
+(* A live cluster keeps each node's store in p<pid>/store: store-stats
+   reads it there, and names a p<pid> directory that holds no store
+   instead of printing a row of zeros for it. *)
+let test_store_stats_cluster_root () =
+  let dir = scratch "cluster" in
+  Fun.protect
+    ~finally:(fun () -> Harness.rm_rf dir)
+    (fun () ->
+      let scn = Filename.concat dir "live_smoke.scn" in
+      write scn (smoke_scenario ());
+      let root = Filename.concat dir "root" in
+      let code, output =
+        Helpers.run_cli
+          [ "cluster-run"; scn; "--backend"; "sim"; "--root"; root; "-q" ]
+      in
+      if code <> 0 then Alcotest.failf "cluster-run exited %d:\n%s" code output;
+      let code, output = Helpers.run_cli [ "store-stats"; root ] in
+      Alcotest.(check int) "exit code" 0 code;
+      (* the process name and the "live ckpts" cell of each pid's row *)
+      let rows =
+        String.split_on_char '\n' output
+        |> List.filter_map (fun line ->
+               match List.map String.trim (String.split_on_char '|' line) with
+               | name :: _ :: live :: _ when name <> "process" && name <> "total"
+                 ->
+                 Some (name, int_of_string live)
+               | _ -> None)
+      in
+      Alcotest.(check (list string)) "one row per node" [ "p0"; "p1"; "p2" ]
+        (List.map fst rows);
+      List.iter
+        (fun (name, live) ->
+          if live <= 0 then Alcotest.failf "%s: %d live checkpoints" name live)
+        rows;
+      let empty = Filename.concat root "p3" in
+      Unix.mkdir empty 0o755;
+      let code, output = Helpers.run_cli [ "store-stats"; root ] in
+      check_refused "store-stats over an empty p3" ~code ~output
+        ~expect:(empty ^ " holds no checkpoint store"))
+
 (* The durable store's on-disk bytes are a function of the seed: two runs
    shaped like the sim-durable benchmark (4 KiB checkpoints, two crashes,
    compaction) leave byte-identical store directories. *)
@@ -261,6 +301,8 @@ let suite =
       test_run_rejects_used_store_dir;
     Alcotest.test_case "store-stats ignores stray directories" `Quick
       test_store_stats_ignores_stray_dirs;
+    Alcotest.test_case "store-stats reads a live cluster's stores" `Quick
+      test_store_stats_cluster_root;
     Alcotest.test_case "two identical durable runs leave identical stores"
       `Quick test_store_bytes_deterministic;
   ]

@@ -123,7 +123,7 @@ let test_tcp_stores_survive () =
       | Ok _ ->
         for pid = 0 to sc.Scenario.n - 1 do
           let dir =
-            Filename.concat (Rdt_live.Cluster.node_dir root pid) "store"
+            Rdt_live.Node.store_dir (Rdt_live.Cluster.node_dir root pid)
           in
           Alcotest.(check bool)
             (Printf.sprintf "p%d store dir exists" pid)

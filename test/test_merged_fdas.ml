@@ -4,6 +4,7 @@
 
 module Merged = Rdt_gc.Merged_fdas
 module Script = Rdt_scenarios.Script
+module Figures = Rdt_scenarios.Figures
 module Protocol = Rdt_protocols.Protocol
 module Middleware = Rdt_protocols.Middleware
 module Stable_store = Rdt_storage.Stable_store
@@ -84,19 +85,15 @@ let test_forced_checkpoint_path () =
   compare_states ~at:"after late delivery" l
 
 let test_figure4_on_merged () =
-  (* the merged implementation reproduces the Figure 4 final state too *)
+  (* the merged implementation goes through every Figure 4 state too *)
   let l = make 3 in
-  transfer l ~src:0 ~dst:1;
-  transfer l ~src:1 ~dst:2;
-  checkpoint l 1;
-  checkpoint l 2;
-  transfer l ~src:2 ~dst:1;
-  checkpoint l 1;
-  checkpoint l 1;
-  checkpoint l 2;
-  checkpoint l 2;
-  transfer l ~src:1 ~dst:2;
-  compare_states ~at:"figure4" l;
+  List.iter
+    (fun (label, step) ->
+      (match step with
+      | Figures.Transfer { src; dst } -> transfer l ~src ~dst
+      | Figures.Checkpoint pid -> checkpoint l pid);
+      compare_states ~at:label l)
+    Figures.figure4_steps;
   Alcotest.(check (array int)) "p1 dv" [| 1; 4; 2 |] (Merged.dv l.merged.(1));
   Alcotest.(check (array (option int)))
     "p1 uc"

@@ -31,20 +31,18 @@ let uc_of stack =
 let retained_of stack =
   Stable_store.retained_indices (Process_stack.store stack)
 
-let pid_dir dir pid = Filename.concat dir (Printf.sprintf "p%d" pid)
-
-let system ~n ?dir () =
+let system ~n ?ckpt_bytes ?dir () =
   let trace = Trace.create ~n in
   ( trace,
     Array.init n (fun me ->
       let log =
         Option.map
           (fun dir ->
-            Log_store.create ~config ~pid:me ~dir:(pid_dir dir me) ())
+            Log_store.create ~config ~pid:me ~dir:(Log_store.pid_dir dir me) ())
           dir
       in
-      Process_stack.create ~n ~me ~protocol:Protocol.fdas ~trace ?log
-        ~with_lgc:true ()) )
+      Process_stack.create ~n ~me ~protocol:Protocol.fdas ~trace ?ckpt_bytes
+        ?log ~with_lgc:true ()) )
 
 (* --- (a) memory and durable stacks are indistinguishable --------------- *)
 
@@ -144,7 +142,7 @@ let prop_memory_equals_durable =
 let test_restore_round_trip () =
   let dir = Helpers.tmp_dir () in
   let n = 3 in
-  let _, stacks = system ~n ~dir () in
+  let _, stacks = system ~n ~ckpt_bytes:4096 ~dir () in
   let mw p = mw_of stacks.(p) in
   let transfer src dst now =
     Middleware.receive (mw dst) (Middleware.prepare_send (mw src) ~dst ~now)
@@ -168,7 +166,7 @@ let test_restore_round_trip () =
      node does *)
   let trace' = Trace.create ~n in
   Trace.set_recording trace' false;
-  let log = Log_store.create ~config ~pid:0 ~dir:(pid_dir dir 0) () in
+  let log = Log_store.create ~config ~pid:0 ~dir:(Log_store.pid_dir dir 0) () in
   let r =
     Process_stack.restore ~n ~me:0 ~protocol:Protocol.fdas ~trace:trace' ~log
       ~with_lgc:true ()
@@ -191,7 +189,16 @@ let test_restore_round_trip () =
          checkpoint, own-DV knowledge) rebuilds UC *)
       Middleware.rollback (mw_of r) ~to_index:last.Stable_store.index ~li:None;
       Alcotest.(check (option int)) "rollback rebuilds UC"
-        (Some last.Stable_store.index) (uc_of r).(0))
+        (Some last.Stable_store.index) (uc_of r).(0);
+      (* the respawned process writes checkpoints of the size it wrote
+         before the crash *)
+      Middleware.basic_checkpoint (mw_of r) ~now:10.0;
+      let store = Process_stack.store r in
+      match Stable_store.find store ~index:(Stable_store.last_index store) with
+      | Some e ->
+        Alcotest.(check int) "new checkpoint keeps its size" 4096
+          e.Stable_store.size_bytes
+      | None -> Alcotest.fail "no checkpoint after the respawn")
 
 (* --- (c) the runner checks every directory before any stack writes ------ *)
 
@@ -211,7 +218,7 @@ let test_runner_rejects_stale_dir () =
     (fun stale ->
       let dir = Helpers.tmp_dir () in
       let log =
-        Log_store.create ~config ~pid:stale ~dir:(pid_dir dir stale) ()
+        Log_store.create ~config ~pid:stale ~dir:(Log_store.pid_dir dir stale) ()
       in
       Log_store.append log
         {
@@ -222,7 +229,7 @@ let test_runner_rejects_stale_dir () =
           payload = 1;
         };
       Log_store.close log;
-      let stale_before = dir_contents (pid_dir dir stale) in
+      let stale_before = dir_contents (Log_store.pid_dir dir stale) in
       let cfg =
         {
           Sim_config.default with
@@ -239,12 +246,12 @@ let test_runner_rejects_stale_dir () =
           Alcotest.(check int)
             (Printf.sprintf "stale p%d: nothing written into p%d" stale p)
             0
-            (List.length (dir_contents (pid_dir dir p)))
+            (List.length (dir_contents (Log_store.pid_dir dir p)))
       done;
       Alcotest.(check (list (pair string string)))
         (Printf.sprintf "stale p%d left untouched" stale)
         stale_before
-        (dir_contents (pid_dir dir stale));
+        (dir_contents (Log_store.pid_dir dir stale));
       Harness.rm_rf dir)
     [ 0; n - 1 ]
 

@@ -723,7 +723,7 @@ let test_runner_durable_crash_recovery () =
   Alcotest.(check int) "recovery sessions completed" 2 s.Runner.recovery_sessions;
   Runner.close_stores t;
   for pid = 0 to 3 do
-    let sub = Filename.concat dir (Printf.sprintf "p%d" pid) in
+    let sub = Log_store.pid_dir dir pid in
     let ls = Log_store.create ~pid ~dir:sub () in
     let r = Log_store.recovery ls in
     Alcotest.(check int) "clean shutdown: nothing dropped" 0
