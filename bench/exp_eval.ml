@@ -212,7 +212,7 @@ let exp_e3 () =
                     };
                 }
               in
-              let run = run_sim cfg in
+              let run = run_sim ~record:true cfg in
               let s = Runner.summary run in
               (* the trace-derived CCP contains every checkpoint ever
                  taken, so the oracle's obsolete set already includes the
@@ -420,7 +420,7 @@ let exp_e6 () =
                 ];
             }
           in
-          let run = run_sim cfg in
+          let run = run_sim ~record:true cfg in
           let s = Runner.summary run in
           let safe =
             List.is_empty

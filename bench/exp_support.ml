@@ -14,8 +14,8 @@ let check label ok =
   Printf.printf "[%s] %s\n" (if ok then "PASS" else "FAIL") label;
   ok
 
-let run_sim cfg =
-  let t = Runner.create cfg in
+let run_sim ?record cfg =
+  let t = Runner.create ?record cfg in
   Runner.run t;
   t
 

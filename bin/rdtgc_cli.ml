@@ -260,7 +260,7 @@ let save_arg =
        & info [ "save" ] ~docv:"FILE" ~doc:"Save the execution trace to FILE (reload with 'rdtgc inspect').")
 
 let do_analyze cfg save =
-  let t = or_exit Runner.create cfg in
+  let t = or_exit (Runner.create ~record:true) cfg in
   Runner.run t;
   (match save with
   | Some path ->

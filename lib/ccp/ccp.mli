@@ -34,7 +34,8 @@ val of_trace : Trace.t -> t
 (** Builds the CCP of the cut consisting of the whole trace.
     @raise Invalid_argument on malformed traces: a receive without a
     matching send (orphan message — the sign of an inconsistent rollback),
-    or non-contiguous checkpoint indices. *)
+    or non-contiguous checkpoint indices; and on a trace that dropped
+    events while muted ({!Trace.iter}). *)
 
 val n : t -> int
 
@@ -91,7 +92,8 @@ val pp : Format.formatter -> t -> unit
     rebuilds from scratch (rollbacks are rare — crash recovery only — so
     the amortized cost stays linear).  The trace must be recording
     ({!Trace.set_recording}): a muted trace still hands over its appends
-    but neither keeps them for a rebuild nor reports its truncations.
+    but neither keeps them for a rebuild nor reports its truncations, so
+    {!of_trace} refuses one that has dropped an event.
 
     The returned CCP is a live view: it mutates as the trace grows, and
     vector clocks obtained from it are only meaningful until the next
@@ -102,7 +104,9 @@ module Incremental : sig
 
   val of_trace : Trace.t -> t
   (** Folds the events already recorded, then subscribes to the trace.
-      Create it once per trace, next to the trace itself. *)
+      Create it once per trace, next to the trace itself.
+      @raise Invalid_argument on a trace that dropped events while muted
+      ({!Trace.iter}). *)
 
   val ccp : t -> ccp
   (** The up-to-date CCP view.  O(new events) amortized; O(trace) right

@@ -16,8 +16,8 @@ let rec width_of m = if m = 0 then 0 else 1 + width_of (m lsr 1)
 (* Recording and reading an event are per-event paths; rdt_lint holds the
    codec to alloc/*.  [grow], which allocates the chunks, stays outside. *)
 [@@@lint.zero_alloc_hot
-  "append" "put_head" "put_other" "next" "put_varint" "varint_at" "zigzag"
-  "unzigzag"]
+  "record" "append" "put_head" "put_other" "next" "put_varint" "varint_at"
+  "zigzag" "unzigzag"]
 
 module View = struct
   type t = {
@@ -125,6 +125,9 @@ type t = {
      value would depend on cross-process interleaving *)
   next_msg_id : int array;
   mutable recording : bool;
+  (* a muted trace was handed an event it did not store: the logs are no
+     longer the whole execution, and the readers refuse them *)
+  mutable dropped : bool;
   mutable on_event : (View.t -> unit) list;
   mutable on_truncate : (pid:int -> unit) list;
   (* the view handed to [on_event] subscribers, refilled per event *)
@@ -142,6 +145,7 @@ let create ~n =
     next_seq = 0;
     next_msg_id = Array.make n 0;
     recording = true;
+    dropped = false;
     on_event = [];
     on_truncate = [];
     view = View.make ~peer_bits;
@@ -404,12 +408,14 @@ let store t ~pid tag ~peer ~payload ~seq =
     invalid_arg "Trace.record: payload does not fit the packed code";
   append t t.logs.(pid) tag ~peer ~payload ~seq
 
-(* A muted trace (benchmarks, long soak runs, live nodes) checks and
-   stores nothing, but still numbers the event and hands it to the
-   subscribers: with none, it does no work at all. *)
+(* A muted trace (default runs, benchmarks, live nodes) checks and stores
+   nothing and only notes that it dropped an event, but still numbers the
+   event and hands it to the subscribers: with none, it does no other
+   work. *)
 let record t ~pid tag ~peer ~payload =
   let seq = t.next_seq in
-  if t.recording then store t ~pid tag ~peer ~payload ~seq;
+  if t.recording then store t ~pid tag ~peer ~payload ~seq
+  else t.dropped <- true;
   t.next_seq <- seq + 1;
   notify t ~pid ~seq (pack t tag ~peer ~payload)
 
@@ -435,10 +441,18 @@ let length t = Array.fold_left (fun acc log -> acc + log.count) 0 t.logs
 
 (* Readers *)
 
+let check_whole t ~reader =
+  if t.dropped then
+    invalid_arg
+      (reader
+     ^ ": the trace dropped events while muted, so it is not the whole \
+        execution")
+
 (* A k-way merge by [seq]: [heap] is a binary min-heap of the pids whose
    log still has events, keyed by the [seq] of the event their cursor
    last decoded, which is the next to deliver. *)
 let iter t f =
+  check_whole t ~reader:"Trace.iter";
   let v = View.make ~peer_bits:t.peer_bits in
   let cursors = Array.map cursor t.logs in
   let left = Array.map (fun log -> log.count) t.logs in
@@ -569,6 +583,7 @@ let write_text t b flush =
   flush b
 
 let to_string t =
+  check_whole t ~reader:"Trace.to_string";
   let b = Buffer.create 4096 in
   write_text t b ignore;
   Buffer.contents b
@@ -624,6 +639,7 @@ let of_channel ic =
   t
 
 let save t path =
+  check_whole t ~reader:"Trace.save";
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       write_text t (Buffer.create 65536) (fun b ->

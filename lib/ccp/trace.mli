@@ -72,8 +72,11 @@ val set_recording : t -> bool -> unit
     the {!on_event} subscribers, so it serves as an event tap (a live
     node's, which keeps no transcript of its own) and, with no
     subscriber, costs nothing (benchmarks that drive the middleware in a
-    hot loop).  A trace that was paused is no longer a faithful basis for
-    {!Ccp.of_trace}. *)
+    hot loop, and every simulation run that [Runner.create] was not asked
+    to record).  A trace that was handed an event while muted is no
+    longer the whole execution: it remembers that, and from then on
+    {!iter}, {!to_string}, {!save} and so {!Ccp.of_trace} raise
+    [Invalid_argument], even after recording is switched back on. *)
 
 val on_event : t -> (View.t -> unit) -> unit
 (** Subscribe to appends: the callback runs after each event is recorded
@@ -120,7 +123,9 @@ val length : t -> int
 val iter : t -> (View.t -> unit) -> unit
 (** All events in sequence order (a causal linearization): a k-way merge
     of the per-process logs, each of which is already in sequence order.
-    The callback must not record into or truncate the trace. *)
+    The callback must not record into or truncate the trace.
+    @raise Invalid_argument if the trace dropped an event while muted
+    ({!set_recording}). *)
 
 val truncate_to_checkpoint : t -> pid:int -> index:int -> unit
 (** Erase every event of [pid] after its last [Checkpoint index] event,
@@ -144,10 +149,12 @@ val save : t -> string -> unit
     R <pid> <msg_id> <src>     (receive)
     v}
     Events appear in sequence order, a line at a time (the text is never
-    held whole in memory). *)
+    held whole in memory).
+    @raise Invalid_argument like {!iter}, before the file is opened. *)
 
 val to_string : t -> string
-(** The bytes {!save} writes, collected in memory. *)
+(** The bytes {!save} writes, collected in memory.
+    @raise Invalid_argument like {!iter}. *)
 
 val load : string -> t
 (** Reads the file {!save} writes.

@@ -50,6 +50,7 @@ type t = {
   mutable crashed_pending : int list;
   mutable recoveries : Session.report list;
   mutable on_sample : (t -> unit) option;
+  record : bool;
   (* Live CCP view, created on first [ccp] query so runs that never ask
      for the ground truth pay nothing; once created it folds each trace
      event as it is recorded instead of rebuilding from scratch. *)
@@ -65,6 +66,8 @@ let stack t pid = t.stacks.(pid)
 let middleware t pid = t.middlewares.(pid)
 let collector t pid = Process_stack.collector t.stacks.(pid)
 let ccp t =
+  if not t.record then
+    invalid_arg "Runner.ccp: the run was not created with ~record:true";
   match t.ccp_incr with
   | Some incr -> Ccp.Incremental.ccp incr
   | None ->
@@ -357,10 +360,13 @@ let rec arm_sample_timer t =
 
 (* --- construction ----------------------------------------------------- *)
 
-let create (cfg : Sim_config.t) =
+let create ?(record = false) (cfg : Sim_config.t) =
   Sim_config.validate cfg;
   let engine = Engine.create ~n:cfg.n ~seed:cfg.seed ~net:cfg.net () in
   let trace = Trace.create ~n:cfg.n in
+  (* muted before the stacks store their s^0, so an unrecorded run keeps
+     no event at all *)
+  if not record then Trace.set_recording trace false;
   (* Every pid's directory is opened and checked before any stack stores
      its s^0, so a stale directory is rejected without writing into the
      others. *)
@@ -423,6 +429,7 @@ let create (cfg : Sim_config.t) =
       crashed_pending = [];
       recoveries = [];
       on_sample = None;
+      record;
       ccp_incr = None;
       spare = { bufs = [||]; count = 0 };
     }

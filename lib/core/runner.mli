@@ -18,9 +18,17 @@
 
 type t
 
-val create : Sim_config.t -> t
+val create : ?record:bool -> Sim_config.t -> t
 (** Builds the whole scenario (validated); nothing has executed yet
-    beyond each process storing its initial checkpoint. *)
+    beyond each process storing its initial checkpoint.
+
+    The execution trace is kept only with [~record:true], for callers
+    that read it ({!ccp}, or {!trace} through {!Rdt_ccp.Trace.iter},
+    [save] or [to_string]).  By default the trace is muted
+    ({!Rdt_ccp.Trace.set_recording}) before the first checkpoint, so a
+    run holds only what the collector keeps plus its metrics; the muted
+    trace still mints message ids and feeds {!Rdt_ccp.Trace.on_event}
+    subscribers, and every metric and summary is the same either way. *)
 
 val run : t -> unit
 (** Execute until the configured duration. *)
@@ -40,6 +48,11 @@ val config : t -> Sim_config.t
 val engine : t -> Sim_msg.t Rdt_sim.Engine.t
 val now : t -> float
 val trace : t -> Rdt_ccp.Trace.t
+(** The run's trace, recorded or muted.  The readers of a muted one
+    ({!Rdt_ccp.Trace.iter} and those built on it) raise
+    [Invalid_argument]; its {!Rdt_ccp.Trace.on_event} subscribers still
+    see every event. *)
+
 val stack : t -> int -> Rdt_recovery.Process_stack.t
 (** One process's store → middleware → collector stack. *)
 
@@ -51,7 +64,9 @@ val ccp : t -> Rdt_ccp.Ccp.t
     trace, after which each query folds only the events recorded since
     the previous one (a rollback triggers one full rebuild).  The result
     is a live view — do not retain it across further simulation steps;
-    query again instead. *)
+    query again instead.
+    @raise Invalid_argument if the run was not created with
+    [~record:true]. *)
 
 (* Metrics *)
 

@@ -96,9 +96,9 @@ let run ~scenario ~root ~backend ?timeout ?nemesis ?on_nemesis ?log () =
   let sc = Scenario.normalize scenario in
   let n = sc.Scenario.n in
   Harness.rm_rf root;
-  Harness.mkdir_p root;
+  Rdt_store.Log_store.mkdir_p root;
   for pid = 0 to n - 1 do
-    Harness.mkdir_p (node_dir root pid)
+    Rdt_store.Log_store.mkdir_p (node_dir root pid)
   done;
   let coord = Tcp_transport.create ~me:Transport.coordinator_id () in
   let coord, handles =

@@ -106,7 +106,7 @@ let with_dup_deliver f =
 
 let arm ?timeout ?(mutate_deliver = false) ~backend ~root () =
   Harness.rm_rf root;
-  Harness.mkdir_p root;
+  Rdt_store.Log_store.mkdir_p root;
   let run_root = Filename.concat root "run" in
   let mutated f = if mutate_deliver then with_dup_deliver f else f () in
   {

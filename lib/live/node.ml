@@ -285,7 +285,7 @@ let handle t (ev : Transport.event) =
 
 let create ~transport ~dir () =
   let me = Transport.me transport in
-  Harness.mkdir_p dir;
+  Log_store.mkdir_p dir;
   let sdir = store_dir dir in
   let recovering =
     Sys.file_exists sdir && Array.length (Sys.readdir sdir) > 0

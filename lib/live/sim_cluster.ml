@@ -18,7 +18,7 @@ let run ~scenario ~root ?(seed = 1) ?nemesis ?on_nemesis ?log () =
   let sc = Scenario.normalize scenario in
   let n = sc.Scenario.n in
   Harness.rm_rf root;
-  Harness.mkdir_p root;
+  Rdt_store.Log_store.mkdir_p root;
   let cluster = Sim_backend.create ~n ~seed in
   (* one nemesis wrapper per endpoint (slot n = coordinator); wrappers
      persist across respawns because the sim transport itself does *)

@@ -54,6 +54,10 @@ val default_config : config
 
 type t
 
+val mkdir_p : string -> unit
+(** Creates a directory and its missing parents, like [mkdir -p]; an
+    existing directory, [""] and ["/"] are left alone. *)
+
 val pid_dir : string -> int -> string
 (** [pid_dir root pid] is [root/p<pid>]: where a multi-process run
     (the simulator's [--store-dir], the fuzz harness) keeps [pid]'s store,

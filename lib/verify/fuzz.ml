@@ -114,7 +114,7 @@ let replay_corpus (arm : _ arm) entry ~log dir =
          (0, 0)
 
 let save_reproducer (arm : _ arm) x ~log ~dir ~sub_seed sc shrunk =
-  Harness.mkdir_p dir;
+  Rdt_store.Log_store.mkdir_p dir;
   let base = Printf.sprintf "seed-%x" sub_seed in
   let write (ext, contents) =
     Out_channel.with_open_text

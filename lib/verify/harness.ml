@@ -27,12 +27,7 @@ let rec rm_rf path =
     Unix.rmdir path
   | _ -> Sys.remove path
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let mkdir_p = Log_store.mkdir_p
 
 let default_scratch () =
   Filename.concat
@@ -131,7 +126,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
     if not sc.durable then None
     else begin
       rm_rf root;
-      mkdir_p root;
+      Log_store.mkdir_p root;
       Some
         (fun ~me ->
           let dir = Log_store.pid_dir root me in

@@ -64,3 +64,5 @@ val rm_rf : string -> unit
 (** Recursive delete, shared with the fuzz driver and tests. *)
 
 val mkdir_p : string -> unit
+(** {!Rdt_store.Log_store.mkdir_p}, under the name the full-stack
+    benchmark ([bench/stack]) calls; everything else calls the store's. *)

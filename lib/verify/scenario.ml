@@ -239,7 +239,7 @@ let gen_simulated rng ~seed ~max_procs =
       sample_interval = 1_000_000.0;
     }
   in
-  let r = Runner.create cfg in
+  let r = Runner.create ~record:true cfg in
   Runner.run r;
   let ops = ref [] in
   let next_id = ref 0 in

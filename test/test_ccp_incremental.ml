@@ -150,7 +150,7 @@ let faulty_config seed =
 let test_runner_ccp_through_recovery () =
   List.iter
     (fun seed ->
-      let t = Runner.create (faulty_config seed) in
+      let t = Runner.create ~record:true (faulty_config seed) in
       (* query at every sample point so the incremental view is exercised
          across the rollbacks, not only at the end *)
       Runner.set_on_sample t (fun t ->

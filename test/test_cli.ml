@@ -11,7 +11,7 @@ let scratch name =
       (Printf.sprintf "rdtgc-cli-%s-%d" name (Unix.getpid ()))
   in
   Harness.rm_rf dir;
-  Harness.mkdir_p dir;
+  Rdt_store.Log_store.mkdir_p dir;
   dir
 
 let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
@@ -55,7 +55,7 @@ let test_unreadable_nemesis () =
     ~finally:(fun () -> Harness.rm_rf dir)
     (fun () ->
       let corpus = Filename.concat dir "corpus" in
-      Harness.mkdir_p (Filename.concat corpus "x.nms");
+      Rdt_store.Log_store.mkdir_p (Filename.concat corpus "x.nms");
       write (Filename.concat corpus "x.scn") (smoke_scenario ());
       let code, output =
         Helpers.run_cli
@@ -76,7 +76,7 @@ let test_non_rdt_scenario () =
     ~finally:(fun () -> Harness.rm_rf dir)
     (fun () ->
       let corpus = Filename.concat dir "corpus" in
-      Harness.mkdir_p corpus;
+      Rdt_store.Log_store.mkdir_p corpus;
       let file = Filename.concat corpus "bcs.scn" in
       String.split_on_char '\n' (smoke_scenario ())
       |> List.map (fun l ->

@@ -130,7 +130,7 @@ let test_recovered_process_resumes_workload () =
       faults = [ { Sim_config.crash_at = 10.0; pid = 1; repair_after = 5.0 } ];
     }
   in
-  let t = Runner.create cfg in
+  let t = Runner.create ~record:true cfg in
   Runner.run t;
   let trace = Runner.trace t in
   let late_activity =
@@ -264,7 +264,7 @@ let test_large_n_stress () =
         };
     }
   in
-  let t = Runner.create cfg in
+  let t = Runner.create ~record:true cfg in
   Runner.run t;
   Helpers.audit_bound t;
   Helpers.audit_optimality ~exact:true t

@@ -264,7 +264,7 @@ let golden =
   ]
 
 let test_event_order_golden (name, cfg, digest) () =
-  let r = Rdt_core.Runner.create cfg in
+  let r = Rdt_core.Runner.create ~record:true cfg in
   Rdt_core.Runner.run r;
   let trace = Rdt_ccp.Trace.to_string (Rdt_core.Runner.trace r) in
   Alcotest.(check string) name digest (Digest.to_hex (Digest.string trace))

@@ -192,7 +192,7 @@ let test_corpus_replay () =
   (* beside [scratch], which every durable harness run wipes *)
   let dir = scratch ^ "-corpus" in
   Harness.rm_rf dir;
-  Harness.mkdir_p dir;
+  Rdt_store.Log_store.mkdir_p dir;
   (* save the canonical 3-op mutant killer and replay it as a corpus *)
   let base = Scenario.generate ~seed:1 ~max_procs:2 () in
   let sc =

@@ -309,7 +309,7 @@ let prop_bcs_z_cycle_free =
           Rdt_core.Sim_config.protocol = (Helpers.protocol "bcs");
         }
       in
-      let t = Rdt_core.Runner.create cfg in
+      let t = Rdt_core.Runner.create ~record:true cfg in
       Rdt_core.Runner.run t;
       Zigzag.useless (Rdt_core.Runner.ccp t) = [])
 

@@ -304,7 +304,7 @@ let prop_audits_throughout_execution =
   QCheck.Test.make ~name:"audits hold at every sample point" ~count:8 arb_case
     (fun case ->
       let cfg = Helpers.sim_config_of_case case in
-      let t = Rdt_core.Runner.create cfg in
+      let t = Rdt_core.Runner.create ~record:true cfg in
       Rdt_core.Runner.set_on_sample t (fun t ->
           Helpers.audit_safety t;
           Helpers.audit_optimality ~exact:true t;

@@ -10,7 +10,7 @@ module Middleware = Rdt_protocols.Middleware
 module Series = Rdt_metrics.Series
 
 let run cfg =
-  let t = Runner.create cfg in
+  let t = Runner.create ~record:true cfg in
   Runner.run t;
   t
 
@@ -332,14 +332,31 @@ let test_muted_trace_survives_rollback () =
       faults = [ { Sim_config.crash_at = 20.0; pid = 1; repair_after = 3.0 } ];
     }
   in
-  let summary ~recording =
-    let t = Runner.create cfg in
-    Rdt_ccp.Trace.set_recording (Runner.trace t) recording;
+  let summary ~record =
+    let t = Runner.create ~record cfg in
     Runner.run t;
     Fmt.str "%a" Runner.pp_summary (Runner.summary t)
   in
   Alcotest.(check string)
-    "same summary" (summary ~recording:true) (summary ~recording:false)
+    "same summary" (summary ~record:true) (summary ~record:false)
+
+(* A default run keeps no trace, and says so instead of answering from
+   an empty one: [ccp] names the flag that would have kept it, and the
+   trace's own readers refuse too. *)
+let test_unrecorded_run_refuses_readers () =
+  let t = Runner.create { base with duration = 10.0 } in
+  Runner.run t;
+  (match Runner.ccp t with
+  | _ -> Alcotest.fail "Runner.ccp answered on an unrecorded run"
+  | exception Invalid_argument e ->
+    if not (Helpers.contains e "~record:true") then
+      Alcotest.failf "%S does not name ~record:true" e);
+  let trace = Runner.trace t in
+  Alcotest.(check int) "nothing stored" 0 (Rdt_ccp.Trace.length trace);
+  Alcotest.(check bool) "Trace.to_string refuses" true
+    (match Rdt_ccp.Trace.to_string trace with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* The Runner-path twin of [fuzz --mutate-lgc]: with every collector
    over-collecting, an audit the tier-1 tests share must fire.  It runs
@@ -351,7 +368,7 @@ let overcollect_caught_by audit =
   List.iter
     (fun seed ->
       let t =
-        Runner.create
+        Runner.create ~record:true
           {
             Sim_config.default with
             seed;
@@ -494,22 +511,22 @@ let test_validation_rejects_bad_configs () =
          faults = [ { Sim_config.crash_at = 5.0; pid = 0; repair_after = 1.0 } ];
        })
 
-(* Live heap words a muted n=8 run on the memory store leaves behind,
-   beyond what was live before it: RDT-LGC bounds each store at n
-   checkpoints and the trace records nothing, so nothing the run keeps
-   may grow with its length.  Sampling every [duration / 10] keeps the
-   series the same size at every length. *)
+(* Live heap words a default (unrecorded) n=8 run on the memory store
+   leaves behind, beyond what was live before it: RDT-LGC bounds each
+   store at n checkpoints and the trace records nothing, so nothing the
+   run keeps may grow with its length.  Sampling every [duration / 10]
+   keeps the series the same size at every length. *)
 (* [Gc.stat] counts live words exactly after a compaction (the
-   [quick_stat] figure lags a major cycle behind).  The muted run itself
+   [quick_stat] figure lags a major cycle behind).  The run itself
    leaves about 3.8k words at either length; an archive of every
    checkpoint (one vector of n words plus header and slot per index, about
    10.1 words per checkpoint) adds about 0.60M words at T and 2.40M at
    4T. *)
 let bounded_memory_slack = 50_000
 
-(* Live words an n=8 run of [duration] leaves behind, its trace muted
-   unless [recording], and the events the trace holds. *)
-let live_words_after_run ?(recording = false) ~duration () =
+(* Live words a default n=8 run of [duration] leaves behind, or one
+   created with [~record:true], and the events the trace holds. *)
+let live_words_after_run ?record ~duration () =
   let cfg =
     {
       Sim_config.default with
@@ -521,8 +538,7 @@ let live_words_after_run ?(recording = false) ~duration () =
   in
   Gc.compact ();
   let before = (Gc.stat ()).Gc.live_words in
-  let t = Runner.create cfg in
-  Rdt_ccp.Trace.set_recording (Runner.trace t) recording;
+  let t = Runner.create ?record cfg in
   Runner.run t;
   Gc.compact ();
   let words = (Gc.stat ()).Gc.live_words - before in
@@ -547,7 +563,7 @@ let test_bounded_memory () =
 let max_trace_bytes_per_event = 3.0
 
 let test_trace_bytes_per_event () =
-  let words, events = live_words_after_run ~recording:true ~duration:8_000.0 () in
+  let words, events = live_words_after_run ~record:true ~duration:8_000.0 () in
   let per_event = float_of_int (words * (Sys.word_size / 8)) /. float_of_int events in
   if per_event > max_trace_bytes_per_event then
     Alcotest.failf "%.2f live bytes per trace event over %d events (bound %.1f)"
@@ -597,6 +613,8 @@ let suite =
       `Quick test_trace_bytes_per_event;
     Alcotest.test_case "muted trace survives rollback" `Quick
       test_muted_trace_survives_rollback;
+    Alcotest.test_case "an unrecorded run refuses its trace readers" `Quick
+      test_unrecorded_run_refuses_readers;
     Alcotest.test_case "over-collecting mutant caught" `Quick
       test_overcollect_caught;
     Alcotest.test_case "over-collection breaks the invariant" `Quick

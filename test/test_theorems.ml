@@ -95,7 +95,7 @@ let prop_obsolete_is_stable =
   QCheck.Test.make ~name:"Claim 1: obsolete checkpoints stay obsolete"
     ~count:10 arb_case (fun case ->
       let cfg = Helpers.sim_config_of_case ~gc:Sim_config.No_gc case in
-      let t = Runner.create cfg in
+      let t = Runner.create ~record:true cfg in
       let obsolete_seen = Hashtbl.create 64 in
       let ok = ref true in
       Runner.set_on_sample t (fun t ->
@@ -126,7 +126,7 @@ let prop_recovery_line_monotone =
     arb_case (fun case ->
       let cfg = Helpers.sim_config_of_case ~gc:Sim_config.No_gc case in
       let n = cfg.Sim_config.n in
-      let t = Runner.create cfg in
+      let t = Runner.create ~record:true cfg in
       (* previous.(f).(pid) = last *stable* line component seen *)
       let previous = Array.make_matrix n n (-1) in
       let ok = ref true in
@@ -169,7 +169,7 @@ let prop_random_fault_plans =
       match Sim_config.validate cfg with
       | exception Invalid_argument _ -> true
       | () ->
-        let t = Runner.create cfg in
+        let t = Runner.create ~record:true cfg in
         Runner.run t;
         Helpers.audit_safety t;
         Helpers.audit_bound t;
@@ -186,7 +186,7 @@ let prop_invariant_every_event =
       let cfg =
         { (Helpers.sim_config_of_case case) with Sim_config.duration = 8.0 }
       in
-      let t = Runner.create cfg in
+      let t = Runner.create ~record:true cfg in
       let continue = ref true in
       while !continue do
         continue := Runner.step t && Runner.now t <= 8.0;

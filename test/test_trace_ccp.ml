@@ -414,6 +414,34 @@ let test_muted_trace_notifies () =
   (* nothing stored, so no checkpoint is missing either *)
   Trace.truncate_to_checkpoint muted ~pid:2 ~index:7
 
+(* A muted trace that was handed an event is no longer the execution:
+   every reader refuses it, even once recording is back on, and [save]
+   refuses before it creates the file.  One muted before any event has
+   dropped nothing and still reads as empty. *)
+let test_dropped_trace_refused () =
+  let quiet = Trace.create ~n:2 in
+  Trace.set_recording quiet false;
+  Alcotest.(check string) "nothing dropped: readable" "rdtgc-trace 1\nn 2\n"
+    (Trace.to_string quiet);
+  let t = Trace.create ~n:2 in
+  Trace.record_checkpoint t ~pid:0 ~index:0;
+  Trace.set_recording t false;
+  Trace.record_checkpoint t ~pid:1 ~index:0;
+  Trace.set_recording t true;
+  Trace.message t ~src:0 ~dst:1;
+  let path = Filename.temp_file "rdtgc" ".trace" in
+  Sys.remove path;
+  List.iter
+    (fun (what, f) -> Alcotest.(check bool) what true (raises_invalid f))
+    [
+      ("iter", fun () -> Trace.iter t ignore);
+      ("to_string", fun () -> ignore (Trace.to_string t));
+      ("save", fun () -> Trace.save t path);
+      ("Ccp.of_trace", fun () -> ignore (Ccp.of_trace t));
+      ("Ccp.Incremental.of_trace", fun () -> ignore (Ccp.Incremental.of_trace t));
+    ];
+  Alcotest.(check bool) "save created no file" false (Sys.file_exists path)
+
 (* --- model-based property -------------------------------------------- *)
 
 (* Random sequences of records and truncations checked against a plain
@@ -854,6 +882,8 @@ let suite =
     Alcotest.test_case "trace building" `Quick test_trace_building;
     Alcotest.test_case "muted trace notifies, stores and cuts nothing" `Quick
       test_muted_trace_notifies;
+    Alcotest.test_case "a trace that dropped events is refused" `Quick
+      test_dropped_trace_refused;
     Alcotest.test_case "serialization roundtrip" `Quick
       test_serialization_roundtrip;
     Alcotest.test_case "to_string writes the bytes save writes" `Quick
