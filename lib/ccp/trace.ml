@@ -436,9 +436,6 @@ let fresh_msg_id t ~pid =
 let restore_msg_ids t ~pid ~count =
   if count > t.next_msg_id.(pid) then t.next_msg_id.(pid) <- count
 
-let last_checkpoint_index t ~pid = t.logs.(pid).ckpt
-let length t = Array.fold_left (fun acc log -> acc + log.count) 0 t.logs
-
 (* Readers *)
 
 let check_whole t ~reader =
@@ -447,6 +444,10 @@ let check_whole t ~reader =
       (reader
      ^ ": the trace dropped events while muted, so it is not the whole \
         execution")
+
+let length t =
+  check_whole t ~reader:"Trace.length";
+  Array.fold_left (fun acc log -> acc + log.count) 0 t.logs
 
 (* A k-way merge by [seq]: [heap] is a binary min-heap of the pids whose
    log still has events, keyed by the [seq] of the event their cursor
@@ -660,8 +661,8 @@ let init_with_initial_checkpoints ~n =
   t
 
 let checkpoint t pid =
-  let index = last_checkpoint_index t ~pid + 1 in
-  record_checkpoint t ~pid ~index
+  check_whole t ~reader:"Trace.checkpoint";
+  record_checkpoint t ~pid ~index:(t.logs.(pid).ckpt + 1)
 
 let send t ~src ~dst =
   let msg_id = fresh_msg_id t ~pid:src in

@@ -75,8 +75,9 @@ val set_recording : t -> bool -> unit
     hot loop, and every simulation run that [Runner.create] was not asked
     to record).  A trace that was handed an event while muted is no
     longer the whole execution: it remembers that, and from then on
-    {!iter}, {!to_string}, {!save} and so {!Ccp.of_trace} raise
-    [Invalid_argument], even after recording is switched back on. *)
+    {!length}, {!iter}, {!to_string}, {!save}, the builder {!checkpoint}
+    and so {!Ccp.of_trace} raise [Invalid_argument], even after recording
+    is switched back on. *)
 
 val on_event : t -> (View.t -> unit) -> unit
 (** Subscribe to appends: the callback runs after each event is recorded
@@ -118,7 +119,8 @@ val restore_msg_ids : t -> pid:int -> count:int -> unit
     colliding ids.  Lowering is a no-op. *)
 
 val length : t -> int
-(** Number of events in the trace. *)
+(** Number of events in the trace.
+    @raise Invalid_argument like {!iter}. *)
 
 val iter : t -> (View.t -> unit) -> unit
 (** All events in sequence order (a causal linearization): a k-way merge
@@ -169,7 +171,9 @@ val init_with_initial_checkpoints : n:int -> t
 
 val checkpoint : t -> int -> unit
 (** [checkpoint t pid] records the next stable checkpoint of [pid]
-    (index = last + 1). *)
+    (index = last + 1).
+    @raise Invalid_argument like {!iter}: a muted trace that dropped
+    events no longer knows the last index. *)
 
 val send : t -> src:int -> dst:int -> int
 (** Records a send and returns the message id (to pass to {!receive}). *)

@@ -6,16 +6,17 @@
    the same code the in-memory session runs, over handles whose actions
    are commands to the nodes.
 
-   The virtual clock mirrors {!Rdt_scenarios.Script.tick} (one unit per
-   op, drops excepted) and travels inside each command, so checkpoint
-   [taken_at] stamps — and hence durable store bytes — are identical to
-   the simulator replay's. *)
+   The virtual clock follows {!Rdt_scenarios.Script.advances_clock} and
+   travels inside each command, so checkpoint [taken_at] stamps — and
+   hence durable store bytes — are identical to the simulator
+   replay's. *)
 
 module Transport = Rdt_transport.Transport
 module Wire = Rdt_transport.Wire
 module Trace = Rdt_ccp.Trace
 module Global_gc = Rdt_gc.Global_gc
 module Session = Rdt_recovery.Session
+module Script = Rdt_scenarios.Script
 module Scenario = Rdt_verify.Scenario
 module Harness = Rdt_verify.Harness
 
@@ -53,10 +54,6 @@ type t = {
   mutable observations : observation list;  (* newest first *)
   mutable reports : Session.report list;  (* newest first *)
 }
-
-let tick co =
-  co.clock <- co.clock +. 1.0;
-  co.clock
 
 (* --- event plumbing ---------------------------------------------------- *)
 
@@ -216,9 +213,7 @@ let command_done co ~dst ~now ~what cmd =
 let simple co ~dst ~now ~what cmd = snd (command_done co ~dst ~now ~what cmd)
 
 let query_state co ~pid =
-  match command co ~dst:pid ~now:co.clock ~what:"state query" Wire.C_state with
-  | Wire.R_state { state } -> state
-  | _ -> failf "node %d: wrong reply kind to state query" pid
+  simple co ~dst:pid ~now:co.clock ~what:"state query" Wire.C_state
 
 let observe co ~op states =
   co.observations <- { obs_op = op; obs_states = states } :: co.observations
@@ -311,9 +306,8 @@ let session_handle co ~now pid =
           (simple co ~dst:pid ~now ~what:"release" (Wire.C_release { li })));
   }
 
-let crash_op co ~op ~faulty =
+let crash_op co ~op ~now ~faulty =
   let n = co.sc.Scenario.n in
-  let now = tick co in
   let is_faulty = Array.make n false in
   List.iter (fun f -> is_faulty.(f) <- true) faulty;
   (* 1. kill the faulty processes (SIGKILL over TCP, receiver drop in the
@@ -359,13 +353,13 @@ let crash_op co ~op ~faulty =
 (* --- the run ----------------------------------------------------------- *)
 
 let execute co ~op (sop : Scenario.op) =
+  if Script.advances_clock sop then co.clock <- co.clock +. 1.0;
+  let now = co.clock in
   match sop with
-  | Scenario.Checkpoint p ->
-    let now = tick co in
+  | Checkpoint p ->
     let state = simple co ~dst:p ~now ~what:"checkpoint" Wire.C_checkpoint in
     observe co ~op [ (p, state) ]
-  | Scenario.Send { id; src; dst } ->
-    let now = tick co in
+  | Send { id; src; dst } ->
     let events, state =
       command_done co ~dst:src ~now ~what:"send" (Wire.C_send { dst })
     in
@@ -380,27 +374,25 @@ let execute co ~op (sop : Scenario.op) =
         observe co ~op [ (src, state) ]
       | None -> failf "node %d: a send reported no send event" src
     end
-  | Scenario.Deliver id -> begin
+  | Deliver id -> begin
     match Hashtbl.find_opt co.msgs id with
     | None -> failf "scenario op %d delivers unknown message %d" op id
     | Some (src, msg_id, dst) ->
-      let now = tick co in
       let state =
         simple co ~dst ~now ~what:"deliver" (Wire.C_deliver { src; msg_id })
       in
       observe co ~op [ (dst, state) ]
   end
-  | Scenario.Drop id -> begin
+  | Drop id -> begin
     match Hashtbl.find_opt co.msgs id with
     | None -> failf "scenario op %d drops unknown message %d" op id
     | Some (src, msg_id, dst) ->
-      (* no tick: the script clock ignores losses *)
       let state =
-        simple co ~dst ~now:co.clock ~what:"drop" (Wire.C_drop { src; msg_id })
+        simple co ~dst ~now ~what:"drop" (Wire.C_drop { src; msg_id })
       in
       observe co ~op [ (dst, state) ]
   end
-  | Scenario.Crash faulty -> crash_op co ~op ~faulty
+  | Crash faulty -> crash_op co ~op ~now ~faulty
 
 let run ~transport ~ctl ~scenario ?(timeout = 60.0) ?(log = ignore) () =
   let sc = Scenario.normalize scenario in

@@ -9,9 +9,9 @@
     in-memory session runs — over handles that send [C_snapshot],
     [C_rollback] and [C_release] to the nodes.
 
-    The coordinator's virtual clock mirrors {!Rdt_scenarios.Script.tick}
-    exactly (one unit per checkpoint/send/deliver, one per crash, none
-    per drop) and is carried inside every command, so live checkpoint
+    The coordinator's virtual clock advances by
+    {!Rdt_scenarios.Script.advances_clock} (one unit per op, none per
+    drop) and is carried inside every command, so live checkpoint
     [taken_at] stamps equal the simulator replay's. *)
 
 type ctl = {

@@ -220,7 +220,7 @@ let run_cmd t sys ~seq ~now cmd =
   | C_release { li } ->
     Process_stack.release_outdated sys ~li;
     done_ ()
-  | C_state -> reply t ~seq (Wire.R_state { state = state_of sys })
+  | C_state -> reply t ~seq (Wire.R_done { events = []; state = state_of sys })
   | C_shutdown ->
     Process_stack.close sys;
     t.finished <- true;

@@ -68,6 +68,33 @@ let take_checkpoint t ~kind ~now =
   | Basic -> t.basic_count <- t.basic_count + 1
   | Forced -> t.forced_count <- t.forced_count + 1
 
+(* a process with no volatile history yet: [create] stores its s^0,
+   [restore] resumes it from its last stable checkpoint *)
+let make ~n ~me ~protocol ~trace ~store ~ckpt_bytes =
+  {
+    n;
+    me;
+    proto = protocol.Protocol.make ~n ~me;
+    trace;
+    store;
+    archive = None;
+    dv = Dependency_vector.create ~n;
+    ckpt_bytes;
+    hooks = no_hooks;
+    app_state = me + 1;
+    basic_count = 0;
+    forced_count = 0;
+  }
+
+(* Algorithm 3 lines 4-6: recreate DV from the restored checkpoint and
+   replace the volatile application state by the checkpointed one *)
+let resume_from t (entry : Stable_store.entry) =
+  Dependency_vector.blit_into
+    ~src:(Dependency_vector.of_view entry.dv)
+    ~dst:t.dv;
+  Dependency_vector.increment t.dv t.me;
+  t.app_state <- entry.payload
+
 let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
   let store =
     match store with
@@ -77,58 +104,27 @@ let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
         invalid_arg "Middleware.create: supplied store must be empty";
       s
   in
-  let t =
-    {
-      n;
-      me;
-      proto = protocol.Protocol.make ~n ~me;
-      trace;
-      store;
-      archive = None;
-      dv = Dependency_vector.create ~n;
-      ckpt_bytes;
-      hooks = no_hooks;
-      app_state = me + 1;
-      basic_count = 0;
-      forced_count = 0;
-    }
-  in
+  let t = make ~n ~me ~protocol ~trace ~store ~ckpt_bytes in
   (* every process starts its execution by storing s^0 *)
   take_checkpoint t ~kind:Basic ~now:0.0;
   t.basic_count <- 0;
   t
 
 let restore ~n ~me ~protocol ~trace ~store () =
-  let last =
-    match Stable_store.find store ~index:(Stable_store.last_index store) with
-    | None -> invalid_arg "Middleware.restore: restored store is empty"
-    | Some e -> e
-  in
-  let dv = Dependency_vector.create ~n in
-  (* Algorithm 3 lines 4-6 applied to the last surviving checkpoint: the
-     volatile state a crash destroyed is exactly what a rollback discards,
-     so a respawned process is a process rolled back to its last stable
-     checkpoint.  The recovery session that follows the respawn never
-     reads this provisional DV (the recovery line of a faulty process is
-     computed from stored vectors only). *)
-  Dependency_vector.blit_into
-    ~src:(Dependency_vector.of_view last.Stable_store.dv)
-    ~dst:dv;
-  Dependency_vector.increment dv me;
-  {
-    n;
-    me;
-    proto = protocol.Protocol.make ~n ~me;
-    trace;
-    store;
-    archive = None;
-    dv;
-    ckpt_bytes = last.Stable_store.size_bytes;
-    hooks = no_hooks;
-    app_state = last.Stable_store.payload;
-    basic_count = 0;
-    forced_count = 0;
-  }
+  match Stable_store.find store ~index:(Stable_store.last_index store) with
+  | None -> invalid_arg "Middleware.restore: restored store is empty"
+  | Some last ->
+    (* the volatile state a crash destroyed is exactly what a rollback
+       discards, so a respawned process is a process rolled back to its
+       last stable checkpoint.  The recovery session that follows the
+       respawn never reads this provisional DV (the recovery line of a
+       faulty process is computed from stored vectors only). *)
+    let t =
+      make ~n ~me ~protocol ~trace ~store
+        ~ckpt_bytes:last.Stable_store.size_bytes
+    in
+    resume_from t last;
+    t
 
 let set_hooks t hooks = t.hooks <- hooks
 
@@ -191,13 +187,7 @@ let rollback t ~to_index ~li =
     (match t.archive with
     | Some a -> Dv_archive.truncate_above a ~index:to_index
     | None -> ());
-    (* Algorithm 3 lines 4-6: recreate DV from the restored checkpoint *)
-    Dependency_vector.blit_into
-      ~src:(Dependency_vector.of_view entry.Stable_store.dv)
-      ~dst:t.dv;
-    Dependency_vector.increment t.dv t.me;
-    (* the volatile application state is replaced by the checkpointed one *)
-    t.app_state <- entry.Stable_store.payload);
+    resume_from t entry);
   Trace.truncate_to_checkpoint t.trace ~pid:t.me ~index:to_index;
   (* a fresh interval starts: reset the protocol's interval state (for
      index-based protocols this only advances the monotone index, which is

@@ -69,7 +69,8 @@ val restore :
     process's history: the live runtime passes a muted one.  A recording
     [trace] must hold the checkpoint the recovery-session rollback cuts
     back to.  The DV and application state are recreated from the last
-    surviving checkpoint, as in Algorithm 3, and new checkpoints take that
+    surviving checkpoint by {!rollback}'s code (Algorithm 3 lines 4-6),
+    and new checkpoints take that
     checkpoint's [size_bytes] (what [create]'s [ckpt_bytes] gave the
     process before the crash); no new checkpoint is stored
     and no DV archive is built (a first {!archive} call seeds one from

@@ -104,30 +104,30 @@ let figure2_with_protocol protocol =
 (* stays because p2 never learns of p3's checkpoints after s^1_3.      *)
 (* ------------------------------------------------------------------ *)
 
-type step = Transfer of { src : int; dst : int } | Checkpoint of int
+(* a send of message [id] delivered at once *)
+let transfer id ~src ~dst =
+  [ Script.Send { id; src; dst }; Script.Deliver id ]
 
 let figure4_steps =
   [
-    ("m: p0 -> p1 (p1 pins its s0 for p0)", Transfer { src = 0; dst = 1 });
-    ("m: p1 -> p2 (p2 pins its s0 for p0,p1)", Transfer { src = 1; dst = 2 });
-    ("p1 takes s1", Checkpoint 1);
-    ("p2 takes s1", Checkpoint 2);
-    ("m: p2 -> p1 (p1 pins its s1 for p2)", Transfer { src = 2; dst = 1 });
-    ("p1 takes s2", Checkpoint 1);
-    ("p1 takes s3: its s2 is collected", Checkpoint 1);
-    ("p2 takes s2: its s1 is collected", Checkpoint 2);
-    ("p2 takes s3: its s2 is collected", Checkpoint 2);
-    ("m: p1 -> p2 (p2 pins its s3 for p1)", Transfer { src = 1; dst = 2 });
+    ("m: p0 -> p1 (p1 pins its s0 for p0)", transfer 0 ~src:0 ~dst:1);
+    ("m: p1 -> p2 (p2 pins its s0 for p0,p1)", transfer 1 ~src:1 ~dst:2);
+    ("p1 takes s1", [ Script.Checkpoint 1 ]);
+    ("p2 takes s1", [ Script.Checkpoint 2 ]);
+    ("m: p2 -> p1 (p1 pins its s1 for p2)", transfer 2 ~src:2 ~dst:1);
+    ("p1 takes s2", [ Script.Checkpoint 1 ]);
+    ("p1 takes s3: its s2 is collected", [ Script.Checkpoint 1 ]);
+    ("p2 takes s2: its s1 is collected", [ Script.Checkpoint 2 ]);
+    ("p2 takes s3: its s2 is collected", [ Script.Checkpoint 2 ]);
+    ("m: p1 -> p2 (p2 pins its s3 for p1)", transfer 3 ~src:1 ~dst:2);
   ]
 
 let figure4 ?(on_step = fun _ _ -> ()) () =
   let s = Script.create ~n:3 ~protocol:Protocol.fdas ~with_lgc:true () in
   on_step "initial checkpoints s0 stored" s;
   List.iter
-    (fun (label, step) ->
-      (match step with
-      | Transfer { src; dst } -> Script.transfer s ~src ~dst
-      | Checkpoint pid -> Script.checkpoint s pid);
+    (fun (label, ops) ->
+      List.iter (fun op -> ignore (Script.apply s op)) ops;
       on_step label s)
     figure4_steps;
   s
@@ -178,12 +178,12 @@ let worst_case ~n =
   for k = 0 to n - 1 do
     (* all sends of the phase leave before any delivery, so receivers'
        knowledge cannot flow back within the phase *)
-    let msgs =
-      List.filter_map
-        (fun dst -> if dst = k then None else Some (Script.send s ~src:k ~dst))
-        (List.init n Fun.id)
-    in
-    List.iter (Script.deliver s) msgs;
+    let peers = List.filter (fun dst -> dst <> k) (List.init n Fun.id) in
+    List.iter
+      (fun dst ->
+        ignore (Script.apply s (Script.Send { id = dst; src = k; dst })))
+      peers;
+    List.iter (fun dst -> ignore (Script.apply s (Script.Deliver dst))) peers;
     for pid = 0 to n - 1 do
       Script.checkpoint s pid
     done

@@ -54,18 +54,16 @@ val figure2_with_protocol : Rdt_protocols.Protocol.t -> Script.t
     (forced checkpoints included); used to show FDAS preventing the
     domino effect. *)
 
-type step =
-  | Transfer of { src : int; dst : int }  (** a send delivered at once *)
-  | Checkpoint of int  (** a basic checkpoint *)
-
-val figure4_steps : (string * step) list
-[@@lint.reference "Figure 4 as data: the merged Algorithm 4 replays the same steps"]
-(** Figure 4's execution after the initial checkpoints, one labelled step
-    per event. *)
+val figure4_steps : (string * Script.op list) list
+[@@lint.reference
+  "Figure 4 as data: Algorithm 4 and the oracle battery replay the same ops"]
+(** Figure 4's execution after the initial checkpoints, one labelled op
+    group per event of the figure: a message is its [Send] and its
+    [Deliver] (ids 0 to 3, in send order), a checkpoint one op. *)
 
 val figure4 : ?on_step:(string -> Script.t -> unit) -> unit -> Script.t
-(** Runs {!figure4_steps} to completion (FDAS + RDT-LGC), calling
-    [on_step label s] on the initial state and after every step. *)
+(** Applies {!figure4_steps} to completion (FDAS + RDT-LGC), calling
+    [on_step label s] on the initial state and after every op group. *)
 
 val recovery_ccp : unit -> Rdt_ccp.Ccp.t
 (** A 4-process CCP exercising recovery-line determination (Figure 3's
@@ -73,6 +71,8 @@ val recovery_ccp : unit -> Rdt_ccp.Ccp.t
 
 val worst_case : n:int -> Script.t
 (** Figure 5's worst case for [n] processes: drives [n] phases after
-    which every process retains exactly [n] stable checkpoints; the
+    which every process retains exactly [n] stable checkpoints (in phase
+    [k], [p_k] sends message id [dst] to each other process [dst], and
+    every message is delivered before the phase's checkpoints); the
     script ends *before* the extra simultaneous checkpoint (take one more
     checkpoint per process to observe the transient [n+1]). *)

@@ -7,19 +7,20 @@ module Ccp = Rdt_ccp.Ccp
 module Session = Rdt_recovery.Session
 module Process_stack = Rdt_recovery.Process_stack
 
-type msg = {
-  payload : Middleware.message;
-  dst : int;
-  mutable delivered : bool;
-  mutable dead : bool;  (* lost, or discarded by a crash while in flight *)
-}
+type op =
+  | Checkpoint of int
+  | Send of { id : int; src : int; dst : int }
+  | Deliver of int
+  | Drop of int
+  | Crash of int list
 
 type t = {
   n : int;
   trace : Trace.t;
   stacks : Process_stack.t array;
   knowledge : Session.knowledge;
-  mutable in_flight : msg list;
+  (* op message id -> destination and payload, while in flight *)
+  in_flight : (int, int * Middleware.message) Hashtbl.t;
   mutable crashes : int;
   mutable clock : float;
 }
@@ -36,7 +37,7 @@ let create ?(knowledge = `Global) ?store_of ~n ~protocol ~with_lgc () =
     trace;
     stacks;
     knowledge;
-    in_flight = [];
+    in_flight = Hashtbl.create 16;
     crashes = 0;
     clock = 0.0;
   }
@@ -46,52 +47,58 @@ let stack t pid = t.stacks.(pid)
 let middleware t pid = Process_stack.middleware t.stacks.(pid)
 let collector t pid = Process_stack.collector t.stacks.(pid)
 
-let tick t =
-  t.clock <- t.clock +. 1.0;
-  t.clock
+let advances_clock = function Drop _ -> false | _ -> true
 
-let checkpoint t pid =
-  Middleware.basic_checkpoint (middleware t pid) ~now:(tick t)
+let take t id =
+  match Hashtbl.find_opt t.in_flight id with
+  | Some m ->
+    Hashtbl.remove t.in_flight id;
+    m
+  | None ->
+    invalid_arg (Printf.sprintf "Script.apply: message %d is not in flight" id)
 
-let send t ~src ~dst =
-  let payload = Middleware.prepare_send (middleware t src) ~dst ~now:(tick t) in
-  let m = { payload; dst; delivered = false; dead = false } in
-  t.in_flight <- m :: t.in_flight;
-  m
+let apply t op =
+  if advances_clock op then t.clock <- t.clock +. 1.0;
+  let now = t.clock in
+  match op with
+  | Checkpoint pid ->
+    Middleware.basic_checkpoint (middleware t pid) ~now;
+    None
+  | Send { id; src; dst } ->
+    if Hashtbl.mem t.in_flight id then
+      invalid_arg
+        (Printf.sprintf "Script.apply: message %d is already in flight" id);
+    Hashtbl.replace t.in_flight id
+      (dst, Middleware.prepare_send (middleware t src) ~dst ~now);
+    None
+  | Deliver id ->
+    let dst, payload = take t id in
+    Middleware.receive (middleware t dst) payload ~now;
+    None
+  | Drop id ->
+    ignore (take t id);
+    None
+  | Crash faulty ->
+    if List.is_empty faulty then invalid_arg "Script.apply: empty faulty set";
+    List.iter
+      (fun pid ->
+        if pid < 0 || pid >= t.n then invalid_arg "Script.apply: bad pid")
+      faulty;
+    (* the stop-world session discards every in-transit message (the CCP
+       excludes lost and in-transit messages) *)
+    Hashtbl.reset t.in_flight;
+    t.crashes <- t.crashes + 1;
+    Some (Process_stack.session t.stacks ~faulty ~knowledge:t.knowledge)
 
-let forget t msg = t.in_flight <- List.filter (fun m -> m != msg) t.in_flight
+let checkpoint t pid = ignore (apply t (Checkpoint pid))
 
-let deliver t msg =
-  if msg.delivered then invalid_arg "Script.deliver: already delivered";
-  if msg.dead then
-    invalid_arg "Script.deliver: message was lost (dropped or crash-flushed)";
-  msg.delivered <- true;
-  forget t msg;
-  Middleware.receive (middleware t msg.dst) msg.payload ~now:(tick t)
+(* a transfer's message is in flight only within the call, so one
+   reserved id serves every transfer *)
+let transfer_id = min_int
 
-let transfer t ~src ~dst = deliver t (send t ~src ~dst)
-
-let drop t msg =
-  if msg.delivered then invalid_arg "Script.drop: already delivered";
-  if msg.dead then invalid_arg "Script.drop: already lost";
-  msg.dead <- true;
-  forget t msg
-
-let alive t msg = (not msg.delivered) && (not msg.dead) && List.memq msg t.in_flight
-
-let crash t ~faulty =
-  if List.is_empty faulty then invalid_arg "Script.crash: empty faulty set";
-  List.iter
-    (fun pid ->
-      if pid < 0 || pid >= t.n then invalid_arg "Script.crash: bad pid")
-    faulty;
-  ignore (tick t);
-  (* the stop-world session discards every in-transit message (the CCP
-     excludes lost and in-transit messages) *)
-  List.iter (fun m -> m.dead <- true) t.in_flight;
-  t.in_flight <- [];
-  t.crashes <- t.crashes + 1;
-  Process_stack.session t.stacks ~faulty ~knowledge:t.knowledge
+let transfer t ~src ~dst =
+  ignore (apply t (Send { id = transfer_id; src; dst }));
+  ignore (apply t (Deliver transfer_id))
 
 let crash_count t = t.crashes
 let store t pid = Process_stack.store t.stacks.(pid)

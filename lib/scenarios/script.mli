@@ -5,8 +5,20 @@
     Used to transcribe the paper's space-time diagrams event by event —
     the figures fix exact interleavings that a random simulation would
     never reproduce — and by the differential fuzzer ({!Rdt_verify}) as
-    the replay substrate for generated scenarios and shrunk reproducers.
-    Virtual time advances by one unit per operation. *)
+    the replay substrate for generated scenarios and shrunk reproducers:
+    {!apply} runs one {!op} at a time. *)
+
+type op =
+  | Checkpoint of int  (** basic checkpoint of one process *)
+  | Send of { id : int; src : int; dst : int }
+      (** send a message; [id] names it to the ops that deliver or drop
+          it, and is the script's own (the middleware mints the trace's
+          message id) *)
+  | Deliver of int  (** deliver in-flight message [id] *)
+  | Drop of int  (** lose in-flight message [id] *)
+  | Crash of int list  (** crash these processes; run a recovery session *)
+(** One step of an execution: the op language of {!Rdt_verify.Scenario},
+    the live coordinator and {!Figures.figure4_steps}. *)
 
 type t
 
@@ -20,43 +32,40 @@ val create :
   t
 (** Fresh system; every process has stored its initial checkpoint and,
     when [with_lgc], has an attached RDT-LGC collector.  [knowledge]
-    (default [`Global]) selects the recovery-session mode used by
-    {!crash}.  [store_of] supplies pre-built (empty) stable stores — e.g.
+    (default [`Global]) selects the recovery-session mode a [Crash] op
+    runs.  [store_of] supplies pre-built (empty) stable stores — e.g.
     ones whose durability backend is a {!Rdt_store.Log_store} — one per
     process; default: fresh in-memory stores. *)
 
 val n : t -> int
 
+val advances_clock : op -> bool
+(** The virtual clock's rule: every op but a [Drop] advances it by one
+    unit before it runs.  The live coordinator stamps its commands by
+    the same rule, so live checkpoint [taken_at] stamps equal a
+    replay's. *)
+
+val apply : t -> op -> Rdt_recovery.Session.report option
+(** Runs one op through the real middleware.  In-flight messages are
+    keyed by the op's message id; a delivery is to the destination given
+    at send time.  A [Crash] is a stop-world crash of the faulty set
+    followed at once by a centralized recovery session
+    ({!Rdt_recovery.Session.run}) in the script's knowledge mode, whose
+    report it returns; it first discards every message still in flight
+    (the CCP excludes lost and in-transit messages).  Other ops return
+    [None].
+    @raise Invalid_argument on a [Send] of an id already in flight, a
+    [Deliver] or [Drop] of an id not in flight (never sent, delivered,
+    dropped or crash-flushed), or a [Crash] of an empty or out-of-range
+    faulty set; the clock has advanced by then. *)
+
 val checkpoint : t -> int -> unit
-(** Basic checkpoint of one process. *)
-
-type msg
-(** An in-flight message. *)
-
-val send : t -> src:int -> dst:int -> msg
-val deliver : t -> msg -> unit
-(** @raise Invalid_argument if already delivered, lost, or wrong script
-    order (delivery is to the destination given at send time). *)
+(** [apply] of a [Checkpoint]. *)
 
 val transfer : t -> src:int -> dst:int -> unit
-(** [send] immediately followed by [deliver] — for diagram arrows with no
-    crossing. *)
-
-val drop : t -> msg -> unit
-(** Lose an in-flight message (the asynchronous model allows it); the
-    message can no longer be delivered.
-    @raise Invalid_argument if already delivered or already lost. *)
-
-val alive : t -> msg -> bool
-(** Still in flight: neither delivered, dropped, nor crash-flushed. *)
-
-val crash : t -> faulty:int list -> Rdt_recovery.Session.report
-(** Stop-world crash of [faulty] followed immediately by a centralized
-    recovery session ({!Rdt_recovery.Session.run}) in the script's
-    knowledge mode.  Every message still in flight is discarded first (the
-    CCP excludes lost and in-transit messages); delivering one of them
-    afterwards raises.
-    @raise Invalid_argument on an empty or out-of-range faulty set. *)
+(** A [Send] delivered at once — for diagram arrows with no crossing.
+    Its message travels under the id [min_int], which it frees before it
+    returns. *)
 
 val crash_count : t -> int
 (** Recovery sessions run so far. *)

@@ -88,7 +88,6 @@ type cmd =
 type reply =
   | R_done of { events : tev list; state : state }
   | R_snapshot of { entries : entry list; live_dv : int array }
-  | R_state of { state : state }
   | R_error of { message : string }
 
 type frame =
@@ -195,9 +194,6 @@ let put_reply b = function
     put_i64 b (List.length entries);
     List.iter (put_entry b) entries;
     put_int_array b live_dv
-  | R_state { state } ->
-    put_u8 b 2;
-    put_state b state
   | R_error { message } ->
     put_u8 b 3;
     put_string b message
@@ -364,7 +360,6 @@ let get_reply c =
     let count = get_count c "entries" in
     let entries = List.init count (fun _ -> get_entry c) in
     R_snapshot { entries; live_dv = get_int_array c }
-  | 2 -> R_state { state = get_state c }
   | 3 -> R_error { message = get_string c }
   | t -> raise (Bad (Malformed (Printf.sprintf "reply tag %d" t)))
 

@@ -59,7 +59,7 @@ type cmd =
   | C_snapshot  (** recovery manager state query *)
   | C_rollback of { to_index : int; li : int array option }
   | C_release of { li : int array }
-  | C_state
+  | C_state  (** the node's state, answered by an [R_done] with no events *)
   | C_shutdown
   | C_config of {
       n : int;
@@ -89,7 +89,6 @@ type reply =
           (the last is the node's last stable checkpoint), and the live
           DV: one process's snapshot for the coordinator's recovery
           session *)
-  | R_state of { state : state }  (** the answer to [C_state] *)
   | R_error of { message : string }  (** the command raised *)
 
 type frame =

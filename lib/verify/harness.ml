@@ -218,7 +218,6 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
         | None -> ()
       done;
     let incr = Ccp.Incremental.of_trace (Script.trace script) in
-    let msgs = Hashtbl.create 64 in
     let exact () =
       (match sc.knowledge with `Causal -> true | `Global -> false)
       || Script.crash_count script = 0
@@ -234,31 +233,19 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
         (Oracles.deep ~stack:(Script.stack script)
            ~ccp:(Ccp.Incremental.ccp incr) ~op:i)
     in
-    let execute i op =
-      match (op : Scenario.op) with
-      | Scenario.Checkpoint p ->
-        Script.checkpoint script p;
-        quiescent i
-      | Scenario.Send { id; src; dst } ->
-        Hashtbl.replace msgs id (Script.send script ~src ~dst);
-        quiescent i
-      | Scenario.Deliver id -> (
-        match Hashtbl.find_opt msgs id with
-        | Some m when Script.alive script m ->
-          Script.deliver script m;
-          quiescent i
-        | _ -> () (* normalized scenarios never reach this *))
-      | Scenario.Drop id -> (
-        match Hashtbl.find_opt msgs id with
-        | Some m when Script.alive script m -> Script.drop script m
-        | _ -> ())
-      | Scenario.Crash faulty ->
+    let execute i (op : Scenario.op) =
+      match op with
+      | Drop _ -> ignore (Script.apply script op)
+      | Crash _ ->
         let ccp_before = Ccp.of_trace (Script.trace script) in
-        let report = Script.crash script ~faulty in
+        let report = Option.get (Script.apply script op) in
         reports := !reports @ [ report ];
         push (Oracles.crash ~ccp_before ~report ~op:i);
         quiescent i;
         deep i
+      | Checkpoint _ | Send _ | Deliver _ ->
+        ignore (Script.apply script op);
+        quiescent i
     in
     (try
        List.iteri

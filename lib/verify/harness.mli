@@ -1,6 +1,7 @@
 (** Scenario execution with differential checking.
 
-    Replays a {!Scenario.t} through the full stack — real middleware and
+    Replays a {!Scenario.t} op by op ({!Rdt_scenarios.Script.apply})
+    through the full stack — real middleware and
     protocol, RDT-LGC collectors, centralized recovery sessions and
     (for durable scenarios) per-process {!Rdt_store.Log_store} backends in
     a scratch directory — running the {!Oracles} after every op at

@@ -6,7 +6,7 @@ module Workload = Rdt_workload.Workload
 module Sim_config = Rdt_core.Sim_config
 module Runner = Rdt_core.Runner
 
-type op =
+type op = Rdt_scenarios.Script.op =
   | Checkpoint of int
   | Send of { id : int; src : int; dst : int }
   | Deliver of int
@@ -193,10 +193,10 @@ let gen_direct rng ~seed ~max_procs =
 
 (* Simulated mode: run the discrete-event engine on a random
    configuration (real workload patterns, network delay/loss/reordering)
-   and transcribe the recorded trace into an op list.  The transcript is a
-   pattern donor, not an exact replay — forced checkpoints are replayed as
-   basic ones, on top of which the protocol may force more; both are legal
-   executions. *)
+   and transcribe its trace events, as they happen, into an op list.  The
+   transcript is a pattern donor, not an exact replay — forced checkpoints
+   are replayed as basic ones, on top of which the protocol may force
+   more; both are legal executions. *)
 let max_transcribed_ops = 250
 
 let gen_simulated rng ~seed ~max_procs =
@@ -239,12 +239,14 @@ let gen_simulated rng ~seed ~max_procs =
       sample_interval = 1_000_000.0;
     }
   in
-  let r = Runner.create ~record:true cfg in
-  Runner.run r;
+  let r = Runner.create cfg in
   let ops = ref [] in
   let next_id = ref 0 in
   let idmap = Hashtbl.create 64 in
-  Trace.iter (Runner.trace r) (fun e ->
+  (* the tap misses the s^0 checkpoints [Runner.create] stored, which the
+     transcript skips anyway; the run has no faults, so nothing it sees is
+     rolled back *)
+  Trace.on_event (Runner.trace r) (fun e ->
       let pid = Trace.View.pid e and payload = Trace.View.payload e in
       match Trace.View.tag e with
       | Trace.Checkpoint -> if payload > 0 then ops := Checkpoint pid :: !ops
@@ -257,6 +259,7 @@ let gen_simulated rng ~seed ~max_procs =
         match Hashtbl.find_opt idmap payload with
         | Some id -> ops := Deliver id :: !ops
         | None -> ()));
+  Runner.run r;
   let ops = List.rev !ops in
   let ops = List.filteri (fun i _ -> i < max_transcribed_ops) ops in
   let ops =

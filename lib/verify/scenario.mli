@@ -9,20 +9,22 @@
     Generation has two modes, chosen by seed bits: {e direct} (the op list
     itself is random — delay and reordering come from how long send ids
     linger undelivered, losses and multi-process crashes are explicit) and
-    {e simulated} (a random discrete-event simulation is run with recording
-    on and its trace is transcribed into ops — real workload patterns and
-    network behaviour donate the communication structure).
+    {e simulated} (a random discrete-event simulation is run and its trace
+    events are transcribed into ops through the {!Rdt_ccp.Trace.on_event}
+    tap — real workload patterns and network behaviour donate the
+    communication structure).
 
     Scenarios serialize to a line-oriented corpus format. *)
 
-type op =
-  | Checkpoint of int  (** basic checkpoint of one process *)
+type op = Rdt_scenarios.Script.op =
+  | Checkpoint of int
   | Send of { id : int; src : int; dst : int }
-      (** send a message; [id] is scenario-stable so shrinking can remove
-          ops without renumbering *)
-  | Deliver of int  (** deliver in-flight message [id] *)
-  | Drop of int  (** lose in-flight message [id] *)
-  | Crash of int list  (** crash these processes; run a recovery session *)
+  | Deliver of int
+  | Drop of int
+  | Crash of int list
+(** {!Rdt_scenarios.Script}'s op language: the harness replays a scenario
+    by applying its ops there one at a time.  Send ids are
+    scenario-stable, so shrinking can remove ops without renumbering. *)
 
 type store_fault = {
   fault_pid : int;  (** whose store *)

@@ -150,15 +150,23 @@ let test_recovered_process_resumes_workload () =
   in
   Alcotest.(check bool) "p1 checkpointed after repair" true late_activity
 
+(* Ops name messages by id: a second delivery, a drop after delivery, a
+   reused in-flight id and a never-sent id are all refused. *)
 let test_script_double_delivery_rejected () =
   let s = Script.create ~n:2 ~protocol:Protocol.fdas ~with_lgc:false () in
-  let m = Script.send s ~src:0 ~dst:1 in
-  Script.deliver s m;
-  Alcotest.(check bool) "raises" true
-    (try
-       Script.deliver s m;
-       false
-     with Invalid_argument _ -> true)
+  let raises op =
+    match Script.apply s op with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  ignore (Script.apply s (Send { id = 0; src = 0; dst = 1 }));
+  ignore (Script.apply s (Deliver 0));
+  Alcotest.(check bool) "second delivery raises" true (raises (Deliver 0));
+  Alcotest.(check bool) "drop after delivery raises" true (raises (Drop 0));
+  ignore (Script.apply s (Send { id = 1; src = 1; dst = 0 }));
+  Alcotest.(check bool) "in-flight id reused raises" true
+    (raises (Send { id = 1; src = 0; dst = 1 }));
+  Alcotest.(check bool) "never-sent id raises" true (raises (Deliver 2))
 
 let test_figure2_under_cas () =
   (* checkpoint-after-send also breaks the domino interleaving *)

@@ -339,6 +339,83 @@ let test_corpus_replays_clean () =
           (List.length r.Harness.violations))
     files
 
+(* The replayed trace and verdicts of every committed scenario, pinned:
+   a change to how the harness applies ops shows up here even when every
+   replay still passes.  The MD5 covers the script's {!Rdt_ccp.Trace}
+   text, the violations and how the run stopped. *)
+let corpus_replay_md5 =
+  [
+    ("live_dup_bug.min.scn", "24c25df1dfdb52a1d34c38bacc59d575");
+    ("live_nemesis_delay.scn", "d07b3a6f1f9ca9f2a6cf2d2a22990f05");
+    ("live_nemesis_dup.scn", "d07b3a6f1f9ca9f2a6cf2d2a22990f05");
+    ("live_nemesis_partition.scn", "d07b3a6f1f9ca9f2a6cf2d2a22990f05");
+    ("live_ready_partition.scn", "fc05ae48553a67b63f026c340fe02366");
+    ("live_smoke.scn", "d07b3a6f1f9ca9f2a6cf2d2a22990f05");
+    ("live_stale_ready.scn", "7f050359ead59d9c57f0dc872dba001f");
+    ("sim_seed_13.scn", "67f3dd4b11c207bb728e9c51cfb39e2f");
+    ("sim_seed_14.scn", "9c80ae7c3eb2d52809191d4b17a18f76");
+    ("sim_seed_3.scn", "6f009833fbbd7d7a9c9a33f53d815f52");
+    ("sim_seed_8.scn", "efc61851ef0c6bcd08adb0dff497d262");
+  ]
+
+let replay_md5 sc =
+  let r = Harness.run sc in
+  let trace =
+    match r.Harness.script with
+    | Some s -> Rdt_ccp.Trace.to_string (Rdt_scenarios.Script.trace s)
+    | None -> ""
+  in
+  let verdicts =
+    List.map (Fmt.str "%a" Oracles.pp_violation) r.Harness.violations
+  in
+  let stop =
+    match r.Harness.stop with
+    | Harness.Completed -> "completed"
+    | Harness.Store_crashed { pid; at_op } ->
+      Printf.sprintf "store-crashed p%d op %d" pid at_op
+  in
+  Digest.to_hex
+    (Digest.string
+       (trace ^ "\n" ^ String.concat "\n" verdicts ^ "\n" ^ stop))
+
+let test_corpus_replays_pinned () =
+  Alcotest.(check (list string))
+    "every committed scenario is pinned"
+    (List.map fst corpus_replay_md5)
+    (corpus_files ());
+  List.iter
+    (fun (f, md5) ->
+      match Scenario.load (Filename.concat corpus_dir f) with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok sc -> Alcotest.(check string) f md5 (replay_md5 sc))
+    corpus_replay_md5
+
+(* Figure 4's execution as a scenario: the paper's own RDT-LGC run passes
+   the whole oracle battery after every op, and an over-collecting
+   collector fails it. *)
+let test_figure4_under_oracles () =
+  let sc =
+    {
+      Scenario.seed = 0;
+      n = 3;
+      protocol = Rdt_protocols.Protocol.fdas;
+      knowledge = `Global;
+      durable = false;
+      store_fault = None;
+      ops = List.concat_map snd Rdt_scenarios.Figures.figure4_steps;
+    }
+  in
+  let r = Harness.run sc in
+  (match r.Harness.violations with
+  | [] -> ()
+  | v :: _ ->
+    Alcotest.failf "figure 4 violated: %s" (Fmt.str "%a" Oracles.pp_violation v));
+  Alcotest.(check int) "normalization keeps every op" (Scenario.op_count sc)
+    (Scenario.op_count r.Harness.scenario);
+  let mutant = Harness.run ~mutate_lgc:true sc in
+  Alcotest.(check bool) "the over-collecting mutant is caught" true
+    (mutant.Harness.violations <> [])
+
 let test_corpus_regenerates () =
   (* the generator transcribes the engine's trace for simulated-mode
      scenarios, so regenerating a committed file from its seed is an
@@ -387,4 +464,8 @@ let suite =
     Alcotest.test_case "corpus replays clean" `Quick test_corpus_replays_clean;
     Alcotest.test_case "corpus regenerates from its seeds" `Quick
       test_corpus_regenerates;
+    Alcotest.test_case "corpus replays are pinned" `Quick
+      test_corpus_replays_pinned;
+    Alcotest.test_case "figure 4 passes the oracle battery" `Quick
+      test_figure4_under_oracles;
   ]

@@ -445,12 +445,12 @@ let test_node_config () =
         (is_error r);
       send 5 Wire.C_state;
       (match one "state" (replies ()) with
-      | _, Wire.R_state { state } ->
+      | _, Wire.R_done { events = []; state } ->
         Alcotest.(check (array int)) "booted once: dv kept"
           after_ckpt.Wire.st_dv state.Wire.st_dv;
         Alcotest.(check (array int)) "booted once: store kept"
           after_ckpt.Wire.st_retained state.Wire.st_retained
-      | _ -> Alcotest.fail "state query not answered by R_state");
+      | _ -> Alcotest.fail "state query not answered by an empty R_done");
       send 6 Wire.C_shutdown;
       ignore (one "shutdown" (replies ())))
 

@@ -15,6 +15,10 @@ type lockstep = {
   script : Script.t;  (* composed implementation *)
   merged : Merged.t array;  (* Algorithm 4 *)
   n : int;
+  (* op message id -> Algorithm 4's in-flight message and its
+     destination *)
+  in_flight : (int, Rdt_protocols.Control.t * int) Hashtbl.t;
+  mutable next_id : int;
 }
 
 let make n =
@@ -22,6 +26,8 @@ let make n =
     script = Script.create ~n ~protocol:Protocol.fdas ~with_lgc:true ();
     merged = Array.init n (fun me -> Merged.create ~n ~me);
     n;
+    in_flight = Hashtbl.create 16;
+    next_id = 0;
   }
 
 let compare_states ?(at = "") l =
@@ -43,20 +49,29 @@ let compare_states ?(at = "") l =
       (Script.forced_taken l.script pid)
   done
 
-let checkpoint l pid =
-  Script.checkpoint l.script pid;
-  Merged.basic_checkpoint l.merged.(pid) ~now:0.0
+(* one op on both sides *)
+let apply l (op : Script.op) =
+  ignore (Script.apply l.script op);
+  match op with
+  | Checkpoint pid -> Merged.basic_checkpoint l.merged.(pid) ~now:0.0
+  | Send { id; src; dst } ->
+    Hashtbl.replace l.in_flight id (Merged.before_send l.merged.(src), dst)
+  | Deliver id ->
+    let m, dst = Hashtbl.find l.in_flight id in
+    Hashtbl.remove l.in_flight id;
+    Merged.receive l.merged.(dst) m ~now:0.0
+  | Drop _ | Crash _ -> Alcotest.fail "lockstep runs no drops or crashes"
 
-(* send on both sides; returns the pair of in-flight messages *)
+let checkpoint l pid = apply l (Checkpoint pid)
+
+(* send on both sides; returns the message's op id *)
 let send l ~src ~dst =
-  let m_script = Script.send l.script ~src ~dst in
-  let m_merged = Merged.before_send l.merged.(src) in
-  (m_script, m_merged, dst)
+  let id = l.next_id in
+  l.next_id <- id + 1;
+  apply l (Send { id; src; dst });
+  id
 
-let deliver l (m_script, m_merged, dst) =
-  Script.deliver l.script m_script;
-  Merged.receive l.merged.(dst) m_merged ~now:0.0
-
+let deliver l id = apply l (Deliver id)
 let transfer l ~src ~dst = deliver l (send l ~src ~dst)
 
 let test_initial_state () =
@@ -88,10 +103,8 @@ let test_figure4_on_merged () =
   (* the merged implementation goes through every Figure 4 state too *)
   let l = make 3 in
   List.iter
-    (fun (label, step) ->
-      (match step with
-      | Figures.Transfer { src; dst } -> transfer l ~src ~dst
-      | Figures.Checkpoint pid -> checkpoint l pid);
+    (fun (label, ops) ->
+      List.iter (apply l) ops;
       compare_states ~at:label l)
     Figures.figure4_steps;
   Alcotest.(check (array int)) "p1 dv" [| 1; 4; 2 |] (Merged.dv l.merged.(1));

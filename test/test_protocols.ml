@@ -87,13 +87,13 @@ let test_casbr_rule () =
 
 let test_cas_script () =
   let s = Script.create ~n:2 ~protocol:(Helpers.protocol "cas") ~with_lgc:false () in
-  let m = Script.send s ~src:0 ~dst:1 in
+  ignore (Script.apply s (Send { id = 0; src = 0; dst = 1 }));
   (* the forced checkpoint follows the send, so the message carries the
      pre-checkpoint interval *)
   Alcotest.(check int) "forced after send" 1 (Script.forced_taken s 0);
   Alcotest.(check (array int)) "dv advanced after the send" [| 2; 0 |]
     (Script.dv s 0);
-  Script.deliver s m;
+  ignore (Script.apply s (Deliver 0));
   Alcotest.(check (array int)) "receiver saw interval 1" [| 1; 1 |]
     (Script.dv s 1)
 
@@ -151,8 +151,7 @@ let test_middleware_forced_before_delivery () =
   (* FDAS: send then receive a fresh dependency => the forced checkpoint
      must be stored BEFORE the receive is recorded *)
   let s = Script.create ~n:2 ~protocol:Protocol.fdas ~with_lgc:false () in
-  let m_out = Script.send s ~src:0 ~dst:1 in
-  ignore m_out;
+  ignore (Script.apply s (Send { id = 0; src = 0; dst = 1 }));
   Script.checkpoint s 1;
   (* p0 has sent; now p1's message (carrying its new checkpoint) arrives *)
   Script.transfer s ~src:1 ~dst:0;

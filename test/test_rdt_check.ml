@@ -195,19 +195,20 @@ let random_none_script ~seed ~n ~ops =
   let rng = Rdt_sim.Prng.create ~seed in
   let s = Script.create ~n ~protocol:(Helpers.protocol "none") ~with_lgc:true () in
   let pending = ref [] in
-  for _ = 1 to ops do
+  for id = 1 to ops do
     match Rdt_sim.Prng.int rng 4 with
     | 0 -> Script.checkpoint s (Rdt_sim.Prng.int rng n)
     | 1 | 2 ->
       let src = Rdt_sim.Prng.int rng n in
       let dst = (src + 1 + Rdt_sim.Prng.int rng (n - 1)) mod n in
-      pending := Script.send s ~src ~dst :: !pending
+      ignore (Script.apply s (Send { id; src; dst }));
+      pending := id :: !pending
     | _ -> (
       match !pending with
       | [] -> ()
       | l ->
         let pick = Rdt_sim.Prng.int rng (List.length l) in
-        Script.deliver s (List.nth l pick);
+        ignore (Script.apply s (Deliver (List.nth l pick)));
         pending := List.filteri (fun i _ -> i <> pick) l)
   done;
   s

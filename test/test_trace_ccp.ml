@@ -410,7 +410,8 @@ let test_muted_trace_notifies () =
     (Trace.fresh_msg_id muted ~pid:1);
   Alcotest.(check int) "recording trace cut once" 1 recorded_cuts;
   Alcotest.(check int) "muted truncation fires nothing" 0 muted_cuts;
-  Alcotest.(check int) "muted trace stores nothing" 0 (Trace.length muted);
+  Alcotest.(check bool) "muted trace refuses its length" true
+    (raises_invalid (fun () -> ignore (Trace.length muted)));
   (* nothing stored, so no checkpoint is missing either *)
   Trace.truncate_to_checkpoint muted ~pid:2 ~index:7
 
@@ -434,6 +435,8 @@ let test_dropped_trace_refused () =
   List.iter
     (fun (what, f) -> Alcotest.(check bool) what true (raises_invalid f))
     [
+      ("length", fun () -> ignore (Trace.length t));
+      ("checkpoint", fun () -> Trace.checkpoint t 0);
       ("iter", fun () -> Trace.iter t ignore);
       ("to_string", fun () -> ignore (Trace.to_string t));
       ("save", fun () -> Trace.save t path);

@@ -198,7 +198,6 @@ let gen_frame =
         (let* entries = list_size (int_bound 3) (gen_entry n) in
          let* live_dv = gen_dv n in
          return (Wire.R_snapshot { entries; live_dv }));
-        map (fun state -> Wire.R_state { state }) (gen_state n);
         map (fun message -> Wire.R_error { message }) string_printable;
       ]
   in
